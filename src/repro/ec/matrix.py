@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gf.arithmetic import _EXP, _LOG, _MUL_TABLE, gf_inv
-
-# Reusable gather scratch for gf_matmul (see comment at the use site).
-_MATMUL_SCRATCH = [np.empty(0, dtype=np.uint8)]
+from repro.gf.arithmetic import _EXP, _LOG, _MUL_TABLE, gf_inv, gf_scale_accumulate
 
 
 def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over GF(256).
 
     Works for 2-D x 2-D and 2-D x (2-D of payload columns); payload matmul
-    (coding_matrix @ data_blocks) is the hot path, so the inner loop runs one
-    vectorised table-gather + XOR reduction per (row, k) pair.
+    (coding_matrix @ data_blocks) is the hot path — it runs once per stripe
+    in every consistency gate, scrub and rebuild — so each row of ``b`` goes
+    through :func:`~repro.gf.arithmetic.gf_scale_accumulate` once, scaled by
+    its column of ``a`` into every output row (an all-zero row of ``b``,
+    e.g. a never-written data block, costs one ``any()`` pass).
     """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
@@ -33,26 +33,8 @@ def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    # One reusable gather buffer: np.take(..., out=) instead of fancy
-    # indexing removes the temporary allocation per (row, k) term — this
-    # runs once per stripe in every consistency gate and scrub.  The
-    # buffer is module-global (monotonically grown, views serve smaller
-    # calls): the simulation is single-threaded and the scratch never
-    # escapes the call, so one process-wide buffer removes the remaining
-    # allocation per matmul.
-    tmp = _MATMUL_SCRATCH[0]
-    if tmp.size < b.shape[1]:
-        tmp = _MATMUL_SCRATCH[0] = np.empty(b.shape[1], dtype=np.uint8)
-    tmp = tmp[: b.shape[1]]
-    for i in range(a.shape[0]):
-        acc = out[i]
-        row = a[i]
-        for k in range(a.shape[1]):
-            coeff = row[k]
-            if coeff == 0:
-                continue
-            np.take(_MUL_TABLE[coeff], b[k], out=tmp)
-            np.bitwise_xor(acc, tmp, out=acc)
+    for column, row in zip(a.T.tolist(), b):
+        gf_scale_accumulate(column, row, out)
     return out
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 from repro.dataplane import assemble_overlay
 from repro.devices.base import StorageDevice
 from repro.fs.blockstore import BlockStore
-from repro.fs.messages import HostDownError, Message, RpcHost
+from repro.fs.messages import TRANSIENT_RPC_ERRORS, HostDownError, Message, RpcHost
 from repro.sim.resources import KeyedLock
 
 # Serving a read fully from the in-memory log index costs roughly a memory
@@ -171,7 +171,15 @@ class OSD(RpcHost):
 
     # ------------------------------------------------------------------
     def heartbeat_loop(self, interval: float = 1.0):
-        """Optional heartbeat process (started by recovery experiments)."""
+        """Optional heartbeat process (started by recovery experiments).
+
+        A beat lost on a lossy link (or sent while the MDS is down) is a
+        missed beat, not the end of the heartbeat: the MDS timeout is what
+        turns enough consecutive misses into a failure verdict.
+        """
         while self.running:
-            yield from self.rpc("mds", "heartbeat", {}, nbytes=8)
+            try:
+                yield from self.rpc("mds", "heartbeat", {}, nbytes=8)
+            except TRANSIENT_RPC_ERRORS:
+                pass
             yield self.sim.sleep(interval)

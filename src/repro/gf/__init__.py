@@ -4,7 +4,7 @@ All erasure-code math in this repository happens in the field GF(256) with
 the AES/Rijndael-compatible primitive polynomial x^8 + x^4 + x^3 + x^2 + 1
 (0x11D), the same field used by ISA-L and Jerasure.  Addition is XOR;
 multiplication goes through log/exp tables so bulk operations stay inside
-numpy.
+numpy; bulk scalar-times-buffer work is one kernel, `gf_scale_accumulate`.
 """
 
 from repro.gf.arithmetic import (
@@ -18,6 +18,7 @@ from repro.gf.arithmetic import (
     gf_mul,
     gf_mul_scalar,
     gf_pow,
+    gf_scale_accumulate,
 )
 
 __all__ = [
@@ -31,4 +32,5 @@ __all__ = [
     "gf_mul",
     "gf_mul_scalar",
     "gf_pow",
+    "gf_scale_accumulate",
 ]

@@ -19,6 +19,7 @@ from typing import Callable, Deque, Hashable, List, Optional, Tuple
 import numpy as np
 
 from repro.dataplane import as_payload
+from repro.logstruct.intervals import IntervalSet
 from repro.logstruct.states import UnitState
 from repro.logstruct.unit import ENTRY_HEADER_BYTES, LogUnit
 
@@ -222,23 +223,13 @@ class LogPool:
         already de-overlapped and offset-sorted.
         """
         covered: List[Tuple[int, np.ndarray]] = []
-        have = np.zeros(length, dtype=bool)
+        have = IntervalSet()
         for unit in reversed(self.units):
             for a, frag in unit.lookup_partial(key, offset, length):
-                rel_a = a - offset
-                rel_b = rel_a + frag.size
-                mask = ~have[rel_a:rel_b]
-                if not mask.any():
-                    continue
-                # Split the fragment into its not-yet-covered runs.
-                idx = np.flatnonzero(mask)
-                breaks = np.flatnonzero(np.diff(idx) > 1)
-                starts = np.concatenate(([0], breaks + 1))
-                ends = np.concatenate((breaks, [idx.size - 1]))
-                for s_i, e_i in zip(starts, ends):
-                    lo = int(idx[s_i])
-                    hi = int(idx[e_i]) + 1
-                    covered.append((a + lo, frag[lo:hi].copy()))
-                have[rel_a:rel_b] = True
+                b = a + frag.size
+                # Only the runs no newer unit already served survive.
+                for lo, hi in have.uncovered(a, b):
+                    covered.append((lo, frag[lo - a : hi - a].copy()))
+                have.add(a, b)
         covered.sort(key=lambda t: t[0])
         return covered

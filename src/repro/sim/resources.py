@@ -92,13 +92,26 @@ class Resource:
         and the hold is a single event-free float sleep, instead of the
         request-event/grant round trip.  Contended acquires take the exact
         historical path, so FIFO order and queue accounting are unchanged.
+
+        A process interrupted while still queued withdraws its request —
+        a dead request left in the queue would be handed the slot by the
+        next ``release()`` and hold it forever.  If the grant landed in the
+        same instant as the interrupt the slot is already ours, so it is
+        released instead.
         """
         if self._in_use < self.capacity:
             self._in_use += 1
         else:
             req = Request(self.sim, self)
             self._queue.append(req)
-            yield req
+            try:
+                yield req
+            except BaseException:
+                if req.triggered:
+                    self.release()
+                else:
+                    self._queue.remove(req)
+                raise
         try:
             yield float(duration)
         finally:

@@ -161,6 +161,46 @@ def test_watch_and_recover_detects_and_rebuilds():
     assert np.array_equal(got, data[100:164])
 
 
+def test_watch_and_recover_with_lossy_osd_link():
+    # OSD-link loss combined with MDS-driven recovery: a heartbeat dropped
+    # on the wire is a missed beat, not the death of the heartbeat process
+    # (which would have the MDS declare a healthy OSD failed for good).
+    sim, cluster = build("fo")
+    load(cluster)
+    cluster.start()
+    for osd in cluster.osds:
+        osd.start_heartbeat(interval=0.2)
+    names = cluster.placement(600, 0)
+    victim = names[0]
+    # A pull source, not the rebuilder: the rebuilder re-plans all k pulls
+    # when one is lost, and every second frame of its own egress lost means
+    # no plan ever gets through — a deterministic-loss artefact, not what
+    # this test is about.
+    lossy = next(n for n in names[1:] if n != cluster.replica_of(victim))
+    cluster.fabric.degrade_link(lossy, loss_every=2, loss_scope="all")
+    stop = sim.event()
+    watcher = sim.process(watch_and_recover(cluster, check_interval=0.3, stop=stop))
+    sim.call_at(1.0, lambda: fail_osd(cluster, victim))
+    while victim not in cluster.down_osds and sim.peek() != float("inf"):
+        sim.step()
+    while victim in cluster.down_osds and sim.peek() != float("inf") and sim.now < 30.0:
+        sim.step()
+    assert victim not in cluster.down_osds
+    # Long enough past the rebuild for a dead heartbeat to time out.
+    sim.run(until=sim.now + 2 * cluster.mds.heartbeat_timeout)
+    stop.succeed()
+    while not watcher.fired and sim.peek() != float("inf") and sim.now < 60.0:
+        sim.step()
+    assert watcher.fired
+    results = watcher.value
+    cluster.stop()
+    assert [r.failed_osd for r in results] == [victim]
+    assert results[0].correct
+    assert cluster.fabric.dropped_total > 0  # beats really were lost
+    assert cluster.osd_by_name(lossy)._heartbeat_proc.is_alive
+    assert cluster.mds.failed_osds() == []
+
+
 def test_recover_node_driver_equivalent_to_proc():
     sim, cluster = build("fo")
     load(cluster)

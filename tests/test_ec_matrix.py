@@ -13,6 +13,7 @@ from repro.ec import (
     systematic_vandermonde,
     vandermonde_matrix,
 )
+from repro.gf import gf_mul
 
 
 def test_matmul_identity():
@@ -109,3 +110,49 @@ def test_km_validation():
         systematic_cauchy(255, 3)
     with pytest.raises(ValueError):
         vandermonde_matrix(300, 2)
+
+
+def _dense_matmul(a, b):
+    """The GF product term by term through the elementwise ``gf_mul`` —
+    every (row, k) pair, zero rows included; the kernel's reference."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+    for i in range(a.shape[0]):
+        for k in range(a.shape[1]):
+            out[i] ^= gf_mul(a[i, k], b[k])
+    return out
+
+
+def test_matmul_generator_construction_sizes_exact():
+    # The (k+m) x k @ k x k products the systematic transform performs:
+    # far below the wide-table threshold, every entry must stay exact.
+    for k, m in [(6, 2), (12, 4)]:
+        v = vandermonde_matrix(k + m, k)
+        top_inv = gf_matinv(v[:k])
+        assert np.array_equal(gf_matmul(v, top_inv), _dense_matmul(v, top_inv))
+    rng = np.random.default_rng(2)
+    a = rng.integers(0, 256, (8, 6), dtype=np.uint8)
+    b = rng.integers(0, 256, (6, 6), dtype=np.uint8)
+    assert np.array_equal(gf_matmul(a, b), _dense_matmul(a, b))
+
+
+@pytest.mark.parametrize("n", (1, 511, 512, 513, 65535, 65536))
+def test_payload_matmul_matches_dense_reference(n):
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, 256, (2, 6), dtype=np.uint8)
+    a[0, 2] = 0
+    a[1, 4] = 1
+    b = rng.integers(0, 256, (6, n), dtype=np.uint8)
+    b[3] = 0  # a never-written block
+    assert np.array_equal(gf_matmul(a, b), _dense_matmul(a, b))
+
+
+def test_payload_matmul_readonly_and_strided_operands():
+    rng = np.random.default_rng(8)
+    a = rng.integers(0, 256, (2, 6), dtype=np.uint8)
+    wide = rng.integers(0, 256, (6, 2 * 700 + 1), dtype=np.uint8)
+    wide.flags.writeable = False
+    for b in (wide[:, :700], wide[:, 1:701], wide[:, : 2 * 700 : 2], wide[::-1, :700]):
+        assert np.array_equal(gf_matmul(a, b), _dense_matmul(a, b))
+    # Column-major right operand: every row of it is strided.
+    b = np.asfortranarray(wide[:, :600])
+    assert np.array_equal(gf_matmul(a, b), _dense_matmul(a, b))

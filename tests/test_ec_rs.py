@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ec import RSCodec, combine_deltas, merge_delta, parity_delta
+from repro.gf import arithmetic, gf_mul
 
 BLOCK = 128
 
@@ -190,3 +191,78 @@ def test_module_level_helpers_match_codec():
     assert np.array_equal(
         combine_deltas(codec.parity_matrix, 1, {2: d}), codec.parity_delta(2, 1, d)
     )
+
+
+# ----------------------------------------------------------------------
+# the byte-plane kernel under the codec (blocks above the wide-table switch)
+# ----------------------------------------------------------------------
+def _dense_parity(codec, data):
+    """Parity term by term through elementwise ``gf_mul``, no zero skipping."""
+    out = [np.zeros(data[0].size, dtype=np.uint8) for _ in range(codec.m)]
+    for p in range(codec.m):
+        for j, blk in enumerate(data):
+            out[p] ^= gf_mul(codec.parity_matrix[p, j], blk)
+    return out
+
+
+def test_encode_with_every_subset_of_zero_blocks_equals_dense_product():
+    from itertools import combinations
+
+    k, m, size = 6, 2, 1024
+    codec = RSCodec(k, m)
+    rng = np.random.default_rng(17)
+    full = _blocks(rng, k, size)
+    for n_zero in range(k + 1):
+        for zeroed in combinations(range(k), n_zero):
+            data = [
+                np.zeros(size, dtype=np.uint8) if j in zeroed else full[j]
+                for j in range(k)
+            ]
+            for got, want in zip(codec.encode(data), _dense_parity(codec, data)):
+                assert np.array_equal(got, want), f"zero blocks {zeroed}"
+
+
+@pytest.mark.parametrize("k,m", [(6, 2), (12, 4)])
+def test_roundtrips_with_wide_table_cache_forced_past_its_bound(k, m, monkeypatch):
+    from itertools import combinations
+
+    # Eight tables cannot even hold one RS(6,2) encode: every product below
+    # evicts and rebuilds tables mid-matmul.
+    monkeypatch.setattr(arithmetic, "_WIDE_TABLE_LIMIT", 8)
+    arithmetic._WIDE_TABLES.clear()
+    size = 2048 + 1  # wide path plus an odd tail
+    codec = RSCodec(k, m)
+    rng = np.random.default_rng(k + m)
+    data = _blocks(rng, k, size)
+    data[1] = np.zeros(size, dtype=np.uint8)
+    parity = codec.encode(data)
+    for got, want in zip(parity, _dense_parity(codec, data)):
+        assert np.array_equal(got, want)
+    blocks = data + parity
+    built = set(arithmetic._WIDE_TABLES)
+    # Every loss pattern brings its own inverse matrix, i.e. fresh
+    # coefficients.
+    for lost in list(combinations(range(k + m), m))[:40]:
+        shards = {i: b for i, b in enumerate(blocks) if i not in lost}
+        rebuilt = codec.reconstruct(shards, lost)
+        for b in lost:
+            assert np.array_equal(rebuilt[b], blocks[b]), f"lost {lost}"
+        decoded = codec.decode(shards)
+        for j in range(k):
+            assert np.array_equal(decoded[j], data[j])
+        assert len(arithmetic._WIDE_TABLES) <= 8
+        built |= set(arithmetic._WIDE_TABLES)
+    assert len(built) > 8  # the bound really was exceeded
+
+
+def test_combine_deltas_wide_operands_match_sequential_patches():
+    k, m, size = 6, 2, 4096 + 1
+    codec = RSCodec(k, m)
+    rng = np.random.default_rng(23)
+    deltas = {j: rng.integers(0, 256, size, dtype=np.uint8) for j in (0, 2, 5)}
+    deltas[2] = np.zeros(size, dtype=np.uint8)  # an update that changed nothing
+    for p in range(m):
+        want = np.zeros(size, dtype=np.uint8)
+        for j, d in deltas.items():
+            want ^= parity_delta(codec.coefficient(p, j), d)
+        assert np.array_equal(codec.combine_deltas(p, deltas), want)

@@ -14,7 +14,9 @@ from repro.gf import (
     gf_mul,
     gf_mul_scalar,
     gf_pow,
+    gf_scale_accumulate,
 )
+from repro.gf import arithmetic
 
 elem = st.integers(min_value=0, max_value=255)
 nonzero = st.integers(min_value=1, max_value=255)
@@ -128,3 +130,106 @@ def test_scalar_distributes_over_xor_buffers(data, scalar):
     left = gf_mul_scalar(scalar, buf ^ other)
     right = gf_mul_scalar(scalar, buf) ^ gf_mul_scalar(scalar, other)
     assert np.array_equal(left, right)
+
+
+# ----------------------------------------------------------------------
+# the byte-plane kernel: acc[i] ^= coeffs[i] * src
+# ----------------------------------------------------------------------
+# Lengths on both sides of the small-operand switch (512) and of the
+# two-bytes-per-lookup pairing (odd tails), up to one 64 KiB block.
+KERNEL_LENGTHS = (0, 1, 511, 512, 513, 65535, 65536)
+
+
+def _reference_product(coeff, buf):
+    """``coeff * buf`` through the scalar ``gf_mul`` only (one row of 256)."""
+    row = np.array([int(gf_mul(coeff, b)) for b in range(256)], dtype=np.uint8)
+    return row[buf]
+
+
+@pytest.mark.parametrize("n", KERNEL_LENGTHS)
+def test_kernel_every_coefficient_matches_scalar_reference(n):
+    rng = np.random.default_rng(n)
+    src = rng.integers(0, 256, n, dtype=np.uint8)
+    seed_acc = rng.integers(0, 256, n, dtype=np.uint8)
+    for coeff in range(256):
+        acc = seed_acc.copy()
+        gf_scale_accumulate((coeff,), src, (acc,))
+        assert np.array_equal(acc, seed_acc ^ _reference_product(coeff, src)), (
+            f"coeff {coeff} length {n}"
+        )
+
+
+@pytest.mark.parametrize("n", (511, 512, 513, 4097))
+def test_kernel_accepts_readonly_unaligned_and_strided_sources(n):
+    rng = np.random.default_rng(n + 7)
+    backing = rng.integers(0, 256, 2 * n + 1, dtype=np.uint8)
+    readonly = backing[:n].copy()
+    readonly.flags.writeable = False
+    unaligned = backing[1 : n + 1]          # offset by one byte
+    strided = backing[: 2 * n : 2]          # non-contiguous
+    reversed_ = backing[:n][::-1]           # negative stride
+    for src in (readonly, unaligned, strided, reversed_):
+        before = src.copy()
+        acc = np.zeros((2, n), dtype=np.uint8)
+        gf_scale_accumulate((37, 201), src, acc)
+        assert np.array_equal(acc[0], _reference_product(37, before))
+        assert np.array_equal(acc[1], _reference_product(201, before))
+        assert np.array_equal(src, before)  # never written through
+
+
+def test_kernel_zero_source_and_zero_coefficient_add_nothing():
+    rng = np.random.default_rng(3)
+    acc = rng.integers(0, 256, (2, 1024), dtype=np.uint8)
+    before = acc.copy()
+    gf_scale_accumulate((9, 200), np.zeros(1024, dtype=np.uint8), acc)
+    assert np.array_equal(acc, before)
+    src = rng.integers(1, 256, 1024, dtype=np.uint8)
+    gf_scale_accumulate((0, 1), src, acc)
+    assert np.array_equal(acc[0], before[0])
+    assert np.array_equal(acc[1], before[1] ^ src)
+
+
+def test_kernel_small_operands_build_no_wide_table():
+    arithmetic._WIDE_TABLES.clear()
+    src = np.arange(1, 512, dtype=np.uint16).astype(np.uint8)  # 511 bytes
+    acc = np.zeros(511, dtype=np.uint8)
+    gf_scale_accumulate((77,), src, (acc,))
+    assert not arithmetic._WIDE_TABLES
+    gf_scale_accumulate((77,), np.resize(src, 512), (np.zeros(512, dtype=np.uint8),))
+    assert list(arithmetic._WIDE_TABLES) == [77]
+
+
+def test_wide_table_cache_is_bounded_and_evicts_oldest_built_first():
+    arithmetic._WIDE_TABLES.clear()
+    limit = arithmetic._WIDE_TABLE_LIMIT
+    assert limit * 128 * 1024 == 8 * 1024 * 1024
+    rng = np.random.default_rng(5)
+    src = rng.integers(0, 256, 1024, dtype=np.uint8)
+    coeffs = list(range(2, 2 + limit + 10))
+    for coeff in coeffs:
+        acc = np.zeros(1024, dtype=np.uint8)
+        gf_scale_accumulate((coeff,), src, (acc,))
+        assert np.array_equal(acc, _reference_product(coeff, src))
+        assert len(arithmetic._WIDE_TABLES) <= limit
+    # The ten oldest-built tables went; a re-used survivor is not rebuilt
+    # (use does not refresh its age).
+    assert list(arithmetic._WIDE_TABLES) == coeffs[10:]
+    survivor = arithmetic._WIDE_TABLES[coeffs[10]]
+    gf_scale_accumulate((coeffs[10],), src, (np.zeros(1024, dtype=np.uint8),))
+    assert arithmetic._WIDE_TABLES[coeffs[10]] is survivor
+    # An evicted coefficient still multiplies correctly (rebuilt on demand).
+    acc = np.zeros(1024, dtype=np.uint8)
+    gf_scale_accumulate((coeffs[0],), src, (acc,))
+    assert np.array_equal(acc, _reference_product(coeffs[0], src))
+
+
+def test_mul_scalar_keeps_shape_and_leaves_input_alone():
+    rng = np.random.default_rng(11)
+    buf = rng.integers(0, 256, (3, 700), dtype=np.uint8)
+    before = buf.copy()
+    out = gf_mul_scalar(29, buf)
+    assert out.shape == buf.shape and out is not buf
+    assert np.array_equal(out, _reference_product(29, before))
+    assert np.array_equal(buf, before)
+    assert np.array_equal(gf_mul_scalar(1, buf), buf)
+    assert not gf_mul_scalar(0, buf).any()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.logstruct import LogPool, UnitState
+from repro.logstruct.index import _covered_runs
 from repro.logstruct.unit import ENTRY_HEADER_BYTES
 
 
@@ -163,6 +164,31 @@ def test_cache_lookup_partial_shadowing():
             assert off + i not in rebuilt  # no overlaps
             rebuilt[off + i] = int(v)
     assert rebuilt == {**{i: 1 for i in range(4)}, **{i: 2 for i in range(4, 12)}}
+
+
+def test_cache_lookup_partial_splits_a_fragment_into_three_uncovered_runs():
+    # One old 100-byte fragment, two newer 10-byte writes inside it: the old
+    # fragment survives as exactly the three runs the coverage bitmap
+    # reference (`_covered_runs`) reads back.
+    p = small_pool(unit_capacity=4096, max_units=4)
+    old = np.arange(100, dtype=np.uint8)
+    p.append("b", 1000, old, now=0.0)
+    p.flush_active(now=0.1)
+    p.append("b", 1010, arr(10, fill=201), now=0.2)
+    p.flush_active(now=0.3)
+    p.append("b", 1050, arr(10, fill=202), now=0.4)
+    frags = p.cache_lookup_partial("b", 1000, 100)
+    shadowed = np.zeros(100, dtype=bool)
+    shadowed[10:20] = shadowed[50:60] = True
+    old_runs = _covered_runs(~shadowed)
+    assert old_runs == [(0, 10), (20, 50), (60, 100)]
+    expect = [(1000 + a, old[a:b]) for a, b in old_runs]
+    expect += [(1010, arr(10, fill=201)), (1050, arr(10, fill=202))]
+    expect.sort(key=lambda t: t[0])
+    assert [off for off, _ in frags] == [off for off, _ in expect]
+    for (_, got), (_, want) in zip(frags, expect):
+        assert np.array_equal(got, want)
+        assert got.flags.writeable  # copies, not views of live segments
 
 
 def test_reactivated_unit_loses_cache():
