@@ -1,12 +1,21 @@
-"""Legacy setup shim.
+"""Package metadata (self-contained: there is no ``pyproject.toml``).
 
 The execution environment has no ``wheel`` package, so PEP 660 editable
-installs (``pip install -e .``) fail inside setuptools' ``editable_wheel``.
-This shim lets ``pip install -e . --no-use-pep517 --no-build-isolation``
-take the classic ``setup.py develop`` path.  All metadata lives in
-``pyproject.toml``.
+installs fail inside setuptools' ``editable_wheel``; use
+``pip install -e . --no-use-pep517 --no-build-isolation`` to take the
+classic ``setup.py develop`` path.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    description="Deterministic discrete-event reproduction of TSUE and six "
+                "baseline erasure-code update methods",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.9",
+    install_requires=["numpy"],
+    entry_points={"console_scripts": ["repro = repro.cli:main"]},
+)

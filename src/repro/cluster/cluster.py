@@ -52,15 +52,10 @@ class ClusterConfig:
     # per update/read call before any message leaves the node.
     client_overhead_s: float = 120e-6
     seed: int = 0
-    # Projected-completion data plane (one absolute-time sleep per device
-    # I/O / fabric transfer instead of per-hop events).  Bit-identical
-    # virtual times on fault-free runs; must stay False when OSDs can crash
-    # or stop mid-run (interrupt semantics need the event path).
-    fast_dataplane: bool = False
     # Ghost payload plane (see repro.dataplane): payloads carry sizes and
-    # provenance only, never bytes.  Composes with fast_dataplane; must
-    # stay False for fault/rebuild/scrub scenarios, which need real bytes
-    # (decode refuses with GhostMaterializationError).
+    # provenance only, never bytes.  Must stay False for fault/rebuild/scrub
+    # scenarios, which need real bytes (decode refuses with
+    # GhostMaterializationError).
     ghost_dataplane: bool = False
 
     def __post_init__(self) -> None:
@@ -92,7 +87,6 @@ class Cluster:
         self._strategy_factory = strategy_factory
         self.rng = RngStreams(config.seed)
         self.fabric = Fabric(sim, config.net_profile)
-        self.fabric.fast_plane = config.fast_dataplane
         self.codec = RSCodec(config.k, config.m, config.construction)
         self.stripe_map = StripeMap(config.k, config.m, config.block_size)
 
@@ -149,11 +143,8 @@ class Cluster:
     # ------------------------------------------------------------------
     def _make_device(self, name: str) -> StorageDevice:
         if self.config.device_kind == "ssd":
-            dev = SSD(self.sim, profile=self.config.device_profile, name=name)
-        else:
-            dev = HDD(self.sim, profile=self.config.device_profile, name=name)
-        dev.fast_plane = self.config.fast_dataplane
-        return dev
+            return SSD(self.sim, profile=self.config.device_profile, name=name)
+        return HDD(self.sim, profile=self.config.device_profile, name=name)
 
     def _connect_all(self) -> None:
         for host in self._hosts.values():

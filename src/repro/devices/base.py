@@ -1,8 +1,14 @@
 """Virtual-time storage device: queueing, service-time math, accounting.
 
-A device is a FIFO multi-channel server (:class:`repro.sim.Resource`).  Each
-I/O acquires a channel, holds it for the profile-derived service time, and
-updates the operation counters and the wear model.
+A device is a FIFO multi-channel server.  Each I/O claims the
+earliest-free channel at issue, holds it for the profile-derived service
+time, and updates the operation counters and the wear model.  Time advances
+by *projected completion*: the claim fixes the command's completion instant
+from per-channel busy-until clocks and the issuing process sleeps until
+exactly that instant (one kernel event per command).  A claimed channel
+stays busy until the projected instant even if the issuing process is
+interrupted — a submitted command completes; the interrupted process simply
+stops waiting (``docs/dataplane.md``, "The time plane").
 
 Sequentiality: callers that know their access pattern (log appends are
 sequential; in-place small updates are random) pass ``pattern="seq"`` or
@@ -20,7 +26,6 @@ from typing import Dict, Optional
 from repro.metrics.counters import OpCounters, WearModel
 from repro.devices.profiles import DeviceProfile
 from repro.sim.core import At, Simulator
-from repro.sim.resources import Resource
 
 
 @dataclass
@@ -48,7 +53,6 @@ class StorageDevice:
         self.sim = sim
         self.profile = profile
         self.name = name
-        self.channels = Resource(sim, capacity=profile.channels, name=f"{name}.ch")
         self.counters = OpCounters()
         self.wear = WearModel(
             page_size=profile.page_size, erase_block=profile.erase_block
@@ -56,19 +60,13 @@ class StorageDevice:
         # Per-zone head position for auto-classification.
         self._zone_head: Dict[str, int] = {}
         self.trace_hook = None  # optional callable(IoRequest)
-        # Projected-completion mode (fault-free runs): per-channel
-        # busy-until clocks replace the event-based channel Resource.
-        # FIFO multi-server algebra over these floats reproduces the
-        # event path's grant/complete instants exactly; keep it off when
-        # handlers can be interrupted mid-I/O (crash scenarios), where the
-        # event path releases a channel early.
-        self.fast_plane = False
+        # Per-channel busy-until clocks: the virtual time each channel's
+        # last claimed command completes (see _project).
         self._busy = [0.0] * profile.channels
         # Fail-slow state: a service-time multiplier applied inside
-        # service_time(), so both the event plane and the projected fast
-        # plane honor it without further plumbing.  1.0 == healthy; the
-        # multiply is guarded so healthy runs execute today's exact float
-        # operations (bit-identical baselines).
+        # service_time(), fixed per command at issue.  1.0 == healthy; the
+        # multiply is guarded so healthy runs execute the exact float
+        # operations of a device that was never degraded.
         self.slow_factor = 1.0
 
     # ------------------------------------------------------------------
@@ -129,18 +127,7 @@ class StorageDevice:
         self.counters.record_read(nbytes, sequential)
         if self.trace_hook is not None:
             self._trace("read", zone, offset, nbytes, sequential, False, dt)
-        if self.fast_plane:
-            yield At(self._project(dt))
-            return
-        # Uncontended channel fast path: one float sleep, no request event.
-        ch = self.channels
-        if ch.try_acquire():
-            try:
-                yield dt
-            finally:
-                ch.release()
-        else:
-            yield from ch.use(dt)
+        yield At(self._project(dt))
 
     def write(
         self,
@@ -158,24 +145,15 @@ class StorageDevice:
             self.wear.record_write(nbytes, sequential, overwrite)
         if self.trace_hook is not None:
             self._trace("write", zone, offset, nbytes, sequential, overwrite, dt)
-        if self.fast_plane:
-            yield At(self._project(dt))
-            return
-        ch = self.channels
-        if ch.try_acquire():
-            try:
-                yield dt
-            finally:
-                ch.release()
-        else:
-            yield from ch.use(dt)
+        yield At(self._project(dt))
 
     def _project(self, dt: float) -> float:
-        """FIFO multi-channel service projection (fast plane).
+        """Claim a channel for ``dt`` seconds; return the completion instant.
 
-        The earliest-free channel serves this command: start at ``now`` if
-        it is already free, else exactly at its projected release — the
-        same instants the event-based FIFO queue grants.
+        FIFO multi-channel service: the earliest-free channel serves this
+        command, starting at ``now`` if it is already free, else exactly at
+        its projected release — the instants a FIFO queue in front of
+        ``profile.channels`` servers grants.
         """
         busy = self._busy
         now = self.sim.now

@@ -547,8 +547,6 @@ class RpcHost:
         nbytes: int = 0,
         interval: float = 2e-3,
         budget: float = 120.0,
-        backoff: float = 2.0,
-        max_interval: float = 64e-3,
     ):
         """``rpc`` that retries transient transport faults until they heal.
 
@@ -566,11 +564,9 @@ class RpcHost:
         state; post-crash reconciliation is owned by recovery, exactly as
         for the strategy state the crash also lost.
 
-        Pacing is deadline-aware capped exponential backoff (deterministic,
-        no jitter): the delay starts at ``interval``, multiplies by
-        ``backoff`` up to ``max_interval``, and the last sleep is clamped
-        to the remaining budget so the deadline check always fires.
-        ``backoff=1.0`` degenerates to the historical fixed cadence.
+        Pacing is a fixed, deadline-aware cadence (deterministic, no
+        jitter): one attempt every ``interval`` seconds, the last sleep
+        clamped to the remaining budget so the deadline check always fires.
 
         The budget is enforced against a deadline computed once from
         ``sim.now`` — accumulating ``waited += interval`` in floats drifts
@@ -581,10 +577,8 @@ class RpcHost:
             # advances, the deadline check never fires, and a down
             # destination spins this process forever at one instant.
             raise ValueError(f"retry interval must be > 0, got {interval!r}")
-        if backoff < 1.0:
-            raise ValueError(f"backoff must be >= 1.0, got {backoff!r}")
         deadline = self.sim.now + budget
-        delay = float(interval)
+        interval = float(interval)
         req_id = self._alloc_req_id()
         while True:
             try:
@@ -596,9 +590,7 @@ class RpcHost:
                 remaining = deadline - self.sim.now
                 if remaining <= 0:
                     raise
-                yield min(delay, remaining)
-                if backoff > 1.0:
-                    delay = min(delay * backoff, max_interval)
+                yield min(interval, remaining)
 
     def send(self, dst: str, kind: str, payload: dict, nbytes: int = 0):
         """One-way message: pays the forward transfer only (generator).

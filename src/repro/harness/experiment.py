@@ -45,10 +45,8 @@ class ExperimentConfig:
     construction: str = "vandermonde"
     seed: int = 0
     verify: bool = True
-    # Projected-completion data plane (see ClusterConfig.fast_dataplane):
-    # bit-identical virtual times on fault-free runs, one kernel timer per
-    # device I/O / transfer.  The scenario runner enables it for scenarios
-    # without fault injection; keep False when anything can crash mid-run.
+    # Accepted and ignored: projected completion is the only time plane.
+    # Kept because benchmarks/perf/workloads.py still passes it.
     fast_dataplane: bool = False
     # Ghost payload plane (see repro.dataplane): metadata-only payloads,
     # O(metadata) memory.  Fault/rebuild scenarios need real bytes; the
@@ -198,7 +196,6 @@ def build_cluster(cfg: ExperimentConfig) -> Cluster:
             device_profile=cfg.device_profile,
             net_profile=cfg.resolved_net(),
             seed=cfg.seed,
-            fast_dataplane=cfg.fast_dataplane,
             ghost_dataplane=cfg.ghost_dataplane,
         ),
         _strategy_factory(cfg),

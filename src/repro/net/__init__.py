@@ -5,8 +5,8 @@ full-duplex :class:`~repro.net.nic.NIC` ports and a non-blocking switch
 (the paper's testbeds use 25 Gb/s Ethernet / 40 Gb/s InfiniBand with far
 more backplane than edge bandwidth, so only the NICs queue).
 
-A transfer costs: sender serialisation (tx port held for size/bandwidth),
-wire+stack latency, receiver deserialisation (rx port).  Every *completed*
+A transfer costs: sender serialisation (tx direction busy for
+size/bandwidth), wire+stack latency, receiver deserialisation (rx direction).  Every *completed*
 transfer is counted toward Table 1's NETWORK column.
 
 Per-endpoint links can be degraded live (:meth:`Fabric.degrade_link`):

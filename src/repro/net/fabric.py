@@ -65,18 +65,14 @@ NET_40GIB = NetworkProfile(name="40gib", bandwidth=40 * GBIT, base_latency=8e-6)
 class Fabric:
     """A non-blocking switch connecting named NIC endpoints.
 
-    ``fast_plane`` (off by default; enabled by the scenario runner for
-    fault-free runs) switches :meth:`transfer` to projected-completion
-    mode: the whole tx -> switch -> rx pipeline becomes a single
-    absolute-time sleep computed from the NICs' busy-until clocks, instead
-    of three kernel timers.  The float arithmetic follows the event path's
-    operation order step for step, so completion instants are bit-identical.
-    It must stay off when hosts can crash mid-transfer: the event path
-    frees a NIC direction early when its holder is interrupted, which the
-    projected clocks cannot model.  The same contract applies to link
-    degradation: a degraded or lossy link only exists in fault scenarios,
-    which already run the event plane (the scenario runner forces
-    ``fast_dataplane`` off whenever a fault schedule is present).
+    :meth:`transfer` advances time by *projected completion*: the tx leg
+    claims the sender's direction at issue and the rx leg claims the
+    receiver's direction at arrival, each from the NIC's busy-until clock,
+    so the tx -> switch -> rx pipeline costs two absolute-time sleeps.  A
+    frame that has claimed a NIC direction keeps it until its projected
+    instant even if the sending process is interrupted (a frame on the wire
+    completes; ``docs/dataplane.md``, "The time plane").  Leg costs —
+    including link degradation — are fixed when the transfer is issued.
 
     Per-endpoint degradation (``degrade_link``) scales that endpoint's
     serialisation bandwidth and adds per-message latency; lossy mode drops
@@ -94,7 +90,6 @@ class Fabric:
         self.profile = profile
         self.nics: Dict[str, NIC] = {}
         self.counters = NetCounters()
-        self.fast_plane = False
         # endpoint name -> LinkState; absent == healthy.  Drops survive
         # heal_link(): the live link's per-direction counters are folded
         # into the fabric totals before the state is popped, so scenario
@@ -198,7 +193,7 @@ class Fabric:
         """Register an endpoint; idempotent per name."""
         nic = self.nics.get(endpoint)
         if nic is None:
-            nic = NIC(self.sim, self.profile.bandwidth, name=endpoint)
+            nic = NIC(self.profile.bandwidth, name=endpoint)
             self.nics[endpoint] = nic
         return nic
 
@@ -221,10 +216,7 @@ class Fabric:
         except KeyError as missing:
             raise KeyError(f"endpoint {missing.args[0]!r} not attached") from None
         wire = nbytes + self.profile.header_bytes
-        # Leg costs: computed up front so link degradation can scale them.
-        # With no degraded links these are the exact float expressions the
-        # legs below used to evaluate inline — completion instants on the
-        # healthy path are bit-identical.
+        # Leg costs, fixed at issue; link degradation scales them here.
         tx_time = wire / src_nic.bandwidth
         rx_time = wire / dst_nic.bandwidth
         latency = float(self.profile.base_latency)
@@ -241,56 +233,28 @@ class Fabric:
                 if dst_link.bw_factor != 1.0:
                     rx_time /= dst_link.bw_factor
                 latency += dst_link.extra_latency
-        if self.fast_plane:
-            # Projected completions, two sleeps instead of three-plus-queue
-            # events.  The tx direction is FIFO in *issue* order (only this
-            # endpoint sends on it), so its grant and completion project at
-            # issue time; the rx direction receives from many senders, so
-            # its FIFO claim must happen at *arrival* time — claiming it
-            # here would serve receivers in issue order, not arrival order.
-            # Each float op mirrors the event path's exactly.
-            now = self.sim.now
-            start = src_nic.tx_busy
-            if start < now:
-                start = now
-            tx_done = start + tx_time
-            src_nic.tx_busy = tx_done
-            yield At(tx_done + latency)
-            if dropped:
-                raise LinkLossError(src, kind)
-            arrive = self.sim.now
-            rx_start = dst_nic.rx_busy
-            if rx_start < arrive:
-                rx_start = arrive
-            done = rx_start + rx_time
-            dst_nic.rx_busy = done
-            yield At(done)
-            self.counters.record(nbytes, kind)
-            src_nic.counters.record(nbytes, kind)
-            return
-        # Serialisation legs take the uncontended Resource fast path (a
-        # free channel costs one float sleep, no sub-generator, no event);
-        # a busy channel takes the FIFO queue via the normal helper.
-        tx = src_nic.tx
-        if tx.try_acquire():
-            try:
-                yield tx_time
-            finally:
-                tx.release()
-        else:
-            yield from tx.use(tx_time)
-        yield latency
+        # The tx direction is FIFO in *issue* order (only this endpoint
+        # sends on it), so its grant and completion project at issue time;
+        # the rx direction receives from many senders, so its FIFO claim
+        # must happen at *arrival* time — claiming it here would serve
+        # receivers in issue order, not arrival order.
+        now = self.sim.now
+        start = src_nic.tx_busy
+        if start < now:
+            start = now
+        tx_done = start + tx_time
+        src_nic.tx_busy = tx_done
+        yield At(tx_done + latency)
         if dropped:
             # The message left the wire but never arrives: the sender paid
             # serialisation + switch latency, the receiver sees nothing.
             raise LinkLossError(src, kind)
-        rx = dst_nic.rx
-        if rx.try_acquire():
-            try:
-                yield rx_time
-            finally:
-                rx.release()
-        else:
-            yield from rx.use(rx_time)
+        arrive = self.sim.now
+        rx_start = dst_nic.rx_busy
+        if rx_start < arrive:
+            rx_start = arrive
+        done = rx_start + rx_time
+        dst_nic.rx_busy = done
+        yield At(done)
         self.counters.record(nbytes, kind)
         src_nic.counters.record(nbytes, kind)

@@ -3,33 +3,23 @@
 from __future__ import annotations
 
 from repro.metrics.counters import NetCounters
-from repro.sim.core import Simulator
-from repro.sim.resources import Resource
 
 
 class NIC:
-    """One endpoint's network interface: independent tx and rx queues.
+    """One endpoint's network interface: independent tx and rx directions.
 
     ``bandwidth`` is bytes/second per direction.  Serialisation of one
-    message holds the direction's resource for ``nbytes / bandwidth``; the
+    message keeps the direction busy for ``nbytes / bandwidth``; the
     per-message fixed cost lives in the fabric's latency term.
+    ``tx_busy``/``rx_busy`` are the virtual times each direction is busy
+    until — the FIFO single-server clocks ``Fabric.transfer`` claims.
     """
 
-    def __init__(self, sim: Simulator, bandwidth: float, name: str = "nic"):
+    def __init__(self, bandwidth: float, name: str = "nic"):
         if bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        self.sim = sim
         self.bandwidth = bandwidth
         self.name = name
-        self.tx = Resource(sim, capacity=1, name=f"{name}.tx")
-        self.rx = Resource(sim, capacity=1, name=f"{name}.rx")
         self.counters = NetCounters()
-        # Projected-completion bookkeeping for the fabric's fast plane
-        # (fault-free runs): the virtual time each direction is busy until.
-        # FIFO algebra over these floats reproduces the event-per-leg
-        # Resource timings exactly.
         self.tx_busy = 0.0
         self.rx_busy = 0.0
-
-    def wire_time(self, nbytes: int) -> float:
-        return nbytes / self.bandwidth

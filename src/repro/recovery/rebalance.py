@@ -47,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.fs.messages import TRANSIENT_RPC_ERRORS
 from repro.sim.events import AllOf
 
 # Quiesce poll cadence / budget: same scale as the client fence poll —
@@ -148,6 +147,15 @@ def rebalance_leave(cluster, osd_name: str, rebalance_mbps: float = 0.0):
     return result
 
 
+def _move_one(cluster, key, src: str, dst: str):
+    """Copy one block to its new home; rides out a transiently down source."""
+    dst_osd = cluster.osd_by_name(dst)
+    rep = yield from dst_osd.rpc_with_retry(
+        src, "recovery_read", {"key": key}, nbytes=24, interval=1e-3
+    )
+    yield from dst_osd.store.write_block(key, rep["data"], pattern="seq")
+
+
 def _rebalance(cluster, kind: str, osd_name: str, new_ring: List[str]):
     # Deferred: harness imports cluster/recovery packages at module level.
     from repro.harness.experiment import drain_all
@@ -219,24 +227,12 @@ def _rebalance(cluster, kind: str, osd_name: str, new_ring: List[str]):
                     continue  # sparse: all-zero everywhere by construction
                 copies.append((key, src, dst))
 
-        def move_one(key, src, dst):
-            dst_osd = cluster.osd_by_name(dst)
-            while True:
-                try:
-                    rep = yield from dst_osd.rpc(
-                        src, "recovery_read", {"key": key}, nbytes=24
-                    )
-                    break
-                except TRANSIENT_RPC_ERRORS:
-                    yield sim.timeout(1e-3)
-            yield from dst_osd.store.write_block(key, rep["data"], pattern="seq")
-
         parallelism = 8
         pending = list(copies)
         while pending:
             batch = pending[:parallelism]
             del pending[:parallelism]
-            procs = [sim.process(move_one(*item)) for item in batch]
+            procs = [sim.process(_move_one(cluster, *item)) for item in batch]
             yield AllOf(sim, procs)
         result.blocks_moved = len(copies)
         result.bytes_moved = len(copies) * cfg.block_size
@@ -321,13 +317,6 @@ def _rebalance_qos(
     rate = float(rebalance_mbps) * float(1 << 20)  # bytes / virtual second
     next_grant = sim.now
 
-    def move_one(key, src, dst):
-        dst_osd = cluster.osd_by_name(dst)
-        rep = yield from dst_osd.rpc_with_retry(
-            src, "recovery_read", {"key": key}, nbytes=24, interval=1e-3
-        )
-        yield from dst_osd.store.write_block(key, rep["data"], pattern="seq")
-
     try:
         for inode, stripe, old_names, new_names in moved:
             skey = (inode, stripe)
@@ -383,7 +372,7 @@ def _rebalance_qos(
                         result.throttle_wait_s += start - sim.now
                         yield start - sim.now
                     next_grant = start + (len(batch) * cfg.block_size) / rate
-                procs = [sim.process(move_one(*item)) for item in batch]
+                procs = [sim.process(_move_one(cluster, *item)) for item in batch]
                 yield AllOf(sim, procs)
             result.blocks_moved += len(copies)
             result.bytes_moved += len(copies) * cfg.block_size

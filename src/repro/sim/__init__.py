@@ -9,7 +9,7 @@ on.  It is a small, dependency-free engine in the style of SimPy:
   :class:`~repro.sim.events.AllOf` / :class:`~repro.sim.events.AnyOf`
   combinators).
 * :class:`~repro.sim.resources.Resource` models a FIFO server with finite
-  capacity (disks, NIC directions, CPU recycle threads).
+  capacity (client iodepth slots, per-OSD method locks).
 * :class:`~repro.sim.resources.KeyedLock` is a per-key FIFO mutex family
   (per-stripe update serialization on the OSDs).
 * :class:`~repro.sim.resources.Store` is an unbounded FIFO message queue

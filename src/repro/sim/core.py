@@ -17,7 +17,8 @@ experiment, so its inner loop is deliberately hand-tuned):
 * **Float sleeps.** A process may ``yield`` a plain ``float`` (seconds)
   instead of a :class:`Timeout` event.  The kernel schedules a two-word
   wake record directly, skipping event construction entirely.  This is
-  the costed-delay fast path used by devices, NICs and fabric transfers.
+  the costed-delay fast path; devices and fabric transfers use its
+  absolute-time twin, :class:`At`.
   Only exact ``float``s are recognised — yielding an ``int`` remains a
   type error, which keeps accidental ``yield 5`` bugs loud.
 
@@ -61,9 +62,9 @@ class At:
     """An absolute-virtual-time sleep token: ``yield At(t)``.
 
     Wakes the process at exactly ``t`` — the same float, no re-derivation
-    through ``now + (t - now)`` (which can be off by one ulp).  This is what
-    lets the projected-completion data plane hand a process its precomputed
-    completion instant and stay bit-identical with the event-per-hop path.
+    through ``now + (t - now)`` (which can be off by one ulp).  Devices and
+    the fabric project each I/O's completion instant from busy-until clocks
+    and hand it to the issuing process through this token.
     """
 
     __slots__ = ("t",)

@@ -1,8 +1,10 @@
 """FIFO resources and message stores for the simulation kernel.
 
-:class:`Resource` models a server with finite capacity — a disk channel, one
-direction of a NIC, a recycle worker pool.  :class:`KeyedLock` is a manager
-of per-key FIFO mutual-exclusion locks (per-stripe update serialization).
+:class:`Resource` models a server with finite capacity — a client's iodepth
+slots, a per-OSD method lock.  (Device channels and NIC directions are not
+Resources; they advance by projected completion, see ``docs/dataplane.md``.)
+:class:`KeyedLock` is a manager of per-key FIFO mutual-exclusion locks
+(per-stripe update serialization).
 :class:`Store` is the unbounded FIFO queue used as an RPC mailbox between
 nodes.
 """
@@ -31,7 +33,7 @@ class Resource:
 
     ``request()`` returns an event that fires once a slot is free; the holder
     must call ``release()`` exactly once.  Grants happen strictly in request
-    order, which models a single device queue.
+    order.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "resource"):
@@ -80,42 +82,6 @@ class Resource:
             nxt.succeed()
         else:
             self._in_use -= 1
-
-    def use(self, duration: float):
-        """A generator: acquire, hold for ``duration``, release.
-
-        Intended for ``yield from resource.use(dt)`` inside processes.
-
-        Uncontended fast path: when a channel is free (and therefore no
-        waiter is queued — grants are strictly FIFO, so a non-empty queue
-        implies a full resource), the acquire is a plain counter increment
-        and the hold is a single event-free float sleep, instead of the
-        request-event/grant round trip.  Contended acquires take the exact
-        historical path, so FIFO order and queue accounting are unchanged.
-
-        A process interrupted while still queued withdraws its request —
-        a dead request left in the queue would be handed the slot by the
-        next ``release()`` and hold it forever.  If the grant landed in the
-        same instant as the interrupt the slot is already ours, so it is
-        released instead.
-        """
-        if self._in_use < self.capacity:
-            self._in_use += 1
-        else:
-            req = Request(self.sim, self)
-            self._queue.append(req)
-            try:
-                yield req
-            except BaseException:
-                if req.triggered:
-                    self.release()
-                else:
-                    self._queue.remove(req)
-                raise
-        try:
-            yield float(duration)
-        finally:
-            self.release()
 
 
 class KeyedLock:

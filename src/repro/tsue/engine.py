@@ -442,9 +442,6 @@ class TSUEEngine:
                                 "primary": primary,
                             },
                             nbytes=nbytes,
-                            # Fixed cadence: the committed bench rows
-                            # encode this retry timing.
-                            backoff=1.0,
                         )
                     )
                 )
@@ -465,9 +462,6 @@ class TSUEEngine:
                             "tsue_parity",
                             {"pkey": (inode, stripe, k + p), "entries": pentries},
                             nbytes=nbytes,
-                            # Fixed cadence: the committed bench rows
-                            # encode this retry timing.
-                            backoff=1.0,
                         )
                     )
                 )
@@ -506,9 +500,6 @@ class TSUEEngine:
                         "tsue_parity",
                         {"pkey": pkey, "entries": entries},
                         nbytes=nbytes,
-                        # Fixed cadence: the committed bench rows encode
-                        # this retry timing.
-                        backoff=1.0,
                     )
                 )
             )

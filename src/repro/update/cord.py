@@ -172,9 +172,6 @@ class CoRDStrategy(UpdateStrategy):
                                     "cord_apply",
                                     {"pkey": pkey, "entries": entries},
                                     nbytes=nbytes,
-                                    # Fixed cadence: the committed bench
-                                    # rows encode this retry timing.
-                                    backoff=1.0,
                                 )
                             )
                         )

@@ -93,9 +93,6 @@ class FLStrategy(UpdateStrategy):
                                         "pdelta": pdelta,
                                     },
                                     nbytes=int(pdelta.size),
-                                    # Fixed cadence: the committed bench
-                                    # rows encode this retry timing.
-                                    backoff=1.0,
                                 )
                             )
                         )

@@ -134,8 +134,7 @@ class Scenario:
     default_requests: Optional[int] = None
     # Ghost payload plane (see repro.dataplane): metadata-only payloads.
     # Valid only without faults — scrub/rebuild need real bytes, so
-    # run_scenario rejects the combination.  Composes with the automatic
-    # fast_dataplane selection (fault-free scenarios already run it).
+    # run_scenario rejects the combination.
     ghost_dataplane: bool = False
     # Cluster size override (None = the runner's 8-OSD smoke geometry).
     # Lets scale tiers carry their intended cluster alongside their
@@ -598,6 +597,8 @@ def scenario_config(
     requests_per_client: int = 200,
     method: str = "tsue",
     device: str = "ssd",
+    # Accepted and ignored: projected completion is the only time plane.
+    # Kept because benchmarks/perf/workloads.py still passes it.
     fast_dataplane: bool = False,
     ghost_dataplane: bool = False,
     n_osds: int = 8,
@@ -618,7 +619,6 @@ def scenario_config(
         device_kind=device,
         seed=seed,
         verify=False,
-        fast_dataplane=fast_dataplane,
         ghost_dataplane=ghost_dataplane,
     )
 
@@ -676,12 +676,8 @@ def run_scenario(
     wall_t0 = _time.perf_counter()
     # repro-lint: allow(det-wallclock) -- CPU-time twin of wall_t0; wall is noisy on shared 1-core CI boxes
     cpu_t0 = _time.process_time()
-    # Fault-free scenarios run the projected-completion data plane (same
-    # virtual times, a fraction of the kernel events); fault scenarios need
-    # the event-based plane for interrupt-mid-I/O semantics.
     cfg = scenario_config(
         seed, n_clients, requests_per_client, method, device,
-        fast_dataplane=not scenario.faults,
         ghost_dataplane=ghost,
         n_osds=scenario.n_osds or 8,
     )
@@ -866,7 +862,6 @@ def run_scenario(
         "peak_rss_kb": float(
             _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss
         ),
-        "fast_dataplane": float(cfg.fast_dataplane),
     }
     if cfg.ghost_dataplane:
         perf_section["ghost_dataplane"] = 1.0
@@ -895,6 +890,24 @@ def run_scenario(
     )
 
 
+def _foreground_dip(clients, windows, horizon) -> float:
+    """Update completion rate inside ``windows`` (clipped to the workload
+    horizon) over the rate outside them; 0.0 when either side is empty."""
+    clipped = merge_windows([(a, min(b, horizon)) for a, b in windows if a < horizon])
+    in_window_s = sum(b - a for a, b in clipped)
+    in_count = out_count = 0
+    for c in clients:
+        for t in c.update_latency.completion_times:
+            if t <= horizon and any(a <= t <= b for a, b in clipped):
+                in_count += 1
+            elif t <= horizon:
+                out_count += 1
+    out_s = max(horizon - in_window_s, 0.0)
+    in_rate = in_count / in_window_s if in_window_s > 0 else 0.0
+    out_rate = out_count / out_s if out_s > 0 else 0.0
+    return in_rate / out_rate if out_rate > 0 else 0.0
+
+
 def _recovery_metrics(cluster, injector, recoveries, scrub_report, horizon) -> dict:
     """The ``recovery`` section of a failure scenario's result."""
     windows = merge_windows(
@@ -915,22 +928,6 @@ def _recovery_metrics(cluster, injector, recoveries, scrub_report, horizon) -> d
     for c in cluster.clients:
         outage_rec.latencies.extend(window_samples(c.read_latency, windows))
     outage_read_p99 = outage_rec.percentile(99.0)
-
-    # Foreground dip: update completion rate inside the downtime windows
-    # (clipped to the workload horizon) vs outside them.
-    clipped = merge_windows([(a, min(b, horizon)) for a, b in windows if a < horizon])
-    in_window_s = sum(b - a for a, b in clipped)
-    in_count = out_count = 0
-    for c in cluster.clients:
-        for t in c.update_latency.completion_times:
-            if t <= horizon and any(a <= t <= b for a, b in clipped):
-                in_count += 1
-            elif t <= horizon:
-                out_count += 1
-    out_s = max(horizon - in_window_s, 0.0)
-    in_rate = in_count / in_window_s if in_window_s > 0 else 0.0
-    out_rate = out_count / out_s if out_s > 0 else 0.0
-    dip = in_rate / out_rate if out_rate > 0 else 0.0
 
     drain_s = sum(r.drain_seconds for r in recoveries)
     rebuild_s = sum(r.rebuild_seconds for r in recoveries)
@@ -959,7 +956,7 @@ def _recovery_metrics(cluster, injector, recoveries, scrub_report, horizon) -> d
         "outage_read_p99_us": outage_read_p99 * 1e6,
         "update_retries": float(sum(c.update_retries for c in cluster.clients)),
         "fenced_updates": float(sum(c.fenced_updates for c in cluster.clients)),
-        "foreground_dip": dip,
+        "foreground_dip": _foreground_dip(cluster.clients, windows, horizon),
         "scrub_stripes": float(scrub_report.stripes_checked),
         "scrub_clean": True,  # gate: run_scenario raised otherwise
     }
@@ -1009,28 +1006,13 @@ def _elastic_metrics(cluster, injector, horizon) -> dict:
     blocks_moved = sum(r.blocks_moved for r in migrations)
     bytes_moved = sum(r.bytes_moved for r in migrations)
 
-    # Foreground dip across every change window (degraded + migration),
-    # clipped to the workload horizon — the recovery-dip computation over a
-    # wider window set.
+    # Change windows: degraded + outage + migration.
     outage = [
         (t0, t1) for _name, t0, t1 in cluster.down_windows if t1 is not None
     ]
     change = merge_windows(
         degraded + outage + [(r.t_start, r.t_end) for r in migrations]
     )
-    clipped = merge_windows([(a, min(b, horizon)) for a, b in change if a < horizon])
-    in_window_s = sum(b - a for a, b in clipped)
-    in_count = out_count = 0
-    for c in cluster.clients:
-        for t in c.update_latency.completion_times:
-            if t <= horizon and any(a <= t <= b for a, b in clipped):
-                in_count += 1
-            elif t <= horizon:
-                out_count += 1
-    out_s = max(horizon - in_window_s, 0.0)
-    in_rate = in_count / in_window_s if in_window_s > 0 else 0.0
-    out_rate = out_count / out_s if out_s > 0 else 0.0
-    dip = in_rate / out_rate if out_rate > 0 else 0.0
 
     out = {
         "slow_events": float(counts.get("slow", 0)),
@@ -1053,7 +1035,7 @@ def _elastic_metrics(cluster, injector, horizon) -> dict:
         "rebalance_drain_s": sum(r.drain_seconds for r in migrations),
         "rebalance_copy_s": sum(r.copy_seconds for r in migrations),
         "change_window_s": sum(b - a for a, b in change),
-        "change_dip": dip,
+        "change_dip": _foreground_dip(cluster.clients, change, horizon),
         "ring_size": float(len(cluster.ring)),
     }
     # Extra sections are gated on the *schedule*, never on run results:

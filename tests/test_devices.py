@@ -1,9 +1,13 @@
 """Tests for the storage device models."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.devices import HDD, SSD, HDD_2TB_7200, SSD_DATACENTER_400GB, StorageDevice
-from repro.sim import Simulator
+from repro.sim import Interrupt, Resource, Simulator
 
 
 def test_ssd_random_small_io_much_slower_than_sequential():
@@ -184,3 +188,116 @@ def test_bad_pattern_rejected():
     sim.process(do(ssd))
     with pytest.raises(ValueError):
         sim.run()
+
+
+# ----------------------------------------------------------------------
+# projected completion == an independent FIFO k-server queue
+# ----------------------------------------------------------------------
+def _completions(profile, commands, faults, reference):
+    """Completion instant of every command on one device.
+
+    ``reference=True`` does not use the device's I/O path at all: it runs a
+    FIFO queue in front of ``channels`` servers built from
+    ``Resource.request``/``release`` (no busy-until clocks) and takes only
+    the ``service_time()`` math — fixed when a command is issued — from the
+    device object.
+    """
+    sim = Simulator()
+    dev = StorageDevice(sim, profile)
+    servers = Resource(sim, capacity=profile.channels)
+    done = {}
+
+    def fault(at, factor):
+        yield at
+        if factor is None:
+            dev.heal()
+        else:
+            dev.degrade(factor)
+
+    def command(i, at, op, nbytes, sequential):
+        yield at
+        if reference:
+            dt = dev.service_time(op, nbytes, sequential)
+            yield servers.request()
+            yield dt
+            servers.release()
+        else:
+            io = dev.read if op == "read" else dev.write
+            yield from io(nbytes, pattern="seq" if sequential else "rand")
+        done[i] = sim.now
+
+    for at, factor in faults:
+        sim.process(fault(at, factor))
+    for i, cmd in enumerate(commands):
+        sim.process(command(i, *cmd))
+    sim.run()
+    return done
+
+
+# Issue times on a 10 us grid inside 2 ms: service times are 25-900 us, so
+# commands queue, tie on issue instants, and straddle degrade/heal events.
+_grid_time = st.integers(0, 200).map(lambda n: n * 1e-5)
+_command = st.tuples(
+    _grid_time,
+    st.sampled_from(["read", "write"]),
+    st.integers(0, 256 * 1024),
+    st.booleans(),
+)
+_device_fault = st.tuples(
+    _grid_time, st.one_of(st.none(), st.sampled_from([0.5, 2.0, 4.0, 7.5]))
+)
+
+
+@given(
+    channels=st.integers(1, 5),
+    commands=st.lists(_command, min_size=1, max_size=24),
+    faults=st.lists(_device_fault, max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_device_completions_match_fifo_k_server_reference(channels, commands, faults):
+    profile = dataclasses.replace(SSD_DATACENTER_400GB, channels=channels)
+    got = _completions(profile, commands, faults, reference=False)
+    want = _completions(profile, commands, faults, reference=True)
+    assert got == want  # the same floats, not approximately
+
+
+def test_interrupted_io_keeps_its_channel_until_the_projected_instant():
+    """The interrupt rule: a submitted command completes.  The interrupted
+    process stops waiting at once; the channel it claimed stays busy until
+    the projected instant, the next command starts exactly there, and once
+    that instant has passed nothing of the dead command is left behind."""
+    sim = Simulator()
+    dev = StorageDevice(sim, dataclasses.replace(SSD_DATACENTER_400GB, channels=1))
+    dt = dev.service_time("write", 64 * 1024, False)
+    log = []
+
+    def victim():
+        try:
+            yield from dev.write(64 * 1024, pattern="rand")
+            log.append(("victim-done", sim.now))
+        except Interrupt:
+            log.append(("victim-interrupted", sim.now))
+
+    def writer(tag, at):
+        yield at
+        yield from dev.write(64 * 1024, pattern="rand")
+        log.append((tag, sim.now))
+
+    v = sim.process(victim())
+
+    def killer():
+        yield dt / 4
+        v.interrupt("crash")
+
+    sim.process(killer())
+    sim.process(writer("next", dt / 2))
+    sim.process(writer("later", 10 * dt))
+    sim.run()
+    assert log == [
+        ("victim-interrupted", dt / 4),
+        ("next", dt + dt),  # started at the victim's projected completion
+        ("later", 10 * dt + dt),  # idle device: nothing leaked
+    ]
+    assert not v.is_alive
+    # Accounting is by submission: the interrupted command was issued.
+    assert dev.counters.write_ops_rand == 3

@@ -1,6 +1,6 @@
-"""Fast-path regression suite: kernel sleeps, resource fast paths, the
-projected-completion data plane, chunked sample storage — and above all the
-determinism gates that pin the fast engine to the historical results.
+"""Fast-path regression suite: kernel sleeps, resource fast paths, chunked
+sample storage — and above all the determinism gates (bit-identical reruns,
+fault scenarios included).
 """
 
 import numpy as np
@@ -152,7 +152,7 @@ def test_events_fired_counter_counts_transitions():
 
 
 # ----------------------------------------------------------------------
-# Resource: uncontended fast path vs FIFO contention
+# Resource / KeyedLock: synchronous uncontended acquire
 # ----------------------------------------------------------------------
 def test_try_acquire_takes_free_slot_and_respects_capacity():
     sim = Simulator()
@@ -164,22 +164,17 @@ def test_try_acquire_takes_free_slot_and_respects_capacity():
     assert res.in_use == 1
 
 
-def test_use_fast_path_is_wall_identical_to_request_release():
-    """Uncontended use() costs the same virtual time as the event path."""
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def via_use():
-        yield from res.use(2.0)
-        return sim.now
-
-    p = sim.process(via_use())
-    sim.run()
-    assert p.value == 2.0 and res.in_use == 0
+def _use(res, duration):
+    """Hold one slot for ``duration`` the way the iodepth slots are taken:
+    synchronously when free, through the FIFO queue otherwise."""
+    if not res.try_acquire():
+        yield res.request()
+    yield float(duration)
+    res.release()
 
 
 def test_use_fifo_order_preserved_under_contention():
-    """Waiters queue FIFO behind fast-path holders and each other."""
+    """Waiters queue FIFO behind try_acquire holders and each other."""
     sim = Simulator()
     res = Resource(sim, capacity=1)
     spans = []
@@ -187,7 +182,7 @@ def test_use_fifo_order_preserved_under_contention():
     def worker(i, delay):
         yield sim.timeout(delay)
         t0 = sim.now
-        yield from res.use(1.0)
+        yield from _use(res, 1.0)
         spans.append((i, t0, sim.now))
 
     for i, d in enumerate((0.0, 0.1, 0.2)):
@@ -202,16 +197,13 @@ def test_use_queue_accounting_under_contention():
     sim = Simulator()
     res = Resource(sim, capacity=1)
 
-    def hold():
-        yield from res.use(5.0)
-
     def probe():
         yield sim.timeout(1.0)
         assert res.in_use == 1
         assert res.queue_len == 1  # the second holder is queued
 
-    sim.process(hold())
-    sim.process(hold())
+    sim.process(_use(res, 5.0))
+    sim.process(_use(res, 5.0))
     sim.process(probe())
     sim.run()
     assert res.in_use == 0 and res.queue_len == 0
@@ -230,77 +222,11 @@ def test_keyedlock_try_acquire_accounting_matches_acquire():
 
 
 # ----------------------------------------------------------------------
-# projected-completion data plane == event data plane
-# ----------------------------------------------------------------------
-def test_fast_dataplane_reproduces_event_dataplane_exactly():
-    """The whole point: same virtual-time results, fewer kernel events.
-
-    Runs a small steady scenario through both planes via the config knob
-    and requires bit-identical simulated outputs.
-    """
-    from repro.harness.experiment import (
-        aggregate_update_latency,
-        build_cluster,
-        drain_all,
-        drive_to_completion,
-    )
-    from repro.workload.generator import OpenLoopGenerator, WorkloadSpec
-    from repro.workload.arrival import PoissonArrivals
-    from repro.workload.scenarios import scenario_config
-
-    def run(fast):
-        cfg = scenario_config(
-            seed=3, n_clients=2, requests_per_client=60,
-            fast_dataplane=fast,
-        )
-        cluster = build_cluster(cfg)
-        sim = cluster.sim
-        gens = []
-        from repro.harness.experiment import make_trace
-
-        for i in range(cfg.n_clients):
-            client = cluster.add_client(f"client{i}")
-            inode = 1000 + i
-            cluster.register_sparse_file(inode, cfg.file_size)
-            trace = make_trace(cfg, cluster.rng.get(f"trace{i}.0"))
-            spec = WorkloadSpec(
-                arrivals=PoissonArrivals(rate=4000.0),
-                n_requests=60, iodepth=8,
-            )
-            gens.append(OpenLoopGenerator(
-                client, [(inode, trace)], cluster.rng.get(f"workload{i}"), spec
-            ))
-        cluster.start()
-
-        def main():
-            from repro.sim import AllOf
-
-            procs = [sim.process(g.run()) for g in gens]
-            yield AllOf(sim, procs)
-            horizon = sim.now
-            yield from drain_all(cluster)
-            return horizon
-
-        horizon = drive_to_completion(sim, sim.process(main()))
-        cluster.stop()
-        agg = aggregate_update_latency(cluster.clients)
-        return (
-            horizon,
-            agg.mean(),
-            tuple(agg.percentiles((50.0, 95.0, 99.0))),
-            sim.events_fired,
-        )
-
-    slow = run(False)
-    fast = run(True)
-    assert fast[:3] == slow[:3], "projected plane changed simulated results"
-    assert fast[3] < slow[3], "projected plane should fire fewer events"
-
-
-# ----------------------------------------------------------------------
 # determinism regression: bit-identical scenario reruns
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", ["steady", "hot_stripe"])
+@pytest.mark.parametrize(
+    "name", ["steady", "hot_stripe", "rebuild_under_load", "lossy_cluster"]
+)
 def test_scenario_rerun_is_bit_identical(name):
     a = run_scenario(name, n_clients=2, requests_per_client=50, method="fo")
     b = run_scenario(name, n_clients=2, requests_per_client=50, method="fo")

@@ -58,71 +58,6 @@ def test_resource_fifo_grant_order():
     assert order == ["first", "early", "late"]
 
 
-def test_resource_use_helper_releases_on_completion():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def worker(sim, res):
-        yield from res.use(1.5)
-        return sim.now
-
-    p1 = sim.process(worker(sim, res))
-    p2 = sim.process(worker(sim, res))
-    sim.run()
-    assert (p1.value, p2.value) == (1.5, 3.0)
-    assert res.in_use == 0
-
-
-def _use_and_log(sim, res, tag, log, hold=1.0):
-    yield from res.use(hold)
-    log.append((tag, sim.now))
-
-
-def test_use_interrupted_while_queued_withdraws_its_request():
-    # A crashed OSD's handler dies queued on a NIC channel: its request must
-    # leave the queue, or the holder's release() grants the slot to a corpse
-    # and the channel never comes back.
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    log = []
-    sim.process(_use_and_log(sim, res, "holder", log, hold=2.0))
-    waiter = sim.process(_use_and_log(sim, res, "waiter", log))
-    third = sim.process(_use_and_log(sim, res, "third", log))
-
-    def killer(sim):
-        yield sim.timeout(1.0)
-        assert res.queue_len == 2
-        waiter.interrupt("crash")
-
-    sim.process(killer(sim))
-    sim.run()
-    assert log == [("holder", 2.0), ("third", 3.0)]
-    assert not third.is_alive
-    assert res.in_use == 0 and res.queue_len == 0
-
-
-def test_use_interrupted_in_the_instant_of_its_grant_releases_the_slot():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    log = []
-    waiter_box = []
-
-    def holder(sim):
-        yield res.request()
-        yield sim.timeout(1.0)
-        # The interrupt is queued first, the grant lands behind it in the
-        # same instant: the waiter dies owning a slot it never ran with.
-        waiter_box[0].interrupt("crash")
-        res.release()
-
-    sim.process(holder(sim))
-    waiter_box.append(sim.process(_use_and_log(sim, res, "waiter", log)))
-    sim.process(_use_and_log(sim, res, "third", log))
-    sim.run()
-    assert log == [("third", 2.0)]
-    assert res.in_use == 0 and res.queue_len == 0
-
-
 def test_release_of_idle_resource_raises():
     sim = Simulator()
     res = Resource(sim, capacity=1)
