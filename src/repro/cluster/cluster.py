@@ -107,7 +107,10 @@ class Cluster:
         self._hosts: Dict[str, "RpcHost"] = {"mds": self.mds}
         for osd in self.osds:
             self._hosts[osd.name] = osd
-        self._connect_all()
+        # One routing table, shared by reference: a host that joins later
+        # is added to it once and is then known to everyone already wired.
+        for host in self._hosts.values():
+            host.connect(self._hosts)
         # Failure bookkeeping: the cluster-wide view of unavailable OSDs
         # (stands in for the MDS's membership map the clients would poll)
         # plus the outage windows [name, t_down, t_up] behind the recovery
@@ -139,6 +142,10 @@ class Cluster:
         # switch to their drain-safe variant.  Never set on fault-free or
         # classic-rebalance runs, so those keep the historical timing.
         self.live_drain: bool = False
+        # What a never-written block reads as in the consistency gates:
+        # one read-only zero block per cluster, not one per missing member.
+        self._zero_block = np.zeros(config.block_size, dtype=np.uint8)
+        self._zero_block.flags.writeable = False
 
     # ------------------------------------------------------------------
     def _make_device(self, name: str) -> StorageDevice:
@@ -146,17 +153,13 @@ class Cluster:
             return SSD(self.sim, profile=self.config.device_profile, name=name)
         return HDD(self.sim, profile=self.config.device_profile, name=name)
 
-    def _connect_all(self) -> None:
-        for host in self._hosts.values():
-            host.connect(self._hosts)
-
     def add_client(self, name: str) -> "Client":
         from repro.fs.client import Client
 
         client = Client(self.sim, self.fabric, name, cluster=self)
         self.clients.append(client)
         self._hosts[name] = client
-        self._connect_all()
+        client.connect(self._hosts)
         if any(h.running for h in self.osds):
             client.start()
         return client
@@ -267,7 +270,7 @@ class Cluster:
         live = any(h.running for h in self.osds)
         self.osds.append(osd)
         self._hosts[name] = osd
-        self._connect_all()
+        osd.connect(self._hosts)
         if live:
             osd.start()
             osd.strategy.start_background()
@@ -424,11 +427,12 @@ class Cluster:
                 if got != expect_ivs:
                     return False
             return True
+        zero = self._zero_block
         blocks = []
         for j in range(cfg.k):
             blk = self.osd_by_name(names[j]).store.peek((inode, stripe, j))
             if blk is None:
-                blk = np.zeros(cfg.block_size, dtype=np.uint8)
+                blk = zero
             blocks.append(blk)
         expect = self.codec.encode(blocks)
         for p in range(cfg.m):
@@ -436,7 +440,7 @@ class Cluster:
                 (inode, stripe, cfg.k + p)
             )
             if got is None:
-                got = np.zeros(cfg.block_size, dtype=np.uint8)
+                got = zero
             if not np.array_equal(got, expect[p]):
                 return False
         return True

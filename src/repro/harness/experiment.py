@@ -13,6 +13,7 @@ from repro.metrics.counters import GB
 from repro.metrics.latency import LatencyRecorder, ResidencyTracker
 from repro.net import NET_25GBE, NET_40GIB, NetworkProfile
 from repro.sim import AllOf, Simulator
+from repro.sim.collector import paused as collector_paused
 from repro.traces import (
     TraceReplayer,
     alicloud_trace,
@@ -218,8 +219,13 @@ def aggregate_update_latency(clients) -> LatencyRecorder:
     return agg
 
 
+@collector_paused()
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run one experiment cell start to finish (pure function of cfg)."""
+    """Run one experiment cell start to finish (pure function of cfg).
+
+    Build, replay, drain and the verification gates all run with automatic
+    garbage collection paused (see :mod:`repro.sim.collector`).
+    """
     cluster = build_cluster(cfg)
     sim = cluster.sim
 
@@ -317,9 +323,10 @@ def _verify(cluster, cfg, replayers) -> bool:
             payload = payload_rng.integers(0, 256, rec.size, dtype=np.uint8)
             pos = 0
             for ext in cluster.stripe_map.extents(r.inode, rec.offset, rec.size):
-                blk = per_block.setdefault(
-                    ext.addr.key(), np.zeros(cfg.block_size, dtype=np.uint8)
-                )
+                key = ext.addr.key()
+                blk = per_block.get(key)
+                if blk is None:
+                    blk = per_block[key] = np.zeros(cfg.block_size, dtype=np.uint8)
                 blk[ext.offset : ext.offset + ext.length] = payload[pos : pos + ext.length]
                 pos += ext.length
         touched_stripes = set()

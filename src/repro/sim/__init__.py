@@ -14,6 +14,9 @@ on.  It is a small, dependency-free engine in the style of SimPy:
   (per-stripe update serialization on the OSDs).
 * :class:`~repro.sim.resources.Store` is an unbounded FIFO message queue
   used for RPC channels between cluster nodes.
+* :mod:`~repro.sim.collector` owns CPython's cyclic garbage collector while
+  the kernel or a runner is active: automatic collection is paused and the
+  kernel loops collect on an event-count cadence instead.
 
 Determinism: ties in the event heap break on a monotone sequence number, and
 all randomness flows through :class:`~repro.sim.rng.RngStreams`, so a run is

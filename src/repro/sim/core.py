@@ -32,6 +32,7 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
+from repro.sim import collector as _collector
 from repro.sim.events import FIRED, PENDING, Event, Interrupt, Timeout
 
 ProcessGen = Generator[Event, Any, Any]
@@ -238,31 +239,41 @@ class Simulator:
         imm = self._imm
         heap = self._heap
         fired = 0
-        try:
-            while True:
-                if imm:
-                    if heap and heap[0][0] <= self.now and heap[0][1] < imm[0][0]:
+        # The kernel owns the cyclic collector while it runs (see
+        # repro.sim.collector): automatic collection is paused, and one full
+        # collection runs whenever this simulator's lifetime event count
+        # crosses a multiple of the cadence — so short run() calls add up.
+        every = _collector.COLLECT_EVERY_EVENTS
+        collect_at = every - self.events_fired % every
+        with _collector.paused():
+            try:
+                while True:
+                    if imm:
+                        if heap and heap[0][0] <= self.now and heap[0][1] < imm[0][0]:
+                            entry = _heappop(heap)
+                            self.now = entry[0]
+                            event = entry[2]
+                        else:
+                            event = imm.popleft()[1]
+                    elif heap:
+                        if until is not None and heap[0][0] > until:
+                            self.now = until
+                            return
                         entry = _heappop(heap)
                         self.now = entry[0]
                         event = entry[2]
                     else:
-                        event = imm.popleft()[1]
-                elif heap:
-                    if until is not None and heap[0][0] > until:
-                        self.now = until
-                        return
-                    entry = _heappop(heap)
-                    self.now = entry[0]
-                    event = entry[2]
-                else:
-                    break
-                fired += 1
-                event._fire()
-                if self._crashed is not None:
-                    exc, self._crashed = self._crashed, None
-                    raise exc
-        finally:
-            self.events_fired += fired
+                        break
+                    fired += 1
+                    event._fire()
+                    if self._crashed is not None:
+                        exc, self._crashed = self._crashed, None
+                        raise exc
+                    if fired == collect_at:
+                        _collector.collect()
+                        collect_at += every
+            finally:
+                self.events_fired += fired
         if until is not None:
             self.now = until
 
@@ -276,29 +287,35 @@ class Simulator:
         imm = self._imm
         heap = self._heap
         fired = 0
-        try:
-            while event._state != FIRED:
-                if imm:
-                    if heap and heap[0][0] <= self.now and heap[0][1] < imm[0][0]:
+        every = _collector.COLLECT_EVERY_EVENTS  # same cadence as run()
+        collect_at = every - self.events_fired % every
+        with _collector.paused():
+            try:
+                while event._state != FIRED:
+                    if imm:
+                        if heap and heap[0][0] <= self.now and heap[0][1] < imm[0][0]:
+                            entry = _heappop(heap)
+                            self.now = entry[0]
+                            ev = entry[2]
+                        else:
+                            ev = imm.popleft()[1]
+                    elif heap:
                         entry = _heappop(heap)
                         self.now = entry[0]
                         ev = entry[2]
                     else:
-                        ev = imm.popleft()[1]
-                elif heap:
-                    entry = _heappop(heap)
-                    self.now = entry[0]
-                    ev = entry[2]
-                else:
-                    return False
-                fired += 1
-                ev._fire()
-                if self._crashed is not None:
-                    exc, self._crashed = self._crashed, None
-                    raise exc
-            return True
-        finally:
-            self.events_fired += fired
+                        return False
+                    fired += 1
+                    ev._fire()
+                    if self._crashed is not None:
+                        exc, self._crashed = self._crashed, None
+                        raise exc
+                    if fired == collect_at:
+                        _collector.collect()
+                        collect_at += every
+                return True
+            finally:
+                self.events_fired += fired
 
 
 class Process(Event):

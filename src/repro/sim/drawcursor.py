@@ -17,6 +17,8 @@ scalar call sequence on top of bulk ``BitGenerator.random_raw`` pulls:
 * ``payload(n)``     == ``gen.integers(0, 256, n, dtype=np.uint8)``
   (``ceil(n/4)`` buffered 32-bit pulls, assembled little-endian), served
   as one bulk ``random_raw`` + memcpy instead of a per-byte C loop
+* ``skip_payload(n)`` leaves the stream exactly where ``payload(n)`` would
+  (``PCG64.advance``), without producing the bytes
 * ``weighted_index(cdf)`` == ``gen.choice(len(cdf), p=p)`` for
   ``cdf = choice_cdf(p)`` (``choice`` draws exactly one uniform and
   searches the same cumulative table)
@@ -210,6 +212,36 @@ class DrawCursor:
             self._stored32 = int(raws[-1] >> 32)
             self._has32 = True
         return out
+
+    def skip_payload(self, n: int) -> None:
+        """Consume exactly the raws ``payload(n)`` consumes; build nothing.
+
+        For callers that need the stream *position* a payload draw leaves
+        behind but not its bytes (the ghost payload plane).  Direct mode
+        jumps the bit generator with ``PCG64.advance`` and draws at most
+        one raw64 for real — the last one, when its high half must stay
+        buffered.  Chunked mode has already paid for its lookahead, so it
+        takes the draw and drops it.
+        """
+        if self._chunk:
+            self.payload(n)
+            return
+        if n <= 0:
+            return
+        k32 = (n + 3) >> 2
+        if self._has32:
+            self._has32 = False
+            k32 -= 1
+            if k32 == 0:
+                return
+        n64 = (k32 + 1) >> 1
+        if k32 & 1:
+            if n64 > 1:
+                self._bg.advance(n64 - 1)
+            self._stored32 = int(self._bg.random_raw()) >> 32
+            self._has32 = True
+        else:
+            self._bg.advance(n64)
 
     def _raw_block(self, n64: int) -> np.ndarray:
         """``n64`` consecutive raw64s as a contiguous uint64 array."""

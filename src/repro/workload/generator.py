@@ -100,9 +100,11 @@ class OpenLoopGenerator:
         self._n_tenants = len(self.tenants)
         self._read_fraction = self.spec.read_fraction
         # Ghost plane: payloads leave the generator as metadata-only
-        # extents.  The byte draw still happens (below, in _next_op) so the
-        # shared RNG stream position — and with it every tenant/read-mix/
-        # arrival draw after it — stays bit-identical across planes.
+        # extents.  The byte draw is skipped, not made (below, in _next_op):
+        # the cursor jumps the stream past exactly the raws the draw would
+        # consume, so the shared RNG stream position — and with it every
+        # tenant/read-mix/arrival draw after it — stays bit-identical
+        # across planes while no byte array is built.
         # (The draw-order property tests drive this class with no client
         # at all, hence the defensive chain.)
         cluster = getattr(client, "cluster", None)
@@ -129,10 +131,10 @@ class OpenLoopGenerator:
         rf = self._read_fraction
         if rf > 0 and draw.random() < rf:
             return ("read", inode, offset, size)
-        payload = draw.payload(size)
         if self._ghost_payloads:
-            payload = GhostExtent(size, tag="wl")
-        return ("update", inode, offset, payload)
+            draw.skip_payload(size)
+            return ("update", inode, offset, GhostExtent(size, tag="wl"))
+        return ("update", inode, offset, draw.payload(size))
 
     # ------------------------------------------------------------------
     def run(self):

@@ -68,6 +68,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 # module-level import here would close an import cycle.
 from repro.metrics.latency import LatencyRecorder, merge_windows, window_samples
 from repro.sim import AllOf
+from repro.sim.collector import paused as collector_paused
 from repro.update import STRATEGIES
 from repro.workload.arrival import (
     ArrivalProcess,
@@ -623,6 +624,7 @@ def scenario_config(
     )
 
 
+@collector_paused()
 def run_scenario(
     name: str,
     seed: int = 7,
@@ -643,6 +645,9 @@ def run_scenario(
     for ``scale_out``); an explicit value overrides it.  Ghost runs of
     fault scenarios are rejected up front: scrub and rebuild need real
     payload bytes.
+
+    The whole run — build, drive, drain, gates — executes with automatic
+    garbage collection paused (see :mod:`repro.sim.collector`).
     """
     import resource as _resource
     import time as _time

@@ -104,3 +104,91 @@ def test_mds_classifies_first_write_vs_update():
     fresh = cluster.mds.files[5]
     # A brand-new file region beyond the registered size is not yet written.
     assert not fresh.is_update(1 << 20, 10)
+
+
+# ----------------------------------------------------------------------
+# host wiring: one shared routing table, O(1) per join
+# ----------------------------------------------------------------------
+def _all_hosts(cluster):
+    return [cluster.mds, *cluster.osds, *cluster.clients]
+
+
+def test_every_host_shares_the_one_routing_table():
+    sim, cluster = make_cluster()
+    table = cluster.mds.peers
+    assert set(table) == {"mds", *(o.name for o in cluster.osds)}
+    cluster.add_client("c0")
+    joined = cluster.add_osd()
+    cluster.add_client("c1")
+    for host in _all_hosts(cluster):
+        assert host.peers is table, host.name
+    # The table is shared by reference, so joiners appeared in it for
+    # everyone wired before them without anyone being re-connected.
+    assert {"c0", "c1", joined.name} <= set(table)
+    assert all(table[h.name] is h for h in _all_hosts(cluster))
+
+
+def test_join_connects_only_the_joiner(monkeypatch):
+    from repro.fs.messages import RpcHost
+
+    sim, cluster = make_cluster()
+    calls = []
+    connect = RpcHost.connect
+
+    def counting(self, peers):
+        calls.append(self.name)
+        return connect(self, peers)
+
+    monkeypatch.setattr(RpcHost, "connect", counting)
+    cluster.add_client("c0")
+    joined = cluster.add_osd()
+    assert calls == ["c0", joined.name]
+
+
+def test_late_client_and_later_osd_reach_each_other():
+    sim, cluster = make_cluster()
+    cluster.start()
+    client = cluster.add_client("late")  # after start(): started on join
+    osd = cluster.add_osd()              # joins after the client was wired
+    assert client.running and osd.running
+
+    def pong(host):
+        def handler(msg):
+            yield 0.0
+            return {"from": host.name, "to": msg.src}, 8
+        return handler
+
+    client.register("ping", pong(client))
+    osd.register("ping", pong(osd))
+
+    def both_ways():
+        there = yield from client.rpc(osd.name, "ping", {}, nbytes=8)
+        back = yield from osd.rpc("late", "ping", {}, nbytes=8)
+        return there, back
+
+    p = sim.process(both_ways())
+    assert sim.run_until_fired(p)
+    assert p.value == (
+        {"from": osd.name, "to": "late"},
+        {"from": "late", "to": osd.name},
+    )
+
+
+def test_stripe_consistency_reads_never_written_members_as_zeros():
+    sim, cluster = make_cluster()
+    cluster.register_sparse_file(9, 4 * 1024 * 3)
+    names = cluster.placement(9, 1)
+    blk = np.full(1024, 7, dtype=np.uint8)
+    cluster.osd_by_name(names[2]).store.install((9, 1, 2), blk)
+    # One written data block against never-written parity: inconsistent.
+    assert not cluster.stripe_consistent(9, 1)
+    zero = np.zeros(1024, dtype=np.uint8)
+    parity = cluster.codec.encode([blk if j == 2 else zero for j in range(4)])
+    cluster.osd_by_name(names[4]).store.install((9, 1, 4), parity[0])
+    assert not cluster.stripe_consistent(9, 1)  # second parity still missing
+    cluster.osd_by_name(names[5]).store.install((9, 1, 5), parity[1])
+    assert cluster.stripe_consistent(9, 1)
+    # The stand-in for missing members is one shared block no gate may
+    # write to.
+    assert not cluster._zero_block.flags.writeable
+    assert cluster._zero_block.size == 1024 and not cluster._zero_block.any()

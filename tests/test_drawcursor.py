@@ -16,6 +16,8 @@ import random as pyrandom
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.drawcursor import DrawCursor, choice_cdf
 from repro.traces.synth import SyntheticTraceConfig, generate_trace
@@ -133,6 +135,91 @@ def test_sync_mid_chunk_lands_on_exact_position():
     assert cur.random() == float(ref.random())
     cur.sync()
     assert_state_equal(ref, gen)
+
+
+# ----------------------------------------------------------------------
+# skip == draw: the ghost plane's payload skip
+# ----------------------------------------------------------------------
+_draw_ops = st.lists(
+    st.one_of(
+        st.just(("random", 0)),
+        st.tuples(st.just("integers"),
+                  st.sampled_from([1, 2, 3, 7, 100, 4096, 2**31, 2**34])),
+        st.tuples(st.just("payload"),
+                  st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 4096, 65537])),
+    ),
+    max_size=40,
+)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    ops=_draw_ops,
+    pending_half=st.booleans(),
+    chunk=st.sampled_from([0, 3, 64]),
+)
+@settings(max_examples=200, deadline=None)
+def test_skip_payload_consumes_exactly_what_payload_draws(
+    seed, ops, pending_half, chunk
+):
+    """A skipping cursor, a drawing cursor and live numpy stay in lockstep.
+
+    The ghost plane's equivalence rows rest on stream *positions*: every
+    draw after a skipped payload must see the raws it would have seen after
+    a drawn one, buffered 32-bit half included.
+    """
+    ref, g_draw, g_skip = fresh(seed), fresh(seed), fresh(seed)
+    if pending_half:
+        # One 32-bit bounded draw leaves the high half of a raw64 buffered
+        # in the bit generator; the cursors adopt it at construction.
+        for g in (ref, g_draw, g_skip):
+            g.integers(0, 100)
+        assert ref.bit_generator.state["has_uint32"] == 1
+    drawer = DrawCursor(g_draw, chunk=chunk)
+    skipper = DrawCursor(g_skip, chunk=chunk)
+
+    def lockstep(kind, n, where):
+        if kind == "random":
+            want = float(ref.random())
+            assert drawer.random() == want == skipper.random(), where
+        elif kind == "integers":
+            want = int(ref.integers(0, n))
+            assert drawer.integers(n) == want == skipper.integers(n), where
+        else:
+            want = ref.integers(0, 256, n, dtype=np.uint8)
+            assert np.array_equal(drawer.payload(n), want), where
+            assert skipper.skip_payload(n) is None
+
+    for i, (kind, n) in enumerate(ops):
+        lockstep(kind, n, f"op {i}")
+    drawer.sync()
+    skipper.sync()
+    assert_state_equal(ref, g_draw)
+    assert_state_equal(ref, g_skip)
+    # The streams continue identically: through the (still usable) cursors,
+    # then through scalar numpy on the synced generators.
+    for kind, n in (("integers", 1000), ("random", 0), ("integers", 7)):
+        lockstep(kind, n, f"after sync: {kind}")
+    assert np.array_equal(skipper.payload(9), drawer.payload(9))
+    ref.integers(0, 256, 9, dtype=np.uint8)
+    drawer.sync()
+    skipper.sync()
+    tail = ref.integers(0, 256, 11, dtype=np.uint8).tobytes()
+    assert g_draw.integers(0, 256, 11, dtype=np.uint8).tobytes() == tail
+    assert g_skip.integers(0, 256, 11, dtype=np.uint8).tobytes() == tail
+
+
+def test_skip_payload_builds_no_array_in_direct_mode(monkeypatch):
+    """The point of the skip: direct mode never reaches the bulk pull."""
+    cur = DrawCursor(fresh())
+
+    def boom(*a, **k):
+        raise AssertionError("skip_payload fell back to the draw")
+
+    monkeypatch.setattr(DrawCursor, "payload", boom)
+    monkeypatch.setattr(DrawCursor, "_raw_block", boom)
+    for n in (0, 1, 4, 5, 8, 9, 4096, 65537):
+        cur.skip_payload(n)
 
 
 # ----------------------------------------------------------------------
@@ -314,3 +401,43 @@ def test_generator_draw_order_equivalence(arrival, read_fraction, n_tenants):
     gen._draw.sync()
     assert_state_equal(ref_rng, new_rng)
     assert gen._cursors == ref_cursors
+
+
+def test_ghost_generator_skips_payload_draws_at_the_same_stream_positions(monkeypatch):
+    """Ghost plane: ``_next_op`` builds no byte array, yet every tenant /
+    mix / gap draw lands where the byte plane's would."""
+    from types import SimpleNamespace
+
+    from repro.dataplane import GhostExtent
+
+    sizes = [1, 2, 3, 4, 512, 4096, 65536, 37, 4099]
+    tenants = [
+        (1000 + t, [_Rec(i * 4096, sizes[(i + t) % len(sizes)]) for i in range(17 + t)])
+        for t in range(3)
+    ]
+    spec = WorkloadSpec(arrivals=PoissonArrivals(rate=4000.0), n_requests=250,
+                        iodepth=4, read_fraction=0.3)
+    ghost_client = SimpleNamespace(
+        cluster=SimpleNamespace(config=SimpleNamespace(ghost_dataplane=True))
+    )
+    ref_rng, new_rng = fresh(99), fresh(99)
+    gen = OpenLoopGenerator(ghost_client, tenants, new_rng, spec)
+
+    def no_payload(self, n):
+        raise AssertionError("ghost plane drew payload bytes")
+
+    monkeypatch.setattr(DrawCursor, "payload", no_payload)
+    ref_tenants = [(inode, list(records)) for inode, records in tenants]
+    ref_cursors = [0] * len(tenants)
+    ref_arrivals = PoissonArrivals(rate=4000.0)
+    for i in range(spec.n_requests):
+        assert ref_arrivals.next_gap(0.0, ref_rng) == spec.arrivals.next_gap(0.0, new_rng)
+        want = _reference_next_op(ref_tenants, ref_cursors, spec, ref_rng)
+        got = gen._next_op()
+        assert want[:3] == got[:3], f"op {i}"
+        if want[0] == "update":
+            assert isinstance(got[3], GhostExtent) and got[3].size == want[3].size
+        else:
+            assert want[3] == got[3]
+    gen._draw.sync()
+    assert_state_equal(ref_rng, new_rng)

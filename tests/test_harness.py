@@ -1,11 +1,18 @@
 """Integration tests for the experiment harness (tiny scales)."""
 
+import gc
+
+import numpy as np
 import pytest
 
+import repro.harness.experiment as hx
+from repro.cluster import Cluster
 from repro.harness import ExperimentConfig, run_experiment
 from repro.harness.fig5 import run_panel
 from repro.harness.fig7 import run_fig7
 from repro.harness.table1 import run_table1
+from repro.update import STRATEGIES
+from repro.workload import InconsistentDrainError, run_scenario
 
 
 def tiny(method="tsue", **kw):
@@ -111,3 +118,87 @@ def test_table1_rows_render():
     text = res.render()
     assert "FO" in text and "TSUE" in text and "NET GB" in text
     assert len(res.rows()) == 2
+
+
+# ----------------------------------------------------------------------
+# collector ownership: the runners pause the cyclic GC from build to gates
+# ----------------------------------------------------------------------
+@pytest.fixture
+def built(monkeypatch):
+    """Keep every cluster a runner builds, with the collector state it was
+    built under.  Wraps ``repro.harness.experiment.build_cluster`` the way
+    the frozen perf benchmark does: both runners must resolve it through
+    that module attribute at call time."""
+    records = []
+    build = hx.build_cluster
+
+    def keeping(cfg):
+        cluster = build(cfg)
+        records.append((cluster, gc.isenabled()))
+        return cluster
+
+    monkeypatch.setattr(hx, "build_cluster", keeping)
+    return records
+
+
+def _run_steady(method="tsue"):
+    return run_scenario("steady", method=method, n_clients=2, requests_per_client=30)
+
+
+_RUNNERS = {
+    "run_experiment": lambda: run_experiment(tiny()),
+    "run_scenario": _run_steady,
+}
+
+
+@pytest.mark.parametrize("caller_gc", [True, False], indirect=True)
+@pytest.mark.parametrize("runner", sorted(_RUNNERS))
+def test_runner_pauses_collector_and_restores_callers_state(caller_gc, runner, built):
+    assert _RUNNERS[runner]().consistent is True
+    assert [paused for _, paused in built] == [False]
+    assert gc.isenabled() is caller_gc
+
+
+@pytest.mark.parametrize("caller_gc", [True, False], indirect=True)
+def test_runner_restores_collector_when_a_gate_trips(caller_gc, built, monkeypatch):
+    monkeypatch.setattr(Cluster, "stripe_consistent", lambda self, inode, stripe: False)
+    with pytest.raises(InconsistentDrainError):
+        _run_steady()
+    assert gc.isenabled() is caller_gc
+    # run_experiment reports its gate instead of raising; an exception from
+    # inside the paused region (after the build) takes the same exit.
+    assert run_experiment(tiny()).consistent is False
+    assert gc.isenabled() is caller_gc
+    with pytest.raises(ValueError, match="unknown trace"):
+        run_experiment(tiny(trace="nope"))
+    assert len(built) == 3
+    assert gc.isenabled() is caller_gc
+
+
+@pytest.mark.parametrize("method", sorted(STRATEGIES))
+def test_fault_free_run_leaves_nothing_for_the_collector(method, built):
+    """The assumption the pause rests on: a fault-free run makes no cyclic
+    garbage — reference counting frees everything the run discards, so the
+    collections the pause suppresses would have reclaimed nothing."""
+    gc.collect()
+    assert _run_steady(method).consistent is True
+    assert len(built) == 1  # the cluster is alive: it is not the garbage
+    assert gc.collect() == 0
+
+
+def test_verify_shadow_accumulates_per_block_and_catches_a_flipped_byte(built, monkeypatch):
+    calls = []
+    verify = hx._verify
+    monkeypatch.setattr(hx, "_verify", lambda *a: calls.append(a) or verify(*a))
+    # 40 updates per client on a 256 KiB file: many extents land in the
+    # same block, so the shadow must keep writing into the block it built
+    # for the first of them.
+    assert run_experiment(tiny(updates_per_client=40)).consistent is True
+    ((cluster, cfg, replayers),) = calls
+    assert cluster is built[0][0]
+    blk = next(
+        b for osd in cluster.osds for key, b in osd.store.blocks.items()
+        if key[2] < cfg.k and b.any()
+    )
+    blk[np.flatnonzero(blk)[0]] ^= 0xFF
+    assert verify(cluster, cfg, replayers) is False

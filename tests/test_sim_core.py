@@ -1,8 +1,13 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
+import re
+import weakref
+from pathlib import Path
+
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Interrupt, Simulator, Timeout
+from repro.sim import AllOf, AnyOf, Event, Interrupt, Simulator, Timeout, collector
 
 
 def test_clock_starts_at_zero():
@@ -271,3 +276,160 @@ def test_stale_wakeup_after_interrupt_is_ignored():
     # The original 1.0 timeout still fires but must not resume the process.
     assert hits == ["post-interrupt"]
     assert sim.now == 5.0
+
+
+# ----------------------------------------------------------------------
+# collector ownership: the kernel pauses the cyclic GC while it runs
+# ----------------------------------------------------------------------
+def _drive(sim, entry, proc):
+    if entry == "run":
+        sim.run()
+    else:
+        assert sim.run_until_fired(proc)
+
+
+@pytest.mark.parametrize("caller_gc", [True, False], indirect=True)
+@pytest.mark.parametrize("entry", ["run", "run_until_fired"])
+def test_kernel_pauses_collector_and_restores_callers_state(caller_gc, entry):
+    sim = Simulator()
+    seen = []
+
+    def proc(sim):
+        seen.append(gc.isenabled())
+        yield 1.0
+        seen.append(gc.isenabled())
+
+    _drive(sim, entry, sim.process(proc(sim)))
+    assert seen == [False, False]
+    assert gc.isenabled() is caller_gc
+
+
+@pytest.mark.parametrize("caller_gc", [True, False], indirect=True)
+@pytest.mark.parametrize("entry", ["run", "run_until_fired"])
+def test_kernel_restores_collector_when_a_process_crashes(caller_gc, entry):
+    sim = Simulator()
+
+    def crashing(sim):
+        yield 1.0
+        raise ValueError("bug")
+
+    def waiter(sim):
+        yield 5.0
+
+    sim.process(crashing(sim))  # detached: surfaces through sim._crashed
+    with pytest.raises(ValueError, match="bug"):
+        _drive(sim, entry, sim.process(waiter(sim)))
+    assert gc.isenabled() is caller_gc
+
+
+@pytest.mark.parametrize("caller_gc", [True, False], indirect=True)
+def test_kernel_restores_collector_on_every_other_exit(caller_gc):
+    sim = Simulator()
+    sim.timeout(5.0)
+    sim.run(until=2.0)  # the early return inside the loop
+    assert gc.isenabled() is caller_gc
+    never = sim.event()
+    assert sim.run_until_fired(never) is False  # queues drained
+    assert gc.isenabled() is caller_gc
+
+
+@pytest.mark.parametrize("caller_gc", [True], indirect=True)
+def test_nested_pause_restores_once_at_the_outermost_exit(caller_gc):
+    sim = Simulator()
+    sim.timeout(1.0)
+    with collector.paused():
+        sim.run()
+        # The kernel's own exit found the collector already paused by its
+        # caller and must leave it that way.
+        assert not gc.isenabled()
+        with pytest.raises(RuntimeError):
+            with collector.paused():
+                raise RuntimeError("inner")
+        assert not gc.isenabled()
+    assert gc.isenabled()
+
+
+def _explicit_collections(fn):
+    """Full collections started while ``fn`` runs."""
+    starts = []
+
+    def cb(phase, info):
+        if phase == "start" and info["generation"] == 2:
+            starts.append(gc.isenabled())
+
+    gc.callbacks.append(cb)
+    try:
+        fn()
+    finally:
+        gc.callbacks.remove(cb)
+    return starts
+
+
+class _Node:
+    pass
+
+
+@pytest.mark.parametrize("caller_gc", [True], indirect=True)
+@pytest.mark.parametrize("entry", ["run", "run_until_fired"])
+def test_kernel_collects_on_its_event_cadence(monkeypatch, caller_gc, entry):
+    monkeypatch.setattr(collector, "COLLECT_EVERY_EVENTS", 64)
+    sim = Simulator()
+    observed = {}
+
+    def proc(sim):
+        a, b = _Node(), _Node()
+        a.other, b.other = b, a  # a cycle only the collector can free
+        observed["ref"] = weakref.ref(a)
+        del a, b
+        for i in range(998):  # + boot + the process's own completion
+            if i == 200:
+                # Three cadence points have passed, the loop is still
+                # running, and automatic collection is off.
+                observed["dead_mid_run"] = observed["ref"]() is None
+            yield 1e-3
+
+    p = sim.process(proc(sim))
+    starts = _explicit_collections(lambda: _drive(sim, entry, p))
+    assert sim.events_fired == 1000
+    assert len(starts) >= 15
+    assert not any(starts)  # every one ran under the pause: none automatic
+    assert observed["dead_mid_run"] is True
+
+
+@pytest.mark.parametrize("caller_gc", [True], indirect=True)
+def test_cadence_counts_events_across_run_calls(monkeypatch, caller_gc):
+    monkeypatch.setattr(collector, "COLLECT_EVERY_EVENTS", 64)
+    sim = Simulator()
+
+    def proc(sim):
+        while True:
+            yield 1.0
+
+    sim.process(proc(sim))
+
+    def many_short_runs():
+        for t in range(1, 200):  # ~one event per call
+            sim.run(until=float(t) + 0.5)
+
+    starts = _explicit_collections(many_short_runs)
+    assert len(starts) == sim.events_fired // 64 >= 3
+
+
+def test_collector_has_one_owner_in_src():
+    """No collector call outside repro/sim/collector.py, no knob to set it."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    stray = re.compile(
+        r"\bgc\.(enable|disable|collect|freeze|unfreeze|set_threshold|set_debug)\b"
+        r"|from gc import"
+    )
+    offenders = [
+        f"{path.relative_to(src)}:{n}"
+        for path in sorted(src.rglob("*.py"))
+        if path.relative_to(src) != Path("sim/collector.py")
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if stray.search(line)
+    ]
+    assert offenders == []
+    # The cadence is a constant of the one owner, not configuration.
+    assert collector.COLLECT_EVERY_EVENTS == 1 << 20
+    assert "environ" not in (src / "sim" / "collector.py").read_text()
