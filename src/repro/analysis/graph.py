@@ -406,8 +406,7 @@ def extract_model(ctx: FileContext,
 
     # RPC protocol surface: kinds registered vs kinds sent.  The kind
     # argument is positional arg 0 for register(kind, handler) and arg 1
-    # for rpc/rpc_delivered/rpc_with_retry/send(dst, kind, ...); a
-    # non-constant kind
+    # for rpc/rpc_with_retry(dst, kind, ...); a non-constant kind
     # (outside the transport layer) is a dynamic send.
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
@@ -421,7 +420,7 @@ def extract_model(ctx: FileContext,
             kind = node.args[0]
             if isinstance(kind, ast.Constant) and isinstance(kind.value, str):
                 reg.append([kind.value, node.lineno, node.col_offset + 1])
-        elif tail in ("rpc", "rpc_delivered", "rpc_with_retry", "send"):
+        elif tail in ("rpc", "rpc_with_retry"):
             kind = None
             if len(node.args) >= 2:
                 kind = node.args[1]
@@ -430,7 +429,7 @@ def extract_model(ctx: FileContext,
                     if kw.arg == "kind":
                         kind = kw.value
             if kind is None:
-                continue  # generator .send(value) etc. — not a protocol op
+                continue  # not a protocol op
             if isinstance(kind, ast.Constant) and isinstance(kind.value, str):
                 sent.append([kind.value, node.lineno, node.col_offset + 1])
             else:

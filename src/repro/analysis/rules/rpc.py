@@ -9,8 +9,7 @@ and handlers live in different modules by design (client/MDS/OSD/
 strategies), so no per-file rule can check them.
 
 Kinds are collected from constant-string arguments to ``register(kind,
-handler)`` and ``rpc/rpc_delivered/rpc_with_retry/send(dst, kind, ...)``.
-A variable
+handler)`` and ``rpc/rpc_with_retry(dst, kind, ...)``.  A variable
 kind outside the transport layer (which forwards caller-supplied kinds
 by design) is a *dynamic send*: it may exercise any handler, so the
 dead-handler rule disarms project-wide rather than guess.

@@ -79,7 +79,7 @@ def is_entropy_call(canonical: str, has_args: bool) -> bool:
 # ``Fabric.degrade_link``/``heal_link`` are deliberately absent: they are
 # instantaneous state flips, not yield points.)
 # ----------------------------------------------------------------------
-BLOCKING_CALL_TAILS = ("rpc", "rpc_delivered", "rpc_with_retry", "timeout", "sleep", "event",
+BLOCKING_CALL_TAILS = ("rpc", "rpc_with_retry", "timeout", "sleep", "event",
                        "request", "acquire", "AllOf", "AnyOf", "At",
                        "_fence_wait", "_migration_wait",
                        "rebalance_join", "rebalance_leave",

@@ -131,17 +131,11 @@ class Cluster:
         # fault-free runs see identical virtual time.
         self.migrating_stripes: Set[Tuple[int, int]] = set()
         self._active_stripe_ops: Dict[Tuple[int, int], int] = {}
-        # Per-stripe placement overrides, installed by the QoS rebalance as
+        # Per-stripe placement overrides, installed by the rebalance as
         # each stripe's copy lands (fence-copy-flip) and cleared wholesale
         # when commit_ring() installs the new membership.  Empty outside a
         # migration, so the healthy placement path pays one falsy check.
         self.placement_overrides: Dict[Tuple[int, int], List[str]] = {}
-        # Latched by the QoS rebalance the first time drains run under live
-        # foreground traffic: from then on, strategies whose drain path
-        # must tolerate appends racing a recycle (PLR's reserved regions)
-        # switch to their drain-safe variant.  Never set on fault-free or
-        # classic-rebalance runs, so those keep the historical timing.
-        self.live_drain: bool = False
         # What a never-written block reads as in the consistency gates:
         # one read-only zero block per cluster, not one per missing member.
         self._zero_block = np.zeros(config.block_size, dtype=np.uint8)
@@ -185,7 +179,7 @@ class Cluster:
 
         Maps onto the *current ring* — elastic membership changes move
         stripes by changing the ring (via :meth:`commit_ring`), and every
-        placement consumer follows automatically.  A QoS rebalance flips
+        placement consumer follows automatically.  A rebalance flips
         stripes one at a time via ``placement_overrides`` before the final
         ring commit.
         """
@@ -211,13 +205,23 @@ class Cluster:
 
     def replica_of(self, osd_name: str) -> str:
         """Ring neighbour hosting this OSD's DataLog replica (Fig. 4)."""
-        ring = self.ring
-        return ring[(self._ring_pos[osd_name] + 1) % len(ring)]
+        return self.ring_neighbor(osd_name, 1)
 
     def ring_neighbor(self, osd_name: str, r: int) -> str:
-        """The ``r``-th ring successor of an OSD (replica fan-out targets)."""
+        """The ``r``-th ring successor of an OSD (replica fan-out targets).
+
+        A provisioned OSD that is not a member yet serves flipped stripes
+        through ``placement_overrides`` before :meth:`commit_ring` appends
+        it, so it gets the neighbours it will have once appended.
+        """
         ring = self.ring
-        return ring[(self._ring_pos[osd_name] + r) % len(ring)]
+        pos = self._ring_pos.get(osd_name)
+        if pos is None:
+            if osd_name not in self._hosts:
+                raise KeyError(osd_name)
+            ring = ring + [osd_name]
+            pos = len(ring) - 1
+        return ring[(pos + r) % len(ring)]
 
     def commit_ring(self, new_ring: List[str]) -> None:
         """Atomically install a new placement membership.
@@ -285,8 +289,8 @@ class Cluster:
         Delegates to the rebalance plane: migrate the leaver's blocks to
         the post-leave placement under the consistency gates, commit the
         shrunken ring, then stop the node.  Returns the RebalanceResult.
-        ``rebalance_mbps > 0`` selects the per-stripe QoS protocol with a
-        token-bucket copy throttle (see ``repro.recovery.rebalance``).
+        ``rebalance_mbps > 0`` paces the copy with a token bucket (see
+        ``repro.recovery.rebalance``).
         """
         from repro.recovery.rebalance import rebalance_leave
 

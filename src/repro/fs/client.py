@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from repro.dataplane import as_payload, concat_payloads
-from repro.fs.messages import TRANSIENT_RPC_ERRORS, RpcHost
+from repro.fs.messages import HostDownError, RpcHost
 from repro.metrics.latency import LatencyRecorder
 from repro.sim.events import AllOf
 
@@ -150,9 +150,8 @@ class Client(RpcHost):
 
     def _retry_downed(self, make_attempt, counter: str):
         """Run ``make_attempt()`` (a generator) to completion, retrying
-        transient transport faults (:data:`TRANSIENT_RPC_ERRORS` — a host
-        down, or a lossy link dropping the request) with paced backoff
-        until the budget runs out.
+        a down host (:class:`HostDownError`) with paced backoff until the
+        budget runs out.  Frame loss never gets here: ``rpc`` resends.
 
         The shared failure-path scaffold of :meth:`update` and
         :meth:`read`: a crash racing an issued op fails it mid-flight; the
@@ -165,7 +164,7 @@ class Client(RpcHost):
             try:
                 result = yield from make_attempt()
                 return result
-            except TRANSIENT_RPC_ERRORS:
+            except HostDownError:
                 if retried >= self.FENCE_BUDGET_S:
                     raise
                 if retried == 0.0:

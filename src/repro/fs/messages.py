@@ -1,20 +1,20 @@
 """RPC over the simulated fabric.
 
-Every node (MDS, OSD, client) is an :class:`RpcHost` with a mailbox; a
-dispatcher process pops messages and spawns one handler process per message,
-so a node serves requests concurrently while its devices and NIC provide the
-real back-pressure.
+Every node (MDS, OSD, client) is an :class:`RpcHost`; each delivered
+request spawns one handler process, so a node serves requests concurrently
+while its devices and NIC provide the real back-pressure.
 
-``rpc`` is request/response (the caller waits for the handler's reply and
-pays both transfer directions); ``send`` is one-way fire-and-forget used for
-background notifications.
+``rpc`` is request/response: the caller waits for the handler's reply and
+pays both transfer directions.  ``rpc_with_retry`` is ``rpc`` for detached
+background workers that must also ride out a down destination.
 
 Delivery semantics are **at-most-once** (see docs/faults.md): every request
 carries a deterministic per-host request id, and each host keeps a bounded
-per-peer dedup table with a reply cache.  A retransmitted request whose
-original was already applied replays the cached reply instead of re-running
-the handler, so message loss anywhere on the fabric — requests, ``.reply``
-frames, ``.err`` frames — never double-applies an op.  The dedup table is
+per-peer dedup table with a reply cache.  A frame lost anywhere on the
+fabric — request, ``.reply``, ``.err`` — is retransmitted by ``rpc`` under
+the same id, and a retransmitted request whose original was already applied
+replays the cached reply instead of re-running the handler, so loss never
+surfaces to a caller and never double-applies an op.  The dedup table is
 volatile state: cleared by ``crash()``, preserved across ``stop()``.
 
 Failure semantics (the failure-injection scenarios build on these):
@@ -24,9 +24,8 @@ Failure semantics (the failure-injection scenarios build on these):
   in-flight handlers run to completion;
 * a host that has *crashed* (``crash()``, fail-stop) refuses new calls with
   :class:`HostDownError` immediately, aborts its in-flight handlers and
-  fails their reply events, and fails every request queued in its mailbox.
-  Callers must treat a :class:`HostDownError` as "the op may or may not
-  have been applied" and recover accordingly.
+  fails their reply events.  Callers must treat a :class:`HostDownError`
+  as "the op may or may not have been applied" and recover accordingly.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from typing import Any, Callable, Dict, Generator, Optional, Tuple
 from repro.net.fabric import Fabric, LinkLossError
 from repro.sim.core import Simulator
 from repro.sim.events import AnyOf, Event, Interrupt
-from repro.sim.resources import Store
 
 # Fixed protocol overhead charged per message in addition to payload bytes.
 MSG_OVERHEAD = 64
@@ -49,24 +47,14 @@ class HostDownError(RuntimeError):
     """An RPC could not complete because the destination host is down.
 
     Raised in the *caller*: either fail-fast at connect time (the host has
-    crashed), or when the host crashes while the request is queued or being
-    served.  The operation may have been partially applied on the dead
+    crashed), or when the host crashes while the request is being served.
+    The operation may have been partially applied on the dead
     host — callers retry idempotently or rely on post-recovery repair.
     """
 
     def __init__(self, host: str, detail: str = ""):
         super().__init__(f"host {host!r} is down{': ' + detail if detail else ''}")
         self.host = host
-
-
-# Transport faults a caller may retry: the destination is down but will
-# heal (HostDownError), or a lossy degraded link ate the request before
-# delivery (LinkLossError — the handler never ran, so a retry is safe).
-# ``rpc`` preserves that invariant under reply loss too: once a request has
-# been delivered, a dropped reply is handled *inside* ``rpc`` by
-# retransmitting the same request id (the dedup table makes that safe), so
-# a LinkLossError escaping ``rpc`` always means "never delivered".
-TRANSIENT_RPC_ERRORS = (HostDownError, LinkLossError)
 
 
 class Message:
@@ -86,9 +74,9 @@ class Message:
         dst: str,
         payload: dict,
         nbytes: int,
-        reply_event: Optional[Event] = None,
-        sent_at: float = 0.0,
-        req_id: Optional[int] = None,
+        reply_event: Event,
+        sent_at: float,
+        req_id: int,
     ):
         self.kind = kind
         self.src = src
@@ -97,8 +85,8 @@ class Message:
         self.nbytes = nbytes
         self.reply_event = reply_event
         self.sent_at = sent_at
-        # Per-source monotonic request id (None on one-way sends): the key
-        # of the at-most-once dedup table on the destination.
+        # Per-source monotonic request id: the key of the at-most-once
+        # dedup table on the destination.
         self.req_id = req_id
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -115,22 +103,25 @@ class RpcHost:
     CONNECT_BUDGET_S = 60.0
 
     # At-most-once plane: per-peer dedup/reply-cache capacity (FIFO
-    # eviction), and the retransmission timer of ``rpc`` for requests whose
-    # reply was lost — deterministic capped exponential, no jitter entropy.
+    # eviction), and the retransmission timer of ``rpc`` for a call that
+    # lost a frame — deterministic capped exponential, no jitter entropy.
     DEDUP_CAPACITY = 128
-    RETRANSMIT_RTO_S = 1e-3
+    RETRANSMIT_RTO_S = 5e-4
     RETRANSMIT_RTO_CAP_S = 16e-3
     RETRANSMIT_BUDGET_S = 60.0
+
+    # ``rpc_with_retry``: attempt cadence and total budget while the
+    # destination is down.
+    RETRY_INTERVAL_S = 2e-3
+    RETRY_BUDGET_S = 120.0
 
     def __init__(self, sim: Simulator, fabric: Fabric, name: str):
         self.sim = sim
         self.fabric = fabric
         self.name = name
         fabric.attach(name)
-        self.mailbox: Store = Store(sim, name=f"{name}.mbox")
         self.handlers: Dict[str, Handler] = {}
         self.peers: Dict[str, "RpcHost"] = {}
-        self._dispatcher = None
         self.running = False
         self.crashed = False
         # In-flight handler processes, so a crash can abort them and fail
@@ -174,16 +165,10 @@ class RpcHost:
         self.peers = peers
 
     def start(self) -> None:
-        """Boot the dispatcher process (idempotent)."""
+        """Open the host for delivery and wake connect-waiters (idempotent)."""
         if not self.running:
             self.running = True
             self.crashed = False
-            # A previous dispatcher's abandoned get() must not eat the first
-            # message meant for the new one.
-            self.mailbox.cancel_getters()
-            self._dispatcher = self.sim.process(
-                self._dispatch_loop(), name=f"{self.name}.dispatch"
-            )
             self._notify_state_change()
 
     def _notify_state_change(self) -> None:
@@ -200,17 +185,13 @@ class RpcHost:
         return ev
 
     def stop(self) -> None:
-        """Graceful stop: no new dispatches; in-flight handlers complete.
+        """Graceful stop: no new deliveries; in-flight handlers complete.
 
         Callers attempting new RPCs block at the transport until a restart
-        (transient-outage semantics); queued mailbox messages are served
-        when the host comes back.  The dedup table survives — a retransmit
-        arriving after the restart still replays its cached reply.
+        (transient-outage semantics).  The dedup table survives — a
+        retransmit arriving after the restart still replays its cached reply.
         """
         self.running = False
-        if self._dispatcher is not None and self._dispatcher.is_alive:
-            self._dispatcher.interrupt("stop")
-        self.mailbox.cancel_getters()
 
     def crash(self) -> None:
         """Fail-stop: abort in-flight handlers and fail all pending callers.
@@ -222,30 +203,17 @@ class RpcHost:
         self.running = False
         self.crashed = True
         self._notify_state_change()
-        if self._dispatcher is not None and self._dispatcher.is_alive:
-            self._dispatcher.interrupt("crash")
-        self.mailbox.cancel_getters()
         for proc, msg in list(self._inflight.items()):
             if proc.is_alive:
                 proc.interrupt("crash")
-            if msg.reply_event is not None and not msg.reply_event.triggered:
+            if not msg.reply_event.triggered:
                 msg.reply_event.fail(HostDownError(self.name, f"crashed serving {msg.kind}"))
         self._inflight.clear()
-        for msg in self.mailbox.pop_all():
-            if msg.reply_event is not None and not msg.reply_event.triggered:
-                msg.reply_event.fail(HostDownError(self.name, f"crashed before {msg.kind}"))
         self._dedup.clear()
 
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
-    def _dispatch_loop(self):
-        sim = self.sim
-        mailbox = self.mailbox
-        while self.running:
-            msg = yield mailbox.get()
-            self._spawn_handler(sim, msg)
-
     def _reply_kind(self, kind: str) -> str:
         """Cached ``<kind>.reply`` counter tags (no f-string per reply)."""
         tag = self._reply_kinds.get(kind)
@@ -268,13 +236,14 @@ class RpcHost:
         can possibly retransmit (its reply event failed, which only happens
         after a reply-transfer attempt), the outcome is already cached.
         """
-        if msg.req_id is None or msg.kind in self._uncached_kinds:
-            return
-        self._dedup_record(msg.src, msg.req_id, entry)
+        if msg.kind not in self._uncached_kinds:
+            self._dedup_record(msg.src, msg.req_id, entry)
 
     def _spawn_handler(self, sim: Simulator, msg: "Message") -> None:
+        """Accept one inbound request: consult the dedup table, then run
+        the handler (or replay its cached outcome) in its own process."""
         inflight = self._inflight
-        if msg.req_id is not None and msg.kind not in self._uncached_kinds:
+        if msg.kind not in self._uncached_kinds:
             table = self._dedup.get(msg.src)
             entry = table.get(msg.req_id) if table is not None else None
             if entry is not None:
@@ -285,7 +254,7 @@ class RpcHost:
                     # before the reply transfer), but defensively fail the
                     # duplicate as lost-on-the-wire so the caller's RTO
                     # retransmits instead of hanging on an orphaned event.
-                    if msg.reply_event is not None and not msg.reply_event.triggered:
+                    if not msg.reply_event.triggered:
                         msg.reply_event.fail(LinkLossError(self.name, msg.kind))
                     return
                 proc = sim.process(self._replay(msg, entry), name=msg.kind)
@@ -296,22 +265,6 @@ class RpcHost:
         proc = sim.process(self._handle(msg), name=msg.kind)
         inflight[proc] = msg
         proc.add_callback(lambda _ev, p=proc: inflight.pop(p, None))
-
-    def _deliver(self, msg: "Message") -> None:
-        """Accept one inbound message.
-
-        Fast path: a running host's dispatcher is by construction idle in
-        ``mailbox.get()`` whenever a message arrives (it spawns handlers
-        synchronously and immediately re-waits), so delivery can spawn the
-        handler directly and skip the put -> get-event -> dispatcher-resume
-        round trip.  Messages for a stopped host queue in the mailbox and
-        are served by the dispatcher the restart boots.  Both paths funnel
-        through :meth:`_spawn_handler`, where the dedup table is consulted.
-        """
-        if self.running and not self.crashed:
-            self._spawn_handler(self.sim, msg)
-        else:
-            self.mailbox.put(msg)
 
     def _replay(self, msg: "Message", entry: tuple):
         """Serve a duplicate of an applied request from the reply cache.
@@ -328,81 +281,73 @@ class RpcHost:
                     self.name, msg.src, nbytes + MSG_OVERHEAD,
                     kind=self._reply_kind(msg.kind),
                 )
-                if msg.reply_event is not None and not msg.reply_event.triggered:
+                if not msg.reply_event.triggered:
                     msg.reply_event.succeed(payload)
             else:  # ("err", exc)
                 yield from self.fabric.transfer(
                     self.name, msg.src, MSG_OVERHEAD, kind=f"{msg.kind}.err"
                 )
-                if msg.reply_event is not None and not msg.reply_event.triggered:
+                if not msg.reply_event.triggered:
                     msg.reply_event.fail(entry[1])
         except LinkLossError as loss:
             # The replayed reply was dropped too: fail the caller's reply
             # event so its RTO fires and it retransmits again.
-            if msg.reply_event is not None and not msg.reply_event.triggered:
+            if not msg.reply_event.triggered:
                 msg.reply_event.fail(loss)
         except Interrupt:
-            if msg.reply_event is not None and not msg.reply_event.triggered:
+            if not msg.reply_event.triggered:
                 msg.reply_event.fail(
                     HostDownError(self.name, f"crashed replaying {msg.kind}")
                 )
 
     def _handle(self, msg: Message):
+        reply = msg.reply_event
         handler = self.handlers.get(msg.kind)
         if handler is None:
             err = KeyError(f"{self.name} has no handler for {msg.kind!r}")
             self._record_outcome(msg, ("err", err))
-            if msg.reply_event is not None:
-                msg.reply_event.fail(err)
-                return
-            raise err
+            reply.fail(err)
+            return
         try:
             result = yield from handler(msg)
-            if msg.reply_event is not None:
-                payload, nbytes = result if result is not None else ({}, 0)
-                # Cache the outcome BEFORE paying the reply transfer: if the
-                # reply frame drops, the retransmit must hit a done entry.
-                self._record_outcome(msg, ("ok", payload, nbytes))
-                try:
-                    yield from self.fabric.transfer(
-                        self.name, msg.src, nbytes + MSG_OVERHEAD,
-                        kind=self._reply_kind(msg.kind),
-                    )
-                except LinkLossError as loss:
-                    # Reply frame dropped on a lossy link.  The op IS
-                    # applied and cached; failing the reply event models
-                    # the caller's retransmission timer firing, and the
-                    # same-id retransmit replays the cached reply.
-                    if not msg.reply_event.triggered:
-                        msg.reply_event.fail(loss)
-                    return
-                if not msg.reply_event.triggered:
-                    msg.reply_event.succeed(payload)
+            payload, nbytes = result if result is not None else ({}, 0)
+            # Cache the outcome BEFORE paying the reply transfer: if the
+            # reply frame drops, the retransmit must hit a done entry.
+            self._record_outcome(msg, ("ok", payload, nbytes))
+            try:
+                yield from self.fabric.transfer(
+                    self.name, msg.src, nbytes + MSG_OVERHEAD,
+                    kind=self._reply_kind(msg.kind),
+                )
+            except LinkLossError as loss:
+                # Reply frame dropped on a lossy link.  The op IS applied
+                # and cached; failing the reply event models the caller's
+                # retransmission timer firing, and the same-id retransmit
+                # replays the cached reply.
+                if not reply.triggered:
+                    reply.fail(loss)
+                return
+            if not reply.triggered:
+                reply.succeed(payload)
         except Interrupt:
             # The host crashed under us: no reply transfer (the node is
             # dead); make sure the caller learns rather than hangs.
-            if msg.reply_event is not None and not msg.reply_event.triggered:
-                msg.reply_event.fail(
-                    HostDownError(self.name, f"crashed serving {msg.kind}")
-                )
-            return
+            if not reply.triggered:
+                reply.fail(HostDownError(self.name, f"crashed serving {msg.kind}"))
         except Exception as err:
             # Application-level failure: deliver it to the caller as the
             # RPC outcome instead of crashing the serving node.
-            if msg.reply_event is not None:
-                self._record_outcome(msg, ("err", err))
-                try:
-                    yield from self.fabric.transfer(
-                        self.name, msg.src, MSG_OVERHEAD, kind=f"{msg.kind}.err"
-                    )
-                except LinkLossError as loss:
-                    if not msg.reply_event.triggered:
-                        msg.reply_event.fail(loss)
-                    return
-                if not msg.reply_event.triggered:
-                    msg.reply_event.fail(err)
+            self._record_outcome(msg, ("err", err))
+            try:
+                yield from self.fabric.transfer(
+                    self.name, msg.src, MSG_OVERHEAD, kind=f"{msg.kind}.err"
+                )
+            except LinkLossError as loss:
+                if not reply.triggered:
+                    reply.fail(loss)
                 return
-            raise
+            if not reply.triggered:
+                reply.fail(err)
 
     # ------------------------------------------------------------------
     # calling
@@ -447,19 +392,19 @@ class RpcHost:
             _req_id: Optional[int] = None):
         """Request/response call; returns the reply payload (generator).
 
-        At-most-once: the request carries a per-host monotonic id.  A
-        :class:`LinkLossError` on the *forward* leg of a fresh request
-        propagates (the handler never ran — the caller may retry the whole
-        op with a new id).  Once the request has been delivered, a lost
-        reply (or a lost retransmission) is handled here: the same id is
-        retransmitted after a deterministic capped-exponential timeout and
-        the destination's dedup table replays the cached reply, so the op
-        is never applied twice.  ``_req_id`` lets :meth:`rpc_with_retry`
-        pin one id across its attempts.
+        At-most-once, and the one place frame loss is recovered: the
+        request carries a per-host monotonic id, and whichever frame of the
+        call a lossy link drops — the request, its ``.reply``/``.err``, or
+        a retransmission of either — the same id is resent after a
+        deterministic capped-exponential timeout.  If the original was
+        applied, the destination's dedup table replays the cached reply, so
+        the op never runs twice and :class:`LinkLossError` never reaches a
+        caller.  What does propagate: :class:`HostDownError` (the caller
+        owns that retry) and the handler's own exception.  ``_req_id`` lets
+        :meth:`rpc_with_retry` pin one id across its attempts.
         """
         host = self._route(dst)
         req_id = self._alloc_req_id() if _req_id is None else _req_id
-        delivered = False
         rto = self.RETRANSMIT_RTO_S
         rto_deadline = None
         while True:
@@ -476,33 +421,25 @@ class RpcHost:
                         # Went down while the request was on the wire.
                         raise HostDownError(dst)
                     # Stopped mid-transfer: retransmit once it is back.
-            except LinkLossError:
-                if not delivered:
-                    # The request never reached the handler: safe for the
-                    # caller to retry the whole op with a fresh id.
-                    raise
-                # A *retransmission* was lost; only this loop may resend
-                # (same id), so fall through to the timer.
-            else:
-                delivered = True
                 reply = Event(self.sim, name="reply")
-                host._deliver(
+                host._spawn_handler(
+                    self.sim,
                     Message(kind, self.name, dst, payload, nbytes, reply,
-                            self.sim.now, req_id)
+                            self.sim.now, req_id),
                 )
-                try:
-                    result = yield reply
-                    return result
-                except LinkLossError:
-                    # The reply frame was dropped: retransmit the same id
-                    # below; the dedup table makes the resend safe.
-                    pass
+                result = yield reply
+                return result
+            except LinkLossError:
+                # A frame of this call was dropped, in either direction:
+                # resend the same id below.  A request that never arrived
+                # runs fresh; one that did replays from the dedup table.
+                pass
             if rto_deadline is None:
                 rto_deadline = self.sim.now + self.RETRANSMIT_BUDGET_S
             if self.sim.now >= rto_deadline:
-                # Loud failure instead of LinkLossError: the request WAS
-                # delivered, so surfacing a transient-retryable error here
-                # would invite an unsafe whole-op retry upstream.
+                # Loud failure, not a retryable one: the request may have
+                # been applied, so a whole-op retry upstream with a fresh
+                # id would not be safe.
                 raise RuntimeError(
                     f"{self.name}: retransmit budget exhausted for "
                     f"{kind!r} -> {dst!r} (req {req_id})"
@@ -511,44 +448,8 @@ class RpcHost:
             yield min(rto, max(rto_deadline - self.sim.now, 1e-9))
             rto = min(rto * 2.0, self.RETRANSMIT_RTO_CAP_S)
 
-    def rpc_delivered(self, dst: str, kind: str, payload: dict, nbytes: int = 0):
-        """``rpc`` that absorbs pre-delivery request loss (generator).
-
-        For nested *foreground* fan-out inside handlers (parity-delta
-        forwards, replica ships): a :class:`LinkLossError` out of ``rpc``
-        means the request never reached the handler, so resending with a
-        fresh id is safe — and absorbing it here keeps a lossy source link
-        from surfacing as a spurious application error to the op's owner,
-        whose whole-op retry would re-run delta computation.  Every other
-        failure (crash, application error, retransmit-budget exhaustion)
-        propagates unchanged.  Pacing mirrors the reply-loss retransmission
-        timer: deterministic capped exponential, hard budget.
-        """
-        rto = self.RETRANSMIT_RTO_S
-        deadline = None
-        while True:
-            try:
-                result = yield from self.rpc(dst, kind, payload, nbytes=nbytes)
-                return result
-            except LinkLossError:
-                if deadline is None:
-                    deadline = self.sim.now + self.RETRANSMIT_BUDGET_S
-                if self.sim.now >= deadline:
-                    raise
-                self.retransmits += 1
-                yield min(rto, max(deadline - self.sim.now, 1e-9))
-                rto = min(rto * 2.0, self.RETRANSMIT_RTO_CAP_S)
-
-    def rpc_with_retry(
-        self,
-        dst: str,
-        kind: str,
-        payload: dict,
-        nbytes: int = 0,
-        interval: float = 2e-3,
-        budget: float = 120.0,
-    ):
-        """``rpc`` that retries transient transport faults until they heal.
+    def rpc_with_retry(self, dst: str, kind: str, payload: dict, nbytes: int = 0):
+        """``rpc`` that also rides out a down destination until it heals.
 
         For *background* pushes only (log recycle forwards, migration
         copies): the work is owned by a detached worker with nobody
@@ -557,28 +458,19 @@ class RpcHost:
         restores revive it outright).  Foreground paths must NOT use this —
         their callers own the retry policy.
 
-        All attempts share one request id, so a retry after a transient
-        fault deduplicates against the destination's reply cache whenever
-        that cache survived (stop/restart, lost reply) — the op is applied
-        at most once.  A crash wipes the cache with the rest of volatile
-        state; post-crash reconciliation is owned by recovery, exactly as
-        for the strategy state the crash also lost.
+        All attempts share one request id, so a retry after a stop/restart
+        deduplicates against the destination's reply cache — the op is
+        applied at most once.  A crash wipes the cache with the rest of
+        volatile state; post-crash reconciliation is owned by recovery,
+        exactly as for the strategy state the crash also lost.
 
         Pacing is a fixed, deadline-aware cadence (deterministic, no
-        jitter): one attempt every ``interval`` seconds, the last sleep
+        jitter): one attempt every ``RETRY_INTERVAL_S``, the last sleep
         clamped to the remaining budget so the deadline check always fires.
-
-        The budget is enforced against a deadline computed once from
-        ``sim.now`` — accumulating ``waited += interval`` in floats drifts
-        after thousands of retries and can over- or under-shoot the budget.
+        The deadline is computed once from ``sim.now`` — accumulating
+        ``waited += interval`` in floats drifts after thousands of retries.
         """
-        if interval <= 0.0:
-            # interval=0 would sleep zero virtual time: sim.now never
-            # advances, the deadline check never fires, and a down
-            # destination spins this process forever at one instant.
-            raise ValueError(f"retry interval must be > 0, got {interval!r}")
-        deadline = self.sim.now + budget
-        interval = float(interval)
+        deadline = self.sim.now + self.RETRY_BUDGET_S
         req_id = self._alloc_req_id()
         while True:
             try:
@@ -586,24 +478,8 @@ class RpcHost:
                     dst, kind, payload, nbytes=nbytes, _req_id=req_id
                 )
                 return result
-            except TRANSIENT_RPC_ERRORS:
+            except HostDownError:
                 remaining = deadline - self.sim.now
                 if remaining <= 0:
                     raise
-                yield min(interval, remaining)
-
-    def send(self, dst: str, kind: str, payload: dict, nbytes: int = 0):
-        """One-way message: pays the forward transfer only (generator).
-
-        Sends to a crashed host are dropped (fire-and-forget); sends to a
-        stopped host queue and are served at restart.  No request id: a
-        one-way notification has no reply to cache, and its consumers are
-        idempotent by contract.
-        """
-        host = self._route(dst)
-        yield from self.fabric.transfer(
-            self.name, dst, nbytes + MSG_OVERHEAD, kind=kind
-        )
-        if host.crashed:
-            return
-        host._deliver(Message(kind, self.name, dst, payload, nbytes, None, self.sim.now))
+                yield min(self.RETRY_INTERVAL_S, remaining)

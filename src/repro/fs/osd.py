@@ -19,7 +19,7 @@ from typing import Optional
 from repro.dataplane import assemble_overlay
 from repro.devices.base import StorageDevice
 from repro.fs.blockstore import BlockStore
-from repro.fs.messages import TRANSIENT_RPC_ERRORS, HostDownError, Message, RpcHost
+from repro.fs.messages import HostDownError, Message, RpcHost
 from repro.sim.resources import KeyedLock
 
 # Serving a read fully from the in-memory log index costs roughly a memory
@@ -173,13 +173,14 @@ class OSD(RpcHost):
     def heartbeat_loop(self, interval: float = 1.0):
         """Optional heartbeat process (started by recovery experiments).
 
-        A beat lost on a lossy link (or sent while the MDS is down) is a
-        missed beat, not the end of the heartbeat: the MDS timeout is what
-        turns enough consecutive misses into a failure verdict.
+        A beat sent while the MDS is down is a missed beat, not the end of
+        the heartbeat: the MDS timeout is what turns enough consecutive
+        misses into a failure verdict.  (A beat lost on a lossy link is
+        resent by ``rpc`` and arrives late.)
         """
         while self.running:
             try:
                 yield from self.rpc("mds", "heartbeat", {}, nbytes=8)
-            except TRANSIENT_RPC_ERRORS:
+            except HostDownError:
                 pass
             yield self.sim.sleep(interval)

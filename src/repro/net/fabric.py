@@ -17,8 +17,8 @@ class LinkLossError(RuntimeError):
 
     Raised by :meth:`Fabric.transfer` after the serialisation leg, before
     delivery — the receiver never sees the message.  Callers treat it like
-    a transient transport fault (``rpc_with_retry`` retries; the client
-    data path retries the whole attempt).
+    a transient transport fault: ``RpcHost.rpc`` resends the frame under
+    the same request id and never lets this escape to its caller.
     """
 
     def __init__(self, endpoint: str, kind: str):
@@ -127,7 +127,8 @@ class Fabric:
         loss_every: int = 0,
         loss_scope: str = "requests",
     ) -> None:
-        """Degrade one endpoint's link; calling again replaces the state.
+        """Degrade one endpoint's link; calling again replaces the state
+        (drop counters of the replaced state are kept in the fabric totals).
 
         ``loss_scope`` selects which egress frames the deterministic
         counter-based loss considers: ``"requests"`` (historical default)
@@ -149,6 +150,7 @@ class Fabric:
             raise ValueError(
                 f"loss_scope must be 'requests' or 'all', got {loss_scope!r}"
             )
+        self.heal_link(endpoint)  # fold the replaced state's drop counters
         self._links[endpoint] = LinkState(
             bw_factor=float(bw_factor),
             extra_latency=float(extra_latency),

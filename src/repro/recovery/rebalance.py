@@ -2,44 +2,41 @@
 
 Placement is a hash-rotated ring over the *current membership*
 (:meth:`repro.cluster.Cluster.placement`), so changing the member count
-moves nearly every stripe.  A rebalance is therefore a whole-cluster
-migration protocol, not a per-node trickle:
+moves nearly every stripe.  A rebalance migrates them **one stripe at a
+time**, so at any instant at most one stripe is write-fenced and
+foreground ops on every other stripe keep flowing.  Per moving stripe:
 
-1. **Fence** — every stripe whose placement changes under the new ring is
-   added to ``cluster.migrating_stripes``; clients hold *new* foreground
-   ops on those stripes (:meth:`Client._migration_wait`), exactly as they
-   fence writes on down members.
+1. **Fence** — the stripe is added to ``cluster.migrating_stripes``;
+   clients hold *new* foreground ops on it
+   (:meth:`Client._migration_wait`), exactly as they fence writes on down
+   members.
 2. **Quiesce** — wait until the in-flight-op refcount
-   (``cluster.note_ops_begin/end``) drains to zero on every moving stripe,
-   so no update straddles the placement flip.
+   (``cluster.note_ops_begin/end``) drains to zero on the stripe, so no
+   update straddles the placement flip.
 3. **Drain** — recycle all pending log state cluster-wide
    (:func:`repro.harness.experiment.drain_all`): blocks must hold the
    post-log truth before they are copied to new homes.
-4. **Gate (pre-copy)** — every moving stripe must be parity-consistent
-   under the *old* placement, else :class:`StripeMigrationError`.
+4. **Gate (pre-copy)** — the stripe must be parity-consistent under the
+   *old* placement, else :class:`StripeMigrationError`.
 5. **Copy** — for every block whose home changes, the new home pulls the
    block from the old home through the costed recovery read path and
-   writes it sequentially (``parallelism`` blocks at a time).  Sparse
+   writes it sequentially, paced by a token bucket of ``rebalance_mbps``
+   MiB per virtual second (``0`` = the bucket never waits).  Sparse
    (never-materialised) blocks are skipped: an all-zero block is all-zero
-   on the new home too.
-6. **Flip** — :meth:`Cluster.commit_ring` installs the new membership in
-   one non-yielding step; stale copies are dropped from old homes and
-   every ring member's strategy gets the ``on_rebuilt()`` placement-change
-   hook.
-7. **Gate (post-flip) + unfence** — every migrated stripe must be
-   parity-consistent under the *new* placement before the fence lifts.
+   on the new home too.  Copy width doubles when a copy source's link is
+   degraded (the XX-Net multi-connection pattern).
+6. **Flip** — a ``cluster.placement_overrides`` entry routes the stripe to
+   its new homes in one non-yielding step; stale copies are dropped from
+   the old homes.
+7. **Gate (post-flip) + unfence** — the stripe must be parity-consistent
+   under the *new* placement before its fence lifts.
 
-The protocol above trades availability for simplicity: moving stripes
-are write-fenced for the whole copy (measured and reported as the
-foreground dip in elastic scenarios).  Passing ``rebalance_mbps > 0``
-selects the **QoS rebalance** instead (:func:`_rebalance_qos`): the same
-seven steps run *per stripe* — fence one stripe, quiesce it, drain, gate,
-copy its blocks, flip it via ``cluster.placement_overrides``, gate again,
-unfence — so at any instant at most one stripe is write-fenced, and the
-copy is paced by a token-bucket bandwidth throttle with adaptive
-parallelism when a copy source's link is degraded (the XX-Net
-multi-connection pattern).  The final :meth:`Cluster.commit_ring` installs
-the new membership and clears the per-stripe overrides it subsumes.
+After the last stripe, :meth:`Cluster.commit_ring` installs the new
+membership and clears the per-stripe overrides it subsumes.  No strategy
+gets a wholesale ``on_rebuilt()`` reset: every flip ran against a fenced,
+quiesced and drained stripe, and unfenced stripes kept updating through
+the copy windows — a reset would wipe their live speculation/log state
+(pending PARIX deltas, for one) mid-flow.
 """
 
 from __future__ import annotations
@@ -75,8 +72,7 @@ class RebalanceResult:
     copy_seconds: float = 0.0
     t_start: float = 0.0
     t_end: float = 0.0
-    # QoS rebalance only (zero on the classic whole-set protocol).
-    throttle_mbps: float = 0.0    # token-bucket rate the copy was paced to
+    throttle_mbps: float = 0.0    # token-bucket rate granted (0 = unthrottled)
     throttle_wait_s: float = 0.0  # virtual time spent waiting for tokens
 
     @property
@@ -99,17 +95,14 @@ def rebalance_join(cluster, osd_name: str, rebalance_mbps: float = 0.0):
     """Commit a provisioned OSD (see ``Cluster.add_osd``) into the ring.
 
     Generator; returns a :class:`RebalanceResult`.  ``rebalance_mbps > 0``
-    selects the per-stripe QoS protocol with a token-bucket copy throttle.
+    paces the copy with a token bucket; ``0`` copies unthrottled.
     """
     if osd_name in cluster.ring:
         raise ValueError(f"{osd_name!r} is already a ring member")
     new_ring = list(cluster.ring) + [osd_name]
-    if rebalance_mbps > 0.0:
-        result = yield from _rebalance_qos(
-            cluster, "join", osd_name, new_ring, rebalance_mbps
-        )
-    else:
-        result = yield from _rebalance(cluster, "join", osd_name, new_ring)
+    result = yield from _rebalance(
+        cluster, "join", osd_name, new_ring, rebalance_mbps
+    )
     return result
 
 
@@ -117,7 +110,7 @@ def rebalance_leave(cluster, osd_name: str, rebalance_mbps: float = 0.0):
     """Migrate an OSD's placement away, shrink the ring, stop the node.
 
     Generator; returns a :class:`RebalanceResult`.  ``rebalance_mbps > 0``
-    selects the per-stripe QoS protocol with a token-bucket copy throttle.
+    paces the copy with a token bucket; ``0`` copies unthrottled.
     """
     if osd_name not in cluster.ring:
         raise ValueError(f"{osd_name!r} is not a ring member")
@@ -133,12 +126,9 @@ def rebalance_leave(cluster, osd_name: str, rebalance_mbps: float = 0.0):
             "must be recovered first"
         )
     new_ring = [n for n in cluster.ring if n != osd_name]
-    if rebalance_mbps > 0.0:
-        result = yield from _rebalance_qos(
-            cluster, "decommission", osd_name, new_ring, rebalance_mbps
-        )
-    else:
-        result = yield from _rebalance(cluster, "decommission", osd_name, new_ring)
+    result = yield from _rebalance(
+        cluster, "decommission", osd_name, new_ring, rebalance_mbps
+    )
     # The leaver is out of placement and fully copied away: take it out of
     # service in the same instant as the flip (no yields since commit).
     victim = cluster.osd_by_name(osd_name)
@@ -151,140 +141,29 @@ def _move_one(cluster, key, src: str, dst: str):
     """Copy one block to its new home; rides out a transiently down source."""
     dst_osd = cluster.osd_by_name(dst)
     rep = yield from dst_osd.rpc_with_retry(
-        src, "recovery_read", {"key": key}, nbytes=24, interval=1e-3
+        src, "recovery_read", {"key": key}, nbytes=24
     )
     yield from dst_osd.store.write_block(key, rep["data"], pattern="seq")
 
 
-def _rebalance(cluster, kind: str, osd_name: str, new_ring: List[str]):
-    # Deferred: harness imports cluster/recovery packages at module level.
-    from repro.harness.experiment import drain_all
-
-    sim = cluster.sim
-    cfg = cluster.config
-    span = cfg.k * cfg.block_size
-    result = RebalanceResult(kind=kind, osd=osd_name, t_start=sim.now)
-
-    # ------------------------------------------------------------------
-    # Plan: every (inode, stripe) whose member list changes, with the
-    # per-block (old_home, new_home) pairs that differ.
-    # ------------------------------------------------------------------
-    moved: List[Tuple[int, int, List[str], List[str]]] = []
-    for inode, meta in sorted(cluster.mds.files.items()):
-        for stripe in range(meta.size // span):
-            old_names = cluster.placement(inode, stripe)
-            new_names = cluster.placement_on(new_ring, inode, stripe)
-            result.stripes_total += 1
-            if old_names != new_names:
-                moved.append((inode, stripe, old_names, new_names))
-    result.stripes_migrated = len(moved)
-    moved_keys = [(inode, stripe) for inode, stripe, _, _ in moved]
-
-    # ------------------------------------------------------------------
-    # Fence + quiesce.
-    # ------------------------------------------------------------------
-    cluster.migrating_stripes.update(moved_keys)
-    try:
-        t0 = sim.now
-        deadline = sim.now + QUIESCE_BUDGET_S
-        while not cluster.stripes_quiesced(moved_keys):
-            if sim.now >= deadline:
-                raise StripeMigrationError(
-                    f"{kind} of {osd_name!r}: foreground ops on migrating "
-                    f"stripes did not quiesce within {QUIESCE_BUDGET_S}s"
-                )
-            yield sim.timeout(QUIESCE_POLL_S)
-        result.quiesce_seconds = sim.now - t0
-
-        # --------------------------------------------------------------
-        # Drain all log state, then gate on the old placement.
-        # --------------------------------------------------------------
-        t0 = sim.now
-        yield from drain_all(cluster)
-        result.drain_seconds = sim.now - t0
-        for inode, stripe in moved_keys:
-            if not cluster.stripe_consistent(inode, stripe):
-                raise StripeMigrationError(
-                    f"stripe ({inode},{stripe}) inconsistent before {kind} "
-                    f"migration — refusing to copy corruption"
-                )
-
-        # --------------------------------------------------------------
-        # Copy every relocated, materialised block to its new home.
-        # --------------------------------------------------------------
-        from repro.recovery.recovery import _ensure_recovery_handlers
-
-        _ensure_recovery_handlers(cluster)
-        t0 = sim.now
-        copies: List[Tuple[Tuple[int, int, int], str, str]] = []
-        for inode, stripe, old_names, new_names in moved:
-            for b in range(cfg.k + cfg.m):
-                src, dst = old_names[b], new_names[b]
-                if src == dst:
-                    continue
-                key = (inode, stripe, b)
-                if cluster.osd_by_name(src).store.peek(key) is None:
-                    continue  # sparse: all-zero everywhere by construction
-                copies.append((key, src, dst))
-
-        parallelism = 8
-        pending = list(copies)
-        while pending:
-            batch = pending[:parallelism]
-            del pending[:parallelism]
-            procs = [sim.process(_move_one(cluster, *item)) for item in batch]
-            yield AllOf(sim, procs)
-        result.blocks_moved = len(copies)
-        result.bytes_moved = len(copies) * cfg.block_size
-        result.copy_seconds = sim.now - t0
-
-        # --------------------------------------------------------------
-        # Flip, clean up stale homes, notify strategies, gate post-flip.
-        # Everything below is non-yielding: no foreground op can observe
-        # a half-committed membership.
-        # --------------------------------------------------------------
-        cluster.commit_ring(new_ring)
-        for key, src, _dst in copies:
-            cluster.osd_by_name(src).store.blocks.pop(key, None)
-        for name in new_ring:
-            cluster.osd_by_name(name).strategy.on_rebuilt()
-        for inode, stripe in moved_keys:
-            if not cluster.stripe_consistent(inode, stripe):
-                raise StripeMigrationError(
-                    f"stripe ({inode},{stripe}) inconsistent after {kind} "
-                    f"migration"
-                )
-    finally:
-        cluster.migrating_stripes.difference_update(moved_keys)
-    result.t_end = sim.now
-    return result
-
-
-# QoS copy parallelism: conservative by default so foreground traffic keeps
+# Copy parallelism: conservative by default so foreground traffic keeps
 # most of the fabric; doubled (multi-connection, the XX-Net pattern) when a
 # copy source's link is degraded, so per-connection slowdown is compensated
 # with width instead of letting the token bucket sit idle.
 QOS_BASE_PARALLELISM = 4
 
 
-def _rebalance_qos(
+def _rebalance(
     cluster, kind: str, osd_name: str, new_ring: List[str], rebalance_mbps: float
 ):
-    """Per-stripe fence-copy-flip rebalance under a bandwidth throttle.
-
-    Same plan, gates and copy path as :func:`_rebalance`, restructured so
-    only *one* stripe is fenced at a time: quiesce + drain + pre-copy gate,
-    copy that stripe's relocated blocks under the token bucket, install a
-    ``cluster.placement_overrides`` entry as the flip, gate post-flip, and
-    unfence — foreground ops on every other stripe keep flowing the whole
-    time.  The final ``commit_ring`` replaces the accumulated overrides
-    with the new membership in one non-yielding step.
+    """Per-stripe fence-copy-flip rebalance (the module docstring's steps).
 
     The token bucket grants ``rebalance_mbps`` MiB of copy traffic per
     virtual second: each batch waits for its grant before issuing, and the
     accumulated wait is reported as ``throttle_wait_s`` (utilization =
-    achieved rate / granted rate).  Deterministic: the grant clock is pure
-    float arithmetic off ``sim.now``, no entropy.
+    achieved rate / granted rate).  At ``0`` the bucket never waits.
+    Deterministic: the grant clock is pure float arithmetic off
+    ``sim.now``, no entropy.
     """
     from repro.harness.experiment import drain_all
     from repro.recovery.recovery import _ensure_recovery_handlers
@@ -297,7 +176,7 @@ def _rebalance_qos(
         throttle_mbps=float(rebalance_mbps),
     )
 
-    # Plan: identical to the classic protocol.
+    # Plan: every (inode, stripe) whose member list changes.
     moved: List[Tuple[int, int, List[str], List[str]]] = []
     for inode, meta in sorted(cluster.mds.files.items()):
         for stripe in range(meta.size // span):
@@ -309,11 +188,6 @@ def _rebalance_qos(
     result.stripes_migrated = len(moved)
 
     _ensure_recovery_handlers(cluster)
-    # Drains below run while foreground ops keep flowing on unfenced
-    # stripes, so recycles can race appends; latch the cluster into
-    # drain-safe mode for the rest of the run (later drains must sweep
-    # any entries such a race stranded).
-    cluster.live_drain = True
     rate = float(rebalance_mbps) * float(1 << 20)  # bytes / virtual second
     next_grant = sim.now
 
@@ -392,12 +266,7 @@ def _rebalance_qos(
             cluster.migrating_stripes.discard(skey)
 
         # Every stripe is flipped: install the membership (clears the
-        # overrides it subsumes).  No on_rebuilt() here: each per-stripe
-        # flip already ran against a fenced, quiesced and drained stripe,
-        # so this commit is placement-neutral bookkeeping — and unfenced
-        # stripes kept updating through the copy windows, so the wholesale
-        # reset would wipe their live speculation/log state (pending PARIX
-        # deltas, for one) mid-flow.
+        # overrides it subsumes) — placement-neutral bookkeeping.
         cluster.commit_ring(new_ring)
     finally:
         cluster.migrating_stripes.difference_update(

@@ -35,7 +35,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.cluster import Cluster
-from repro.fs.messages import TRANSIENT_RPC_ERRORS
+from repro.fs.messages import HostDownError
 from repro.sim.events import AllOf, AnyOf
 
 
@@ -274,9 +274,8 @@ def recover_node_proc(
                 try:
                     replies = yield AllOf(sim, pulls)
                     break
-                except TRANSIENT_RPC_ERRORS:
-                    # A source died mid-pull (or a lossy link ate a pull);
-                    # re-plan against the survivors.
+                except HostDownError:
+                    # A source died mid-pull; re-plan against the survivors.
                     yield sim.timeout(1e-3)
             shards = {b: rep["data"] for (b, _), rep in zip(sources, replies)}
             rebuilt = cluster.codec.reconstruct(shards, [lost_index])[lost_index]
@@ -359,7 +358,7 @@ def _revive_down_serving_planes(cluster: Cluster, stop):
 
     §4.2: a dead node's log contents survive in replicas on ring
     neighbours, so drain traffic addressed to it can always be absorbed.
-    We model that by (re)booting the dispatcher + recyclers of every
+    We model that by (re)starting the RPC host + recyclers of every
     *crashed* OSD currently marked down — including ones that crash
     *during* an ongoing recovery, which would otherwise deadlock the drain
     barrier.  Stop-mode (transient) outages are left alone: their contract
@@ -429,7 +428,7 @@ def _repair_stripes(cluster: Cluster, failed_osd: str):
                         yield AllOf(sim, writes)
                         repaired += 1
                     break
-                except TRANSIENT_RPC_ERRORS:
+                except HostDownError:
                     # A member crashed mid-repair.  The reviver (running for
                     # the whole recovery) brings its serving plane back, so
                     # retry this stripe; the fresh crash victim gets its own

@@ -5,8 +5,8 @@ slots, a per-OSD method lock.  (Device channels and NIC directions are not
 Resources; they advance by projected completion, see ``docs/dataplane.md``.)
 :class:`KeyedLock` is a manager of per-key FIFO mutual-exclusion locks
 (per-stripe update serialization).
-:class:`Store` is the unbounded FIFO queue used as an RPC mailbox between
-nodes.
+:class:`Store` is the unbounded FIFO queue that feeds TSUE's recycle
+workers.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ class KeyedLock:
 class Store:
     """An unbounded FIFO of items with blocking ``get``.
 
-    ``put`` never blocks (mailbox semantics); ``get`` returns an event that
+    ``put`` never blocks; ``get`` returns an event that
     fires with the next item, in arrival order, waking getters FIFO.
     """
 
@@ -241,20 +241,3 @@ class Store:
         if self._items:
             return self._items.popleft()
         return None
-
-    def pop_all(self) -> List[Any]:
-        """Drain every queued item at once (crash cleanup)."""
-        items = list(self._items)
-        self._items.clear()
-        return items
-
-    def cancel_getters(self) -> None:
-        """Drop pending ``get`` events without firing them.
-
-        A stopped dispatcher leaves its last ``get`` queued; if the host
-        later restarts, that stale getter would silently eat the first
-        ``put`` meant for the new dispatcher.  The abandoned events are
-        never fired — their waiters are dead processes whose callbacks
-        no-op anyway.
-        """
-        self._getters.clear()

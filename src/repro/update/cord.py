@@ -67,7 +67,7 @@ class CoRDStrategy(UpdateStrategy):
         )
         inode, stripe, _j = key
         collector = self.cluster.placement(inode, stripe)[self.cluster.config.k]
-        yield from self.osd.rpc_delivered(
+        yield from self.osd.rpc(
             collector,
             "cord_collect",
             {"key": key, "offset": offset, "delta": delta},

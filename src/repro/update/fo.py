@@ -34,7 +34,7 @@ class FOStrategy(UpdateStrategy):
             pdelta = self.cluster.codec.parity_delta(key[2], p, delta)
             calls.append(
                 self.sim.process(
-                    self.osd.rpc_delivered(
+                    self.osd.rpc(
                         osd_name,
                         "fo_apply",
                         {

@@ -171,7 +171,7 @@ class PARIXStrategy(UpdateStrategy):
             calls = [
                 self.sim.process(
                     # repro-lint: allow(lock-yield-while-locked) -- PARIX original-ship: the original image must reach every parity log before the speculative write is acked (the protocol's extra round trip)
-                    self.osd.rpc_delivered(
+                    self.osd.rpc(
                         osd_name,
                         "parix_append",
                         {"key": key, "offset": offset, "data": old, "orig": True},
@@ -189,7 +189,7 @@ class PARIXStrategy(UpdateStrategy):
         calls = [
             self.sim.process(
                 # repro-lint: allow(lock-yield-while-locked) -- speculative-append ship stays under the stripe lock so same-stripe updates keep parity-log order
-                self.osd.rpc_delivered(
+                self.osd.rpc(
                     osd_name,
                     "parix_append",
                     {"key": key, "offset": offset, "data": data, "orig": False},

@@ -54,7 +54,7 @@ class PLStrategy(UpdateStrategy):
             pdelta = self.cluster.codec.parity_delta(key[2], p, delta)
             calls.append(
                 self.sim.process(
-                    self.osd.rpc_delivered(
+                    self.osd.rpc(
                         osd_name,
                         "pl_append",
                         {

@@ -58,7 +58,7 @@ class PLRStrategy(UpdateStrategy):
             pdelta = self.cluster.codec.parity_delta(key[2], p, delta)
             calls.append(
                 self.sim.process(
-                    self.osd.rpc_delivered(
+                    self.osd.rpc(
                         osd_name,
                         "plr_append",
                         {
@@ -98,7 +98,7 @@ class PLRStrategy(UpdateStrategy):
         return {"ok": True}, 8
 
     # ------------------------------------------------------------------
-    def _recycle_region(self, pkey: BlockKey, live: bool = False):
+    def _recycle_region(self, pkey: BlockKey):
         """Merge the reserved region into its parity chunk.
 
         The region sits next to the chunk, so the log read is sequential —
@@ -107,42 +107,12 @@ class PLRStrategy(UpdateStrategy):
         reserved-space compaction.  With a small reserve this runs every
         few appends, squarely on the update path.
 
-        ``live=True`` selects the drain-safe variant for drains that run
-        under live foreground traffic (the QoS rebalance path): the
-        region's pending state is popped *before* the first yield, so a
-        delta appended mid-recycle starts a fresh ledger for the next
-        pass instead of being zeroed out from under the append, and
-        entries stranded by an earlier append/recycle race (ledger bytes
-        zeroed, index entry left behind) are swept even when
-        ``region_used`` reads zero.
+        The region's pending state is popped *before* the first yield: an
+        append that arrives mid-recycle sees an empty region and starts a
+        fresh ledger for the next pass, instead of starting a second
+        recycle of the same region or having its ledger zeroed from under
+        it.  Index entries left under a zero ledger are swept too.
         """
-        if live:
-            yield from self._recycle_region_live(pkey)
-            return
-        used = self.region_used.get(pkey, 0)
-        if used == 0:
-            return
-        self.sync_recycles += 1
-        # Log read is sequential (the region is contiguous next to the block).
-        yield from self.osd.device.read(
-            used, zone=f"plr:{pkey}", offset=0, pattern="seq"
-        )
-        segs = self.log_index.pop_block(pkey)
-        chunk = self.osd.store.block_size
-        base = self.osd.store.device_offset(pkey)
-        yield from self.osd.device.read(
-            chunk, zone="blocks", offset=base, pattern="rand"
-        )
-        yield from self.osd.device.write(
-            chunk, zone="blocks", offset=base, pattern="rand", overwrite=True
-        )
-        # In-memory fold, charged above; via the store for ghost coverage.
-        for seg in segs:
-            self.osd.store.fold_xor(pkey, seg.offset, seg.data)
-        self.region_used[pkey] = 0
-        self.region_entries[pkey] = []
-
-    def _recycle_region_live(self, pkey: BlockKey):
         used = self.region_used.get(pkey, 0)
         segs = self.log_index.pop_block(pkey)
         if used == 0 and not segs:
@@ -154,6 +124,8 @@ class PLRStrategy(UpdateStrategy):
         self._inflight_regions[pkey] = self._inflight_regions.get(pkey, 0) + 1
         try:
             if used:
+                # Log read is sequential (the region is contiguous next to
+                # the block).
                 yield from self.osd.device.read(
                     used, zone=f"plr:{pkey}", offset=0, pattern="seq"
                 )
@@ -165,6 +137,7 @@ class PLRStrategy(UpdateStrategy):
             yield from self.osd.device.write(
                 chunk, zone="blocks", offset=base, pattern="rand", overwrite=True
             )
+            # In-memory fold, charged above; via the store for ghost coverage.
             for seg in segs:
                 self.osd.store.fold_xor(pkey, seg.offset, seg.data)
         finally:
@@ -175,13 +148,8 @@ class PLRStrategy(UpdateStrategy):
                 self._inflight_regions[pkey] = left
 
     def drain(self, phase: int = 0):
-        # A cluster that has run drains under live foreground traffic (the
-        # QoS rebalance flips cluster.live_drain) may carry entries
-        # stranded by append/recycle races; use the drain-safe variant from
-        # then on.  Everywhere else this is the historical recycle.
-        live = getattr(self.cluster, "live_drain", False)
         for pkey in list(self.region_used):
-            yield from self._recycle_region(pkey, live=live)
+            yield from self._recycle_region(pkey)
 
     def pending_log_bytes(self) -> int:
         return sum(self.region_used.values())
@@ -197,11 +165,9 @@ class PLRStrategy(UpdateStrategy):
             for pkey in self._inflight_regions
         ):
             return True
-        if getattr(self.cluster, "live_drain", False):
-            # Entries stranded by an append/recycle race keep the stripe
-            # pending until a live drain sweeps them.
-            return any(
-                pkey[0] == inode and pkey[1] == stripe
-                for pkey in self.log_index.blocks()
-            )
-        return False
+        # An index entry under a zero ledger keeps the stripe pending until
+        # a drain sweeps it.
+        return any(
+            pkey[0] == inode and pkey[1] == stripe
+            for pkey in self.log_index.blocks()
+        )

@@ -54,7 +54,7 @@ class TSUEStrategy(UpdateStrategy):
             # run inline — no child process, no AllOf barrier.  The target
             # is the live ring successor, so elastic membership changes
             # retarget replica traffic automatically.
-            yield from self.osd.rpc_delivered(
+            yield from self.osd.rpc(
                 self.cluster.replica_of(self.osd.name),
                 "tsue_replica",
                 {"key": key, "offset": offset, "data": data},
@@ -66,7 +66,7 @@ class TSUEStrategy(UpdateStrategy):
                 dst = self.cluster.ring_neighbor(self.osd.name, r)
                 calls.append(
                     self.sim.process(
-                        self.osd.rpc_delivered(
+                        self.osd.rpc(
                             dst,
                             "tsue_replica",
                             {"key": key, "offset": offset, "data": data},

@@ -17,7 +17,7 @@ Actions (the full taxonomy is documented in ``docs/faults.md``):
   times slower (:meth:`StorageDevice.degrade`); the node stays up.
 * ``"slow_link"`` — degrade the victim's fabric endpoint: bandwidth
   divided by ``factor``, ``extra_latency`` added per message, and every
-  ``loss_every``-th egress message dropped (forcing caller retries).
+  ``loss_every``-th egress message dropped (forcing ``rpc`` to resend).
   ``loss_scope`` widens the frames at risk from requests only (default)
   to every egress frame including ``.reply``/``.err`` — safe on any
   endpoint because the RPC plane is at-most-once.
@@ -26,8 +26,8 @@ Actions (the full taxonomy is documented in ``docs/faults.md``):
   scheduled restore ``duration`` seconds later (no operator event needed).
 * ``"join"`` — provision a fresh OSD and rebalance it into the placement
   ring (blocks the injector until the migration commits).  No victim.
-  ``rebalance_mbps > 0`` runs the per-stripe QoS rebalance under a
-  token-bucket copy throttle instead of the classic whole-set protocol.
+  ``rebalance_mbps > 0`` paces the per-stripe copy with a token bucket;
+  ``0`` copies unthrottled.
 * ``"decommission"`` — migrate a node's placement away, shrink the ring,
   stop the node.  Honors ``rebalance_mbps`` like ``join``.
 """

@@ -52,10 +52,10 @@ run under every standing gate the failure scenarios do (consistent drain,
 heal-before-drain, forced post-recovery scrub) and report an extra
 ``elastic`` section: straggler-amplification p99 (degraded windows vs
 healthy time), migration volume and time-to-rebalance, link drops, and the
-foreground dip across every change window.  Scenarios that enable
-full-scope loss add the delivery-plane counters (retransmits, duplicates
-suppressed, cached-reply hits, per-direction drops); throttled rebalances
-add the granted rate, token-wait time and throttle utilization.
+foreground dip across every change window, the delivery-plane counters
+(retransmits, duplicates suppressed, cached-reply hits, per-direction
+drops) and the copy throttle (granted rate, token-wait time, utilization)
+— zeros where nothing was lost or paced.
 """
 
 from __future__ import annotations
@@ -573,22 +573,16 @@ class ScenarioResult:
                 f"({e['straggler_amplification']:.2f}x) | "
                 f"{e['link_drops']:.0f} link drops\n"
                 f"  change dip : {e['change_dip']:.2f}x in-window update rate "
-                f"over {e['change_window_s'] * 1e3:,.1f} ms of change windows"
+                f"over {e['change_window_s'] * 1e3:,.1f} ms of change windows\n"
+                f"  delivery   : {e['retransmits']:.0f} retransmits, "
+                f"{e['duplicates_suppressed']:.0f} dups suppressed "
+                f"({e['cached_reply_hits']:.0f} cached replies) | "
+                f"drops {e['link_drop_requests']:.0f} req / "
+                f"{e['link_drop_replies']:.0f} reply\n"
+                f"  throttle   : {e['rebalance_throttle_mbps']:.0f} MB/s "
+                f"granted, {e['throttle_utilization'] * 100:.0f}% used, "
+                f"{e['rebalance_throttle_wait_s'] * 1e3:,.2f} ms token wait"
             )
-            if "retransmits" in e:
-                text += (
-                    f"\n  delivery   : {e['retransmits']:.0f} retransmits, "
-                    f"{e['duplicates_suppressed']:.0f} dups suppressed "
-                    f"({e['cached_reply_hits']:.0f} cached replies) | "
-                    f"drops {e['link_drop_requests']:.0f} req / "
-                    f"{e['link_drop_replies']:.0f} reply"
-                )
-            if "throttle_utilization" in e:
-                text += (
-                    f"\n  throttle   : {e['rebalance_throttle_mbps']:.0f} MB/s "
-                    f"granted, {e['throttle_utilization'] * 100:.0f}% used, "
-                    f"{e['rebalance_throttle_wait_s'] * 1e3:,.2f} ms token wait"
-                )
         return text
 
 
@@ -1019,7 +1013,13 @@ def _elastic_metrics(cluster, injector, horizon) -> dict:
         degraded + outage + [(r.t_start, r.t_end) for r in migrations]
     )
 
-    out = {
+    # Delivery plane and copy throttle: zeros when nothing was lost and no
+    # rebalance was paced.
+    hosts = list(cluster.clients) + list(cluster.osds) + [cluster.mds]
+    throttled = [r for r in migrations if r.throttle_mbps > 0]
+    granted_mb = sum(r.throttle_mbps * r.copy_seconds for r in throttled)
+
+    return {
         "slow_events": float(counts.get("slow", 0)),
         "slow_link_events": float(counts.get("slow_link", 0)),
         "heals": float(counts.get("heal", 0)),
@@ -1031,6 +1031,12 @@ def _elastic_metrics(cluster, injector, horizon) -> dict:
         "healthy_p99_us": fast_p99 * 1e6,
         "straggler_amplification": slow_p99 / fast_p99 if fast_p99 > 0 else 0.0,
         "link_drops": float(cluster.fabric.dropped_total),
+        "link_drop_requests": float(cluster.fabric.dropped_requests),
+        "link_drop_replies": float(cluster.fabric.dropped_replies),
+        "retransmits": float(sum(h.retransmits for h in hosts)),
+        "duplicates_suppressed": float(
+            sum(h.duplicates_suppressed for h in hosts)),
+        "cached_reply_hits": float(sum(h.cached_reply_hits for h in hosts)),
         "migrations": float(len(migrations)),
         "stripes_migrated": float(sum(r.stripes_migrated for r in migrations)),
         "blocks_moved": float(blocks_moved),
@@ -1039,35 +1045,17 @@ def _elastic_metrics(cluster, injector, horizon) -> dict:
         "rebalance_quiesce_s": sum(r.quiesce_seconds for r in migrations),
         "rebalance_drain_s": sum(r.drain_seconds for r in migrations),
         "rebalance_copy_s": sum(r.copy_seconds for r in migrations),
+        "rebalance_throttle_mbps": max(
+            (r.throttle_mbps for r in throttled), default=0.0),
+        "rebalance_throttle_wait_s": sum(r.throttle_wait_s for r in throttled),
+        "throttle_utilization": (
+            sum(r.mb_moved for r in throttled) / granted_mb
+            if granted_mb > 0 else 0.0
+        ),
         "change_window_s": sum(b - a for a, b in change),
         "change_dip": _foreground_dip(cluster.clients, change, horizon),
         "ring_size": float(len(cluster.ring)),
     }
-    # Extra sections are gated on the *schedule*, never on run results:
-    # committed baseline rows must keep their exact key set (new keys in
-    # an existing row read as drift to ``--check-baseline``).
-    if any(e.action == "slow_link" and e.loss_scope == "all"
-           for e in injector.events):
-        hosts = list(cluster.clients) + list(cluster.osds) + [cluster.mds]
-        out["retransmits"] = float(sum(h.retransmits for h in hosts))
-        out["duplicates_suppressed"] = float(
-            sum(h.duplicates_suppressed for h in hosts))
-        out["cached_reply_hits"] = float(
-            sum(h.cached_reply_hits for h in hosts))
-        out["link_drop_requests"] = float(cluster.fabric.dropped_requests)
-        out["link_drop_replies"] = float(cluster.fabric.dropped_replies)
-    if any(e.rebalance_mbps > 0 for e in injector.events):
-        throttled = [r for r in migrations if r.throttle_mbps > 0]
-        granted_mb = sum(r.throttle_mbps * r.copy_seconds for r in throttled)
-        out["rebalance_throttle_mbps"] = max(
-            (r.throttle_mbps for r in throttled), default=0.0)
-        out["rebalance_throttle_wait_s"] = sum(
-            r.throttle_wait_s for r in throttled)
-        out["throttle_utilization"] = (
-            sum(r.mb_moved for r in throttled) / granted_mb
-            if granted_mb > 0 else 0.0
-        )
-    return out
 
 
 # Canonical method order for per-method sweeps: the in-place family in the

@@ -55,6 +55,29 @@ def test_replica_of_is_ring_successor():
     assert cluster.replica_of("osd7") == "osd0"
 
 
+def test_joiner_has_ring_neighbours_before_commit():
+    """A provisioned OSD outside the ring gets the neighbours it will have
+    once appended — it serves flipped stripes before ``commit_ring``."""
+    sim, cluster = make_cluster()
+    joiner = cluster.add_osd().name
+    assert joiner == "osd8" and joiner not in cluster.ring
+    before = (
+        cluster.replica_of(joiner),
+        [cluster.ring_neighbor(joiner, r) for r in range(1, 10)],
+    )
+    assert before == ("osd0", [f"osd{i}" for i in range(8)] + ["osd8"])
+    assert cluster.replica_of("osd7") == "osd0"  # members: the live ring
+    cluster.commit_ring(cluster.ring + [joiner])
+    after = (
+        cluster.replica_of(joiner),
+        [cluster.ring_neighbor(joiner, r) for r in range(1, 10)],
+    )
+    assert after == before
+    assert cluster.replica_of("osd7") == joiner
+    with pytest.raises(KeyError):
+        cluster.ring_neighbor("osd99", 1)
+
+
 def test_instant_load_and_stripe_consistency():
     sim, cluster = make_cluster()
     data = np.arange(2 * 4 * 1024, dtype=np.uint8).astype(np.uint8)  # 2 stripes

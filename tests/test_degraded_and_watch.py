@@ -172,10 +172,6 @@ def test_watch_and_recover_with_lossy_osd_link():
         osd.start_heartbeat(interval=0.2)
     names = cluster.placement(600, 0)
     victim = names[0]
-    # A pull source, not the rebuilder: the rebuilder re-plans all k pulls
-    # when one is lost, and every second frame of its own egress lost means
-    # no plan ever gets through — a deterministic-loss artefact, not what
-    # this test is about.
     lossy = next(n for n in names[1:] if n != cluster.replica_of(victim))
     cluster.fabric.degrade_link(lossy, loss_every=2, loss_scope="all")
     stop = sim.event()
@@ -199,6 +195,39 @@ def test_watch_and_recover_with_lossy_osd_link():
     assert cluster.fabric.dropped_total > 0  # beats really were lost
     assert cluster.osd_by_name(lossy)._heartbeat_proc.is_alive
     assert cluster.mds.failed_osds() == []
+
+
+def test_watch_and_recover_with_lossy_rebuilder_link():
+    """The *rebuilder* sits behind a link that loses every second egress
+    frame of any class: each lost pull request is resent on its own, so the
+    rebuild finishes and verifies.  (When a lost pull re-planned all k, no
+    plan ever got through and the victim never healed.)"""
+    sim, cluster = build("fo")
+    load(cluster)
+    cluster.start()
+    for osd in cluster.osds:
+        osd.start_heartbeat(interval=0.2)
+    victim = cluster.placement(600, 0)[0]
+    rebuilder = cluster.replica_of(victim)
+    cluster.fabric.degrade_link(rebuilder, loss_every=2, loss_scope="all")
+    stop = sim.event()
+    watcher = sim.process(watch_and_recover(cluster, check_interval=0.3, stop=stop))
+    sim.call_at(1.0, lambda: fail_osd(cluster, victim))
+    while victim not in cluster.down_osds and sim.peek() != float("inf"):
+        sim.step()
+    t_down = sim.now
+    while victim in cluster.down_osds and sim.peek() != float("inf") and sim.now < t_down + 30.0:
+        sim.step()
+    assert victim not in cluster.down_osds
+    stop.succeed()
+    while not watcher.fired and sim.peek() != float("inf") and sim.now < t_down + 40.0:
+        sim.step()
+    cluster.stop()
+    results = watcher.value
+    assert [r.failed_osd for r in results] == [victim]
+    assert results[0].correct and results[0].blocks_recovered > 0
+    assert cluster.osd_by_name(rebuilder).retransmits > 0
+    assert all(cluster.stripe_consistent(600, s) for s in range(2))
 
 
 def test_recover_node_driver_equivalent_to_proc():

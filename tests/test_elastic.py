@@ -449,6 +449,20 @@ def test_scale_in_live_all_methods(method):
     assert res.updates + res.reads == SMOKE["n_clients"] * SMOKE["requests_per_client"]
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_scale_out_live_all_methods(method):
+    """The same bar for a live join: the joiner serves flipped stripes
+    (and, for tsue, forwards replicas) before it is a ring member."""
+    res = run_scenario("scale_out_live", method=method, **SMOKE)
+    assert res.consistent
+    e = res.elastic
+    assert e["joins"] == 1 and e["migrations"] == 1
+    assert e["stripes_migrated"] > 0 and e["migration_mb"] > 0
+    assert e["ring_size"] == 9
+    assert res.recovery["scrub_clean"] is True
+    assert res.updates + res.reads == SMOKE["n_clients"] * SMOKE["requests_per_client"]
+
+
 def test_scale_out_live_migrates_onto_joiner():
     res = run_scenario("scale_out_live", **SMOKE)
     e = res.elastic
@@ -456,6 +470,36 @@ def test_scale_out_live_migrates_onto_joiner():
     assert e["stripes_migrated"] > 0 and e["blocks_moved"] > 0
     assert e["rebalance_copy_s"] > 0
     assert res.recovery["scrub_clean"] is True
+
+
+def test_throttled_join_on_tsue():
+    """A joiner has ring neighbours before ``commit_ring``: under the
+    per-stripe protocol it takes updates on flipped stripes while still
+    outside the ring, and tsue's front end asks for its replica target."""
+    sim, cluster = build("tsue")
+    load(cluster, stripes=4)
+    client = cluster.add_client("c0")
+    cluster.start()
+    injector = FaultInjector(
+        cluster, [600],
+        [FaultEvent(at=0.001, action="join", rebalance_mbps=96.0)],
+    )
+    joined = sim.process(injector.run())
+    rng = np.random.default_rng(5)
+
+    def work():
+        for off in rng.integers(0, 4 * K * BLOCK - 64, size=60):
+            yield from client.update(600, int(off), np.full(64, 7, dtype=np.uint8))
+        yield joined
+        yield from drain_all(cluster)
+
+    run_to(sim, sim.process(work()))
+    cluster.stop()
+    (result,) = injector.migrations
+    assert result.kind == "join" and result.throttle_mbps == 96.0
+    assert "osd8" in cluster.ring
+    assert cluster.osd_by_name("osd8").updates_served > 0
+    assert all(cluster.stripe_consistent(600, s) for s in range(4))
 
 
 def test_fail_slow_amplifies_the_tail():
@@ -473,7 +517,8 @@ def test_congested_fabric_drops_and_retries():
     e = res.elastic
     assert e["slow_link_events"] == 2 and e["heals"] == 2
     assert e["link_drops"] > 0
-    assert res.recovery["update_retries"] > 0  # dropped requests retried
+    assert e["retransmits"] > 0  # dropped requests resent by rpc ...
+    assert res.recovery["update_retries"] == 0  # ... not retried whole
     assert e["straggler_amplification"] > 1.0
 
 
@@ -614,6 +659,32 @@ def test_loss_scope_all_drops_replies_with_direction_accounting():
     assert fab.dropped_total == 3
 
 
+def test_redegrading_a_link_keeps_its_drop_counters():
+    """``degrade_link`` on an already-degraded endpoint replaces the link
+    state; the drops of the replaced window stay in the fabric totals."""
+    sim = Simulator()
+    fab = Fabric(sim, NET_25GBE)
+    fab.attach("a")
+    fab.attach("b")
+
+    def lose(kind):
+        with pytest.raises(LinkLossError):
+            yield from fab.transfer("a", "b", 64, kind=kind)
+
+    def proc():
+        fab.degrade_link("a", loss_every=1, loss_scope="all")
+        yield from lose("req")
+        yield from lose("read.reply")
+        fab.degrade_link("a", bw_factor=0.5, loss_every=1, loss_scope="all")
+        assert fab.link_state("a").dropped == 0  # a fresh window
+        yield from lose("req")
+        fab.heal_link("a")
+
+    run_to(sim, sim.process(proc()))
+    assert (fab.dropped_requests, fab.dropped_replies) == (2, 1)
+    assert fab.dropped_total == 3
+
+
 def test_default_scope_still_exempts_replies():
     """The historical contract is the default: requests-only loss leaves
     every reply/err frame alone (and off the countable-message stream)."""
@@ -724,9 +795,10 @@ def test_lossy_cluster_all_methods_smoke():
 
 
 def test_throttled_rebalance_softens_the_change_dip():
-    """QoS acceptance: same decommission, same migration plan — but the
-    token-bucket copy leaves foreground updates a strictly better in-window
-    rate than the unthrottled rebalance."""
+    """Same decommission, same migration plan, same per-stripe protocol:
+    the token bucket only stretches the copy.  Both runs keep most of the
+    foreground rate inside the change window — the property the per-stripe
+    protocol is kept for (a whole-ring fence read 0.02-0.37 here)."""
     base = run_scenario("scale_in_live", method="tsue", **SMOKE)
     qos = run_scenario("throttled_rebalance", method="tsue", **SMOKE)
     assert qos.consistent and qos.recovery["scrub_clean"] is True
@@ -735,27 +807,20 @@ def test_throttled_rebalance_softens_the_change_dip():
     assert q["rebalance_throttle_mbps"] == 96.0
     assert q["rebalance_throttle_wait_s"] > 0
     assert 0.0 < q["throttle_utilization"] < 2.0
-    assert q["change_dip"] > b["change_dip"]  # higher ratio = smaller dip
-    # The throttle stretches the copy: the change window grows, the pain
-    # per unit time shrinks.
+    assert b["rebalance_throttle_mbps"] == b["rebalance_throttle_wait_s"] == 0.0
     assert q["rebalance_copy_s"] > b["rebalance_copy_s"]
-    # Baseline rows keep their historical key set (bit-identity gate).
-    assert "throttle_utilization" not in b
-    assert "retransmits" not in b
+    assert b["change_dip"] > 0.5 and q["change_dip"] > 0.5
 
 
 # ----------------------------------------------------------------------
-# drains under live traffic (the QoS path drains per stripe while every
+# drains under live traffic (the rebalance drains per stripe while every
 # other stripe keeps updating — regressions here corrupt parity silently)
 # ----------------------------------------------------------------------
 def test_plr_live_drain_keeps_delta_appended_mid_recycle():
-    """A parity delta that lands while a live drain is mid-recycle must
-    start a fresh ledger and be applied by the next pass.  Fails on the
-    pre-fix recycle, which zeroed the region counters *after* its device
-    yields — stranding the mid-flight delta invisibly in the index forever.
-    The historical (sync) recycle keeps its exact pre-PR timing; only
-    drains on a cluster latched into live_drain (the QoS rebalance) take
-    the drain-safe path."""
+    """A parity delta that lands while a drain is mid-recycle must start a
+    fresh ledger and be applied by the next pass.  Fails on a recycle that
+    zeroes the region counters *after* its device yields — stranding the
+    mid-flight delta invisibly in the index forever."""
     from types import SimpleNamespace
 
     sim, cluster = build("plr")
@@ -776,7 +841,6 @@ def test_plr_live_drain_keeps_delta_appended_mid_recycle():
     run_to(sim, sim.process(append(0, d1)))
     # Race a second append against a live drain of the first: its region
     # write (96 B) completes inside the recycle's chunk read+write window.
-    cluster.live_drain = True  # as latched by the QoS rebalance
     p_rec = sim.process(strat.drain(0))
     p_app = sim.process(append(128, d2))
     run_to(sim, p_rec)
@@ -794,10 +858,9 @@ def test_plr_live_drain_keeps_delta_appended_mid_recycle():
 
 
 def test_plr_live_drain_sweeps_stranded_entries():
-    """The historical sync recycle keeps its pre-PR timing, so an append
-    racing it can still strand an index entry under a zeroed ledger.  On a
-    live_drain cluster the stripe must stay visibly pending and the next
-    drain must sweep the strand into the parity chunk."""
+    """An index entry under a zeroed ledger (what an append racing a
+    zero-after-yield recycle leaves behind) keeps the stripe visibly
+    pending, and the next drain sweeps it into the parity chunk."""
     from types import SimpleNamespace
 
     sim, cluster = build("plr")
@@ -819,7 +882,6 @@ def test_plr_live_drain_sweeps_stranded_entries():
     run_to(sim, sim.process(drain_all(cluster)))  # applies d1, ledger zeroed
     # Manufacture the race outcome: entry in the index, ledger reads zero.
     strat.log_index.insert(pkey, 128, d2)
-    cluster.live_drain = True
     assert strat.stripe_pending(600, 0)
     run_to(sim, sim.process(drain_all(cluster)))
     assert pkey not in list(strat.log_index.blocks())
@@ -831,11 +893,12 @@ def test_plr_live_drain_sweeps_stranded_entries():
 
 
 def test_qos_rebalance_skips_wholesale_on_rebuilt():
-    """The final QoS commit is placement-neutral (every moved stripe already
+    """The final commit is placement-neutral (every moved stripe already
     routes through its override, installed against a fenced + drained
     stripe), so it must NOT fire the wholesale on_rebuilt() reset: unfenced
     stripes keep updating through the copy windows, and the reset would wipe
-    their live pending state (PARIX deltas, for one) mid-flow."""
+    their live pending state (PARIX deltas, for one) mid-flow.  Throttled
+    or not."""
     def run(mbps):
         sim, cluster = build("parix", n_osds=8)
         load(cluster, stripes=2)
@@ -852,5 +915,5 @@ def test_qos_rebalance_skips_wholesale_on_rebuilt():
         assert res.stripes_migrated > 0
         return calls
 
-    assert run(64.0) == []          # QoS path: no wholesale reset
-    assert len(run(0.0)) == 7       # classic path: every new-ring member
+    assert run(64.0) == []
+    assert run(0.0) == []

@@ -132,37 +132,6 @@ def test_rpc_to_stopped_host_blocks_until_restart():
     assert np.array_equal(got, data[:16])
 
 
-def test_crash_fails_queued_mailbox_requests():
-    from repro.fs.messages import Message
-
-    sim, cluster = build("fo")
-    load(cluster)
-    cluster.start()
-    victim_name = cluster.placement(600, 0)[0]
-    victim = cluster.osd_by_name(victim_name)
-    # A request that arrived while the node was going down parks in the
-    # mailbox (the dispatcher is gone); the crash must fail its caller.
-    victim.stop()
-    reply = sim.event(name="parked-reply")
-    victim.mailbox.put(
-        Message("read", "c0", victim_name,
-                {"key": (600, 0, 0), "offset": 0, "length": 8}, 24, reply, sim.now)
-    )
-    assert len(victim.mailbox) == 1
-
-    def waiter():
-        try:
-            yield reply
-        except HostDownError:
-            return "failed"
-
-    p = sim.process(waiter())
-    fail_osd(cluster, victim_name, mode="crash")
-    assert run_to(sim, p) == "failed"
-    assert len(victim.mailbox) == 0
-    cluster.stop()
-
-
 # ----------------------------------------------------------------------
 # scrub: per-stripe pending scope + skip reporting (satellite)
 # ----------------------------------------------------------------------

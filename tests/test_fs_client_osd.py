@@ -109,6 +109,27 @@ def test_update_latency_recorded_per_call():
     assert cluster.osd_by_name(cluster.placement(8, 0)[0]).updates_served == 3
 
 
+def test_multi_extent_update_resends_only_the_lost_frame():
+    """One request frame of a three-extent update is dropped: ``rpc``
+    resends that one frame; the op is not retried whole."""
+    sim, cluster, client = build()
+    data = np.random.default_rng(1).integers(0, 256, K * BLOCK, dtype=np.uint8)
+    cluster.instant_load_file(5, data)
+    patch = np.full(2 * BLOCK + 64, 9, dtype=np.uint8)  # blocks 0, 1, 2
+    cluster.fabric.degrade_link("c0", loss_every=3)  # drops the 3rd frame
+
+    def go():
+        yield from client.update(5, 0, patch)
+        cluster.fabric.heal_link("c0")
+        return (yield from client.read(5, 0, patch.size))
+
+    got = run_to(sim, sim.process(go()))
+    assert np.array_equal(got, patch)
+    assert cluster.fabric.dropped_requests == 1
+    assert client.retransmits == 1 and client.update_retries == 0
+    assert sum(osd.updates_served for osd in cluster.osds) == 3
+
+
 def test_mds_locate_rpc_matches_local_placement():
     sim, cluster, client = build()
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fs.messages import MSG_OVERHEAD, HostDownError, Message, RpcHost
+from repro.fs.messages import MSG_OVERHEAD, HostDownError, RpcHost
 from repro.net import Fabric, NET_25GBE
 from repro.sim import Simulator
 
@@ -54,23 +54,6 @@ def test_rpc_counts_both_directions():
     assert p.fired
     assert fab.counters.messages == 2
     assert fab.counters.bytes_sent == (50 + MSG_OVERHEAD) + (100 + MSG_OVERHEAD)
-
-
-def test_send_is_one_way():
-    sim, fab, a, b = make_pair()
-    got = []
-
-    def sink(msg):
-        yield sim.timeout(0)
-        got.append(msg.payload["v"])
-
-    b.register("sink", sink)
-    a.start()
-    b.start()
-    sim.process(a.send("b", "sink", {"v": 7}, nbytes=4))
-    sim.run(until=1.0)
-    assert got == [7]
-    assert fab.counters.messages == 1
 
 
 def test_concurrent_handlers_interleave():
@@ -133,20 +116,50 @@ def test_duplicate_handler_registration_rejected():
 
 
 def test_stop_halts_dispatch():
+    """A stopped host runs no handler; the caller waits at the transport
+    and the handler runs only once the host is back."""
     sim, fab, a, b = make_pair()
     got = []
 
     def sink(msg):
         yield sim.timeout(0)
-        got.append(1)
+        got.append(sim.now)
+        return {}, 0
 
     b.register("sink", sink)
     a.start()
     b.start()
     b.stop()
-    sim.process(a.send("b", "sink", {}, nbytes=0))
+    p = sim.process(a.rpc("b", "sink", {}, nbytes=0))
     sim.run(until=1.0)
-    assert got == []
+    assert got == [] and not p.fired
+    b.start()
+    sim.run(until=2.0)
+    assert p.ok and len(got) == 1 and got[0] >= 1.0
+
+
+def test_crash_fails_caller_waiting_on_stopped_host():
+    """Nothing parks on a stopped host: its callers wait in ``_connect``,
+    and a crash wakes them with HostDownError instead of leaving them to
+    the connect budget."""
+    sim, fab, a, b = make_pair()
+    b.register("sink", lambda msg: iter(()))
+    a.start()
+    b.start()
+    b.stop()
+
+    def caller():
+        try:
+            yield from a.rpc("b", "sink", {}, nbytes=0)
+        except HostDownError as err:
+            return (err.host, sim.now)
+
+    p = sim.process(caller())
+    sim.run(until=0.25)
+    assert not p.fired
+    b.crash()
+    sim.run(until=1.0)
+    assert p.value == ("b", 0.25)
 
 
 # ----------------------------------------------------------------------
@@ -312,49 +325,61 @@ def test_uncached_kind_skips_the_dedup_table():
     assert b._dedup.get("a") in (None, {})
 
 
-def test_rpc_delivered_absorbs_request_loss_only():
+def test_rpc_resends_lost_request_frames_until_the_link_heals():
+    """Request loss is recovered inside ``rpc`` like reply loss: every
+    a-egress frame drops until a scheduled heal, the caller sees no error,
+    and the handler runs exactly once."""
     sim, fab, a, b, applied = make_counting_pair()
-    fab.degrade_link("a", loss_every=1)  # every a-egress request drops
+    fab.degrade_link("a", loss_every=1)
 
     def healer():
         yield 0.004
         fab.heal_link("a")
 
     def caller():
-        return (yield from a.rpc_delivered("b", "apply", {"v": 5}, nbytes=8))
+        return (yield from a.rpc("b", "apply", {"v": 5}, nbytes=8))
 
     sim.process(healer())
     p = sim.process(caller())
     sim.run(until=1.0)
     assert p.value == {"ack": 5}
     assert applied == [5]
-    assert a.retransmits >= 1
-    # Application errors still propagate unchanged.
+    # 0.5 ms, 1 ms, 2 ms, 4 ms: three resends are lost, the fourth arrives.
+    assert a.retransmits == 4 == fab.dropped_requests
+    assert b.duplicates_suppressed == 0  # nothing before it was delivered
+
+
+def test_rpc_ships_application_errors_across_a_lossy_link():
+    """The handler's own exception is the call's outcome: it reaches the
+    caller unchanged, once, even when its ``.err`` frame is lost first."""
+    sim, fab, a, b = make_pair()
+    ran = []
+
     def boom(msg):
         yield sim.timeout(0)
+        ran.append(1)
         raise ValueError("boom")
 
     b.register("boom", boom)
-
-    def caller2():
-        yield from a.rpc_delivered("b", "boom", {}, nbytes=0)
-
-    sim.process(caller2())
-    with pytest.raises(ValueError, match="boom"):
-        sim.run(until=2.0)
-
-
-def test_rpc_with_retry_rejects_degenerate_pacing():
-    sim, fab, a, b = make_pair()
     a.start()
     b.start()
-    with pytest.raises(ValueError, match="interval must be > 0"):
-        next(a.rpc_with_retry("b", "x", {}, interval=0.0))
-    with pytest.raises(ValueError, match="interval must be > 0"):
-        next(a.rpc_with_retry("b", "x", {}, interval=-1e-3))
+    fab.degrade_link("b", loss_every=2, loss_scope="all")
+
+    def caller():
+        try:
+            yield from a.rpc("b", "boom", {}, nbytes=0)
+        except ValueError as err:
+            return str(err)
+
+    first = sim.process(caller())   # .err delivered
+    sim.run(until=0.5)
+    second = sim.process(caller())  # .err lost once, replayed from cache
+    sim.run(until=1.0)
+    assert first.value == second.value == "boom"
+    assert ran == [1, 1] and a.retransmits == 1 and b.cached_reply_hits == 1
 
 
-def test_rpc_with_retry_backoff_respects_remaining_budget():
+def test_rpc_with_retry_backoff_respects_remaining_budget(monkeypatch):
     """The last sleep is clamped to the deadline: the caller fails at
     start+budget, not one whole interval past it."""
     sim, fab, a, b = make_pair()
@@ -362,9 +387,11 @@ def test_rpc_with_retry_backoff_respects_remaining_budget():
     b.start()
     b.crash()
     t0 = sim.now
+    monkeypatch.setattr(RpcHost, "RETRY_INTERVAL_S", 2e-3)
+    monkeypatch.setattr(RpcHost, "RETRY_BUDGET_S", 5e-3)
 
     def caller():
-        yield from a.rpc_with_retry("b", "x", {}, interval=2e-3, budget=5e-3)
+        yield from a.rpc_with_retry("b", "x", {})
 
     sim.process(caller())
     with pytest.raises(HostDownError):
