@@ -104,6 +104,9 @@ class Cluster:
             )
             self.osds.append(osd)
         self.clients: List[Client] = []
+        # Between start() and stop(): hosts that join a live cluster boot
+        # on arrival, hosts added before start() wait for it.
+        self.live = False
         self._hosts: Dict[str, "RpcHost"] = {"mds": self.mds}
         for osd in self.osds:
             self._hosts[osd.name] = osd
@@ -154,18 +157,20 @@ class Cluster:
         self.clients.append(client)
         self._hosts[name] = client
         client.connect(self._hosts)
-        if any(h.running for h in self.osds):
+        if self.live:
             client.start()
         return client
 
     # ------------------------------------------------------------------
     def start(self) -> None:
+        self.live = True
         for host in self._hosts.values():
             host.start()
         for osd in self.osds:
             osd.strategy.start_background()
 
     def stop(self) -> None:
+        self.live = False
         for osd in self.osds:
             osd.strategy.stop_background()
         for host in self._hosts.values():
@@ -271,11 +276,10 @@ class Cluster:
             device=device,
             strategy_factory=self._strategy_factory,
         )
-        live = any(h.running for h in self.osds)
         self.osds.append(osd)
         self._hosts[name] = osd
         osd.connect(self._hosts)
-        if live:
+        if self.live:
             osd.start()
             osd.strategy.start_background()
         # Seed liveness so a running failure detector never flags the

@@ -13,9 +13,10 @@ incoming writes as *first writes* vs *updates*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Tuple
 
 from repro.fs.messages import Message, RpcHost
+from repro.logstruct.intervals import IntervalSet
 
 PAGE = 4096
 
@@ -26,16 +27,21 @@ class FileMeta:
 
     inode: int
     size: int
-    written_pages: Set[int] = field(default_factory=set)
+    # Runs of written page numbers, not one entry per page: registering a
+    # file of any size is one interval.
+    written_pages: IntervalSet = field(default_factory=IntervalSet)
+
+    @staticmethod
+    def _pages(offset: int, length: int) -> Tuple[int, int]:
+        """Half-open page range touched by ``[offset, offset+length)``."""
+        return offset // PAGE, (offset + max(length, 1) - 1) // PAGE + 1
 
     def mark_written(self, offset: int, length: int) -> None:
-        for page in range(offset // PAGE, (offset + max(length, 1) - 1) // PAGE + 1):
-            self.written_pages.add(page)
+        self.written_pages.add(*self._pages(offset, length))
 
     def is_update(self, offset: int, length: int) -> bool:
         """True iff every touched page was previously written."""
-        pages = range(offset // PAGE, (offset + max(length, 1) - 1) // PAGE + 1)
-        return all(p in self.written_pages for p in pages)
+        return self.written_pages.covers(*self._pages(offset, length))
 
 
 class MDS(RpcHost):

@@ -57,6 +57,18 @@ class HostDownError(RuntimeError):
         self.host = host
 
 
+class RetransmitBudgetError(RuntimeError):
+    """``rpc`` stopped resending: a link dropped frames of one call for
+    ``RETRANSMIT_BUDGET_S``.
+
+    Deliberately not a :class:`HostDownError`: the request may have been
+    applied, so a whole-op retry under a fresh id is not safe and
+    foreground and recycle callers let it end the run.  Only a caller
+    whose request is idempotent by construction (the heartbeat) may catch
+    it.
+    """
+
+
 class Message:
     """One RPC request in flight.
 
@@ -400,7 +412,8 @@ class RpcHost:
         applied, the destination's dedup table replays the cached reply, so
         the op never runs twice and :class:`LinkLossError` never reaches a
         caller.  What does propagate: :class:`HostDownError` (the caller
-        owns that retry) and the handler's own exception.  ``_req_id`` lets
+        owns that retry), :class:`RetransmitBudgetError` (a link that
+        never healed) and the handler's own exception.  ``_req_id`` lets
         :meth:`rpc_with_retry` pin one id across its attempts.
         """
         host = self._route(dst)
@@ -440,7 +453,7 @@ class RpcHost:
                 # Loud failure, not a retryable one: the request may have
                 # been applied, so a whole-op retry upstream with a fresh
                 # id would not be safe.
-                raise RuntimeError(
+                raise RetransmitBudgetError(
                     f"{self.name}: retransmit budget exhausted for "
                     f"{kind!r} -> {dst!r} (req {req_id})"
                 )

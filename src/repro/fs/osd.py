@@ -19,7 +19,7 @@ from typing import Optional
 from repro.dataplane import assemble_overlay
 from repro.devices.base import StorageDevice
 from repro.fs.blockstore import BlockStore
-from repro.fs.messages import HostDownError, Message, RpcHost
+from repro.fs.messages import HostDownError, Message, RetransmitBudgetError, RpcHost
 from repro.sim.resources import KeyedLock
 
 # Serving a read fully from the in-memory log index costs roughly a memory
@@ -175,12 +175,14 @@ class OSD(RpcHost):
 
         A beat sent while the MDS is down is a missed beat, not the end of
         the heartbeat: the MDS timeout is what turns enough consecutive
-        misses into a failure verdict.  (A beat lost on a lossy link is
-        resent by ``rpc`` and arrives late.)
+        misses into a failure verdict.  A beat lost on a lossy link is
+        resent by ``rpc`` and arrives late; one whose link dropped every
+        frame for the whole retransmit budget is a missed beat too (the
+        handler is idempotent, so "may have been applied" is harmless).
         """
         while self.running:
             try:
                 yield from self.rpc("mds", "heartbeat", {}, nbytes=8)
-            except HostDownError:
+            except (HostDownError, RetransmitBudgetError):
                 pass
             yield self.sim.sleep(interval)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -95,7 +95,11 @@ class TwoLevelIndex:
         # merge behaviour byte-for-byte historical.
         self.inplace_merge = inplace_merge
         self._blocks: Dict[Hashable, List[Segment]] = {}
-        self._bitmap = np.zeros(BITMAP_BITS, dtype=bool)
+        # The §3.3.1 bitmap, held sparsely as the set of its 1-bit
+        # positions: most indexes (idle units, per-stripe transients) stay
+        # empty, and an empty one must cost no array (docs/dataplane.md,
+        # "Footprint follows use").
+        self._bits: Set[int] = set()
         self.stats = IndexStats()
 
     # ------------------------------------------------------------------
@@ -106,7 +110,7 @@ class TwoLevelIndex:
 
     def maybe_contains(self, key: Hashable) -> bool:
         """Bitmap pre-check: False guarantees absence (no map probe)."""
-        return bool(self._bitmap[self._bit(key)])
+        return self._bit(key) in self._bits
 
     def __contains__(self, key: Hashable) -> bool:
         return self.maybe_contains(key) and key in self._blocks
@@ -146,7 +150,7 @@ class TwoLevelIndex:
             return
         self.stats.raw_inserts += 1
         self.stats.raw_bytes += int(data.size)
-        self._bitmap[self._bit(key)] = True
+        self._bits.add(self._bit(key))
         segs = self._blocks.get(key)
         if segs is None:
             self._blocks[key] = [Segment(offset, data)]
@@ -298,7 +302,7 @@ class TwoLevelIndex:
 
     def clear(self) -> None:
         self._blocks.clear()
-        self._bitmap[:] = False
+        self._bits.clear()
         self.stats.reset()
 
 

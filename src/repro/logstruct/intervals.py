@@ -1,8 +1,10 @@
-"""A byte-range interval set (sorted, merged, half-open).
+"""An integer interval set (sorted, merged, half-open).
 
 Used by PARIX's speculation tracking: "has every byte of this update range
 already shipped its original value?" needs byte-granular coverage, not page
-granularity — a page can be partially covered by earlier updates.
+granularity — a page can be partially covered by earlier updates.  The MDS
+written map (``fs.mds.FileMeta``) uses the same set over page numbers: a
+file written front to back is one interval however large it is.
 """
 
 from __future__ import annotations

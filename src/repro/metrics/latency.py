@@ -10,16 +10,26 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 _CHUNK = 4096
+# Capacity of a buffer's first allocation.  A power of two dividing
+# ``_CHUNK``, so doubling lands on ``_CHUNK`` exactly.
+_FIRST = 16
 
 
 class SampleBuffer:
-    """Append-only float sample storage in fixed-size numpy chunks.
+    """Append-only float sample storage in numpy chunks.
 
     A drop-in replacement for the plain Python list the recorders used to
     keep: supports ``append``/``extend``/``len``/iteration/truthiness and
     indexing.  At `scale_up` sizes the list of boxed floats dominated
-    memory (~60 B per sample); chunked float64 storage is 8 B per sample,
-    allocated 32 KiB at a time, with no per-sample objects retained.
+    memory (~60 B per sample); chunked float64 storage is 8 B per sample
+    with no per-sample objects retained.
+
+    Footprint follows use: an empty buffer owns no array, the *first*
+    chunk starts at ``_FIRST`` cells and doubles (copying) up to
+    ``_CHUNK``, and every later chunk is allocated full-size — at
+    `scale_out` sizes thousands of recorders hold a handful of samples
+    each.  Only the last chunk is ever short, so length and indexing stay
+    ``_CHUNK`` arithmetic.
 
     Exactness: samples are Python floats (IEEE doubles) and float64 cells
     hold them losslessly, so sums/sorts over the buffer reproduce the
@@ -27,20 +37,40 @@ class SampleBuffer:
     :meth:`running_sum` walking elements in append order).
     """
 
-    __slots__ = ("_chunks", "_tail", "_fill")
+    __slots__ = ("_chunks", "_tail", "_fill", "_cap")
 
     def __init__(self) -> None:
         self._chunks: List[np.ndarray] = []
         self._tail: Optional[np.ndarray] = None
         self._fill = 0  # filled cells of the tail chunk
+        self._cap = 0  # len(self._tail)
+
+    def _reserve(self, want: int) -> None:
+        """Leave the tail chunk a free cell — ``want`` of them where a short
+        first chunk can grow to that."""
+        fill, cap = self._fill, self._cap
+        if cap == _CHUNK:
+            if fill == _CHUNK:
+                self._tail = np.empty(_CHUNK, dtype=np.float64)
+                self._chunks.append(self._tail)
+                self._fill = 0
+            return
+        if fill + want <= cap:
+            return
+        cap = cap or _FIRST
+        while cap < fill + want and cap < _CHUNK:
+            cap *= 2
+        grown = np.empty(cap, dtype=np.float64)
+        if fill:
+            grown[:fill] = self._tail[:fill]
+        self._chunks[-1:] = [grown]  # replaces the short chunk, if any
+        self._tail = grown
+        self._cap = cap
 
     def append(self, value: float) -> None:
-        tail = self._tail
-        if tail is None or self._fill == _CHUNK:
-            tail = self._tail = np.empty(_CHUNK, dtype=np.float64)
-            self._chunks.append(tail)
-            self._fill = 0
-        tail[self._fill] = value
+        if self._fill == self._cap:
+            self._reserve(1)
+        self._tail[self._fill] = value
         self._fill += 1
 
     def extend(self, values) -> None:
@@ -58,13 +88,9 @@ class SampleBuffer:
         pos = 0
         n = len(arr)
         while pos < n:
-            tail = self._tail
-            if tail is None or self._fill == _CHUNK:
-                tail = self._tail = np.empty(_CHUNK, dtype=np.float64)
-                self._chunks.append(tail)
-                self._fill = 0
-            take = min(_CHUNK - self._fill, n - pos)
-            tail[self._fill : self._fill + take] = arr[pos : pos + take]
+            self._reserve(n - pos)
+            take = min(self._cap - self._fill, n - pos)
+            self._tail[self._fill : self._fill + take] = arr[pos : pos + take]
             self._fill += take
             pos += take
 

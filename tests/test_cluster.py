@@ -78,6 +78,23 @@ def test_joiner_has_ring_neighbours_before_commit():
         cluster.ring_neighbor("osd99", 1)
 
 
+def test_joining_hosts_boot_iff_the_cluster_is_live():
+    """Whether a joiner boots is cluster state set by ``start()`` /
+    ``stop()`` — not a scan over every OSD on every join."""
+    sim, cluster = make_cluster()
+    early = cluster.add_client("c0")
+    assert not early.running  # added before start(): waits for it
+    cluster.start()
+    assert early.running
+    assert cluster.add_client("c1").running  # added after start(): boots
+    joiner = cluster.add_osd()  # a live join boots its OSD
+    assert joiner.running
+    cluster.stop()
+    assert not joiner.running
+    assert not cluster.add_client("c2").running
+    assert not cluster.add_osd().running
+
+
 def test_instant_load_and_stripe_consistency():
     sim, cluster = make_cluster()
     data = np.arange(2 * 4 * 1024, dtype=np.uint8).astype(np.uint8)  # 2 stripes

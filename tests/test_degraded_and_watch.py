@@ -197,6 +197,25 @@ def test_watch_and_recover_with_lossy_osd_link():
     assert cluster.mds.failed_osds() == []
 
 
+def test_heartbeat_outlives_a_link_dead_past_the_retransmit_budget():
+    """A link that drops every frame for longer than ``rpc``'s retransmit
+    budget costs the OSD missed beats, not its heartbeat process — and the
+    budget error must not end the run through the kernel's crash path."""
+    sim, cluster = build("fo")
+    cluster.start()
+    for osd in cluster.osds:
+        osd.start_heartbeat(interval=0.2)
+    osd = cluster.osds[0]
+    cluster.fabric.degrade_link(osd.name, loss_every=1, loss_scope="all")
+    sim.run(until=osd.RETRANSMIT_BUDGET_S + 5.0)  # does not raise
+    assert osd._heartbeat_proc.is_alive
+    assert cluster.mds.failed_osds() == [osd.name]
+    cluster.fabric.heal_link(osd.name)
+    sim.run(until=sim.now + 1.0)
+    cluster.stop()
+    assert cluster.mds.failed_osds() == []  # beats resumed
+
+
 def test_watch_and_recover_with_lossy_rebuilder_link():
     """The *rebuilder* sits behind a link that loses every second egress
     frame of any class: each lost pull request is resent on its own, so the

@@ -1,0 +1,234 @@
+"""Host-memory footprint follows use (docs/dataplane.md, "Footprint follows use").
+
+Three per-entity structures the ``scale_out`` tier instantiates thousands of
+times — ``SampleBuffer``, ``TwoLevelIndex``'s bitmap, ``FileMeta``'s written
+map — must cost O(1) bytes while empty and behave exactly like the plain
+references below as they grow.  The ``tracemalloc`` ceilings are the part
+that keeps a later constructor from quietly provisioning again.
+"""
+
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import Cluster, ClusterConfig
+from repro.fs.mds import PAGE, FileMeta
+from repro.harness.experiment import build_cluster, make_trace
+from repro.logstruct import TwoLevelIndex
+from repro.metrics.latency import _CHUNK, _FIRST, LatencyRecorder, SampleBuffer
+from repro.sim import Simulator
+from repro.update import make_strategy_factory
+from repro.workload import scenario_config
+
+
+def traced(build):
+    """(result, bytes still allocated by ``build()``), per ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = build()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+# ----------------------------------------------------------------------
+# SampleBuffer against a plain list, across the growth boundaries
+# ----------------------------------------------------------------------
+BOUNDARIES = (0, 1, _FIRST - 1, _FIRST, _FIRST + 1,
+              _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)
+WAYS = ("append", "extend_list", "extend_buffer")
+
+
+def grow(buf, ref, way, n, rng):
+    vals = [rng.uniform(-1e3, 1e3) for _ in range(n)]
+    if way == "append":
+        for v in vals:
+            buf.append(v)
+    elif way == "extend_list":
+        buf.extend(vals)
+    else:
+        other = SampleBuffer()
+        other.extend(vals)
+        buf.extend(other)
+    ref.extend(vals)
+
+
+def assert_same(buf, ref, rng):
+    n = len(ref)
+    assert len(buf) == n
+    assert bool(buf) is bool(ref)
+    assert list(buf) == ref
+    arr = buf.to_array()
+    assert arr.dtype == np.float64 and arr.tolist() == ref
+    assert buf.running_sum() == sum(ref, 0.0)  # exactly: same order, same adds
+    if ref:
+        assert buf.max() == max(ref)
+    else:
+        with pytest.raises(ValueError):
+            buf.max()
+    edges = {0, n - 1, _FIRST - 1, _FIRST, _CHUNK - 1, _CHUNK, 2 * _CHUNK}
+    for i in sorted(i for i in edges if 0 <= i < n):
+        assert buf[i] == ref[i]
+        assert buf[i - n] == ref[i - n]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            buf[i]
+    for _ in range(4):
+        a, b = rng.randint(-n - 2, n + 2), rng.randint(-n - 2, n + 2)
+        assert buf[a:b].tolist() == ref[a:b]
+    assert buf[::-3].tolist() == ref[::-3]
+
+
+@pytest.mark.parametrize("way", WAYS)
+@pytest.mark.parametrize("n", BOUNDARIES)
+def test_sample_buffer_at_each_growth_boundary(n, way):
+    rng = random.Random(n)
+    buf, ref = SampleBuffer(), []
+    grow(buf, ref, way, n, rng)
+    assert_same(buf, ref, rng)
+    grow(buf, ref, "append", 1, rng)  # one more, over the boundary
+    assert_same(buf, ref, rng)
+
+
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(WAYS),
+            st.sampled_from(BOUNDARIES) | st.integers(0, _CHUNK + _FIRST),
+        ),
+        max_size=5,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_sample_buffer_matches_a_list(steps, seed):
+    rng = random.Random(seed)
+    buf, ref = SampleBuffer(), []
+    assert_same(buf, ref, rng)
+    for way, n in steps:
+        grow(buf, ref, way, n, rng)
+        assert_same(buf, ref, rng)
+
+
+def test_sample_buffer_only_its_last_chunk_is_short():
+    buf = SampleBuffer()
+    assert buf._chunks == [] and buf._tail is None  # empty: no array at all
+    sizes = set()
+    for i in range(2 * _CHUNK + 1):
+        buf.append(float(i))
+        sizes.add(len(buf._chunks[0]))
+        assert all(len(c) == _CHUNK for c in buf._chunks[1:])
+    # The first chunk doubled from _FIRST up to _CHUNK and stopped there.
+    assert sorted(sizes) == [_FIRST << s for s in range(9)] and max(sizes) == _CHUNK
+
+
+# ----------------------------------------------------------------------
+# TwoLevelIndex: the bitmap pre-check
+# ----------------------------------------------------------------------
+block_keys = st.tuples(st.integers(0, 1 << 20), st.integers(0, 1 << 16), st.integers(0, 15))
+
+
+@given(keys=st.lists(block_keys, max_size=200), probes=st.lists(block_keys, max_size=50))
+@settings(max_examples=100, deadline=None)
+def test_index_precheck_has_no_false_negative_and_clears(keys, probes):
+    idx = TwoLevelIndex("xor")
+    one = np.ones(1, dtype=np.uint8)
+    assert not any(idx.maybe_contains(k) for k in keys + probes)
+    for k in keys:
+        idx.insert(k, 0, one)
+    assert all(idx.maybe_contains(k) for k in keys)
+    present = set(keys)
+    for k in keys + probes:
+        assert (k in idx) == (k in present)  # a colliding bit never lies
+        assert (idx.lookup(k, 0, 1) is not None) == (k in present)
+    idx.clear()
+    assert not any(idx.maybe_contains(k) for k in keys + probes)
+    assert len(idx) == 0
+
+
+# ----------------------------------------------------------------------
+# FileMeta: the page-level written map
+# ----------------------------------------------------------------------
+@given(
+    ops=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 40 * PAGE), st.integers(0, 6 * PAGE)),
+        max_size=60,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_written_map_agrees_with_a_set_of_pages(ops):
+    meta = FileMeta(inode=1, size=64 * PAGE)
+    pages = set()
+    for mark, offset, length in ops:
+        touched = range(offset // PAGE, (offset + max(length, 1) - 1) // PAGE + 1)
+        assert meta.is_update(offset, length) == all(p in pages for p in touched)
+        if mark:
+            meta.mark_written(offset, length)
+            pages.update(touched)
+    for p in range(48):
+        assert meta.is_update(p * PAGE, 1) == (p in pages)
+
+
+def test_registering_a_terabyte_file_is_constant_work():
+    cluster = Cluster(
+        Simulator(),
+        ClusterConfig(n_osds=8, k=4, m=2, block_size=1024, seed=1),
+        make_strategy_factory("fo"),
+    )
+    size = 1 << 40  # 2**28 pages: one boxed int each would be ~8 GiB
+    _, held = traced(lambda: cluster.register_sparse_file(7, size))
+    assert held < 1024
+    meta = cluster.mds.files[7]
+    assert meta.written_pages.intervals() == [(0, size // PAGE)]
+    assert meta.is_update(size - 1, 1) and meta.is_update(0, size)
+    assert not meta.is_update(size, 1)
+
+
+# ----------------------------------------------------------------------
+# tracemalloc ceilings
+# ----------------------------------------------------------------------
+def test_an_empty_index_allocates_no_bitmap():
+    idx, held = traced(TwoLevelIndex)
+    assert held < 1024
+    assert not idx.maybe_contains("anything")
+
+
+def test_a_recorder_of_five_samples_stays_small():
+    def five():
+        rec = LatencyRecorder("client")
+        for i in range(5):
+            rec.record(1e-3 * i, 1e-4)
+        return rec
+
+    rec, held = traced(five)
+    assert held < 2048
+    assert rec.count == 5
+
+
+# What an idle scale-out cluster may hold, traced: it measures 16.7 MB, and
+# 49.6 MB with the three structures provisioning at construction.
+IDLE_SCALE_OUT_BUDGET = 20e6
+
+
+def test_idle_scale_out_cluster_fits_its_budget():
+    """The ``ghost_scaleout_tsue`` geometry — 256 OSDs, 1024 clients, their
+    files and traces — before a single request is issued."""
+    cfg = scenario_config(1, 1024, 5, "tsue", "ssd", ghost_dataplane=True, n_osds=256)
+
+    def build():
+        cluster = build_cluster(cfg)
+        traces = []
+        for i in range(cfg.n_clients):
+            cluster.add_client(f"client{i}")
+            cluster.register_sparse_file(1000 + i, cfg.file_size)
+            traces.append(make_trace(cfg, cluster.rng.get(f"trace{i}.0")))
+        return cluster, traces
+
+    (cluster, traces), held = traced(build)
+    assert len(cluster.osds) == 256 and len(cluster.clients) == 1024
+    assert held < IDLE_SCALE_OUT_BUDGET

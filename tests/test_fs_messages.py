@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.fs.messages import MSG_OVERHEAD, HostDownError, RpcHost
+from repro.fs.messages import (
+    MSG_OVERHEAD,
+    HostDownError,
+    RetransmitBudgetError,
+    RpcHost,
+)
 from repro.net import Fabric, NET_25GBE
 from repro.sim import Simulator
 
@@ -240,8 +245,11 @@ def test_retransmit_budget_exhaustion_is_loud():
         yield from a.rpc("b", "apply", {"v": 3}, nbytes=8)
 
     sim.process(caller())
-    with pytest.raises(RuntimeError, match="retransmit budget exhausted"):
+    with pytest.raises(RuntimeError, match="retransmit budget exhausted") as exc:
         sim.run(until=RpcHost.RETRANSMIT_BUDGET_S * 2)
+    # Its own type, so the heartbeat can tell it from other RuntimeErrors —
+    # and not a HostDownError, which callers retry.
+    assert type(exc.value) is RetransmitBudgetError
     assert applied == [3]  # delivered and applied once despite the failure
 
 
