@@ -14,12 +14,13 @@ PRs a perf trajectory to diff against.
 from __future__ import annotations
 
 from benchmarks.conftest import scale
-from repro.workload import run_all_scenarios
+from repro.workload import SCENARIOS, run_bench_cells
 
 
 def test_bench_scenarios(benchmark, archive):
-    results = benchmark.pedantic(
-        run_all_scenarios,
+    cells = benchmark.pedantic(
+        run_bench_cells,
+        args=([(name, "tsue") for name in sorted(SCENARIOS)],),
         kwargs=dict(
             n_clients=scale(4, 16),
             requests_per_client=scale(200, 1000),
@@ -27,6 +28,7 @@ def test_bench_scenarios(benchmark, archive):
         rounds=1,
         iterations=1,
     )
+    results = list(cells.values())
     archive("scenarios", "\n".join(r.render() for r in results))
     by_name = {r.name: r for r in results}
     for r in results:

@@ -61,9 +61,7 @@ def main() -> None:
     procs = [
         sim.process(updater(c, 100 + i)) for i, c in enumerate(clients)
     ]
-    joined = AllOf(sim, procs)
-    while not joined.fired and sim.peek() != float("inf"):
-        sim.step()
+    sim.drive(AllOf(sim, procs), "warm-up")
     print(f"warm-up: {args.files * args.updates} updates completed "
           f"at t={sim.now * 1000:.1f} ms (virtual)")
 

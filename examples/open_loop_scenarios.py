@@ -21,11 +21,12 @@ from repro.sim import Simulator
 from repro.traces import tencloud_trace
 from repro.update import make_strategy_factory
 from repro.workload import (
+    SCENARIOS,
     OnOffArrivals,
     OpenLoopGenerator,
     PoissonArrivals,
     WorkloadSpec,
-    run_all_scenarios,
+    run_bench_cells,
 )
 
 
@@ -49,9 +50,7 @@ def drive(title, spec):
         yield sim.process(gen.run())
         yield from drain_all(cluster)
 
-    done = sim.process(main())
-    while not done.fired and sim.peek() != float("inf"):
-        sim.step()
+    sim.drive(sim.process(main()), title)
     cluster.stop()
 
     s = client.update_latency.summary()
@@ -78,5 +77,6 @@ if __name__ == "__main__":
         ),
     )
     print("scenario registry (repro bench):")
-    for res in run_all_scenarios(requests_per_client=100):
+    rows = [(name, "tsue") for name in sorted(SCENARIOS)]
+    for res in run_bench_cells(rows, requests_per_client=100).values():
         print(res.render())

@@ -58,15 +58,10 @@ def main() -> None:
         got = yield from client.read(INODE, probe_off, 64)
         print(f"read 64 B @ {probe_off}: first bytes {list(got[:4])}")
 
-    done = sim.process(workload())
-    while not done.fired and sim.peek() != float("inf"):
-        sim.step()
-    done.value  # surface any failure
+    sim.drive(sim.process(workload()), "workload")
 
     # 4. drain the three-layer log pipeline, then verify.
-    drain = sim.process(drain_all(cluster))
-    while not drain.fired and sim.peek() != float("inf"):
-        sim.step()
+    sim.drive(sim.process(drain_all(cluster)), "drain")
     cluster.stop()
 
     ok = cluster.stripe_consistent(INODE, 0)

@@ -1,7 +1,7 @@
 """Command-line runner: ``python -m repro <subcommand>``.
 
-Subcommands map one-to-one onto the paper's artifacts plus a free-form
-experiment cell:
+:func:`main` parses and dispatches; each ``_cmd_*`` function is one command.
+Subcommands map one-to-one onto the paper's artifacts plus free-form cells:
 
 * ``run``    — one experiment cell (method x trace x geometry x clients);
 * ``fig5``   — one throughput panel;
@@ -10,28 +10,23 @@ experiment cell:
 * ``fig8a`` / ``fig8b`` — HDD throughput / recovery bandwidth;
 * ``table1`` / ``table2`` — workload counters / residency;
 * ``lifespan`` — flash wear comparison;
-* ``scenario`` — one named open-loop workload scenario (including the
-  failure axis — ``degraded_read``, ``rebuild_under_load``,
-  ``double_fault`` — and the live-change axis — ``fail_slow``,
-  ``congested_fabric``, ``rolling_restart``, ``scale_out_live``,
-  ``scale_in_live``);
-* ``bench`` — the scenario registry plus per-method sweeps of one
-  contention scenario (stripe-lock serialization cost), one failure
-  scenario (Fig. 8b-style recovery rows) and the live-change scenarios
-  (straggler/migration rows), with an optional JSON baseline.
+* ``lint`` — the static-analysis gate (``repro.analysis.command``; no numpy);
+* ``scenario`` — one named open-loop workload scenario, failure and
+  live-change axes included (``scenario list`` enumerates them);
+* ``bench`` — a selection of scenarios, with an optional JSON baseline.
+  One rule selects everything: every ``--scenarios`` name (default: the
+  whole registry) runs once on ``tsue``, and the sweep scenarios among them
+  (``repro.workload.results.SWEEP_SECTIONS``) once more per ``--methods``
+  entry (default: all seven; no values = no sweeps).
+
+Exit codes: 2 for invalid input (one line on stderr, nothing simulated),
+1 for a tripped drain/scrub gate (``FAIL``), 3 for baseline drift.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-
-
-def _add_scale(p: argparse.ArgumentParser, clients: int, updates: int) -> None:
-    p.add_argument("--clients", type=int, default=clients)
-    p.add_argument("--updates", type=int, default=updates)
-    p.add_argument("--seed", type=int, default=7)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,7 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--m", type=int, default=2)
     run.add_argument("--device", default="ssd", choices=["ssd", "hdd"])
     run.add_argument("--no-verify", action="store_true")
-    _add_scale(run, 16, 100)
+    run.add_argument("--clients", type=int, default=16)
+    run.add_argument("--updates", type=int, default=100)
+    run.add_argument("--seed", type=int, default=7)
 
     f5 = sub.add_parser("fig5", help="one Fig.5 throughput panel")
     f5.add_argument("--trace", default="ten", choices=["ali", "ten"])
@@ -135,32 +132,15 @@ def build_parser() -> argparse.ArgumentParser:
                          "sizes — 200 for smoke rows, 2000 for scale_up)")
     be.add_argument("--seed", type=int, default=7)
     be.add_argument("--scenarios", nargs="+", default=None, metavar="NAME",
-                    help="limit the registry run to these scenarios "
-                         "(default: all)")
+                    help="scenarios to run (default: all); each runs on "
+                         "tsue, and the sweep scenarios among them "
+                         "(hot_stripe, rebuild_under_load, scale_up, "
+                         "scale_out, the live-change set) once more per "
+                         "--methods entry")
     be.add_argument("--methods", nargs="*", default=None, metavar="METHOD",
-                    help="per-method sweep rows on --method-scenario "
+                    help="methods the selected sweep scenarios run over "
                          "(default: all seven; pass with no values to skip "
-                         "the sweep)")
-    be.add_argument("--method-scenario", default="hot_stripe",
-                    help="scenario the per-method sweep runs (default: "
-                         "hot_stripe)")
-    be.add_argument("--recovery-scenario", default="rebuild_under_load",
-                    help="failure scenario for the per-method recovery "
-                         "sweep (default: rebuild_under_load; \"none\" "
-                         "skips it)")
-    be.add_argument("--scale-up-scenario", default="scale_up",
-                    help="scenario for the per-method 10x-scale sweep "
-                         "(default: scale_up; \"none\" skips it)")
-    be.add_argument("--scale-out-scenario", default="scale_out",
-                    help="scenario for the per-method ghost-plane cluster "
-                         "sweep (default: scale_out; \"none\" skips it)")
-    be.add_argument("--elastic-scenarios", nargs="+", default=None,
-                    metavar="NAME",
-                    help="live-change scenarios for the per-method elastic "
-                         "sweeps (default: all seven — fail_slow, "
-                         "congested_fabric, rolling_restart, scale_out_live, "
-                         "scale_in_live, lossy_cluster, throttled_rebalance; "
-                         "\"none\" skips them)")
+                         "the sweeps)")
     be.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                     help="fan scenario x method rows out over N worker "
                          "processes (each row is an isolated simulator; "
@@ -181,494 +161,201 @@ def build_parser() -> argparse.ArgumentParser:
                     const="BENCH_scenarios.json", default=None,
                     metavar="PATH",
                     help="after the run, diff the simulated-output rows "
-                         "(scenarios/methods/recovery/scale_up/scale_out/"
-                         "elastic — the machine-dependent perf section is "
-                         "ignored) "
-                         "against an existing baseline, reporting the first "
-                         "differing JSON leaf cells; exit 3 on drift")
+                         "(every section but the machine-dependent perf "
+                         "one) against an existing baseline, reporting the "
+                         "first differing JSON leaf cells; exit 3 on drift")
     return ap
 
 
-def _git_changed_files():
-    """Absolute paths of files changed vs HEAD (staged, unstaged, new).
+def _cmd_run(args) -> int:
+    from repro import harness
 
-    Returns None when not in a git checkout — ``lint --changed`` is a
-    pre-commit convenience and refuses to guess.
-    """
-    import subprocess
+    cfg = harness.ExperimentConfig(
+        method=args.method,
+        trace=args.trace,
+        k=args.k,
+        m=args.m,
+        device_kind=args.device,
+        n_clients=args.clients,
+        updates_per_client=args.updates,
+        seed=args.seed,
+        verify=not args.no_verify,
+    )
+    res = harness.run_experiment(cfg)
+    print(f"method={args.method} trace={args.trace} RS({args.k},{args.m}) "
+          f"{args.clients} clients")
+    print(f"  aggregate IOPS : {res.agg_iops:,.0f}")
+    print(f"  mean latency   : {res.mean_latency * 1e6:,.1f} us "
+          f"(p99 {res.p99_latency * 1e6:,.1f} us)")
+    print(f"  device ops     : {res.rw_ops:,} "
+          f"({res.overwrite_ops:,} overwrites)")
+    print(f"  network        : {res.net_bytes / 1e6:,.1f} MB")
+    print(f"  erase ops      : {res.erase_ops:,.1f}")
+    if res.consistent is not None:
+        print(f"  verified       : {res.consistent}")
+        return 0 if res.consistent else 1
+    return 0
 
-    def run(*argv: str) -> str:
-        return subprocess.run(
-            ["git", *argv], capture_output=True, text=True, check=True,
-        ).stdout
 
-    try:
-        top = run("rev-parse", "--show-toplevel").strip()
-        listed = run("diff", "--name-only", "HEAD") + \
-            run("ls-files", "--others", "--exclude-standard")
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return {
-        os.path.join(top, line.strip())
-        for line in listed.splitlines() if line.strip()
+def _cmd_scenario(args) -> int:
+    from repro.workload import SCENARIOS, run_scenario
+
+    if args.name == "list":
+        for name in sorted(SCENARIOS):
+            print(f"{name:12s} {SCENARIOS[name].description}")
+        return 0
+    res = run_scenario(
+        args.name,
+        seed=args.seed,
+        n_clients=args.clients,
+        requests_per_client=args.requests,
+        method=args.method,
+        device=args.device,
+    )
+    print(res.render())
+    return 0
+
+
+def _cmd_bench(args) -> int:
+    import json
+
+    from repro.workload import METHODS, SCENARIOS, run_bench_cells
+    from repro.workload.results import (
+        SWEEP_SECTIONS,
+        baseline_drift,
+        bench_rows,
+        results_to_json,
+        write_json,
+    )
+
+    # Validate selectors before simulating anything: a typo must not
+    # cost minutes of registry runs and end in a raw traceback.
+    for kind, given, known in (("scenario", args.scenarios, sorted(SCENARIOS)),
+                               ("method", args.methods, METHODS)):
+        unknown = [x for x in given or () if x not in known]
+        if unknown:
+            print(f"unknown {kind}(s) {unknown}; known: {', '.join(known)}",
+                  file=sys.stderr)
+            return 2
+    if args.jobs < 1:
+        print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
+    if args.profile and args.jobs > 1:
+        print("--profile needs --jobs 1 (rows run in worker processes "
+              "the parent profiler cannot see)", file=sys.stderr)
+        return 2
+
+    # Load the baseline BEFORE simulating (fail fast on a bad path) and
+    # before any --json write — `bench --json --check-baseline` with
+    # both at the default path must diff old vs new, not new vs itself.
+    baseline = None
+    if args.check_baseline:
+        try:
+            with open(args.check_baseline) as fh:
+                baseline = json.load(fh)
+        except (OSError, ValueError) as exc:
+            print(f"cannot load baseline {args.check_baseline}: {exc}",
+                  file=sys.stderr)
+            return 2
+
+    profiler = None
+    if args.profile:
+        import cProfile
+
+        profiler = cProfile.Profile()
+        profiler.enable()
+
+    names = sorted(SCENARIOS) if args.scenarios is None else args.scenarios
+    methods = tuple(METHODS if args.methods is None else args.methods)
+    # One row list, one executor: a sweep cell that equals a registry cell
+    # simulates once, and the cell-keyed mapping assembles identically
+    # whether the cells ran in-process (--jobs 1) or over a pool.
+    cells = run_bench_cells(
+        bench_rows(names, methods), jobs=args.jobs, seed=args.seed,
+        n_clients=args.clients, requests_per_client=args.requests,
+    )
+    results = [cells[(n, "tsue")] for n in names]
+    sweeps = {
+        s: [cells[(s, m)] for m in methods]
+        for s in SWEEP_SECTIONS if s in names and methods
     }
 
+    if profiler is not None:
+        import io
+        import pstats
 
-def _leaf_diffs(path: str, a, b, out: list) -> None:
-    """Append ``path: old -> new`` lines for every differing JSON *leaf*.
+        profiler.disable()
+        buf = io.StringIO()
+        stats = pstats.Stats(profiler, stream=buf)
+        stats.sort_stats("cumulative").print_stats(60)
+        stats.sort_stats("tottime").print_stats(60)
+        with open(args.profile, "w") as fh:
+            fh.write(buf.getvalue())
+        print(f"wrote {args.profile}")
 
-    Recurses through nested dicts so a changed cell inside, say, a row's
-    ``recovery`` sub-table reports the exact dotted leaf
-    (``recovery.tsue.recovery.drain_s: 0.1 -> 0.2``) instead of dumping
-    both whole row dicts.  Keys only one side has are leaves too (reported
-    with the sentinel ``<absent>``); mismatched shapes (dict vs scalar)
-    bottom out at the current path.
-    """
-    if isinstance(a, dict) and isinstance(b, dict):
-        for key in sorted(set(a) | set(b)):
-            sub = f"{path}.{key}" if path else str(key)
-            if key not in a:
-                _leaf_diffs(sub, "<absent>", b[key], out)
-            elif key not in b:
-                _leaf_diffs(sub, a[key], "<absent>", out)
-            else:
-                _leaf_diffs(sub, a[key], b[key], out)
-        return
-    if a != b:
-        old = a if isinstance(a, str) and a == "<absent>" else repr(a)
-        new = b if isinstance(b, str) and b == "<absent>" else repr(b)
-        out.append(f"{path}: {old} -> {new}")
+    for res in results:
+        print(res.render())
+    for s, rows in sweeps.items():
+        print(f"--- {SWEEP_SECTIONS[s][1]} ({s}) ---")
+        for res in rows:
+            print(res.render())
+    payload = results_to_json(results, sweeps)
+    if args.json:
+        write_json(payload, args.json)
+        print(f"wrote {args.json}")
+    if baseline is not None:
+        drift = baseline_drift(baseline, payload)
+        if drift:
+            print(f"BASELINE DRIFT ({len(drift)} leaf cell(s) changed):",
+                  file=sys.stderr)
+            for line in drift[:40]:
+                print(f"  {line}", file=sys.stderr)
+            if len(drift) > 40:
+                print(f"  ... and {len(drift) - 40} more", file=sys.stderr)
+            return 3
+        print(f"baseline check ok against {args.check_baseline}")
+    return 0
 
 
-def _baseline_drift(baseline: dict, payload: dict) -> list:
-    """Leaf cells that changed vs an existing baseline (the determinism gate).
+def _cmd_artifact(args) -> int:
+    """fig5 .. lifespan: run one paper artifact and print its rows."""
+    from repro import harness
 
-    Compares the *simulated-output* sections (``scenarios`` / ``methods`` /
-    ``recovery`` / ``scale_up`` / ``scale_out`` / ``elastic``) for every
-    row present in both the baseline and this run, recursing to the first differing JSON
-    leaf so a drifted run reports exact dotted paths and old/new cell
-    values, not wholesale row dumps.  The machine-dependent ``perf``
-    section is ignored, and rows only this run has (e.g. a freshly added
-    scenario) are additions, not drift.  ``baseline`` is the decoded
-    JSON — loaded by the caller *before* any ``--json`` write, so checking
-    against the same path that is being regenerated still compares old vs
-    new.
-    """
-    drift = []
-    sections = (
-        "scenarios", "methods", "recovery", "scale_up", "scale_out", "elastic",
-    )
-    for section in sections:
-        old = baseline.get(section, {})
-        new = payload.get(section, {})
-        # A baseline row this run did not produce is drift too — a silent
-        # loss of coverage must not read as "clean".  (Narrowed runs, e.g.
-        # --scenarios steady, will legitimately trip this; check against
-        # the full registry run the baseline was made from.)
-        for row in sorted(set(old) - set(new)):
-            drift.append(f"{section}.{row}: present in baseline, missing from this run")
-        for row in sorted(set(old) & set(new)):
-            _leaf_diffs(f"{section}.{row}", old[row], new[row], drift)
-    return drift
+    if args.cmd == "fig5":
+        out = harness.run_panel(
+            args.k, args.m, args.trace, clients=tuple(args.client_sweep),
+            updates_per_client=args.updates, seed=args.seed,
+        )
+    elif args.cmd == "fig7":
+        out = harness.run_fig7(trace=args.trace, m=args.m)
+    else:
+        out = getattr(harness, f"run_{args.cmd}")()
+    print(out.render())
+    return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-
     if args.cmd == "lint":
-        # Self-contained: the analysis package must not drag the engine
-        # (numpy, harness) into a lint run.
-        from repro.analysis import (
-            analyze_paths,
-            render_github,
-            render_json,
-            render_text,
-            rules_by_id,
-        )
-        from repro.analysis.core import ProjectRule
+        from repro.analysis.command import run_lint
 
-        try:
-            selected = list(rules_by_id(args.rules).values())
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        rules = [r for r in selected if not isinstance(r, ProjectRule)]
-        prules = [r for r in selected if isinstance(r, ProjectRule)]
-        if not args.ipd:
-            prules = []
-        if args.list_rules:
-            for rule in rules + prules:
-                print(f"{rule.id:26s} [{rule.family}] {rule.description}")
-            return 0
-        missing = [p for p in args.paths if not os.path.exists(p)]
-        if missing:
-            print(f"no such path(s): {missing}", file=sys.stderr)
-            return 2
+        return run_lint(args)
+    # Engine imports are deferred into the commands so `--help` and `lint`
+    # stay instant and numpy-free.
+    command = {
+        "run": _cmd_run, "scenario": _cmd_scenario, "bench": _cmd_bench,
+    }.get(args.cmd, _cmd_artifact)
+    from repro.harness.experiment import InvalidRunError
+    from repro.workload import InconsistentDrainError, PostRecoveryScrubError
 
-        changed = None
-        if args.changed:
-            changed = _git_changed_files()
-            if changed is None:
-                print("--changed needs a git checkout (git diff failed)",
-                      file=sys.stderr)
-                return 2
-
-        if prules or args.graph_dump:
-            from repro.analysis.cache import DEFAULT_CACHE_NAME
-            from repro.analysis.graph import graph_dump
-            from repro.analysis.project import analyze_project
-
-            cache_path = None
-            if not args.no_cache:
-                cache_path = args.cache
-                if cache_path is None:
-                    root = args.paths[0]
-                    base = root if os.path.isdir(root) \
-                        else os.path.dirname(root) or "."
-                    cache_path = os.path.join(
-                        os.path.dirname(os.path.abspath(base)) or ".",
-                        DEFAULT_CACHE_NAME,
-                    )
-            result = analyze_project(
-                args.paths, rules, prules,
-                cache_path=cache_path, changed=changed,
-            )
-            findings = result.findings
-            if args.graph_dump:
-                import json as _json
-
-                with open(args.graph_dump, "w", encoding="utf-8") as fh:
-                    _json.dump(graph_dump(result.project), fh, indent=2,
-                               sort_keys=True)
-                    fh.write("\n")
-                print(f"wrote {args.graph_dump}", file=sys.stderr)
-        else:
-            findings = analyze_paths(args.paths, rules)
-            if changed is not None:
-                real = {os.path.realpath(c) for c in changed}
-                findings = [f for f in findings
-                            if os.path.realpath(f.path) in real]
-        if args.format == "json":
-            print(render_json(findings))
-        elif args.format == "github":
-            print(render_github(findings))
-        else:
-            print(render_text(findings, show_suppressed=args.show_suppressed))
-        from repro.analysis.core import (
-            SUPPRESSION_MISSING_REASON,
-            SUPPRESSION_SYNTAX,
-            UNUSED_SUPPRESSION,
-        )
-
-        active = [f for f in findings if not f.suppressed]
-        if args.strict:
-            # Strict is the CI gate: suppression-audit findings (unused
-            # allows, allows without a reason, malformed allows) fail too.
-            return 1 if active else 0
-        # Non-strict: suppression-audit findings print but do not set the
-        # exit code.  A parse error is NOT audit noise — the file was not
-        # analyzed at all, so it fails in both modes.
-        audit = (SUPPRESSION_MISSING_REASON, UNUSED_SUPPRESSION,
-                 SUPPRESSION_SYNTAX)
-        return 1 if [f for f in active if f.rule not in audit] else 0
-
-    # Imports deferred so `--help` stays instant.
-    from repro import harness
-
-    if args.cmd == "run":
-        cfg = harness.ExperimentConfig(
-            method=args.method,
-            trace=args.trace,
-            k=args.k,
-            m=args.m,
-            device_kind=args.device,
-            n_clients=args.clients,
-            updates_per_client=args.updates,
-            seed=args.seed,
-            verify=not args.no_verify,
-        )
-        res = harness.run_experiment(cfg)
-        print(f"method={args.method} trace={args.trace} RS({args.k},{args.m}) "
-              f"{args.clients} clients")
-        print(f"  aggregate IOPS : {res.agg_iops:,.0f}")
-        print(f"  mean latency   : {res.mean_latency * 1e6:,.1f} us "
-              f"(p99 {res.p99_latency * 1e6:,.1f} us)")
-        print(f"  device ops     : {res.rw_ops:,} "
-              f"({res.overwrite_ops:,} overwrites)")
-        print(f"  network        : {res.net_bytes / 1e6:,.1f} MB")
-        print(f"  erase ops      : {res.erase_ops:,.1f}")
-        if res.consistent is not None:
-            print(f"  verified       : {res.consistent}")
-            return 0 if res.consistent else 1
-        return 0
-
-    if args.cmd == "scenario":
-        from repro.workload import (
-            SCENARIOS,
-            InconsistentDrainError,
-            PostRecoveryScrubError,
-            run_scenario,
-        )
-
-        if args.name == "list":
-            for name in sorted(SCENARIOS):
-                print(f"{name:12s} {SCENARIOS[name].description}")
-            return 0
-        if args.name not in SCENARIOS:
-            known = ", ".join(sorted(SCENARIOS))
-            print(f"unknown scenario {args.name!r}; known: {known} "
-                  f"(or \"list\")", file=sys.stderr)
-            return 2
-        try:
-            res = run_scenario(
-                args.name,
-                seed=args.seed,
-                n_clients=args.clients,
-                requests_per_client=args.requests,
-                method=args.method,
-                device=args.device,
-            )
-        except (InconsistentDrainError, PostRecoveryScrubError) as exc:
-            print(f"FAIL: {exc}", file=sys.stderr)
-            return 1
-        print(res.render())
-        return 0
-
-    if args.cmd == "bench":
-        import json
-
-        from repro.workload import (
-            ELASTIC_SCENARIOS,
-            METHODS,
-            SCENARIOS,
-            InconsistentDrainError,
-            PostRecoveryScrubError,
-            results_to_json,
-            run_bench_cells,
-        )
-
-        # Validate selectors before simulating anything: a typo must not
-        # cost minutes of registry runs and end in a raw traceback.
-        known = ", ".join(sorted(SCENARIOS))
-        unknown = [n for n in (args.scenarios or []) if n not in SCENARIOS]
-        if args.method_scenario not in SCENARIOS:
-            unknown.append(args.method_scenario)
-        if args.recovery_scenario != "none" and (
-            args.recovery_scenario not in SCENARIOS
-        ):
-            unknown.append(args.recovery_scenario)
-        if args.scale_up_scenario != "none" and (
-            args.scale_up_scenario not in SCENARIOS
-        ):
-            unknown.append(args.scale_up_scenario)
-        if args.scale_out_scenario != "none" and (
-            args.scale_out_scenario not in SCENARIOS
-        ):
-            unknown.append(args.scale_out_scenario)
-        elastic_names = (
-            list(ELASTIC_SCENARIOS) if args.elastic_scenarios is None
-            else [n for n in args.elastic_scenarios if n != "none"]
-        )
-        unknown.extend(n for n in elastic_names if n not in SCENARIOS)
-        if unknown:
-            print(f"unknown scenario(s) {unknown}; known: {known}",
-                  file=sys.stderr)
-            return 2
-        unknown = [m for m in (args.methods or []) if m not in METHODS]
-        if unknown:
-            print(f"unknown method(s) {unknown}; known: "
-                  f"{', '.join(METHODS)}", file=sys.stderr)
-            return 2
-        if args.jobs < 1:
-            print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-            return 2
-        if args.profile and args.jobs > 1:
-            print("--profile needs --jobs 1 (rows run in worker processes "
-                  "the parent profiler cannot see)", file=sys.stderr)
-            return 2
-
-        # Load the baseline BEFORE simulating (fail fast on a bad path) and
-        # before any --json write — `bench --json --check-baseline` with
-        # both at the default path must diff old vs new, not new vs itself.
-        baseline = None
-        if args.check_baseline:
-            try:
-                with open(args.check_baseline) as fh:
-                    baseline = json.load(fh)
-            except (OSError, ValueError) as exc:
-                print(f"cannot load baseline {args.check_baseline}: {exc}",
-                      file=sys.stderr)
-                return 2
-
-        profiler = None
-        if args.profile:
-            import cProfile
-
-            profiler = cProfile.Profile()
-            profiler.enable()
-
-        scale = dict(
-            seed=args.seed,
-            n_clients=args.clients,
-            requests_per_client=args.requests,
-        )
-        registry_names = (
-            sorted(SCENARIOS) if args.scenarios is None else args.scenarios
-        )
-        sweep_methods = ()
-        if args.methods is None or args.methods:
-            sweep_methods = tuple(METHODS if args.methods is None else args.methods)
-        # One row list, one executor: the full scenario x method cell set
-        # in canonical order.  run_bench_cells de-duplicates (a sweep cell
-        # that equals a registry cell simulates once) and returns a
-        # cell-keyed mapping, so the sections below assemble identically
-        # whether the cells ran serially (--jobs 1, the in-process
-        # reference path) or over a process pool.
-        rows = [(n, "tsue") for n in registry_names]
-        sweep_scenarios = []
-        if sweep_methods:
-            sweep_scenarios.append(args.method_scenario)
-            if args.recovery_scenario != "none":
-                sweep_scenarios.append(args.recovery_scenario)
-            if args.scale_up_scenario != "none":
-                sweep_scenarios.append(args.scale_up_scenario)
-            if args.scale_out_scenario != "none":
-                sweep_scenarios.append(args.scale_out_scenario)
-            sweep_scenarios.extend(elastic_names)
-        for s in sweep_scenarios:
-            rows.extend((s, m) for m in sweep_methods)
-        try:
-            cells = run_bench_cells(rows, jobs=args.jobs, **scale)
-        except (InconsistentDrainError, PostRecoveryScrubError) as exc:
-            print(f"FAIL: {exc}", file=sys.stderr)
-            return 1
-        results = [cells[(n, "tsue")] for n in registry_names]
-        method_rows = []
-        recovery_rows = []
-        scale_up_rows = []
-        scale_out_rows = []
-        elastic_rows = {}
-        if sweep_methods:
-            method_rows = [
-                cells[(args.method_scenario, m)] for m in sweep_methods
-            ]
-            if args.recovery_scenario != "none":
-                recovery_rows = [
-                    cells[(args.recovery_scenario, m)] for m in sweep_methods
-                ]
-            if args.scale_up_scenario != "none":
-                scale_up_rows = [
-                    cells[(args.scale_up_scenario, m)] for m in sweep_methods
-                ]
-            if args.scale_out_scenario != "none":
-                scale_out_rows = [
-                    cells[(args.scale_out_scenario, m)] for m in sweep_methods
-                ]
-            elastic_rows = {
-                s: [cells[(s, m)] for m in sweep_methods]
-                for s in elastic_names
-            }
-
-        if profiler is not None:
-            import io
-            import pstats
-
-            profiler.disable()
-            buf = io.StringIO()
-            stats = pstats.Stats(profiler, stream=buf)
-            stats.sort_stats("cumulative").print_stats(60)
-            stats.sort_stats("tottime").print_stats(60)
-            with open(args.profile, "w") as fh:
-                fh.write(buf.getvalue())
-            print(f"wrote {args.profile}")
-
-        for res in results:
-            print(res.render())
-        if method_rows:
-            print(f"--- per-method rows ({args.method_scenario}) ---")
-            for res in method_rows:
-                print(res.render())
-        if recovery_rows:
-            print(f"--- per-method recovery rows ({args.recovery_scenario}) ---")
-            for res in recovery_rows:
-                print(res.render())
-        if scale_up_rows:
-            print(f"--- per-method 10x rows ({args.scale_up_scenario}) ---")
-            for res in scale_up_rows:
-                print(res.render())
-        if scale_out_rows:
-            print(f"--- per-method ghost-plane cluster rows "
-                  f"({args.scale_out_scenario}) ---")
-            for res in scale_out_rows:
-                print(res.render())
-        for s, rows_ in elastic_rows.items():
-            print(f"--- per-method live-change rows ({s}) ---")
-            for res in rows_:
-                print(res.render())
-        payload = results_to_json(results, method_rows, recovery_rows,
-                                  scale_up_rows, scale_out_rows,
-                                  elastic_rows=elastic_rows)
-        if args.json:
-            import tempfile
-
-            # Atomic write (temp file + rename in the destination
-            # directory): a crashed or interrupted run can truncate a
-            # plain open(..., "w"), silently destroying the committed
-            # baseline the determinism gates diff against.
-            dest = os.path.abspath(args.json)
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(dest),
-                prefix=os.path.basename(dest) + ".",
-                suffix=".tmp",
-            )
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(payload, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                os.replace(tmp, dest)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            print(f"wrote {args.json}")
-        if baseline is not None:
-            drift = _baseline_drift(baseline, payload)
-            if drift:
-                print(f"BASELINE DRIFT ({len(drift)} leaf cell(s) changed):",
-                      file=sys.stderr)
-                for line in drift[:40]:
-                    print(f"  {line}", file=sys.stderr)
-                if len(drift) > 40:
-                    print(f"  ... and {len(drift) - 40} more", file=sys.stderr)
-                return 3
-            print(f"baseline check ok against {args.check_baseline}")
-        return 0
-
-    if args.cmd == "fig5":
-        panel = harness.run_panel(
-            args.k, args.m, args.trace, clients=tuple(args.client_sweep),
-            updates_per_client=args.updates, seed=args.seed,
-        )
-        print(panel.render())
-    elif args.cmd == "fig6a":
-        print(harness.run_fig6a().render())
-    elif args.cmd == "fig6b":
-        print(harness.run_fig6b().render())
-    elif args.cmd == "fig7":
-        print(harness.run_fig7(trace=args.trace, m=args.m).render())
-    elif args.cmd == "fig8a":
-        print(harness.run_fig8a().render())
-    elif args.cmd == "fig8b":
-        print(harness.run_fig8b().render())
-    elif args.cmd == "table1":
-        print(harness.run_table1().render())
-    elif args.cmd == "table2":
-        print(harness.run_table2().render())
-    elif args.cmd == "lifespan":
-        print(harness.run_lifespan().render())
-    return 0
+    try:
+        return command(args)
+    except (InconsistentDrainError, PostRecoveryScrubError) as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
+    except InvalidRunError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,9 +1,17 @@
-"""Build-run-drain-measure: the shared experiment driver."""
+"""Build-run-drain-measure: the one run protocol every driver goes through.
+
+:func:`run_protocol` owns the order of a run (its docstring states it once);
+:func:`run_experiment`, ``repro.workload.run_scenario`` and Fig. 8b's
+recovery cell are callers that say how clients attach and what to measure.
+"""
 
 from __future__ import annotations
 
+import resource
+import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -12,9 +20,12 @@ from repro.devices.profiles import DeviceProfile
 from repro.metrics.counters import GB
 from repro.metrics.latency import LatencyRecorder, ResidencyTracker
 from repro.net import NET_25GBE, NET_40GIB, NetworkProfile
+from repro.recovery import ScrubReport, scrub, watch_and_recover
 from repro.sim import AllOf, Simulator
 from repro.sim.collector import paused as collector_paused
+from repro.sim.rng import RngStreams
 from repro.traces import (
+    MSR_VOLUMES,
     TraceReplayer,
     alicloud_trace,
     msr_trace,
@@ -22,6 +33,7 @@ from repro.traces import (
 )
 from repro.tsue.engine import TSUEConfig
 from repro.update import make_strategy_factory
+from repro.workload.faults import FaultEvent, FaultInjector
 
 
 @dataclass
@@ -106,16 +118,22 @@ class ExperimentResult:
         return self.overwrite_bytes / GB
 
 
+class InvalidRunError(ValueError):
+    """A run's sizes or trace name are invalid; nothing was built."""
+
+
+# Trace family name -> ``(file_size, n, rng) -> records``.
+TRACES: Dict[str, Callable] = {
+    "ali": alicloud_trace,
+    "ten": tencloud_trace,
+    **{f"msr:{vol}": partial(msr_trace, vol) for vol in MSR_VOLUMES},
+}
+
+
 def make_trace(cfg: ExperimentConfig, rng: np.random.Generator, n: Optional[int] = None):
     """Materialise one client's trace for the config's trace family."""
     n = cfg.updates_per_client if n is None else n
-    if cfg.trace == "ali":
-        return alicloud_trace(cfg.file_size, n, rng)
-    if cfg.trace == "ten":
-        return tencloud_trace(cfg.file_size, n, rng)
-    if cfg.trace.startswith("msr:"):
-        return msr_trace(cfg.trace[4:], cfg.file_size, n, rng)
-    raise ValueError(f"unknown trace {cfg.trace!r}")
+    return TRACES[cfg.trace](cfg.file_size, n, rng)
 
 
 def _strategy_factory(cfg: ExperimentConfig):
@@ -178,12 +196,9 @@ def drain_all(cluster: Cluster):
 
 
 def build_cluster(cfg: ExperimentConfig) -> Cluster:
-    """A fresh simulator + cluster for one experiment cell.
-
-    Shared by :func:`run_experiment` and the scenario runner in
-    :mod:`repro.workload.scenarios`, so every driver gets identical
-    geometry/strategy resolution from the same config type.
-    """
+    """A fresh simulator + cluster for one cell — the one place outside
+    ``repro.cluster`` that constructs a cluster; :func:`run_protocol` calls
+    it once per run."""
     sim = Simulator()
     return Cluster(
         sim,
@@ -203,13 +218,6 @@ def build_cluster(cfg: ExperimentConfig) -> Cluster:
     )
 
 
-def drive_to_completion(sim, proc, what: str = "experiment"):
-    """Run the kernel until ``proc`` fires; diagnose a drained-heap hang."""
-    if not sim.run_until_fired(proc):
-        raise RuntimeError(f"{what} did not complete (deadlock?)")
-    return proc.value
-
-
 def aggregate_update_latency(clients) -> LatencyRecorder:
     """One recorder holding every client's update samples."""
     agg = LatencyRecorder("agg")
@@ -219,46 +227,210 @@ def aggregate_update_latency(clients) -> LatencyRecorder:
     return agg
 
 
-@collector_paused()
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run one experiment cell start to finish (pure function of cfg).
+def _host_clock(since: Tuple[float, float] = (0.0, 0.0)) -> Tuple[float, float]:
+    """(wall, process CPU) seconds elapsed since an earlier reading — the
+    machine-local ``perf`` section's only clock; CPU time stays meaningful
+    when a shared box preempts the run."""
+    # repro-lint: allow(det-wallclock) -- machine-local perf section, excluded from the determinism gates
+    wall = time.perf_counter() - since[0]
+    # repro-lint: allow(det-wallclock) -- CPU-time twin of the wall reading above
+    return wall, time.process_time() - since[1]
 
-    Build, replay, drain and the verification gates all run with automatic
-    garbage collection paused (see :mod:`repro.sim.collector`).
+
+@dataclass
+class Run:
+    """One pass of :func:`run_protocol`, as the caller's ``finish`` sees it:
+    a driven, drained, stopped cluster and what the drive recorded."""
+
+    cfg: ExperimentConfig
+    cluster: Cluster
+    workloads: list  # what ``attach`` returned, in client order
+    inodes: List[int]  # every file ``attach`` registered
+    injector: Optional[FaultInjector]  # the fired schedule (fault runs)
+    entry_clock: Tuple[float, float]
+    horizon: float = 0.0  # virtual seconds until the last request completed
+    recoveries: Sequence = ()  # the watcher's RecoveryResults
+    tail: Any = None  # what the tail returned (None for the default drain)
+    scrub_report: Optional[ScrubReport] = None  # fault runs: the forced scrub
+    drive_host: Tuple[float, float] = (0.0, 0.0)  # (wall, CPU) s inside the drive
+
+    def perf(self, requests: int) -> Dict[str, float]:
+        """Machine-local measurement up to this call, never part of a
+        simulated row: ``wall_s``/``cpu_s`` span build -> now, the
+        ``sim_*`` twins and events/sec only the drive (set-up, teardown and
+        gates excluded); peak RSS is the process high-water mark (KiB)."""
+        wall, cpu = _host_clock(self.entry_clock)
+        sim_wall, sim_cpu = self.drive_host
+        events = self.cluster.sim.events_fired
+        out = {
+            "wall_s": wall,
+            "cpu_s": cpu,
+            "sim_wall_s": sim_wall,
+            "sim_cpu_s": sim_cpu,
+            "events": float(events),
+            "events_per_sec": events / sim_wall if sim_wall > 0 else 0.0,
+            "events_per_cpu_sec": events / sim_cpu if sim_cpu > 0 else 0.0,
+            "requests_per_wall_sec": requests / wall if wall > 0 else 0.0,
+            "peak_rss_kb": float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
+        }
+        if self.cfg.ghost_dataplane:
+            out["ghost_dataplane"] = 1.0
+        return out
+
+
+@collector_paused()
+def run_protocol(
+    cfg: ExperimentConfig,
+    attach: Callable[[Cluster, ExperimentConfig], list],
+    finish: Callable[[Run], Any],
+    faults: Sequence[FaultEvent] = (),
+    recovery: bool = False,
+    heartbeat_interval: float = 0.002,
+    tail: Callable = drain_all,
+    what: str = "experiment",
+):
+    """Run one cell start to finish; a pure function of its arguments.
+
+    The protocol, in order — every run in ``src/`` goes through it:
+
+    1. **validate** — at least one client, requests ``>= 0``, a known trace
+       family, no faults on the ghost plane: :class:`InvalidRunError`
+       before anything is built.
+    2. **build** — ``build_cluster(cfg)``, once, resolved as this module's
+       attribute at call time.
+    3. **attach** — ``attach(cluster, cfg)`` registers files, adds clients
+       and returns one workload driver (anything with ``run()``) per client.
+    4. **start** — every host of the cluster boots.
+    5. **faults** — given a schedule: a :class:`FaultInjector` over every
+       registered inode and, with ``recovery``, OSD heartbeats plus the MDS
+       watcher paced by ``heartbeat_interval`` (detection after 4 of them:
+       milliseconds, not the 3 s production default).
+    6. **drive** — one process starts the injector, then one process per
+       workload; ``horizon`` is the instant the last workload finishes.
+    7. **heal** — the schedule finishes and every failure is recovered or
+       restored before the drain barrier (a down OSD would wedge it).
+    8. **tail** — ``drain_all``: every log recycled (Fig. 8b passes its
+       own: there the drain is the quantity measured).
+    9. **scrub** — fault runs force a scrub of every stripe the workload
+       could have touched, through the real (costed) read path.
+    10. **stop**, then **finish** — ``finish(run)``, the caller's gates and
+        aggregation, still with automatic garbage collection paused
+        (:mod:`repro.sim.collector`) like everything above.
+
+    Frozen surface — ``benchmarks/perf/`` cannot be edited, so none of what
+    it imports may move or change shape: this module's ``ExperimentConfig``,
+    ``run_experiment``, ``make_trace``, ``aggregate_update_latency`` and
+    ``build_cluster`` (wrapped as a module attribute to capture the one
+    cluster a run builds), the ``horizon`` / ``n_updates`` / ``consistent``
+    fields of :class:`ExperimentResult`, and its :mod:`repro.workload` names.
     """
+    if cfg.n_clients < 1:
+        raise InvalidRunError(f"need at least 1 client, got {cfg.n_clients}")
+    if cfg.updates_per_client < 0:
+        raise InvalidRunError(
+            f"requests per client must be >= 0, got {cfg.updates_per_client}"
+        )
+    if cfg.trace not in TRACES:
+        raise InvalidRunError(
+            f"unknown trace {cfg.trace!r}; known: {', '.join(TRACES)}"
+        )
+    if faults and cfg.ghost_dataplane:
+        raise InvalidRunError(
+            f"{what} injects faults; the ghost payload plane cannot serve "
+            "scrub/rebuild (real bytes required) — run it on the byte plane"
+        )
+    entry_clock = _host_clock()
     cluster = build_cluster(cfg)
     sim = cluster.sim
-
-    # --- register one sparse file per client (no simulated cost) --------
-    replayers: List[TraceReplayer] = []
-    for i in range(cfg.n_clients):
-        inode = 1000 + i
-        cluster.register_sparse_file(inode, cfg.file_size)
-        client = cluster.add_client(f"client{i}")
-        trace = make_trace(cfg, cluster.rng.get(f"trace{i}"))
-        replayers.append(
-            TraceReplayer(client, inode, trace, cluster.rng.get(f"payload{i}"))
-        )
-
+    workloads = attach(cluster, cfg)
+    inodes = list(cluster.mds.files)
     cluster.start()
 
-    # --- replay ----------------------------------------------------------
+    injector = watcher = watcher_stop = None
+    if faults:
+        injector = FaultInjector(cluster, inodes, faults)
+        if recovery:
+            cluster.mds.heartbeat_timeout = 4 * heartbeat_interval
+            for osd in cluster.osds:
+                osd.start_heartbeat(heartbeat_interval)
+            watcher_stop = sim.event(name="watcher-stop")
+            watcher = sim.process(
+                watch_and_recover(
+                    cluster,
+                    check_interval=heartbeat_interval,
+                    stop=watcher_stop,
+                    repair=True,
+                ),
+                name="mds-watcher",
+            )
+    run = Run(cfg, cluster, workloads, inodes, injector, entry_clock)
+
     def main():
-        procs = [sim.process(r.run(), name=f"replay{i}") for i, r in enumerate(replayers)]
+        inj_proc = (
+            sim.process(injector.run(), name="fault-injector") if injector else None
+        )
+        procs = [
+            sim.process(w.run(), name=f"workload{i}") for i, w in enumerate(workloads)
+        ]
         yield AllOf(sim, procs)
-        horizon = sim.now
-        yield from drain_all(cluster)
-        return horizon
+        run.horizon = sim.now
+        if injector:
+            yield inj_proc
+            waited = 0.0
+            while cluster.down_osds:
+                if waited >= 60.0:
+                    raise RuntimeError(
+                        f"{what}: OSDs still down after "
+                        f"{waited:.0f}s: {sorted(cluster.down_osds)}"
+                    )
+                yield sim.timeout(1e-3)
+                waited += 1e-3
+            if watcher is not None:
+                watcher_stop.succeed()
+                run.recoveries = yield watcher
+        run.tail = yield from tail(cluster)
+        if injector:
+            targets = [
+                (inode, s) for inode in inodes for s in range(cfg.stripes_per_file)
+            ]
+            run.scrub_report = yield from scrub(cluster, targets, force=True)
 
-    horizon = drive_to_completion(sim, sim.process(main(), name="experiment"))
+    t0 = _host_clock()
+    sim.drive(sim.process(main(), name=what), what)
+    run.drive_host = _host_clock(t0)
     cluster.stop()
+    return finish(run)
 
-    # --- verify ----------------------------------------------------------
+
+def attach_replayer(cluster: Cluster, cfg: ExperimentConfig, i: int) -> TraceReplayer:
+    """Client ``i``'s closed-loop replayer over its (already registered)
+    file, inode ``1000 + i``, on RNG streams ``trace{i}`` / ``payload{i}``."""
+    client = cluster.add_client(f"client{i}")
+    trace = make_trace(cfg, cluster.rng.get(f"trace{i}"))
+    return TraceReplayer(client, 1000 + i, trace, cluster.rng.get(f"payload{i}"))
+
+
+def _attach_sparse(cluster: Cluster, cfg: ExperimentConfig) -> List[TraceReplayer]:
+    """One sparse file (no simulated cost) and one replayer per client."""
+    replayers = []
+    for i in range(cfg.n_clients):
+        cluster.register_sparse_file(1000 + i, cfg.file_size)
+        replayers.append(attach_replayer(cluster, cfg, i))
+    return replayers
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """One closed-loop trace-replay cell through :func:`run_protocol`."""
+    return run_protocol(cfg, _attach_sparse, _experiment_result)
+
+
+def _experiment_result(run: Run) -> ExperimentResult:
+    """Shadow-model verification, then everything the paper reports."""
+    cfg, cluster, replayers = run.cfg, run.cluster, run.workloads
     consistent: Optional[bool] = None
     if cfg.verify:
         consistent = _verify(cluster, cfg, replayers)
 
-    # --- collect ---------------------------------------------------------
     ops = cluster.total_ops()
     wear = cluster.total_wear()
     net = cluster.total_net()
@@ -276,8 +448,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(
         config=cfg,
         n_updates=n_updates,
-        horizon=horizon,
-        agg_iops=(n_updates / horizon) if horizon > 0 else 0.0,
+        horizon=run.horizon,
+        agg_iops=(n_updates / run.horizon) if run.horizon > 0 else 0.0,
         mean_latency=agg.mean(),
         p99_latency=agg.percentile(99),
         rw_ops=ops.rw_ops,
@@ -316,8 +488,11 @@ def _verify(cluster, cfg, replayers) -> bool:
                 if not cluster.stripe_consistent(r.inode, stripe):
                     return False
         return True
-    for r in replayers:
-        payload_rng = _replay_payload_rng(cluster, r)
+    # cluster.rng caches its generators; an identical fresh factory replays
+    # each replayer's payload stream (``attach_replayer``) from its seed state.
+    fresh = RngStreams(cluster.rng.seed)
+    for i, r in enumerate(replayers):
+        payload_rng = fresh.get(f"payload{i}")
         per_block: Dict[tuple, np.ndarray] = {}
         for rec in r.records[: r.completed]:
             payload = payload_rng.integers(0, 256, rec.size, dtype=np.uint8)
@@ -341,14 +516,3 @@ def _verify(cluster, cfg, replayers) -> bool:
             if not cluster.stripe_consistent(r.inode, stripe):
                 return False
     return True
-
-
-def _replay_payload_rng(cluster, replayer) -> np.random.Generator:
-    """A fresh copy of the RNG stream a replayer drew its payloads from."""
-    i = int(replayer.client.name.replace("client", ""))
-    # RngStreams caches generators; spawn an identical child factory so the
-    # verification stream starts from the same seed state.
-    from repro.sim.rng import RngStreams
-
-    fresh = RngStreams(cluster.rng.seed)
-    return fresh.get(f"payload{i}")

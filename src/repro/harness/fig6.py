@@ -48,7 +48,6 @@ def run_fig6a(
         updates_per_client=updates_per_client,
         seed=seed,
         verify=False,
-        strategy_params=dict(unit_bytes=512 * 1024, flush_age=0.02, flush_interval=0.01),
     )
     res = run_experiment(cfg)
     series = res.update_recorder.iops_series(
@@ -100,8 +99,6 @@ def run_fig6b(
                 unit_bytes=128 * 1024,
                 min_units=2,
                 max_units=q,
-                flush_age=0.02,
-                flush_interval=0.01,
             ),
         )
         res = run_experiment(cfg)

@@ -123,8 +123,6 @@ def run_fig7(
     labels: List[str] = []
     iops: List[float] = []
     for label, flags in variants:
-        params = dict(unit_bytes=512 * 1024, flush_age=0.02, flush_interval=0.01)
-        params.update(flags)
         cfg = ExperimentConfig(
             method="tsue",
             trace=trace,
@@ -134,7 +132,7 @@ def run_fig7(
             updates_per_client=updates_per_client,
             seed=seed,
             verify=False,
-            strategy_params=params,
+            strategy_params=dict(flags),
         )
         res = run_experiment(cfg)
         labels.append(label)

@@ -14,18 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.cluster import Cluster, ClusterConfig
 from repro.harness.experiment import (
     ExperimentConfig,
-    _strategy_factory,
-    drive_to_completion,
-    make_trace,
+    attach_replayer,
     run_experiment,
+    run_protocol,
 )
 from repro.metrics.report import format_series
-from repro.recovery import RecoveryResult, recover_node
-from repro.sim import AllOf, Simulator
-from repro.traces import TraceReplayer
+from repro.recovery import RecoveryResult, recover_node_proc
 
 HDD_METHODS = ("fo", "pl", "plr", "parix", "tsue")
 MSR_VOLS = ("src10", "src22", "proj2", "prn1", "hm0", "usr0", "mds0")
@@ -128,38 +124,28 @@ def _recovery_run(
         cfg.strategy_params = dict(
             unit_bytes=128 * 1024, flush_age=0.01, flush_interval=0.005
         )
-    sim = Simulator()
-    cluster = Cluster(
-        sim,
-        ClusterConfig(
-            n_osds=cfg.n_osds,
-            k=cfg.k,
-            m=cfg.m,
-            block_size=cfg.block_size,
-            device_kind="hdd",
-            net_profile=cfg.resolved_net(),
-            seed=cfg.seed,
-        ),
-        _strategy_factory(cfg),
+    result = run_protocol(
+        cfg, _attach_materialised, lambda run: run.tail,
+        tail=_fail_most_loaded, what="fig8 replay",
     )
-    replayers: List[TraceReplayer] = []
-    load_rng = cluster.rng.get("load")
-    for i in range(cfg.n_clients):
-        inode = 1000 + i
-        content = load_rng.integers(0, 256, cfg.file_size, dtype="uint8")
-        cluster.instant_load_file(inode, content)
-        client = cluster.add_client(f"client{i}")
-        trace = make_trace(cfg, cluster.rng.get(f"trace{i}"))
-        replayers.append(
-            TraceReplayer(client, inode, trace, cluster.rng.get(f"payload{i}"))
-        )
-    cluster.start()
-    procs = [sim.process(r.run()) for r in replayers]
-    drive_to_completion(sim, AllOf(sim, procs), what="fig8 replay")
-    # Fail the most-loaded OSD (deterministic choice: most blocks stored).
-    victim = max(cluster.osds, key=lambda o: len(o.store.blocks)).name
-    result = recover_node(cluster, victim, verify=True)
-    cluster.stop()
     if not result.correct:
         raise AssertionError(f"recovery produced wrong bytes ({method}, {vol})")
     return result
+
+
+def _attach_materialised(cluster, cfg):
+    """One fully written file (stream ``load``) and one replayer per client."""
+    load_rng = cluster.rng.get("load")
+    replayers = []
+    for i in range(cfg.n_clients):
+        content = load_rng.integers(0, 256, cfg.file_size, dtype="uint8")
+        cluster.instant_load_file(1000 + i, content)
+        replayers.append(attach_replayer(cluster, cfg, i))
+    return replayers
+
+
+def _fail_most_loaded(cluster):
+    """The run's tail: fail the OSD storing the most blocks (a deterministic
+    choice) and recover it — log drain included, it is what Fig. 8b measures."""
+    victim = max(cluster.osds, key=lambda o: len(o.store.blocks)).name
+    return (yield from recover_node_proc(cluster, victim, verify=True))

@@ -10,10 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from repro.harness.experiment import ExperimentConfig, run_experiment
+from repro.harness.table1 import METHODS, run_table1
 from repro.metrics.report import format_table
-
-METHODS = ("fo", "pl", "plr", "parix", "cord", "tsue")
 
 
 @dataclass
@@ -49,24 +47,8 @@ def run_lifespan(
     seed: int = 17,
     methods: Sequence[str] = METHODS,
 ) -> LifespanResult:
-    erases: Dict[str, float] = {}
-    pages: Dict[str, int] = {}
-    for method in methods:
-        cfg = ExperimentConfig(
-            method=method,
-            trace="ten",
-            k=6,
-            m=4,
-            n_clients=n_clients,
-            updates_per_client=updates_per_client,
-            seed=seed,
-            verify=False,
-        )
-        if method == "tsue":
-            cfg.strategy_params = dict(
-                unit_bytes=512 * 1024, flush_age=0.02, flush_interval=0.01
-            )
-        res = run_experiment(cfg)
-        erases[method] = res.erase_ops
-        pages[method] = res.page_writes
-    return LifespanResult(erases=erases, page_writes=pages)
+    results = run_table1(n_clients, updates_per_client, seed, methods).results
+    return LifespanResult(
+        erases={m: r.erase_ops for m, r in results.items()},
+        page_writes={m: r.page_writes for m, r in results.items()},
+    )

@@ -66,9 +66,5 @@ def run_table1(
             seed=seed,
             verify=False,
         )
-        if method == "tsue":
-            cfg.strategy_params = dict(
-                unit_bytes=512 * 1024, flush_age=0.02, flush_interval=0.01
-            )
         results[method] = run_experiment(cfg)
     return Table1Result(results=results)

@@ -26,6 +26,7 @@ from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.dataplane import GhostExtent, as_payload
+from repro.ec.rs import parity_delta
 
 BITMAP_BITS = 4096
 
@@ -304,6 +305,21 @@ class TwoLevelIndex:
         self._blocks.clear()
         self._bits.clear()
         self.stats.reset()
+
+
+def fold_parity_deltas(
+    codec, parity_index: int, per_block: Dict[int, List[Segment]]
+) -> List[Tuple[int, np.ndarray]]:
+    """Eq. (5) over log segments: one stripe's pending data deltas
+    (data-block index -> segments) as the offset-sorted ``(offset, delta)``
+    patches of one parity block — each segment scaled by its coding
+    coefficient (Eq. 2), overlaps XOR-folded, adjacent runs coalesced."""
+    combined = TwoLevelIndex("xor")
+    for j, segs in per_block.items():
+        coeff = codec.coefficient(parity_index, j)
+        for s in segs:
+            combined.insert(parity_index, s.offset, parity_delta(coeff, s.data))
+    return [(s.offset, s.data) for s in combined.segments(parity_index)]
 
 
 def _interval_union(

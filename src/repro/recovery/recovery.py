@@ -170,8 +170,7 @@ def recover_node(
         ),
         name="recover-node",
     )
-    _run_until(sim, proc)
-    return proc.value
+    return sim.drive(proc, "recovery")
 
 
 def recover_node_proc(
@@ -459,9 +458,3 @@ def _ensure_recovery_handlers(cluster: Cluster) -> None:
 
         osd.register("recovery_read", handler)
         osd.register("recovery_write", w_handler)
-
-
-def _run_until(sim, proc) -> None:
-    if not sim.run_until_fired(proc):
-        raise RuntimeError("recovery step deadlocked")
-    proc.value  # re-raise any failure

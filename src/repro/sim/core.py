@@ -277,12 +277,21 @@ class Simulator:
         if until is not None:
             self.now = until
 
+    def drive(self, event: Event, what: str = "process") -> Any:
+        """Run until ``event`` fires and return its value (or raise its
+        failure); queues that drain first mean it never can.  The one
+        "complete it or say it deadlocked" helper: the run protocol,
+        ``recover_node`` and the examples call it."""
+        if not self.run_until_fired(event):
+            raise RuntimeError(f"{what} did not complete (deadlock?)")
+        return event.value
+
     def run_until_fired(self, event: Event) -> bool:
         """Fire events until ``event`` fires; False if the queues drained.
 
-        The tight driver loop behind ``drive_to_completion``: identical
-        semantics to ``while not event.fired and sim.peek() != inf:
-        sim.step()`` with the per-event Python call overhead removed.
+        The tight driver loop behind :meth:`drive`: identical semantics to
+        ``while not event.fired and sim.peek() != inf: sim.step()`` with
+        the per-event Python call overhead removed.
         """
         imm = self._imm
         heap = self._heap

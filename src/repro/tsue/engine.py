@@ -30,7 +30,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 import numpy as np
 
 from repro.ec.rs import parity_delta as _parity_delta
-from repro.logstruct.index import TwoLevelIndex
+from repro.logstruct.index import fold_parity_deltas
 from repro.logstruct.pool import LogPool
 from repro.logstruct.unit import ENTRY_HEADER_BYTES, LogUnit
 from repro.metrics.latency import ResidencyTracker
@@ -484,12 +484,7 @@ class TSUEEngine:
         calls = []
         for p in range(m):
             pkey = (inode, stripe, k + p)
-            combined = TwoLevelIndex("xor")
-            for j, segs in per_block.items():
-                coeff = self.cluster.codec.coefficient(p, j)
-                for s in segs:
-                    combined.insert(pkey, s.offset, _parity_delta(coeff, s.data))
-            entries = [(s.offset, s.data) for s in combined.segments(pkey)]
+            entries = fold_parity_deltas(self.cluster.codec, p, per_block)
             if not entries:
                 continue
             nbytes = sum(int(d.size) for _, d in entries)

@@ -236,19 +236,12 @@ class PARIXStrategy(UpdateStrategy):
 
     def _insert_orig_uncovered(self, key, offset: int, data: np.ndarray) -> None:
         """Originals are first-wins: never clobber an earlier original."""
-        covered = self.orig_index.lookup_partial(key, offset, int(data.size))
-        have = np.zeros(int(data.size), dtype=bool)
-        for a, frag in covered:
-            have[a - offset : a - offset + frag.size] = True
-        idx = np.flatnonzero(~have)
-        if idx.size == 0:
-            return
-        breaks = np.flatnonzero(np.diff(idx) > 1)
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks, [idx.size - 1]))
-        for s_i, e_i in zip(starts, ends):
-            lo, hi = int(idx[s_i]), int(idx[e_i]) + 1
-            self.orig_index.insert(key, offset + lo, data[lo:hi])
+        end = offset + int(data.size)
+        have = IntervalSet()
+        for a, frag in self.orig_index.lookup_partial(key, offset, end - offset):
+            have.add(a, a + int(frag.size))
+        for lo, hi in have.uncovered(offset, end):
+            self.orig_index.insert(key, lo, data[lo - offset : hi - offset])
             self.orig_bytes += hi - lo
 
     # ------------------------------------------------------------------

@@ -12,15 +12,18 @@ outstanding update per client).  This package opens the workload axis:
   (fail/restore, fail-slow devices, degraded/lossy fabric links, rolling
   restarts and elastic membership changes on the sim clock; the full
   taxonomy is in ``docs/faults.md``);
-* :mod:`~repro.workload.scenarios` — a registry of named end-to-end
+* :mod:`~repro.workload.scenarios` — the registry of named end-to-end
   scenarios (``steady``, ``burst``, ``diurnal``, ``mixed_rw``,
   ``multi_tenant``, ``hot_stripe``, the failure axis ``degraded_read``,
   ``rebuild_under_load``, ``double_fault``, plus the live-change axis
   :data:`~repro.workload.scenarios.ELASTIC_SCENARIOS`) behind
-  ``repro scenario`` / ``repro bench``, with a hard parity-consistency
-  gate on every drain, a forced post-recovery scrub gate on every fault
-  scenario, and stripe-lock wait + recovery + elastic metrics in the
-  results.
+  ``repro scenario`` / ``repro bench``;
+* :mod:`~repro.workload.runner` — :func:`run_scenario` (one cell through
+  the harness's run protocol, behind a hard parity-consistency gate on
+  every drain and a forced post-recovery scrub on every fault run) and
+  :func:`run_bench_cells`, the one many-cell executor;
+* :mod:`~repro.workload.metrics` / :mod:`~repro.workload.results` — the
+  recovery + elastic sections, :class:`ScenarioResult`, the bench JSON.
 """
 
 from repro.workload.arrival import (
@@ -39,20 +42,19 @@ from repro.workload.faults import (
     stripe_member,
 )
 from repro.workload.generator import OpenLoopGenerator, WorkloadSpec
-from repro.workload.scenarios import (
-    ELASTIC_SCENARIOS,
+from repro.workload.results import ScenarioResult, results_to_json
+from repro.workload.runner import (
     METHODS,
-    SCENARIOS,
     InconsistentDrainError,
     PostRecoveryScrubError,
-    Scenario,
-    ScenarioResult,
-    register_scenario,
-    results_to_json,
-    run_all_scenarios,
     run_bench_cells,
-    run_method_sweep,
     run_scenario,
+)
+from repro.workload.scenarios import (
+    ELASTIC_SCENARIOS,
+    SCENARIOS,
+    Scenario,
+    register_scenario,
     scenario_config,
 )
 
@@ -77,9 +79,7 @@ __all__ = [
     "primary_victim",
     "register_scenario",
     "results_to_json",
-    "run_all_scenarios",
     "run_bench_cells",
-    "run_method_sweep",
     "run_scenario",
     "scenario_config",
     "secondary_victim",

@@ -22,10 +22,8 @@ def _bench(tmp_path, tag, jobs, extra=()):
             "bench",
             "--clients", "2",
             "--requests", "20",
-            "--scenarios", "steady",
+            "--scenarios", "steady", "hot_stripe", "scale_out", "fail_slow",
             "--methods", "tsue", "fl",
-            "--recovery-scenario", "none",
-            "--scale-up-scenario", "none",
             "--jobs", str(jobs),
             "--json", str(out),
             *extra,
@@ -52,8 +50,8 @@ def test_jobs_check_baseline_round_trip(tmp_path):
     out = tmp_path / "base.json"
     args = [
         "bench", "--clients", "2", "--requests", "15",
-        "--scenarios", "steady", "--methods", "tsue",
-        "--recovery-scenario", "none", "--scale-up-scenario", "none",
+        "--scenarios", "steady", "hot_stripe", "lossy_cluster",
+        "--methods", "tsue",
         "--json", str(out),
     ]
     assert cli.main(args) == 0
@@ -83,7 +81,6 @@ def test_json_write_is_atomic(tmp_path, monkeypatch):
             [
                 "bench", "--clients", "2", "--requests", "5",
                 "--scenarios", "steady", "--methods",
-                "--recovery-scenario", "none", "--scale-up-scenario", "none",
                 "--json", str(out),
             ]
         )

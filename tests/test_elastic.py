@@ -547,19 +547,18 @@ def test_cli_bench_elastic_rows(tmp_path, capsys):
 
     path = tmp_path / "bench.json"
     rc = main(["bench", "--clients", "2", "--requests", "30",
-               "--scenarios", "steady", "--methods", "tsue",
-               "--recovery-scenario", "none",
-               "--scale-up-scenario", "none",
-               "--scale-out-scenario", "none",
-               "--elastic-scenarios", "fail_slow",
+               "--scenarios", "steady", "fail_slow", "--methods", "tsue",
                "--json", str(path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "per-method live-change rows (fail_slow)" in out
     payload = json.loads(path.read_text())
+    assert set(payload["elastic"]) == {"fail_slow"}
     row = payload["elastic"]["fail_slow"]["tsue"]
     assert row["consistent"] is True
     assert row["elastic"]["slow_events"] == 1.0
+    # The sweep cell is the registry cell (simulated once), under both keys.
+    assert row == payload["scenarios"]["fail_slow"]
     assert payload["perf"]["fail_slow/tsue"]["wall_s"] > 0
 
 
@@ -569,19 +568,16 @@ def test_cli_bench_elastic_none_skips(tmp_path):
     path = tmp_path / "bench.json"
     rc = main(["bench", "--clients", "2", "--requests", "30",
                "--scenarios", "steady", "--methods", "tsue",
-               "--recovery-scenario", "none",
-               "--scale-up-scenario", "none",
-               "--scale-out-scenario", "none",
-               "--elastic-scenarios", "none",
                "--json", str(path)])
     assert rc == 0
-    assert "elastic" not in json.loads(path.read_text())
+    # No sweep scenario selected: only the registry section (and its perf).
+    assert set(json.loads(path.read_text())) == {"bench", "scenarios", "perf"}
 
 
 def test_cli_bench_unknown_elastic_scenario_fails_fast(capsys):
     from repro.cli import main
 
-    rc = main(["bench", "--elastic-scenarios", "bogus"])
+    rc = main(["bench", "--scenarios", "fail_slow", "bogus"])
     assert rc == 2
     assert "bogus" in capsys.readouterr().err
 

@@ -378,9 +378,8 @@ def test_cli_bench_recovery_rows(tmp_path, capsys):
 
     path = tmp_path / "bench.json"
     rc = main(["bench", "--clients", "2", "--requests", "30",
-               "--scenarios", "steady", "--methods", "tsue",
-               "--recovery-scenario", "rebuild_under_load",
-               "--json", str(path)])
+               "--scenarios", "steady", "rebuild_under_load",
+               "--methods", "tsue", "--json", str(path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "per-method recovery rows (rebuild_under_load)" in out
@@ -399,6 +398,6 @@ def test_cli_bench_recovery_none_skips(tmp_path):
     path = tmp_path / "bench.json"
     rc = main(["bench", "--clients", "2", "--requests", "30",
                "--scenarios", "steady", "--methods", "tsue",
-               "--recovery-scenario", "none", "--json", str(path)])
+               "--json", str(path)])
     assert rc == 0
     assert "recovery" not in json.loads(path.read_text())

@@ -12,7 +12,7 @@ from repro.logstruct.index import Segment, _covered_runs, _interval_union
 from repro.metrics.latency import LatencyRecorder, SampleBuffer
 from repro.sim import KeyedLock, Resource, Simulator
 from repro.sim.core import At
-from repro.workload.scenarios import run_scenario
+from repro.workload import run_scenario
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Integration tests for the experiment harness (tiny scales)."""
 
 import gc
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from repro.cluster import Cluster
 from repro.harness import ExperimentConfig, run_experiment
 from repro.harness.fig5 import run_panel
 from repro.harness.fig7 import run_fig7
+from repro.harness.fig8 import _recovery_run
 from repro.harness.table1 import run_table1
 from repro.update import STRATEGIES
 from repro.workload import InconsistentDrainError, run_scenario
@@ -145,16 +148,21 @@ def _run_steady(method="tsue"):
     return run_scenario("steady", method=method, n_clients=2, requests_per_client=30)
 
 
+# Every caller of the run protocol, each returning its own gate verdict.
 _RUNNERS = {
-    "run_experiment": lambda: run_experiment(tiny()),
-    "run_scenario": _run_steady,
+    "run_experiment": lambda: run_experiment(tiny()).consistent,
+    "run_scenario": lambda: _run_steady().consistent,
+    "fig8b_cell": lambda: _recovery_run(
+        "hm0", "tsue", n_clients=2, updates_per_client=20, seed=3
+    ).correct,
 }
 
 
 @pytest.mark.parametrize("caller_gc", [True, False], indirect=True)
 @pytest.mark.parametrize("runner", sorted(_RUNNERS))
 def test_runner_pauses_collector_and_restores_callers_state(caller_gc, runner, built):
-    assert _RUNNERS[runner]().consistent is True
+    assert _RUNNERS[runner]() is True
+    # Exactly one cluster, built through the module attribute, under the pause.
     assert [paused for _, paused in built] == [False]
     assert gc.isenabled() is caller_gc
 
@@ -169,10 +177,58 @@ def test_runner_restores_collector_when_a_gate_trips(caller_gc, built, monkeypat
     # inside the paused region (after the build) takes the same exit.
     assert run_experiment(tiny()).consistent is False
     assert gc.isenabled() is caller_gc
+    with pytest.raises(ValueError, match="file size"):
+        run_experiment(tiny(stripes_per_file=0))
+    assert len(built) == 3
+    assert gc.isenabled() is caller_gc
+    # Invalid input never reaches the build (and leaves the collector alone).
     with pytest.raises(ValueError, match="unknown trace"):
         run_experiment(tiny(trace="nope"))
     assert len(built) == 3
     assert gc.isenabled() is caller_gc
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--clients", "0", "--updates", "2"],
+    ["run", "--clients", "-1"],
+    ["run", "--updates", "-3"],
+    ["run", "--trace", "bogus"],
+    ["run", "--trace", "msr:bogus"],
+    ["scenario", "nope"],
+    ["scenario", "steady", "--clients", "0"],
+    ["scenario", "steady", "--requests", "-3"],
+    ["bench", "--scenarios", "steady", "--clients", "0", "--methods"],
+], ids=" ".join)
+def test_cli_rejects_invalid_sizes_and_traces_before_building(argv, built, capsys):
+    from repro.cli import main
+
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert built == []
+
+
+def test_protocol_steps_are_written_once_in_src():
+    """One place builds a cluster, one starts it, one drives a kernel."""
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def sites(pattern, skip=()):
+        found = re.compile(pattern)
+        return [
+            f"{path.relative_to(src)}:{n}"
+            for path in sorted(src.rglob("*.py"))
+            if not any(part in skip for part in path.relative_to(src).parts)
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if found.search(line)
+        ]
+
+    assert len(sites(r"\bCluster\(", skip=("cluster",))) == 1
+    assert len(sites(r"\bcluster\.start\(\)", skip=("cluster",))) == 1
+    assert len(sites(r"(?<!def )\brun_until_fired\(")) == 1
+    assert sites(
+        r"def (run_all_scenarios|run_method_sweep|_run_until|drive_to_completion)\b"
+    ) == []
 
 
 @pytest.mark.parametrize("method", sorted(STRATEGIES))

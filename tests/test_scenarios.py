@@ -11,8 +11,7 @@ from repro.workload import (
     PoissonArrivals,
     register_scenario,
     results_to_json,
-    run_all_scenarios,
-    run_method_sweep,
+    run_bench_cells,
     run_scenario,
 )
 
@@ -88,9 +87,11 @@ def test_scenarios_deterministic_for_fixed_seed():
     assert c.to_dict() != a.to_dict()
 
 
-def test_run_all_scenarios_and_json_payload():
-    results = run_all_scenarios(names=["steady", "mixed_rw"], **SMOKE)
-    payload = results_to_json(results)
+def test_run_bench_cells_row_order_and_json_payload():
+    # Keyed by cell in row order, whatever order the names come in.
+    cells = run_bench_cells([("steady", "tsue"), ("mixed_rw", "tsue")], **SMOKE)
+    assert list(cells) == [("steady", "tsue"), ("mixed_rw", "tsue")]
+    payload = results_to_json(list(cells.values()))
     assert payload["bench"] == "scenarios"
     assert set(payload["scenarios"]) == {"steady", "mixed_rw"}
     assert "methods" not in payload
@@ -99,29 +100,44 @@ def test_run_all_scenarios_and_json_payload():
     assert "lock_wait_p99_us" in doc
 
 
-def test_run_all_scenarios_rejects_empty_explicit_selection():
-    with pytest.raises(ValueError, match="empty scenario selection"):
-        run_all_scenarios(names=[], **SMOKE)
-
-
 def test_method_sweep_rows_and_json_section():
-    rows = run_method_sweep(
-        scenario="hot_stripe", methods=["fo", "tsue"], **SMOKE
-    )
-    assert [r.method for r in rows] == ["fo", "tsue"]
-    assert all(r.name == "hot_stripe" and r.consistent for r in rows)
-    payload = results_to_json([], method_rows=rows)
+    from repro.workload.results import bench_rows
+
+    rows = bench_rows(["steady", "hot_stripe"], ["fo", "tsue"])
+    # Registry rows on tsue first, then the swept scenario per method.
+    assert rows == [("steady", "tsue"), ("hot_stripe", "tsue"),
+                    ("hot_stripe", "fo"), ("hot_stripe", "tsue")]
+    cells = run_bench_cells(rows, **SMOKE)
+    sweep = [cells[("hot_stripe", m)] for m in ("fo", "tsue")]
+    assert [r.method for r in sweep] == ["fo", "tsue"]
+    assert all(r.name == "hot_stripe" and r.consistent for r in sweep)
+    payload = results_to_json([], {"hot_stripe": sweep})
     assert set(payload["methods"]) == {"fo", "tsue"}
     assert payload["methods"]["fo"]["lock_acquisitions"] > 0
     assert payload["methods"]["tsue"]["lock_acquisitions"] == 0
-    with pytest.raises(ValueError, match="empty method selection"):
-        run_method_sweep(methods=[], **SMOKE)
-    # Matching (scenario, method) cells from `reuse` are returned as-is
-    # instead of re-simulated.
-    reused = run_method_sweep(
-        scenario="hot_stripe", methods=["tsue", "fl"], reuse=rows, **SMOKE
+    assert set(payload["perf"]) == {"hot_stripe/fo", "hot_stripe/tsue"}
+    # Nested sections: a live-change sweep lands under elastic.<scenario>.
+    nested = results_to_json([], {"fail_slow": [cells[("steady", "tsue")]]})
+    assert set(nested["elastic"]) == {"fail_slow"}
+    assert set(nested["elastic"]["fail_slow"]) == {"tsue"}
+
+
+def test_run_bench_cells_simulates_a_duplicate_cell_once(monkeypatch):
+    import repro.workload.runner as runner
+
+    ran = []
+    real = runner.run_scenario
+    monkeypatch.setattr(
+        runner, "run_scenario",
+        lambda name, **kw: ran.append((name, kw["method"])) or real(name, **kw),
     )
-    assert reused[0] is rows[1] and reused[1].method == "fl"
+    # The hot_stripe/tsue registry row reappears in the sweep.
+    cells = run_bench_cells(
+        [("hot_stripe", "tsue"), ("hot_stripe", "fl"), ("hot_stripe", "tsue")],
+        **SMOKE,
+    )
+    assert ran == [("hot_stripe", "tsue"), ("hot_stripe", "fl")]
+    assert list(cells) == ran
 
 
 def test_methods_tuple_covers_the_strategy_registry():
@@ -178,9 +194,8 @@ def test_cli_bench_scale_out_rows(tmp_path, capsys):
 
     path = tmp_path / "bench.json"
     base = ["bench", "--clients", "2", "--requests", "10",
-            "--scenarios", "steady", "--methods", "tsue", "fl",
-            "--recovery-scenario", "none", "--scale-up-scenario", "none"]
-    rc = main(base + ["--json", str(path)])
+            "--methods", "tsue", "fl", "--json", str(path)]
+    rc = main(base + ["--scenarios", "steady", "scale_out"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "ghost-plane cluster rows (scale_out)" in out
@@ -190,18 +205,18 @@ def test_cli_bench_scale_out_rows(tmp_path, capsys):
         assert row["ghost_dataplane"] is True
         assert row["consistent"] is True
     assert payload["perf"]["scale_out/tsue"]["ghost_dataplane"] == 1.0
-    # Registry rows stay plane-free: no ghost key anywhere in them.
-    for row in payload["scenarios"].values():
-        assert "ghost_dataplane" not in row
-    # "none" skips the sweep entirely.
-    rc = main(base + ["--scale-out-scenario", "none", "--json", str(path)])
+    # Only the scale_out rows are on the ghost plane.
+    assert "ghost_dataplane" not in payload["scenarios"]["steady"]
+    assert payload["scenarios"]["scale_out"]["ghost_dataplane"] is True
+    # Not selecting the scenario skips its sweep entirely.
+    rc = main(base + ["--scenarios", "steady"])
     assert rc == 0
     capsys.readouterr()
-    assert "scale_out" not in json.loads(path.read_text())
+    assert set(json.loads(path.read_text())) == {"bench", "scenarios", "perf"}
 
 
 def test_baseline_drift_reports_leaf_paths():
-    from repro.cli import _baseline_drift
+    from repro.workload.results import baseline_drift as _baseline_drift
 
     base = {
         "scenarios": {

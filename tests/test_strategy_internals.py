@@ -1,10 +1,15 @@
 """White-box tests of strategy-specific mechanisms."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.harness.experiment import drain_all
+from repro.logstruct.index import TwoLevelIndex
 from repro.sim import Simulator
 from repro.update import make_strategy_factory
 
@@ -107,6 +112,48 @@ def test_parix_orig_refresh_survives_compaction():
     assert cluster.stripe_consistent(inode, 0)
     blk = cluster.osd_by_name(cluster.placement(inode, 0)[0]).store.peek((inode, 0, 0))
     assert np.all(blk[100:700] == 7)
+
+
+def _insert_orig_uncovered_bitmap(self, key, offset, data):
+    """The per-byte bitmap original-insert PARIX shipped before it moved to
+    IntervalSet — kept here as the reference the property test compares."""
+    covered = self.orig_index.lookup_partial(key, offset, int(data.size))
+    have = np.zeros(int(data.size), dtype=bool)
+    for a, frag in covered:
+        have[a - offset : a - offset + frag.size] = True
+    idx = np.flatnonzero(~have)
+    if idx.size == 0:
+        return
+    breaks = np.flatnonzero(np.diff(idx) > 1)
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.concatenate((breaks, [idx.size - 1]))
+    for s_i, e_i in zip(starts, ends):
+        lo, hi = int(idx[s_i]), int(idx[e_i]) + 1
+        self.orig_index.insert(key, offset + lo, data[lo:hi])
+        self.orig_bytes += hi - lo
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 96), st.integers(1, 40)), max_size=12))
+def test_parix_original_insert_matches_bitmap_reference(ranges):
+    """First-wins originals: same fragments, same order, same byte count."""
+    from repro.update.parix import PARIXStrategy
+
+    def fresh():
+        return SimpleNamespace(
+            orig_index=TwoLevelIndex("overwrite", inplace_merge=False), orig_bytes=0
+        )
+
+    got, want = fresh(), fresh()
+    for version, (offset, length) in enumerate(ranges, 1):
+        data = np.full(length, version, dtype=np.uint8)
+        PARIXStrategy._insert_orig_uncovered(got, "blk", offset, data)
+        _insert_orig_uncovered_bitmap(want, "blk", offset, data)
+        assert got.orig_bytes == want.orig_bytes
+        segs, ref = got.orig_index.segments("blk"), want.orig_index.segments("blk")
+        assert [(s.offset, s.data.tolist()) for s in segs] == [
+            (s.offset, s.data.tolist()) for s in ref
+        ]
 
 
 # ----------------------------------------------------------------------
