@@ -112,8 +112,49 @@ class StorageDevice:
         return sequential
 
     # ------------------------------------------------------------------
-    # simulated I/O (generators for `yield from` inside processes)
+    # simulated I/O: ``submit_*`` issue a command and return its completion
+    # instant; ``read``/``write`` (generators for `yield from` inside
+    # processes) issue and then sleep until exactly that instant.
     # ------------------------------------------------------------------
+    def submit_read(
+        self,
+        nbytes: int,
+        zone: str = "data",
+        offset: int = 0,
+        pattern: Optional[str] = None,
+    ) -> float:
+        """Issue one read now; return the instant it completes.
+
+        Everything a command costs is fixed here — pattern, service time
+        (fail-slow factor read at issue), counters, the channel claim.
+        Waiting for the returned instant is the caller's separate step.
+        """
+        sequential = self._resolve_pattern(pattern, zone, offset, nbytes)
+        dt = self.service_time("read", nbytes, sequential)
+        self.counters.record_read(nbytes, sequential)
+        if self.trace_hook is not None:
+            self._trace("read", zone, offset, nbytes, sequential, False, dt)
+        return self._project(dt)
+
+    def submit_write(
+        self,
+        nbytes: int,
+        zone: str = "data",
+        offset: int = 0,
+        pattern: Optional[str] = None,
+        overwrite: bool = False,
+    ) -> float:
+        """Issue one write now; return the instant it completes
+        (``overwrite=True`` marks an in-place update).  See ``submit_read``."""
+        sequential = self._resolve_pattern(pattern, zone, offset, nbytes)
+        dt = self.service_time("write", nbytes, sequential)
+        self.counters.record_write(nbytes, sequential, overwrite)
+        if self.profile.is_flash:
+            self.wear.record_write(nbytes, sequential, overwrite)
+        if self.trace_hook is not None:
+            self._trace("write", zone, offset, nbytes, sequential, overwrite, dt)
+        return self._project(dt)
+
     def read(
         self,
         nbytes: int,
@@ -122,12 +163,7 @@ class StorageDevice:
         pattern: Optional[str] = None,
     ):
         """Simulate one read; completes after queueing + service time."""
-        sequential = self._resolve_pattern(pattern, zone, offset, nbytes)
-        dt = self.service_time("read", nbytes, sequential)
-        self.counters.record_read(nbytes, sequential)
-        if self.trace_hook is not None:
-            self._trace("read", zone, offset, nbytes, sequential, False, dt)
-        yield At(self._project(dt))
+        yield At(self.submit_read(nbytes, zone, offset, pattern))
 
     def write(
         self,
@@ -138,14 +174,7 @@ class StorageDevice:
         overwrite: bool = False,
     ):
         """Simulate one write; ``overwrite=True`` marks an in-place update."""
-        sequential = self._resolve_pattern(pattern, zone, offset, nbytes)
-        dt = self.service_time("write", nbytes, sequential)
-        self.counters.record_write(nbytes, sequential, overwrite)
-        if self.profile.is_flash:
-            self.wear.record_write(nbytes, sequential, overwrite)
-        if self.trace_hook is not None:
-            self._trace("write", zone, offset, nbytes, sequential, overwrite, dt)
-        yield At(self._project(dt))
+        yield At(self.submit_write(nbytes, zone, offset, pattern, overwrite))
 
     def _project(self, dt: float) -> float:
         """Claim a channel for ``dt`` seconds; return the completion instant.

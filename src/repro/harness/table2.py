@@ -2,7 +2,9 @@
 
 Runs TSUE under RS(12,4) on both cloud traces and reports the mean
 append / buffer / recycle residency per log layer plus the end-to-end
-total, in microseconds — the paper's Table 2 layout.
+total, in microseconds — the paper's Table 2 layout.  APPEND is entry to
+ack-ready (``ResidencyTracker``): for the DataLog that is the later of the
+local persist and the replica round trip, which run concurrently.
 
 The paper measures ~10 s totals with 16 MB units on hour-scale replays;
 residency scales with unit size and fill rate (§5.3.5 notes halving the

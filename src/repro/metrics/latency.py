@@ -307,7 +307,11 @@ class ResidencyTracker:
 
     Each log layer reports three phases, recorded by different actors:
 
-    * ``append`` — synchronous/forward append duration (front end);
+    * ``append`` — entry of the append to ack-ready.  DataLog: from
+      ``on_update`` entry to the instant both the local persist and every
+      replica forward are done (the two overlap, so this is their max,
+      not their sum).  DeltaLog / ParityLog: from handler entry to the
+      message's last persist completing;
     * ``buffer`` — wait between append and recycle start (recycler);
     * ``recycle`` — per-entry processing time inside the recycler.
     """

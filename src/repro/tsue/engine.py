@@ -3,9 +3,10 @@
 Data flow (Fig. 2 of the paper):
 
 1. **Front end** (synchronous): ``append_datalog`` puts the update into the
-   right DataLog pool (hash of the block identity), persists it with one
-   sequential device write, and the hosting strategy forwards a replica to
-   the ring neighbour before acking the client.
+   right DataLog pool (hash of the block identity), *submits* its persist
+   (one sequential device write) and returns the completion instant; the
+   hosting strategy forwards a replica to the ring neighbour meanwhile and
+   acks the client once both are durable.
 2. **DataLog recycle** (async): merged segments per block -> one random
    read + one random write on the data block per *merged* segment, deltas
    forwarded to the DeltaLogs of the first two parity OSDs of the stripe.
@@ -14,6 +15,10 @@ Data flow (Fig. 2 of the paper):
    combined deltas forwarded to each ParityLog.
 4. **ParityLog recycle** (async): merged parity-delta segments -> one
    random read + XOR + one random write on the parity block each.
+
+A ``tsue_delta`` message is one persisted append on both DeltaLog copies
+(one sequential write of payloads + one header per entry; the primary also
+fills its pool); ParityLog entries are persisted one by one.
 
 Ablation knobs (Fig. 7): O1/O2 toggle merged-vs-raw recycling in the
 Data/Parity logs, O3 toggles the multi-unit FIFO pool against a single
@@ -211,23 +216,32 @@ class TSUEEngine:
             if not ev.triggered:
                 ev.succeed()
 
-    def _append_with_backpressure(self, pools, key, offset, data):
-        """Pool append + sequential device persist; waits when at quota."""
-        pool = self._pool_for(pools, key)
+    def _pool_append(self, pool: LogPool, key, offset, data):
+        """Append to the pool, waiting while it is at quota (yields nothing
+        when there is room)."""
         while not pool.append(key, offset, data, self.sim.now):
             yield self._wait_space(pool)
-        yield from self.osd.device.write(
-            int(data.size) + ENTRY_HEADER_BYTES,
-            zone=self._pool_zone[id(pool)],
-            pattern="seq",
-            overwrite=False,
-        )
 
     # ------------------------------------------------------------------
     # front end
     # ------------------------------------------------------------------
     def append_datalog(self, key: BlockKey, offset: int, data: np.ndarray):
-        yield from self._append_with_backpressure(self.data_pools, key, offset, data)
+        """Record the update in the local DataLog and *issue* its persist.
+
+        Returns the instant the sequential write completes without waiting
+        for it: the caller overlaps the replica forward with the local
+        persist and acks at the later of the two (``TSUEStrategy.on_update``).
+        Back-pressure is on the submit — a full pool delays the issue, not
+        just the ack.
+        """
+        pool = self._pool_for(self.data_pools, key)
+        yield from self._pool_append(pool, key, offset, data)
+        return self.osd.device.submit_write(
+            int(data.size) + ENTRY_HEADER_BYTES,
+            zone=self._pool_zone[id(pool)],
+            pattern="seq",
+            overwrite=False,
+        )
 
     def append_replica_datalog(self, key: BlockKey, offset: int, data: np.ndarray):
         """Replica DataLog: persisted sequentially, no memory pool (§4.1)."""
@@ -240,26 +254,42 @@ class TSUEEngine:
         self._replica_bytes += int(data.size)
 
     def append_deltalog(self, key: BlockKey, entries, primary: bool):
-        """DeltaLog append: primary goes to the pool, replica persists only."""
+        """DeltaLog append: one persisted message on either copy — payloads
+        plus a header per entry in one sequential write.  The primary also
+        puts every entry into the pool (waiting for space); the replica
+        persists only."""
+        nbytes = sum(int(d.size) for _, d in entries)
         if primary:
+            pool = self._pool_for(self.delta_pools, key)
             for offset, delta in entries:
-                yield from self._append_with_backpressure(
-                    self.delta_pools, key, offset, delta
-                )
+                yield from self._pool_append(pool, key, offset, delta)
+            zone = self._pool_zone[id(pool)]
         else:
-            total = sum(int(d.size) for _, d in entries)
-            yield from self.osd.device.write(
-                total + ENTRY_HEADER_BYTES,
-                zone="xlog_rep",
-                pattern="seq",
-                overwrite=False,
-            )
-            self._replica_bytes += total
+            zone = "xlog_rep"
+            self._replica_bytes += nbytes
+        yield from self.osd.device.write(
+            nbytes + len(entries) * ENTRY_HEADER_BYTES,
+            zone=zone,
+            pattern="seq",
+            overwrite=False,
+        )
 
     def append_paritylog(self, pkey: BlockKey, entries):
+        """ParityLog append: each entry into the pool and persisted.
+
+        Per entry, unlike the DeltaLog: one write per message was measured
+        in PR 21 and takes Fig. 7's O1 > O2 ordering on Ali-Cloud with it
+        (``benchmarks/results/rebaseline_pr21_sync_overlap.md``).
+        """
+        pool = self._pool_for(self.parity_pools, pkey)
+        zone = self._pool_zone[id(pool)]
         for offset, pdelta in entries:
-            yield from self._append_with_backpressure(
-                self.parity_pools, pkey, offset, pdelta
+            yield from self._pool_append(pool, pkey, offset, pdelta)
+            yield from self.osd.device.write(
+                int(pdelta.size) + ENTRY_HEADER_BYTES,
+                zone=zone,
+                pattern="seq",
+                overwrite=False,
             )
 
     # ------------------------------------------------------------------
@@ -336,7 +366,7 @@ class TSUEEngine:
                 # A crashing job must still count towards unit completion:
                 # otherwise state["left"] never reaches zero, the unit stays
                 # RECYCLING forever, _notify_space never fires, and every
-                # appender blocked in _append_with_backpressure deadlocks.
+                # appender blocked in _pool_append deadlocks.
                 # Interrupt (engine stopping) and GeneratorExit (GC closing
                 # an abandoned run) re-raise *without* the accounting — an
                 # aborted job is not a completed one.

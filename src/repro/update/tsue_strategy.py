@@ -1,8 +1,13 @@
 """TSUE as an :class:`UpdateStrategy` (front end + handler wiring).
 
-The synchronous path is exactly Fig. 2's front end: append the raw update to
-the local DataLog (one sequential write), forward it to the ring-neighbour
-replica DataLog, ack.  Everything else lives in :class:`repro.tsue.TSUEEngine`.
+The synchronous path is exactly Fig. 2's front end: record the raw update in
+the local DataLog and issue its persist (one sequential write), forward it
+to the ring-neighbour replica DataLog while that write is in flight, ack
+once both are durable — at ``max(local persist, replica round trip)``, never
+before either.  The two share no data and no resource (local SSD channel vs
+NIC + the neighbour's SSD), so neither waits for the other
+(``docs/dataplane.md``, "Issue and wait are two steps").  Everything else
+lives in :class:`repro.tsue.TSUEEngine`.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.sim.core import At
 from repro.sim.events import AllOf
 from repro.tsue.engine import DATA, DELTA, PARITY, TSUEConfig, TSUEEngine
 from repro.update.base import BlockKey, UpdateStrategy
@@ -47,7 +53,7 @@ class TSUEStrategy(UpdateStrategy):
     # ------------------------------------------------------------------
     def on_update(self, key: BlockKey, offset: int, data: np.ndarray):
         t0 = self.sim.now
-        yield from self.engine.append_datalog(key, offset, data)
+        persisted = yield from self.engine.append_datalog(key, offset, data)
         n_replicas = self.engine.config.replicas - 1
         if n_replicas == 1:
             # The common geometry (2 DataLog copies): one replica forward,
@@ -75,6 +81,11 @@ class TSUEStrategy(UpdateStrategy):
                     )
                 )
             yield AllOf(self.sim, calls)
+        # The local persist was issued before the forwards and shares
+        # nothing with them: ack at the later of the two, never before
+        # either.  Already past means durable — no sleep, no event.
+        if persisted > self.sim.now:
+            yield At(persisted)
         self.engine.residency.record_append(DATA, self.sim.now - t0)
 
     # ------------------------------------------------------------------

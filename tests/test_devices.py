@@ -1,6 +1,9 @@
 """Tests for the storage device models."""
 
 import dataclasses
+import inspect
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.devices import HDD, SSD, HDD_2TB_7200, SSD_DATACENTER_400GB, StorageDevice
 from repro.sim import Interrupt, Resource, Simulator
+from repro.sim.core import At
 
 
 def test_ssd_random_small_io_much_slower_than_sequential():
@@ -193,14 +197,19 @@ def test_bad_pattern_rejected():
 # ----------------------------------------------------------------------
 # projected completion == an independent FIFO k-server queue
 # ----------------------------------------------------------------------
-def _completions(profile, commands, faults, reference):
+_SUBMIT_LAG = 5e-6  # what a "submit" issuer does before it waits
+
+
+def _completions(profile, commands, faults, mode):
     """Completion instant of every command on one device.
 
-    ``reference=True`` does not use the device's I/O path at all: it runs a
-    FIFO queue in front of ``channels`` servers built from
+    ``mode="reference"`` does not use the device's I/O path at all: it runs
+    a FIFO queue in front of ``channels`` servers built from
     ``Resource.request``/``release`` (no busy-until clocks) and takes only
     the ``service_time()`` math — fixed when a command is issued — from the
-    device object.
+    device object.  ``"blocking"`` goes through ``read``/``write``;
+    ``"submit"`` issues with ``submit_*``, does something else for
+    ``_SUBMIT_LAG`` and only then waits for the returned instant.
     """
     sim = Simulator()
     dev = StorageDevice(sim, profile)
@@ -216,15 +225,24 @@ def _completions(profile, commands, faults, reference):
 
     def command(i, at, op, nbytes, sequential):
         yield at
-        if reference:
+        pattern = "seq" if sequential else "rand"
+        if mode == "reference":
             dt = dev.service_time(op, nbytes, sequential)
             yield servers.request()
             yield dt
             servers.release()
-        else:
+            done[i] = sim.now
+        elif mode == "blocking":
             io = dev.read if op == "read" else dev.write
-            yield from io(nbytes, pattern="seq" if sequential else "rand")
-        done[i] = sim.now
+            yield from io(nbytes, pattern=pattern)
+            done[i] = sim.now
+        else:
+            submit = dev.submit_read if op == "read" else dev.submit_write
+            done[i] = t = submit(nbytes, pattern=pattern)
+            yield _SUBMIT_LAG
+            if t > sim.now:
+                yield At(t)
+                assert sim.now == t
 
     for at, factor in faults:
         sim.process(fault(at, factor))
@@ -256,9 +274,11 @@ _device_fault = st.tuples(
 @settings(max_examples=150, deadline=None)
 def test_device_completions_match_fifo_k_server_reference(channels, commands, faults):
     profile = dataclasses.replace(SSD_DATACENTER_400GB, channels=channels)
-    got = _completions(profile, commands, faults, reference=False)
-    want = _completions(profile, commands, faults, reference=True)
-    assert got == want  # the same floats, not approximately
+    want = _completions(profile, commands, faults, "reference")
+    # The same floats, not approximately — whether the issuer sleeps inside
+    # read/write or submits and waits later.
+    assert _completions(profile, commands, faults, "blocking") == want
+    assert _completions(profile, commands, faults, "submit") == want
 
 
 def test_interrupted_io_keeps_its_channel_until_the_projected_instant():
@@ -292,12 +312,47 @@ def test_interrupted_io_keeps_its_channel_until_the_projected_instant():
     sim.process(killer())
     sim.process(writer("next", dt / 2))
     sim.process(writer("later", 10 * dt))
+
+    def fire_and_forget():
+        # Submitted, never awaited: same rule, nobody was ever waiting.
+        yield 20 * dt
+        log.append(("submitted-for", dev.submit_write(64 * 1024, pattern="rand")))
+
+    sim.process(fire_and_forget())
+    sim.process(writer("behind-unawaited", 20 * dt + dt / 2))
+    sim.process(writer("last", 30 * dt))
     sim.run()
     assert log == [
         ("victim-interrupted", dt / 4),
         ("next", dt + dt),  # started at the victim's projected completion
         ("later", 10 * dt + dt),  # idle device: nothing leaked
+        ("submitted-for", 20 * dt + dt),
+        ("behind-unawaited", 20 * dt + dt + dt),  # queued behind its instant
+        ("last", 30 * dt + dt),
     ]
     assert not v.is_alive
-    # Accounting is by submission: the interrupted command was issued.
-    assert dev.counters.write_ops_rand == 3
+    # Accounting is by submission, once per command: the interrupted and
+    # the never-awaited command were both issued.
+    assert dev.counters.write_ops_rand == 6
+    assert dev.counters.write_bytes == 6 * 64 * 1024
+
+
+def test_project_has_exactly_two_callers_and_read_write_no_cost_logic():
+    """Issue and wait are two steps with ONE body: only ``submit_read`` and
+    ``submit_write`` claim a channel, and ``read``/``write`` are nothing
+    but a sleep until the instant those return."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    call = re.compile(r"\b_project\(")
+    sites = [
+        f"{path.relative_to(src)}:{line.strip()}"
+        for path in sorted(src.rglob("*.py"))
+        for line in path.read_text().splitlines()
+        if call.search(line) and not line.lstrip().startswith("def ")
+    ]
+    assert sites == ["devices/base.py:return self._project(dt)"] * 2
+    for name in ("read", "write"):
+        body = inspect.getsource(getattr(StorageDevice, name))
+        assert f"yield At(self.submit_{name}(" in body
+        assert not re.search(
+            r"service_time|counters|wear|_trace|_project|_resolve_pattern", body
+        )

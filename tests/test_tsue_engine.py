@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.harness.experiment import drain_all
@@ -240,7 +242,7 @@ def test_recycle_job_failure_unblocks_backpressure():
 
     Before the fix, a job that raised left state["left"] undecremented, so
     the unit never finished recycling, _notify_space never fired, and every
-    appender waiting in _append_with_backpressure deadlocked forever.
+    appender waiting in _pool_append deadlocked forever.
     """
     sim, cluster, client, inode = build(
         unit_bytes=2 * 1024, min_units=1, max_units=1, n_pools=1
@@ -309,3 +311,162 @@ def test_append_zone_precomputed_per_pool():
         for i, pool in enumerate(pools):
             assert eng._pool_zone[id(pool)] == f"{prefix}{i}"
     cluster.stop()
+
+
+# ----------------------------------------------------------------------
+# the ack rule is a durability rule: ack == max(local persist, replica
+# round trips), never before either
+# ----------------------------------------------------------------------
+def _spy_submits(osd, log):
+    """Record (zone, issue instant, completion instant) of every write the
+    OSD's device is handed — awaited or not."""
+    dev = osd.device
+    orig = dev.submit_write
+
+    def submit_write(nbytes, zone="data", *args, **kwargs):
+        done = orig(nbytes, zone, *args, **kwargs)
+        log.append((zone, osd.sim.now, done))
+        return done
+
+    dev.submit_write = submit_write
+
+
+def _ack_instants(replicas, slow_factor=1.0, extra_latency=0.0):
+    """One update through ``on_update`` on an idle toy cluster: the instants
+    of the local persist, each replica's persist, each replica's reply
+    reaching the primary, and the ack."""
+    sim, cluster, client, inode = build(
+        replicas=replicas, flush_age=10.0, flush_interval=5.0
+    )
+    key = (inode, 0, 0)
+    primary = cluster.osd_by_name(cluster.osd_of_block(*key))
+    neighbours = [
+        cluster.osd_by_name(cluster.ring_neighbor(primary.name, r))
+        for r in range(1, replicas)
+    ]
+    local, remote, replies = [], [], []
+    _spy_submits(primary, local)
+    for osd in neighbours:
+        _spy_submits(osd, remote)
+        if extra_latency:
+            cluster.fabric.degrade_link(osd.name, extra_latency=extra_latency)
+    if slow_factor != 1.0:
+        primary.device.degrade(slow_factor)
+    rpc = primary.rpc
+
+    def spy_rpc(dst, kind, payload, nbytes=0):
+        reply = yield from rpc(dst, kind, payload, nbytes=nbytes)
+        replies.append(sim.now)
+        return reply
+
+    primary.rpc = spy_rpc
+
+    def one():
+        yield from primary.strategy.on_update(key, 0, np.full(512, 3, dtype=np.uint8))
+        return sim.now
+
+    ack = run_to(sim, sim.process(one()))
+    cluster.stop()
+    assert [zone[:4] for zone, _, _ in local] == ["dlog"]
+    assert [zone for zone, _, _ in remote] == ["dlog_rep"] * (replicas - 1)
+    assert local[0][1] == 0.0  # issued on entry, before any forward
+    return ack, local[0][2], [done for _, _, done in remote], replies
+
+
+@pytest.mark.parametrize("replicas", [1, 2, 3])
+def test_ack_instant_is_max_of_local_persist_and_replica_replies(replicas):
+    ack, persisted, remote, replies = _ack_instants(replicas)
+    assert len(replies) == len(remote) == replicas - 1
+    assert ack == max([persisted] + replies)  # the same float
+    if replicas == 1:
+        assert ack == persisted
+    else:
+        # Healthy geometry: the round trip outlasts the local persist, and
+        # every reply left its replica after that replica's persist.
+        assert ack == max(replies) > persisted
+        assert all(r > p for r, p in zip(sorted(replies), sorted(remote)))
+
+
+@given(
+    replicas=st.sampled_from([2, 3]),
+    slow_factor=st.floats(1.0, 40.0),
+    extra_latency=st.floats(0.0, 2e-3),
+)
+@settings(max_examples=30, deadline=None)
+def test_ack_never_precedes_a_persist_and_tracks_the_slower(
+    replicas, slow_factor, extra_latency
+):
+    ack, persisted, remote, replies = _ack_instants(
+        replicas, slow_factor=slow_factor, extra_latency=extra_latency
+    )
+    assert ack >= persisted and all(ack >= p for p in remote)
+    assert ack == max([persisted] + replies)
+    # Whichever side is slower sets the ack — a fail-slow primary is not
+    # hidden behind a fast replica, nor a slow link behind a fast SSD.
+    assert (ack == persisted) == (persisted >= max(replies))
+
+
+def test_full_pool_delays_the_submit_not_just_the_ack():
+    sim, cluster, client, inode = build(
+        unit_bytes=2 * 1024, min_units=1, max_units=1, n_pools=1
+    )
+    key = (inode, 0, 0)
+    primary = cluster.osd_by_name(cluster.osd_of_block(*key))
+    submits = []
+    _spy_submits(primary, submits)
+    rows = []
+
+    def many():
+        for i in range(24):
+            entered = sim.now
+            yield from primary.strategy.on_update(
+                key, 0, np.full(256, i, dtype=np.uint8)
+            )
+            issued, persisted = next(
+                (t, done) for zone, t, done in submits
+                if zone == "dlog0" and t >= entered
+            )
+            rows.append((entered, issued, persisted, sim.now))
+
+    run_to(sim, sim.process(many()))
+    run_to(sim, sim.process(drain_all(cluster)))
+    cluster.stop()
+    assert all(e <= i < p <= ack for e, i, p, ack in rows)
+    # The pool filled at least once, and then the persist was not even
+    # issued until a recycle freed space.
+    assert any(issued > entered for entered, issued, _, _ in rows)
+    assert cluster.stripe_consistent(inode, 0)
+
+
+def test_primary_crash_between_submit_and_ack_is_retried_and_drains_clean():
+    from repro.recovery import fail_osd, recover_node, scrub
+
+    sim, cluster, client, inode = build()
+    primary = cluster.osd_by_name(cluster.osd_of_block(inode, 0, 0))
+    submits = []
+    _spy_submits(primary, submits)
+    payload = np.full(300, 0xA5, dtype=np.uint8)
+    p = sim.process(client.update(inode, 10, payload))
+    while not submits:
+        sim.step()
+    # Persist issued, replica forward in flight, nothing acked: crash here.
+    assert submits[0][2] > sim.now and not p.fired
+    fail_osd(cluster, primary.name, mode="crash")
+    res = recover_node(cluster, primary.name, repair=True)
+    assert res.correct
+    run_to(sim, p)
+    assert client.update_retries == 1
+    # The submitted-but-unacked command was charged once; the retry is a
+    # second command, not a second charge of the first.
+    assert len([s for s in submits if s[0].startswith("dlog")]) == 2
+
+    def rd():
+        return (yield from client.read(inode, 10, 300))
+
+    assert np.array_equal(run_to(sim, sim.process(rd())), payload)
+    run_to(sim, sim.process(drain_all(cluster)))
+    targets = [(inode, 0), (inode, 1)]
+    assert all(cluster.stripe_consistent(*t) for t in targets)
+    report = run_to(sim, sim.process(scrub(cluster, targets, force=True)))
+    cluster.stop()
+    assert report.clean and report.stripes_checked == 2
