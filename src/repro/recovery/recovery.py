@@ -7,7 +7,7 @@ real-time recycle leaves almost nothing to drain and FO has no logs at all.
 Fig. 8b reports the resulting effective recovery bandwidth.
 
 Reconstruction itself: for every block the failed OSD hosted, a rebuilder
-(the ring-successor OSD) pulls the k cheapest surviving blocks of the
+(the ring-successor OSD) pulls the k lowest-indexed live blocks of the
 stripe, decodes, and writes the lost block sequentially.  Recovery then
 *restores* the victim: the rebuilt blocks are installed as its replacement
 disk and its serving plane restarts, so post-recovery reads find the data
@@ -36,7 +36,8 @@ import numpy as np
 
 from repro.cluster import Cluster
 from repro.fs.messages import HostDownError
-from repro.sim.events import AllOf, AnyOf
+from repro.recovery.scrub import check_stripe, pull_blocks, windowed
+from repro.sim.events import AnyOf
 
 
 @dataclass
@@ -56,6 +57,7 @@ class RecoveryResult:
     # and the time the verification+rewrite pass took.
     parity_repaired: int = 0
     repair_seconds: float = 0.0
+    started_at: float = 0.0  # recovery began; the outage before it is detection
 
     @property
     def total_seconds(self) -> float:
@@ -195,14 +197,16 @@ def recover_node_proc(
        still dropped below before reconstruction.
     2. **Rebuild** — the ring-successor pulls k live blocks per lost block
        (excluding every currently-down OSD, so an m>1 double fault still
-       decodes), reconstructs, and writes sequentially.  Sources that crash
-       mid-pull are dropped and the pull retried against the survivors.
+       decodes), reconstructs, and writes sequentially, a sliding window
+       of ``parallelism`` blocks in flight.  Sources that crash mid-pull
+       are dropped and the pull retried against the survivors.
     3. **Restore** — the rebuilt blocks are installed as the victim's
        replacement disk, its serving plane/heartbeat restart, and its
        down-mark clears, so placement-directed reads work again.
     4. **Repair** (``repair=True``; failure scenarios use this) — every
-       stripe the victim participated in is read back and its parity
-       re-encoded from data where it mismatches.  A crash can tear an
+       stripe the victim participated in is read back by one of its own
+       members and its parity re-encoded from data where it mismatches,
+       ``parallelism`` stripes at a time.  A crash can tear an
        in-flight update (data written, one parity's delta lost with the
        dead node); the client retries the update, but its recomputed delta
        is zero once the data bytes match, so only re-encoding heals the
@@ -259,19 +263,8 @@ def recover_node_proc(
                         f"stripe ({inode},{stripe}) has only {len(sources)} "
                         f"live blocks; unrecoverable with k={k}"
                     )
-                pulls = [
-                    sim.process(
-                        rebuilder.rpc(
-                            osd_name,
-                            "recovery_read",
-                            {"key": (inode, stripe, b)},
-                            nbytes=24,
-                        )
-                    )
-                    for b, osd_name in sources
-                ]
                 try:
-                    replies = yield AllOf(sim, pulls)
+                    replies = yield pull_blocks(rebuilder, inode, stripe, sources)
                     break
                 except HostDownError:
                     # A source died mid-pull; re-plan against the survivors.
@@ -281,20 +274,11 @@ def recover_node_proc(
             yield from rebuilder.store.write_block(key, rebuilt, pattern="seq")
             return key, rebuilt
 
-        results: Dict[Tuple[int, int, int], np.ndarray] = {}
-
-        def driver():
-            pending = list(keys)
-            while pending:
-                batch = pending[:parallelism]
-                del pending[:parallelism]
-                procs = [sim.process(rebuild_one(key)) for key in batch]
-                done = yield AllOf(sim, procs)
-                for key, blk in done:
-                    results[key] = blk
-
         _ensure_recovery_handlers(cluster)
-        yield from driver()
+        jobs = [rebuild_one(key) for key in keys]
+        results: Dict[Tuple[int, int, int], np.ndarray] = dict(
+            (yield from windowed(sim, jobs, parallelism))
+        )
         rebuild_seconds = sim.now - t_rebuild
 
         mismatched: List[Tuple[int, int, int]] = []
@@ -328,7 +312,7 @@ def recover_node_proc(
         repair_seconds = 0.0
         if repair:
             t_repair = sim.now
-            repaired = yield from _repair_stripes(cluster, failed_osd)
+            repaired = yield from _repair_stripes(cluster, failed_osd, parallelism)
             repair_seconds = sim.now - t_repair
 
         if restore:
@@ -349,6 +333,7 @@ def recover_node_proc(
         mismatched=mismatched,
         parity_repaired=repaired,
         repair_seconds=repair_seconds,
+        started_at=t_start,
     )
 
 
@@ -375,65 +360,34 @@ def _revive_down_serving_planes(cluster: Cluster, stop):
         yield AnyOf(sim, [sim.timeout(1e-3), stop])
 
 
-def _repair_stripes(cluster: Cluster, failed_osd: str):
-    """Verify-and-rewrite parity of every stripe ``failed_osd`` is in.
-
-    Reads all k+m blocks of each such stripe (costed, via the recovery
-    read path), re-encodes, and rewrites any parity block that disagrees.
+def _repair_stripes(cluster: Cluster, failed_osd: str, parallelism: int = 8):
+    """Verify-and-rewrite parity of every stripe ``failed_osd`` is in:
+    one ``check_stripe(rewrite=True)`` each (all k+m blocks read, costed,
+    by a member of the stripe), ``parallelism`` stripes at a time.
     Returns the number of stripes repaired (generator).
     """
     sim = cluster.sim
-    cfg = cluster.config
-    span = cfg.k * cfg.block_size
-    _ensure_recovery_handlers(cluster)
-    reader = cluster.osd_by_name(cluster.replica_of(failed_osd))
-    repaired = 0
-    for inode, meta in sorted(cluster.mds.files.items()):
-        for stripe in range(meta.size // span):
-            names = cluster.placement(inode, stripe)
-            if failed_osd not in names:
-                continue
-            while True:
-                try:
-                    pulls = [
-                        sim.process(
-                            reader.rpc(
-                                names[b], "recovery_read",
-                                {"key": (inode, stripe, b)}, nbytes=24,
-                            )
-                        )
-                        for b in range(cfg.k + cfg.m)
-                    ]
-                    replies = yield AllOf(sim, pulls)
-                    blocks = [rep["data"] for rep in replies]
-                    expect = cluster.codec.encode(blocks[: cfg.k])
-                    bad = [
-                        p for p in range(cfg.m)
-                        if not np.array_equal(blocks[cfg.k + p], expect[p])
-                    ]
-                    if bad:
-                        writes = [
-                            sim.process(
-                                reader.rpc(
-                                    names[cfg.k + p],
-                                    "recovery_write",
-                                    {"key": (inode, stripe, cfg.k + p),
-                                     "data": expect[p]},
-                                    nbytes=cfg.block_size,
-                                )
-                            )
-                            for p in bad
-                        ]
-                        yield AllOf(sim, writes)
-                        repaired += 1
-                    break
-                except HostDownError:
-                    # A member crashed mid-repair.  The reviver (running for
-                    # the whole recovery) brings its serving plane back, so
-                    # retry this stripe; the fresh crash victim gets its own
-                    # drain + repair pass when it is recovered next.
-                    yield sim.timeout(1e-3)
-    return repaired
+    span = cluster.config.k * cluster.config.block_size
+
+    def heal(inode, stripe):
+        while True:
+            try:
+                bad = yield from check_stripe(cluster, inode, stripe, rewrite=True)
+                return bool(bad)
+            except HostDownError:
+                # A member crashed mid-repair.  The reviver (running for
+                # the whole recovery) brings its serving plane back, so
+                # retry this stripe; the fresh crash victim gets its own
+                # drain + repair pass when it is recovered next.
+                yield sim.timeout(1e-3)
+
+    jobs = [
+        heal(inode, stripe)
+        for inode, meta in sorted(cluster.mds.files.items())
+        for stripe in range(meta.size // span)
+        if failed_osd in cluster.placement(inode, stripe)
+    ]
+    return sum((yield from windowed(sim, jobs, parallelism)))
 
 
 def _ensure_recovery_handlers(cluster: Cluster) -> None:

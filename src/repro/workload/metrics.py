@@ -51,6 +51,15 @@ def recovery_metrics(cluster, injector, recoveries, scrub_report, horizon) -> di
         outage_rec.latencies.extend(window_samples(c.read_latency, windows))
     outage_read_p99 = outage_rec.percentile(99.0)
 
+    # Detection: each victim's down-mark to the start of its recovery.  On a
+    # single-crash run downtime_s == detect_s + drain_s + rebuild_s + repair_s.
+    detect_s = sum(
+        r.started_at - max(
+            t0 for name, t0, _t1 in cluster.down_windows
+            if name == r.failed_osd and t0 <= r.started_at
+        )
+        for r in recoveries
+    )
     drain_s = sum(r.drain_seconds for r in recoveries)
     rebuild_s = sum(r.rebuild_seconds for r in recoveries)
     recovered = sum(r.bytes_recovered for r in recoveries)
@@ -63,6 +72,7 @@ def recovery_metrics(cluster, injector, recoveries, scrub_report, horizon) -> di
         ),
         "recoveries": float(len(recoveries)),
         "downtime_s": downtime,
+        "detect_s": detect_s,
         "drain_s": drain_s,
         "rebuild_s": rebuild_s,
         "repair_s": sum(r.repair_seconds for r in recoveries),

@@ -113,9 +113,11 @@ class ScenarioResult:
                 f"\n  failures   : {r['failures']:.0f} "
                 f"({r['recoveries']:.0f} rebuilt), "
                 f"downtime {r['downtime_s'] * 1e3:,.1f} ms\n"
-                f"  recovery   : drain {r['drain_s'] * 1e3:,.2f} ms + "
-                f"rebuild {r['rebuild_s'] * 1e3:,.2f} ms "
-                f"-> {r['recovery_mbps']:,.1f} MB/s "
+                f"  outage     : detect {r['detect_s'] * 1e3:,.2f} ms + "
+                f"drain {r['drain_s'] * 1e3:,.2f} ms + "
+                f"rebuild {r['rebuild_s'] * 1e3:,.2f} ms + "
+                f"repair {r['repair_s'] * 1e3:,.2f} ms\n"
+                f"  recovery   : {r['recovery_mbps']:,.1f} MB/s "
                 f"({r['parity_repaired']:.0f} stripes repaired)\n"
                 f"  degraded   : {r['degraded_reads']:.0f} reads "
                 f"(p99 {r['degraded_read_p99_us']:,.1f} us) | "

@@ -327,6 +327,13 @@ def test_rebuild_under_load_all_methods(method):
     assert rec["scrub_clean"] is True and rec["scrub_stripes"] == 16
     assert rec["recovery_mbps"] > 0
     assert rec["downtime_s"] > 0
+    # The outage decomposes: detection (4 heartbeats of 2 ms) + the three
+    # recovery terms, with no remainder.
+    assert rec["detect_s"] == pytest.approx(0.008, abs=1e-9)
+    assert rec["downtime_s"] == pytest.approx(
+        rec["detect_s"] + rec["drain_s"] + rec["rebuild_s"] + rec["repair_s"],
+        abs=1e-9,
+    )
     assert res.updates + res.reads == SMOKE["n_clients"] * SMOKE["requests_per_client"]
 
 
@@ -341,7 +348,7 @@ def test_degraded_read_scenario_transient_outage():
     res = run_scenario("degraded_read", **SMOKE)
     rec = res.recovery
     assert rec["failures"] == 1 and rec["recoveries"] == 0  # transient: no rebuild
-    assert rec["downtime_s"] > 0
+    assert rec["downtime_s"] > 0 and rec["detect_s"] == 0.0
     assert rec["scrub_clean"] is True
     assert res.reads > 0
 
