@@ -32,10 +32,13 @@ def test_fig8b_recovery(benchmark, archive):
         assert max(bw, key=bw.get) == "fo"
         # TSUE is the best of the logging methods — its real-time recycle
         # leaves a small bounded residue, while deferred logs accumulate.
-        # (At bench scale the rebuild is ~50 ms of work, so even TSUE's
-        # ~0.2 s residue drain dents the ratio to FO; at the paper's
-        # node-scale rebuild the residue vanishes and TSUE ~ FO.  See
-        # EXPERIMENTS.md.)
+        # (At bench scale the rebuild is 49 ms of work on every method,
+        # so even TSUE's 105-153 ms residue drain — HDD, two channels
+        # under the drain's waiter — dents the ratio to FO: 37-49 of 153
+        # MB/s.  The residue is bounded by the log units, not by the
+        # rebuilt volume, so at the paper's node-scale rebuild it vanishes
+        # and TSUE ~ FO.  benchmarks/results/rebaseline_pr23_*.md has the
+        # per-volume split.)
         for lagger in ("pl", "plr", "parix"):
             assert bw["tsue"] > bw[lagger], f"{lagger} should trail TSUE on {vol}: {bw}"
         # The loss mechanism is the pre-recovery drain, and TSUE's residue

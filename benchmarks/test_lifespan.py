@@ -24,7 +24,7 @@ def test_lifespan(benchmark, archive):
     # Directional at bench scale: TSUE outlasts every method, and by a
     # multiple over the reserved-space logger.  (The paper's 2.5x-13x spread
     # rides on a 12x op-count merge factor that hour-long traces provide;
-    # our short traces merge ~4x.  See EXPERIMENTS.md.)
+    # our short traces merge ~4x: benchmarks/results/lifespan.txt.)
     for rival in ("fo", "pl", "plr", "parix", "cord"):
         assert adv[rival] > 1.05, f"TSUE lifespan advantage over {rival}: {adv[rival]:.2f}"
     assert adv["plr"] > 2.0  # reserved-space scatter wears flash hardest

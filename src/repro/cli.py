@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "BENCH_scenarios.json; written atomically via "
                          "temp file + rename)")
     be.add_argument("--profile", nargs="?",
-                    const="benchmarks/results/bench_profile.txt",
+                    const="bench_profile.txt",
                     default=None, metavar="PATH",
                     help="run under cProfile and write a cumulative-time "
                          "report to PATH")

@@ -12,8 +12,7 @@ on.  It is a small, dependency-free engine in the style of SimPy:
   capacity (client iodepth slots, per-OSD method locks).
 * :class:`~repro.sim.resources.KeyedLock` is a per-key FIFO mutex family
   (per-stripe update serialization on the OSDs).
-* :class:`~repro.sim.resources.Store` is an unbounded FIFO work queue
-  (TSUE's recycle workers pull from one each).
+* :class:`~repro.sim.resources.Store` is an unbounded FIFO work queue.
 * :mod:`~repro.sim.collector` owns CPython's cyclic garbage collector while
   the kernel or a runner is active: automatic collection is paused and the
   kernel loops collect on an event-count cadence instead.

@@ -5,8 +5,7 @@ slots, a per-OSD method lock.  (Device channels and NIC directions are not
 Resources; they advance by projected completion, see ``docs/dataplane.md``.)
 :class:`KeyedLock` is a manager of per-key FIFO mutual-exclusion locks
 (per-stripe update serialization).
-:class:`Store` is the unbounded FIFO queue that feeds TSUE's recycle
-workers.
+:class:`Store` is an unbounded FIFO queue with blocking ``get``.
 """
 
 from __future__ import annotations

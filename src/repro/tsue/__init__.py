@@ -3,8 +3,9 @@
 :class:`~repro.tsue.engine.TSUEEngine` hosts, per OSD:
 
 * the synchronous front end — replicated sequential DataLog appends;
-* the asynchronous back end — a recycle worker pool draining the
-  DataLog -> DeltaLog -> ParityLog pipeline in real time;
+* the asynchronous back end — per-layer recycle runners draining the
+  DataLog -> DeltaLog -> ParityLog pipeline in real time, as wide as the
+  device while somebody waits on a layer;
 * the locality machinery — merged/coalesced segments at every layer and
   Eq. (5) cross-block combining inside the DeltaLog recycler;
 * the elasticity/ablation knobs of :class:`~repro.tsue.engine.TSUEConfig`

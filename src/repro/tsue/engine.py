@@ -16,6 +16,9 @@ Data flow (Fig. 2 of the paper):
 4. **ParityLog recycle** (async): merged parity-delta segments -> one
    random read + XOR + one random write on the parity block each.
 
+Every recycle job of steps 2-4 is started by ``TSUEEngine._take``: per
+layer, in seal order, one job per block, as many at once as demand allows.
+
 A ``tsue_delta`` message is one persisted append on both DeltaLog copies
 (one sequential write of payloads + one header per entry; the primary also
 fills its pool); ParityLog entries are persisted one by one.
@@ -29,8 +32,9 @@ to the ParityLogs, one message per parity block per data delta).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Deque, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,13 +44,16 @@ from repro.logstruct.pool import LogPool
 from repro.logstruct.unit import ENTRY_HEADER_BYTES, LogUnit
 from repro.metrics.latency import ResidencyTracker
 from repro.sim.events import AllOf, Event, Interrupt
-from repro.sim.resources import Store
 
 BlockKey = Tuple[int, int, int]
 
 DATA = "data_log"
 DELTA = "delta_log"
 PARITY = "parity_log"
+
+# Recycle jobs a layer runs at once while nobody waits on it (see
+# ``TSUEEngine._take``); DataLog is the hot layer.
+BACKGROUND_WIDTH = {DATA: 2, DELTA: 1, PARITY: 1}
 
 
 @dataclass
@@ -62,10 +69,6 @@ class TSUEConfig:
     use_locality_data: bool = True    # O1
     use_locality_parity: bool = True  # O2
     use_log_pool: bool = True    # O3 (off = one exclusive unit per pool)
-    # Total recycle workers across the three layers.  3 is the floor: the
-    # per-layer deadlock-freedom invariant (see TSUEEngine.start) needs at
-    # least one worker per layer, so fewer than 3 is silently rounded up.
-    recycle_workers: int = 4
     flush_interval: float = 0.5  # scan period for the real-time flusher
     flush_age: float = 1.0       # seal active units older than this
     compression: Optional[str] = None  # future-work hook (§7); must be None
@@ -122,12 +125,19 @@ class TSUEEngine:
             LogPool(name=f"{osd.name}.plog{i}", **cfg.pool_kwargs("xor", not cfg.use_locality_parity))
             for i in range(cfg.n_pools)
         ]
-        self._recycle_queue: Store = Store(self.sim, name=f"{osd.name}.recycleq")
         self._pending: Dict[str, int] = {DATA: 0, DELTA: 0, PARITY: 0}
         self._idle_waiters: Dict[str, List[Event]] = {DATA: [], DELTA: [], PARITY: []}
-        self._space_waiters: Dict[int, List[Event]] = {}
-        self._procs = []
-        self._worker_queues: Dict[str, List[Store]] = {}
+        # Parked appenders per layer: pool id -> wake events.
+        self._space_waiters: Dict[str, Dict[int, List[Event]]] = {DATA: {}, DELTA: {}, PARITY: {}}
+        # Admission state (see _take): each layer's ready (key, job, unit
+        # state) triples in seal order, and the keys with a job in flight.
+        self._ready: Dict[str, Deque[tuple]] = {DATA: deque(), DELTA: deque(), PARITY: deque()}
+        self._busy: Dict[str, set] = {DATA: set(), DELTA: set(), PARITY: set()}
+        # Work counters: jobs admitted with nobody / somebody blocked on
+        # their layer.
+        self.admitted_background = 0
+        self.admitted_demand = 0
+        self._procs = []  # the flusher and the live runners, in spawn order
         self._running = False
         # Replica log device cursors (replica DataLog/DeltaLog: SSD only).
         self._replica_bytes = 0
@@ -151,40 +161,11 @@ class TSUEEngine:
         if self._running:
             return
         self._running = True
-        # One worker pool per layer.  This is a deadlock-freedom invariant,
-        # not just a tuning choice: DataLog recycle jobs block on remote
-        # DeltaLog appends, DeltaLog jobs block on remote ParityLog appends,
-        # and ParityLog jobs block only on the local device.  With a shared
-        # pool, data jobs on every node can occupy all workers while the
-        # appends they wait for need a recycle that has no worker left — a
-        # cycle.  Layered pools make the wait graph acyclic (parity ->
-        # device only), so the pipeline always drains.
-        #
-        # Every layer needs at least one worker, so 3 is the floor; above
-        # it the split spends the whole budget without ever exceeding
-        # max(3, recycle_workers) — DataLog (the hot layer) gets whatever
-        # the two downstream layers leave over.
-        n = max(3, self.config.recycle_workers)
-        delta_n = max(1, n // 4)
-        parity_n = max(1, n // 4)
-        per_layer = {DATA: n - delta_n - parity_n, DELTA: delta_n, PARITY: parity_n}
-        self._worker_queues = {}
-        for layer, count in per_layer.items():
-            queues = [
-                Store(self.sim, name=f"{self.osd.name}.{layer}.wq{w}")
-                for w in range(count)
-            ]
-            self._worker_queues[layer] = queues
-            for w, q in enumerate(queues):
-                self._procs.append(
-                    self.sim.process(self._worker(q), name=f"{self.osd.name}.{layer}.rw{w}")
-                )
-        self._procs.append(
-            self.sim.process(self._unit_manager(), name=f"{self.osd.name}.recycle-mgr")
-        )
         self._procs.append(
             self.sim.process(self._flush_loop(), name=f"{self.osd.name}.flush")
         )
+        for layer in self._ready:  # units sealed while the engine was stopped
+            self._pump(layer)
 
     def stop(self) -> None:
         self._running = False
@@ -192,6 +173,8 @@ class TSUEEngine:
             if p.is_alive:
                 p.interrupt("stop")
         self._procs.clear()
+        for busy in self._busy.values():  # aborted jobs hold no block
+            busy.clear()
 
     # ------------------------------------------------------------------
     # pool plumbing
@@ -202,25 +185,39 @@ class TSUEEngine:
     def _make_seal_listener(self, layer: str, pool: LogPool):
         def on_seal(unit: LogUnit) -> None:
             self._pending[layer] += 1
-            self._recycle_queue.put((layer, pool, unit))
+            unit.start_recycle(self.sim.now)
+            jobs = self._unit_jobs(layer, unit)
+            state = {
+                "left": len(jobs),
+                "layer": layer,
+                "pool": pool,
+                "unit": unit,
+                "t0": self.sim.now,
+            }
+            if not jobs:
+                self._finish_unit(state)
+                return
+            self._ready[layer].extend((key, fn, state) for key, fn in jobs)
+            self._pump(layer)
 
         return on_seal
 
-    def _wait_space(self, pool: LogPool) -> Event:
+    def _wait_space(self, layer: str, pool: LogPool) -> Event:
         ev = self.sim.event(name=f"space:{pool.name}")
-        self._space_waiters.setdefault(id(pool), []).append(ev)
+        self._space_waiters[layer].setdefault(id(pool), []).append(ev)
+        self._pump(layer)
         return ev
 
-    def _notify_space(self, pool: LogPool) -> None:
-        for ev in self._space_waiters.pop(id(pool), []):
+    def _notify_space(self, layer: str, pool: LogPool) -> None:
+        for ev in self._space_waiters[layer].pop(id(pool), []):
             if not ev.triggered:
                 ev.succeed()
 
-    def _pool_append(self, pool: LogPool, key, offset, data):
+    def _pool_append(self, layer: str, pool: LogPool, key, offset, data):
         """Append to the pool, waiting while it is at quota (yields nothing
         when there is room)."""
         while not pool.append(key, offset, data, self.sim.now):
-            yield self._wait_space(pool)
+            yield self._wait_space(layer, pool)
 
     # ------------------------------------------------------------------
     # front end
@@ -235,7 +232,7 @@ class TSUEEngine:
         just the ack.
         """
         pool = self._pool_for(self.data_pools, key)
-        yield from self._pool_append(pool, key, offset, data)
+        yield from self._pool_append(DATA, pool, key, offset, data)
         return self.osd.device.submit_write(
             int(data.size) + ENTRY_HEADER_BYTES,
             zone=self._pool_zone[id(pool)],
@@ -262,7 +259,7 @@ class TSUEEngine:
         if primary:
             pool = self._pool_for(self.delta_pools, key)
             for offset, delta in entries:
-                yield from self._pool_append(pool, key, offset, delta)
+                yield from self._pool_append(DELTA, pool, key, offset, delta)
             zone = self._pool_zone[id(pool)]
         else:
             zone = "xlog_rep"
@@ -284,7 +281,7 @@ class TSUEEngine:
         pool = self._pool_for(self.parity_pools, pkey)
         zone = self._pool_zone[id(pool)]
         for offset, pdelta in entries:
-            yield from self._pool_append(pool, pkey, offset, pdelta)
+            yield from self._pool_append(PARITY, pool, pkey, offset, pdelta)
             yield from self.osd.device.write(
                 int(pdelta.size) + ENTRY_HEADER_BYTES,
                 zone=zone,
@@ -329,40 +326,67 @@ class TSUEEngine:
         except Interrupt:
             return
 
-    def _unit_manager(self):
-        """Consumes sealed units in seal order and farms out per-block jobs.
+    def _blocked(self, layer: str) -> bool:
+        """Somebody waits on the layer: a ``drain_layer`` waiter, or an
+        appender parked on one of its pools."""
+        return bool(self._idle_waiters[layer] or self._space_waiters[layer])
 
-        Same-key jobs always land on the same worker queue (hash routing)
-        and worker queues are FIFO, so two units touching one block recycle
-        that block's entries in seal order — the paper's "log records for
-        the same block are assigned to the same recycle thread".  Different
-        units still recycle concurrently across workers.
+    def _width(self, layer: str) -> int:
+        """Jobs the layer may run at once: the background width, or the
+        device's channel count while somebody is blocked on the layer."""
+        if self._blocked(layer):
+            return max(BACKGROUND_WIDTH[layer], self.osd.device.profile.channels)
+        return BACKGROUND_WIDTH[layer]
+
+    def _take(self, layer: str):
+        """The admission rule — every recycle job starts here.
+
+        Admits the first ready job, in seal order, whose block (DeltaLog:
+        stripe) has no job in flight, while fewer than ``_width(layer)`` of
+        the layer's jobs are in flight; ``None`` otherwise.  Two invariants
+        rest on it:
+
+        * *Per layer, never a shared budget.*  DataLog jobs block on remote
+          DeltaLog appends, DeltaLog jobs on remote ParityLog appends, and
+          ParityLog jobs only on the local device.  Under a shared budget
+          data jobs on every node could hold every slot while the appends
+          they wait for need a recycle that has no slot left — a cycle.
+          With a width of at least one per layer the wait graph is acyclic
+          (parity -> device only), so the pipeline always drains.
+        * *One block, one job at a time, in seal order* — the paper's "log
+          records for the same block are assigned to the same recycle
+          thread": two units touching one block recycle its entries in the
+          order they were sealed, while different blocks overlap.
         """
-        try:
-            while self._running:
-                layer, pool, unit = yield self._recycle_queue.get()
-                unit.start_recycle(self.sim.now)
-                jobs = self._unit_jobs(layer, unit)
-                state = {
-                    "left": len(jobs),
-                    "layer": layer,
-                    "pool": pool,
-                    "unit": unit,
-                    "t0": self.sim.now,
-                }
-                if not jobs:
-                    self._finish_unit(state)
-                    continue
-                queues = self._worker_queues[layer]
-                for key, fn in jobs:
-                    queues[hash(key) % len(queues)].put((fn, state))
-        except Interrupt:
-            return
+        busy = self._busy[layer]
+        if not self._running or len(busy) >= self._width(layer):
+            return None
+        ready = self._ready[layer]
+        for i, job in enumerate(ready):
+            if job[0] not in busy:
+                del ready[i]
+                busy.add(job[0])
+                if self._blocked(layer):
+                    self.admitted_demand += 1
+                else:
+                    self.admitted_background += 1
+                return job
+        return None
 
-    def _worker(self, queue: Store):
+    def _pump(self, layer: str) -> None:
+        """Start a runner per job admissible now: on a unit sealed and on a
+        drain or space waiter registered (a finished job re-evaluates in its
+        own runner)."""
+        while (job := self._take(layer)) is not None:
+            self._procs = [p for p in self._procs if p.is_alive]
+            self._procs.append(self.sim.process(self._runner(layer, job)))
+
+    def _runner(self, layer: str, job):
+        """Run admitted jobs back to back; exit when none is admissible."""
+        busy = self._busy[layer]
         try:
-            while self._running:
-                fn, state = yield queue.get()
+            while job is not None:
+                key, fn, state = job
                 # A crashing job must still count towards unit completion:
                 # otherwise state["left"] never reaches zero, the unit stays
                 # RECYCLING forever, _notify_space never fires, and every
@@ -376,9 +400,11 @@ class TSUEEngine:
                     raise
                 except BaseException as err:
                     self.sim._crash(err)
+                busy.discard(key)
                 state["left"] -= 1
                 if state["left"] == 0:
                     self._finish_unit(state)
+                job = self._take(layer)
         except Interrupt:
             return
 
@@ -389,7 +415,7 @@ class TSUEEngine:
         self.residency.record_buffer(layer, unit.mean_buffer_time())
         self.residency.record_recycle(layer, (self.sim.now - state["t0"]) / n)
         self._pending[layer] -= 1
-        self._notify_space(pool)
+        self._notify_space(layer, pool)
         if self._pending[layer] == 0:
             for ev in self._idle_waiters[layer]:
                 if not ev.triggered:
@@ -456,7 +482,7 @@ class TSUEEngine:
         if cfg.use_delta_log and m >= 2:
             # Forward to the DeltaLogs of the first two parity OSDs: the
             # first is the primary (it recycles), the second the replica.
-            # Retrying pushes: the recycle worker owns these deltas and
+            # Retrying pushes: the recycle job owns these deltas and
             # the destination may be mid-failure/recovery.
             calls = []
             for rank, primary in ((0, True), (1, False)):
@@ -549,6 +575,7 @@ class TSUEEngine:
         while self._pending[layer] > 0:
             ev = self.sim.event(name=f"idle:{layer}")
             self._idle_waiters[layer].append(ev)
+            self._pump(layer)
             yield ev
 
     # ------------------------------------------------------------------

@@ -286,18 +286,80 @@ def test_recycle_job_failure_unblocks_backpressure():
     cluster.stop()
 
 
-def test_worker_split_respects_budget():
-    """recycle_workers=1 must not silently spawn 3x the configured budget
-    beyond the documented floor of one worker per layer (3 total)."""
-    for budget, expect_total in ((1, 3), (3, 3), (4, 4), (5, 5), (8, 8), (16, 16)):
-        sim, cluster, client, inode = build(recycle_workers=budget)
-        eng = cluster.osds[0].strategy.engine
-        counts = {layer: len(qs) for layer, qs in eng._worker_queues.items()}
-        total = sum(counts.values())
-        assert total == expect_total == max(3, budget)
-        assert all(c >= 1 for c in counts.values())  # deadlock-freedom floor
-        assert counts[DATA] >= max(counts[DELTA], counts[PARITY])
-        cluster.stop()
+def _force_width(cluster, blocked):
+    """Pin every engine's demand signal: ``False`` recycles at background
+    width whoever waits, ``True`` at device width even when nobody does."""
+    for osd in cluster.osds:
+        osd.strategy.engine._blocked = lambda layer: blocked
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+def test_single_unit_pools_drain_at_either_width(blocked):
+    """The layered deadlock-freedom floor: with O3 off every pool is one
+    exclusive unit, so each layer's appenders wait on that layer's recycle
+    while its jobs wait on the next layer's appends — on every OSD at once.
+    The pipeline must still drain, at background and at demand width."""
+    sim, cluster, client, inode = build(use_log_pool=False, unit_bytes=4 * 1024)
+    _force_width(cluster, blocked)
+    rng = np.random.default_rng(11)
+    shadow = np.zeros(2 * K * BLOCK, dtype=np.uint8)
+
+    def many():  # every block of both stripes: every OSD appends and recycles
+        for _ in range(6):
+            for off in range(0, shadow.size, 512):
+                data = rng.integers(0, 256, 512, dtype=np.uint8)
+                yield from client.update(inode, off, data)
+                shadow[off : off + 512] = data
+
+    run_to(sim, sim.process(many()))
+    run_to(sim, sim.process(drain_all(cluster)))
+    cluster.stop()
+    admitted = [
+        (osd.strategy.engine.admitted_background, osd.strategy.engine.admitted_demand)
+        for osd in cluster.osds
+    ]
+    assert all((b == 0) if blocked else (d == 0) for b, d in admitted)
+    assert all(cluster.stripe_consistent(inode, s) for s in range(2))
+    for s in range(2):
+        names = cluster.placement(inode, s)
+        for j in range(K):
+            lo = (s * K + j) * BLOCK
+            got = cluster.osd_by_name(names[j]).store.peek((inode, s, j))
+            assert np.array_equal(got, shadow[lo : lo + BLOCK])
+
+
+def test_same_block_recycles_in_seal_order_at_demand_width():
+    """One block, one job at a time, in seal order.  Two sealed units hold
+    the same range of one block; the older unit's job reaches that range
+    second (it has another segment first), so run side by side — which the
+    demand width allows — the stale bytes would land last."""
+    sim, cluster, client, inode = build(flush_age=10.0, flush_interval=5.0)
+    key = (inode, 0, 0)
+    primary = cluster.osd_by_name(cluster.osd_of_block(*key))
+    eng = primary.strategy.engine
+    pool = eng._pool_for(eng.data_pools, key)
+    eng.stop()  # seal both units before either recycles
+
+    def two_units():
+        yield from client.update(inode, 0, np.full(256, 1, dtype=np.uint8))
+        yield from client.update(inode, 1024, np.full(256, 2, dtype=np.uint8))
+        pool.flush_active(sim.now)
+        yield from client.update(inode, 1024, np.full(256, 3, dtype=np.uint8))
+        pool.flush_active(sim.now)
+
+    run_to(sim, sim.process(two_units()))
+    assert [job[0] for job in eng._ready[DATA]] == [key, key]
+    drain = sim.process(drain_all(cluster))
+    while not eng._idle_waiters[DATA]:
+        sim.step()
+    assert eng._width(DATA) == primary.device.profile.channels == 4
+    eng.start()
+    run_to(sim, drain)
+    cluster.stop()
+    assert eng.admitted_demand >= 2 and eng.admitted_background == 0
+    block = primary.store.peek(key)
+    assert np.all(block[1024:1280] == 3) and np.all(block[:256] == 1)
+    assert cluster.stripe_consistent(inode, 0)
 
 
 def test_append_zone_precomputed_per_pool():
