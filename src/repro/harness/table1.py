@@ -6,8 +6,9 @@ exactly the paper's columns: READ/WRITE Num. and Volume, OVERWRITE
 
 Expected shape: TSUE lowest op counts (read/write ops a small fraction of
 PL's; overwrites a small fraction of FO's) while its *volumes* may exceed
-PARIX/CoRD (three log layers all persist), and network traffic only
-slightly above CoRD's.
+PARIX/CoRD (the DataLog and DeltaLog persist on two nodes each, the
+ParityLog on the parity nodes that hold no DeltaLog copy), and network
+traffic only slightly above CoRD's.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ on.  It is a small, dependency-free engine in the style of SimPy:
   capacity (client iodepth slots, per-OSD method locks).
 * :class:`~repro.sim.resources.KeyedLock` is a per-key FIFO mutex family
   (per-stripe update serialization on the OSDs).
-* :class:`~repro.sim.resources.Store` is an unbounded FIFO work queue.
 * :mod:`~repro.sim.collector` owns CPython's cyclic garbage collector while
   the kernel or a runner is active: automatic collection is paused and the
   kernel loops collect on an event-count cadence instead.
@@ -24,7 +23,7 @@ a pure function of its seed.
 
 from repro.sim.core import Process, Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
-from repro.sim.resources import KeyedLock, Resource, Store
+from repro.sim.resources import KeyedLock, Resource
 from repro.sim.rng import RngStreams
 
 __all__ = [
@@ -37,6 +36,5 @@ __all__ = [
     "Resource",
     "RngStreams",
     "Simulator",
-    "Store",
     "Timeout",
 ]

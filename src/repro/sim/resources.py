@@ -1,11 +1,10 @@
-"""FIFO resources and message stores for the simulation kernel.
+"""FIFO resources for the simulation kernel.
 
 :class:`Resource` models a server with finite capacity — a client's iodepth
 slots, a per-OSD method lock.  (Device channels and NIC directions are not
 Resources; they advance by projected completion, see ``docs/dataplane.md``.)
 :class:`KeyedLock` is a manager of per-key FIFO mutual-exclusion locks
 (per-stripe update serialization).
-:class:`Store` is an unbounded FIFO queue with blocking ``get``.
 """
 
 from __future__ import annotations
@@ -202,41 +201,3 @@ class KeyedLock:
                     ev.fail(error)
         self._queues.clear()
         self._holders.clear()
-
-
-class Store:
-    """An unbounded FIFO of items with blocking ``get``.
-
-    ``put`` never blocks; ``get`` returns an event that
-    fires with the next item, in arrival order, waking getters FIFO.
-    """
-
-    def __init__(self, sim: Simulator, name: str = "store"):
-        self.sim = sim
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        ev = Event(self.sim, name="get")
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking pop; ``None`` when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None

@@ -21,7 +21,9 @@ layer, in seal order, one job per block, as many at once as demand allows.
 
 A ``tsue_delta`` message is one persisted append on both DeltaLog copies
 (one sequential write of payloads + one header per entry; the primary also
-fills its pool); ParityLog entries are persisted one by one.
+fills its pool).  ParityLog entries are persisted one by one, except on the
+stripe's two DeltaLog holders, whose DeltaLog copy already is their durable
+record (``TSUEEngine._covered``): there they stay in memory.
 
 Ablation knobs (Fig. 7): O1/O2 toggle merged-vs-raw recycling in the
 Data/Parity logs, O3 toggles the multi-unit FIFO pool against a single
@@ -84,19 +86,12 @@ class TSUEConfig:
             )
 
     def pool_kwargs(self, policy: str, keep_raw: bool) -> dict:
-        if self.use_log_pool:
-            return dict(
-                unit_capacity=self.unit_bytes,
-                min_units=self.min_units,
-                max_units=self.max_units,
-                policy=policy,
-                keep_raw=keep_raw,
-            )
         # O3 off: one unit, appends must wait for its recycle (exclusive).
+        lo, hi = (self.min_units, self.max_units) if self.use_log_pool else (1, 1)
         return dict(
             unit_capacity=self.unit_bytes,
-            min_units=1,
-            max_units=1,
+            min_units=lo,
+            max_units=hi,
             policy=policy,
             keep_raw=keep_raw,
         )
@@ -137,10 +132,11 @@ class TSUEEngine:
         # their layer.
         self.admitted_background = 0
         self.admitted_demand = 0
+        # ParityLog payload bytes appended covered (see _covered) / persisted.
+        self.parity_bytes_covered = 0
+        self.parity_bytes_persisted = 0
         self._procs = []  # the flusher and the live runners, in spawn order
         self._running = False
-        # Replica log device cursors (replica DataLog/DeltaLog: SSD only).
-        self._replica_bytes = 0
 
         # Device zone per pool, precomputed once: the append path is the
         # hottest front-end code and must not scan the pool list per call.
@@ -248,7 +244,6 @@ class TSUEEngine:
             pattern="seq",
             overwrite=False,
         )
-        self._replica_bytes += int(data.size)
 
     def append_deltalog(self, key: BlockKey, entries, primary: bool):
         """DeltaLog append: one persisted message on either copy — payloads
@@ -263,7 +258,6 @@ class TSUEEngine:
             zone = self._pool_zone[id(pool)]
         else:
             zone = "xlog_rep"
-            self._replica_bytes += nbytes
         yield from self.osd.device.write(
             nbytes + len(entries) * ENTRY_HEADER_BYTES,
             zone=zone,
@@ -271,23 +265,54 @@ class TSUEEngine:
             overwrite=False,
         )
 
+    def _covered(self, pkey: BlockKey) -> bool:
+        """The persist rule: a ParityLog entry is persisted only on a node
+        that holds no durable record it can be re-derived from.
+
+        With the DeltaLog layer on, parity ranks 0 and 1 each persisted the
+        stripe's data deltas (``xlog`` / ``xlog_rep``) before ``tsue_delta``
+        was acked, and the entries folded from them (Eq. 3 / Eq. 5 times the
+        node's own coefficient row: linear over GF(2^8)) are a pure function
+        of that copy — they go into the pool in memory, not to flash again.
+        On ranks >= 2, with O5 off and at ``m == 1`` the ParityLog write is
+        the only local record and stays.
+
+        One window: the primary may fold a unit while a fail-slow rank 1
+        still persists the same deltas, so rank 1 can hold folded entries
+        before its own copy is on flash.  Safe: the DataLog job that sent
+        the deltas waits on *both* ``tsue_delta`` acks (``AllOf``) before
+        its unit can finish — until both DeltaLog copies are durable the
+        update is still in the DataLog and its ring replica.
+        """
+        cc = self.cluster.config
+        return self.config.use_delta_log and cc.m >= 2 and pkey[2] - cc.k < 2
+
     def append_paritylog(self, pkey: BlockKey, entries):
-        """ParityLog append: each entry into the pool and persisted.
+        """ParityLog append: each entry into the pool, and persisted unless
+        a local DeltaLog copy already is its durable record (``_covered``).
 
         Per entry, unlike the DeltaLog: one write per message was measured
         in PR 21 and takes Fig. 7's O1 > O2 ordering on Ali-Cloud with it
         (``benchmarks/results/rebaseline_pr21_sync_overlap.md``).
         """
+        t0 = self.sim.now
         pool = self._pool_for(self.parity_pools, pkey)
         zone = self._pool_zone[id(pool)]
+        covered = self._covered(pkey)
         for offset, pdelta in entries:
             yield from self._pool_append(PARITY, pool, pkey, offset, pdelta)
-            yield from self.osd.device.write(
-                int(pdelta.size) + ENTRY_HEADER_BYTES,
-                zone=zone,
-                pattern="seq",
-                overwrite=False,
-            )
+            size = int(pdelta.size)
+            if covered:
+                self.parity_bytes_covered += size
+            else:
+                self.parity_bytes_persisted += size
+                yield from self.osd.device.write(
+                    size + ENTRY_HEADER_BYTES,
+                    zone=zone,
+                    pattern="seq",
+                    overwrite=False,
+                )
+        self.residency.record_append(PARITY, self.sim.now - t0)
 
     # ------------------------------------------------------------------
     # read cache
@@ -310,19 +335,18 @@ class TSUEEngine:
                 yield self.sim.timeout(cfg.flush_interval)
                 tick += 1
                 now = self.sim.now
-                for pools in (self.data_pools, self.delta_pools, self.parity_pools):
-                    for pool in pools:
-                        active = pool.active
-                        if (
-                            active is not None
-                            and active.first_append_time is not None
-                            and now - active.first_append_time >= cfg.flush_age
-                        ):
-                            pool.flush_active(now)
-                        # Elastic shrink (§3.2.2): after a quiet stretch,
-                        # release RECYCLED units beyond the minimum.
-                        if tick % shrink_every == 0 and not pool.has_pending_recycle():
-                            pool.shrink()
+                for pool in self._all_pools():
+                    active = pool.active
+                    if (
+                        active is not None
+                        and active.first_append_time is not None
+                        and now - active.first_append_time >= cfg.flush_age
+                    ):
+                        pool.flush_active(now)
+                    # Elastic shrink (§3.2.2): after a quiet stretch,
+                    # release RECYCLED units beyond the minimum.
+                    if tick % shrink_every == 0 and not pool.has_pending_recycle():
+                        pool.shrink()
         except Interrupt:
             return
 
@@ -479,12 +503,12 @@ class TSUEEngine:
         k = self.cluster.config.k
         names = self.cluster.placement(inode, stripe)
         nbytes = sum(int(d.size) for _, d in deltas)
+        calls = []
         if cfg.use_delta_log and m >= 2:
             # Forward to the DeltaLogs of the first two parity OSDs: the
             # first is the primary (it recycles), the second the replica.
             # Retrying pushes: the recycle job owns these deltas and
             # the destination may be mid-failure/recovery.
-            calls = []
             for rank, primary in ((0, True), (1, False)):
                 dst = names[k + rank]
                 calls.append(
@@ -501,11 +525,9 @@ class TSUEEngine:
                         )
                     )
                 )
-            yield AllOf(self.sim, calls)
         else:
             # O5 off (or m == 1): scale per parity and go straight to the
             # ParityLogs — one message per parity block.
-            calls = []
             for p in range(m):
                 coeff = self.cluster.codec.coefficient(p, j)
                 pentries = [
@@ -521,7 +543,7 @@ class TSUEEngine:
                         )
                     )
                 )
-            yield AllOf(self.sim, calls)
+        yield AllOf(self.sim, calls)
 
     # -- DeltaLog --------------------------------------------------------
     def _recycle_delta_stripe(self, stripe_key: Tuple[int, int], per_block):
@@ -538,10 +560,15 @@ class TSUEEngine:
         m = self.cluster.config.m
         names = self.cluster.placement(inode, stripe)
         calls = []
+        own = None
         for p in range(m):
             pkey = (inode, stripe, k + p)
             entries = fold_parity_deltas(self.cluster.codec, p, per_block)
             if not entries:
+                continue
+            if names[k + p] == self.osd.name:
+                # The primary's own share (rank 0): no frame to itself.
+                own = (pkey, entries)
                 continue
             nbytes = sum(int(d.size) for _, d in entries)
             calls.append(
@@ -554,6 +581,8 @@ class TSUEEngine:
                     )
                 )
             )
+        if own is not None:
+            yield from self.append_paritylog(*own)
         if calls:
             yield AllOf(self.sim, calls)
 
@@ -567,6 +596,9 @@ class TSUEEngine:
     # ------------------------------------------------------------------
     def _layer_pools(self, layer: str) -> List[LogPool]:
         return {DATA: self.data_pools, DELTA: self.delta_pools, PARITY: self.parity_pools}[layer]
+
+    def _all_pools(self) -> List[LogPool]:
+        return self.data_pools + self.delta_pools + self.parity_pools
 
     def drain_layer(self, layer: str):
         """Seal every active unit of a layer and wait until all recycled."""
@@ -582,18 +614,10 @@ class TSUEEngine:
     # stats
     # ------------------------------------------------------------------
     def log_memory_bytes(self) -> int:
-        return sum(
-            p.memory_bytes
-            for pools in (self.data_pools, self.delta_pools, self.parity_pools)
-            for p in pools
-        )
+        return sum(p.memory_bytes for p in self._all_pools())
 
     def peak_log_memory_bytes(self) -> int:
-        return sum(
-            p.peak_memory_bytes
-            for pools in (self.data_pools, self.delta_pools, self.parity_pools)
-            for p in pools
-        )
+        return sum(p.peak_memory_bytes for p in self._all_pools())
 
     def pending_recycles(self) -> int:
         return sum(self._pending.values())
@@ -609,12 +633,11 @@ class TSUEEngine:
         """
         from repro.logstruct.states import UnitState
 
-        for pools in (self.data_pools, self.delta_pools, self.parity_pools):
-            for pool in pools:
-                for unit in pool.units:
-                    if unit.state is UnitState.RECYCLED:
-                        continue
-                    for key in unit.index.blocks():
-                        if key[0] == inode and key[1] == stripe:
-                            return True
+        for pool in self._all_pools():
+            for unit in pool.units:
+                if unit.state is UnitState.RECYCLED:
+                    continue
+                for key in unit.index.blocks():
+                    if key[0] == inode and key[1] == stripe:
+                        return True
         return False

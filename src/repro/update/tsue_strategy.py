@@ -106,9 +106,7 @@ class TSUEStrategy(UpdateStrategy):
 
     def _h_parity(self, msg):
         p = msg.payload
-        t0 = self.sim.now
         yield from self.engine.append_paritylog(p["pkey"], p["entries"])
-        self.engine.residency.record_append(PARITY, self.sim.now - t0)
         return {"ok": True}, 8
 
     # ------------------------------------------------------------------

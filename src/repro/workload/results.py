@@ -40,6 +40,11 @@ class ScenarioResult:
     lock_contended: int
     lock_wait_mean: float    # seconds over all acquisitions (0 if none)
     lock_wait_p99: float
+    # Volume per completed op over the whole run, drain included: the
+    # ``sim_*`` metrics of the same names in ``benchmarks/perf/README.md``.
+    dev_write_kb_per_req: float
+    erases_per_kreq: float
+    net_kb_per_req: float
     # Fault runs only (None otherwise): the flat, JSON-ready float sections
     # :mod:`repro.workload.metrics` builds — ``elastic`` only for schedules
     # with a live-change action.  Serialized only when present.
@@ -80,6 +85,9 @@ class ScenarioResult:
             "lock_contended": self.lock_contended,
             "lock_wait_mean_us": self.lock_wait_mean * 1e6,
             "lock_wait_p99_us": self.lock_wait_p99 * 1e6,
+            "dev_write_kb_per_req": self.dev_write_kb_per_req,
+            "erases_per_kreq": self.erases_per_kreq,
+            "net_kb_per_req": self.net_kb_per_req,
         }
         if self.recovery is not None:
             out["recovery"] = dict(self.recovery)
@@ -105,6 +113,9 @@ class ScenarioResult:
             f"({self.lock_contended} contended) | "
             f"wait mean {self.lock_wait_mean * 1e6:,.1f} us "
             f"p99 {self.lock_wait_p99 * 1e6:,.1f} us\n"
+            f"  volume     : {self.dev_write_kb_per_req:,.1f} KiB written | "
+            f"{self.net_kb_per_req:,.1f} KiB sent per op | "
+            f"{self.erases_per_kreq:,.0f} erases per 1000 ops\n"
             f"  consistent : {self.consistent}"
         )
         if self.recovery is not None:

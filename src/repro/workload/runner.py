@@ -187,6 +187,7 @@ def _scenario_result(scenario: Scenario, run) -> ScenarioResult:
     p50, p95, p99 = agg.percentiles((50.0, 95.0, 99.0))
     updates = sum(g.completed for g in generators)
     reads = sum(g.reads_completed for g in generators)
+    done = max(1, updates + reads)
     return ScenarioResult(
         name=name,
         method=method,
@@ -205,6 +206,9 @@ def _scenario_result(scenario: Scenario, run) -> ScenarioResult:
         lock_contended=contended,
         lock_wait_mean=lock_waits.mean(),
         lock_wait_p99=lock_waits.percentile(99.0),
+        dev_write_kb_per_req=cluster.total_ops().write_bytes / 1024.0 / done,
+        erases_per_kreq=1000.0 * cluster.total_wear().erase_ops / done,
+        net_kb_per_req=cluster.total_net().bytes_sent / 1024.0 / done,
         recovery=recovery_section,
         elastic=elastic_section,
         perf=run.perf(updates + reads),

@@ -25,11 +25,11 @@ updates_strategy = st.lists(
 )
 
 
-def _run(method, updates):
+def _run(method, updates, m=M):
     sim = Simulator()
     cluster = Cluster(
         sim,
-        ClusterConfig(n_osds=6, k=K, m=M, block_size=BLOCK, seed=3,
+        ClusterConfig(n_osds=max(6, K + m), k=K, m=m, block_size=BLOCK, seed=3,
                       client_overhead_s=0.0),
         make_strategy_factory(method)
         if method != "tsue"
@@ -78,9 +78,11 @@ def _check(cluster, shadow):
     max_examples=20,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(updates_strategy)
-def test_tsue_pipeline_consistency_property(updates):
-    cluster, shadow = _run("tsue", updates)
+@given(updates_strategy, st.sampled_from([2, 3, 4]))
+def test_tsue_pipeline_consistency_property(updates, m):
+    # m > 2: ParityLog hosts covered by a DeltaLog copy (ranks 0, 1) and
+    # persisting ones (ranks >= 2) in one stripe.
+    cluster, shadow = _run("tsue", updates, m)
     _check(cluster, shadow)
 
 

@@ -1,8 +1,8 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Resource, Simulator
 
 
 def test_resource_serializes_single_capacity():
@@ -68,67 +68,3 @@ def test_release_of_idle_resource_raises():
 def test_capacity_validation():
     with pytest.raises(ValueError):
         Resource(Simulator(), capacity=0)
-
-
-def test_store_put_before_get():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("x")
-
-    def getter(sim, store):
-        item = yield store.get()
-        return item
-
-    p = sim.process(getter(sim, store))
-    sim.run()
-    assert p.value == "x"
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-
-    def getter(sim, store):
-        item = yield store.get()
-        return (sim.now, item)
-
-    def putter(sim, store):
-        yield sim.timeout(3.0)
-        store.put("late")
-
-    g = sim.process(getter(sim, store))
-    sim.process(putter(sim, store))
-    sim.run()
-    assert g.value == (3.0, "late")
-
-
-def test_store_fifo_ordering_of_items_and_getters():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def getter(sim, store, tag):
-        item = yield store.get()
-        got.append((tag, item))
-
-    sim.process(getter(sim, store, "g1"))
-    sim.process(getter(sim, store, "g2"))
-
-    def putter(sim, store):
-        yield sim.timeout(1.0)
-        store.put("a")
-        store.put("b")
-
-    sim.process(putter(sim, store))
-    sim.run()
-    assert got == [("g1", "a"), ("g2", "b")]
-
-
-def test_store_try_get():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.try_get() is None
-    store.put(1)
-    store.put(2)
-    assert store.try_get() == 1
-    assert len(store) == 1
