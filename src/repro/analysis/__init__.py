@@ -18,30 +18,25 @@ from repro.analysis.core import (
     FileContext,
     Finding,
     LintConfig,
-    ProjectRule,
     Rule,
     Suppression,
     analyze_file,
     analyze_paths,
     iter_python_files,
 )
-from repro.analysis.project import analyze_project
 from repro.analysis.reporters import render_github, render_json, render_text
-from repro.analysis.rules import all_rules, project_rules, rules_by_id
+from repro.analysis.rules import all_rules, rules_by_id
 
 __all__ = [
     "FileContext",
     "Finding",
     "LintConfig",
-    "ProjectRule",
     "Rule",
     "Suppression",
     "all_rules",
     "analyze_file",
     "analyze_paths",
-    "analyze_project",
     "iter_python_files",
-    "project_rules",
     "render_github",
     "render_json",
     "render_text",

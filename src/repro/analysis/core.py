@@ -3,11 +3,12 @@
 Design notes
 ------------
 
-* **Rules are AST visitors over one file.**  A rule gets a
+* **Rules are AST visitors over parsed files.**  A rule gets a
   :class:`FileContext` (source, parsed tree, import-alias map, config) and
-  yields :class:`Finding`\\ s.  No cross-file state: every invariant the
-  rules encode is local enough to check per file, which keeps the pass
-  trivially incremental and order-independent.
+  yields :class:`Finding`\\ s.  No call graph and no summaries: every
+  invariant is checked on one file's AST, except ``rpc-dead-handler``,
+  which needs the set of string literals of the whole analysed tree and
+  gets it through :meth:`Rule.check_tree` over the same parsed files.
 
 * **Suppressions must carry a reason.**  ``# repro-lint: allow(<rule>) --
   <reason>`` on the offending line (or on its own line directly above)
@@ -69,15 +70,6 @@ class Finding:
             "suppress_reason": self.suppress_reason,
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "Finding":
-        return Finding(
-            rule=data["rule"], path=data["path"], line=data["line"],
-            col=data["col"], message=data["message"], fixit=data["fixit"],
-            suppressed=data.get("suppressed", False),
-            suppress_reason=data.get("suppress_reason"),
-        )
-
 
 @dataclass(frozen=True)
 class LintConfig:
@@ -99,26 +91,6 @@ class LintConfig:
     # ``__init__.py`` re-exports names on purpose; the dead-import rule
     # skips them unless configured otherwise.
     dead_import_skip_init: bool = True
-    # ------------------------------------------------------------------
-    # whole-program knobs (the ipd/rpc families; see analysis/graph.py)
-    # ------------------------------------------------------------------
-    # Modules whose functions never export may-block: simulated device /
-    # store I/O time charged inside a critical section is the modelled
-    # cost of the RMW itself, not a lock-discipline violation.
-    lock_transparent_parts: Tuple[str, ...] = (
-        "repro/sim/", "repro/devices/", "repro/fs/blockstore.py",
-    )
-    # The RPC transport layer forwards caller-supplied message kinds by
-    # design; its variable-kind sends don't count as dynamic protocol
-    # sends (which would disable dead-handler checking project-wide).
-    rpc_transport_parts: Tuple[str, ...] = ("repro/fs/messages.py",)
-    # Function names whose bodies ingest payloads of either plane: the
-    # roots of ghost-reachability for ipd-ghost-materialize.
-    ghost_entry_names: Tuple[str, ...] = (
-        "on_update", "_h_write_block", "_h_update", "_h_read",
-    )
-    # Bench-row producers: determinism taint must never reach them.
-    row_producer_names: Tuple[str, ...] = ("to_dict",)
 
 
 _SUPPRESS_RE = re.compile(
@@ -266,7 +238,12 @@ class Rule:
     fixit: str = ""
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        raise NotImplementedError
+        """Findings in one file (most rules implement only this)."""
+        return iter(())
+
+    def check_tree(self, ctxs: Sequence[FileContext]) -> Iterator[Finding]:
+        """Findings that need every analysed file at once."""
+        return iter(())
 
     def finding(self, ctx: FileContext, node: ast.AST, message: str,
                 fixit: Optional[str] = None) -> Finding:
@@ -276,33 +253,6 @@ class Rule:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             message=message,
-            fixit=fixit if fixit is not None else self.fixit,
-        )
-
-
-class ProjectRule:
-    """Base for whole-program rules (the ``ipd``/``rpc`` families).
-
-    A project rule checks the fixpoint-solved project model built by
-    :mod:`repro.analysis.graph` instead of one file's AST, so it can see
-    facts that flow through calls (``check`` receives the
-    ``graph.Project``).  Findings still anchor to one concrete source
-    location — the call site or definition that witnesses the violation
-    — so the same line-based suppression machinery applies unchanged.
-    """
-
-    id: str = ""
-    family: str = ""
-    description: str = ""
-    fixit: str = ""
-
-    def check(self, project: "object") -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding(self, path: str, line: int, col: int, message: str,
-                fixit: Optional[str] = None) -> Finding:
-        return Finding(
-            rule=self.id, path=path, line=line, col=col, message=message,
             fixit=fixit if fixit is not None else self.fixit,
         )
 
@@ -341,9 +291,7 @@ def load_context(path: str, config: Optional[LintConfig] = None,
     """Read and parse one file.
 
     Returns ``(ctx, [])`` on success, ``(None, [parse-error finding])``
-    when the file does not parse.  Factored out of :func:`analyze_file`
-    so the whole-program driver can parse once and feed the same tree to
-    both the per-file rules and the summary extractor.
+    when the file does not parse.
     """
     config = config or LintConfig()
     if source is None:
@@ -362,29 +310,13 @@ def load_context(path: str, config: Optional[LintConfig] = None,
     return FileContext(path, source, tree, config), []
 
 
-def run_rules(ctx: FileContext, rules: Sequence[Rule]) -> List[Finding]:
-    """Raw (pre-suppression) findings from every rule over one file."""
-    findings: List[Finding] = []
-    for rule in rules:
-        findings.extend(rule.check(ctx))
-    return findings
-
-
 def apply_suppressions(findings: Sequence[Finding],
                        suppressions: Sequence[Suppression]) -> None:
-    """Mark suppressed findings in place; record rule usage on the allows.
-
-    Callable more than once over the same suppression list (the project
-    driver applies it to per-file findings first, then again to the
-    interprocedural findings) — ``used_rules`` accumulates across calls
-    so the audit sees the union.
-    """
+    """Mark suppressed findings in place; record rule usage on the allows."""
     by_line: Dict[int, List[Suppression]] = {}
     for sup in suppressions:
         by_line.setdefault(sup.target_line, []).append(sup)
     for f in findings:
-        if f.suppressed:
-            continue
         for sup in by_line.get(f.line, ()):
             if f.rule in sup.rules:
                 f.suppressed = True
@@ -397,8 +329,7 @@ def audit_suppressions(path: str,
                        suppressions: Sequence[Suppression]) -> List[Finding]:
     """Meta findings: malformed, unjustified, and dead suppressions.
 
-    Run *after* every :func:`apply_suppressions` pass over this file's
-    findings — an allow() counts as used if any pass consumed it.
+    Run *after* :func:`apply_suppressions` over this file's findings.
     """
     findings: List[Finding] = []
     for sup in suppressions:
@@ -436,26 +367,43 @@ def audit_suppressions(path: str,
     return findings
 
 
+def _analyze(ctxs: Sequence[FileContext],
+             rules: Sequence[Rule]) -> List[Finding]:
+    """Every rule over ``ctxs``; suppressions applied and audited per file."""
+    by_path: Dict[str, List[Finding]] = {ctx.path: [] for ctx in ctxs}
+    for rule in rules:
+        for ctx in ctxs:
+            by_path[ctx.path].extend(rule.check(ctx))
+        for f in rule.check_tree(ctxs):
+            by_path[f.path].append(f)
+    findings: List[Finding] = []
+    for ctx in ctxs:
+        suppressions = parse_suppressions(ctx.lines)
+        apply_suppressions(by_path[ctx.path], suppressions)
+        findings.extend(by_path[ctx.path])
+        findings.extend(audit_suppressions(ctx.path, suppressions))
+    return findings
+
+
 def analyze_file(path: str, rules: Sequence[Rule],
                  config: Optional[LintConfig] = None,
                  source: Optional[str] = None) -> List[Finding]:
-    """Run ``rules`` over one file; apply and audit suppressions."""
-    ctx, findings = load_context(path, config, source)
-    if ctx is None:
-        return findings
-    findings = run_rules(ctx, rules)
-    suppressions = parse_suppressions(ctx.lines)
-    apply_suppressions(findings, suppressions)
-    findings.extend(audit_suppressions(path, suppressions))
-    return findings
+    """Run ``rules`` over one file; tree-wide rules see only this file."""
+    ctx, errors = load_context(path, config, source)
+    return errors if ctx is None else _analyze([ctx], rules)
 
 
 def analyze_paths(paths: Sequence[str], rules: Sequence[Rule],
                   config: Optional[LintConfig] = None) -> List[Finding]:
     """Analyze every Python file under ``paths``; total-ordered findings."""
     config = config or LintConfig()
+    ctxs: List[FileContext] = []
     findings: List[Finding] = []
     for path in iter_python_files(paths, config):
-        findings.extend(analyze_file(path, rules, config))
+        ctx, errors = load_context(path, config)
+        findings.extend(errors)
+        if ctx is not None:
+            ctxs.append(ctx)
+    findings.extend(_analyze(ctxs, rules))
     findings.sort(key=Finding.sort_key)
     return findings

@@ -1,19 +1,17 @@
 """Rule registry: every shipped rule, grouped by family.
 
-Adding a per-file rule = subclass :class:`repro.analysis.core.Rule`,
-give it a unique kebab-case ``id`` and a ``family``, and list it in
-:func:`all_rules`; whole-program rules subclass
-:class:`~repro.analysis.core.ProjectRule` and go in
-:func:`project_rules`.  The CLI, the reporters and the fixture tests
-all discover rules through these two functions, so registration is the
-single point of truth.
+Adding a rule = subclass :class:`repro.analysis.core.Rule`, give it a
+unique kebab-case ``id`` and a ``family``, and list it in
+:func:`all_rules`.  The CLI, the reporters and the fixture tests all
+discover rules through this function, so registration is the single
+point of truth.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.core import ProjectRule, Rule
+from repro.analysis.core import Rule
 from repro.analysis.rules.aliasing import ViewAcrossYieldRule, ViewEscapeRule
 from repro.analysis.rules.baseline import DeadImportRule, UnreachableCodeRule
 from repro.analysis.rules.determinism import (
@@ -31,14 +29,8 @@ from repro.analysis.rules.locks import (
     UnserializedRMWRule,
     YieldWhileLockedRule,
 )
-from repro.analysis.rules.ipd import (
-    DetTaintIpdRule,
-    GhostMaterializeIpdRule,
-    ViewAcrossYieldIpdRule,
-    YieldUnderLockIpdRule,
-)
 from repro.analysis.rules.plane import PlaneBranchRule
-from repro.analysis.rules.rpc import DeadHandlerRule, UnhandledMessageRule
+from repro.analysis.rules.rpc import DeadHandlerRule
 
 
 def all_rules() -> List[Rule]:
@@ -64,32 +56,14 @@ def all_rules() -> List[Rule]:
         # baseline hygiene — pyflakes-style floor
         DeadImportRule(),
         UnreachableCodeRule(),
-    ]
-
-
-def project_rules() -> List[ProjectRule]:
-    """Fresh instances of every whole-program (ipd/rpc) rule."""
-    return [
-        # ipd — transitive closures of the per-file families
-        YieldUnderLockIpdRule(),
-        ViewAcrossYieldIpdRule(),
-        GhostMaterializeIpdRule(),
-        DetTaintIpdRule(),
-        # rpc — protocol surface: kinds sent vs handlers registered
-        UnhandledMessageRule(),
+        # rpc — a registered handler needs a sender (over the whole tree)
         DeadHandlerRule(),
     ]
 
 
-def rules_by_id(
-    ids: Optional[Sequence[str]] = None,
-) -> Dict[str, Union[Rule, ProjectRule]]:
+def rules_by_id(ids: Optional[Sequence[str]] = None) -> Dict[str, Rule]:
     """Registered rules keyed by id, optionally restricted to ``ids``."""
-    table: Dict[str, Union[Rule, ProjectRule]] = {
-        rule.id: rule for rule in all_rules()
-    }
-    for prule in project_rules():
-        table[prule.id] = prule
+    table: Dict[str, Rule] = {rule.id: rule for rule in all_rules()}
     if ids is None:
         return table
     unknown = sorted(set(ids) - set(table))

@@ -26,7 +26,7 @@ reasons cover the rare intentional case.
 from __future__ import annotations
 
 import ast
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.analysis.core import FileContext, Finding, Rule
 from repro.analysis.vocab import view_call as _view_call
@@ -48,25 +48,12 @@ class _Taint:
 
 
 class _FunctionScan:
-    """Source-order event scan of one function body.
+    """Source-order event scan of one function body."""
 
-    ``view_source`` classifies an expression: it returns a human-readable
-    source description when the expression produces a zero-copy view, or
-    None.  The per-file rules use the lexical ``read_range``/``peek``
-    tables; the interprocedural ``ipd-view-across-yield`` rule plugs in a
-    summary-based predicate (helper calls whose transitive return value
-    is a view) and reuses the exact same lifetime scan, so the two rule
-    generations can never disagree about what "used across a yield"
-    means.
-    """
-
-    def __init__(self, rule: Rule, ctx: FileContext, func: ast.FunctionDef,
-                 view_source: Callable[[ast.AST], Optional[str]]
-                 = _direct_view_source):
+    def __init__(self, rule: Rule, ctx: FileContext, func: ast.FunctionDef):
         self.rule = rule
         self.ctx = ctx
         self.func = func
-        self.view_source = view_source
         self.epoch = 0
         self.taints: Dict[str, _Taint] = {}
         self.findings: List[Finding] = []
@@ -105,7 +92,7 @@ class _FunctionScan:
             self._visit(child)
 
     def _assign(self, targets: List[ast.AST], value: ast.AST) -> None:
-        source = self.view_source(value)
+        source = _direct_view_source(value)
         for target in targets:
             if isinstance(target, ast.Name):
                 if source is not None:

@@ -18,24 +18,30 @@ failure modes:
   requires it (PARIX's original-ship), which is what suppression reasons
   are for.
 
-Lexical conventions the rules understand: the generator passed to
-``serialize_stripe(...)`` is a locked region, and so is any method whose
-name ends in ``_locked`` (the PARIX convention for bodies that run under
-the wrapper).  Drain/recycle methods (``drain``, ``_recycle*``) are
-exempt from the unserialized-RMW rule: they run behind the harness's
-post-workload barrier or their strategy's own exclusion lock.
+The locked scope is closed, so one file's AST is enough to see all of
+it: the body passed to ``serialize_stripe(...)`` must be a call to a
+``*_locked`` function, and a ``*_locked`` function may delegate
+(``yield from``) only to other ``*_locked`` functions or to device and
+store I/O through ``self.osd`` (the modelled cost of the RMW).  A helper
+that blocks can therefore not hide under the lock behind a call.
+Drain/recycle methods (``drain``, ``_recycle*``) are exempt from the
+unserialized-RMW rule: they run behind the harness's post-workload
+barrier or their strategy's own exclusion lock.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Set, Tuple
+from typing import Iterator, List, Optional, Set
 
 from repro.analysis.core import FileContext, Finding, Rule
 from repro.analysis.vocab import BLOCKING_CALL_TAILS as _BLOCKING_CALLS
 
-# Stripe-state mutation primitives that must be lock-wrapped.
-_RMW_CALLS = ("rmw_delta", "write_range")
+# Stripe-state mutation primitives that must be lock-wrapped: the shared
+# RMW in every class (its name says it needs the lock), the raw block
+# write in classes that declare ``serializes_stripes``.
+_RMW_LOCKED = "rmw_delta_locked"
+_RMW_CALLS = (_RMW_LOCKED, "write_range")
 
 
 def _call_tail(ctx: FileContext, call: ast.Call) -> str:
@@ -44,20 +50,16 @@ def _call_tail(ctx: FileContext, call: ast.Call) -> str:
     return name.rsplit(".", 1)[-1] if name else ""
 
 
-def _serializing_classes(tree: ast.Module) -> Iterator[ast.ClassDef]:
-    """Classes that declare ``serializes_stripes = True`` in their body."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for stmt in node.body:
-            if (isinstance(stmt, ast.Assign)
-                    and any(isinstance(t, ast.Name)
-                            and t.id == "serializes_stripes"
-                            for t in stmt.targets)
-                    and isinstance(stmt.value, ast.Constant)
-                    and stmt.value.value is True):
-                yield node
-                break
+def _serializes(cls: ast.ClassDef) -> bool:
+    """True when the class body declares ``serializes_stripes = True``."""
+    return any(
+        isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "serializes_stripes"
+                for t in stmt.targets)
+        and isinstance(stmt.value, ast.Constant)
+        and stmt.value.value is True
+        for stmt in cls.body
+    )
 
 
 def _serialize_calls(root: ast.AST, ctx: FileContext) -> List[ast.Call]:
@@ -67,19 +69,22 @@ def _serialize_calls(root: ast.AST, ctx: FileContext) -> List[ast.Call]:
     ]
 
 
-def _locked_subtrees(
-    func: ast.FunctionDef, ctx: FileContext
-) -> List[Tuple[ast.AST, str]]:
-    """(root, description) for every locked lexical region in ``func``."""
-    regions: List[Tuple[ast.AST, str]] = []
-    if func.name.endswith("_locked"):
-        regions.append((func, f"method `{func.name}` (runs under the "
-                              "stripe lock by naming convention)"))
-        return regions
-    for call in _serialize_calls(func, ctx):
-        for arg in list(call.args) + [kw.value for kw in call.keywords]:
-            regions.append((arg, "the body passed to `serialize_stripe`"))
-    return regions
+def _body_arg(call: ast.Call) -> Optional[ast.AST]:
+    """The generator passed to ``serialize_stripe(key, body)``."""
+    if len(call.args) >= 2:
+        return call.args[1]
+    return next((kw.value for kw in call.keywords if kw.arg == "body"), None)
+
+
+def _delegate_tail(call: ast.Call) -> Optional[str]:
+    """Callee name of ``self.<m>(...)`` / ``<name>(...)``, else None."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+            and func.value.id == "self"):
+        return func.attr
+    return None
 
 
 def _methods(cls: ast.ClassDef) -> Iterator[ast.FunctionDef]:
@@ -98,7 +103,10 @@ class UnserializedRMWRule(Rule):
              "wrapper")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for cls in _serializing_classes(ctx.tree):
+        for cls in ast.walk(ctx.tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            rmw = _RMW_CALLS if _serializes(cls) else (_RMW_LOCKED,)
             for func in _methods(cls):
                 if (func.name.endswith("_locked") or func.name == "drain"
                         or func.name.startswith("_recycle")):
@@ -111,7 +119,7 @@ class UnserializedRMWRule(Rule):
                         wrapped.update(id(n) for n in ast.walk(arg))
                 for node in ast.walk(func):
                     if (isinstance(node, ast.Call)
-                            and _call_tail(ctx, node) in _RMW_CALLS
+                            and _call_tail(ctx, node) in rmw
                             and id(node) not in wrapped):
                         yield self.finding(
                             ctx, node,
@@ -160,22 +168,49 @@ class YieldWhileLockedRule(Rule):
                    "inside a serialize_stripe critical section holds the "
                    "stripe lock across simulated time")
     fixit = ("move the blocking operation after the critical section "
-             "(compute under the lock, communicate outside it); if the "
-             "protocol requires it — e.g. PARIX's original-ship-before-ack "
-             "— suppress with that reason")
+             "(compute under the lock, communicate outside it); keep the "
+             "locked scope closed — pass serialize_stripe a `*_locked` "
+             "call and delegate only to `*_locked` helpers; if the "
+             "protocol requires the wait — e.g. PARIX's "
+             "original-ship-before-ack — suppress with that reason")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for cls in _serializing_classes(ctx.tree):
-            for func in _methods(cls):
-                for root, where in _locked_subtrees(func, ctx):
-                    for node in ast.walk(root):
-                        if not isinstance(node, ast.Call):
-                            continue
-                        tail = _call_tail(ctx, node)
-                        if tail in _BLOCKING_CALLS:
-                            yield self.finding(
-                                ctx, node,
-                                f"blocking `{tail}` inside {where} of "
-                                f"`{cls.name}.{func.name}` — stripe lock "
-                                "held across the wait",
-                            )
+        for node in ast.walk(ctx.tree):
+            if (isinstance(node, ast.Call)
+                    and _call_tail(ctx, node) == "serialize_stripe"):
+                body = _body_arg(node)
+                tail = (_call_tail(ctx, body)
+                        if isinstance(body, ast.Call) else "")
+                # A nested serialize_stripe body is lock-nested-serialize's.
+                if (body is not None and not tail.endswith("_locked")
+                        and tail != "serialize_stripe"):
+                    yield self.finding(
+                        ctx, body,
+                        "the body passed to `serialize_stripe` is not a "
+                        "`*_locked` call — the locked scope must be a "
+                        "function this rule checks",
+                    )
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.endswith("_locked")):
+                continue
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Call)
+                        and _call_tail(ctx, sub) in _BLOCKING_CALLS):
+                    yield self.finding(
+                        ctx, sub,
+                        f"blocking `{_call_tail(ctx, sub)}` inside "
+                        f"`{node.name}`, which runs under the stripe lock "
+                        "— lock held across the wait",
+                    )
+                elif (isinstance(sub, ast.YieldFrom)
+                      and isinstance(sub.value, ast.Call)):
+                    tail = _delegate_tail(sub.value)
+                    if tail and not tail.endswith("_locked") \
+                            and tail != "serialize_stripe":
+                        yield self.finding(
+                            ctx, sub.value,
+                            f"`{node.name}` runs under the stripe lock and "
+                            f"delegates to `{tail}`, which is not "
+                            "`*_locked` — whatever it waits on is hidden "
+                            "from this rule",
+                        )

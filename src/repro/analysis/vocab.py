@@ -1,14 +1,9 @@
-"""Shared call vocabulary for the rule families and the summary builder.
+"""Shared call vocabulary for the rule families.
 
 One module owns the canonical tables of "interesting" callables — wall
-clocks, entropy sources, blocking yield points, zero-copy view sources,
-byte materializers — so the per-file rules (`rules/determinism.py`,
-`rules/locks.py`, `rules/aliasing.py`) and the whole-program summary
-extraction (`graph.py`) can never disagree about what a name means.
-Before the interprocedural layer existed each rule module kept a private
-copy; a vocabulary drift between the intraprocedural rule and the
-summary that generalizes it would make `ipd-*` findings inconsistent
-with their per-file counterparts.
+clocks, entropy sources, blocking yield points, zero-copy view sources —
+so the rules (`rules/determinism.py`, `rules/locks.py`,
+`rules/aliasing.py`) can never disagree about what a name means.
 """
 
 from __future__ import annotations
@@ -50,22 +45,6 @@ FS_ORDER_CALLS = frozenset({
 })
 
 
-def is_entropy_call(canonical: str, has_args: bool) -> bool:
-    """Shared predicate: does this canonical call inject ambient entropy?
-
-    Mirrors the `det-entropy` rule exactly: direct entropy sources,
-    anything in ``secrets``, seedable constructors called without a seed,
-    and module-level ``random.*`` / ``numpy.random.*`` convenience calls
-    (hidden global stream).
-    """
-    if canonical in ENTROPY_CALLS or canonical.startswith("secrets."):
-        return True
-    if canonical in SEEDABLE_CALLS:
-        return not has_args
-    return (canonical.startswith("random.")
-            or canonical.startswith("numpy.random."))
-
-
 # ----------------------------------------------------------------------
 # locks: yield points that block simulated time while a lock is held.
 # Device I/O (store/device read-write) is deliberately absent: charging
@@ -74,8 +53,7 @@ def is_entropy_call(canonical: str, has_args: bool) -> bool:
 # a down or migrating stripe parks the caller for a whole outage/copy
 # window, and a membership rebalance blocks across quiesce + drain +
 # copy — all of them may-block by contract, so calling one while holding
-# a stripe lock is a deadlock-shaped bug the per-file rules must see
-# without the whole-program graph.  (Device ``degrade``/``heal`` and
+# a stripe lock is a deadlock-shaped bug.  (Device ``degrade``/``heal`` and
 # ``Fabric.degrade_link``/``heal_link`` are deliberately absent: they are
 # instantaneous state flips, not yield points.)
 # ----------------------------------------------------------------------
@@ -98,8 +76,8 @@ VIEW_SOURCE_ATTRS = frozenset({
 def view_call(node: ast.AST) -> Optional[ast.Call]:
     """The view-returning Call inside ``node`` (unwrapping yield-from).
 
-    Shared by the ``alias-*`` rules and the summary extractor so both
-    generations agree on what produces a view.
+    Shared by both ``alias-*`` rules so they agree on what produces a
+    view.
     """
     if isinstance(node, (ast.YieldFrom, ast.Await)):
         node = node.value
@@ -112,24 +90,3 @@ def view_call(node: ast.AST) -> Optional[ast.Call]:
             return None
         return node
     return None
-
-# ----------------------------------------------------------------------
-# payload plane: calls that force real bytes into existence.  On the
-# ghost plane these either fabricate data (``bytes`` of a metadata-only
-# extent has nothing to copy) or crash loudly at runtime
-# (``GhostExtent.__array__`` raises) — either way, a ghost-reachable
-# call site is a plane-discipline violation worth catching at review
-# time.
-# ----------------------------------------------------------------------
-MATERIALIZE_CALLS = frozenset({
-    "bytes", "bytearray", "memoryview",
-    "numpy.asarray", "numpy.array", "numpy.ascontiguousarray",
-    "numpy.frombuffer", "numpy.copyto",
-})
-MATERIALIZE_ATTR_TAILS = frozenset({"tobytes", "__array__"})
-
-# Calls that mark a function as a *plane dispatch point*: a function
-# that explicitly branches on ``is_ghost(...)`` handles both planes by
-# contract (and the runtime ``GhostMaterializationError`` backstop
-# catches it if it lies), so ghost-reachability analysis stops there.
-PLANE_DISPATCH_TAILS = frozenset({"is_ghost"})

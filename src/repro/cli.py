@@ -88,27 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     li.add_argument("--show-suppressed", action="store_true",
                     help="include suppressed findings (and their reasons) "
                          "in the text report")
-    li.add_argument("--ipd", dest="ipd", action="store_true", default=True,
-                    help="run the whole-program (ipd/rpc) families "
-                         "(default: on)")
-    li.add_argument("--no-ipd", dest="ipd", action="store_false",
-                    help="per-file rules only (PR 6 behavior: no call "
-                         "graph, no summaries, no cache)")
-    li.add_argument("--cache", default=None, metavar="PATH",
-                    help="summary-cache file (default: .repro-lint-cache "
-                         "next to the first analyzed path)")
-    li.add_argument("--no-cache", action="store_true",
-                    help="cold run: neither read nor write the summary "
-                         "cache")
-    li.add_argument("--graph-dump", nargs="?", const="repro-lint-graph.json",
-                    default=None, metavar="PATH",
-                    help="write the resolved call graph + solved summaries "
-                         "as JSON (default PATH: repro-lint-graph.json)")
-    li.add_argument("--changed", action="store_true",
-                    help="report only findings in git-changed files plus "
-                         "their reverse summary dependents (analysis still "
-                         "covers the whole tree; --strict CI runs "
-                         "unscoped)")
 
     sc = sub.add_parser("scenario", help="one named open-loop workload scenario")
     sc.add_argument("name", help='scenario name, or "list" to enumerate')

@@ -1,13 +1,13 @@
-"""The metadata server: namespace, placement authority, heartbeats.
+"""The metadata server: namespace and heartbeats.
 
-The MDS tracks files (inode -> size/geometry), answers placement queries,
-and monitors OSD liveness through heartbeats.  Clients query placement at
-open time and cache it (the placement function is deterministic), so the
-steady-state update path never touches the MDS — matching the paper's
-architecture where the MDS is out of the data path.
+The MDS tracks files (inode -> size/geometry) and monitors OSD liveness
+through heartbeats.  Placement is a deterministic function clients
+evaluate themselves, so the steady-state update path never touches the
+MDS — matching the paper's architecture where the MDS is out of the data
+path.
 
-The MDS also keeps the page-level written bitmap of §4.3 that classifies
-incoming writes as *first writes* vs *updates*.
+Each file's metadata keeps the page-level written bitmap of §4.3 that
+classifies writes as *first writes* vs *updates* (``FileMeta.is_update``).
 """
 
 from __future__ import annotations
@@ -58,22 +58,12 @@ class MDS(RpcHost):
         self.heartbeat_timeout = self.HEARTBEAT_TIMEOUT
         self.last_heartbeat: Dict[str, float] = {}
         self.register("create_file", self._h_create)
-        # The next three kinds are client-facing protocol surface with no
-        # in-tree caller yet: scenarios drive them directly (see
-        # tests/test_fs_client_osd.py), and dropping the handlers would
-        # break the wire protocol the bench harness scripts against.
-        # repro-lint: allow(rpc-dead-handler) -- protocol surface exercised from tests/scenarios, no src-tree sender yet
-        self.register("stat", self._h_stat)
-        # repro-lint: allow(rpc-dead-handler) -- protocol surface exercised from tests/scenarios, no src-tree sender yet
-        self.register("locate", self._h_locate)
         # Heartbeats opt out of the at-most-once reply cache: the handler
         # is idempotent by construction (last-writer-wins timestamp), a
         # *replayed* heartbeat would report stale liveness, and the beat
         # stream would otherwise churn the dedup table of every OSD's
         # entry for no protection.
         self.register("heartbeat", self._h_heartbeat, cache_reply=False)
-        # repro-lint: allow(rpc-dead-handler) -- protocol surface exercised from tests/scenarios, no src-tree sender yet
-        self.register("classify_write", self._h_classify)
 
     # ------------------------------------------------------------------
     # direct (non-RPC) registration used by instant loading
@@ -100,36 +90,10 @@ class MDS(RpcHost):
         yield self.sim.timeout(0)  # metadata op: negligible local cost
         return {"ok": True}, 16
 
-    def _h_stat(self, msg: Message):
-        meta = self.files.get(msg.payload["inode"])
-        yield self.sim.timeout(0)
-        if meta is None:
-            return {"exists": False}, 16
-        return {"exists": True, "size": meta.size}, 32
-
-    def _h_locate(self, msg: Message):
-        inode = msg.payload["inode"]
-        stripe = msg.payload["stripe"]
-        names = self.cluster.placement(inode, stripe)
-        yield self.sim.timeout(0)
-        return {"osds": names}, 16 * len(names)
-
     def _h_heartbeat(self, msg: Message):
         self.last_heartbeat[msg.src] = self.sim.now
         yield self.sim.timeout(0)
         return {"ok": True}, 8
-
-    def _h_classify(self, msg: Message):
-        """First-write vs update classification (page bitmap, §4.3)."""
-        meta = self.files.get(msg.payload["inode"])
-        offset = msg.payload["offset"]
-        length = msg.payload["length"]
-        yield self.sim.timeout(0)
-        if meta is None:
-            return {"update": False}, 8
-        is_upd = meta.is_update(offset, length)
-        meta.mark_written(offset, length)
-        return {"update": is_upd}, 8
 
     # ------------------------------------------------------------------
     # failure detection

@@ -20,6 +20,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.sim.events import AllOf
+
 BlockKey = Tuple[int, int, int]
 
 
@@ -128,11 +130,12 @@ class UpdateStrategy:
             locks.release(stripe, holder)
         return result
 
-    def rmw_delta(self, key: BlockKey, offset: int, data: np.ndarray):
+    def rmw_delta_locked(self, key: BlockKey, offset: int, data: np.ndarray):
         """The in-place family's front half: read old, write new, delta.
 
         Two small random I/Os on the data block — precisely the cost TSUE
-        removes from the critical path.
+        removes from the critical path.  Runs as the body of
+        :meth:`serialize_stripe` (hence the name).
         """
         old = yield from self.osd.store.read_range(key, offset, data.size, pattern="rand")
         # ``old`` is a zero-copy view of the live block: the delta must be
@@ -141,6 +144,38 @@ class UpdateStrategy:
         delta = old ^ data
         yield from self.osd.store.write_range(key, offset, data, pattern="rand")
         return delta
+
+    def update_in_place(self, key: BlockKey, offset: int, data: np.ndarray,
+                        kind: str):
+        """FO / PL / PLR's synchronous path, which differ only in ``kind``.
+
+        The data-block RMW holds the stripe lock; the scaled delta then
+        goes to every parity OSD as message ``kind`` outside it (applies
+        and appends are commutative XOR), and the update is acked when
+        every parity OSD has replied.
+        """
+        delta = yield from self.serialize_stripe(
+            key, self.rmw_delta_locked(key, offset, data)
+        )
+        calls = []
+        for p, osd_name in self.parity_targets(key):
+            pdelta = self.cluster.codec.parity_delta(key[2], p, delta)
+            calls.append(
+                self.sim.process(
+                    self.osd.rpc(
+                        osd_name,
+                        kind,
+                        {
+                            "pkey": self.parity_key(key, p),
+                            "offset": offset,
+                            "pdelta": pdelta,
+                        },
+                        nbytes=int(pdelta.size),
+                    )
+                )
+            )
+        if calls:
+            yield AllOf(self.sim, calls)
 
     def parity_targets(self, key: BlockKey) -> List[Tuple[int, str]]:
         """(parity_index, osd_name) for each parity block of the stripe."""

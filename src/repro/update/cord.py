@@ -62,7 +62,7 @@ class CoRDStrategy(UpdateStrategy):
         # Lock the data-block read-modify-write only; the collector buffers
         # deltas in an XOR index and combining is commutative (Eq. 5).
         delta = yield from self.serialize_stripe(
-            key, self.rmw_delta(key, offset, data)
+            key, self.rmw_delta_locked(key, offset, data)
         )
         inode, stripe, _j = key
         collector = self.cluster.placement(inode, stripe)[self.cluster.config.k]

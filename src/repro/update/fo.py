@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.events import AllOf
 from repro.update.base import BlockKey, UpdateStrategy
 
 
@@ -24,30 +23,7 @@ class FOStrategy(UpdateStrategy):
         self.osd.register("fo_apply", self._h_apply)
 
     def on_update(self, key: BlockKey, offset: int, data: np.ndarray):
-        # Only the data-block read-modify-write needs the stripe lock: the
-        # parity applies below are commutative XOR, safe in any order.
-        delta = yield from self.serialize_stripe(
-            key, self.rmw_delta(key, offset, data)
-        )
-        calls = []
-        for p, osd_name in self.parity_targets(key):
-            pdelta = self.cluster.codec.parity_delta(key[2], p, delta)
-            calls.append(
-                self.sim.process(
-                    self.osd.rpc(
-                        osd_name,
-                        "fo_apply",
-                        {
-                            "pkey": self.parity_key(key, p),
-                            "offset": offset,
-                            "pdelta": pdelta,
-                        },
-                        nbytes=int(pdelta.size),
-                    )
-                )
-            )
-        if calls:
-            yield AllOf(self.sim, calls)
+        return self.update_in_place(key, offset, data, "fo_apply")
 
     def _h_apply(self, msg):
         p = msg.payload

@@ -19,7 +19,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.logstruct.index import TwoLevelIndex
-from repro.sim.events import AllOf
 from repro.update.base import BlockKey, UpdateStrategy
 
 PL_HEADER = 32
@@ -44,30 +43,7 @@ class PLStrategy(UpdateStrategy):
 
     # ------------------------------------------------------------------
     def on_update(self, key: BlockKey, offset: int, data: np.ndarray):
-        # Lock the data-block read-modify-write only; the appended parity
-        # deltas fold into an XOR index, commutative in arrival order.
-        delta = yield from self.serialize_stripe(
-            key, self.rmw_delta(key, offset, data)
-        )
-        calls = []
-        for p, osd_name in self.parity_targets(key):
-            pdelta = self.cluster.codec.parity_delta(key[2], p, delta)
-            calls.append(
-                self.sim.process(
-                    self.osd.rpc(
-                        osd_name,
-                        "pl_append",
-                        {
-                            "pkey": self.parity_key(key, p),
-                            "offset": offset,
-                            "pdelta": pdelta,
-                        },
-                        nbytes=int(pdelta.size),
-                    )
-                )
-            )
-        if calls:
-            yield AllOf(self.sim, calls)
+        return self.update_in_place(key, offset, data, "pl_append")
 
     def _h_append(self, msg):
         p = msg.payload

@@ -1,9 +1,10 @@
 """Known-negative corpus for the lock-discipline rules: nothing fires.
 
-Includes the rules' deliberate lexical boundaries: helpers invoked from
-inside a wrapped body are out of scope unless they follow the
-``*_locked`` naming convention, and log-structured strategies that do not
-declare ``serializes_stripes`` are exempt wholesale (appends commute).
+Includes the rules' deliberate boundaries: a locked body may delegate
+to other ``*_locked`` helpers and to device / store I/O through
+``self.osd`` (the modelled cost of the RMW), and log-structured
+strategies that do not declare ``serializes_stripes`` may write blocks
+without the lock (appends commute).
 """
 
 
@@ -12,27 +13,30 @@ class GoodStrategy:
 
     def apply_update(self, key, offset, data):
         yield from self.serialize_stripe(
-            key, self.rmw_delta(key, offset, data)  # wrapped: fine
+            key, self.rmw_delta_locked(key, offset, data)  # wrapped: fine
         )
 
     def _apply_locked(self, key, offset, data):
         # Under the lock by convention; pure compute + device I/O (the
-        # modelled cost of RMW), no blocking yield points.
-        yield from self.rmw_delta(key, offset, data)
+        # modelled cost of RMW) and a `*_locked` delegate, no blocking
+        # yield points.
+        yield from self.rmw_delta_locked(key, offset, data)
+        yield from self.osd.device.write(64, zone="blocks")
 
     def _throttle_locked(self, key, offset, data):
         # Fail-slow degradation/heal are instantaneous state flips, not
         # yield points — legal inside the critical section.
         self.osd.device.degrade(2.0)
-        yield from self.rmw_delta(key, offset, data)
+        yield from self.rmw_delta_locked(key, offset, data)
         self.osd.device.heal()
 
     def drain(self, phase=0):
         # Drain runs behind the harness post-workload barrier: exempt.
-        yield from self.rmw_delta(0, 0, None)
+        yield from self.rmw_delta_locked(0, 0, None)
 
 
 class LogStructured:
-    # No serializes_stripes declaration: appends commute, no lock contract.
+    # No serializes_stripes declaration: appends commute, no lock contract
+    # on raw block writes.
     def apply_update(self, key, offset, data):
-        yield from self.rmw_delta(key, offset, data)
+        yield from self.osd.store.write_range(key, offset, data)

@@ -130,17 +130,6 @@ def test_multi_extent_update_resends_only_the_lost_frame():
     assert sum(osd.updates_served for osd in cluster.osds) == 3
 
 
-def test_mds_locate_rpc_matches_local_placement():
-    sim, cluster, client = build()
-
-    def go():
-        reply = yield from client.rpc("mds", "locate", {"inode": 3, "stripe": 2}, 16)
-        return reply["osds"]
-
-    names = run_to(sim, sim.process(go()))
-    assert names == cluster.placement(3, 2)
-
-
 def test_mds_heartbeat_failure_detection():
     sim, cluster, client = build()
 
@@ -155,21 +144,3 @@ def test_mds_heartbeat_failure_detection():
     # Advance past the timeout: everyone is failed now.
     sim.run(until=10.0)
     assert len(cluster.mds.failed_osds()) == 8
-
-
-def test_mds_classify_write_bitmap():
-    sim, cluster, client = build()
-
-    def go():
-        yield from client.create(11, 8192)
-        first = yield from client.rpc(
-            "mds", "classify_write", {"inode": 11, "offset": 0, "length": 4096}, 24
-        )
-        second = yield from client.rpc(
-            "mds", "classify_write", {"inode": 11, "offset": 0, "length": 4096}, 24
-        )
-        return first["update"], second["update"]
-
-    first, second = run_to(sim, sim.process(go()))
-    assert first is False  # never written
-    assert second is True  # page bitmap now covers it

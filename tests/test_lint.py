@@ -8,6 +8,9 @@ the same check CI runs.
 """
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -71,8 +74,19 @@ def test_lock_rules_fire():
     assert counts == {
         "lock-rmw-unserialized": 1,
         "lock-nested-serialize": 2,
-        "lock-yield-while-locked": 3,
+        "lock-yield-while-locked": 5,
     }
+
+
+def test_lock_scope_is_closed():
+    # The two closed-scope cases: a serialize_stripe body that is not a
+    # `*_locked` call, and a `*_locked` body delegating to a helper that
+    # is not `*_locked`.  Store I/O through self.osd stays exempt.
+    found = {f.line: f.message for f in lint("locks_positive.py")
+             if f.rule == "lock-yield-while-locked"}
+    assert any("is not a `*_locked` call" in m for m in found.values())
+    assert any("delegates to `_pace`" in m for m in found.values())
+    assert not any("write_range" in m for m in found.values())
 
 
 def test_lock_rules_negative():
@@ -125,6 +139,27 @@ def test_plane_rule_scoped_by_markers():
     assert rule_counts(lint("plane_positive.py", config=cfg)) == {}
 
 
+def test_rpc_rule_fires():
+    findings = [f for f in lint("rpc_positive.py") if not f.suppressed]
+    assert [(f.rule, f.line) for f in findings] == [("rpc-dead-handler", 7)]
+    assert "`orphan`" in findings[0].message
+
+
+def test_rpc_rule_negative():
+    # Kinds sent through a helper that takes `kind` as a parameter stay
+    # alive: the literal is at the helper's call site.
+    assert rule_counts(lint("rpc_negative.py")) == {}
+
+
+def test_rpc_rule_sees_the_whole_tree():
+    # A kind registered in one file and sent from another is alive only
+    # when both files are analysed together.
+    alone = analyze_file(str(FIXTURES / "rpc_positive.py"), all_rules())
+    both = analyze_paths([str(FIXTURES / "rpc_positive.py"),
+                          str(FIXTURES / "rpc_negative.py")], all_rules())
+    assert rule_counts(alone) == rule_counts(both) == {"rpc-dead-handler": 1}
+
+
 def test_baseline_rules_fire():
     counts = rule_counts(lint("baseline_positive.py"))
     assert counts == {"dead-import": 3, "unreachable-code": 2}
@@ -163,6 +198,25 @@ def test_suppression_audit_findings():
         "unused-suppression": 2,          # stale allow + wrong rule id
         "det-entropy": 1,                 # the violation the wrong id missed
     }
+
+
+def test_suppression_syntax_fixture():
+    findings = lint("suppress_syntax.py")
+    assert rule_counts(findings) == {
+        "suppression-syntax": 1,   # allow() names no rules
+        "det-entropy": 1,          # ...so the call under it stays active
+    }
+    suppressed = rule_counts(findings, active_only=False) - \
+        rule_counts(findings)
+    # The space-separated two-rule allow consumed both rules.
+    assert suppressed == {"det-wallclock": 1, "det-entropy": 1}
+
+
+def test_suppression_syntax_has_fixit():
+    syn = [f for f in lint("suppress_syntax.py")
+           if f.rule == "suppression-syntax"]
+    assert len(syn) == 1 and syn[0].fixit
+    assert "allow(" in syn[0].fixit
 
 
 def test_standalone_suppression_binds_to_next_code_line():
@@ -233,7 +287,7 @@ def test_every_rule_has_fixture_coverage():
     fired = set()
     for name in ("det_positive.py", "locks_positive.py",
                  "alias_positive.py", "baseline_positive.py",
-                 "plane_positive.py"):
+                 "plane_positive.py", "rpc_positive.py"):
         fired |= set(rule_counts(lint(name)))
     fired |= set(rule_counts(lint("hot_positive.py", config=HOT_CONFIG)))
     registered = {r.id for r in all_rules()}
@@ -272,6 +326,18 @@ def test_cli_json_output(capsys):
     assert payload["summary"]["active"] == 0
 
 
+def test_cli_github_format(capsys):
+    code = cli_main(["lint", "--format", "github",
+                     str(FIXTURES / "locks_positive.py")])
+    out = capsys.readouterr().out
+    assert code == 1
+    errors = [ln for ln in out.splitlines() if ln.startswith("::error ")]
+    assert len(errors) == 8
+    assert all("file=" in ln and "line=" in ln and "col=" in ln
+               for ln in errors)
+    assert "title=repro-lint lock-yield-while-locked" in out
+
+
 def test_cli_list_rules(capsys):
     assert cli_main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
@@ -293,3 +359,13 @@ def test_shipped_tree_is_strict_clean(capsys):
     assert cli_main(["lint", "--strict", REPO_SRC]) == 0
     out = capsys.readouterr().out
     assert "0 finding(s)" in out
+
+
+def test_lint_imports_no_engine():
+    # A fresh interpreter: the lint command must not pull numpy in.
+    code = ("import sys; from repro.cli import main; "
+            "main(['lint', '--list-rules']); "
+            "sys.exit('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": REPO_SRC})
+    assert proc.returncode == 0, proc.stderr
