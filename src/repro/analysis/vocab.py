@@ -57,8 +57,8 @@ FS_ORDER_CALLS = frozenset({
 # ``Fabric.degrade_link``/``heal_link`` are deliberately absent: they are
 # instantaneous state flips, not yield points.)
 # ----------------------------------------------------------------------
-BLOCKING_CALL_TAILS = ("rpc", "rpc_with_retry", "timeout", "sleep", "event",
-                       "request", "acquire", "AllOf", "AnyOf", "At",
+BLOCKING_CALL_TAILS = ("rpc", "rpc_with_retry", "fan_out", "timeout", "sleep",
+                       "event", "request", "acquire", "AllOf", "AnyOf", "At",
                        "_fence_wait", "_migration_wait",
                        "rebalance_join", "rebalance_leave",
                        "decommission_osd")

@@ -75,7 +75,7 @@ class Client(RpcHost):
         if offset % span or data.size % span:
             raise ValueError("write must cover whole stripes")
         first_stripe = offset // span
-        acks = []
+        calls = []
         for s_rel in range(data.size // span):
             stripe = first_stripe + s_rel
             chunk = data[s_rel * span : (s_rel + 1) * span]
@@ -85,18 +85,12 @@ class Client(RpcHost):
             ]
             parity = self.cluster.codec.encode(blocks)
             names = self.cluster.placement(inode, stripe)
-            for j, blk in enumerate(blocks + parity):
-                acks.append(
-                    self.sim.process(
-                        self.rpc(
-                            names[j],
-                            "write_block",
-                            {"key": (inode, stripe, j), "data": blk},
-                            nbytes=blk.size,
-                        )
-                    )
-                )
-        yield AllOf(self.sim, acks)
+            calls.extend(
+                (names[j], "write_block", {"key": (inode, stripe, j), "data": blk},
+                 blk.size)
+                for j, blk in enumerate(blocks + parity)
+            )
+        yield self.fan_out(calls)
 
     def _fence_wait(self, inode: int, stripes):
         """Wait until no member OSD of the given stripes is down.
@@ -218,7 +212,7 @@ class Client(RpcHost):
                         nbytes=ext.length,
                     )
                     return
-                acks = []
+                calls = []
                 pos = 0
                 for ext in extents:
                     payload = data[pos : pos + ext.length]
@@ -226,21 +220,13 @@ class Client(RpcHost):
                     osd = self.cluster.osd_of_block(
                         inode, ext.addr.stripe, ext.addr.block_index
                     )
-                    acks.append(
-                        self.sim.process(
-                            self.rpc(
-                                osd,
-                                "update",
-                                {
-                                    "key": ext.addr.key(),
-                                    "offset": ext.offset,
-                                    "data": payload,
-                                },
-                                nbytes=ext.length,
-                            )
-                        )
-                    )
-                yield AllOf(self.sim, acks)
+                    calls.append((
+                        osd,
+                        "update",
+                        {"key": ext.addr.key(), "offset": ext.offset, "data": payload},
+                        ext.length,
+                    ))
+                yield self.fan_out(calls)
 
             self.cluster.note_ops_begin(inode, stripes)
             try:
@@ -359,13 +345,11 @@ class Client(RpcHost):
                 f"stripe ({inode},{stripe}) has only {len(sources)} live blocks; "
                 f"unrecoverable with k={cfg.k}"
             )
-        pulls = [
-            self.sim.process(
-                self._read_one(osd, (inode, stripe, b), 0, cfg.block_size)
-            )
+        replies = yield self.fan_out(
+            (osd, "read", {"key": (inode, stripe, b), "offset": 0,
+                           "length": cfg.block_size}, 24)
             for b, osd in sources
-        ]
-        blocks = yield AllOf(self.sim, pulls)
-        shards = {b: blk for (b, _), blk in zip(sources, blocks)}
+        )
+        shards = {b: rep["data"] for (b, _), rep in zip(sources, replies)}
         rebuilt = self.cluster.codec.reconstruct(shards, [lost_index])[lost_index]
         return rebuilt[offset : offset + length]

@@ -7,6 +7,8 @@ while its devices and NIC provide the real back-pressure.
 ``rpc`` is request/response: the caller waits for the handler's reply and
 pays both transfer directions.  ``rpc_with_retry`` is ``rpc`` for detached
 background workers that must also ride out a down destination.
+``fan_out`` is the one concurrent-call barrier: many calls in flight at
+once, one wait for all of them.
 
 Delivery semantics are **at-most-once** (see docs/faults.md): every request
 carries a deterministic per-host request id, and each host keeps a bounded
@@ -35,7 +37,7 @@ from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.net.fabric import Fabric, LinkLossError
 from repro.sim.core import Simulator
-from repro.sim.events import AnyOf, Event, Interrupt
+from repro.sim.events import AllOf, AnyOf, Event, Interrupt
 
 # Fixed protocol overhead charged per message in addition to payload bytes.
 MSG_OVERHEAD = 64
@@ -496,3 +498,18 @@ class RpcHost:
                 if remaining <= 0:
                     raise
                 yield min(self.RETRY_INTERVAL_S, remaining)
+
+    def fan_out(self, calls, retry: bool = False) -> AllOf:
+        """Issue every ``(dst, kind, payload, nbytes)`` of ``calls`` at once;
+        the returned event fires when all have replied, with the replies in
+        ``calls`` order (``replies = yield host.fan_out(calls)``).
+
+        One process per call, started in order, under one ``AllOf``: the
+        calls overlap on the fabric and at their destinations, and the
+        first failure fails the wait.  ``retry`` sends each through
+        :meth:`rpc_with_retry` (background pushes only).
+        """
+        call = self.rpc_with_retry if retry else self.rpc
+        sim = self.sim
+        return AllOf(sim, [sim.process(call(dst, kind, payload, nbytes))
+                           for dst, kind, payload, nbytes in calls])

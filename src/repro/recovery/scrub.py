@@ -79,13 +79,10 @@ def pull_blocks(reader, inode: int, stripe: int, sources):
     """Event: ``reader`` has pulled the blocks ``sources`` (``(index, OSD
     name)`` pairs) of one stripe, in parallel, through the costed recovery
     read path; its value is the replies in ``sources`` order."""
-    sim = reader.sim
-    return AllOf(sim, [
-        sim.process(
-            reader.rpc(name, "recovery_read", {"key": (inode, stripe, b)}, nbytes=24)
-        )
+    return reader.fan_out(
+        (name, "recovery_read", {"key": (inode, stripe, b)}, 24)
         for b, name in sources
-    ])
+    )
 
 
 def check_stripe(cluster: Cluster, inode: int, stripe: int, rewrite: bool = False):
@@ -103,7 +100,6 @@ def check_stripe(cluster: Cluster, inode: int, stripe: int, rewrite: bool = Fals
     """
     from repro.recovery.recovery import _ensure_recovery_handlers
 
-    sim = cluster.sim
     k, m = cluster.config.k, cluster.config.m
     _ensure_recovery_handlers(cluster)
     names = cluster.placement(inode, stripe)
@@ -116,14 +112,12 @@ def check_stripe(cluster: Cluster, inode: int, stripe: int, rewrite: bool = Fals
     expect = cluster.codec.encode(blocks[:k])
     bad = [p for p in range(m) if not np.array_equal(blocks[k + p], expect[p])]
     if bad and rewrite:
-        yield AllOf(sim, [
-            sim.process(coordinator.rpc(
-                names[k + p], "recovery_write",
-                {"key": (inode, stripe, k + p), "data": expect[p]},
-                nbytes=cluster.config.block_size,
-            ))
+        yield coordinator.fan_out(
+            (names[k + p], "recovery_write",
+             {"key": (inode, stripe, k + p), "data": expect[p]},
+             cluster.config.block_size)
             for p in bad
-        ])
+        )
     return bad
 
 
@@ -175,9 +169,12 @@ def _stripe_has_pending(cluster: Cluster, inode: int, stripe: int) -> bool:
     Every strategy's pending state lives on stripe members: data-side logs
     on the data-block OSD, parity/delta logs and collector buffers on the
     parity OSDs (TSUE's replica DataLog on the ring neighbour holds copies
-    only — the primary tracks the truth).  Best-effort: deltas in flight
-    between two log layers for an instant are not visible; the hard
-    consistency gates run post-drain where nothing is in flight.
+    only — the primary tracks the truth).  Exact for the six baselines: a
+    stripe stays pending from its log append until its recycle's parity
+    writes land (``UpdateStrategy.stripe_pending``), so at no kernel step
+    of a drain does a lagging stripe read as settled.  Updates still in
+    flight before their ack are not pending anywhere; the hard
+    consistency gates run post-drain, where nothing is in flight.
     """
     return any(
         cluster.osd_by_name(name).strategy.stripe_pending(inode, stripe)

@@ -503,47 +503,27 @@ class TSUEEngine:
         k = self.cluster.config.k
         names = self.cluster.placement(inode, stripe)
         nbytes = sum(int(d.size) for _, d in deltas)
-        calls = []
         if cfg.use_delta_log and m >= 2:
             # Forward to the DeltaLogs of the first two parity OSDs: the
             # first is the primary (it recycles), the second the replica.
-            # Retrying pushes: the recycle job owns these deltas and
-            # the destination may be mid-failure/recovery.
-            for rank, primary in ((0, True), (1, False)):
-                dst = names[k + rank]
-                calls.append(
-                    self.sim.process(
-                        self.osd.rpc_with_retry(
-                            dst,
-                            "tsue_delta",
-                            {
-                                "key": key,
-                                "entries": deltas,
-                                "primary": primary,
-                            },
-                            nbytes=nbytes,
-                        )
-                    )
-                )
+            calls = [
+                (names[k + rank], "tsue_delta",
+                 {"key": key, "entries": deltas, "primary": primary}, nbytes)
+                for rank, primary in ((0, True), (1, False))
+            ]
         else:
             # O5 off (or m == 1): scale per parity and go straight to the
             # ParityLogs — one message per parity block.
+            calls = []
             for p in range(m):
                 coeff = self.cluster.codec.coefficient(p, j)
-                pentries = [
-                    (off, _parity_delta(coeff, d)) for off, d in deltas
-                ]
-                calls.append(
-                    self.sim.process(
-                        self.osd.rpc_with_retry(
-                            names[k + p],
-                            "tsue_parity",
-                            {"pkey": (inode, stripe, k + p), "entries": pentries},
-                            nbytes=nbytes,
-                        )
-                    )
-                )
-        yield AllOf(self.sim, calls)
+                pentries = [(off, _parity_delta(coeff, d)) for off, d in deltas]
+                calls.append((names[k + p], "tsue_parity",
+                              {"pkey": (inode, stripe, k + p), "entries": pentries},
+                              nbytes))
+        # Retrying pushes: the recycle job owns these deltas and the
+        # destination may be mid-failure/recovery.
+        yield self.osd.fan_out(calls, retry=True)
 
     # -- DeltaLog --------------------------------------------------------
     def _recycle_delta_stripe(self, stripe_key: Tuple[int, int], per_block):

@@ -11,16 +11,23 @@ An OSD constructs one strategy instance at boot.  The strategy:
 * must be able to :meth:`drain` — push every pending log entry into data
   and parity blocks — so recovery and consistency checks can run.
 
-Helper generators shared by the in-place family (FO/PL/PLR/CoRD) live here.
+The methods differ in where a delta goes and when it is applied (§2.2),
+not in the plumbing, which lives here once: the in-place family's stripe
+lock, data-block RMW and parity fan-out (:meth:`update_in_place`);
+``parity_apply``, the one handler that XORs ready ``{"pkey", "entries"}``
+into a parity block (FO's synchronous apply, FL's and CoRD's recycles);
+and the pending ledger behind :meth:`stripe_pending` — a log-keeping
+method names its index of unrecycled entries (``pending_index``) and pins
+a stripe while a recycle holds popped state for it whose parity has not
+landed (:meth:`pin_stripe`).  Only TSUE, whose state lives in its
+engine's log units, answers on its own.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-
-from repro.sim.events import AllOf
 
 BlockKey = Tuple[int, int, int]
 
@@ -36,10 +43,19 @@ class UpdateStrategy:
     # XOR-delta appends, safe at any pipelining depth without locks.
     serializes_stripes = False
 
+    # Name of the attribute holding this method's unrecycled log entries —
+    # a TwoLevelIndex keyed by ``(inode, stripe, block)`` — or None when
+    # the method keeps no log (FO).
+    pending_index: Optional[str] = None
+
     def __init__(self, osd):
         self.osd = osd
         self.sim = osd.sim
         self.cluster = osd.cluster
+        # (inode, stripe) -> recycles holding popped state for the stripe
+        # whose parity writes have not landed yet.
+        self.pinned: Dict[Tuple[int, int], int] = {}
+        osd.register("parity_apply", self._h_parity_apply)
         self.register_handlers()
 
     # ------------------------------------------------------------------
@@ -79,14 +95,23 @@ class UpdateStrategy:
         return None
 
     def stripe_pending(self, inode: int, stripe: int) -> bool:
-        """True if this strategy holds unrecycled state for the stripe.
+        """True if this strategy holds state the stripe's parity does not
+        reflect yet: an entry of its pending index, or a pin.
 
         Scoped per stripe so the scrubber can skip exactly the stripes
         whose parity legitimately lags, instead of skipping everything
-        whenever anything is pending.  Strategies without logs (FO) keep
-        the default False.
+        whenever anything is pending.  Exact, not best-effort: an entry
+        leaves the index only when a recycle pops it, and the recycle
+        holds a pin from that pop until its parity writes land.
         """
-        return False
+        if (inode, stripe) in self.pinned:
+            return True
+        if self.pending_index is None:
+            return False
+        return any(
+            key[0] == inode and key[1] == stripe
+            for key in getattr(self, self.pending_index).blocks()
+        )
 
     def on_rebuilt(self) -> None:
         """Called after this OSD's blocks were reconstructed from survivors.
@@ -102,6 +127,16 @@ class UpdateStrategy:
     # ------------------------------------------------------------------
     # shared helpers
     # ------------------------------------------------------------------
+    def pin_stripe(self, stripe_key: Tuple[int, int]) -> None:
+        """A recycle popped state for ``stripe_key``: it stays pending
+        until the matching :meth:`unpin_stripe`, once its parity lands."""
+        self.pinned[stripe_key] = self.pinned.get(stripe_key, 0) + 1
+
+    def unpin_stripe(self, stripe_key: Tuple[int, int]) -> None:
+        left = self.pinned.pop(stripe_key) - 1
+        if left:
+            self.pinned[stripe_key] = left
+
     def serialize_stripe(self, key: BlockKey, body):
         """Run generator ``body`` holding the per-stripe update lock.
 
@@ -146,36 +181,35 @@ class UpdateStrategy:
         return delta
 
     def update_in_place(self, key: BlockKey, offset: int, data: np.ndarray,
-                        kind: str):
-        """FO / PL / PLR's synchronous path, which differ only in ``kind``.
+                        kind: str = "parity_apply"):
+        """FO / PL / PLR's synchronous path, which differ only in ``kind``:
+        FO applies the parity delta at once, PL and PLR name the log that
+        defers it.
 
         The data-block RMW holds the stripe lock; the scaled delta then
-        goes to every parity OSD as message ``kind`` outside it (applies
-        and appends are commutative XOR), and the update is acked when
-        every parity OSD has replied.
+        goes to every parity OSD outside it (applies and appends are
+        commutative XOR), and the update is acked when every parity OSD
+        has replied.
         """
         delta = yield from self.serialize_stripe(
             key, self.rmw_delta_locked(key, offset, data)
         )
+        yield self.osd.fan_out(self.parity_calls(key, offset, delta, kind))
+
+    def parity_calls(self, key: BlockKey, offset: int, delta: np.ndarray,
+                     kind: str):
+        """One ``(dst, kind, {"pkey", "entries"}, nbytes)`` per parity block
+        of data block ``key``'s stripe, carrying ``delta`` at ``offset``
+        scaled for that parity block."""
+        inode, stripe, j = key
+        k = self.cluster.config.k
         calls = []
         for p, osd_name in self.parity_targets(key):
-            pdelta = self.cluster.codec.parity_delta(key[2], p, delta)
-            calls.append(
-                self.sim.process(
-                    self.osd.rpc(
-                        osd_name,
-                        kind,
-                        {
-                            "pkey": self.parity_key(key, p),
-                            "offset": offset,
-                            "pdelta": pdelta,
-                        },
-                        nbytes=int(pdelta.size),
-                    )
-                )
-            )
-        if calls:
-            yield AllOf(self.sim, calls)
+            pdelta = self.cluster.codec.parity_delta(j, p, delta)
+            calls.append((osd_name, kind,
+                          {"pkey": (inode, stripe, k + p), "entries": [(offset, pdelta)]},
+                          int(pdelta.size)))
+        return calls
 
     def parity_targets(self, key: BlockKey) -> List[Tuple[int, str]]:
         """(parity_index, osd_name) for each parity block of the stripe."""
@@ -184,16 +218,17 @@ class UpdateStrategy:
         k = self.cluster.config.k
         return [(p, names[k + p]) for p in range(self.cluster.config.m)]
 
-    def parity_key(self, key: BlockKey, parity_index: int) -> BlockKey:
-        inode, stripe, _ = key
-        return (inode, stripe, self.cluster.config.k + parity_index)
-
-    def apply_parity_delta(self, parity_block_key: BlockKey, offset: int, pdelta: np.ndarray):
-        """Random RMW of a parity range with a ready parity delta.
+    def apply_parity_entries(self, pkey: BlockKey, entries):
+        """One random RMW of parity block ``pkey`` per ready ``(offset,
+        pdelta)`` of ``entries``, in order.
 
         Uses the commutative XOR primitive so concurrent applications to
         the same parity range never lose an update.
         """
-        yield from self.osd.store.xor_range(
-            parity_block_key, offset, pdelta, pattern="rand"
-        )
+        for offset, pdelta in entries:
+            yield from self.osd.store.xor_range(pkey, offset, pdelta, pattern="rand")
+
+    def _h_parity_apply(self, msg):
+        p = msg.payload
+        yield from self.apply_parity_entries(p["pkey"], p["entries"])
+        return {"ok": True}, 8

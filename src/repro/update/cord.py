@@ -32,6 +32,7 @@ class CoRDStrategy(UpdateStrategy):
 
     name = "cord"
     serializes_stripes = True
+    pending_index = "buf_index"
 
     def __init__(self, osd, buffer_bytes: int = 128 * 1024):
         self.buffer_bytes = buffer_bytes
@@ -46,14 +47,10 @@ class CoRDStrategy(UpdateStrategy):
         # concurrency bottleneck the paper attributes to CoRD.
         self.lock = Resource(osd.sim, capacity=1, name=f"{osd.name}.cordlock")
         self._apply_lock = Resource(osd.sim, capacity=1, name=f"{osd.name}.cordapply")
-        # Stripes inside snapshots that are detached from the buffer but not
-        # yet applied, so stripe_pending covers the whole recycle window.
-        self._inflight_stripes: Dict[Tuple[int, int], int] = {}
         super().__init__(osd)
 
     def register_handlers(self) -> None:
         self.osd.register("cord_collect", self._h_collect)
-        self.osd.register("cord_apply", self._h_apply)
 
     # ------------------------------------------------------------------
     # data-OSD side
@@ -110,32 +107,25 @@ class CoRDStrategy(UpdateStrategy):
         return {"ok": True}, 8
 
     def _snapshot_buffer(self):
-        """Detach the current buffer contents for recycling."""
+        """Detach the current buffer contents for recycling; each detached
+        stripe stays pinned until its snapshot is applied."""
         snapshot = {}
         for (inode, stripe), js in self.buf_stripes.items():
             snapshot[(inode, stripe)] = {
                 j: self.buf_index.pop_block((inode, stripe, j)) for j in js
             }
-            self._inflight_stripes[(inode, stripe)] = (
-                self._inflight_stripes.get((inode, stripe), 0) + 1
-            )
+            self.pin_stripe((inode, stripe))
         self.buf_stripes.clear()
         self.buf_used = 0
         return snapshot
-
-    def _release_inflight(self, snapshot) -> None:
-        for sk in snapshot:
-            left = self._inflight_stripes.get(sk, 0) - 1
-            if left <= 0:
-                self._inflight_stripes.pop(sk, None)
-            else:
-                self._inflight_stripes[sk] = left
 
     def _apply_snapshot(self, snapshot):
         """Combine (Eq. 5) and push to every parity block.
 
         Guarded by a single-slot lock: only one recycle can be in flight,
         so a full buffer behind a slow recycle stalls the append path.
+        Not a ``fan_out``: each stripe's own share is applied inline before
+        the next stripe's pushes start.
         """
         if not snapshot:
             return
@@ -152,34 +142,22 @@ class CoRDStrategy(UpdateStrategy):
                     entries = fold_parity_deltas(self.cluster.codec, p, per_block)
                     if not entries:
                         continue
-                    nbytes = sum(int(d.size) for _, d in entries)
                     if names[k + p] == self.osd.name:
-                        for off, pd in entries:
-                            yield from self.apply_parity_delta(pkey, off, pd)
+                        yield from self.apply_parity_entries(pkey, entries)
                     else:
                         # Retrying push: the recycle owns this combined
                         # delta and the parity OSD may be mid-recovery.
-                        calls.append(
-                            self.sim.process(
-                                self.osd.rpc_with_retry(
-                                    names[k + p],
-                                    "cord_apply",
-                                    {"pkey": pkey, "entries": entries},
-                                    nbytes=nbytes,
-                                )
-                            )
-                        )
+                        nbytes = sum(int(d.size) for _, d in entries)
+                        calls.append(self.sim.process(self.osd.rpc_with_retry(
+                            names[k + p], "parity_apply",
+                            {"pkey": pkey, "entries": entries}, nbytes,
+                        )))
             if calls:
                 yield AllOf(self.sim, calls)
         finally:
-            self._release_inflight(snapshot)
+            for stripe_key in snapshot:
+                self.unpin_stripe(stripe_key)
             self._apply_lock.release()
-
-    def _h_apply(self, msg):
-        p = msg.payload
-        for off, pd in p["entries"]:
-            yield from self.apply_parity_delta(p["pkey"], off, pd)
-        return {"ok": True}, 8
 
     # ------------------------------------------------------------------
     def drain(self, phase: int = 0):
@@ -196,7 +174,3 @@ class CoRDStrategy(UpdateStrategy):
 
     def pending_log_bytes(self) -> int:
         return self.buf_used
-
-    def stripe_pending(self, inode: int, stripe: int) -> bool:
-        sk = (inode, stripe)
-        return sk in self.buf_stripes or sk in self._inflight_stripes

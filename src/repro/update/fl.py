@@ -27,6 +27,7 @@ class FLStrategy(UpdateStrategy):
     """Single exclusive data log, threshold recycle, read merging."""
 
     name = "fl"
+    pending_index = "log_index"
 
     def __init__(self, osd, recycle_threshold_bytes: int = 4 * 1024 * 1024):
         self.recycle_threshold_bytes = recycle_threshold_bytes
@@ -34,14 +35,6 @@ class FLStrategy(UpdateStrategy):
         self.log_bytes = 0
         self.lock = Resource(osd.sim, capacity=1, name=f"{osd.name}.fllock")
         super().__init__(osd)
-
-    def register_handlers(self) -> None:
-        self.osd.register("fl_apply", self._h_apply)
-
-    def _h_apply(self, msg):
-        p = msg.payload
-        yield from self.apply_parity_delta(p["pkey"], p["offset"], p["pdelta"])
-        return {"ok": True}, 8
 
     # ------------------------------------------------------------------
     def on_update(self, key: BlockKey, offset: int, data: np.ndarray):
@@ -67,40 +60,41 @@ class FLStrategy(UpdateStrategy):
             yield from self.osd.device.read(self.log_bytes, zone="fl_log", pattern="seq")
             for key in list(self.log_index.blocks()):
                 segs = self.log_index.pop_block(key)
-                calls = []
-                for seg in segs:
-                    old = yield from self.osd.store.read_range(
-                        key, seg.offset, seg.length, pattern="rand"
-                    )
-                    # ``old`` is a view of the live block — delta before
-                    # the write that overwrites those bytes.
-                    delta = old ^ seg.data
-                    yield from self.osd.store.write_range(
-                        key, seg.offset, seg.data, pattern="rand"
-                    )
-                    for p, osd_name in self.parity_targets(key):
-                        pdelta = self.cluster.codec.parity_delta(key[2], p, delta)
-                        # Retrying push: the recycle worker owns this delta
-                        # and the parity OSD may be mid-failure/recovery.
-                        calls.append(
-                            self.sim.process(
-                                self.osd.rpc_with_retry(
-                                    osd_name,
-                                    "fl_apply",
-                                    {
-                                        "pkey": self.parity_key(key, p),
-                                        "offset": seg.offset,
-                                        "pdelta": pdelta,
-                                    },
-                                    nbytes=int(pdelta.size),
-                                )
-                            )
-                        )
-                if calls:
-                    yield AllOf(self.sim, calls)
+                # Popped, not yet in parity: pinned until the applies land.
+                stripe_key = (key[0], key[1])
+                self.pin_stripe(stripe_key)
+                try:
+                    yield from self._recycle_block(key, segs)
+                finally:
+                    self.unpin_stripe(stripe_key)
             self.log_bytes = 0
         finally:
             self.lock.release()
+
+    def _recycle_block(self, key: BlockKey, segs):
+        """Patch one block's segments in place, shipping each segment's
+        parity deltas as soon as its RMW is done, then wait for them all.
+        Not a ``fan_out``: one segment's ships overlap the next one's RMW.
+        """
+        calls = []
+        for seg in segs:
+            old = yield from self.osd.store.read_range(
+                key, seg.offset, seg.length, pattern="rand"
+            )
+            # ``old`` is a view of the live block — delta before the write
+            # that overwrites those bytes.
+            delta = old ^ seg.data
+            yield from self.osd.store.write_range(
+                key, seg.offset, seg.data, pattern="rand"
+            )
+            # Retrying pushes: the recycle owns these deltas and the parity
+            # OSD may be mid-failure/recovery.
+            calls.extend(
+                self.sim.process(self.osd.rpc_with_retry(*call))
+                for call in self.parity_calls(key, seg.offset, delta, "parity_apply")
+            )
+        if calls:
+            yield AllOf(self.sim, calls)
 
     def drain(self, phase: int = 0):
         yield from self._recycle_all()
@@ -111,9 +105,3 @@ class FLStrategy(UpdateStrategy):
 
     def pending_log_bytes(self) -> int:
         return self.log_bytes
-
-    def stripe_pending(self, inode: int, stripe: int) -> bool:
-        return any(
-            key[0] == inode and key[1] == stripe
-            for key in self.log_index.blocks()
-        )

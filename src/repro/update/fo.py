@@ -19,15 +19,7 @@ class FOStrategy(UpdateStrategy):
     name = "fo"
     serializes_stripes = True
 
-    def register_handlers(self) -> None:
-        self.osd.register("fo_apply", self._h_apply)
-
     def on_update(self, key: BlockKey, offset: int, data: np.ndarray):
-        return self.update_in_place(key, offset, data, "fo_apply")
+        return self.update_in_place(key, offset, data)
 
-    def _h_apply(self, msg):
-        p = msg.payload
-        yield from self.apply_parity_delta(p["pkey"], p["offset"], p["pdelta"])
-        return {"ok": True}, 8
-
-    # FO keeps no logs: nothing to drain, nothing to overlay.
+    # FO keeps no logs: nothing to drain, nothing to overlay, nothing pending.

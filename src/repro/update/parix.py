@@ -33,6 +33,9 @@ class PARIXStrategy(UpdateStrategy):
     # Phase 0 recycles parity-side logs; phase 1 resets the data-side
     # speculation state (safe only once *every* OSD finished phase 0).
     DRAIN_PHASES = 2
+    # Parity lag is the unrecycled *latest* images; live originals alone
+    # are a consistent snapshot, not lag.
+    pending_index = "latest_index"
 
     def __init__(self, osd, recycle_threshold_bytes: int = 512 * 1024):
         # Data-OSD side: which byte ranges of each local block already
@@ -61,9 +64,6 @@ class PARIXStrategy(UpdateStrategy):
         self.recycle_threshold_bytes = recycle_threshold_bytes
         self._recycling = False
         self._recycle_waiters = []
-        # Stripes with popped-but-not-yet-applied patch jobs in flight, so
-        # stripe_pending stays true until the parity RMW really lands.
-        self._inflight_stripe_jobs: Dict[Tuple[int, int], int] = {}
         super().__init__(osd)
 
     def _wait_not_recycling(self):
@@ -71,9 +71,6 @@ class PARIXStrategy(UpdateStrategy):
             ev = self.sim.event(name="parix-recycle-wait")
             self._recycle_waiters.append(ev)
             yield ev
-
-    def _begin_recycle(self) -> None:
-        self._recycling = True
 
     def _end_recycle(self) -> None:
         self._recycling = False
@@ -94,6 +91,11 @@ class PARIXStrategy(UpdateStrategy):
             jobs, live_share = yield from self._scan_and_pop_locked()
         finally:
             self._end_recycle()
+        yield from self._finish_recycle(jobs, live_share)
+
+    def _finish_recycle(self, jobs, live_share):
+        """Rewrite the live originals to fresh segments, then wait for the
+        per-block parity applications."""
         if live_share:
             yield from self.osd.device.write(
                 live_share, zone="parix_log", pattern="seq", overwrite=False
@@ -102,7 +104,8 @@ class PARIXStrategy(UpdateStrategy):
             yield AllOf(self.sim, jobs)
 
     def _make_patches(self, key, segs, k):
-        """Compute parity patches for one block's popped segments.
+        """Compute parity patches for one block's popped segments: the
+        local parity block's key and its ``(offset, pdelta)`` entries.
 
         Runs synchronously at pop time (no yields): the delta against the
         current originals and the refresh of those originals must be one
@@ -111,8 +114,7 @@ class PARIXStrategy(UpdateStrategy):
         """
         inode, stripe, j = key
         p = self._my_parity_index(inode, stripe)
-        pkey = (inode, stripe, k + p)
-        patches = []
+        entries = []
         for seg in segs:
             orig = self.orig_index.lookup(key, seg.offset, seg.length)
             if orig is None:
@@ -120,24 +122,18 @@ class PARIXStrategy(UpdateStrategy):
                     f"PARIX missing original bytes for {key} @{seg.offset}"
                 )
             delta = orig ^ seg.data
-            patches.append((pkey, seg.offset, self.cluster.codec.parity_delta(j, p, delta)))
+            entries.append((seg.offset, self.cluster.codec.parity_delta(j, p, delta)))
             # Refresh: once this patch lands, these values are the new
             # parity-consistent originals for the range.
             self.orig_index.insert(key, seg.offset, seg.data)
-        return patches
+        return (inode, stripe, k + p), entries
 
-    def _apply_patches(self, patches, stripe_key=None):
-        """Device application of precomputed patches (XOR commutes)."""
+    def _apply_patches(self, pkey, entries, stripe_key):
+        """Apply one block's patches; the stripe was pinned at the pop."""
         try:
-            for pkey, offset, pdelta in patches:
-                yield from self.apply_parity_delta(pkey, offset, pdelta)
+            yield from self.apply_parity_entries(pkey, entries)
         finally:
-            if stripe_key is not None:
-                left = self._inflight_stripe_jobs.get(stripe_key, 0) - 1
-                if left <= 0:
-                    self._inflight_stripe_jobs.pop(stripe_key, None)
-                else:
-                    self._inflight_stripe_jobs[stripe_key] = left
+            self.unpin_stripe(stripe_key)
 
     # ------------------------------------------------------------------
     # data-OSD side
@@ -168,39 +164,24 @@ class PARIXStrategy(UpdateStrategy):
             # ship (yields) and the local overwrite below — and the parity
             # side retains the payload in its original-image log.
             old = old.copy()
-            calls = [
-                self.sim.process(
-                    # repro-lint: allow(lock-yield-while-locked) -- PARIX original-ship: the original image must reach every parity log before the speculative write is acked (the protocol's extra round trip)
-                    self.osd.rpc(
-                        osd_name,
-                        "parix_append",
-                        {"key": key, "offset": offset, "data": old, "orig": True},
-                        nbytes=int(old.size),
-                    )
-                )
+            # repro-lint: allow(lock-yield-while-locked) -- PARIX original-ship: the original image must reach every parity log before the speculative write is acked (the protocol's extra round trip)
+            yield self.osd.fan_out(
+                (osd_name, "parix_append",
+                 {"key": key, "offset": offset, "data": old, "orig": True},
+                 int(old.size))
                 for _p, osd_name in targets
-            ]
-            # repro-lint: allow(lock-yield-while-locked) -- PARIX original-ship barrier: ack only after all parity logs hold the original image
-            yield AllOf(self.sim, calls)
+            )
             seen.add(offset, offset + int(data.size))
         else:
             self.repeat_updates += 1
         yield from self.osd.store.write_range(key, offset, data, pattern="rand")
-        calls = [
-            self.sim.process(
-                # repro-lint: allow(lock-yield-while-locked) -- speculative-append ship stays under the stripe lock so same-stripe updates keep parity-log order
-                self.osd.rpc(
-                    osd_name,
-                    "parix_append",
-                    {"key": key, "offset": offset, "data": data, "orig": False},
-                    nbytes=int(data.size),
-                )
-            )
+        # repro-lint: allow(lock-yield-while-locked) -- speculative-append ship and its ack barrier stay under the stripe lock so same-stripe updates keep parity-log order
+        yield self.osd.fan_out(
+            (osd_name, "parix_append",
+             {"key": key, "offset": offset, "data": data, "orig": False},
+             int(data.size))
             for _p, osd_name in targets
-        ]
-        if calls:
-            # repro-lint: allow(lock-yield-while-locked) -- ack barrier for the speculative append, required before the client update completes
-            yield AllOf(self.sim, calls)
+        )
 
     # ------------------------------------------------------------------
     # parity-OSD side
@@ -220,7 +201,7 @@ class PARIXStrategy(UpdateStrategy):
             # acks behind them) are excluded until it completes — the
             # single-log exclusivity §2.2 criticises.
             self.threshold_recycles += 1
-            self._begin_recycle()
+            self._recycling = True
             self.sim.process(self._background_recycle())
         yield from self._wait_not_recycling()
         yield from self.osd.device.write(
@@ -289,12 +270,10 @@ class PARIXStrategy(UpdateStrategy):
             self.log_entries.pop(key)
             segs = self.latest_index.pop_block(key)
             if segs:
-                patches = self._make_patches(key, segs, k)
+                pkey, entries = self._make_patches(key, segs, k)
                 sk = (key[0], key[1])
-                self._inflight_stripe_jobs[sk] = (
-                    self._inflight_stripe_jobs.get(sk, 0) + 1
-                )
-                jobs.append(self.sim.process(self._apply_patches(patches, sk)))
+                self.pin_stripe(sk)
+                jobs.append(self.sim.process(self._apply_patches(pkey, entries, sk)))
         # Accounting: entries appended mid-scan survive in the fresh
         # ledgers and are charged on top; live originals are rewritten by
         # the caller.
@@ -302,23 +281,15 @@ class PARIXStrategy(UpdateStrategy):
         self.log_bytes = self.orig_bytes + appended_mid_recycle
         return jobs, live_share
 
-    def _recycle_all_locked(self):
-        """Full synchronous compaction (drain path)."""
-        jobs, live_share = yield from self._scan_and_pop_locked()
-        if live_share:
-            yield from self.osd.device.write(
-                live_share, zone="parix_log", pattern="seq", overwrite=False
-            )
-        if jobs:
-            # repro-lint: allow(lock-yield-while-locked) -- drain-path compaction barrier: runs behind the harness post-workload barrier, no competing updates exist
-            yield AllOf(self.sim, jobs)
-
     def drain(self, phase: int = 0):
         if phase == 0:
+            # Full synchronous compaction: appends stay excluded until the
+            # parity applications have landed.
             yield from self._wait_not_recycling()
-            self._begin_recycle()
+            self._recycling = True
             try:
-                yield from self._recycle_all_locked()
+                jobs, live_share = yield from self._scan_and_pop_locked()
+                yield from self._finish_recycle(jobs, live_share)
             finally:
                 self._end_recycle()
         else:
@@ -343,23 +314,8 @@ class PARIXStrategy(UpdateStrategy):
         originals are re-shipped and speculation restarts cleanly.
         """
         self.seen.clear()
-        # NB: no in-place merge folding — PARIX ships one original/latest
-        # payload array to every parity OSD and refresh-inserts contained
-        # ranges, so these indexes do not exclusively own their buffers
-        # (see TwoLevelIndex.inplace_merge).
-        self.orig_index = TwoLevelIndex("overwrite", inplace_merge=False)
-        self.latest_index = TwoLevelIndex("overwrite", inplace_merge=False)
+        self.orig_index.clear()
+        self.latest_index.clear()
         self.log_entries.clear()
         self.log_bytes = 0
         self.orig_bytes = 0
-
-    def stripe_pending(self, inode: int, stripe: int) -> bool:
-        # Pending parity lag = unrecycled *latest* entries plus popped patch
-        # jobs still applying; live originals alone are a consistent
-        # snapshot, not lag.
-        if (inode, stripe) in self._inflight_stripe_jobs:
-            return True
-        return any(
-            key[0] == inode and key[1] == stripe and entries
-            for key, entries in self.log_entries.items()
-        )

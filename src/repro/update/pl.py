@@ -29,6 +29,8 @@ class PLStrategy(UpdateStrategy):
 
     name = "pl"
     serializes_stripes = True
+    # Its entries leave the index only when their bytes fold into parity.
+    pending_index = "log_index"
 
     def __init__(self, osd, recycle_threshold_bytes: int = 1 << 40):
         # Default threshold is effectively infinite: recycle only on drain.
@@ -47,12 +49,12 @@ class PLStrategy(UpdateStrategy):
 
     def _h_append(self, msg):
         p = msg.payload
-        pdelta = p["pdelta"]
+        [(offset, pdelta)] = p["entries"]
         yield from self.osd.device.write(
             int(pdelta.size) + PL_HEADER, zone="pl_log", pattern="seq", overwrite=False
         )
-        self.log_index.insert(p["pkey"], p["offset"], pdelta)
-        self.log_entries.setdefault(p["pkey"], []).append((p["offset"], int(pdelta.size)))
+        self.log_index.insert(p["pkey"], offset, pdelta)
+        self.log_entries.setdefault(p["pkey"], []).append((offset, int(pdelta.size)))
         self.log_bytes += int(pdelta.size)
         if self.log_bytes >= self.recycle_threshold_bytes:
             yield from self._recycle_all()
@@ -108,9 +110,3 @@ class PLStrategy(UpdateStrategy):
 
     def pending_log_bytes(self) -> int:
         return self.log_bytes
-
-    def stripe_pending(self, inode: int, stripe: int) -> bool:
-        return any(
-            pkey[0] == inode and pkey[1] == stripe and entries
-            for pkey, entries in self.log_entries.items()
-        )

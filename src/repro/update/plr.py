@@ -29,16 +29,13 @@ class PLRStrategy(UpdateStrategy):
 
     name = "plr"
     serializes_stripes = True
+    pending_index = "log_index"
 
     def __init__(self, osd, reserve_bytes: int = 6 * 1024):
         self.reserve_bytes = reserve_bytes
         self.log_index = TwoLevelIndex("xor")
         self.region_used: Dict[BlockKey, int] = {}
         self.region_entries: Dict[BlockKey, List[Tuple[int, int]]] = {}
-        # Regions popped by an in-flight recycle but not yet folded into
-        # their parity chunk: stripe_pending must keep reporting them, or a
-        # concurrent scrub would gate a half-recycled stripe.
-        self._inflight_regions: Dict[BlockKey, int] = {}
         self.sync_recycles = 0
         super().__init__(osd)
 
@@ -52,7 +49,7 @@ class PLRStrategy(UpdateStrategy):
     def _h_append(self, msg):
         p = msg.payload
         pkey = p["pkey"]
-        pdelta = p["pdelta"]
+        [(offset, pdelta)] = p["entries"]
         used = self.region_used.get(pkey, 0)
         if used + pdelta.size + PLR_HEADER > self.reserve_bytes:
             # Reserved space exhausted: recycle this region *now*, blocking
@@ -68,9 +65,9 @@ class PLRStrategy(UpdateStrategy):
             pattern="rand",
             overwrite=False,
         )
-        self.log_index.insert(pkey, p["offset"], pdelta)
+        self.log_index.insert(pkey, offset, pdelta)
         self.region_used[pkey] = used + int(pdelta.size) + PLR_HEADER
-        self.region_entries.setdefault(pkey, []).append((p["offset"], int(pdelta.size)))
+        self.region_entries.setdefault(pkey, []).append((offset, int(pdelta.size)))
         return {"ok": True}, 8
 
     # ------------------------------------------------------------------
@@ -87,7 +84,9 @@ class PLRStrategy(UpdateStrategy):
         append that arrives mid-recycle sees an empty region and starts a
         fresh ledger for the next pass, instead of starting a second
         recycle of the same region or having its ledger zeroed from under
-        it.  Index entries left under a zero ledger are swept too.
+        it.  Index entries left under a zero ledger are swept too.  The
+        stripe stays pinned until the fold lands, so a concurrent scrub
+        never gates a half-recycled stripe.
         """
         used = self.region_used.get(pkey, 0)
         segs = self.log_index.pop_block(pkey)
@@ -97,7 +96,8 @@ class PLRStrategy(UpdateStrategy):
             self.sync_recycles += 1
         self.region_used[pkey] = 0
         self.region_entries[pkey] = []
-        self._inflight_regions[pkey] = self._inflight_regions.get(pkey, 0) + 1
+        stripe_key = (pkey[0], pkey[1])
+        self.pin_stripe(stripe_key)
         try:
             if used:
                 # Log read is sequential (the region is contiguous next to
@@ -117,11 +117,7 @@ class PLRStrategy(UpdateStrategy):
             for seg in segs:
                 self.osd.store.fold_xor(pkey, seg.offset, seg.data)
         finally:
-            left = self._inflight_regions.get(pkey, 0) - 1
-            if left <= 0:
-                self._inflight_regions.pop(pkey, None)
-            else:
-                self._inflight_regions[pkey] = left
+            self.unpin_stripe(stripe_key)
 
     def drain(self, phase: int = 0):
         for pkey in list(self.region_used):
@@ -129,21 +125,3 @@ class PLRStrategy(UpdateStrategy):
 
     def pending_log_bytes(self) -> int:
         return sum(self.region_used.values())
-
-    def stripe_pending(self, inode: int, stripe: int) -> bool:
-        if any(
-            pkey[0] == inode and pkey[1] == stripe and used > 0
-            for pkey, used in self.region_used.items()
-        ):
-            return True
-        if any(
-            pkey[0] == inode and pkey[1] == stripe
-            for pkey in self._inflight_regions
-        ):
-            return True
-        # An index entry under a zero ledger keeps the stripe pending until
-        # a drain sweeps it.
-        return any(
-            pkey[0] == inode and pkey[1] == stripe
-            for pkey in self.log_index.blocks()
-        )

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from repro.sim.core import At
-from repro.sim.events import AllOf
 from repro.tsue.engine import DATA, DELTA, PARITY, TSUEConfig, TSUEEngine
 from repro.update.base import BlockKey, UpdateStrategy
 
@@ -67,20 +66,11 @@ class TSUEStrategy(UpdateStrategy):
                 nbytes=int(data.size),
             )
         elif n_replicas > 1:
-            calls = []
-            for r in range(1, n_replicas + 1):
-                dst = self.cluster.ring_neighbor(self.osd.name, r)
-                calls.append(
-                    self.sim.process(
-                        self.osd.rpc(
-                            dst,
-                            "tsue_replica",
-                            {"key": key, "offset": offset, "data": data},
-                            nbytes=int(data.size),
-                        )
-                    )
-                )
-            yield AllOf(self.sim, calls)
+            yield self.osd.fan_out(
+                (self.cluster.ring_neighbor(self.osd.name, r), "tsue_replica",
+                 {"key": key, "offset": offset, "data": data}, int(data.size))
+                for r in range(1, n_replicas + 1)
+            )
         # The local persist was issued before the forwards and shares
         # nothing with them: ack at the later of the two, never before
         # either.  Already past means durable — no sleep, no event.

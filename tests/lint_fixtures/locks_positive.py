@@ -19,6 +19,7 @@ class BadStrategy:
         # self-deadlocks, and the RPC stretches the critical section.
         yield from self.serialize_stripe(key, self._body_locked(key))  # lock-nested-serialize
         yield from self.osd.rpc("peer", "ship", {})  # lock-yield-while-locked
+        yield self.osd.fan_out([("peer", "ship", {}, 8)])  # lock-yield-while-locked
 
     def blocking_in_wrapper_body(self, key, data):
         yield from self.serialize_stripe(

@@ -830,8 +830,8 @@ def test_plr_live_drain_keeps_delta_appended_mid_recycle():
     p0 = parity.store.peek(pkey).copy()
 
     def append(offset, pdelta):
-        msg = SimpleNamespace(payload={"pkey": pkey, "offset": offset,
-                                       "pdelta": pdelta})
+        msg = SimpleNamespace(payload={"pkey": pkey,
+                                       "entries": [(offset, pdelta)]})
         yield from strat._h_append(msg)
 
     run_to(sim, sim.process(append(0, d1)))
@@ -870,8 +870,8 @@ def test_plr_live_drain_sweeps_stranded_entries():
     p0 = parity.store.peek(pkey).copy()
 
     def append(offset, pdelta):
-        msg = SimpleNamespace(payload={"pkey": pkey, "offset": offset,
-                                       "pdelta": pdelta})
+        msg = SimpleNamespace(payload={"pkey": pkey,
+                                       "entries": [(offset, pdelta)]})
         yield from strat._h_append(msg)
 
     run_to(sim, sim.process(append(0, d1)))

@@ -229,6 +229,27 @@ def test_protocol_steps_are_written_once_in_src():
     assert sites(
         r"def (run_all_scenarios|run_method_sweep|_run_until|drive_to_completion)\b"
     ) == []
+    # One parity-apply handler, and the strategies' pending ledger lives
+    # in the base class.
+    assert len(sites(r'register\("parity_apply"')) == 1
+    assert [s for s in sites(r"\b_inflight_") if s.startswith("repro/update/")] == []
+
+    # One concurrent-RPC barrier (``RpcHost.fan_out``).  The spawns left
+    # by hand interleave with yields that a barrier would reorder.
+    spawn = re.compile(r"sim\.process\(\s*(?:#[^\n]*\n\s*)*[\w.]*\brpc(?:_with_retry)?\(")
+    enclosing = re.compile(r"def (\w+)")
+    by_hand = sorted(
+        f"{path.relative_to(src)}:{enclosing.findall(text, 0, m.start())[-1]}"
+        for path in src.rglob("*.py")
+        if path.relative_to(src).as_posix() != "repro/fs/messages.py"
+        for text in [path.read_text()]
+        for m in spawn.finditer(text)
+    )
+    assert by_hand == [
+        "repro/tsue/engine.py:_recycle_delta_stripe",  # own share appended in between
+        "repro/update/cord.py:_apply_snapshot",  # own share applied in between
+        "repro/update/fl.py:_recycle_block",  # ships overlap the next RMW
+    ]
 
 
 @pytest.mark.parametrize("method", sorted(STRATEGIES))

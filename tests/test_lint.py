@@ -74,7 +74,7 @@ def test_lock_rules_fire():
     assert counts == {
         "lock-rmw-unserialized": 1,
         "lock-nested-serialize": 2,
-        "lock-yield-while-locked": 5,
+        "lock-yield-while-locked": 6,
     }
 
 
@@ -332,7 +332,7 @@ def test_cli_github_format(capsys):
     out = capsys.readouterr().out
     assert code == 1
     errors = [ln for ln in out.splitlines() if ln.startswith("::error ")]
-    assert len(errors) == 8
+    assert len(errors) == 9
     assert all("file=" in ln and "line=" in ln and "col=" in ln
                for ln in errors)
     assert "title=repro-lint lock-yield-while-locked" in out

@@ -100,9 +100,9 @@ MUTANTS = [
          "key, offset, n, pattern=\"rand\"))\n\n"
          "    def _recycle_data_block(")]),
     # payload plane: bytes materialised on a ghost-plane path
-    _m("G1", "repro/update/fo.py",
-       [('p["offset"], p["pdelta"])',
-         'p["offset"], np.asarray(p["pdelta"]))')]),
+    _m("G1", "repro/update/base.py",
+       [('(p["pkey"], p["entries"])',
+         '(p["pkey"], [(o, np.asarray(d)) for o, d in p["entries"]])')]),
     _m("G2", "repro/update/tsue_strategy.py",
        [("        t0 = self.sim.now\n"
          "        persisted = yield from self.engine.append_datalog(",
@@ -141,13 +141,13 @@ MUTANTS = [
          "    def to_dict(self) -> dict:\n"
          "        from repro.harness.experiment import _host_clock\n\n")]),
     # rpc: message kinds sent vs handlers registered
-    _m("R1", "repro/update/fo.py",
-       [('data, "fo_apply")', 'data, "fo_aply")')],
+    _m("R1", "repro/update/base.py",
+       [('kind: str = "parity_apply"', 'kind: str = "parity_aply"')],
        "rpc-dead-handler"),
-    _m("R2", "repro/update/fo.py",
-       [('        self.osd.register("fo_apply", self._h_apply)\n',
-         '        self.osd.register("fo_apply", self._h_apply)\n'
-         '        self.osd.register("fo_flush", self._h_apply)\n')],
+    _m("R2", "repro/update/base.py",
+       [('        osd.register("parity_apply", self._h_parity_apply)\n',
+         '        osd.register("parity_apply", self._h_parity_apply)\n'
+         '        osd.register("parity_flush", self._h_parity_apply)\n')],
        "rpc-dead-handler", whole=True),
     _m("R3", "repro/update/pl.py",
        [('register("pl_append"', 'register("pl_apend"')],
