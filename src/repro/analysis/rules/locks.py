@@ -12,11 +12,12 @@ failure modes:
 * a *nested* ``serialize_stripe`` on the same stripe self-deadlocks —
   today that only trips ``KeyedLock``'s runtime reentrancy check after a
   full scenario run; here it is rejected at review time;
-* a blocking yield point (RPC, sleep, combinator wait) *inside* the
-  critical section stretches the lock across simulated time other
-  updates could have used — legal only when the protocol genuinely
-  requires it (PARIX's original-ship), which is what suppression reasons
-  are for.
+* a wait *inside* the critical section — a ``yield`` on any event, or a
+  ``yield from`` a blocking call (RPC, fence, rebalance) — stretches the
+  lock across simulated time other updates could have used; legal only
+  when the protocol genuinely requires it (PARIX's original-ship), which
+  is what suppression reasons are for.  *Issuing* is not waiting: a
+  ``fan_out`` started under the lock and yielded after it is fine.
 
 The locked scope is closed, so one file's AST is enough to see all of
 it: the body passed to ``serialize_stripe(...)`` must be a call to a
@@ -40,8 +41,8 @@ from repro.analysis.vocab import BLOCKING_CALL_TAILS as _BLOCKING_CALLS
 # Stripe-state mutation primitives that must be lock-wrapped: the shared
 # RMW in every class (its name says it needs the lock), the raw block
 # write in classes that declare ``serializes_stripes``.
-_RMW_LOCKED = "rmw_delta_locked"
-_RMW_CALLS = (_RMW_LOCKED, "write_range")
+_RMW_FORWARD_LOCKED = "rmw_forward_locked"
+_RMW_CALLS = (_RMW_FORWARD_LOCKED, "write_range")
 
 
 def _call_tail(ctx: FileContext, call: ast.Call) -> str:
@@ -106,7 +107,7 @@ class UnserializedRMWRule(Rule):
         for cls in ast.walk(ctx.tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
-            rmw = _RMW_CALLS if _serializes(cls) else (_RMW_LOCKED,)
+            rmw = _RMW_CALLS if _serializes(cls) else (_RMW_FORWARD_LOCKED,)
             for func in _methods(cls):
                 if (func.name.endswith("_locked") or func.name == "drain"
                         or func.name.startswith("_recycle")):
@@ -164,15 +165,16 @@ class NestedSerializeRule(Rule):
 class YieldWhileLockedRule(Rule):
     id = "lock-yield-while-locked"
     family = "locks"
-    description = ("a blocking yield point (RPC, sleep, combinator wait) "
-                   "inside a serialize_stripe critical section holds the "
-                   "stripe lock across simulated time")
-    fixit = ("move the blocking operation after the critical section "
-             "(compute under the lock, communicate outside it); keep the "
-             "locked scope closed — pass serialize_stripe a `*_locked` "
-             "call and delegate only to `*_locked` helpers; if the "
-             "protocol requires the wait — e.g. PARIX's "
-             "original-ship-before-ack — suppress with that reason")
+    description = ("a wait (a yielded event, or a blocking RPC / fence "
+                   "call) inside a serialize_stripe critical section holds "
+                   "the stripe lock across simulated time")
+    fixit = ("issue under the lock, wait after the critical section "
+             "(`sent = self.osd.fan_out(...)` in the `*_locked` body, "
+             "`yield sent` in its caller); keep the locked scope closed "
+             "— pass serialize_stripe a `*_locked` call and delegate only "
+             "to `*_locked` helpers; if the protocol requires the wait — "
+             "e.g. PARIX's original-ship-before-ack — suppress with that "
+             "reason")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
@@ -194,21 +196,30 @@ class YieldWhileLockedRule(Rule):
                     and node.name.endswith("_locked")):
                 continue
             for sub in ast.walk(node):
-                if (isinstance(sub, ast.Call)
-                        and _call_tail(ctx, sub) in _BLOCKING_CALLS):
+                if isinstance(sub, ast.Yield):
                     yield self.finding(
                         ctx, sub,
-                        f"blocking `{_call_tail(ctx, sub)}` inside "
+                        f"`yield` inside `{node.name}`, which runs under "
+                        "the stripe lock — lock held across the wait",
+                    )
+                    continue
+                if not (isinstance(sub, ast.YieldFrom)
+                        and isinstance(sub.value, ast.Call)):
+                    continue
+                call = sub.value
+                if _call_tail(ctx, call) in _BLOCKING_CALLS:
+                    yield self.finding(
+                        ctx, call,
+                        f"blocking `{_call_tail(ctx, call)}` inside "
                         f"`{node.name}`, which runs under the stripe lock "
                         "— lock held across the wait",
                     )
-                elif (isinstance(sub, ast.YieldFrom)
-                      and isinstance(sub.value, ast.Call)):
-                    tail = _delegate_tail(sub.value)
+                else:
+                    tail = _delegate_tail(call)
                     if tail and not tail.endswith("_locked") \
                             and tail != "serialize_stripe":
                         yield self.finding(
-                            ctx, sub.value,
+                            ctx, call,
                             f"`{node.name}` runs under the stripe lock and "
                             f"delegates to `{tail}`, which is not "
                             "`*_locked` — whatever it waits on is hidden "

@@ -46,19 +46,19 @@ FS_ORDER_CALLS = frozenset({
 
 
 # ----------------------------------------------------------------------
-# locks: yield points that block simulated time while a lock is held.
-# Device I/O (store/device read-write) is deliberately absent: charging
-# device time inside the critical section is the modelled cost of RMW.
-# The fence/rebalance entries are the live-change fault plane: fencing on
-# a down or migrating stripe parks the caller for a whole outage/copy
-# window, and a membership rebalance blocks across quiesce + drain +
-# copy — all of them may-block by contract, so calling one while holding
-# a stripe lock is a deadlock-shaped bug.  (Device ``degrade``/``heal`` and
-# ``Fabric.degrade_link``/``heal_link`` are deliberately absent: they are
-# instantaneous state flips, not yield points.)
+# locks: generators that block simulated time when delegated to with
+# ``yield from`` while a lock is held.  Event constructors (``fan_out``,
+# ``timeout``, ``AllOf``, ``acquire``, ...) are absent: calling one only
+# issues; the wait is the ``yield`` on the event, which the rule reports
+# on its own.  Device I/O (store/device read-write) is deliberately
+# absent: charging device time inside the critical section is the
+# modelled cost of RMW.  The fence/rebalance entries are the live-change
+# fault plane: fencing on a down or migrating stripe parks the caller for
+# a whole outage/copy window, and a membership rebalance blocks across
+# quiesce + drain + copy — all of them may-block by contract, so calling
+# one while holding a stripe lock is a deadlock-shaped bug.
 # ----------------------------------------------------------------------
-BLOCKING_CALL_TAILS = ("rpc", "rpc_with_retry", "fan_out", "timeout", "sleep",
-                       "event", "request", "acquire", "AllOf", "AnyOf", "At",
+BLOCKING_CALL_TAILS = ("rpc", "rpc_with_retry",
                        "_fence_wait", "_migration_wait",
                        "rebalance_join", "rebalance_leave",
                        "decommission_osd")

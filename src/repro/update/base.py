@@ -13,9 +13,11 @@ An OSD constructs one strategy instance at boot.  The strategy:
 
 The methods differ in where a delta goes and when it is applied (§2.2),
 not in the plumbing, which lives here once: the in-place family's stripe
-lock, data-block RMW and parity fan-out (:meth:`update_in_place`);
-``parity_apply``, the one handler that XORs ready ``{"pkey", "entries"}``
-into a parity block (FO's synchronous apply, FL's and CoRD's recycles);
+lock, data-block RMW and delta forward, acked at the later of the
+overwrite and the forward (:meth:`update_in_place`; the hook
+:meth:`forward_calls` names where the delta goes); ``parity_apply``, the
+one handler that XORs ready ``{"pkey", "entries"}`` into a parity block
+(FO's synchronous apply, FL's and CoRD's recycles);
 and the pending ledger behind :meth:`stripe_pending` — a log-keeping
 method names its index of unrecycled entries (``pending_index``) and pins
 a stripe while a recycle holds popped state for it whose parity has not
@@ -165,42 +167,41 @@ class UpdateStrategy:
             locks.release(stripe, holder)
         return result
 
-    def rmw_delta_locked(self, key: BlockKey, offset: int, data: np.ndarray):
-        """The in-place family's front half: read old, write new, delta.
+    def rmw_forward_locked(self, key: BlockKey, offset: int, data: np.ndarray,
+                           kind: str):
+        """The in-place family's front half: read old, issue the delta's
+        forward, overwrite; returns the forward's barrier, not awaited.
 
         Two small random I/Os on the data block — precisely the cost TSUE
-        removes from the critical path.  Runs as the body of
-        :meth:`serialize_stripe` (hence the name).
+        removes from the critical path.  The forward needs only the delta,
+        so it overlaps the overwrite, which still lands before
+        :meth:`serialize_stripe` (whose body this is) releases the lock.
         """
         old = yield from self.osd.store.read_range(key, offset, data.size, pattern="rand")
         # ``old`` is a zero-copy view of the live block: the delta must be
         # computed *before* the write overwrites those bytes (no yield in
         # between, so no other process can intervene either).
-        delta = old ^ data
+        sent = self.osd.fan_out(self.forward_calls(key, offset, old ^ data, kind))
         yield from self.osd.store.write_range(key, offset, data, pattern="rand")
-        return delta
+        return sent
 
     def update_in_place(self, key: BlockKey, offset: int, data: np.ndarray,
                         kind: str = "parity_apply"):
-        """FO / PL / PLR's synchronous path, which differ only in ``kind``:
-        FO applies the parity delta at once, PL and PLR name the log that
-        defers it.
-
-        The data-block RMW holds the stripe lock; the scaled delta then
-        goes to every parity OSD outside it (applies and appends are
-        commutative XOR), and the update is acked when every parity OSD
-        has replied.
-        """
-        delta = yield from self.serialize_stripe(
-            key, self.rmw_delta_locked(key, offset, data)
+        """FO / PL / PLR / CoRD's synchronous path, which differ only in
+        the ``kind`` their delta is forwarded as (:meth:`forward_calls`).
+        The forward is waited on outside the stripe lock (applies and
+        appends are commutative XOR): the ack comes at the later of the
+        overwrite and the last forward reply."""
+        sent = yield from self.serialize_stripe(
+            key, self.rmw_forward_locked(key, offset, data, kind)
         )
-        yield self.osd.fan_out(self.parity_calls(key, offset, delta, kind))
+        yield sent
 
-    def parity_calls(self, key: BlockKey, offset: int, delta: np.ndarray,
-                     kind: str):
-        """One ``(dst, kind, {"pkey", "entries"}, nbytes)`` per parity block
-        of data block ``key``'s stripe, carrying ``delta`` at ``offset``
-        scaled for that parity block."""
+    def forward_calls(self, key: BlockKey, offset: int, delta: np.ndarray,
+                      kind: str):
+        """Where data block ``key``'s ``delta`` at ``offset`` goes, as
+        ``fan_out`` calls: by default one ``(dst, kind, {"pkey",
+        "entries"}, nbytes)`` per parity block, scaled for it."""
         inode, stripe, j = key
         k = self.cluster.config.k
         calls = []

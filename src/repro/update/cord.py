@@ -58,17 +58,14 @@ class CoRDStrategy(UpdateStrategy):
     def on_update(self, key: BlockKey, offset: int, data: np.ndarray):
         # Lock the data-block read-modify-write only; the collector buffers
         # deltas in an XOR index and combining is commutative (Eq. 5).
-        delta = yield from self.serialize_stripe(
-            key, self.rmw_delta_locked(key, offset, data)
-        )
-        inode, stripe, _j = key
-        collector = self.cluster.placement(inode, stripe)[self.cluster.config.k]
-        yield from self.osd.rpc(
-            collector,
-            "cord_collect",
-            {"key": key, "offset": offset, "delta": delta},
-            nbytes=int(delta.size),
-        )
+        return self.update_in_place(key, offset, data, "cord_collect")
+
+    def forward_calls(self, key: BlockKey, offset: int, delta: np.ndarray,
+                      kind: str):
+        """The raw delta goes to the stripe's collector only."""
+        collector = self.cluster.placement(*key[:2])[self.cluster.config.k]
+        return [(collector, kind, {"key": key, "offset": offset, "delta": delta},
+                 int(delta.size))]
 
     # ------------------------------------------------------------------
     # collector side

@@ -91,7 +91,7 @@ class FLStrategy(UpdateStrategy):
             # OSD may be mid-failure/recovery.
             calls.extend(
                 self.sim.process(self.osd.rpc_with_retry(*call))
-                for call in self.parity_calls(key, seg.offset, delta, "parity_apply")
+                for call in self.forward_calls(key, seg.offset, delta, "parity_apply")
             )
         if calls:
             yield AllOf(self.sim, calls)

@@ -174,14 +174,16 @@ class PARIXStrategy(UpdateStrategy):
             seen.add(offset, offset + int(data.size))
         else:
             self.repeat_updates += 1
-        yield from self.osd.store.write_range(key, offset, data, pattern="rand")
-        # repro-lint: allow(lock-yield-while-locked) -- speculative-append ship and its ack barrier stay under the stripe lock so same-stripe updates keep parity-log order
-        yield self.osd.fan_out(
+        # Issued first: it ships the client's bytes, not the write's result.
+        sent = self.osd.fan_out(
             (osd_name, "parix_append",
              {"key": key, "offset": offset, "data": data, "orig": False},
              int(data.size))
             for _p, osd_name in targets
         )
+        yield from self.osd.store.write_range(key, offset, data, pattern="rand")
+        # repro-lint: allow(lock-yield-while-locked) -- the speculative ship's ack barrier stays under the stripe lock so same-stripe updates keep parity-log order
+        yield sent
 
     # ------------------------------------------------------------------
     # parity-OSD side

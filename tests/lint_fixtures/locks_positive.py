@@ -6,7 +6,7 @@ class BadStrategy:
 
     def apply_update(self, key, offset, data):
         # RMW with no serialize_stripe wrapper anywhere in the method.
-        yield from self.rmw_delta_locked(key, offset, data)  # lock-rmw-unserialized
+        yield from self.rmw_forward_locked(key, offset, data, "apply")  # lock-rmw-unserialized
 
     def nested_wrap(self, key):
         yield from self.serialize_stripe(
@@ -43,3 +43,11 @@ class BadStrategy:
         # hides its waits behind a call.
         yield from self.osd.store.write_range(key, 0, data)
         yield from self._pace(key)  # lock-yield-while-locked
+
+    def _forward_locked(self, key, data):
+        # Issuing under the lock is fine; waiting on the issued event
+        # before the critical section ends holds the lock across the
+        # round trip.
+        sent = self.osd.fan_out([("peer", "ship", {}, 8)])
+        yield from self.osd.store.write_range(key, 0, data)
+        yield sent  # lock-yield-while-locked

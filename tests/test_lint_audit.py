@@ -41,7 +41,8 @@ _RMW_READ = ('        old = yield from self.osd.store.read_range('
              'key, offset, data.size, pattern="rand")\n')
 _RMW_WRITE = ('        yield from self.osd.store.write_range('
               'key, offset, data, pattern="rand")\n')
-_RMW_DELTA = "        delta = old ^ data\n"
+_RMW_FORWARD = ("        sent = self.osd.fan_out(self.forward_calls("
+                "key, offset, old ^ data, kind))\n")
 _TSUE_RMW = (
     '            old = yield from store.read_range(key, offset, data.size, '
     'pattern="rand")\n'
@@ -65,28 +66,31 @@ MUTANTS = [
          "    def parity_targets(")],
        "lock-yield-while-locked"),
     _m("Y3", "repro/update/base.py",
-       [("        delta = yield from self.serialize_stripe(\n"
-         "            key, self.rmw_delta_locked(key, offset, data)\n"
-         "        )\n",
+       [("        sent = yield from self.serialize_stripe(\n"
+         "            key, self.rmw_forward_locked(key, offset, data, kind)\n"
+         "        )\n"
+         "        yield sent\n",
          "        return (yield from self.serialize_stripe(\n"
-         "            key, self._update_and_ship(key, offset, data, kind)))\n"
+         "            key, self._update_and_wait(key, offset, data, kind)))\n"
          "\n"
-         "    def _update_and_ship(self, key, offset, data, kind):\n"
-         "        delta = yield from self.rmw_delta_locked(key, offset, data)\n"
+         "    def _update_and_wait(self, key, offset, data, kind):\n"
+         "        sent = yield from self.rmw_forward_locked("
+         "key, offset, data, kind)\n"
+         "        yield sent\n"
          )],
        "lock-yield-while-locked", "lock-rmw-unserialized"),
     # aliasing: a zero-copy view read after the write that overwrites it
     _m("V1", "repro/update/base.py",
        [(_RMW_READ, "        old = yield from self._read_old_locked("
                     "key, offset, data.size)\n"),
-        (_RMW_DELTA + _RMW_WRITE, _RMW_WRITE + _RMW_DELTA),
+        (_RMW_FORWARD + _RMW_WRITE, _RMW_WRITE + _RMW_FORWARD),
         ("    def parity_targets(",
          "    def _read_old_locked(self, key, offset, n):\n"
          "        return (yield from self.osd.store.read_range("
          "key, offset, n, pattern=\"rand\"))\n\n"
          "    def parity_targets(")]),
     _m("V2", "repro/update/base.py",
-       [(_RMW_DELTA + _RMW_WRITE, _RMW_WRITE + _RMW_DELTA)],
+       [(_RMW_FORWARD + _RMW_WRITE, _RMW_WRITE + _RMW_FORWARD)],
        "alias-view-across-yield"),
     _m("V3", "repro/tsue/engine.py",
        [(_TSUE_RMW,

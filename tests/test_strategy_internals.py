@@ -179,6 +179,57 @@ def test_plr_appends_are_random_writes():
     assert after - before >= 10 * (1 + M)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known PLR ledger race: concurrent _h_append calls on one parity block "
+    "read region_used before their write and claim the same region offset "
+    "(docs/dataplane.md, 'The PLR ledger race')"))
+@pytest.mark.parametrize("during_recycle", [False, True],
+                         ids=["same-instant", "during-recycle"])
+def test_plr_concurrent_appends_claim_distinct_region_space(during_recycle):
+    from repro.update.plr import PLR_HEADER
+
+    sim, cluster, client, inode = build("plr")
+    pkey = (inode, 0, K)
+    osd = cluster.osd_by_name(cluster.placement(inode, 0)[K])
+    strat = osd.strategy
+    offsets = []
+    submit_write = osd.device.submit_write
+
+    def spy(nbytes, zone="data", offset=0, *args):
+        if zone == f"plr:{pkey}":
+            offsets.append(offset)
+        return submit_write(nbytes, zone, offset, *args)
+
+    osd.device.submit_write = spy
+    entry = PLR_HEADER + 64
+
+    def append():
+        msg = SimpleNamespace(payload={
+            "pkey": pkey, "entries": [(0, np.ones(64, dtype=np.uint8))]})
+        yield from strat._h_append(msg)
+
+    if during_recycle:
+        # Fill the region so the next append recycles it synchronously.
+        while strat.region_used.get(pkey, 0) + entry <= strat.reserve_bytes:
+            run_to(sim, sim.process(append()))
+        recycles = strat.sync_recycles
+        first = sim.process(append())
+        while strat.sync_recycles == recycles:
+            sim.step()
+        offsets.clear()
+        second = sim.process(append())  # lands while the recycle runs
+    else:
+        first, second = sim.process(append()), sim.process(append())
+    run_to(sim, first)
+    run_to(sim, second)
+    cluster.stop()
+    # Two entries logged since the region was last empty: both must be
+    # accounted for, at distinct offsets.
+    assert len(strat.region_entries[pkey]) == 2
+    assert strat.region_used[pkey] == 2 * entry  # reads 96, not 192
+    assert len(set(offsets)) == 2
+
+
 # ----------------------------------------------------------------------
 # CoRD
 # ----------------------------------------------------------------------

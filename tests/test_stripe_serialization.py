@@ -254,7 +254,8 @@ def test_nested_serialize_stripe_raises_instead_of_deadlocking():
     key = (1, 0, 0)
 
     def nested():
-        inner = strat.rmw_delta_locked(key, 0, np.zeros(4, dtype=np.uint8))
+        inner = strat.rmw_forward_locked(key, 0, np.zeros(4, dtype=np.uint8),
+                                         "parity_apply")
         yield from strat.serialize_stripe(key, strat.serialize_stripe(key, inner))
 
     proc = sim.process(nested())
