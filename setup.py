@@ -15,7 +15,8 @@ setup(
                 "baseline erasure-code update methods",
     package_dir={"": "src"},
     packages=find_packages("src"),
+    package_data={"repro.gf": ["_region.c"]},
     python_requires=">=3.9",
-    install_requires=["numpy"],
+    install_requires=["numpy", "cffi"],
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

@@ -16,23 +16,30 @@ import numpy as np
 from repro.gf.arithmetic import _EXP, _LOG, _MUL_TABLE, gf_inv, gf_scale_accumulate
 
 
-def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def gf_matmul(a: np.ndarray, b) -> np.ndarray:
     """Matrix product over GF(256).
 
     Works for 2-D x 2-D and 2-D x (2-D of payload columns); payload matmul
     (coding_matrix @ data_blocks) is the hot path — it runs once per stripe
     in every consistency gate, scrub and rebuild — so each row of ``b`` goes
     through :func:`~repro.gf.arithmetic.gf_scale_accumulate` once, scaled by
-    its column of ``a`` into every output row (an all-zero row of ``b``,
-    e.g. a never-written data block, costs one ``any()`` pass).
+    its column of ``a`` into every output row.  ``b`` may also be a list of
+    equal-length 1-D ``uint8`` rows (the codec's validated blocks), which
+    spares stacking them into one array first.
     """
     a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    if a.ndim != 2 or b.ndim != 2:
+    if type(b) is list:
+        width = b[0].size if b else 0
+    else:
+        b = np.asarray(b, dtype=np.uint8)
+        if b.ndim != 2:
+            raise ValueError("gf_matmul expects 2-D operands")
+        width = b.shape[1]
+    if a.ndim != 2:
         raise ValueError("gf_matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+    if a.shape[1] != len(b):
+        raise ValueError(f"shape mismatch {a.shape} @ {len(b)} rows")
+    out = np.zeros((a.shape[0], width), dtype=np.uint8)
     for column, row in zip(a.T.tolist(), b):
         gf_scale_accumulate(column, row, out)
     return out

@@ -26,7 +26,7 @@ from repro.ec.matrix import (
     systematic_cauchy,
     systematic_vandermonde,
 )
-from repro.gf.arithmetic import _MUL_BYTES, gf_scale_accumulate
+from repro.gf.arithmetic import gf_mul_scalar, gf_scale_accumulate
 
 
 class RSCodec:
@@ -64,7 +64,7 @@ class RSCodec:
         """Compute the m parity blocks for k equal-length data blocks.
 
         Ghost plane: a GF matrix product of metadata-only extents is pure
-        size bookkeeping — validate the geometry exactly as ``_stack``
+        size bookkeeping — validate the geometry exactly as ``_rows``
         would, then return one fresh ghost extent per parity block.
         """
         if any(is_ghost(b) for b in data_blocks):
@@ -79,8 +79,7 @@ class RSCodec:
                 )
             n = sizes.pop()
             return [GhostExtent(n, tag="parity") for _ in range(self.m)]
-        stacked = self._stack(data_blocks, self.k)
-        parity = gf_matmul(self.parity_matrix, stacked)
+        parity = gf_matmul(self.parity_matrix, self._rows(data_blocks, self.k))
         # Rows of the freshly computed product — views, not per-row copies.
         # The rows are disjoint and the 2-D base is exclusively theirs.
         return list(parity)
@@ -110,8 +109,8 @@ class RSCodec:
         idx = sorted(shards)[: self.k]
         sub = self.generator[idx]
         inv = gf_matinv(sub)
-        stacked = self._stack([shards[i] for i in idx], self.k, block_size)
-        data = gf_matmul(inv, stacked)
+        rows = self._rows([shards[i] for i in idx], self.k, block_size)
+        data = gf_matmul(inv, rows)
         # Rows of a fresh product; see encode().
         return list(data)
 
@@ -171,9 +170,12 @@ class RSCodec:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _stack(
+    def _rows(
         blocks: Sequence[np.ndarray], expect: int, block_size: Optional[int] = None
-    ) -> np.ndarray:
+    ) -> List[np.ndarray]:
+        """The blocks as ``uint8`` rows for ``gf_matmul``, validated, not
+        stacked: the matmul only iterates its rows, so a k x block copy
+        (384 KiB per RS(6,2) stripe gate) would buy nothing."""
         if len(blocks) != expect:
             raise ValueError(f"expected {expect} blocks, got {len(blocks)}")
         arrs = [np.asarray(b, dtype=np.uint8) for b in blocks]
@@ -182,23 +184,16 @@ class RSCodec:
             raise ValueError(f"blocks must be equal-length, got sizes {sorted(sizes)}")
         if block_size is not None and sizes.pop() != block_size:
             raise ValueError("block size mismatch")
-        return np.stack(arrs, axis=0)
+        return arrs
 
 
 def parity_delta(coeff: int, data_delta: np.ndarray) -> np.ndarray:
     """Eq. (2) helper for a raw coefficient.
 
     Returns a fresh, writable array (callers hand the patch to log indexes
-    that take ownership).  ``bytes.translate`` against a cached 256-byte
-    row does the multiply — same values as a numpy gather, no index-dtype
-    conversion; coefficient 1 degenerates to one memcpy and 0 to a calloc.
-
-    This stays on ``translate`` rather than the wide-table kernel
-    (:func:`~repro.gf.arithmetic.gf_scale_accumulate`): a fresh buffer is
-    wanted, not an accumulation, and measured at 4 / 16 / 64 KiB
-    ``translate`` costs 4.4 / 13.9 / 53.3 us against 9.6 / 15.7 / 45.3 us
-    for zero-fill + kernel — a wash on the 8-128 KiB deltas the Ali trace
-    produces, so there is no size switch between the two.
+    that take ownership): :func:`~repro.gf.arithmetic.gf_mul_scalar`, one
+    call of the native GF(2^8) region kernel in overwrite mode — no
+    zero-fill, no XOR pass, no intermediate ``bytes``.
 
     Ghost plane: the GF(2^8) scalar multiply of a metadata-only extent is
     a same-length extent — return a fresh ghost (the byte plane returns a
@@ -206,17 +201,7 @@ def parity_delta(coeff: int, data_delta: np.ndarray) -> np.ndarray:
     """
     if type(data_delta) is GhostExtent:
         return data_delta.copy()
-    if type(data_delta) is not np.ndarray or data_delta.dtype != np.uint8:
-        data_delta = np.asarray(data_delta, dtype=np.uint8)
-    if coeff == 1:
-        return data_delta.copy()
-    if coeff == 0:
-        return np.zeros_like(data_delta)
-    out = np.frombuffer(
-        bytearray(data_delta.tobytes().translate(_MUL_BYTES[coeff])),
-        dtype=np.uint8,
-    )
-    return out if data_delta.ndim == 1 else out.reshape(data_delta.shape)
+    return gf_mul_scalar(coeff, data_delta)
 
 
 def merge_delta(older: np.ndarray, newer: np.ndarray) -> np.ndarray:
@@ -241,7 +226,7 @@ def combine_deltas(
     if len(deltas) == 1:
         # Fused single-extent fast path — the overwhelmingly common case
         # (one small update touches one data block): Eq. (5) degenerates to
-        # Eq. (2), one translate/copy kernel with no zero-fill or XOR pass.
+        # Eq. (2), one overwrite-mode kernel call with no zero-fill.
         ((data_index, delta),) = deltas.items()
         return parity_delta(
             int(parity_matrix[parity_index, data_index]), delta

@@ -3,8 +3,12 @@
 All erasure-code math in this repository happens in the field GF(256) with
 the AES/Rijndael-compatible primitive polynomial x^8 + x^4 + x^3 + x^2 + 1
 (0x11D), the same field used by ISA-L and Jerasure.  Addition is XOR;
-multiplication goes through log/exp tables so bulk operations stay inside
-numpy; bulk scalar-times-buffer work is one kernel, `gf_scale_accumulate`.
+multiplication goes through log/exp tables.  Bulk scalar-times-buffer work
+is one native kernel (``_region.c``, a split-nibble shuffle multiply) behind
+`gf_scale_accumulate` and `gf_mul_scalar`.  `repro.gf.native` compiles it
+once per source hash into a cache under the system temp dir on the first
+import; without cffi or a C compiler both entry points run a numpy gather
+that gives the same bytes.
 """
 
 from repro.gf.arithmetic import (

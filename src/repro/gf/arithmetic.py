@@ -4,20 +4,23 @@ The exp table is laid out doubled (length 510) so ``exp[log a + log b]``
 never needs an explicit ``mod 255``; the log table maps 1..255 to 0..254
 (``log[0]`` is a sentinel never consulted on a valid path).
 
-Bulk scalar-times-buffer work goes through one kernel,
-:func:`gf_scale_accumulate` (``acc[i] ^= coeffs[i] * src``): it gathers two
-bytes per lookup through a lazily built per-coefficient 65536-entry
-``uint16`` table and skips an all-zero source after one ``any()`` pass.
-`gf_mul_scalar`, ``ec.matrix.gf_matmul`` and the multi-delta branch of
-``ec.rs.combine_deltas`` are thin loops over it (``docs/dataplane.md``,
+Bulk scalar-times-buffer work goes through one native kernel, the
+split-nibble region multiply of ``_region.c``, behind two entry points:
+:func:`gf_scale_accumulate` (``acc[i] ^= coeffs[i] * src``; ``ec.matrix.
+gf_matmul`` and the multi-delta branch of ``ec.rs.combine_deltas`` are
+loops over it) and :func:`gf_mul_scalar` (a fresh ``c * buf``; Eq. 2's
+``ec.rs.parity_delta``).  Where the kernel cannot be built both run the
+reference gather through a row of ``_MUL_TABLE`` (``docs/dataplane.md``,
 "Byte-plane kernels").
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from repro.gf.native import load_region
 
 GF_ORDER = 256
 PRIM_POLY = 0x11D  # x^8 + x^4 + x^3 + x^2 + 1
@@ -47,12 +50,6 @@ for _g in range(1, 256):
     _MUL_TABLE[_g, 1:] = _EXP[_LOG[_g] + _LOG[_bs]]
 del _g, _bs
 
-# The same rows as 256-byte `bytes` objects: ``payload.translate(row)`` is a
-# tight C loop with no index-dtype conversion, and it returns the fresh
-# buffer ``ec.rs.parity_delta`` wants (measured against the wide-table
-# gather in that function's docstring).
-_MUL_BYTES = [bytes(_MUL_TABLE[_g2]) for _g2 in range(256)]
-
 
 def gf_exp_table() -> np.ndarray:
     """A read-only view of the doubled exp table (length 510)."""
@@ -81,85 +78,62 @@ def gf_mul(a, b) -> np.ndarray:
 
 
 # --- the byte-plane kernel -------------------------------------------------
-# Operands shorter than this take the 256-entry row: a 128 KiB table is not
-# worth building (or pulling through the cache) for a coding-matrix-sized
-# product.
-_WIDE_MIN_BYTES = 512
-# At most 64 wide tables (128 KiB each, 8 MiB) stay built; the oldest-built
-# is evicted first.  RS(12,4) encodes with 48 coefficients, a rebuild's
-# inverse matrix brings up to k*k more; building an evicted table again
-# costs ~12 us.
-_WIDE_TABLE_LIMIT = 64
-_WIDE_TABLES: Dict[int, np.ndarray] = {}
-
-# Reusable gather scratch.  The simulation is single-threaded and the
-# scratch never escapes the kernel, so one monotonically grown buffer
-# (views serve smaller calls) removes the allocation per term.
-_SCRATCH: List[np.ndarray] = [np.empty(0, dtype=np.uint8)]
-
-
-def _wide_table(coeff: int) -> np.ndarray:
-    """``T[x] = row[x & 255] | row[x >> 8] << 8`` for ``row = coeff * .``.
-
-    Indexed by two adjacent payload bytes read as one ``uint16`` it yields
-    both products at once; the layout is its own mirror image, so it is
-    byte-order independent.
-    """
-    table = _WIDE_TABLES.get(coeff)
-    if table is None:
-        if len(_WIDE_TABLES) >= _WIDE_TABLE_LIMIT:
-            del _WIDE_TABLES[next(iter(_WIDE_TABLES))]
-        row = _MUL_TABLE[coeff].astype(np.uint16)
-        table = _WIDE_TABLES[coeff] = ((row[:, None] << 8) | row[None, :]).ravel()
-    return table
+# The native region kernel (``_region.c``, loaded by ``repro.gf.native``) or
+# None, in which case both entry points below run the reference gather
+# ``_MUL_TABLE[c].take(src)``.  ``_ROWS[c]`` points at product row c, from
+# which the kernel takes its two nibble tables.
+_KERNEL = load_region()
+if _KERNEL is not None:
+    _ROW_BASE = _KERNEL.ffi.from_buffer("uint8_t[]", _MUL_TABLE)
+    _ROWS = [_ROW_BASE + (_c << 8) for _c in range(256)]
 
 
 def gf_scale_accumulate(coeffs: Sequence[int], src: np.ndarray, acc) -> None:
     """``acc[i] ^= coeffs[i] * src`` over the field, in place, for every i.
 
     ``src`` is a 1-D ``uint8`` array of any stride, alignment or
-    writability; ``acc`` is a sequence of ``len(coeffs)`` writable 1-D
-    ``uint8`` arrays of the same length (the rows of a 2-D array).  An
-    all-zero ``src`` returns after one ``any()`` pass — ``c * 0 = 0``, so
-    the skipped terms are exactly the ones that would XOR nothing in.
+    writability; ``acc`` is a sequence of ``len(coeffs)`` writable,
+    contiguous 1-D ``uint8`` arrays of the same length (the rows of a 2-D
+    array).  A zero coefficient is skipped; every other term is one call of
+    the native kernel in accumulate mode, after a length check: the kernel
+    writes ``src.size`` bytes, so a row of another length must raise.
     """
-    n = src.size
-    if n == 0 or not src.any():
+    kernel = _KERNEL
+    if kernel is None:
+        for coeff, out in zip(coeffs, acc):
+            if coeff:
+                np.bitwise_xor(out, _MUL_TABLE[coeff].take(src), out=out)
         return
-    src = np.ascontiguousarray(src)  # the uint16 view needs unit stride
-    tmp = _SCRATCH[0]
-    if tmp.size < n:
-        tmp = _SCRATCH[0] = np.empty(n, dtype=np.uint8)
-    tmp = tmp[:n]
-    # Bytes served two at a time; an odd tail (or a whole small operand)
-    # goes through the 256-entry row.
-    wide = n & ~1 if n >= _WIDE_MIN_BYTES else 0
-    if wide:
-        src16 = src[:wide].view(np.uint16)
-        tmp16 = tmp[:wide].view(np.uint16)
+    n = src.size
+    from_buffer = kernel.ffi.from_buffer
+    region = kernel.lib.gf_region
+    data = from_buffer("uint8_t[]", np.ascontiguousarray(src))
     for coeff, out in zip(coeffs, acc):
-        if coeff == 0:
-            continue
-        if coeff == 1:
-            np.bitwise_xor(out, src, out=out)
-            continue
-        # mode="clip": indices cannot be out of range, and it spares
-        # np.take the defensive copy of ``out`` that mode="raise" makes.
-        if wide:
-            np.take(_wide_table(coeff), src16, out=tmp16, mode="clip")
-        if wide < n:
-            row = _MUL_TABLE[coeff]
-            np.take(row, src[wide:], out=tmp[wide:], mode="clip")
-        np.bitwise_xor(out, tmp, out=out)
+        if coeff:
+            dst = from_buffer("uint8_t[]", out, True)
+            if len(dst) != n:
+                raise ValueError(f"accumulator of {len(dst)} bytes for a {n}-byte source")
+            region(_ROWS[coeff], data, dst, n, 1)
 
 
 def gf_mul_scalar(scalar: int, buf) -> np.ndarray:
-    """``scalar * buf`` over the field (a fresh array of ``buf``'s shape)."""
+    """``scalar * buf`` over the field (a fresh array of ``buf``'s shape).
+
+    One call of the native kernel in overwrite mode (``ec.rs.parity_delta``,
+    Eq. 2, is this function plus its ghost check).
+    """
     if not 0 <= scalar <= 255:
         raise ValueError(f"scalar {scalar} outside GF(256)")
     buf = np.asarray(buf, dtype=np.uint8)
-    out = np.zeros(buf.shape, dtype=np.uint8)
-    gf_scale_accumulate((scalar,), buf.reshape(-1), (out.reshape(-1),))
+    kernel = _KERNEL
+    if kernel is None:
+        return _MUL_TABLE[scalar].take(buf)
+    out = np.empty(buf.shape, dtype=np.uint8)
+    from_buffer = kernel.ffi.from_buffer
+    kernel.lib.gf_region(
+        _ROWS[scalar], from_buffer("uint8_t[]", np.ascontiguousarray(buf)),
+        from_buffer("uint8_t[]", out, True), buf.size, 0,
+    )
     return out
 
 

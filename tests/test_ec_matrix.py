@@ -124,7 +124,7 @@ def _dense_matmul(a, b):
 
 def test_matmul_generator_construction_sizes_exact():
     # The (k+m) x k @ k x k products the systematic transform performs:
-    # far below the wide-table threshold, every entry must stay exact.
+    # a few bytes per row, all in the kernel's scalar tail, must stay exact.
     for k, m in [(6, 2), (12, 4)]:
         v = vandermonde_matrix(k + m, k)
         top_inv = gf_matinv(v[:k])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ec import RSCodec, combine_deltas, merge_delta, parity_delta
-from repro.gf import arithmetic, gf_mul
+from repro.gf import gf_mul
 
 BLOCK = 128
 
@@ -194,10 +194,10 @@ def test_module_level_helpers_match_codec():
 
 
 # ----------------------------------------------------------------------
-# the byte-plane kernel under the codec (blocks above the wide-table switch)
+# the byte-plane kernel under the codec (blocks of whole vectors plus tails)
 # ----------------------------------------------------------------------
 def _dense_parity(codec, data):
-    """Parity term by term through elementwise ``gf_mul``, no zero skipping."""
+    """Parity term by term through elementwise ``gf_mul``, the codec's reference."""
     out = [np.zeros(data[0].size, dtype=np.uint8) for _ in range(codec.m)]
     for p in range(codec.m):
         for j, blk in enumerate(data):
@@ -223,14 +223,10 @@ def test_encode_with_every_subset_of_zero_blocks_equals_dense_product():
 
 
 @pytest.mark.parametrize("k,m", [(6, 2), (12, 4)])
-def test_roundtrips_with_wide_table_cache_forced_past_its_bound(k, m, monkeypatch):
+def test_roundtrips_every_loss_pattern_match_dense_reference(k, m):
     from itertools import combinations
 
-    # Eight tables cannot even hold one RS(6,2) encode: every product below
-    # evicts and rebuilds tables mid-matmul.
-    monkeypatch.setattr(arithmetic, "_WIDE_TABLE_LIMIT", 8)
-    arithmetic._WIDE_TABLES.clear()
-    size = 2048 + 1  # wide path plus an odd tail
+    size = 2048 + 1  # whole 32-byte vectors plus an odd tail
     codec = RSCodec(k, m)
     rng = np.random.default_rng(k + m)
     data = _blocks(rng, k, size)
@@ -239,7 +235,6 @@ def test_roundtrips_with_wide_table_cache_forced_past_its_bound(k, m, monkeypatc
     for got, want in zip(parity, _dense_parity(codec, data)):
         assert np.array_equal(got, want)
     blocks = data + parity
-    built = set(arithmetic._WIDE_TABLES)
     # Every loss pattern brings its own inverse matrix, i.e. fresh
     # coefficients.
     for lost in list(combinations(range(k + m), m))[:40]:
@@ -250,9 +245,6 @@ def test_roundtrips_with_wide_table_cache_forced_past_its_bound(k, m, monkeypatc
         decoded = codec.decode(shards)
         for j in range(k):
             assert np.array_equal(decoded[j], data[j])
-        assert len(arithmetic._WIDE_TABLES) <= 8
-        built |= set(arithmetic._WIDE_TABLES)
-    assert len(built) > 8  # the bound really was exceeded
 
 
 def test_combine_deltas_wide_operands_match_sequential_patches():

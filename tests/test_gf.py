@@ -16,7 +16,6 @@ from repro.gf import (
     gf_pow,
     gf_scale_accumulate,
 )
-from repro.gf import arithmetic
 
 elem = st.integers(min_value=0, max_value=255)
 nonzero = st.integers(min_value=1, max_value=255)
@@ -135,9 +134,12 @@ def test_scalar_distributes_over_xor_buffers(data, scalar):
 # ----------------------------------------------------------------------
 # the byte-plane kernel: acc[i] ^= coeffs[i] * src
 # ----------------------------------------------------------------------
-# Lengths on both sides of the small-operand switch (512) and of the
-# two-bytes-per-lookup pairing (odd tails), up to one 64 KiB block.
-KERNEL_LENGTHS = (0, 1, 511, 512, 513, 65535, 65536)
+# Lengths on both sides of the native kernel's 32-byte vector width (the
+# scalar tail alone, one vector, one vector plus a tail), odd tails around
+# a 512-byte row, and past one 64 KiB block.
+KERNEL_LENGTHS = (
+    0, 1, 15, 31, 32, 33, 63, 64, 65, 511, 512, 513, 4095, 4097, 65535, 65536, 70001,
+)
 
 
 def _reference_product(coeff, buf):
@@ -148,15 +150,16 @@ def _reference_product(coeff, buf):
 
 @pytest.mark.parametrize("n", KERNEL_LENGTHS)
 def test_kernel_every_coefficient_matches_scalar_reference(n):
+    # Both modes of the region kernel: accumulate and overwrite.
     rng = np.random.default_rng(n)
     src = rng.integers(0, 256, n, dtype=np.uint8)
     seed_acc = rng.integers(0, 256, n, dtype=np.uint8)
     for coeff in range(256):
+        want = _reference_product(coeff, src)
         acc = seed_acc.copy()
         gf_scale_accumulate((coeff,), src, (acc,))
-        assert np.array_equal(acc, seed_acc ^ _reference_product(coeff, src)), (
-            f"coeff {coeff} length {n}"
-        )
+        assert np.array_equal(acc, seed_acc ^ want), f"coeff {coeff} length {n}"
+        assert np.array_equal(gf_mul_scalar(coeff, src), want), f"coeff {coeff} length {n}"
 
 
 @pytest.mark.parametrize("n", (511, 512, 513, 4097))
@@ -189,38 +192,14 @@ def test_kernel_zero_source_and_zero_coefficient_add_nothing():
     assert np.array_equal(acc[1], before[1] ^ src)
 
 
-def test_kernel_small_operands_build_no_wide_table():
-    arithmetic._WIDE_TABLES.clear()
-    src = np.arange(1, 512, dtype=np.uint16).astype(np.uint8)  # 511 bytes
-    acc = np.zeros(511, dtype=np.uint8)
-    gf_scale_accumulate((77,), src, (acc,))
-    assert not arithmetic._WIDE_TABLES
-    gf_scale_accumulate((77,), np.resize(src, 512), (np.zeros(512, dtype=np.uint8),))
-    assert list(arithmetic._WIDE_TABLES) == [77]
-
-
-def test_wide_table_cache_is_bounded_and_evicts_oldest_built_first():
-    arithmetic._WIDE_TABLES.clear()
-    limit = arithmetic._WIDE_TABLE_LIMIT
-    assert limit * 128 * 1024 == 8 * 1024 * 1024
-    rng = np.random.default_rng(5)
-    src = rng.integers(0, 256, 1024, dtype=np.uint8)
-    coeffs = list(range(2, 2 + limit + 10))
-    for coeff in coeffs:
-        acc = np.zeros(1024, dtype=np.uint8)
-        gf_scale_accumulate((coeff,), src, (acc,))
-        assert np.array_equal(acc, _reference_product(coeff, src))
-        assert len(arithmetic._WIDE_TABLES) <= limit
-    # The ten oldest-built tables went; a re-used survivor is not rebuilt
-    # (use does not refresh its age).
-    assert list(arithmetic._WIDE_TABLES) == coeffs[10:]
-    survivor = arithmetic._WIDE_TABLES[coeffs[10]]
-    gf_scale_accumulate((coeffs[10],), src, (np.zeros(1024, dtype=np.uint8),))
-    assert arithmetic._WIDE_TABLES[coeffs[10]] is survivor
-    # An evicted coefficient still multiplies correctly (rebuilt on demand).
-    acc = np.zeros(1024, dtype=np.uint8)
-    gf_scale_accumulate((coeffs[0],), src, (acc,))
-    assert np.array_equal(acc, _reference_product(coeffs[0], src))
+def test_kernel_rejects_an_accumulator_of_another_length():
+    # The native kernel writes src.size bytes: a shorter row would overflow.
+    src = np.ones(101, dtype=np.uint8)
+    for n in (100, 102):
+        acc = np.zeros(n, dtype=np.uint8)
+        with pytest.raises(ValueError):
+            gf_scale_accumulate((7,), src, (acc,))
+        assert not acc.any()
 
 
 def test_mul_scalar_keeps_shape_and_leaves_input_alone():
