@@ -73,21 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     li.add_argument("paths", nargs="*", default=["src"],
                     help="files/directories to analyze (default: src)")
-    li.add_argument("--format", choices=["text", "json", "github"],
-                    default="text",
+    li.add_argument("--format", choices=["text", "github"], default="text",
                     help="report format (default: text; github emits "
                          "::error annotations for Actions)")
     li.add_argument("--strict", action="store_true",
-                    help="exit 1 on ANY unsuppressed finding, unused "
-                         "suppression, or suppression without a reason "
-                         "(the CI gate)")
-    li.add_argument("--rules", nargs="+", default=None, metavar="RULE",
-                    help="restrict the run to these rule ids")
-    li.add_argument("--list-rules", action="store_true",
-                    help="print the rule catalogue and exit")
-    li.add_argument("--show-suppressed", action="store_true",
-                    help="include suppressed findings (and their reasons) "
-                         "in the text report")
+                    help="the only mode, spelled out: exit 1 on any "
+                         "unsuppressed finding, unused suppression, or "
+                         "suppression without a reason")
 
     sc = sub.add_parser("scenario", help="one named open-loop workload scenario")
     sc.add_argument("name", help='scenario name, or "list" to enumerate')

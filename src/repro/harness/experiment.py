@@ -231,9 +231,7 @@ def _host_clock(since: Tuple[float, float] = (0.0, 0.0)) -> Tuple[float, float]:
     """(wall, process CPU) seconds elapsed since an earlier reading — the
     machine-local ``perf`` section's only clock; CPU time stays meaningful
     when a shared box preempts the run."""
-    # repro-lint: allow(det-wallclock) -- machine-local perf section, excluded from the determinism gates
     wall = time.perf_counter() - since[0]
-    # repro-lint: allow(det-wallclock) -- CPU-time twin of the wall reading above
     return wall, time.process_time() - since[1]
 
 

@@ -164,7 +164,6 @@ class PARIXStrategy(UpdateStrategy):
             # ship (yields) and the local overwrite below — and the parity
             # side retains the payload in its original-image log.
             old = old.copy()
-            # repro-lint: allow(lock-yield-while-locked) -- PARIX original-ship: the original image must reach every parity log before the speculative write is acked (the protocol's extra round trip)
             yield self.osd.fan_out(
                 (osd_name, "parix_append",
                  {"key": key, "offset": offset, "data": old, "orig": True},
@@ -182,7 +181,8 @@ class PARIXStrategy(UpdateStrategy):
             for _p, osd_name in targets
         )
         yield from self.osd.store.write_range(key, offset, data, pattern="rand")
-        # repro-lint: allow(lock-yield-while-locked) -- the speculative ship's ack barrier stays under the stripe lock so same-stripe updates keep parity-log order
+        # Waited on under the stripe lock, so same-stripe updates keep
+        # parity-log order.
         yield sent
 
     # ------------------------------------------------------------------

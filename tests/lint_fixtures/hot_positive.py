@@ -1,7 +1,7 @@
 """Known-positive corpus for the hot-path hygiene rules.
 
-Only meaningful when linted with a ``LintConfig`` whose
-``hot_module_suffixes`` includes this file — the test does exactly that.
+Only meaningful when linted with ``HOT_MODULES`` naming this file — the
+test patches it to do exactly that.
 """
 
 

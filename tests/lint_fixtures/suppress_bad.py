@@ -1,19 +1,11 @@
 """Suppression corpus: every allow() here is itself a finding."""
 
-import os
-import time as _time
 
-
-def missing_reason():
-    # repro-lint: allow(det-wallclock)
-    return _time.perf_counter()
-
-
-def stale_allow():
-    # repro-lint: allow(det-entropy) -- nothing on the next line draws entropy
-    return 7
-
-
-def wrong_rule():
-    # repro-lint: allow(det-wallclock) -- suppresses the wrong rule, so both fire
-    return os.urandom(4)
+class Host:
+    def register_handlers(self):
+        # repro-lint: allow(rpc-dead-handler)
+        self.register("probe", self._h_probe)
+        # repro-lint: allow(rpc-dead-handler) -- nothing on the next line is a handler
+        self.started = True
+        # repro-lint: allow(no-such-rule) -- suppresses the wrong rule, so both fire
+        self.register("drill", self._h_drill)

@@ -1,19 +1,13 @@
 """Suppression corpus: every violation here carries a reasoned allow().
 
-Linting this file must produce zero active findings (the suppressed ones
-are still reported when asked for, with their reasons).  The docstring
-mention of ``# repro-lint: allow(det-entropy) -- looks real`` must NOT
-count: suppressions live in comments, not strings.
+Linting this file must produce zero active findings.  The docstring
+mention of ``# repro-lint: allow(rpc-dead-handler) -- looks real`` must
+NOT count: suppressions live in comments, not strings.
 """
 
-import os
-import time as _time
 
-
-def measured():
-    # repro-lint: allow(det-wallclock) -- machine-local measurement fixture
-    return _time.perf_counter()
-
-
-def salted():
-    return os.urandom(4)  # repro-lint: allow(det-entropy) -- fixture exercising same-line suppression
+class Host:
+    def register_handlers(self):
+        # repro-lint: allow(rpc-dead-handler) -- fixture exercising a standalone suppression
+        self.register("probe", self._h_probe)
+        self.register("drill", self._h_drill)  # repro-lint: allow(rpc-dead-handler) -- fixture exercising same-line suppression

@@ -1,14 +1,14 @@
 """Fixture: malformed and multi-rule suppression comments.
 
 The empty ``allow()`` is a syntax finding (and suppresses nothing, so
-the entropy call under it stays active); the space-separated rule list
-is valid and both named rules are consumed by the combined line.
+the dead handler under it stays active); the space-separated rule list
+is valid: the rule that fires on its line is consumed, the other one is
+reported unused.
 """
 
-import os
-import time
 
-# repro-lint: allow() -- forgot to name the rules
-x = os.urandom(4)
-
-t = os.urandom(int(time.time()))  # repro-lint: allow(det-entropy det-wallclock) -- fixture: space-separated rule list, both rules fire on this line
+class Host:
+    def register_handlers(self):
+        # repro-lint: allow() -- forgot to name the rules
+        self.register("probe", self._h_probe)
+        self.register("drill", self._h_drill)  # repro-lint: allow(rpc-dead-handler no-such-rule) -- fixture: space-separated rule list

@@ -5,14 +5,21 @@ of its arguments, so fanning the rows over a process pool may change wall
 time only — the merged JSON payload (minus the machine-dependent ``perf``
 section) must be byte-identical to the serial reference path, with row
 order independent of worker completion order.  Also covers the atomic
-``--json`` write and the --jobs flag validation.
+``--json`` write, the --jobs flag validation, and a fast slice of
+``--check-baseline`` run under two string-hash seeds.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import cli
+
+ROOT = Path(__file__).parents[1]
 
 
 def _bench(tmp_path, tag, jobs, extra=()):
@@ -88,3 +95,30 @@ def test_json_write_is_atomic(tmp_path, monkeypatch):
     # Old content intact, no temp litter.
     assert json.loads(out.read_text()) == {"sentinel": True}
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_hot_stripe_rows_match_the_baseline_under_two_hash_seeds(tmp_path):
+    """A 5 s slice of ``repro bench --check-baseline``: the ``hot_stripe``
+    sweep (every method on the most lock-contended cell) reproduces its
+    committed rows in two interpreters whose string-hash seeds differ.
+
+    It catches the two bug classes the rest of ``tests/`` misses
+    (``docs/lint_audit.md``): a wait added under a stripe lock moves
+    timing the parity gates cannot see, and an iteration over a set of
+    strings makes rows depend on the hash seed, which forked ``--jobs``
+    workers share with their parent.
+    """
+    baseline = json.loads((ROOT / "BENCH_scenarios.json").read_text())
+    for seed in ("1", "2"):
+        out = tmp_path / f"hot-{seed}.json"
+        subprocess.run(
+            [sys.executable, "-m", "repro", "bench",
+             "--scenarios", "hot_stripe", "--json", str(out)],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                 "PYTHONHASHSEED": seed},
+            capture_output=True, check=True,
+        )
+        rows = json.loads(out.read_text())
+        assert rows["scenarios"]["hot_stripe"] == \
+            baseline["scenarios"]["hot_stripe"], seed
+        assert rows["methods"] == baseline["methods"], seed
