@@ -15,8 +15,8 @@ Public entry points:
 line.
 
 The re-exports below are lazy (PEP 562): ``python -m repro`` must be able
-to launch without importing the engine, so the dependency-free paths
-(``repro lint``, ``--help``) never pull in numpy.  ``from repro import
+to launch without importing the engine, so ``--help``, the one
+dependency-free path, never pulls in numpy.  ``from repro import
 Cluster`` still works — the attribute access triggers the real import.
 """
 

@@ -10,7 +10,6 @@ Subcommands map one-to-one onto the paper's artifacts plus free-form cells:
 * ``fig8a`` / ``fig8b`` — HDD throughput / recovery bandwidth;
 * ``table1`` / ``table2`` — workload counters / residency;
 * ``lifespan`` — flash wear comparison;
-* ``lint`` — the static-analysis gate (``repro.analysis.command``; no numpy);
 * ``scenario`` — one named open-loop workload scenario, failure and
   live-change axes included (``scenario list`` enumerates them);
 * ``bench`` — a selection of scenarios, with an optional JSON baseline.
@@ -66,20 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table1", help="storage workload & network traffic")
     sub.add_parser("table2", help="residency per log layer")
     sub.add_parser("lifespan", help="flash wear comparison")
-
-    li = sub.add_parser(
-        "lint",
-        help="static analysis: engine-invariant rules over the sources",
-    )
-    li.add_argument("paths", nargs="*", default=["src"],
-                    help="files/directories to analyze (default: src)")
-    li.add_argument("--format", choices=["text", "github"], default="text",
-                    help="report format (default: text; github emits "
-                         "::error annotations for Actions)")
-    li.add_argument("--strict", action="store_true",
-                    help="the only mode, spelled out: exit 1 on any "
-                         "unsuppressed finding, unused suppression, or "
-                         "suppression without a reason")
 
     sc = sub.add_parser("scenario", help="one named open-loop workload scenario")
     sc.add_argument("name", help='scenario name, or "list" to enumerate')
@@ -307,12 +292,8 @@ def _cmd_artifact(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.cmd == "lint":
-        from repro.analysis.command import run_lint
-
-        return run_lint(args)
-    # Engine imports are deferred into the commands so `--help` and `lint`
-    # stay instant and numpy-free.
+    # Engine imports are deferred into the commands so `--help` stays
+    # instant and numpy-free.
     command = {
         "run": _cmd_run, "scenario": _cmd_scenario, "bench": _cmd_bench,
     }.get(args.cmd, _cmd_artifact)

@@ -12,7 +12,8 @@ bit-identical to the byte plane by construction — the equivalence suite in
 memory stays O(metadata), which is what lets the ``scale_out`` scenario
 tier run 1000+ clients over 256+ OSDs in seconds.
 
-Plane discipline (enforced by the ``plane-branch`` lint rule):
+Plane discipline (a branch on the plane in simulated-time code fails
+``tests/test_ghost_equivalence.py``):
 
 * The plane is chosen **once**, at construction time — ``BlockStore``
   binds its allocator and coverage hooks in ``__init__``; generators

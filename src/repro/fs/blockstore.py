@@ -56,8 +56,8 @@ class BlockStore:
         self._next_offset = 0
         # Plane binding happens exactly once, here: the costed generators
         # below call these method pointers and never consult the flag, so
-        # timing is plane-independent by construction (and the
-        # ``plane-branch`` lint rule keeps it that way).
+        # timing is plane-independent by construction (and
+        # ``tests/test_ghost_equivalence.py`` keeps it that way).
         if ghost:
             self._new_block = self._new_ghost_block
             self._cover = self._cover_add

@@ -1,0 +1,112 @@
+"""The instruction ledger: Python bytecode the model executes, per package.
+
+Host time is noisy; the number of bytecode instructions a run executes is
+not.  :func:`count` runs scenario cells under a ``sys.settrace`` opcode
+tracer that counts only frames whose code lives in this package, keyed by
+the top-level subpackage (``sim``, ``fs``, ``logstruct``, ...).  Every
+other frame (numpy, the standard library, the C kernels behind them) is
+left untraced, so their versions cannot move the count: what is counted
+is the Python-level work of this reproduction, and it is a pure function
+of the source, the interpreter's minor version and whether the native GF
+kernel loaded (its numpy fallback is code of this package).
+
+The ledger is :data:`SLICE` at seed 1: ``steady`` on all seven methods,
+the ghost-plane ``scale_out`` tier and ``rebuild_under_load`` on TSUE.
+Each cell runs once untraced first, so lazy imports and first-use caches
+are not charged to requests.  ``python -m repro.metrics.instructions``
+prints it as JSON; the committed copy is ``BENCH_instructions.json`` at
+the repo root, and ``tests/test_instructions.py`` recomputes it exactly.
+A change that moves the count regenerates the file and names the cause.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+from typing import Dict, Iterable, Tuple
+
+import numpy as np
+
+from repro.sim import collector
+
+# (scenario, method, clients, requests per client), all at seed 1.
+Cell = Tuple[str, str, int, int]
+
+SLICE: Tuple[Cell, ...] = (
+    *(("steady", m, 2, 40) for m in ("fo", "fl", "pl", "plr", "parix", "cord", "tsue")),
+    ("scale_out", "tsue", 16, 8),
+    ("rebuild_under_load", "tsue", 2, 40),
+)
+
+_ROOT = os.path.dirname(os.path.dirname(__file__)) + os.sep
+
+
+def run_cells(cells: Iterable[Cell]) -> None:
+    """Run each cell to completion at seed 1 (untraced)."""
+    from repro.workload import run_scenario
+
+    for name, method, clients, requests in cells:
+        run_scenario(name, seed=1, n_clients=clients,
+                     requests_per_client=requests, method=method)
+
+
+def count(cells: Iterable[Cell]) -> Dict[str, int]:
+    """Instructions executed in this package's frames while ``cells`` run,
+    per top-level subpackage (after one untraced warm-up pass)."""
+    cells = tuple(cells)
+    run_cells(cells)
+    hits: Dict[str, int] = {}
+    tracers: Dict[str, object] = {}
+
+    def tracer_for(filename):
+        if not filename.startswith(_ROOT):
+            return None
+        pkg = os.path.splitext(filename[len(_ROOT):].split(os.sep, 1)[0])[0]
+        hits.setdefault(pkg, 0)
+
+        def local(frame, event, arg):
+            if event == "opcode":
+                hits[pkg] += 1
+            return local
+
+        return local
+
+    def enter(frame, event, arg):
+        filename = frame.f_code.co_filename
+        try:
+            local = tracers[filename]
+        except KeyError:
+            local = tracers[filename] = tracer_for(filename)
+        if local is not None:
+            frame.f_trace_lines = False
+            frame.f_trace_opcodes = True
+        return local
+
+    # No collection may resume a traced frame at a host-dependent point.
+    with collector.paused():
+        sys.settrace(enter)
+        try:
+            run_cells(cells)
+        finally:
+            sys.settrace(None)
+    return dict(sorted(hits.items()))
+
+
+def ledger() -> dict:
+    """The committed ledger: :data:`SLICE` counted, with its provenance."""
+    counts = count(SLICE)
+    requests = sum(clients * per for _n, _m, clients, per in SLICE)
+    total = sum(counts.values())
+    return {
+        "python": "%d.%d" % sys.version_info[:2],
+        "numpy": np.__version__,
+        "requests": requests,
+        "total": total,
+        "per_request": round(total / requests, 1),
+        "instructions": counts,
+    }
+
+
+if __name__ == "__main__":
+    print(json.dumps(ledger(), indent=2))

@@ -161,7 +161,6 @@ class Simulator:
         if when < self.now:
             raise ValueError(f"call_at past time {when} < now {self.now}")
         ev = self.event(name="call_at")
-        # repro-lint: allow(hot-closure) -- call_at is a setup/test convenience, never on the per-transition kernel path
         ev.add_callback(lambda _ev: fn())
         ev.succeed(delay=when - self.now)
         return ev

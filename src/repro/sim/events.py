@@ -182,7 +182,6 @@ class _Condition(Event):
                 ev.add_callback(self._on_child)
 
     def _collect(self) -> List[Any]:
-        # repro-lint: allow(hot-alloc) -- runs once per combinator completion, not per kernel transition
         return [ev._value for ev in self.events if ev.fired and ev._exc is None]
 
     def _on_child(self, ev: Event) -> None:
@@ -209,7 +208,6 @@ class AllOf(_Condition):
             return
         self._n_fired += 1
         if self._n_fired == len(self.events):
-            # repro-lint: allow(hot-alloc) -- built once, when the last child fires
             self.succeed([e._value for e in self.events])
 
 

@@ -102,7 +102,7 @@ def test_hot_stripe_rows_match_the_baseline_under_two_hash_seeds(tmp_path):
     sweep (every method on the most lock-contended cell) reproduces its
     committed rows in two interpreters whose string-hash seeds differ.
 
-    It catches the two bug classes the rest of ``tests/`` misses
+    It is the gate for two bug classes no other test sees
     (``docs/lint_audit.md``): a wait added under a stripe lock moves
     timing the parity gates cannot see, and an iteration over a set of
     strings makes rows depend on the hash seed, which forked ``--jobs``

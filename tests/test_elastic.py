@@ -463,6 +463,18 @@ def test_scale_out_live_all_methods(method):
     assert res.updates + res.reads == SMOKE["n_clients"] * SMOKE["requests_per_client"]
 
 
+@pytest.mark.xfail(strict=True, raises=StripeMigrationError, reason=(
+    "PARIX: a parity OSD of the fenced stripe still reports it pending "
+    "after drain_all returned, so the pre-copy gate refuses the migration "
+    "(ROADMAP 10(b)); seed 7, the committed rows' seed, passes"))
+@pytest.mark.parametrize("name, seed", [
+    ("scale_out_live", 3), ("scale_out_live", 15),
+    ("scale_in_live", 25), ("throttled_rebalance", 4),
+])
+def test_parix_live_migration_passes_its_gates(name, seed):
+    assert run_scenario(name, seed=seed, method="parix").consistent
+
+
 def test_scale_out_live_migrates_onto_joiner():
     res = run_scenario("scale_out_live", **SMOKE)
     e = res.elastic
