@@ -108,11 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also write a JSON baseline (default PATH: "
                          "BENCH_scenarios.json; written atomically via "
                          "temp file + rename)")
-    be.add_argument("--profile", nargs="?",
-                    const="bench_profile.txt",
-                    default=None, metavar="PATH",
-                    help="run under cProfile and write a cumulative-time "
-                         "report to PATH")
     be.add_argument("--check-baseline", nargs="?",
                     const="BENCH_scenarios.json", default=None,
                     metavar="PATH",
@@ -196,10 +191,6 @@ def _cmd_bench(args) -> int:
     if args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
-    if args.profile and args.jobs > 1:
-        print("--profile needs --jobs 1 (rows run in worker processes "
-              "the parent profiler cannot see)", file=sys.stderr)
-        return 2
 
     # Load the baseline BEFORE simulating (fail fast on a bad path) and
     # before any --json write — `bench --json --check-baseline` with
@@ -213,13 +204,6 @@ def _cmd_bench(args) -> int:
             print(f"cannot load baseline {args.check_baseline}: {exc}",
                   file=sys.stderr)
             return 2
-
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
 
     names = sorted(SCENARIOS) if args.scenarios is None else args.scenarios
     methods = tuple(METHODS if args.methods is None else args.methods)
@@ -235,19 +219,6 @@ def _cmd_bench(args) -> int:
         s: [cells[(s, m)] for m in methods]
         for s in SWEEP_SECTIONS if s in names and methods
     }
-
-    if profiler is not None:
-        import io
-        import pstats
-
-        profiler.disable()
-        buf = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buf)
-        stats.sort_stats("cumulative").print_stats(60)
-        stats.sort_stats("tottime").print_stats(60)
-        with open(args.profile, "w") as fh:
-            fh.write(buf.getvalue())
-        print(f"wrote {args.profile}")
 
     for res in results:
         print(res.render())

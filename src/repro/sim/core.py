@@ -34,6 +34,7 @@ from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim import collector as _collector
 from repro.sim.events import FIRED, PENDING, Event, Interrupt, Timeout
+from repro.sim.resources import Request
 
 ProcessGen = Generator[Event, Any, Any]
 
@@ -354,6 +355,13 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current instant."""
         if self._state != PENDING:
             return
+        # A victim still queued on a Resource leaves the queue now, so no
+        # later release grants it the slot.  A granted request needs
+        # nothing: the grant fires first and the victim resumes holding it.
+        waiting = self._waiting_on
+        if type(waiting) is Request and waiting._state == PENDING:
+            waiting.withdraw()
+            self._waiting_on = None
         # Delivered via the queue, not synchronously: the victim resumes at
         # this instant but after already-scheduled same-instant events, and
         # whatever it was waiting on becomes a stale no-op wakeup.

@@ -10,10 +10,12 @@ Resources; they advance by projected completion, see ``docs/dataplane.md``.)
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, Hashable, List, Optional, Tuple
 
-from repro.sim.core import Simulator
 from repro.sim.events import Event
+
+if TYPE_CHECKING:  # sim.core imports Request from this module
+    from repro.sim.core import Simulator
 
 
 class Request(Event):
@@ -24,6 +26,15 @@ class Request(Event):
     def __init__(self, sim: Simulator, resource: "Resource"):
         super().__init__(sim, name="request")
         self.resource = resource
+
+    def withdraw(self) -> None:
+        """Leave the resource's queue without being granted.
+
+        ``Process.interrupt`` calls this for a waiter still queued here;
+        otherwise a later ``release`` would hand the slot to a process
+        that never releases it.
+        """
+        self.resource._queue.remove(self)
 
 
 class Resource:

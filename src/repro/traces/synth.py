@@ -20,8 +20,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.sim.drawcursor import DrawCursor, choice_cdf
-
 PAGE = 4096
 
 
@@ -69,6 +67,21 @@ def _zipf_weights(n: int, s: float) -> np.ndarray:
     return w / w.sum()
 
 
+def choice_cdf(p) -> np.ndarray:
+    """The cumulative table ``Generator.choice(..., p=p)`` searches.
+
+    Built with the same operations ``choice`` uses (``cumsum``, then
+    normalise by the last element), and ``choice`` draws exactly one
+    ``random()`` per pick, so ``cdf.searchsorted(rng.random(), "right")``
+    returns the same index from the same stream position at a tenth of
+    ``choice``'s per-call cost.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def generate_trace(
     config: SyntheticTraceConfig,
     file_size: int,
@@ -77,13 +90,11 @@ def generate_trace(
 ) -> List[TraceRecord]:
     """Materialise ``n_requests`` update records for a file of ``file_size``.
 
-    Draws run through a chunked :class:`DrawCursor` — raw RNG output is
-    pre-drawn in vectorised blocks and replayed in the exact per-request
-    order the historical scalar calls consumed (``choice`` is one uniform
-    against a cumulative table, the cold jump a bounded integer), so the
-    records are bit-identical per seed while the per-request numpy
-    dispatch cost disappears.  The generator is left on the exact
-    consumption point afterwards (:meth:`DrawCursor.sync`).
+    Draws are scalar calls on ``rng`` in a fixed per-request order: a
+    size pick, the run coin, the cold coin, then a cold page or a hot-set
+    pick.  Weighted picks search a :func:`choice_cdf` table, which is
+    ``Generator.choice`` without its per-call validation, so the records
+    are a pure function of the stream.
     """
     if file_size < PAGE:
         raise ValueError(f"file must be at least one page ({PAGE}B)")
@@ -101,24 +112,20 @@ def generate_trace(
     run_prob = config.run_prob
     cold_prob = config.cold_prob
 
-    # At most ~4 raw64 draws per request; one refill covers whole smoke
-    # traces and large traces amortise over a few thousand requests.
-    cur = DrawCursor(rng, chunk=min(8192, 4 * n_requests + 8))
     out: List[TraceRecord] = []
     prev_end = None
     for _ in range(n_requests):
-        size = int(sizes[cur.weighted_index(size_cdf)])
-        if prev_end is not None and cur.random() < run_prob:
+        size = int(sizes[size_cdf.searchsorted(rng.random(), "right")])
+        if prev_end is not None and rng.random() < run_prob:
             offset = prev_end  # spatial run continuation
-        elif cur.random() < cold_prob:
-            offset = cur.integers(n_pages) * PAGE
+        elif rng.random() < cold_prob:
+            offset = int(rng.integers(0, n_pages)) * PAGE
         else:
-            offset = int(hot[cur.weighted_index(zipf_cdf)]) * PAGE
+            offset = int(hot[zipf_cdf.searchsorted(rng.random(), "right")]) * PAGE
         if offset + size > file_size:
             offset = max(0, file_size - size)
         out.append(TraceRecord(offset, size))
         prev_end = offset + size
-    cur.sync()
     return out
 
 

@@ -73,17 +73,12 @@ class TSUEConfig:
     use_log_pool: bool = True    # O3 (off = one exclusive unit per pool)
     flush_interval: float = 0.5  # scan period for the real-time flusher
     flush_age: float = 1.0       # seal active units older than this
-    compression: Optional[str] = None  # future-work hook (§7); must be None
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
         if self.n_pools < 1:
             raise ValueError("n_pools must be >= 1")
-        if self.compression is not None:
-            raise NotImplementedError(
-                "log compression is the paper's future work and not implemented"
-            )
 
     def pool_kwargs(self, policy: str, keep_raw: bool) -> dict:
         # O3 off: one unit, appends must wait for its recycle (exclusive).

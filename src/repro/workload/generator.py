@@ -26,7 +26,7 @@ import numpy as np
 # so records are duck-typed (anything with .offset and .size works).
 from repro.dataplane import GhostExtent
 from repro.sim import AllOf, Resource
-from repro.sim.drawcursor import DrawCursor
+from repro.sim.rng import payload_bytes
 from repro.workload.arrival import ArrivalProcess, ClosedLoop
 
 
@@ -88,25 +88,16 @@ class OpenLoopGenerator:
         self.peak_inflight = 0
         self._inflight = 0
         self._cursors = [0] * len(self.tenants)
-        # Per-op draws run through a direct-mode DrawCursor: bit-identical
-        # to the historical scalar numpy calls (the property tests pin
-        # this), but the payload block becomes one bulk raw pull instead of
-        # a per-byte loop.  Direct mode holds no lookahead, so the arrival
-        # process's interleaved draws on the same ``rng`` (ziggurat
-        # exponentials consume whole raw64s) stay on the exact stream
-        # position.  Per-op dict/attr lookups are hoisted into flat tables:
+        # Per-op dict/attr lookups are hoisted into flat tables:
         # ``(inode, [(offset, size), ...], n_records)`` per tenant.
-        self._draw = DrawCursor(rng)
         self._n_tenants = len(self.tenants)
         self._read_fraction = self.spec.read_fraction
         # Ghost plane: payloads leave the generator as metadata-only
-        # extents.  The byte draw is skipped, not made (below, in _next_op):
-        # the cursor jumps the stream past exactly the raws the draw would
-        # consume, so the shared RNG stream position — and with it every
+        # extents.  The byte draw is still made and dropped (below, in
+        # _next_op), so the shared RNG stream position — and with it every
         # tenant/read-mix/arrival draw after it — stays bit-identical
-        # across planes while no byte array is built.
-        # (The draw-order property tests drive this class with no client
-        # at all, hence the defensive chain.)
+        # across planes.  (The draw-order tests drive this class with no
+        # client at all, hence the defensive chain.)
         cluster = getattr(client, "cluster", None)
         self._ghost_payloads = bool(
             getattr(getattr(cluster, "config", None), "ghost_dataplane", False)
@@ -119,9 +110,9 @@ class OpenLoopGenerator:
     # ------------------------------------------------------------------
     def _next_op(self):
         """Draw the next operation; RNG use is strictly in issue order."""
-        draw = self._draw
+        rng = self.rng
         if self._n_tenants > 1:
-            ti = draw.integers(self._n_tenants)
+            ti = int(rng.integers(0, self._n_tenants))
         else:
             ti = 0
         inode, recs, n_recs = self._op_streams[ti]
@@ -129,12 +120,12 @@ class OpenLoopGenerator:
         offset, size = recs[c % n_recs]
         self._cursors[ti] = c + 1
         rf = self._read_fraction
-        if rf > 0 and draw.random() < rf:
+        if rf > 0 and rng.random() < rf:
             return ("read", inode, offset, size)
+        payload = payload_bytes(rng, size)
         if self._ghost_payloads:
-            draw.skip_payload(size)
             return ("update", inode, offset, GhostExtent(size, tag="wl"))
-        return ("update", inode, offset, draw.payload(size))
+        return ("update", inode, offset, payload)
 
     # ------------------------------------------------------------------
     def run(self):
@@ -167,10 +158,6 @@ class OpenLoopGenerator:
             op = self._next_op()
             self.issued += 1
             procs.append(sim.process(self._issue(op, slots)))
-        # All draws are done: land the generator on the exact stream
-        # position (32-bit half-buffer included) in case a caller resumes
-        # scalar numpy draws on it.
-        self._draw.sync()
         if procs:
             yield AllOf(sim, procs)
         return self.completed

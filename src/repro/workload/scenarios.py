@@ -146,8 +146,7 @@ def _hot_stripe_records(cfg, rng):
     Offsets are page-aligned within the chosen stripe and sizes small, so
     same-block overlap (the race the locks close) is frequent too.
     """
-    from repro.sim.drawcursor import DrawCursor, choice_cdf
-    from repro.traces.synth import PAGE, TraceRecord, _zipf_weights
+    from repro.traces.synth import PAGE, TraceRecord, _zipf_weights, choice_cdf
 
     span = cfg.k * cfg.block_size
     n_stripes = cfg.stripes_per_file
@@ -156,18 +155,16 @@ def _hot_stripe_records(cfg, rng):
     # A fixed shuffle decouples popularity rank from stripe number, so the
     # hot stripes land on different OSD rings per seed.
     order = list(rng.permutation(n_stripes))
-    # Chunked replay of the historical scalar draw order (two choice
-    # uniforms + one bounded integer per record), bit-identical per seed.
+    # The per-record draw order (stripe, page, size) is part of every
+    # hot_stripe baseline row.
     stripe_cdf = choice_cdf(weights)
     size_cdf = choice_cdf([0.4, 0.6])
-    cur = DrawCursor(rng, chunk=min(8192, 3 * cfg.updates_per_client + 8))
     out = []
     for _ in range(cfg.updates_per_client):
-        stripe = int(order[cur.weighted_index(stripe_cdf)])
-        page = cur.integers(pages_per_stripe)
-        size = (512, 4096)[cur.weighted_index(size_cdf)]
+        stripe = int(order[stripe_cdf.searchsorted(rng.random(), "right")])
+        page = int(rng.integers(0, pages_per_stripe))
+        size = (512, 4096)[size_cdf.searchsorted(rng.random(), "right")]
         out.append(TraceRecord(stripe * span + page * PAGE, size))
-    cur.sync()
     return out
 
 

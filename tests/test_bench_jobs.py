@@ -65,13 +65,10 @@ def test_jobs_check_baseline_round_trip(tmp_path):
     assert cli.main(args + ["--jobs", "2", "--check-baseline", str(out)]) == 0
 
 
-def test_jobs_flag_validation(tmp_path, capsys):
+def test_jobs_flag_validation(capsys):
     base = ["bench", "--scenarios", "steady", "--methods"]
     assert cli.main(base + ["--jobs", "0"]) == 2
-    assert cli.main(base + ["--jobs", "2", "--profile",
-                            str(tmp_path / "p.txt")]) == 2
-    err = capsys.readouterr().err
-    assert "--jobs" in err and "--profile" in err
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_json_write_is_atomic(tmp_path, monkeypatch):

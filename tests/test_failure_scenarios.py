@@ -344,6 +344,16 @@ def test_double_fault_recovers_both():
     assert rec["scrub_clean"] is True
 
 
+def test_double_fault_cord_seed_24_does_not_leak_the_cord_lock():
+    """The second crash interrupts a CoRD collect handler queued on its
+    OSD's cord lock.  The lock must not be granted to that dead handler:
+    it would never release it, and the stripes would stay fenced for 60 s."""
+    res = run_scenario("double_fault", seed=24, method="cord")
+    rec = res.recovery
+    assert rec["failures"] == 2 and rec["recoveries"] == 2
+    assert rec["scrub_clean"] is True
+
+
 def test_degraded_read_scenario_transient_outage():
     res = run_scenario("degraded_read", **SMOKE)
     rec = res.recovery

@@ -1,26 +1,26 @@
-"""Draw-order equivalence: the DrawCursor contract.
+"""Draw-order equivalence: workload and trace draws against live numpy.
 
-The data-plane fast path replays every workload/trace RNG draw through
-:class:`~repro.sim.drawcursor.DrawCursor` instead of scalar numpy calls.
-Bit-identity of every benchmark baseline rests on one property: *the
-cursor consumes the underlying PCG64 stream exactly as the scalar calls
-did and produces exactly the same values*.  These tests pin that property
-against live numpy — for the primitives in both modes, for the trace
-generators, and for the full interleaved per-op draw order of
-:class:`OpenLoopGenerator` under every arrival process / mix / tenant
-configuration.  If a numpy upgrade ever changes the bounded-integer or
-32-bit-buffering algorithm, these fail loudly before any baseline drifts.
+Bit-identity of every benchmark baseline rests on the workload, trace and
+payload draws consuming the seeded PCG64 streams exactly as the historical
+scalar numpy calls did.  Two shortcuts stand in for numpy calls:
+:func:`~repro.sim.rng.payload_bytes` (one bulk raw pull in place of
+``integers(0, 256, n, dtype=np.uint8)``) and :func:`choice_cdf` searches
+(in place of ``Generator.choice``).  These tests pin both against numpy,
+then pin the trace generators and the full interleaved per-op draw order
+of :class:`OpenLoopGenerator` against their scalar references.  If a numpy
+upgrade changes its uint8 fill or 32-bit buffering, they fail loudly
+before any baseline drifts.
 """
 
-import random as pyrandom
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.drawcursor import DrawCursor, choice_cdf
-from repro.traces.synth import SyntheticTraceConfig, generate_trace
+from repro.sim.rng import payload_bytes
+from repro.traces.synth import SyntheticTraceConfig, choice_cdf, generate_trace
 from repro.workload.arrival import (
     ClosedLoop,
     DiurnalArrivals,
@@ -38,68 +38,88 @@ def assert_state_equal(g1, g2):
     s1, s2 = g1.bit_generator.state, g2.bit_generator.state
     assert s1["state"] == s2["state"]
     assert s1["has_uint32"] == s2["has_uint32"]
+    # numpy leaves a stale ``uinteger`` behind once the half is consumed.
     if s1["has_uint32"]:
         assert s1["uinteger"] == s2["uinteger"]
 
 
 # ----------------------------------------------------------------------
-# primitives
+# payload_bytes and choice_cdf
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("chunk", [0, 8, 64, 1024])
-def test_mixed_draw_script_is_bit_identical(chunk):
-    """A long adversarial mix of every draw kind, scalar vs cursor."""
-    pyrandom.seed(chunk + 1)
+_PAYLOAD_SIZES = list(range(9)) + [11, 12, 13, 15, 16, 17, 4095, 4096, 4097, 65537]
+
+_draw_ops = st.lists(
+    st.one_of(
+        st.just(("random", 0)),
+        st.just(("exponential", 0)),
+        st.tuples(st.just("integers"), st.sampled_from([1, 2, 3, 100, 2**31, 2**34])),
+        st.tuples(st.just("payload"), st.sampled_from(_PAYLOAD_SIZES)),
+    ),
+    max_size=40,
+)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32), ops=_draw_ops,
+       pending_half=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_payload_bytes_matches_numpy_over_interleavings(seed, ops, pending_half):
+    """Same bytes and same stream position as numpy's uint8 fill, whatever
+    the draws around it and whether a 32-bit half is pending."""
+    ref, gen = fresh(seed), fresh(seed)
+    if pending_half:
+        # A 32-bit bounded draw leaves the high half of a raw64 buffered.
+        ref.integers(0, 100)
+        gen.integers(0, 100)
+        assert ref.bit_generator.state["has_uint32"] == 1
+    for i, (kind, n) in enumerate(ops):
+        if kind == "random":
+            assert gen.random() == ref.random(), i
+        elif kind == "exponential":
+            assert gen.exponential(0.01) == ref.exponential(0.01), i
+        elif kind == "integers":
+            assert gen.integers(0, n) == ref.integers(0, n), i
+        else:
+            want = ref.integers(0, 256, n, dtype=np.uint8)
+            got = payload_bytes(gen, n)
+            assert got.dtype == np.uint8 and got.tobytes() == want.tobytes(), i
+        assert_state_equal(ref, gen)
+
+
+def test_mixed_draw_script_is_bit_identical():
+    """A long adversarial mix of every draw kind, numpy vs the shortcuts."""
+    pyrandom = random.Random(1)
     ref, gen = fresh(), fresh()
-    cur = DrawCursor(gen, chunk=chunk)
-    kinds = 5 if chunk == 0 else 4  # exponentials only legal in direct mode
+    p = np.array([0.2, 0.5, 0.1, 0.2])
+    cdf = choice_cdf(p)
     for i in range(6000):
-        k = pyrandom.randrange(kinds)
+        k = pyrandom.randrange(5)
         if k == 0:
-            a, b = float(ref.random()), cur.random()
+            a, b = float(ref.random()), float(gen.random())
         elif k == 1:
             n = pyrandom.choice([1, 2, 3, 7, 100, 4096, 2**31, 2**34])
-            a, b = int(ref.integers(0, n)), cur.integers(n)
+            a, b = int(ref.integers(0, n)), int(gen.integers(0, n))
         elif k == 2:
             n = pyrandom.choice([1, 2, 3, 4, 5, 8, 9, 513, 4096, 4099])
             a = ref.integers(0, 256, n, dtype=np.uint8).tobytes()
-            b = cur.payload(n).tobytes()
+            b = payload_bytes(gen, n).tobytes()
         elif k == 3:
-            p = np.array([0.2, 0.5, 0.1, 0.2])
-            a, b = int(ref.choice(4, p=p)), cur.weighted_index(choice_cdf(p))
+            a = int(ref.choice(4, p=p))
+            b = int(cdf.searchsorted(gen.random(), "right"))
         else:
-            # Direct mode: generator-side ziggurat draws interleave legally.
             a, b = float(ref.exponential(0.01)), float(gen.exponential(0.01))
         assert a == b, f"draw {i} kind {k}: {a!r} != {b!r}"
-    cur.sync()
     assert_state_equal(ref, gen)
 
 
 def test_payload_is_writable_and_fresh():
-    cur = DrawCursor(fresh())
-    a = cur.payload(37)
+    gen = fresh()
+    a = payload_bytes(gen, 37)
     assert a.flags.writeable and a.dtype == np.uint8 and a.size == 37
     a[:] = 0  # must not raise
+    assert payload_bytes(gen, 37).any()
 
 
-def test_payload_crosses_chunk_boundaries():
-    ref, gen = fresh(), fresh()
-    cur = DrawCursor(gen, chunk=16)
-    assert cur.random() == float(ref.random())
-    a = ref.integers(0, 256, 1000, dtype=np.uint8)
-    assert np.array_equal(a, cur.payload(1000))  # 1000B > 16 raws
-    cur.sync()
-    assert_state_equal(ref, gen)
-
-
-def test_single_value_range_consumes_nothing():
-    ref, gen = fresh(), fresh()
-    cur = DrawCursor(gen)
-    assert cur.integers(1) == int(ref.integers(0, 1)) == 0
-    cur.sync()
-    assert_state_equal(ref, gen)
-
-
-def test_weighted_index_matches_choice_for_many_tables():
+def test_choice_cdf_search_matches_choice_for_many_tables():
     tables = [
         [1.0],
         [0.5, 0.5],
@@ -107,119 +127,12 @@ def test_weighted_index_matches_choice_for_many_tables():
         list(np.linspace(1, 40, 40) / np.linspace(1, 40, 40).sum()),
     ]
     ref, gen = fresh(), fresh()
-    cur = DrawCursor(gen, chunk=256)
     for p in tables:
         p = np.asarray(p, dtype=np.float64)
         cdf = choice_cdf(p)
         for _ in range(500):
-            assert int(ref.choice(len(p), p=p)) == cur.weighted_index(cdf)
-    cur.sync()
+            assert int(ref.choice(len(p), p=p)) == cdf.searchsorted(gen.random(), "right")
     assert_state_equal(ref, gen)
-
-
-def test_sync_mid_chunk_lands_on_exact_position():
-    """After sync, scalar numpy draws on the generator resume the stream."""
-    ref, gen = fresh(), fresh()
-    cur = DrawCursor(gen, chunk=64)
-    for _ in range(7):
-        assert cur.random() == float(ref.random())
-    assert cur.integers(1000) == int(ref.integers(0, 1000))
-    # Leave a buffered 32-bit half dangling, then sync and resume scalar.
-    assert cur.payload(2).tobytes() == ref.integers(0, 256, 2, dtype=np.uint8).tobytes()
-    g = cur.sync()
-    assert_state_equal(ref, gen)
-    assert g.integers(0, 256, 5, dtype=np.uint8).tobytes() == \
-        ref.integers(0, 256, 5, dtype=np.uint8).tobytes()
-    assert float(g.random()) == float(ref.random())
-    # The cursor stays usable after a sync.
-    assert cur.random() == float(ref.random())
-    cur.sync()
-    assert_state_equal(ref, gen)
-
-
-# ----------------------------------------------------------------------
-# skip == draw: the ghost plane's payload skip
-# ----------------------------------------------------------------------
-_draw_ops = st.lists(
-    st.one_of(
-        st.just(("random", 0)),
-        st.tuples(st.just("integers"),
-                  st.sampled_from([1, 2, 3, 7, 100, 4096, 2**31, 2**34])),
-        st.tuples(st.just("payload"),
-                  st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 4096, 65537])),
-    ),
-    max_size=40,
-)
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**32),
-    ops=_draw_ops,
-    pending_half=st.booleans(),
-    chunk=st.sampled_from([0, 3, 64]),
-)
-@settings(max_examples=200, deadline=None)
-def test_skip_payload_consumes_exactly_what_payload_draws(
-    seed, ops, pending_half, chunk
-):
-    """A skipping cursor, a drawing cursor and live numpy stay in lockstep.
-
-    The ghost plane's equivalence rows rest on stream *positions*: every
-    draw after a skipped payload must see the raws it would have seen after
-    a drawn one, buffered 32-bit half included.
-    """
-    ref, g_draw, g_skip = fresh(seed), fresh(seed), fresh(seed)
-    if pending_half:
-        # One 32-bit bounded draw leaves the high half of a raw64 buffered
-        # in the bit generator; the cursors adopt it at construction.
-        for g in (ref, g_draw, g_skip):
-            g.integers(0, 100)
-        assert ref.bit_generator.state["has_uint32"] == 1
-    drawer = DrawCursor(g_draw, chunk=chunk)
-    skipper = DrawCursor(g_skip, chunk=chunk)
-
-    def lockstep(kind, n, where):
-        if kind == "random":
-            want = float(ref.random())
-            assert drawer.random() == want == skipper.random(), where
-        elif kind == "integers":
-            want = int(ref.integers(0, n))
-            assert drawer.integers(n) == want == skipper.integers(n), where
-        else:
-            want = ref.integers(0, 256, n, dtype=np.uint8)
-            assert np.array_equal(drawer.payload(n), want), where
-            assert skipper.skip_payload(n) is None
-
-    for i, (kind, n) in enumerate(ops):
-        lockstep(kind, n, f"op {i}")
-    drawer.sync()
-    skipper.sync()
-    assert_state_equal(ref, g_draw)
-    assert_state_equal(ref, g_skip)
-    # The streams continue identically: through the (still usable) cursors,
-    # then through scalar numpy on the synced generators.
-    for kind, n in (("integers", 1000), ("random", 0), ("integers", 7)):
-        lockstep(kind, n, f"after sync: {kind}")
-    assert np.array_equal(skipper.payload(9), drawer.payload(9))
-    ref.integers(0, 256, 9, dtype=np.uint8)
-    drawer.sync()
-    skipper.sync()
-    tail = ref.integers(0, 256, 11, dtype=np.uint8).tobytes()
-    assert g_draw.integers(0, 256, 11, dtype=np.uint8).tobytes() == tail
-    assert g_skip.integers(0, 256, 11, dtype=np.uint8).tobytes() == tail
-
-
-def test_skip_payload_builds_no_array_in_direct_mode(monkeypatch):
-    """The point of the skip: direct mode never reaches the bulk pull."""
-    cur = DrawCursor(fresh())
-
-    def boom(*a, **k):
-        raise AssertionError("skip_payload fell back to the draw")
-
-    monkeypatch.setattr(DrawCursor, "payload", boom)
-    monkeypatch.setattr(DrawCursor, "_raw_block", boom)
-    for n in (0, 1, 4, 5, 8, 9, 4096, 65537):
-        cur.skip_payload(n)
 
 
 # ----------------------------------------------------------------------
@@ -282,8 +195,7 @@ def test_generate_trace_matches_scalar_reference(config, seed):
     want = _reference_generate_trace(config, file_size, 400, ref_rng)
     got = generate_trace(config, file_size, 400, new_rng)
     assert got == want
-    # The generator must land on the exact consumption point, so back-to-
-    # back traces from one rng chain identically too.
+    # Back-to-back traces from one rng chain identically too.
     assert_state_equal(ref_rng, new_rng)
     want2 = _reference_generate_trace(config, file_size, 50, ref_rng)
     got2 = generate_trace(config, file_size, 50, new_rng)
@@ -352,6 +264,8 @@ _ARRIVALS = {
     "diurnal": lambda: DiurnalArrivals(low=500.0, peak=8000.0, period=0.5),
 }
 
+_OP_SIZES = [1, 2, 3, 4, 512, 4096, 65536, 37, 4099]
+
 
 @pytest.mark.parametrize("arrival", sorted(_ARRIVALS), ids=str)
 @pytest.mark.parametrize("read_fraction", [0.0, 0.3, 1.0])
@@ -362,14 +276,13 @@ def test_generator_draw_order_equivalence(arrival, read_fraction, n_tenants):
     Replicates the exact consumption pattern of ``OpenLoopGenerator.run``:
     ``next_gap`` on the shared generator, then the op draw — the reference
     side uses the historical scalar ``_next_op``, the new side the real
-    generator object (whose ``_next_op`` runs through the DrawCursor).
+    generator object.
     """
     seed = hash((arrival, read_fraction, n_tenants)) % (2**31)
-    sizes = [1, 2, 3, 4, 512, 4096, 65536, 37, 4099]
     tenants = [
         (
             1000 + t,
-            [_Rec((i * 4096) % 65536, sizes[(i + t) % len(sizes)])
+            [_Rec((i * 4096) % 65536, _OP_SIZES[(i + t) % len(_OP_SIZES)])
              for i in range(17 + t)],
         )
         for t in range(n_tenants)
@@ -398,21 +311,20 @@ def test_generator_draw_order_equivalence(arrival, read_fraction, n_tenants):
         else:
             assert want[3] == got[3]
         now += gap_ref + 1e-5 * (i % 7)  # deterministic clock skew
-    gen._draw.sync()
     assert_state_equal(ref_rng, new_rng)
     assert gen._cursors == ref_cursors
 
 
-def test_ghost_generator_skips_payload_draws_at_the_same_stream_positions(monkeypatch):
-    """Ghost plane: ``_next_op`` builds no byte array, yet every tenant /
-    mix / gap draw lands where the byte plane's would."""
+def test_ghost_generator_keeps_the_byte_plane_stream_positions():
+    """Ghost plane: ``_next_op`` hands out metadata-only extents, yet every
+    tenant / mix / gap draw lands where the byte plane's would."""
     from types import SimpleNamespace
 
     from repro.dataplane import GhostExtent
 
-    sizes = [1, 2, 3, 4, 512, 4096, 65536, 37, 4099]
     tenants = [
-        (1000 + t, [_Rec(i * 4096, sizes[(i + t) % len(sizes)]) for i in range(17 + t)])
+        (1000 + t, [_Rec(i * 4096, _OP_SIZES[(i + t) % len(_OP_SIZES)])
+                    for i in range(17 + t)])
         for t in range(3)
     ]
     spec = WorkloadSpec(arrivals=PoissonArrivals(rate=4000.0), n_requests=250,
@@ -422,11 +334,6 @@ def test_ghost_generator_skips_payload_draws_at_the_same_stream_positions(monkey
     )
     ref_rng, new_rng = fresh(99), fresh(99)
     gen = OpenLoopGenerator(ghost_client, tenants, new_rng, spec)
-
-    def no_payload(self, n):
-        raise AssertionError("ghost plane drew payload bytes")
-
-    monkeypatch.setattr(DrawCursor, "payload", no_payload)
     ref_tenants = [(inode, list(records)) for inode, records in tenants]
     ref_cursors = [0] * len(tenants)
     ref_arrivals = PoissonArrivals(rate=4000.0)
@@ -439,5 +346,4 @@ def test_ghost_generator_skips_payload_draws_at_the_same_stream_positions(monkey
             assert isinstance(got[3], GhostExtent) and got[3].size == want[3].size
         else:
             assert want[3] == got[3]
-    gen._draw.sync()
     assert_state_equal(ref_rng, new_rng)

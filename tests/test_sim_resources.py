@@ -68,3 +68,40 @@ def test_release_of_idle_resource_raises():
 def test_capacity_validation():
     with pytest.raises(ValueError):
         Resource(Simulator(), capacity=0)
+
+
+def test_interrupted_waiter_leaves_the_queue():
+    """An interrupt withdraws a queued request: the slot goes to the next
+    live waiter instead of leaking to a process that never releases it."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    got = []
+
+    def holder():
+        yield res.request()
+        yield sim.timeout(2.0)
+        res.release()
+
+    def waiter():
+        yield res.request()
+        got.append(("waiter", sim.now))
+        res.release()
+
+    def late():
+        yield sim.timeout(1.5)
+        yield res.request()
+        got.append(("late", sim.now))
+        res.release()
+
+    sim.process(holder())
+    victim = sim.process(waiter())
+    sim.process(late())
+
+    def interrupter():
+        yield sim.timeout(1.0)
+        victim.interrupt("crash")
+
+    sim.process(interrupter())
+    sim.run()
+    assert got == [("late", 2.0)]
+    assert res.in_use == 0 and res.queue_len == 0

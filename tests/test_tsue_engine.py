@@ -43,8 +43,6 @@ def test_config_validation():
         TSUEConfig(replicas=0)
     with pytest.raises(ValueError):
         TSUEConfig(n_pools=0)
-    with pytest.raises(NotImplementedError):
-        TSUEConfig(compression="zstd")
 
 
 def test_config_pool_kwargs_o3_off_forces_single_unit():
