@@ -43,7 +43,6 @@ class ClusterConfig:
     k: int = 6
     m: int = 2
     block_size: int = 128 * 1024
-    construction: str = "vandermonde"
     device_kind: str = "ssd"  # "ssd" | "hdd"
     device_profile: Optional[DeviceProfile] = None
     net_profile: NetworkProfile = NET_25GBE
@@ -87,7 +86,7 @@ class Cluster:
         self._strategy_factory = strategy_factory
         self.rng = RngStreams(config.seed)
         self.fabric = Fabric(sim, config.net_profile)
-        self.codec = RSCodec(config.k, config.m, config.construction)
+        self.codec = RSCodec(config.k, config.m)
         self.stripe_map = StripeMap(config.k, config.m, config.block_size)
 
         self.mds = MDS(sim, self.fabric, "mds", cluster=self)

@@ -2,39 +2,30 @@
 
 Implements the math the paper relies on:
 
-* systematic encoding matrices built from Vandermonde or Cauchy
-  constructions (:mod:`repro.ec.matrix`);
-* full encode / any-k decode (:class:`repro.ec.rs.RSCodec`);
-* the incremental-update identities of Eqs. (2)-(5): parity deltas from data
-  deltas, same-offset delta merging, and cross-block delta combining
-  (:mod:`repro.ec.rs`);
+* the systematic Vandermonde-derived generator (:mod:`repro.ec.matrix`);
+* full encode / any-k decode and the Eq. (2) parity delta
+  (:class:`repro.ec.rs.RSCodec`); the Eq. (3) and Eq. (5) folds over
+  logged deltas are :mod:`repro.logstruct.index`;
 * stripe geometry — mapping a byte range of a file onto (stripe, block,
   offset) triples (:mod:`repro.ec.stripe`).
 """
 
 from repro.ec.matrix import (
-    cauchy_matrix,
-    gf_matmul,
     gf_matinv,
-    systematic_cauchy,
+    gf_matmul,
     systematic_vandermonde,
     vandermonde_matrix,
 )
-from repro.ec.rs import RSCodec, combine_deltas, merge_delta, parity_delta
-from repro.ec.stripe import BlockAddr, Stripe, StripeMap
+from repro.ec.rs import RSCodec, parity_delta
+from repro.ec.stripe import BlockAddr, StripeMap
 
 __all__ = [
     "BlockAddr",
     "RSCodec",
-    "Stripe",
     "StripeMap",
-    "cauchy_matrix",
-    "combine_deltas",
     "gf_matinv",
     "gf_matmul",
-    "merge_delta",
     "parity_delta",
-    "systematic_cauchy",
     "systematic_vandermonde",
     "vandermonde_matrix",
 ]

@@ -1,12 +1,9 @@
-"""GF(2^8) matrix algebra and erasure-code matrix constructions.
+"""GF(2^8) matrix algebra and the systematic Vandermonde generator.
 
-Both constructions the paper names (Eq. 1) are provided:
-
-* **Vandermonde** — rows ``alpha_i^j``; made systematic by right-multiplying
-  with the inverse of the top k x k square (the classic Jerasure transform),
-  which keeps the code MDS while making the first k rows the identity.
-* **Cauchy** — ``1 / (x_i + y_j)`` over disjoint element sets, systematic by
-  construction when stacked under the identity.
+The generator (Eq. 1) starts from Vandermonde rows ``alpha_i^j`` and is
+made systematic by right-multiplying with the inverse of the top k x k
+square (the classic Jerasure transform), which keeps the code MDS while
+making the first k rows the identity.
 """
 
 from __future__ import annotations
@@ -102,22 +99,6 @@ def systematic_vandermonde(k: int, m: int) -> np.ndarray:
     if not np.array_equal(g[:k], np.eye(k, dtype=np.uint8)):
         raise AssertionError("systematic transform failed to produce identity")
     return g
-
-
-def cauchy_matrix(k: int, m: int) -> np.ndarray:
-    """``m x k`` Cauchy parity matrix with x_i = i, y_j = m + j."""
-    _check_km(k, m)
-    out = np.zeros((m, k), dtype=np.uint8)
-    for i in range(m):
-        for j in range(k):
-            out[i, j] = gf_inv(i ^ (m + j))
-    return out
-
-
-def systematic_cauchy(k: int, m: int) -> np.ndarray:
-    """Systematic (k+m) x k generator using a Cauchy parity block."""
-    _check_km(k, m)
-    return np.concatenate([np.eye(k, dtype=np.uint8), cauchy_matrix(k, m)], axis=0)
 
 
 def _check_km(k: int, m: int) -> None:

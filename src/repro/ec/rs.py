@@ -1,16 +1,14 @@
-"""Systematic Reed-Solomon codec and the incremental-update identities.
+"""Systematic Reed-Solomon codec and the Eq. (2) parity delta.
 
 :class:`RSCodec` is the functional core used by both the simulated file
 system and the unit tests: blocks are real ``uint8`` buffers and parity is
 really computed, so every experiment doubles as a correctness check.
 
-The delta helpers implement the equations the paper optimises around:
-
-* Eq. (2)  ``parity_delta(j, p, d_new - d_old)`` — one update's parity patch;
-* Eq. (3)  ``merge_delta`` — same-location deltas across time XOR into one;
-* Eq. (5)  ``combine_deltas`` — same-offset deltas from *different* data
-  blocks of one stripe collapse into a single combined parity delta per
-  parity block.
+Eq. (2), ``parity_delta(j, p, d_new - d_old)``, is one update's parity
+patch.  The identities built on it live where the model runs them: the
+Eq. (3) same-location XOR fold is ``TwoLevelIndex("xor")`` and the Eq. (5)
+per-parity fold of one stripe's deltas is
+:func:`repro.logstruct.index.fold_parity_deltas`.
 """
 
 from __future__ import annotations
@@ -19,43 +17,27 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.dataplane import GhostExtent, GhostMaterializationError, as_payload, is_ghost
-from repro.ec.matrix import (
-    gf_matinv,
-    gf_matmul,
-    systematic_cauchy,
-    systematic_vandermonde,
-)
-from repro.gf.arithmetic import gf_mul_scalar, gf_scale_accumulate
+from repro.dataplane import GhostExtent, GhostMaterializationError, is_ghost
+from repro.ec.matrix import gf_matinv, gf_matmul, systematic_vandermonde
+from repro.gf.arithmetic import gf_mul_scalar
 
 
 class RSCodec:
-    """A systematic RS(k, m) code over GF(2^8).
+    """A systematic RS(k, m) code over GF(2^8), Vandermonde-derived (Eq. 1).
 
-    Parameters
-    ----------
-    k, m:
-        Data and parity block counts; any k of the k+m blocks reconstruct.
-    construction:
-        ``"vandermonde"`` (default, matches Eq. 1's description) or
-        ``"cauchy"``.
+    ``k`` and ``m`` are the data and parity block counts; any k of the
+    k+m blocks reconstruct.
     """
 
-    def __init__(self, k: int, m: int, construction: str = "vandermonde"):
-        if construction == "vandermonde":
-            self.generator = systematic_vandermonde(k, m)
-        elif construction == "cauchy":
-            self.generator = systematic_cauchy(k, m)
-        else:
-            raise ValueError(f"unknown construction {construction!r}")
+    def __init__(self, k: int, m: int):
+        self.generator = systematic_vandermonde(k, m)
         self.k = k
         self.m = m
-        self.construction = construction
         # m x k parity-coefficient block (the ∂ of Eqs. 2-5).
         self.parity_matrix = self.generator[k:].copy()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"RSCodec(k={self.k}, m={self.m}, {self.construction})"
+        return f"RSCodec(k={self.k}, m={self.m})"
 
     # ------------------------------------------------------------------
     # encode / decode
@@ -134,7 +116,7 @@ class RSCodec:
         return out
 
     # ------------------------------------------------------------------
-    # incremental-update identities
+    # incremental update
     # ------------------------------------------------------------------
     def parity_delta(
         self, data_index: int, parity_index: int, data_delta: np.ndarray
@@ -142,31 +124,6 @@ class RSCodec:
         """Eq. (2): the patch for one parity block from one data delta."""
         coeff = int(self.parity_matrix[parity_index, data_index])
         return parity_delta(coeff, data_delta)
-
-    def apply_update(
-        self,
-        old_parity: np.ndarray,
-        data_index: int,
-        parity_index: int,
-        data_delta: np.ndarray,
-        offset: int = 0,
-    ) -> np.ndarray:
-        """Patch ``old_parity`` in place-semantics (returns a new array)."""
-        out = as_payload(old_parity).copy()
-        delta = self.parity_delta(data_index, parity_index, data_delta)
-        if offset + delta.size > out.size:
-            raise ValueError("delta overruns parity block")
-        out[offset : offset + delta.size] ^= delta
-        return out
-
-    def combine_deltas(
-        self, parity_index: int, deltas: Mapping[int, np.ndarray]
-    ) -> np.ndarray:
-        """Eq. (5): same-offset deltas of several data blocks -> one patch.
-
-        ``deltas`` maps data-block index -> data delta (equal lengths).
-        """
-        return combine_deltas(self.parity_matrix, parity_index, deltas)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -202,45 +159,3 @@ def parity_delta(coeff: int, data_delta: np.ndarray) -> np.ndarray:
     if type(data_delta) is GhostExtent:
         return data_delta.copy()
     return gf_mul_scalar(coeff, data_delta)
-
-
-def merge_delta(older: np.ndarray, newer: np.ndarray) -> np.ndarray:
-    """Eq. (3): two deltas for the same location collapse by XOR."""
-    if is_ghost(older) or is_ghost(newer):
-        if int(older.size) != int(newer.size):
-            raise ValueError("merge_delta requires equal-shape deltas")
-        return GhostExtent(int(older.size))
-    older = np.asarray(older, dtype=np.uint8)
-    newer = np.asarray(newer, dtype=np.uint8)
-    if older.shape != newer.shape:
-        raise ValueError("merge_delta requires equal-shape deltas")
-    return np.bitwise_xor(older, newer)
-
-
-def combine_deltas(
-    parity_matrix: np.ndarray, parity_index: int, deltas: Mapping[int, np.ndarray]
-) -> np.ndarray:
-    """Eq. (5): fold same-offset deltas of several data blocks into one patch."""
-    if not deltas:
-        raise ValueError("no deltas to combine")
-    if len(deltas) == 1:
-        # Fused single-extent fast path — the overwhelmingly common case
-        # (one small update touches one data block): Eq. (5) degenerates to
-        # Eq. (2), one overwrite-mode kernel call with no zero-fill.
-        ((data_index, delta),) = deltas.items()
-        return parity_delta(
-            int(parity_matrix[parity_index, data_index]), delta
-        )
-    items = sorted(deltas.items())
-    size = {int(d.size) if is_ghost(d) else np.asarray(d).size for _, d in items}
-    if len(size) != 1:
-        raise ValueError("combine_deltas requires equal-length deltas")
-    n = size.pop()
-    if any(is_ghost(d) for _, d in items):
-        # Eq. (5) over ghosts: the folded patch is length bookkeeping.
-        return GhostExtent(int(n))
-    out = np.zeros(n, dtype=np.uint8)
-    for data_index, delta in items:
-        coeff = int(parity_matrix[parity_index, data_index])
-        gf_scale_accumulate((coeff,), np.asarray(delta, dtype=np.uint8), (out,))
-    return out

@@ -8,7 +8,7 @@ bytes); the file system layers placement and storage on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -22,9 +22,6 @@ class BlockAddr:
     inode: int
     stripe: int
     block_index: int
-
-    def is_parity(self, k: int) -> bool:
-        return self.block_index >= k
 
     def key(self) -> Tuple[int, int, int]:
         return (self.inode, self.stripe, self.block_index)
@@ -40,33 +37,6 @@ class Extent:
     file_offset: int  # where this extent starts in the file
 
 
-@dataclass(frozen=True)
-class Stripe:
-    """Static geometry of one stripe."""
-
-    inode: int
-    index: int
-    k: int
-    m: int
-    block_size: int
-
-    @property
-    def data_span(self) -> int:
-        return self.k * self.block_size
-
-    def blocks(self) -> Iterator[BlockAddr]:
-        for b in range(self.k + self.m):
-            yield BlockAddr(self.inode, self.index, b)
-
-    def data_blocks(self) -> Iterator[BlockAddr]:
-        for b in range(self.k):
-            yield BlockAddr(self.inode, self.index, b)
-
-    def parity_blocks(self) -> Iterator[BlockAddr]:
-        for b in range(self.k, self.k + self.m):
-            yield BlockAddr(self.inode, self.index, b)
-
-
 class StripeMap:
     """Translates file byte ranges to per-block extents for an RS(k,m) file."""
 
@@ -79,9 +49,6 @@ class StripeMap:
         self.m = m
         self.block_size = block_size
         self.stripe_span = k * block_size
-
-    def stripe_of(self, file_offset: int) -> int:
-        return file_offset // self.stripe_span
 
     def locate(self, file_offset: int) -> Tuple[int, int, int]:
         """(stripe, data_block_index, block_offset) of one file byte."""
@@ -115,13 +82,3 @@ class StripeMap:
             pos += take
             remaining -= take
         return out
-
-    def stripe(self, inode: int, index: int) -> Stripe:
-        return Stripe(inode, index, self.k, self.m, self.block_size)
-
-    def stripes_touched(self, file_offset: int, length: int) -> List[int]:
-        if length <= 0:
-            return []
-        first = self.stripe_of(file_offset)
-        last = self.stripe_of(file_offset + length - 1)
-        return list(range(first, last + 1))

@@ -7,11 +7,11 @@ never needs an explicit ``mod 255``; the log table maps 1..255 to 0..254
 Bulk scalar-times-buffer work goes through one native kernel, the
 split-nibble region multiply of ``_region.c``, behind two entry points:
 :func:`gf_scale_accumulate` (``acc[i] ^= coeffs[i] * src``; ``ec.matrix.
-gf_matmul`` and the multi-delta branch of ``ec.rs.combine_deltas`` are
-loops over it) and :func:`gf_mul_scalar` (a fresh ``c * buf``; Eq. 2's
-``ec.rs.parity_delta``).  Where the kernel cannot be built both run the
-reference gather through a row of ``_MUL_TABLE`` (``docs/dataplane.md``,
-"Byte-plane kernels").
+gf_matmul`` is a loop over it) and :func:`gf_mul_scalar` (a fresh
+``c * buf``; Eq. 2's ``ec.rs.parity_delta``, which the Eq. (5) fold
+``logstruct.index.fold_parity_deltas`` calls per logged segment).  Where
+the kernel cannot be built both run the reference gather through a row of
+``_MUL_TABLE`` (``docs/dataplane.md``, "Byte-plane kernels").
 """
 
 from __future__ import annotations

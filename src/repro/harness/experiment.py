@@ -55,7 +55,6 @@ class ExperimentConfig:
     device_kind: str = "ssd"
     device_profile: Optional[DeviceProfile] = None
     net_profile: Optional[NetworkProfile] = None
-    construction: str = "vandermonde"
     seed: int = 0
     verify: bool = True
     # Accepted and ignored: projected completion is the only time plane.
@@ -207,7 +206,6 @@ def build_cluster(cfg: ExperimentConfig) -> Cluster:
             k=cfg.k,
             m=cfg.m,
             block_size=cfg.block_size,
-            construction=cfg.construction,
             device_kind=cfg.device_kind,
             device_profile=cfg.device_profile,
             net_profile=cfg.resolved_net(),

@@ -1,9 +1,10 @@
 """The two-level index (§3.3.1).
 
-Level 1 is a hash map keyed by block identity, guarded by a bitmap over a
-hash of the key so that misses are rejected without touching the map.
+Level 1 is a hash map keyed by block identity; a miss is one dict probe.
 Level 2 is a per-block list of non-overlapping, offset-sorted, coalesced
-segments holding real payload bytes.
+segments holding real payload bytes.  (§3.3.1 also puts a bitmap over a
+hash of the key in front of the map; in this model it could only repeat
+the dict probe's answer and charges no simulated cost, so there is none.)
 
 Two merge policies implement the paper's two data kinds:
 
@@ -15,20 +16,20 @@ Two merge policies implement the paper's two data kinds:
 In both policies, adjacent segments concatenate, converting many small
 random requests into fewer large sequential ones — the access-granularity
 win the paper measures.
+
+:func:`fold_parity_deltas` is Eq. (5) on top of the ``"xor"`` policy: one
+stripe's pending data deltas become one patch list per parity block.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.dataplane import GhostExtent, as_payload
 from repro.ec.rs import parity_delta
-
-BITMAP_BITS = 4096
 
 
 class Segment:
@@ -67,18 +68,6 @@ class Segment:
         return f"Segment(offset={self.offset}, length={self.length})"
 
 
-@dataclass
-class IndexStats:
-    """Raw-vs-merged accounting: the measured locality gain."""
-
-    raw_inserts: int = 0
-    raw_bytes: int = 0
-
-    def reset(self) -> None:
-        self.raw_inserts = 0
-        self.raw_bytes = 0
-
-
 class TwoLevelIndex:
     """Block hash map -> offset-sorted coalesced segment list."""
 
@@ -96,25 +85,12 @@ class TwoLevelIndex:
         # merge behaviour byte-for-byte historical.
         self.inplace_merge = inplace_merge
         self._blocks: Dict[Hashable, List[Segment]] = {}
-        # The §3.3.1 bitmap, held sparsely as the set of its 1-bit
-        # positions: most indexes (idle units, per-stripe transients) stay
-        # empty, and an empty one must cost no array (docs/dataplane.md,
-        # "Footprint follows use").
-        self._bits: Set[int] = set()
-        self.stats = IndexStats()
 
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
-    def _bit(self, key: Hashable) -> int:
-        return hash(key) % BITMAP_BITS
-
-    def maybe_contains(self, key: Hashable) -> bool:
-        """Bitmap pre-check: False guarantees absence (no map probe)."""
-        return self._bit(key) in self._bits
-
     def __contains__(self, key: Hashable) -> bool:
-        return self.maybe_contains(key) and key in self._blocks
+        return key in self._blocks
 
     def __len__(self) -> int:
         return len(self._blocks)
@@ -149,9 +125,6 @@ class TwoLevelIndex:
             raise ValueError("negative offset")
         if data.size == 0:
             return
-        self.stats.raw_inserts += 1
-        self.stats.raw_bytes += int(data.size)
-        self._bits.add(self._bit(key))
         segs = self._blocks.get(key)
         if segs is None:
             self._blocks[key] = [Segment(offset, data)]
@@ -247,8 +220,6 @@ class TwoLevelIndex:
 
     def lookup(self, key: Hashable, offset: int, length: int) -> Optional[np.ndarray]:
         """Return the bytes of ``[offset, offset+length)`` iff fully present."""
-        if not self.maybe_contains(key):
-            return None
         segs = self._blocks.get(key)
         if not segs:
             return None
@@ -303,8 +274,6 @@ class TwoLevelIndex:
 
     def clear(self) -> None:
         self._blocks.clear()
-        self._bits.clear()
-        self.stats.reset()
 
 
 def fold_parity_deltas(

@@ -204,16 +204,6 @@ class LogPool:
     # ------------------------------------------------------------------
     # read cache (§3.3.3)
     # ------------------------------------------------------------------
-    def cache_lookup(
-        self, key: Hashable, offset: int, length: int
-    ) -> Optional[np.ndarray]:
-        """Serve a read fully from log state, newest unit first."""
-        for unit in reversed(self.units):
-            hit = unit.lookup(key, offset, length)
-            if hit is not None:
-                return hit
-        return None
-
     def cache_lookup_partial(
         self, key: Hashable, offset: int, length: int
     ) -> List[Tuple[int, np.ndarray]]:

@@ -16,11 +16,3 @@ class UnitState(enum.Enum):
     RECYCLABLE = "recyclable"
     RECYCLING = "recycling"
     RECYCLED = "recycled"
-
-    def can_append(self) -> bool:
-        return self is UnitState.EMPTY
-
-    def can_serve_reads(self) -> bool:
-        # Every state with a live index can serve reads; EMPTY units are the
-        # active appenders and also serve what they already hold.
-        return True

@@ -60,14 +60,6 @@ class LogUnit:
         self.recycle_done_time: Optional[float] = None
 
     # ------------------------------------------------------------------
-    @property
-    def policy(self) -> str:
-        return self.index.policy
-
-    @property
-    def free(self) -> int:
-        return self.capacity - self.used
-
     def fits(self, nbytes: int) -> bool:
         return self.used + nbytes + ENTRY_HEADER_BYTES <= self.capacity
 
@@ -136,9 +128,6 @@ class LogUnit:
     # ------------------------------------------------------------------
     # read-cache service
     # ------------------------------------------------------------------
-    def lookup(self, key: Hashable, offset: int, length: int) -> Optional[np.ndarray]:
-        return self.index.lookup(key, offset, length)
-
     def lookup_partial(
         self, key: Hashable, offset: int, length: int
     ) -> List[Tuple[int, np.ndarray]]:

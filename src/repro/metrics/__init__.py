@@ -17,7 +17,6 @@ collectors:
 
 from repro.metrics.counters import NetCounters, OpCounters, WearModel
 from repro.metrics.latency import IntervalSeries, LatencyRecorder, ResidencyTracker
-from repro.metrics.lifespan import lifespan_ratios
 from repro.metrics.report import format_series, format_table
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "WearModel",
     "format_series",
     "format_table",
-    "lifespan_ratios",
 ]

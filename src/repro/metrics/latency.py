@@ -333,12 +333,6 @@ class ResidencyTracker:
     def record_recycle(self, layer: str, seconds: float) -> None:
         self._acc[layer]["recycle"].add(seconds)
 
-    def record(self, layer: str, append: float, buffer: float, recycle: float) -> None:
-        """Record one sample of every phase at once (test convenience)."""
-        self.record_append(layer, append)
-        self.record_buffer(layer, buffer)
-        self.record_recycle(layer, recycle)
-
     def mean_us(self, layer: str) -> Tuple[float, float, float]:
         """(append, buffer, recycle) mean residency in microseconds."""
         acc = self._acc[layer]

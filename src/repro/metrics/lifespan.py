@@ -9,21 +9,7 @@ paper's "2.5x-13x longer" claim (§5.3.4).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
-
 from repro.metrics.counters import WearModel
-
-
-def lifespan_ratios(wear_by_method: Mapping[str, WearModel]) -> Dict[str, float]:
-    """Lifespan of each method normalised to the *worst* method (=1.0).
-
-    A method that erases 10x less lives 10x longer.
-    """
-    erases = {
-        name: max(w.erase_ops, 1e-12) for name, w in wear_by_method.items()
-    }
-    worst = max(erases.values())
-    return {name: worst / e for name, e in erases.items()}
 
 
 def endurance_years(

@@ -15,7 +15,10 @@ foreground ops on every other stripe keep flowing.  Per moving stripe:
    update straddles the placement flip.
 3. **Drain** — recycle all pending log state cluster-wide
    (:func:`repro.harness.experiment.drain_all`): blocks must hold the
-   post-log truth before they are copied to new homes.
+   post-log truth before they are copied to new homes.  Then **settle**:
+   poll until no member reports the stripe pending
+   (:func:`repro.recovery.scrub._stripe_has_pending`) — a PARIX recycle's
+   parity patches can still be landing when the drain returns.
 4. **Gate (pre-copy)** — the stripe must be parity-consistent under the
    *old* placement, else :class:`StripeMigrationError`.
 5. **Copy** — for every block whose home changes, the new home pulls the
@@ -44,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro.recovery.scrub import _stripe_has_pending
 from repro.sim.events import AllOf
 
 # Quiesce poll cadence / budget: same scale as the client fence poll —
@@ -137,6 +141,15 @@ def rebalance_leave(cluster, osd_name: str, rebalance_mbps: float = 0.0):
     return result
 
 
+def _poll(sim, done, what: str):
+    """Wait at ``QUIESCE_POLL_S`` until ``done()``; past the budget, raise."""
+    deadline = sim.now + QUIESCE_BUDGET_S
+    while not done():
+        if sim.now >= deadline:
+            raise StripeMigrationError(f"{what} within {QUIESCE_BUDGET_S}s")
+        yield sim.timeout(QUIESCE_POLL_S)
+
+
 def _move_one(cluster, key, src: str, dst: str):
     """Copy one block to its new home; rides out a transiently down source."""
     dst_osd = cluster.osd_by_name(dst)
@@ -197,20 +210,22 @@ def _rebalance(
             # Fence + quiesce THIS stripe only.
             cluster.migrating_stripes.add(skey)
             t0 = sim.now
-            deadline = sim.now + QUIESCE_BUDGET_S
-            while not cluster.stripes_quiesced((skey,)):
-                if sim.now >= deadline:
-                    raise StripeMigrationError(
-                        f"{kind} of {osd_name!r}: foreground ops on stripe "
-                        f"{skey} did not quiesce within {QUIESCE_BUDGET_S}s"
-                    )
-                yield sim.timeout(QUIESCE_POLL_S)
+            yield from _poll(
+                sim, lambda: cluster.stripes_quiesced((skey,)),
+                f"{kind} of {osd_name!r}: foreground ops on stripe {skey} "
+                "did not quiesce",
+            )
             result.quiesce_seconds += sim.now - t0
 
-            # Drain pending log state so blocks hold the post-log truth,
-            # then gate under the old placement.
+            # Drain and settle so blocks hold the post-log truth, then
+            # gate under the old placement.
             t0 = sim.now
             yield from drain_all(cluster)
+            yield from _poll(
+                sim, lambda: not _stripe_has_pending(cluster, inode, stripe),
+                f"{kind} of {osd_name!r}: stripe {skey} still pending after "
+                "the drain",
+            )
             result.drain_seconds += sim.now - t0
             if not cluster.stripe_consistent(inode, stripe):
                 raise StripeMigrationError(

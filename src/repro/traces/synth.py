@@ -128,19 +128,3 @@ def generate_trace(
         prev_end = offset + size
     return out
 
-
-def update_stats(records: Sequence[TraceRecord]) -> dict:
-    """Summary statistics used by tests to validate trace marginals."""
-    sizes = np.array([r.size for r in records])
-    offsets = np.array([r.offset for r in records])
-    pages = set()
-    for r in records:
-        pages.update(range(r.offset // PAGE, (r.offset + r.size - 1) // PAGE + 1))
-    return {
-        "n": len(records),
-        "frac_le_4k": float(np.mean(sizes <= 4096)),
-        "frac_le_16k": float(np.mean(sizes <= 16384)),
-        "mean_size": float(sizes.mean()),
-        "distinct_pages": len(pages),
-        "max_offset": int((offsets + sizes).max()),
-    }

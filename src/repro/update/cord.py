@@ -41,7 +41,6 @@ class CoRDStrategy(UpdateStrategy):
         self.buf_stripes: Dict[Tuple[int, int], List[int]] = {}
         self.buf_used = 0
         self.sync_recycles = 0
-        self.stall_events = 0
         # The buffer log supports one in-flight recycle; when the buffer
         # refills before the previous recycle lands, appends stall — the
         # concurrency bottleneck the paper attributes to CoRD.
@@ -82,7 +81,6 @@ class CoRDStrategy(UpdateStrategy):
                 # client ack behind it.  The new recycle itself then runs
                 # asynchronously.
                 if self._apply_lock.in_use:
-                    self.stall_events += 1
                     yield self._apply_lock.request()
                     self._apply_lock.release()
                 snapshot = self._snapshot_buffer()

@@ -1,18 +1,11 @@
-"""Tests for GF matrix algebra and code-matrix constructions."""
+"""Tests for GF matrix algebra and the systematic Vandermonde generator."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ec import (
-    cauchy_matrix,
-    gf_matinv,
-    gf_matmul,
-    systematic_cauchy,
-    systematic_vandermonde,
-    vandermonde_matrix,
-)
+from repro.ec import gf_matinv, gf_matmul, systematic_vandermonde, vandermonde_matrix
 from repro.gf import gf_mul
 
 
@@ -88,26 +81,11 @@ def test_systematic_vandermonde_is_mds():
         gf_matinv(g[list(rows)])  # must not raise
 
 
-def test_systematic_cauchy_is_mds():
-    from itertools import combinations
-
-    k, m = 4, 3
-    g = systematic_cauchy(k, m)
-    for rows in combinations(range(k + m), k):
-        gf_matinv(g[list(rows)])
-
-
-def test_cauchy_matrix_entries_nonzero():
-    c = cauchy_matrix(6, 4)
-    assert c.shape == (4, 6)
-    assert np.all(c != 0)
-
-
 def test_km_validation():
     with pytest.raises(ValueError):
         systematic_vandermonde(0, 2)
     with pytest.raises(ValueError):
-        systematic_cauchy(255, 3)
+        systematic_vandermonde(255, 3)
     with pytest.raises(ValueError):
         vandermonde_matrix(300, 2)
 

@@ -49,28 +49,6 @@ def test_extents_zero_length():
         sm.extents(0, 0, -5)
 
 
-def test_stripes_touched():
-    sm = StripeMap(2, 1, 100)
-    assert sm.stripes_touched(0, 1) == [0]
-    assert sm.stripes_touched(150, 200) == [0, 1]
-    assert sm.stripes_touched(10, 0) == []
-
-
-def test_block_addr_parity_classification():
-    assert not BlockAddr(0, 0, 3).is_parity(k=4)
-    assert BlockAddr(0, 0, 4).is_parity(k=4)
-
-
-def test_stripe_iterators():
-    sm = StripeMap(3, 2, 64)
-    s = sm.stripe(inode=9, index=2)
-    blocks = list(s.blocks())
-    assert len(blocks) == 5
-    assert [b.block_index for b in s.data_blocks()] == [0, 1, 2]
-    assert [b.block_index for b in s.parity_blocks()] == [3, 4]
-    assert s.data_span == 192
-
-
 @settings(deadline=None, max_examples=100)
 @given(
     st.integers(min_value=1, max_value=16),

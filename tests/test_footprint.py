@@ -1,7 +1,7 @@
 """Host-memory footprint follows use (docs/dataplane.md, "Footprint follows use").
 
 Three per-entity structures the ``scale_out`` tier instantiates thousands of
-times — ``SampleBuffer``, ``TwoLevelIndex``'s bitmap, ``FileMeta``'s written
+times — ``SampleBuffer``, ``TwoLevelIndex``, ``FileMeta``'s written
 map — must cost O(1) bytes while empty and behave exactly like the plain
 references below as they grow.  The ``tracemalloc`` ceilings are the part
 that keeps a later constructor from quietly provisioning again.
@@ -128,30 +128,6 @@ def test_sample_buffer_only_its_last_chunk_is_short():
 
 
 # ----------------------------------------------------------------------
-# TwoLevelIndex: the bitmap pre-check
-# ----------------------------------------------------------------------
-block_keys = st.tuples(st.integers(0, 1 << 20), st.integers(0, 1 << 16), st.integers(0, 15))
-
-
-@given(keys=st.lists(block_keys, max_size=200), probes=st.lists(block_keys, max_size=50))
-@settings(max_examples=100, deadline=None)
-def test_index_precheck_has_no_false_negative_and_clears(keys, probes):
-    idx = TwoLevelIndex("xor")
-    one = np.ones(1, dtype=np.uint8)
-    assert not any(idx.maybe_contains(k) for k in keys + probes)
-    for k in keys:
-        idx.insert(k, 0, one)
-    assert all(idx.maybe_contains(k) for k in keys)
-    present = set(keys)
-    for k in keys + probes:
-        assert (k in idx) == (k in present)  # a colliding bit never lies
-        assert (idx.lookup(k, 0, 1) is not None) == (k in present)
-    idx.clear()
-    assert not any(idx.maybe_contains(k) for k in keys + probes)
-    assert len(idx) == 0
-
-
-# ----------------------------------------------------------------------
 # FileMeta: the page-level written map
 # ----------------------------------------------------------------------
 @given(
@@ -192,10 +168,10 @@ def test_registering_a_terabyte_file_is_constant_work():
 # ----------------------------------------------------------------------
 # tracemalloc ceilings
 # ----------------------------------------------------------------------
-def test_an_empty_index_allocates_no_bitmap():
+def test_an_empty_index_stays_small():
     idx, held = traced(TwoLevelIndex)
     assert held < 1024
-    assert not idx.maybe_contains("anything")
+    assert "anything" not in idx
 
 
 def test_a_recorder_of_five_samples_stays_small():

@@ -138,8 +138,8 @@ def test_cache_lookup_newest_unit_wins():
     p.append("b", 0, arr(4, fill=1), now=0.0)
     p.flush_active(now=0.1)
     p.append("b", 0, arr(4, fill=2), now=0.2)
-    hit = p.cache_lookup("b", 0, 4)
-    assert list(hit) == [2, 2, 2, 2]
+    ((at, hit),) = p.cache_lookup_partial("b", 0, 4)
+    assert at == 0 and list(hit) == [2, 2, 2, 2]
 
 
 def test_cache_lookup_falls_back_to_older_units():
@@ -147,9 +147,9 @@ def test_cache_lookup_falls_back_to_older_units():
     p.append("b", 0, arr(4, fill=1), now=0.0)
     p.flush_active(now=0.1)
     p.append("c", 0, arr(4, fill=2), now=0.2)
-    hit = p.cache_lookup("b", 0, 4)
-    assert list(hit) == [1, 1, 1, 1]
-    assert p.cache_lookup("b", 100, 4) is None
+    ((at, hit),) = p.cache_lookup_partial("b", 0, 4)
+    assert at == 0 and list(hit) == [1, 1, 1, 1]
+    assert p.cache_lookup_partial("b", 100, 4) == []
 
 
 def test_cache_lookup_partial_shadowing():
@@ -198,9 +198,10 @@ def test_reactivated_unit_loses_cache():
     assert unit is not None
     unit.start_recycle(0.2)
     unit.finish_recycle(0.3)
-    assert list(p.cache_lookup("b", 0, 4)) == [5, 5, 5, 5]
+    ((_, hit),) = p.cache_lookup_partial("b", 0, 4)
+    assert list(hit) == [5, 5, 5, 5]
     p.append("b", 100, arr(8), now=0.4)  # reactivates the only unit
-    assert p.cache_lookup("b", 0, 4) is None
+    assert p.cache_lookup_partial("b", 0, 4) == []
 
 
 def test_cache_lookup_partial_property_vs_reference():

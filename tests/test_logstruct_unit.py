@@ -88,11 +88,11 @@ def test_unit_serves_reads_in_any_state():
     u = LogUnit(capacity=1024)
     u.append("b", 4, np.array([7, 8], dtype=np.uint8), now=0.0)
     for action in (lambda: u.seal(1.0), lambda: u.start_recycle(2.0), lambda: u.finish_recycle(3.0)):
-        hit = u.lookup("b", 4, 2)
-        assert hit is not None and list(hit) == [7, 8]
+        ((at, hit),) = u.lookup_partial("b", 0, 10)
+        assert at == 4 and list(hit) == [7, 8]
         action()
-    assert list(u.lookup("b", 4, 2)) == [7, 8]
-    assert u.lookup_partial("b", 0, 10)[0][0] == 4
+    ((at, hit),) = u.lookup_partial("b", 0, 10)
+    assert at == 4 and list(hit) == [7, 8]
 
 
 def test_first_append_time_tracked():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness.lifespan import LifespanResult
 from repro.metrics import (
     IntervalSeries,
     LatencyRecorder,
@@ -11,7 +12,6 @@ from repro.metrics import (
     WearModel,
     format_series,
     format_table,
-    lifespan_ratios,
 )
 from repro.metrics.lifespan import endurance_years
 
@@ -100,8 +100,10 @@ def test_iops_series_buckets():
 
 def test_residency_tracker_means():
     t = ResidencyTracker()
-    t.record("data_log", append=100e-6, buffer=1.0, recycle=300e-6)
-    t.record("data_log", append=300e-6, buffer=3.0, recycle=500e-6)
+    for append, buffer, recycle in ((100e-6, 1.0, 300e-6), (300e-6, 3.0, 500e-6)):
+        t.record_append("data_log", append)
+        t.record_buffer("data_log", buffer)
+        t.record_recycle("data_log", recycle)
     a, b, r = t.mean_us("data_log")
     assert a == pytest.approx(200.0)
     assert b == pytest.approx(2e6)
@@ -113,8 +115,9 @@ def test_residency_tracker_means():
 
 def test_residency_unknown_layer_rejected():
     t = ResidencyTracker()
-    with pytest.raises(KeyError):
-        t.record("bogus", 0, 0, 0)
+    for record in (t.record_append, t.record_buffer, t.record_recycle):
+        with pytest.raises(KeyError):
+            record("bogus", 0.0)
 
 
 def test_lifespan_ratios_inverse_of_erases():
@@ -122,7 +125,10 @@ def test_lifespan_ratios_inverse_of_erases():
     for _ in range(10):
         wa.record_write(4096, False, True)
     wb.record_write(4096, False, True)
-    ratios = lifespan_ratios({"heavy": wa, "light": wb})
+    ratios = LifespanResult(
+        erases={"heavy": wa.erase_ops, "light": wb.erase_ops},
+        page_writes={"heavy": 10, "light": 1},
+    ).relative_lifespan()
     assert ratios["heavy"] == pytest.approx(1.0)
     assert ratios["light"] == pytest.approx(10.0)
 

@@ -11,7 +11,7 @@ from repro.traces import (
     msr_trace,
     tencloud_trace,
 )
-from repro.traces.synth import PAGE, TraceRecord, update_stats
+from repro.traces.synth import PAGE, TraceRecord
 
 FILE = 32 * 1024 * 1024
 N = 2000
@@ -45,6 +45,17 @@ def test_records_stay_in_bounds():
             assert 0 <= r.offset and r.offset + r.size <= FILE
 
 
+def _frac_le(records, size):
+    """Share of requests no larger than ``size`` bytes."""
+    return sum(r.size <= size for r in records) / len(records)
+
+
+def _distinct_pages(records):
+    """Pages the trace touches at least once."""
+    return len({p for r in records
+                for p in range(r.offset // PAGE, (r.offset + r.size - 1) // PAGE + 1)})
+
+
 def test_small_file_rejected():
     with pytest.raises(ValueError):
         alicloud_trace(100, 10, rng())
@@ -52,31 +63,30 @@ def test_small_file_rejected():
 
 def test_alicloud_size_marginals_match_paper():
     """§2.1: 46 % exactly 4 KB, 60 % <= 16 KB."""
-    stats = update_stats(alicloud_trace(FILE, 5000, rng(2)))
-    assert 0.40 <= stats["frac_le_4k"] <= 0.52
-    assert 0.54 <= stats["frac_le_16k"] <= 0.66
+    recs = alicloud_trace(FILE, 5000, rng(2))
+    assert 0.40 <= _frac_le(recs, 4096) <= 0.52
+    assert 0.54 <= _frac_le(recs, 16384) <= 0.66
 
 
 def test_tencloud_size_marginals_match_paper():
     """§2.1: 69 % exactly 4 KB, 88 % <= 16 KB."""
-    stats = update_stats(tencloud_trace(FILE, 5000, rng(3)))
-    assert 0.63 <= stats["frac_le_4k"] <= 0.75
-    assert 0.82 <= stats["frac_le_16k"] <= 0.94
+    recs = tencloud_trace(FILE, 5000, rng(3))
+    assert 0.63 <= _frac_le(recs, 4096) <= 0.75
+    assert 0.82 <= _frac_le(recs, 16384) <= 0.94
 
 
 def test_tencloud_touches_small_fraction_of_file():
     """§2.3.3: the hot working set covers a few % of the data at most."""
-    stats = update_stats(tencloud_trace(FILE, 5000, rng(4)))
-    touched = stats["distinct_pages"] * PAGE / FILE
+    touched = _distinct_pages(tencloud_trace(FILE, 5000, rng(4))) * PAGE / FILE
     # 5000 requests x ~2 pages over an 8192-page file would touch ~70 %
     # uniformly; the locality profile keeps it far below that.
     assert touched < 0.35
 
 
 def test_tencloud_more_local_than_alicloud():
-    ten = update_stats(tencloud_trace(FILE, 5000, rng(5)))
-    ali = update_stats(alicloud_trace(FILE, 5000, rng(5)))
-    assert ten["distinct_pages"] < ali["distinct_pages"]
+    ten = _distinct_pages(tencloud_trace(FILE, 5000, rng(5)))
+    ali = _distinct_pages(alicloud_trace(FILE, 5000, rng(5)))
+    assert ten < ali
 
 
 def test_temporal_locality_repeats_offsets():
@@ -106,8 +116,7 @@ def test_msr_unknown_volume():
 
 def test_msr_small_updates_dominate():
     """MSR stats: ~60 % < 4 KB-ish small, 90 % <= 16 KB."""
-    stats = update_stats(msr_trace("mds0", FILE, 5000, rng(9)))
-    assert stats["frac_le_16k"] > 0.85
+    assert _frac_le(msr_trace("mds0", FILE, 5000, rng(9)), 16384) > 0.85
 
 
 def test_determinism_same_seed_same_trace():
