@@ -138,9 +138,10 @@ class RpcHost:
         self.peers: Dict[str, "RpcHost"] = {}
         self.running = False
         self.crashed = False
-        # In-flight handler processes, so a crash can abort them and fail
-        # their callers instead of leaving replies pending forever.
-        self._inflight: Dict[Any, "Message"] = {}
+        # In-flight handler processes by request, so a crash can abort them
+        # and fail their callers instead of leaving replies pending forever.
+        # A handler removes its own entry when it exits.
+        self._inflight: Dict["Message", Any] = {}
         self._reply_kinds: Dict[str, str] = {}
         # Fired (and replaced) on every liveness transition — start() and
         # crash() — so connect-waiters blocked on a stopped host wake
@@ -217,7 +218,7 @@ class RpcHost:
         self.running = False
         self.crashed = True
         self._notify_state_change()
-        for proc, msg in list(self._inflight.items()):
+        for msg, proc in list(self._inflight.items()):
             if proc.is_alive:
                 proc.interrupt("crash")
             if not msg.reply_event.triggered:
@@ -256,7 +257,6 @@ class RpcHost:
     def _spawn_handler(self, sim: Simulator, msg: "Message") -> None:
         """Accept one inbound request: consult the dedup table, then run
         the handler (or replay its cached outcome) in its own process."""
-        inflight = self._inflight
         if msg.kind not in self._uncached_kinds:
             table = self._dedup.get(msg.src)
             entry = table.get(msg.req_id) if table is not None else None
@@ -271,14 +271,12 @@ class RpcHost:
                     if not msg.reply_event.triggered:
                         msg.reply_event.fail(LinkLossError(self.name, msg.kind))
                     return
-                proc = sim.process(self._replay(msg, entry), name=msg.kind)
-                inflight[proc] = msg
-                proc.add_callback(lambda _ev, p=proc: inflight.pop(p, None))
+                self._inflight[msg] = sim.process(
+                    self._replay(msg, entry), name=msg.kind
+                )
                 return
             self._dedup_record(msg.src, msg.req_id, ("inflight",))
-        proc = sim.process(self._handle(msg), name=msg.kind)
-        inflight[proc] = msg
-        proc.add_callback(lambda _ev, p=proc: inflight.pop(p, None))
+        self._inflight[msg] = sim.process(self._handle(msg), name=msg.kind)
 
     def _replay(self, msg: "Message", entry: tuple):
         """Serve a duplicate of an applied request from the reply cache.
@@ -313,16 +311,18 @@ class RpcHost:
                 msg.reply_event.fail(
                     HostDownError(self.name, f"crashed replaying {msg.kind}")
                 )
+        finally:
+            self._inflight.pop(msg, None)
 
     def _handle(self, msg: Message):
         reply = msg.reply_event
         handler = self.handlers.get(msg.kind)
-        if handler is None:
-            err = KeyError(f"{self.name} has no handler for {msg.kind!r}")
-            self._record_outcome(msg, ("err", err))
-            reply.fail(err)
-            return
         try:
+            if handler is None:
+                err = KeyError(f"{self.name} has no handler for {msg.kind!r}")
+                self._record_outcome(msg, ("err", err))
+                reply.fail(err)
+                return
             result = yield from handler(msg)
             payload, nbytes = result if result is not None else ({}, 0)
             # Cache the outcome BEFORE paying the reply transfer: if the
@@ -362,6 +362,8 @@ class RpcHost:
                 return
             if not reply.triggered:
                 reply.fail(err)
+        finally:
+            self._inflight.pop(msg, None)
 
     # ------------------------------------------------------------------
     # calling

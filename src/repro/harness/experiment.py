@@ -23,7 +23,7 @@ from repro.net import NET_25GBE, NET_40GIB, NetworkProfile
 from repro.recovery import ScrubReport, scrub, watch_and_recover
 from repro.sim import AllOf, Simulator
 from repro.sim.collector import paused as collector_paused
-from repro.sim.rng import RngStreams
+from repro.sim.rng import RngStreams, payload_bytes
 from repro.traces import (
     MSR_VOLUMES,
     TraceReplayer,
@@ -491,7 +491,7 @@ def _verify(cluster, cfg, replayers) -> bool:
         payload_rng = fresh.get(f"payload{i}")
         per_block: Dict[tuple, np.ndarray] = {}
         for rec in r.records[: r.completed]:
-            payload = payload_rng.integers(0, 256, rec.size, dtype=np.uint8)
+            payload = payload_bytes(payload_rng, rec.size)
             pos = 0
             for ext in cluster.stripe_map.extents(r.inode, rec.offset, rec.size):
                 key = ext.addr.key()

@@ -13,10 +13,13 @@ kernel loaded (its numpy fallback is code of this package).
 The ledger is :data:`SLICE` at seed 1: ``steady`` on all seven methods,
 the ghost-plane ``scale_out`` tier and ``rebuild_under_load`` on TSUE.
 Each cell runs once untraced first, so lazy imports and first-use caches
-are not charged to requests.  ``python -m repro.metrics.instructions``
-prints it as JSON; the committed copy is ``BENCH_instructions.json`` at
-the repo root, and ``tests/test_instructions.py`` recomputes it exactly.
-A change that moves the count regenerates the file and names the cause.
+are not charged to requests.  The ledger also carries the slice's kernel
+events (``ScenarioResult.perf["events"]`` summed, total and per request),
+the other deterministic host-work counter.  ``python -m
+repro.metrics.instructions`` prints it as JSON; the committed copy is
+``BENCH_instructions.json`` at the repo root, and
+``tests/test_instructions.py`` recomputes it exactly.  A change that moves
+either count regenerates the file and names the cause.
 """
 
 from __future__ import annotations
@@ -42,13 +45,16 @@ SLICE: Tuple[Cell, ...] = (
 _ROOT = os.path.dirname(os.path.dirname(__file__)) + os.sep
 
 
-def run_cells(cells: Iterable[Cell]) -> None:
-    """Run each cell to completion at seed 1 (untraced)."""
+def run_cells(cells: Iterable[Cell]) -> int:
+    """Run each cell to completion at seed 1; returns the kernel events
+    the cells fired."""
     from repro.workload import run_scenario
 
-    for name, method, clients, requests in cells:
-        run_scenario(name, seed=1, n_clients=clients,
-                     requests_per_client=requests, method=method)
+    return sum(
+        int(run_scenario(name, seed=1, n_clients=clients,
+                         requests_per_client=requests, method=method).perf["events"])
+        for name, method, clients, requests in cells
+    )
 
 
 def count(cells: Iterable[Cell]) -> Dict[str, int]:
@@ -95,6 +101,7 @@ def count(cells: Iterable[Cell]) -> Dict[str, int]:
 
 def ledger() -> dict:
     """The committed ledger: :data:`SLICE` counted, with its provenance."""
+    events = run_cells(SLICE)
     counts = count(SLICE)
     requests = sum(clients * per for _n, _m, clients, per in SLICE)
     total = sum(counts.values())
@@ -104,6 +111,8 @@ def ledger() -> dict:
         "requests": requests,
         "total": total,
         "per_request": round(total / requests, 1),
+        "events": events,
+        "events_per_request": round(events / requests, 2),
         "instructions": counts,
     }
 

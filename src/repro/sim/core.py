@@ -24,6 +24,22 @@ experiment, so its inner loop is deliberately hand-tuned):
 
 * **Wake records.** Process boot and interrupt delivery use two-slot
   ``_Wake`` records rather than full events with lambda callbacks.
+
+* **Quiet completions.** A process that returns (or exits on an unhandled
+  :class:`Interrupt`) while nothing waits on it becomes FIRED in place and
+  takes no queue entry: that entry would have resumed nobody.  The same
+  holds when its only waiter is a condition the completion cannot fire
+  (:meth:`repro.sim.events.AllOf.absorb` counts it in place).  A failure
+  keeps its entry (the unjoined-crash report fires from it), and so does
+  the event :meth:`Simulator.run_until_fired` is driving (the driver joins
+  it), so a drive returns after the same events as before.  Every entry
+  this removes had no callback or only a counter, so the ``(time, seq)``
+  order of every transition with an effect is unchanged.  A joiner that
+  arrives later finds the process fired and resumes at once.  That is the
+  queued order too, except for a joiner that arrives in the completion's
+  own instant while an effectful entry is still queued ahead of where the
+  completion's entry would have been; no bench row and no seed-sweep cell
+  has one (``repro bench --check-baseline`` is the gate).
 """
 
 from __future__ import annotations
@@ -93,6 +109,10 @@ class _SleepWake:
 
     def _fire(self) -> None:
         self.proc._resume(self, None)
+
+
+def _driver_join(_event: Event) -> None:
+    """The callback :meth:`Simulator.run_until_fired` leaves on its event."""
 
 
 class Simulator:
@@ -298,6 +318,9 @@ class Simulator:
         fired = 0
         every = _collector.COLLECT_EVERY_EVENTS  # same cadence as run()
         collect_at = every - self.events_fired % every
+        # The driver joins what it drives: a driven process's completion
+        # keeps its queue entry, and the loop ends on firing it.
+        event.add_callback(_driver_join)
         with _collector.paused():
             try:
                 while event._state != FIRED:
@@ -390,12 +413,12 @@ class Process(Event):
                 target = next(gen)
         except StopIteration as stop:
             sim._active -= 1
-            self.succeed(stop.value)
+            self._complete(stop.value)
             return
         except Interrupt:
             # Process chose not to handle the interrupt: treat as clean exit.
             sim._active -= 1
-            self.succeed(None)
+            self._complete(None)
             return
         except BaseException as err:
             sim._active -= 1
@@ -441,10 +464,24 @@ class Process(Event):
             ))
             return
         self._waiting_on = target
-        target.add_callback(self._on_wait_done)
+        target.add_callback(self)
 
-    def _on_wait_done(self, event: Event) -> None:
+    def __call__(self, event: Event) -> None:
+        """The callback a process leaves on the event it waits for."""
         self._resume(event, None)
+
+    def _complete(self, value: Any) -> None:
+        """Succeed with ``value``: in place when the queue entry would
+        resume nobody (see "Quiet completions"), else through the queue."""
+        callbacks = self.callbacks
+        if callbacks is not None:
+            absorb = getattr(callbacks[0], "absorb", None)
+            if len(callbacks) != 1 or absorb is None or not absorb(self):
+                self.succeed(value)
+                return
+            self.callbacks = None
+        self._state = FIRED
+        self._value = value
 
     def _fire(self) -> None:
         had_waiters = self.callbacks is not None

@@ -166,7 +166,12 @@ class Timeout(Event):
 
 
 class _Condition(Event):
-    """Base for AllOf/AnyOf combinators over a fixed set of events."""
+    """Base for AllOf/AnyOf combinators over a fixed set of events.
+
+    A condition is its children's callback (``__call__``), so a completing
+    child can ask it, through :meth:`absorb`, whether the completion may be
+    counted in place instead of through a queue entry.
+    """
 
     __slots__ = ("events", "_n_fired")
 
@@ -179,13 +184,18 @@ class _Condition(Event):
             self.succeed(self._collect())
         else:
             for ev in self.events:
-                ev.add_callback(self._on_child)
+                ev.add_callback(self)
 
     def _collect(self) -> List[Any]:
         return [ev._value for ev in self.events if ev.fired and ev._exc is None]
 
-    def _on_child(self, ev: Event) -> None:
+    def __call__(self, ev: Event) -> None:
         raise NotImplementedError
+
+    def absorb(self, child: Event) -> bool:
+        """Take ``child``'s success in place when its fired entry could not
+        fire this condition; False means it must be queued as usual."""
+        return self._state != PENDING
 
 
 class AllOf(_Condition):
@@ -195,12 +205,13 @@ class AllOf(_Condition):
     fails, this condition fails with the first failure.
     """
 
-    __slots__ = ()
+    __slots__ = ("_probe",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim, events, name="all_of")
+        self._probe = len(self.events) - 1
 
-    def _on_child(self, ev: Event) -> None:
+    def __call__(self, ev: Event) -> None:
         if self._state != PENDING:
             return
         if ev._exc is not None:
@@ -209,6 +220,30 @@ class AllOf(_Condition):
         self._n_fired += 1
         if self._n_fired == len(self.events):
             self.succeed([e._value for e in self.events])
+
+    def absorb(self, child: Event) -> bool:
+        """Count a succeeding ``child`` in place while another child has not
+        triggered yet.
+
+        That sibling's entry will be queued after ``child``'s would have
+        been, so this condition still fires at the same ``(time, seq)`` as
+        if every child had been queued.  A sibling triggered but not yet
+        fired may fire first, so it does not count.  ``_probe`` walks from
+        the last child down, and only past children that have triggered
+        (or are completing now), so the walk is amortised O(1); children
+        mostly finish in order, and then it is one step.  Once this
+        condition has failed, counting is harmless: nothing reads the count.
+        """
+        events = self.events
+        i = self._probe
+        while i >= 0:
+            ev = events[i]
+            if ev._state == PENDING and ev is not child:
+                self._probe = i
+                self._n_fired += 1
+                return True
+            i -= 1
+        return False
 
 
 class AnyOf(_Condition):
@@ -221,7 +256,7 @@ class AnyOf(_Condition):
         # per child fire, and identity (not equality) is the right lookup —
         # with a duplicated event object the scan's first-occurrence answer
         # is preserved by setdefault.  Built before super().__init__ because
-        # an already-fired child fires ``_on_child`` synchronously from the
+        # an already-fired child calls this condition synchronously from the
         # constructor's add_callback.
         events = list(events)
         self._index_of = {}
@@ -229,7 +264,7 @@ class AnyOf(_Condition):
             self._index_of.setdefault(id(ev), i)
         super().__init__(sim, events, name="any_of")
 
-    def _on_child(self, ev: Event) -> None:
+    def __call__(self, ev: Event) -> None:
         if self._state != PENDING:
             return
         if ev._exc is not None:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.logstruct.index import Segment, _covered_runs, _interval_union
 from repro.metrics.latency import LatencyRecorder, SampleBuffer
-from repro.sim import KeyedLock, Resource, Simulator
+from repro.sim import AllOf, KeyedLock, Resource, Simulator
 from repro.sim.core import At
 from repro.workload import run_scenario
 
@@ -146,9 +146,150 @@ def test_events_fired_counter_counts_transitions():
 
     sim.process(proc())
     sim.run()
-    # boot wake + float sleep wake + timeout event + process-completion
-    # event = 4 transitions.
-    assert sim.events_fired == 4
+    # boot wake + float sleep wake + timeout event = 3 transitions; nobody
+    # joins the process, so its completion is fired in place.
+    assert sim.events_fired == 3
+
+
+# ----------------------------------------------------------------------
+# kernel: quiet completions (a completion that resumes nobody is not queued)
+# ----------------------------------------------------------------------
+def _queued(sim):
+    return len(sim._imm) + len(sim._heap)
+
+
+def _sleeper(value, delay=1.0):
+    yield delay
+    return value
+
+
+def test_unjoined_completion_takes_no_queue_entry():
+    sim = Simulator()
+    p = sim.process(_sleeper("v"))
+    sim.step()  # boot
+    sim.step()  # the sleep's wake: the generator returns
+    assert p.fired and p.value == "v"
+    assert _queued(sim) == 0
+    assert sim.events_fired == 2
+
+
+def test_joined_completion_keeps_its_slot_behind_earlier_same_instant_events():
+    sim = Simulator()
+    order = []
+    early = sim.event()
+    early.add_callback(lambda _ev: order.append("early"))
+
+    def trigger():
+        yield 1.0
+        early.succeed()  # queued at t=1 before the child completes
+
+    def joiner(child):
+        value = yield child
+        order.append(("joined", value))
+
+    sim.process(trigger())
+    child = sim.process(_sleeper("v"))
+    sim.process(joiner(child))
+    sim.run()
+    # The completion is queued behind ``early``: the joiner does not resume
+    # inside the child's own step.
+    assert order == ["early", ("joined", "v")]
+
+
+def test_all_of_counts_non_final_children_in_place_and_queues_the_final():
+    sim = Simulator()
+    a, b = sim.process(_sleeper("a", 1.0)), sim.process(_sleeper("b", 2.0))
+    both = AllOf(sim, [a, b])
+    sim.run(until=1.5)
+    assert a.fired and not b.triggered
+    assert both._n_fired == 1 and not both.triggered
+    assert _queued(sim) == 1  # only b's sleep wake
+    while not b.triggered:
+        sim.step()
+    assert not b.fired  # the final child is queued ...
+    sim.run()
+    assert both.value == ["a", "b"]  # ... and its entry fires the AllOf
+    # 2 boots + 2 sleep wakes + b's completion + the AllOf itself.
+    assert sim.events_fired == 6
+
+
+def test_all_of_queues_a_child_whose_sibling_is_triggered_but_unfired():
+    sim = Simulator()
+    sibling = sim.event()
+
+    def trigger():
+        yield 1.0
+        sibling.succeed("s")  # queued at t=1, fires after p completes
+
+    sim.process(trigger())
+    p = sim.process(_sleeper("p"))
+    both = AllOf(sim, [p, sibling])
+    while not p.triggered:
+        sim.step()
+    # Counting p in place would let the sibling's earlier entry fire the
+    # AllOf ahead of where p's entry puts it.
+    assert not p.fired
+    sim.run()
+    assert both.value == ["p", "s"]
+
+
+def test_all_of_still_fails_through_a_queued_failing_child():
+    sim = Simulator()
+
+    def bad():
+        yield 1.0
+        raise ValueError("child failed")
+
+    p_bad, p_good = sim.process(bad()), sim.process(_sleeper("g", 2.0))
+    both = AllOf(sim, [p_bad, p_good])
+    caught = []
+
+    def waiter():
+        try:
+            yield both
+        except ValueError as err:
+            caught.append((sim.now, str(err)))
+
+    sim.process(waiter())
+    while not p_bad.triggered:
+        sim.step()
+    assert not p_bad.fired  # failures are never fired in place
+    sim.run()
+    assert caught == [(1.0, "child failed")]
+
+
+@pytest.mark.parametrize("entry", ["run", "run_until_fired"])
+def test_the_driven_event_keeps_its_slot(entry):
+    sim = Simulator()
+    p = sim.process(_sleeper("v"))
+    if entry == "run":
+        sim.run()
+    else:
+        assert sim.run_until_fired(p)
+    assert p.value == "v"
+    # boot + wake, + the completion only when a driver joins it.
+    assert sim.events_fired == {"run": 2, "run_until_fired": 3}[entry]
+    assert _queued(sim) == 0
+
+
+@pytest.mark.parametrize("joined", [False, True])
+def test_an_interrupt_exit_follows_the_same_rule(joined):
+    sim = Simulator()
+    victim = sim.process(_sleeper("v", 10.0))
+
+    def joiner():
+        yield victim
+
+    if joined:
+        sim.process(joiner())
+    victim.interrupt("crash")
+    while victim.is_alive:
+        sim.step()
+    # Unhandled Interrupt is a clean exit with value None.
+    assert victim.triggered and victim._value is None
+    assert victim.fired is not joined
+    sim.run()
+    assert victim.fired and sim.now == 10.0  # the stale sleep wake drains
 
 
 # ----------------------------------------------------------------------
@@ -320,3 +461,42 @@ def test_latency_recorder_matches_list_semantics_exactly():
     for q in (50.0, 95.0, 99.0, 0.0, 100.0):
         expect = data[min(n - 1, max(0, math.ceil(q / 100.0 * n) - 1))]
         assert rec.percentile(q) == expect
+
+
+def test_every_queued_process_completion_resumes_someone(monkeypatch):
+    """The regression gate of quiet completions, over the model's paths:
+    ``steady`` on all seven methods plus a crash -> rebuild and a lossy
+    fabric on TSUE.  Every process completion that is fired through the
+    queue wakes something: a joining process, a condition it completes or
+    fails, or the driver of ``run_until_fired``.  And no RPC handler is
+    left in a host's in-flight table."""
+    from repro.fs.messages import RpcHost
+    from repro.sim.core import Process, _driver_join
+    from repro.sim.events import _Condition
+
+    idle, hosts = [], []
+    fire, init = Process._fire, RpcHost.__init__
+
+    def checked_fire(self):
+        waiting = list(self.callbacks or ())
+        open_conditions = [cb for cb in waiting
+                           if isinstance(cb, _Condition) and not cb.triggered]
+        fire(self)
+        if not (any(isinstance(cb, Process) or cb is _driver_join for cb in waiting)
+                or any(cond.triggered for cond in open_conditions)):
+            idle.append(self.name)
+
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        hosts.append(self)
+
+    monkeypatch.setattr(Process, "_fire", checked_fire)
+    monkeypatch.setattr(RpcHost, "__init__", recorded_init)
+    cells = [("steady", m) for m in ("fo", "pl", "plr", "parix", "cord", "fl", "tsue")]
+    cells += [("rebuild_under_load", "tsue"), ("lossy_cluster", "tsue")]
+    for name, method in cells:
+        res = run_scenario(name, seed=1, method=method)
+        assert res.consistent
+        assert idle == [], f"{name}/{method}: completions queued for nobody"
+        assert [h.name for h in hosts if h._inflight] == [], f"{name}/{method}"
+        hosts.clear()

@@ -4,7 +4,8 @@
   in a fresh interpreter and must equal the committed
   ``BENCH_instructions.json`` exactly.  Host cost added on a path the model
   runs (an f-string, a closure or a comprehension per kernel event) moves
-  it, however small.  It skips only where the count legitimately differs:
+  it, however small; so does a kernel event added or removed per request
+  (the ledger's ``events``).  It skips only where the count legitimately differs:
   on another Python minor, or without the native GF kernel, whose numpy
   fallback runs different code of this package.
 * **RPC handler coverage.**  Every message kind some host registers must be
@@ -50,8 +51,10 @@ def test_instruction_ledger_matches_the_committed_file():
         for pkg, n in committed["instructions"].items()
         if fresh["instructions"].get(pkg, 0) != n
     }
+    if fresh["events"] != committed["events"]:
+        moved["events"] = fresh["events"] - committed["events"]
     assert fresh == committed, (
-        f"instruction count moved {moved}; if the change is intended, "
+        f"ledger moved {moved}; if the change is intended, "
         "regenerate with `PYTHONPATH=src python -m repro.metrics.instructions "
         "> BENCH_instructions.json` and name the cause"
     )

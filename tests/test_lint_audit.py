@@ -100,8 +100,8 @@ MUTANTS = [
          "                    fired += 1\n                    fire(event)\n")],
        runs=False),
     _m("C3", "repro/sim/events.py",
-       [("                ev.add_callback(self._on_child)\n",
-         "                ev.add_callback(lambda e: self._on_child(e))\n")]),
+       [("                ev.add_callback(self)\n",
+         "                ev.add_callback(lambda e: self(e))\n")]),
     _m("H1", "repro/sim/core.py",
        [("        event = self._next()\n        if event is None:\n",
          "        event = self._next()\n"
