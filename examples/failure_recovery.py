@@ -65,8 +65,8 @@ def main() -> None:
     print(f"warm-up: {args.files * args.updates} updates completed "
           f"at t={sim.now * 1000:.1f} ms (virtual)")
 
-    victim = max(cluster.osds, key=lambda o: len(o.store.blocks)).name
-    n_blocks = len(cluster.osd_by_name(victim).store.blocks)
+    victim = max(cluster.osds, key=lambda o: len(o.store)).name
+    n_blocks = len(cluster.osd_by_name(victim).store)
     print(f"failing {victim} ({n_blocks} blocks) ...")
 
     result = recover_node(cluster, victim)

@@ -147,5 +147,5 @@ def _attach_materialised(cluster, cfg):
 def _fail_most_loaded(cluster):
     """The run's tail: fail the OSD storing the most blocks (a deterministic
     choice) and recover it — log drain included, it is what Fig. 8b measures."""
-    victim = max(cluster.osds, key=lambda o: len(o.store.blocks)).name
+    victim = max(cluster.osds, key=lambda o: len(o.store)).name
     return (yield from recover_node_proc(cluster, victim, verify=True))

@@ -22,7 +22,8 @@ ENTRY_HEADER_BYTES = 32
 
 @dataclass
 class LogEntry:
-    """Bookkeeping for one raw append (kept for residency accounting).
+    """Bookkeeping for one raw append (kept for residency accounting, after
+    which TSUE's engine releases it).
 
     ``data`` is populated only in ``keep_raw`` mode, where the recycler
     processes raw entries one by one (the no-locality ablation of Fig. 7).

@@ -272,7 +272,7 @@ def _rebalance(
             # post-flip gate runs under the override before the fence lifts.
             cluster.placement_overrides[skey] = list(new_names)
             for key, src, _dst in copies:
-                cluster.osd_by_name(src).store.blocks.pop(key, None)
+                cluster.osd_by_name(src).store.drop(key)
             if not cluster.stripe_consistent(inode, stripe):
                 raise StripeMigrationError(
                     f"stripe ({inode},{stripe}) inconsistent after {kind} "

@@ -234,8 +234,9 @@ def recover_node_proc(
         yield from drain_all(cluster)
         # Capture post-drain truth (what reconstruction must reproduce),
         # then drop the victim's blocks.
-        truth = {key: blk.copy() for key, blk in victim.store.blocks.items()}
-        victim.store.blocks.clear()
+        truth = {key: victim.store.peek(key).copy() for key in victim.store}
+        for key in truth:
+            victim.store.drop(key)
         drain_seconds = sim.now - t_start
 
         # --------------------------------------------------------------
@@ -301,7 +302,7 @@ def recover_node_proc(
             # would poison its own truth capture if it failed later).
             for key, blk in results.items():
                 victim.store.install(key, blk)
-                rebuilder.store.blocks.pop(key, None)
+                rebuilder.store.drop(key)
             victim.strategy.on_rebuilt()
             victim.restart()
 

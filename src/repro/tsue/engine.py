@@ -433,6 +433,13 @@ class TSUEEngine:
         n = max(1, len(unit.entries))
         self.residency.record_buffer(layer, unit.mean_buffer_time())
         self.residency.record_recycle(layer, (self.sim.now - state["t0"]) / n)
+        # Footprint follows use: the residency accounting above was the last
+        # reader of the raw entries, and only DataLog units serve reads
+        # (``read_overlay``, §3.3.3) — a recycled DeltaLog or ParityLog
+        # index is unreachable until ``reactivate`` would clear it anyway.
+        unit.entries.clear()
+        if layer != DATA:
+            unit.index.clear()
         self._pending[layer] -= 1
         self._notify_space(layer, pool)
         if self._pending[layer] == 0:
@@ -603,8 +610,9 @@ class TSUEEngine:
 
         DataLog and DeltaLog units are keyed by data-block keys, ParityLog
         units by parity keys — all carry ``(inode, stripe, ...)``.  Units
-        already RECYCLED keep their index as a read cache and are excluded:
-        their content has been applied.
+        already RECYCLED are excluded — their content has been applied; a
+        DataLog unit keeps its index as a read cache, the other layers'
+        units keep none (``_finish_unit``).
         """
         from repro.logstruct.states import UnitState
 

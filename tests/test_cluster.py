@@ -104,7 +104,7 @@ def test_instant_load_and_stripe_consistency():
     # Corrupt one parity block: consistency must fail.
     names = cluster.placement(42, 0)
     osd = cluster.osd_by_name(names[4])
-    osd.store.blocks[(42, 0, 4)][0] ^= 0xFF
+    osd.store.fold_xor((42, 0, 4), 0, np.array([0xFF], dtype=np.uint8))
     assert not cluster.stripe_consistent(42, 0)
 
 

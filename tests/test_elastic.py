@@ -383,7 +383,7 @@ def test_decommission_moves_placement_and_stops_node():
     assert victim not in cluster.ring and len(cluster.ring) == 7
     victim_osd = cluster.osd_by_name(victim)
     assert not victim_osd.running
-    assert not victim_osd.store.blocks  # fully copied away, then pruned
+    assert len(victim_osd.store) == 0  # fully copied away, then pruned
     for s in range(4):
         assert cluster.stripe_consistent(600, s)
 
@@ -774,8 +774,8 @@ def test_lossy_drained_state_matches_lossless(method):
         cluster.stop()
         state = {
             osd.name: {
-                key: blk.tobytes()
-                for key, blk in sorted(osd.store.blocks.items())
+                key: osd.store.peek(key).tobytes()
+                for key in sorted(osd.store)
             }
             for osd in cluster.osds
         }

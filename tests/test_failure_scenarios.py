@@ -218,7 +218,7 @@ def test_recovery_reports_mismatched_keys():
     # Corrupt one of the k lowest-indexed survivors recovery will decode
     # from (memory corruption invisible to the drain).
     saboteur = cluster.osd_by_name(names[0])
-    saboteur.store.blocks[(600, 0, 0)][11] ^= 0xFF
+    saboteur.store.fold_xor((600, 0, 0), 11, np.array([0xFF], dtype=np.uint8))
     res = recover_node(cluster, victim, restore=False)
     cluster.stop()
     assert not res.correct
@@ -231,7 +231,9 @@ def test_repair_pass_rewrites_torn_parity():
     cluster.start()
     names = cluster.placement(600, 1)
     # Tear stripe 1: parity 0 loses a delta (simulated by corrupting it).
-    cluster.osd_by_name(names[K]).store.blocks[(600, 1, K)][5] ^= 0x5A
+    cluster.osd_by_name(names[K]).store.fold_xor(
+        (600, 1, K), 5, np.array([0x5A], dtype=np.uint8)
+    )
     assert not cluster.stripe_consistent(600, 1)
     repaired = run_to(sim, sim.process(_repair_stripes(cluster, names[0])))
     cluster.stop()

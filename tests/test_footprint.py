@@ -5,6 +5,9 @@ times — ``SampleBuffer``, ``TwoLevelIndex``, ``FileMeta``'s written
 map — must cost O(1) bytes while empty and behave exactly like the plain
 references below as they grow.  The ``tracemalloc`` ceilings are the part
 that keeps a later constructor from quietly provisioning again.
+
+On the byte plane a block holds only its written hull and a recycled TSUE
+unit holds only what a reader can reach; the last section pins both.
 """
 
 import random
@@ -15,14 +18,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.harness.experiment as hx
 from repro.cluster import Cluster, ClusterConfig
+from repro.devices import SSD
+from repro.fs.blockstore import BlockStore
 from repro.fs.mds import PAGE, FileMeta
-from repro.harness.experiment import build_cluster, make_trace
+from repro.harness.experiment import (
+    ExperimentConfig, build_cluster, drain_all, make_trace, run_experiment,
+)
 from repro.logstruct import TwoLevelIndex
+from repro.logstruct.states import UnitState
 from repro.metrics.latency import _CHUNK, _FIRST, LatencyRecorder, SampleBuffer
 from repro.sim import Simulator
+from repro.tsue.engine import DATA, DELTA, PARITY
 from repro.update import make_strategy_factory
-from repro.workload import scenario_config
+from repro.workload import run_scenario, scenario_config
 
 
 def traced(build):
@@ -208,3 +218,110 @@ def test_idle_scale_out_cluster_fits_its_budget():
     (cluster, traces), held = traced(build)
     assert len(cluster.osds) == 256 and len(cluster.clients) == 1024
     assert held < IDLE_SCALE_OUT_BUDGET
+
+
+# ----------------------------------------------------------------------
+# the byte plane: written hulls and released log units
+# ----------------------------------------------------------------------
+def test_a_block_written_in_one_page_holds_one_page():
+    sim = Simulator()
+    store = BlockStore(sim, SSD(sim), 64 * 1024)
+
+    def write():
+        sim.process(store.write_range("b", 40_000, np.ones(8, dtype=np.uint8)))
+        sim.run()
+        return store
+
+    _, held = traced(write)
+    assert held < 4096 + 1024  # one page of hull, not 64 KiB of block
+    blk = store.peek("b")
+    assert blk.size == 64 * 1024 and int(blk.sum()) == 8
+
+
+def _recycled_units(engine):
+    for layer, pools in (
+        (DATA, engine.data_pools),
+        (DELTA, engine.delta_pools),
+        (PARITY, engine.parity_pools),
+    ):
+        for pool in pools:
+            for unit in pool.units:
+                if unit.state is UnitState.RECYCLED and unit.used:
+                    yield layer, unit
+
+
+def _assert_released(engines):
+    """Every recycled unit dropped its raw entries; DeltaLog and ParityLog
+    units their index too, while each DataLog unit's index still serves
+    ``read_overlay``.  Returns the recycled units seen per layer."""
+    seen = {}
+    for engine in engines:
+        for layer, unit in _recycled_units(engine):
+            seen[layer] = seen.get(layer, 0) + 1
+            assert unit.entries == []
+            if layer != DATA:
+                assert unit.index.block_count == 0
+                continue
+            assert unit.index.block_count > 0
+            for key in unit.index.blocks():
+                for seg in unit.index.segments(key):
+                    frags = engine.read_overlay(key, seg.offset, seg.data.size)
+                    assert frags and sum(f.size for _, f in frags) == seg.data.size
+    return seen
+
+
+def test_recycled_delta_and_parity_units_hold_nothing(monkeypatch):
+    kept = []
+    build = hx.build_cluster
+    monkeypatch.setattr(hx, "build_cluster", lambda cfg: kept.append(build(cfg)) or kept[-1])
+    assert run_scenario("steady", n_clients=2, requests_per_client=30).consistent
+    (cluster,) = kept
+    seen = _assert_released(osd.strategy.engine for osd in cluster.osds)
+    assert set(seen) == {DATA, DELTA, PARITY}
+
+
+def test_raw_entry_copies_are_released_too():
+    """O1/O2 off: the units keep a raw copy of every append for the
+    recycler; once recycled, the copies go."""
+    sim = Simulator()
+    cluster = Cluster(
+        sim,
+        ClusterConfig(n_osds=8, k=4, m=2, block_size=2048, seed=0),
+        make_strategy_factory(
+            "tsue", unit_bytes=8 * 1024, flush_age=0.01, flush_interval=0.005,
+            use_locality_data=False, use_locality_parity=False,
+        ),
+    )
+    cluster.register_sparse_file(5, 8 * 2048)
+    client = cluster.add_client("c0")
+    cluster.start()
+
+    def work():
+        for i in range(24):
+            yield from client.update(5, (i * 700) % (8 * 2048 - 64), np.full(64, i, dtype=np.uint8))
+        yield from drain_all(cluster)
+
+    sim.drive(sim.process(work()))
+    cluster.stop()
+    seen = _assert_released(osd.strategy.engine for osd in cluster.osds)
+    assert set(seen) == {DATA, DELTA, PARITY}
+    assert cluster.stripe_consistent(5, 0) and cluster.stripe_consistent(5, 1)
+
+
+# Peak traced heap of a 2 x 40 Ali Fig. 5 cell (RS(6,2), 64 KiB blocks,
+# verify on): 10.7 MB with written hulls and released log units, 20.6 MB
+# with dense blocks and recycled units kept whole.  Ceiling: 1.2x.
+ALI_CELL_PEAK_BUDGET = 12.9e6
+
+
+def test_ali_cell_peak_heap_fits_its_budget():
+    cfg = ExperimentConfig(method="tsue", trace="ali", n_clients=2,
+                           updates_per_client=40, verify=True, seed=1)
+    tracemalloc.start()
+    try:
+        res = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.consistent is True
+    assert peak < ALI_CELL_PEAK_BUDGET, peak

@@ -273,9 +273,10 @@ def test_verify_shadow_accumulates_per_block_and_catches_a_flipped_byte(built, m
     assert run_experiment(tiny(updates_per_client=40)).consistent is True
     ((cluster, cfg, replayers),) = calls
     assert cluster is built[0][0]
-    blk = next(
-        b for osd in cluster.osds for key, b in osd.store.blocks.items()
-        if key[2] < cfg.k and b.any()
+    store, key = next(
+        (osd.store, key) for osd in cluster.osds for key in osd.store
+        if key[2] < cfg.k and osd.store.peek(key).any()
     )
-    blk[np.flatnonzero(blk)[0]] ^= 0xFF
+    at = int(np.flatnonzero(store.peek(key))[0])
+    store.fold_xor(key, at, np.array([0xFF], dtype=np.uint8))
     assert verify(cluster, cfg, replayers) is False

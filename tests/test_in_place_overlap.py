@@ -201,6 +201,6 @@ def test_crash_between_forward_and_overwrite_heals(method):
     assert report.clean and report.stripes_checked == 2
     assert np.array_equal(
         cluster.osd_by_name(cluster.osd_of_block(INODE, 0, 0))
-        .store.blocks[(INODE, 0, 0)][10:310],
+        .store.peek((INODE, 0, 0))[10:310],
         payload,
     )

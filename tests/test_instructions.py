@@ -102,7 +102,7 @@ def _create_write_and_repair():
         yield from client.create(7, data.size)
         yield from client.write(7, 0, data)
         parity = cluster.osd_by_name(cluster.placement(7, 0)[4])
-        parity.store.blocks[(7, 0, 4)][0] ^= 1
+        parity.store.fold_xor((7, 0, 4), 0, np.array([1], dtype=np.uint8))
         return (yield from check_stripe(cluster, 7, 0, rewrite=True))
 
     assert sim.drive(sim.process(run())) == [0]

@@ -35,10 +35,9 @@ def test_recovery_rebuilds_exact_bytes():
     sim, cluster = build("fo")
     load_files(cluster)
     cluster.start()
-    victim = max(cluster.osds, key=lambda o: len(o.store.blocks)).name
-    before = {
-        k: v.copy() for k, v in cluster.osd_by_name(victim).store.blocks.items()
-    }
+    victim = max(cluster.osds, key=lambda o: len(o.store)).name
+    store = cluster.osd_by_name(victim).store
+    before = {k: store.peek(k).copy() for k in store}
     res = recover_node(cluster, victim)
     cluster.stop()
     assert res.correct
@@ -61,7 +60,7 @@ def test_recovery_handles_parity_blocks_too():
     # Find a victim hosting at least one parity block.
     victim = None
     for osd in cluster.osds:
-        if any(b >= K for (_, _, b) in osd.store.blocks):
+        if any(b >= K for (_, _, b) in osd.store):
             victim = osd.name
             break
     assert victim is not None

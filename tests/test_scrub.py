@@ -51,7 +51,7 @@ def test_scrub_detects_injected_corruption():
     sim, cluster = build()
     names = cluster.placement(900, 1)
     victim = cluster.osd_by_name(names[K])  # first parity block
-    victim.store.blocks[(900, 1, K)][7] ^= 0xFF
+    victim.store.fold_xor((900, 1, K), 7, np.array([0xFF], dtype=np.uint8))
     report = run_to(sim, sim.process(scrub(cluster, [(900, 0), (900, 1)])))
     cluster.stop()
     assert report.mismatches == [(900, 1)]
@@ -60,7 +60,9 @@ def test_scrub_detects_injected_corruption():
 def test_scrub_detects_data_corruption_too():
     sim, cluster = build()
     names = cluster.placement(900, 0)
-    cluster.osd_by_name(names[1]).store.blocks[(900, 0, 1)][0] ^= 1
+    cluster.osd_by_name(names[1]).store.fold_xor(
+        (900, 0, 1), 0, np.array([1], dtype=np.uint8)
+    )
     report = run_to(sim, sim.process(scrub(cluster, [(900, 0)])))
     cluster.stop()
     assert not report.clean

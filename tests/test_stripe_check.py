@@ -56,14 +56,16 @@ def tear(cluster, stripe, parity):
     """Flip one byte of a stored parity block (a lost delta)."""
     k = cluster.config.k
     name = cluster.placement(INODE, stripe)[k + parity]
-    cluster.osd_by_name(name).store.blocks[(INODE, stripe, k + parity)][3] ^= 0x5A
+    cluster.osd_by_name(name).store.fold_xor(
+        (INODE, stripe, k + parity), 3, np.array([0x5A], dtype=np.uint8)
+    )
 
 
 def stores(cluster):
     return {
-        (osd.name, key): blk.copy()
+        (osd.name, key): osd.store.peek(key).copy()
         for osd in cluster.osds
-        for key, blk in osd.store.blocks.items()
+        for key in osd.store
     }
 
 
