@@ -58,10 +58,6 @@ class OSD(RpcHost):
         # it last.
         self.strategy = strategy_factory(self)
 
-    @property
-    def index(self) -> int:
-        return int(self.name[3:])
-
     # ------------------------------------------------------------------
     # failure / restart
     # ------------------------------------------------------------------

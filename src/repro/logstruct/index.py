@@ -69,21 +69,19 @@ class Segment:
 
 
 class TwoLevelIndex:
-    """Block hash map -> offset-sorted coalesced segment list."""
+    """Block hash map -> offset-sorted coalesced segment list.
 
-    def __init__(self, policy: str = "overwrite", inplace_merge: bool = True):
+    A contained update folds into the segment buffer it lands in, in place;
+    every other overlap rebuilds the touched segments into a fresh buffer.
+    Copy-on-first-write (:attr:`Segment.owned`) keeps both paths off the
+    caller's arrays, so one payload may sit in several indexes at once —
+    PARIX hands the same original/latest array to every parity OSD.
+    """
+
+    def __init__(self, policy: str = "overwrite"):
         if policy not in ("overwrite", "xor"):
             raise ValueError(f"policy must be 'overwrite' or 'xor', got {policy!r}")
         self.policy = policy
-        # Contained updates normally fold into the existing segment buffer
-        # in place (no rebuild; copy-on-first-write protects caller-owned
-        # arrays — see Segment.owned).  Owners whose protocol depends on
-        # the historical always-rebuild semantics — PARIX ships one
-        # original/latest array to every parity OSD and refresh-inserts
-        # ranges contained in live original segments, pairing lookups and
-        # folds across yields — pass ``inplace_merge=False`` to keep
-        # merge behaviour byte-for-byte historical.
-        self.inplace_merge = inplace_merge
         self._blocks: Dict[Hashable, List[Segment]] = {}
 
     # ------------------------------------------------------------------
@@ -151,7 +149,7 @@ class TwoLevelIndex:
         if lo == hi:
             segs.insert(lo, new)
             return
-        if hi - lo == 1 and self.inplace_merge:
+        if hi - lo == 1:
             s = segs[lo]
             if s.offset <= new.offset and s.end >= new.end:
                 # Contained-update fast path (the same hot location written

@@ -9,8 +9,9 @@ collectors:
   lifespan claims).
 * :class:`~repro.metrics.counters.NetCounters` — per-node and global network
   traffic (Table 1 NETWORK column).
-* :class:`~repro.metrics.latency.LatencyRecorder` — update latency samples
-  and completion counts over time (Fig. 5, Fig. 6a throughput series).
+* :class:`~repro.metrics.latency.LatencyRecorder` — latency samples and
+  completion instants (Fig. 5, Fig. 6a throughput series), each kept in a
+  :class:`~repro.metrics.latency.SampleBuffer`, a stdlib ``array('d')``.
 * :class:`~repro.metrics.latency.ResidencyTracker` — append / buffer /
   recycle residency per log layer (Table 2).
 """

@@ -155,17 +155,3 @@ class NetCounters:
         self.bytes_sent += nbytes
         if kind:
             self.by_kind[kind] = self.by_kind.get(kind, 0) + nbytes
-
-    @property
-    def gigabytes(self) -> float:
-        return self.bytes_sent / GB
-
-    def merge(self, other: "NetCounters") -> "NetCounters":
-        out = NetCounters(
-            messages=self.messages + other.messages,
-            bytes_sent=self.bytes_sent + other.bytes_sent,
-        )
-        out.by_kind = dict(self.by_kind)
-        for k, v in other.by_kind.items():
-            out.by_kind[k] = out.by_kind.get(k, 0) + v
-        return out

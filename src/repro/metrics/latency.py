@@ -2,151 +2,28 @@
 
 from __future__ import annotations
 
-import bisect
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import reduce
+from operator import add
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-_CHUNK = 4096
-# Capacity of a buffer's first allocation.  A power of two dividing
-# ``_CHUNK``, so doubling lands on ``_CHUNK`` exactly.
-_FIRST = 16
 
+class SampleBuffer(array):
+    """Float samples in append order: a stdlib ``array('d')``, 8 B per
+    sample with no per-sample objects (a list of boxed floats is ~60 B)."""
 
-class SampleBuffer:
-    """Append-only float sample storage in numpy chunks.
+    __slots__ = ()
 
-    A drop-in replacement for the plain Python list the recorders used to
-    keep: supports ``append``/``extend``/``len``/iteration/truthiness and
-    indexing.  At `scale_up` sizes the list of boxed floats dominated
-    memory (~60 B per sample); chunked float64 storage is 8 B per sample
-    with no per-sample objects retained.
-
-    Footprint follows use: an empty buffer owns no array, the *first*
-    chunk starts at ``_FIRST`` cells and doubles (copying) up to
-    ``_CHUNK``, and every later chunk is allocated full-size — at
-    `scale_out` sizes thousands of recorders hold a handful of samples
-    each.  Only the last chunk is ever short, so length and indexing stay
-    ``_CHUNK`` arithmetic.
-
-    Exactness: samples are Python floats (IEEE doubles) and float64 cells
-    hold them losslessly, so sums/sorts over the buffer reproduce the
-    list-based results bit for bit (sequential summation preserved by
-    :meth:`running_sum` walking elements in append order).
-    """
-
-    __slots__ = ("_chunks", "_tail", "_fill", "_cap")
-
-    def __init__(self) -> None:
-        self._chunks: List[np.ndarray] = []
-        self._tail: Optional[np.ndarray] = None
-        self._fill = 0  # filled cells of the tail chunk
-        self._cap = 0  # len(self._tail)
-
-    def _reserve(self, want: int) -> None:
-        """Leave the tail chunk a free cell — ``want`` of them where a short
-        first chunk can grow to that."""
-        fill, cap = self._fill, self._cap
-        if cap == _CHUNK:
-            if fill == _CHUNK:
-                self._tail = np.empty(_CHUNK, dtype=np.float64)
-                self._chunks.append(self._tail)
-                self._fill = 0
-            return
-        if fill + want <= cap:
-            return
-        cap = cap or _FIRST
-        while cap < fill + want and cap < _CHUNK:
-            cap *= 2
-        grown = np.empty(cap, dtype=np.float64)
-        if fill:
-            grown[:fill] = self._tail[:fill]
-        self._chunks[-1:] = [grown]  # replaces the short chunk, if any
-        self._tail = grown
-        self._cap = cap
-
-    def append(self, value: float) -> None:
-        if self._fill == self._cap:
-            self._reserve(1)
-        self._tail[self._fill] = value
-        self._fill += 1
-
-    def extend(self, values) -> None:
-        if isinstance(values, SampleBuffer):
-            # Bulk chunk copy (aggregation across recorders at scale).
-            chunks = values._chunks
-            for i, chunk in enumerate(chunks):
-                n = values._fill if i == len(chunks) - 1 else _CHUNK
-                self._extend_array(chunk[:n])
-            return
-        for v in values:
-            self.append(v)
-
-    def _extend_array(self, arr: np.ndarray) -> None:
-        pos = 0
-        n = len(arr)
-        while pos < n:
-            self._reserve(n - pos)
-            take = min(self._cap - self._fill, n - pos)
-            self._tail[self._fill : self._fill + take] = arr[pos : pos + take]
-            self._fill += take
-            pos += take
-
-    def __len__(self) -> int:
-        if self._tail is None:
-            return 0
-        return (len(self._chunks) - 1) * _CHUNK + self._fill
-
-    def __bool__(self) -> bool:
-        return self._tail is not None and (len(self._chunks) > 1 or self._fill > 0)
-
-    def __iter__(self) -> Iterator[float]:
-        chunks = self._chunks
-        for i, chunk in enumerate(chunks):
-            n = self._fill if i == len(chunks) - 1 else _CHUNK
-            for v in chunk[:n].tolist():
-                yield v
-
-    def __getitem__(self, i: int):
-        n = len(self)
-        if isinstance(i, slice):
-            return self.to_array()[i]
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(i)
-        return float(self._chunks[i // _CHUNK][i % _CHUNK])
+    def __new__(cls, values=()):
+        return super().__new__(cls, "d", values)
 
     def to_array(self) -> np.ndarray:
         """All samples as one float64 array (copy; append order)."""
-        if self._tail is None:
-            return np.empty(0, dtype=np.float64)
-        parts = self._chunks[:-1] + [self._tail[: self._fill]]
-        return np.concatenate(parts) if len(parts) > 1 else parts[0].copy()
-
-    def running_sum(self) -> float:
-        """Sequential left-to-right sum — bit-identical to ``sum(list)``."""
-        total = 0.0
-        chunks = self._chunks
-        for i, chunk in enumerate(chunks):
-            n = self._fill if i == len(chunks) - 1 else _CHUNK
-            for v in chunk[:n].tolist():
-                total += v
-        return total
-
-    def max(self) -> float:
-        if not self:
-            raise ValueError("max of empty buffer")
-        best = None
-        chunks = self._chunks
-        for i, chunk in enumerate(chunks):
-            n = self._fill if i == len(chunks) - 1 else _CHUNK
-            m = float(chunk[:n].max()) if n else None
-            if m is not None and (best is None or m > best):
-                best = m
-        return best
+        return np.array(self, dtype=np.float64)
 
 
 class LatencyRecorder:
@@ -154,7 +31,7 @@ class LatencyRecorder:
 
     Backs both the aggregate IOPS numbers of Fig. 5 (completions / horizon)
     and the latency comparisons in Fig. 1's narrative.  Samples live in
-    chunked numpy buffers (:class:`SampleBuffer`), not Python lists — at
+    float64 arrays (:class:`SampleBuffer`), not Python lists — at
     ``scale_up`` sizes the boxed-float lists dominated process memory.
     """
 
@@ -172,15 +49,12 @@ class LatencyRecorder:
     def __len__(self) -> int:
         return len(self.latencies)
 
-    @property
-    def count(self) -> int:
-        return len(self.latencies)
-
     def mean(self) -> float:
         n = len(self.latencies)
-        # Sequential summation in append order: bit-identical to the
-        # historical sum(list) / n.
-        return self.latencies.running_sum() / n if n else 0.0
+        # A left-to-right fold in append order, which every committed row
+        # holds to the last bit: builtin ``sum`` changed its float algorithm
+        # in CPython 3.12 and ``np.sum`` adds pairwise.
+        return reduce(add, self.latencies, 0.0) / n if n else 0.0
 
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile, q in [0, 100]."""
@@ -216,14 +90,6 @@ class LatencyRecorder:
             "p95": p95,
             "p99": p99,
         }
-
-    def throughput(self, horizon: Optional[float] = None) -> float:
-        """Completed operations per virtual second."""
-        n = len(self.completion_times)
-        if not n:
-            return 0.0
-        h = horizon if horizon is not None else self.completion_times.max()
-        return n / h if h > 0 else 0.0
 
     def iops_series(self, bucket: float, horizon: float) -> "IntervalSeries":
         """Completions bucketed into fixed intervals (Fig. 6a time series)."""
@@ -282,11 +148,6 @@ class IntervalSeries:
 
     def mean(self) -> float:
         return sum(self.values) / len(self.values) if self.values else 0.0
-
-    def value_at(self, t: float) -> float:
-        i = bisect.bisect_left(self.times, t)
-        i = min(i, len(self.values) - 1)
-        return self.values[i]
 
 
 @dataclass

@@ -87,13 +87,6 @@ class RebalanceResult:
     def mb_moved(self) -> float:
         return self.bytes_moved / (1 << 20)
 
-    @property
-    def throttle_utilization(self) -> float:
-        """Achieved copy rate over the granted rate (0 when unthrottled)."""
-        if self.throttle_mbps <= 0.0 or self.copy_seconds <= 0.0:
-            return 0.0
-        return self.mb_moved / (self.throttle_mbps * self.copy_seconds)
-
 
 def rebalance_join(cluster, osd_name: str, rebalance_mbps: float = 0.0):
     """Commit a provisioned OSD (see ``Cluster.add_osd``) into the ring.

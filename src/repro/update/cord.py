@@ -166,6 +166,3 @@ class CoRDStrategy(UpdateStrategy):
             self._apply_lock.release()
         finally:
             self.lock.release()
-
-    def pending_log_bytes(self) -> int:
-        return self.buf_used

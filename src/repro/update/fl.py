@@ -102,6 +102,3 @@ class FLStrategy(UpdateStrategy):
     def read_overlay(self, key, offset, length):
         frags = self.log_index.lookup_partial(key, offset, length)
         return frags or None
-
-    def pending_log_bytes(self) -> int:
-        return self.log_bytes

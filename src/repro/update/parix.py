@@ -44,12 +44,10 @@ class PARIXStrategy(UpdateStrategy):
         # uncovered bytes of the next one.
         self.seen: Dict[BlockKey, IntervalSet] = {}
         # Parity-OSD side: per data-block original and latest data images.
-        # NB: no in-place merge folding — PARIX ships one original/latest
-        # payload array to every parity OSD and refresh-inserts contained
-        # ranges, so these indexes do not exclusively own their buffers
-        # (see TwoLevelIndex.inplace_merge).
-        self.orig_index = TwoLevelIndex("overwrite", inplace_merge=False)
-        self.latest_index = TwoLevelIndex("overwrite", inplace_merge=False)
+        # One shipped array lands in every parity OSD's index; the indexes'
+        # copy-on-first-write keeps each fold off the others' bytes.
+        self.orig_index = TwoLevelIndex("overwrite")
+        self.latest_index = TwoLevelIndex("overwrite")
         self.log_entries: Dict[BlockKey, List[Tuple[int, int]]] = {}
         self.log_bytes = 0
         self.orig_bytes = 0  # live original images (survive compaction)
@@ -300,9 +298,6 @@ class PARIXStrategy(UpdateStrategy):
             # originals.
             self.seen.clear()
             yield self.sim.timeout(0)
-
-    def pending_log_bytes(self) -> int:
-        return self.log_bytes
 
     def on_rebuilt(self) -> None:
         """Reset speculation state invalidated by block reconstruction.

@@ -107,6 +107,3 @@ class PLStrategy(UpdateStrategy):
 
     def drain(self, phase: int = 0):
         yield from self._recycle_all()
-
-    def pending_log_bytes(self) -> int:
-        return self.log_bytes

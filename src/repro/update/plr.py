@@ -122,6 +122,3 @@ class PLRStrategy(UpdateStrategy):
     def drain(self, phase: int = 0):
         for pkey in list(self.region_used):
             yield from self._recycle_region(pkey)
-
-    def pending_log_bytes(self) -> int:
-        return sum(self.region_used.values())

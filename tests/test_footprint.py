@@ -28,7 +28,7 @@ from repro.harness.experiment import (
 )
 from repro.logstruct import TwoLevelIndex
 from repro.logstruct.states import UnitState
-from repro.metrics.latency import _CHUNK, _FIRST, LatencyRecorder, SampleBuffer
+from repro.metrics.latency import LatencyRecorder, SampleBuffer
 from repro.sim import Simulator
 from repro.tsue.engine import DATA, DELTA, PARITY
 from repro.update import make_strategy_factory
@@ -47,10 +47,9 @@ def traced(build):
 
 
 # ----------------------------------------------------------------------
-# SampleBuffer against a plain list, across the growth boundaries
+# SampleBuffer against a plain list
 # ----------------------------------------------------------------------
-BOUNDARIES = (0, 1, _FIRST - 1, _FIRST, _FIRST + 1,
-              _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)
+SIZES = (0, 1, 15, 16, 17, 4095, 4096, 4097, 8193)
 WAYS = ("append", "extend_list", "extend_buffer")
 
 
@@ -62,55 +61,35 @@ def grow(buf, ref, way, n, rng):
     elif way == "extend_list":
         buf.extend(vals)
     else:
-        other = SampleBuffer()
-        other.extend(vals)
-        buf.extend(other)
+        buf.extend(SampleBuffer(vals))
     ref.extend(vals)
 
 
-def assert_same(buf, ref, rng):
-    n = len(ref)
-    assert len(buf) == n
+def assert_same(buf, ref):
+    assert len(buf) == len(ref)
     assert bool(buf) is bool(ref)
     assert list(buf) == ref
     arr = buf.to_array()
     assert arr.dtype == np.float64 and arr.tolist() == ref
-    assert buf.running_sum() == sum(ref, 0.0)  # exactly: same order, same adds
     if ref:
-        assert buf.max() == max(ref)
-    else:
-        with pytest.raises(ValueError):
-            buf.max()
-    edges = {0, n - 1, _FIRST - 1, _FIRST, _CHUNK - 1, _CHUNK, 2 * _CHUNK}
-    for i in sorted(i for i in edges if 0 <= i < n):
-        assert buf[i] == ref[i]
-        assert buf[i - n] == ref[i - n]
-    for i in (n, -n - 1):
-        with pytest.raises(IndexError):
-            buf[i]
-    for _ in range(4):
-        a, b = rng.randint(-n - 2, n + 2), rng.randint(-n - 2, n + 2)
-        assert buf[a:b].tolist() == ref[a:b]
-    assert buf[::-3].tolist() == ref[::-3]
+        arr[0] += 1.0  # a copy: the buffer keeps its samples
+        assert buf[0] == ref[0]
 
 
 @pytest.mark.parametrize("way", WAYS)
-@pytest.mark.parametrize("n", BOUNDARIES)
+@pytest.mark.parametrize("n", SIZES)
 def test_sample_buffer_at_each_growth_boundary(n, way):
     rng = random.Random(n)
     buf, ref = SampleBuffer(), []
     grow(buf, ref, way, n, rng)
-    assert_same(buf, ref, rng)
-    grow(buf, ref, "append", 1, rng)  # one more, over the boundary
-    assert_same(buf, ref, rng)
+    assert_same(buf, ref)
+    grow(buf, ref, "append", 1, rng)
+    assert_same(buf, ref)
 
 
 @given(
     steps=st.lists(
-        st.tuples(
-            st.sampled_from(WAYS),
-            st.sampled_from(BOUNDARIES) | st.integers(0, _CHUNK + _FIRST),
-        ),
+        st.tuples(st.sampled_from(WAYS), st.sampled_from(SIZES) | st.integers(0, 4200)),
         max_size=5,
     ),
     seed=st.integers(0, 2**32 - 1),
@@ -119,22 +98,10 @@ def test_sample_buffer_at_each_growth_boundary(n, way):
 def test_sample_buffer_matches_a_list(steps, seed):
     rng = random.Random(seed)
     buf, ref = SampleBuffer(), []
-    assert_same(buf, ref, rng)
+    assert_same(buf, ref)
     for way, n in steps:
         grow(buf, ref, way, n, rng)
-        assert_same(buf, ref, rng)
-
-
-def test_sample_buffer_only_its_last_chunk_is_short():
-    buf = SampleBuffer()
-    assert buf._chunks == [] and buf._tail is None  # empty: no array at all
-    sizes = set()
-    for i in range(2 * _CHUNK + 1):
-        buf.append(float(i))
-        sizes.add(len(buf._chunks[0]))
-        assert all(len(c) == _CHUNK for c in buf._chunks[1:])
-    # The first chunk doubled from _FIRST up to _CHUNK and stopped there.
-    assert sorted(sizes) == [_FIRST << s for s in range(9)] and max(sizes) == _CHUNK
+        assert_same(buf, ref)
 
 
 # ----------------------------------------------------------------------
@@ -192,8 +159,8 @@ def test_a_recorder_of_five_samples_stays_small():
         return rec
 
     rec, held = traced(five)
-    assert held < 2048
-    assert rec.count == 5
+    assert held < 1024
+    assert len(rec) == 5
 
 
 # What an idle scale-out cluster may hold, traced: it measures 16.7 MB, and

@@ -82,7 +82,7 @@ def test_multi_stripe_write_and_read():
 
     got = run_to(sim, sim.process(rd()))
     assert np.array_equal(got, data[1500:5500])
-    assert client.read_latency.count == 1
+    assert len(client.read_latency) == 1
 
 
 def test_read_of_sparse_region_returns_zeros():
@@ -105,7 +105,7 @@ def test_update_latency_recorded_per_call():
             yield from client.update(8, 0, np.ones(64, dtype=np.uint8))
 
     run_to(sim, sim.process(go()))
-    assert client.update_latency.count == 3
+    assert len(client.update_latency) == 3
     assert cluster.osd_by_name(cluster.placement(8, 0)[0]).updates_served == 3
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logstruct import TwoLevelIndex
+from repro.logstruct.index import _covered_runs
 
 
 def arr(*vals):
@@ -196,29 +197,36 @@ def test_lookup_consistent_with_segments(writes, off, length):
 
 
 def test_inplace_and_rebuild_merges_agree():
-    """The contained-update fast path is unobservable in index content."""
+    """Both merge paths — the in-place contained fold and the rebuild —
+    leave exactly the maximal covered runs of a dense shadow, with its
+    bytes, after every insert."""
     rng = np.random.default_rng(42)
     for policy in ("overwrite", "xor"):
-        fast = TwoLevelIndex(policy)
-        slow = TwoLevelIndex(policy, inplace_merge=False)
+        idx = TwoLevelIndex(policy)
+        shadow = np.zeros(96, dtype=np.uint8)
+        covered = np.zeros(96, dtype=bool)
         for _ in range(300):
             off = int(rng.integers(0, 64))
             size = int(rng.integers(1, 32))
             data = rng.integers(0, 256, size, dtype=np.uint8)
-            fast.insert("b", off, data.copy())
-            slow.insert("b", off, data.copy())
-        fs, ss = fast.segments("b"), slow.segments("b")
-        assert [(s.offset, s.data.tobytes()) for s in fs] == \
-            [(s.offset, s.data.tobytes()) for s in ss]
+            idx.insert("b", off, data.copy())
+            if policy == "overwrite":
+                shadow[off : off + size] = data
+            else:
+                shadow[off : off + size] ^= data
+            covered[off : off + size] = True
+            assert [(s.offset, s.data.tobytes()) for s in idx.segments("b")] == [
+                (a, shadow[a:b].tobytes()) for a, b in _covered_runs(covered)
+            ]
 
 
-def test_inplace_merge_opt_out_never_mutates_handed_arrays():
-    """PARIX's requirement: without inplace_merge, handed-over payloads
-    keep their bytes even when later contained updates land on them —
-    the same array object may be owned by another OSD's index."""
+def test_contained_fold_never_mutates_shared_handed_arrays():
+    """PARIX's requirement: handed-over payloads keep their bytes even when
+    later contained updates land on them — the same array object may sit
+    in another OSD's index."""
     shared = arr(1, 2, 3, 4, 5, 6, 7, 8)
-    a = TwoLevelIndex("overwrite", inplace_merge=False)
-    b = TwoLevelIndex("overwrite", inplace_merge=False)
+    a = TwoLevelIndex("overwrite")
+    b = TwoLevelIndex("overwrite")
     a.insert("k", 0, shared)
     b.insert("k", 0, shared)
     a.insert("k", 2, arr(99, 99))  # contained update in index a only

@@ -140,9 +140,7 @@ def test_parix_original_insert_matches_bitmap_reference(ranges):
     from repro.update.parix import PARIXStrategy
 
     def fresh():
-        return SimpleNamespace(
-            orig_index=TwoLevelIndex("overwrite", inplace_merge=False), orig_bytes=0
-        )
+        return SimpleNamespace(orig_index=TwoLevelIndex("overwrite"), orig_bytes=0)
 
     got, want = fresh(), fresh()
     for version, (offset, length) in enumerate(ranges, 1):
@@ -275,7 +273,7 @@ def test_pl_defers_until_threshold():
     sim, cluster, client, inode = build("pl", recycle_threshold_bytes=1024)
     drive(sim, client, inode, 20, size=512)
     # The small threshold forced in-line recycles; logs stay bounded.
-    max_pending = max(o.strategy.pending_log_bytes() for o in cluster.osds)
+    max_pending = max(o.strategy.log_bytes for o in cluster.osds)
     run_to(sim, sim.process(drain_all(cluster)))
     cluster.stop()
     assert max_pending <= 1024 + 512
@@ -299,7 +297,7 @@ def test_fl_threshold_recycle_and_read_overlay():
 def test_fl_log_bounded_by_threshold():
     sim, cluster, client, inode = build("fl", recycle_threshold_bytes=2048)
     drive(sim, client, inode, 40, size=512)
-    pending = max(o.strategy.pending_log_bytes() for o in cluster.osds)
+    pending = max(o.strategy.log_bytes for o in cluster.osds)
     run_to(sim, sim.process(drain_all(cluster)))
     cluster.stop()
     assert pending <= 2048 + 512
