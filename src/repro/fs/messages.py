@@ -11,13 +11,18 @@ background workers that must also ride out a down destination.
 once, one wait for all of them.
 
 Delivery semantics are **at-most-once** (see docs/faults.md): every request
-carries a deterministic per-host request id, and each host keeps a bounded
-per-peer dedup table with a reply cache.  A frame lost anywhere on the
-fabric — request, ``.reply``, ``.err`` — is retransmitted by ``rpc`` under
-the same id, and a retransmitted request whose original was already applied
-replays the cached reply instead of re-running the handler, so loss never
-surfaces to a caller and never double-applies an op.  The dedup table is
-volatile state: cleared by ``crash()``, preserved across ``stop()``.
+carries a deterministic per-host request id, and each host keeps a per-peer
+dedup table with a reply cache.  A frame lost anywhere on the fabric —
+request, ``.reply``, ``.err`` — is retransmitted by ``rpc`` under the same
+id, and a retransmitted request whose original was already applied replays
+the cached reply instead of re-running the handler, so loss never surfaces
+to a caller and never double-applies an op.  The table holds only outcomes
+that are not settled: an ``ok`` outcome leaves it the moment its reply (or
+a replay of it) is delivered, because ``rpc`` never resends an id whose
+reply it received; an ``err`` outcome stays, because ``rpc_with_retry``
+resends an id after a shipped :class:`HostDownError`.  So the table grows
+with faults, not with traffic, and needs no bound.  It is volatile state:
+cleared by ``crash()``, preserved across ``stop()``.
 
 Failure semantics (the failure-injection scenarios build on these):
 
@@ -32,7 +37,6 @@ Failure semantics (the failure-injection scenarios build on these):
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.net.fabric import Fabric, LinkLossError
@@ -116,10 +120,9 @@ class RpcHost:
     # state-change event, so the budget costs one timer, not a poll loop.
     CONNECT_BUDGET_S = 60.0
 
-    # At-most-once plane: per-peer dedup/reply-cache capacity (FIFO
-    # eviction), and the retransmission timer of ``rpc`` for a call that
-    # lost a frame — deterministic capped exponential, no jitter entropy.
-    DEDUP_CAPACITY = 128
+    # At-most-once plane: the retransmission timer of ``rpc`` for a call
+    # that lost a frame — deterministic capped exponential, no jitter
+    # entropy.
     RETRANSMIT_RTO_S = 5e-4
     RETRANSMIT_RTO_CAP_S = 16e-3
     RETRANSMIT_BUDGET_S = 60.0
@@ -150,12 +153,14 @@ class RpcHost:
         # --- at-most-once delivery state ---------------------------------
         # Monotonic outgoing request-id counter (deterministic, no entropy).
         self._next_req_id = 0
-        # peer name -> OrderedDict[req_id -> outcome entry], FIFO-bounded at
-        # DEDUP_CAPACITY per peer.  Entries: ("inflight",) while the handler
-        # runs, then ("ok", payload, nbytes) or ("err", exc).  Volatile:
-        # cleared on crash() together with the rest of in-memory state,
-        # preserved across stop().
-        self._dedup: Dict[str, "OrderedDict[int, tuple]"] = {}
+        # peer name -> {req_id -> outcome entry}, unsettled outcomes only.
+        # Entries: ("inflight",) while the handler runs, then
+        # ("ok", payload, nbytes) until its reply is delivered (then the
+        # entry goes: see _settle), or ("err", exc) for good.  An emptied
+        # per-peer dict is kept: re-creating it per message costs more.
+        # Volatile: cleared on crash() together with the rest of in-memory
+        # state, preserved across stop().
+        self._dedup: Dict[str, Dict[int, tuple]] = {}
         # Kinds registered with cache_reply=False skip the dedup table
         # entirely (idempotent-by-construction traffic like heartbeats).
         self._uncached_kinds: set = set()
@@ -239,10 +244,20 @@ class RpcHost:
     def _dedup_record(self, src: str, req_id: int, entry: tuple) -> None:
         table = self._dedup.get(src)
         if table is None:
-            table = self._dedup[src] = OrderedDict()
+            table = self._dedup[src] = {}
         table[req_id] = entry
-        if len(table) > self.DEDUP_CAPACITY:
-            table.popitem(last=False)
+
+    def _settle(self, msg: "Message") -> None:
+        """Forget ``msg``'s ``ok`` outcome: its reply is being delivered.
+
+        The caller holds the reply from here on, and ``rpc`` resends an id
+        only after its reply event failed, so no duplicate of this id can
+        arrive any more.  Called just before ``reply.succeed``: no seq, no
+        event.  (An uncached kind has no entry; ``pop`` finds none.)
+        """
+        table = self._dedup.get(msg.src)
+        if table is not None:
+            table.pop(msg.req_id, None)
 
     def _record_outcome(self, msg: "Message", entry: tuple) -> None:
         """Flip the dedup entry to its final outcome.
@@ -294,6 +309,7 @@ class RpcHost:
                     kind=self._reply_kind(msg.kind),
                 )
                 if not msg.reply_event.triggered:
+                    self._settle(msg)
                     msg.reply_event.succeed(payload)
             else:  # ("err", exc)
                 yield from self.fabric.transfer(
@@ -342,6 +358,7 @@ class RpcHost:
                     reply.fail(loss)
                 return
             if not reply.triggered:
+                self._settle(msg)
                 reply.succeed(payload)
         except Interrupt:
             # The host crashed under us: no reply transfer (the node is

@@ -133,7 +133,10 @@ class OpenLoopGenerator:
         sim = self.client.sim
         spec = self.spec
         slots = Resource(sim, capacity=spec.iodepth, name=f"{self.client.name}.iodepth")
-        procs = []
+        # The requests the final join waits for, keyed by ``issued``: each
+        # leaves on success (_issue), so this holds at most ``iodepth``
+        # live ones.  A failed one stays, so the join sees its failure.
+        unfinished = self._unfinished = {}
         for _ in range(spec.n_requests):
             if spec.stop_at is not None and sim.now >= spec.stop_at:
                 break
@@ -157,12 +160,14 @@ class OpenLoopGenerator:
             # `issued` exactly.
             op = self._next_op()
             self.issued += 1
-            procs.append(sim.process(self._issue(op, slots)))
-        if procs:
-            yield AllOf(sim, procs)
+            unfinished[self.issued] = sim.process(self._issue(op, slots, self.issued))
+        if self.issued:
+            # A request that finished left nothing for the join to count:
+            # it fires at the same (time, seq) as one over every request.
+            yield AllOf(sim, unfinished.values())
         return self.completed
 
-    def _issue(self, op, slots: Resource):
+    def _issue(self, op, slots: Resource, key: int):
         self._inflight += 1
         self.peak_inflight = max(self.peak_inflight, self._inflight)
         try:
@@ -175,6 +180,7 @@ class OpenLoopGenerator:
                 yield from self.client.update(inode, offset, arg)
                 self.completed += 1
                 self.bytes_written += int(arg.size)
+            del self._unfinished[key]
         finally:
             self._inflight -= 1
             slots.release()

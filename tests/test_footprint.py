@@ -7,7 +7,8 @@ references below as they grow.  The ``tracemalloc`` ceilings are the part
 that keeps a later constructor from quietly provisioning again.
 
 On the byte plane a block holds only its written hull and a recycled TSUE
-unit holds only what a reader can reach; the last section pins both.
+unit holds only what a reader can reach; the last section pins both, and a
+crash cell pins the reply cache, which keeps only replies not yet delivered.
 """
 
 import random
@@ -292,3 +293,21 @@ def test_ali_cell_peak_heap_fits_its_budget():
         tracemalloc.stop()
     assert res.consistent is True
     assert peak < ALI_CELL_PEAK_BUDGET, peak
+
+
+# Peak traced heap of a 2 x 60 ``rebuild_under_load`` cell (byte plane,
+# 20 % reads, one crash, rebuild, restore, scrub): 6.9 MB when a delivered
+# reply frees its reply-cache entry, 11.6 MB when each host kept its last
+# 128 replies per peer, payloads included.  Ceiling: 1.2x.
+CRASH_CELL_PEAK_BUDGET = 8.3e6
+
+
+def test_crash_cell_peak_heap_fits_its_budget():
+    tracemalloc.start()
+    try:
+        res = run_scenario("rebuild_under_load", n_clients=2, requests_per_client=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.consistent is True
+    assert peak < CRASH_CELL_PEAK_BUDGET, peak

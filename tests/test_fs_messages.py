@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.harness.experiment as hx
 from repro.fs.messages import (
     MSG_OVERHEAD,
     HostDownError,
@@ -10,6 +11,7 @@ from repro.fs.messages import (
 )
 from repro.net import Fabric, NET_25GBE
 from repro.sim import Simulator
+from repro.workload import run_scenario
 
 
 def make_pair():
@@ -186,22 +188,29 @@ def make_counting_pair():
 
 
 def test_duplicate_request_id_replays_cached_reply():
-    """The at-most-once contract at its smallest: same id, one apply."""
+    """The at-most-once contract at its smallest: same id, one apply.  The
+    duplicate comes the one way a real caller produces one: the reply is
+    lost, so ``rpc`` resends the request under the same id."""
     sim, fab, a, b, applied = make_counting_pair()
+    fab.degrade_link("b", loss_every=1, loss_scope="all")
+
+    def healer():
+        yield 3e-4  # after the first reply, before the 5e-4 s resend
+        fab.heal_link("b")
+
+    sim.process(healer())
 
     def caller():
-        rid = a._alloc_req_id()
-        r1 = yield from a.rpc("b", "apply", {"v": 1}, nbytes=8, _req_id=rid)
-        r2 = yield from a.rpc("b", "apply", {"v": 1}, nbytes=8, _req_id=rid)
-        return r1, r2
+        return (yield from a.rpc("b", "apply", {"v": 1}, nbytes=8))
 
     p = sim.process(caller())
     sim.run(until=1.0)
-    r1, r2 = p.value
-    assert r1 == r2 == {"ack": 1}
+    assert p.value == {"ack": 1}
     assert applied == [1]  # handler ran once; duplicate served from cache
+    assert a.retransmits == 1
     assert b.duplicates_suppressed == 1
     assert b.cached_reply_hits == 1
+    assert b._dedup["a"] == {}  # delivered: the outcome is settled
 
 
 def test_reply_loss_retransmits_same_id_and_never_double_applies():
@@ -253,59 +262,107 @@ def test_retransmit_budget_exhaustion_is_loud():
     assert applied == [3]  # delivered and applied once despite the failure
 
 
-def test_dedup_table_is_bounded_fifo():
+def test_an_undelivered_outcome_outlives_any_number_of_delivered_calls():
+    """The table holds what is not settled, not a window of recent ids: a
+    delivered reply frees its entry at once, and an outcome whose reply
+    was lost still replays after 200 later calls from the same peer."""
     sim, fab, a, b, applied = make_counting_pair()
-    b.DEDUP_CAPACITY = 4  # instance override keeps the test cheap
+    a.RETRANSMIT_RTO_S = 0.5  # instance override: resend after the others
+    fab.degrade_link("b", loss_every=1, loss_scope="all")
+    lost = sim.process(a.rpc("b", "apply", {"v": -1}, nbytes=8))
+    sim.run(until=1e-3)
+    fab.heal_link("b")
+    assert applied == [-1] and fab.dropped_replies == 1
+    assert list(b._dedup["a"]) == [0]
 
     def caller():
-        for v in range(6):
+        for v in range(200):
             yield from a.rpc("b", "apply", {"v": v}, nbytes=8)
 
     p = sim.process(caller())
+    sim.run(until=0.4)
+    assert p.fired and len(applied) == 201
+    assert list(b._dedup["a"]) == [0]  # 200 settled; the lost one stays
+
     sim.run(until=1.0)
-    assert p.fired
-    table = b._dedup["a"]
-    assert len(table) == 4
-    assert list(table) == [2, 3, 4, 5]  # FIFO: oldest ids evicted first
-
-    # A duplicate of an evicted id is indistinguishable from a fresh
-    # request — at-most-once degrades to maybe-reapply beyond the window.
-    def dup():
-        yield from a.rpc("b", "apply", {"v": 0}, nbytes=8, _req_id=0)
-
-    p2 = sim.process(dup())
-    sim.run(until=2.0)
-    assert p2.fired
-    assert applied == [0, 1, 2, 3, 4, 5, 0]
+    assert lost.value == {"ack": -1}
+    assert applied == [-1, *range(200)]  # replayed, not re-applied
+    assert b.cached_reply_hits == 1
+    assert b._dedup["a"] == {}
 
 
 def test_stop_preserves_reply_cache_crash_wipes_it():
+    """Every reply of one call is lost until a crash: the outcome replays
+    across stop()/start() and is applied again only after crash()."""
     sim, fab, a, b, applied = make_counting_pair()
-
-    def caller(rid):
-        return (yield from a.rpc("b", "apply", {"v": 9}, nbytes=8, _req_id=rid))
-
-    rid = a._alloc_req_id()
-    p = sim.process(caller(rid))
-    sim.run(until=0.5)
-    assert p.fired and applied == [9]
+    fab.degrade_link("b", loss_every=1, loss_scope="all")
+    p = sim.process(a.rpc("b", "apply", {"v": 9}, nbytes=8))
+    sim.run(until=1.2e-3)  # applied at once, replayed at ~0.5 ms
+    assert applied == [9] and b.cached_reply_hits == 1
 
     # stop()/start(): the dedup table survives maintenance restarts.
     b.stop()
     b.start()
-    p2 = sim.process(caller(rid))
-    sim.run(until=1.0)
-    assert p2.value == {"ack": 9}
+    sim.run(until=3e-3)  # the ~1.5 ms resend
     assert applied == [9]  # replayed, not re-applied
+    assert b.cached_reply_hits == 2 and 0 in b._dedup["a"]
 
     # crash()/start(): volatile state is gone, the duplicate re-applies.
     b.crash()
     b.start()
-    p3 = sim.process(caller(rid))
-    sim.run(until=2.0)
-    assert p3.fired
+    assert not b._dedup
+    fab.heal_link("b")
+    sim.run(until=1.0)  # the ~3.5 ms resend runs fresh and is delivered
+    assert p.value == {"ack": 9}
     assert applied == [9, 9]
-    assert not b._dedup or rid in b._dedup.get("a", {})
+    assert b._dedup["a"] == {}
+
+
+def test_a_delivered_err_outcome_still_replays(monkeypatch):
+    """``err`` outcomes are never settled: ``rpc_with_retry`` resends an id
+    after a shipped HostDownError, and each resend gets the cached error
+    back, never a second run of a handler that may have half-applied."""
+    sim, fab, a, b = make_pair()
+    ran = []
+
+    def forward(msg):
+        yield sim.timeout(0)
+        ran.append(msg.req_id)
+        raise HostDownError("c", "forward failed")
+
+    b.register("forward", forward)
+    a.start()
+    b.start()
+    monkeypatch.setattr(RpcHost, "RETRY_INTERVAL_S", 2e-3)
+    monkeypatch.setattr(RpcHost, "RETRY_BUDGET_S", 5e-3)
+
+    def caller():
+        try:
+            yield from a.rpc_with_retry("b", "forward", {})
+        except HostDownError as err:
+            return err.host
+
+    p = sim.process(caller())
+    sim.run(until=1.0)
+    assert p.value == "c"
+    assert ran == [0]  # the handler ran once; every resend replayed
+    assert b.cached_reply_hits == b.duplicates_suppressed == 3
+    assert b._dedup["a"][0][0] == "err"
+
+
+@pytest.mark.parametrize("name", ["steady", "mixed_rw"])
+def test_a_fault_free_run_settles_every_ok_outcome(name, monkeypatch):
+    """With no frame lost, every reply is delivered, so no host ends a run
+    holding an ``ok`` outcome (nor the payload it carries)."""
+    kept = []
+    build = hx.build_cluster
+    monkeypatch.setattr(hx, "build_cluster", lambda cfg: kept.append(build(cfg)) or kept[-1])
+    assert run_scenario(name, n_clients=2, requests_per_client=30).consistent
+    (cluster,) = kept
+    hosts = [cluster.mds, *cluster.osds, *cluster.clients]
+    tables = [t for host in hosts for t in host._dedup.values()]
+    assert tables  # the run did go through the dedup tables
+    assert not [e for t in tables for e in t.values() if e[0] == "ok"]
 
 
 def test_uncached_kind_skips_the_dedup_table():
