@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from benchmarks.conftest import scale
-from repro.harness.ablations import (
+from repro.harness.artifacts import (
     run_index_ablation,
     run_replica_ablation,
     run_unit_size_ablation,
@@ -20,7 +20,8 @@ def test_ablation_unit_size(benchmark, archive):
     )
     archive("ablation_unit_size", res.render())
     # Larger units hold entries longer before sealing.
-    assert res.buffer_us[-1] > res.buffer_us[0]
+    buffer_us = res.series["data-log buffer (us)"]
+    assert buffer_us[-1] > buffer_us[0]
 
 
 def test_ablation_replicas(benchmark, archive):
@@ -32,9 +33,10 @@ def test_ablation_replicas(benchmark, archive):
         iterations=1,
     )
     archive("ablation_replicas", res.render())
-    assert res.latency_us[0] < res.latency_us[1] < res.latency_us[2]
+    latency_us = res.series["latency (us)"]
+    assert latency_us[0] < latency_us[1] < latency_us[2]
     # Even 3 copies keep TSUE within 2x of its replica-free latency.
-    assert res.latency_us[2] < 2.0 * res.latency_us[0]
+    assert latency_us[2] < 2.0 * latency_us[0]
 
 
 def test_ablation_index(benchmark, archive):
@@ -46,6 +48,6 @@ def test_ablation_index(benchmark, archive):
         iterations=1,
     )
     archive("ablation_index", res.render())
-    off, on = res.rw_ops
+    off, on = res.series["device R/W ops"]
     assert on < off, "merging must reduce device operations"
-    assert res.iops[1] >= 0.9 * res.iops[0]
+    assert res.series["IOPS"][1] >= 0.9 * res.series["IOPS"][0]

@@ -8,7 +8,7 @@ the basis for the paper's "max 4 units" default (§5.3.2).
 from __future__ import annotations
 
 from benchmarks.conftest import FULL, scale
-from repro.harness.fig6 import UNIT_QUOTAS, run_fig6b
+from repro.harness.artifacts import UNIT_QUOTAS, run_fig6b
 
 QUOTAS = UNIT_QUOTAS if FULL else (2, 4, 8, 16)
 
@@ -25,16 +25,18 @@ def test_fig6b_memory_usage(benchmark, archive):
         iterations=1,
     )
     archive("fig6b_memory_usage", res.render())
-    by_quota = dict(zip(res.quotas, res.iops))
-    peak = max(res.iops)
+    quotas, iops = res.x, res.series["IOPS"]
+    by_quota = dict(zip(quotas, iops))
+    peak = max(iops)
     # Quota 2 is the back-pressured worst case, well below the plateau.
-    assert by_quota[2] == min(res.iops)
+    assert by_quota[2] == min(iops)
     assert by_quota[2] < 0.67 * peak
     # A small quota already reaches the plateau (paper: 4; we allow the
     # knee anywhere at or below 8), and the plateau is stable after it.
-    knee = next(q for q in res.quotas if by_quota[q] >= 0.8 * peak)
+    knee = next(q for q in quotas if by_quota[q] >= 0.8 * peak)
     assert knee <= 8, f"throughput knee at quota {knee}"
-    for q in res.quotas[res.quotas.index(knee) :]:
+    for q in quotas[quotas.index(knee) :]:
         assert by_quota[q] >= 0.7 * peak
     # Memory footprint grows with the quota.
-    assert res.peak_memory_mb[-1] > res.peak_memory_mb[0]
+    memory = res.series["peak log mem (MB)"]
+    assert memory[-1] > memory[0]

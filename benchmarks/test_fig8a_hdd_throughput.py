@@ -8,7 +8,7 @@ PARIX the best of the baselines (it skips the read-before-write seek).
 from __future__ import annotations
 
 from benchmarks.conftest import FULL, scale
-from repro.harness.fig8 import MSR_VOLS, run_fig8a
+from repro.harness.artifacts import MSR_VOLS, run_fig8a
 
 VOLS = MSR_VOLS if FULL else ("src10", "proj2", "hm0", "mds0")
 
@@ -25,8 +25,8 @@ def test_fig8a_hdd_throughput(benchmark, archive):
         iterations=1,
     )
     archive("fig8a_hdd_throughput", res.render())
-    for i, vol in enumerate(res.volumes):
-        per_vol = {m: res.iops[m][i] for m in res.iops}
+    for i, vol in enumerate(res.x):
+        per_vol = {m: res.series[m][i] for m in res.series}
         assert max(per_vol, key=per_vol.get) == "tsue", f"TSUE must win on {vol}"
         assert min(per_vol, key=per_vol.get) == "fo", f"FO must be slowest on {vol}"
         assert per_vol["tsue"] > 2 * per_vol["parix"]

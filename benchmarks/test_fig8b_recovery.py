@@ -9,7 +9,7 @@ recovery is verified byte-exact inside the harness.
 from __future__ import annotations
 
 from benchmarks.conftest import FULL, scale
-from repro.harness.fig8 import run_fig8b
+from repro.harness.artifacts import run_fig8b
 
 VOLS = ("src10", "hm0", "usr0") if FULL else ("src10", "hm0")
 
@@ -26,8 +26,8 @@ def test_fig8b_recovery(benchmark, archive):
         iterations=1,
     )
     archive("fig8b_recovery", res.render())
-    for i, vol in enumerate(res.volumes):
-        bw = {m: res.bandwidth_mbps[m][i] for m in res.bandwidth_mbps}
+    for i, vol in enumerate(res.x):
+        bw = {m: res.series[m][i] for m in res.series}
         # FO (no logs at all) sets the ceiling.
         assert max(bw, key=bw.get) == "fo"
         # TSUE is the best of the logging methods — its real-time recycle
@@ -43,6 +43,6 @@ def test_fig8b_recovery(benchmark, archive):
             assert bw["tsue"] > bw[lagger], f"{lagger} should trail TSUE on {vol}: {bw}"
         # The loss mechanism is the pre-recovery drain, and TSUE's residue
         # is several times smaller than the deferred logs'.
-        tsue_drain = res.details["tsue"][i].drain_seconds
+        tsue_drain = res.cells[vol, "tsue"].drain_seconds
         for m in ("pl", "parix"):
-            assert res.details[m][i].drain_seconds > 1.4 * tsue_drain
+            assert res.cells[vol, m].drain_seconds > 1.4 * tsue_drain

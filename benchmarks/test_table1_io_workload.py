@@ -9,7 +9,7 @@ ships full data to every parity log, twice for cold locations).
 from __future__ import annotations
 
 from benchmarks.conftest import scale
-from repro.harness.table1 import run_table1
+from repro.harness.artifacts import run_table1
 
 
 def test_table1_io_workload(benchmark, archive):
@@ -20,7 +20,8 @@ def test_table1_io_workload(benchmark, archive):
         iterations=1,
     )
     archive("table1_io_workload", res.render())
-    r = res.results
+    # Every column of a row reduces the same run.
+    r = {x.lower(): res.cells[x, "NET GB"] for x in res.x}
     # TSUE: fewest overwrites, by a lot (paper: 8 % of FO's).
     assert r["tsue"].overwrite_ops == min(x.overwrite_ops for x in r.values())
     assert r["tsue"].overwrite_ops < 0.4 * r["fo"].overwrite_ops

@@ -9,7 +9,7 @@ healthy sample count.  (Absolute totals scale with the log-unit size —
 from __future__ import annotations
 
 from benchmarks.conftest import scale
-from repro.harness.table2 import run_table2
+from repro.harness.artifacts import run_table2
 from repro.metrics.latency import ResidencyTracker
 
 
@@ -21,7 +21,8 @@ def test_table2_residency(benchmark, archive):
         iterations=1,
     )
     archive("table2_residency", res.render())
-    for trace, tracker in res.residency.items():
+    for trace in ("ali", "ten"):
+        tracker = res.cells[trace, "residency"].residency
         total_buffer = 0.0
         total_processing = 0.0
         for layer in ResidencyTracker.LAYERS:
@@ -34,4 +35,4 @@ def test_table2_residency(benchmark, archive):
         # End-to-end, residency is dominated by buffering, not processing —
         # the Table 2 shape that makes compression feasible (§7).
         assert total_buffer > total_processing
-        assert res.totals_us[trace] > 0
+        assert tracker.total_time_us() > 0

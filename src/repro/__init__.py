@@ -8,7 +8,8 @@ Public entry points:
   (``"fo"``, ``"fl"``, ``"pl"``, ``"plr"``, ``"parix"``, ``"cord"``,
   ``"tsue"``);
 * :func:`repro.harness.run_experiment` — one measured experiment cell;
-* :mod:`repro.harness` — per-paper-artifact runners (fig5..fig8, tables);
+* :mod:`repro.harness.artifacts` — the paper's figures and tables, one
+  ``Grid`` of runs each;
 * :func:`repro.recovery.recover_node` — verified node recovery.
 
 ``python -m repro --help`` exposes the experiment runner on the command

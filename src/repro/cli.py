@@ -1,7 +1,9 @@
 """Command-line runner: ``python -m repro <subcommand>``.
 
 :func:`main` parses and dispatches; each ``_cmd_*`` function is one command.
-Subcommands map one-to-one onto the paper's artifacts plus free-form cells:
+Subcommands map one-to-one onto the paper's artifacts plus free-form cells;
+every artifact command prints the ``Grid`` of its ``repro.harness.artifacts``
+runner:
 
 * ``run``    — one experiment cell (method x trace x geometry x clients);
 * ``fig5``   — one throughput panel;
@@ -245,18 +247,18 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_artifact(args) -> int:
-    """fig5 .. lifespan: run one paper artifact and print its rows."""
-    from repro import harness
+    """fig5 .. lifespan: run one paper artifact and print its grid."""
+    from repro.harness import artifacts
 
     if args.cmd == "fig5":
-        out = harness.run_panel(
+        out = artifacts.run_fig5(
             args.k, args.m, args.trace, clients=tuple(args.client_sweep),
             updates_per_client=args.updates, seed=args.seed,
         )
     elif args.cmd == "fig7":
-        out = harness.run_fig7(trace=args.trace, m=args.m)
+        out = artifacts.run_fig7(trace=args.trace, m=args.m)
     else:
-        out = getattr(harness, f"run_{args.cmd}")()
+        out = getattr(artifacts, f"run_{args.cmd}")()
     print(out.render())
     return 0
 

@@ -6,7 +6,9 @@ and serves the core RPCs:
 * ``write_block`` — normal (first) writes of whole blocks;
 * ``read``        — range reads, overlaid with logged updates when the
   strategy keeps a read cache;
-* ``update``      — the strategy's synchronous update path.
+* ``update``      — the strategy's synchronous update path;
+* ``recovery_read`` / ``recovery_write`` — whole-block reads and writes
+  of the rebuild, rebalance and stripe-check paths.
 
 Strategies register additional RPC kinds (delta forwards, log replication,
 parity appends) on construction.
@@ -43,6 +45,8 @@ class OSD(RpcHost):
         self.register("write_block", self._h_write_block)
         self.register("read", self._h_read)
         self.register("update", self._h_update)
+        self.register("recovery_read", self._h_recovery_read)
+        self.register("recovery_write", self._h_recovery_write)
         self.updates_served = 0
         self.reads_served = 0
         self.cache_hits = 0
@@ -134,6 +138,17 @@ class OSD(RpcHost):
         data = yield from self.read_range_with_overlay(key, offset, length)
         self.reads_served += 1
         return {"data": data}, length
+
+    def _h_recovery_read(self, msg: Message):
+        size = self.store.block_size
+        data = yield from self.store.read_range(msg.payload["key"], 0, size, pattern="seq")
+        # Snapshot: the payload crosses reply-transfer yields and is held by
+        # the puller while this OSD keeps serving writes.
+        return {"data": data.copy()}, size
+
+    def _h_recovery_write(self, msg: Message):
+        yield from self.store.write_block(msg.payload["key"], msg.payload["data"], pattern="seq")
+        return {"ok": True}, 8
 
     # ------------------------------------------------------------------
     def read_range_with_overlay(self, key, offset: int, length: int):

@@ -5,12 +5,14 @@ files, replays traces through closed-loop clients, drains logs, verifies
 consistency, and returns an :class:`~repro.harness.experiment.ExperimentResult`
 with every quantity the paper's tables and figures report.
 
-One module per paper artifact sits alongside (``fig5``, ``fig6``, ``fig7``,
-``fig8``, ``table1``, ``table2``); each exposes a ``run(...)`` returning
-printable rows plus the raw numbers, and the corresponding benchmark under
-``benchmarks/`` is a thin wrapper that prints them.
+:mod:`repro.harness.artifacts` holds the paper's artifacts (Fig. 5-8,
+Tables 1-2, the lifespan comparison, three ablations), one ``run_*`` each:
+a :func:`~repro.harness.artifacts.sweep` of such runs that returns a
+printable :class:`~repro.harness.artifacts.Grid`.  The benchmarks under
+``benchmarks/`` archive each render and assert the paper's shapes on it.
 """
 
+from repro.harness.artifacts import Grid, cell, sweep
 from repro.harness.experiment import (
     ExperimentConfig,
     ExperimentResult,
@@ -19,32 +21,15 @@ from repro.harness.experiment import (
     make_trace,
     run_experiment,
 )
-from repro.harness.fig5 import Fig5Panel, run_panel
-from repro.harness.fig6 import run_fig6a, run_fig6b
-from repro.harness.fig7 import run_fig7
-from repro.harness.fig8 import run_fig8a, run_fig8b
-from repro.harness.lifespan import run_lifespan
-from repro.harness.table1 import run_table1
-from repro.harness.table2 import run_table2
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
-    "Fig5Panel",
+    "Grid",
     "build_cluster",
+    "cell",
     "drain_all",
     "make_trace",
     "run_experiment",
-    "run_fig5_panel",
-    "run_fig6a",
-    "run_fig6b",
-    "run_fig7",
-    "run_fig8a",
-    "run_fig8b",
-    "run_lifespan",
-    "run_panel",
-    "run_table1",
-    "run_table2",
+    "sweep",
 ]
-
-run_fig5_panel = run_panel

@@ -172,7 +172,6 @@ def _rebalance(
     ``sim.now``, no entropy.
     """
     from repro.harness.experiment import drain_all
-    from repro.recovery.recovery import _ensure_recovery_handlers
 
     sim = cluster.sim
     cfg = cluster.config
@@ -193,7 +192,6 @@ def _rebalance(
                 moved.append((inode, stripe, old_names, new_names))
     result.stripes_migrated = len(moved)
 
-    _ensure_recovery_handlers(cluster)
     rate = float(rebalance_mbps) * float(1 << 20)  # bytes / virtual second
     next_grant = sim.now
 

@@ -213,8 +213,8 @@ def recover_node_proc(
        stripe.  Runs *before* the down-mark clears, while the stripes are
        still write-fenced.
     """
-    # Imported here: repro.harness.fig8 imports this module, and the
-    # harness package imports fig8 — a top-level import would be circular.
+    # Imported here: repro.harness.experiment imports this package, so a
+    # top-level import would be circular.
     from repro.harness.experiment import drain_all
 
     sim = cluster.sim
@@ -275,7 +275,6 @@ def recover_node_proc(
             yield from rebuilder.store.write_block(key, rebuilt, pattern="seq")
             return key, rebuilt
 
-        _ensure_recovery_handlers(cluster)
         jobs = [rebuild_one(key) for key in keys]
         results: Dict[Tuple[int, int, int], np.ndarray] = dict(
             (yield from windowed(sim, jobs, parallelism))
@@ -389,27 +388,3 @@ def _repair_stripes(cluster: Cluster, failed_osd: str, parallelism: int = 8):
         if failed_osd in cluster.placement(inode, stripe)
     ]
     return sum((yield from windowed(sim, jobs, parallelism)))
-
-
-def _ensure_recovery_handlers(cluster: Cluster) -> None:
-    """Install whole-block recovery read/write RPCs on every OSD (idempotent)."""
-    for osd in cluster.osds:
-        if "recovery_read" in osd.handlers:
-            continue
-
-        def handler(msg, osd=osd):
-            key = msg.payload["key"]
-            size = cluster.config.block_size
-            data = yield from osd.store.read_range(key, 0, size, pattern="seq")
-            # Snapshot: the payload crosses reply-transfer yields and is
-            # held by the rebuilder while survivors keep serving writes.
-            return {"data": data.copy()}, size
-
-        def w_handler(msg, osd=osd):
-            yield from osd.store.write_block(
-                msg.payload["key"], msg.payload["data"], pattern="seq"
-            )
-            return {"ok": True}, 8
-
-        osd.register("recovery_read", handler)
-        osd.register("recovery_write", w_handler)

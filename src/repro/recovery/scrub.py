@@ -98,10 +98,7 @@ def check_stripe(cluster: Cluster, inode: int, stripe: int, rewrite: bool = Fals
     coordinators spread over the ring.  One attempt: ``HostDownError``
     (no running member, or one crashed under the check) is the caller's.
     """
-    from repro.recovery.recovery import _ensure_recovery_handlers
-
     k, m = cluster.config.k, cluster.config.m
-    _ensure_recovery_handlers(cluster)
     names = cluster.placement(inode, stripe)
     members = (cluster.osd_by_name(names[b]) for b in (*range(k, k + m), *range(k)))
     coordinator = next((osd for osd in members if osd.running), None)

@@ -7,13 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.harness.artifacts as art
 import repro.harness.experiment as hx
 from repro.cluster import Cluster
 from repro.harness import ExperimentConfig, run_experiment
-from repro.harness.fig5 import run_panel
-from repro.harness.fig7 import run_fig7
-from repro.harness.fig8 import _recovery_run
-from repro.harness.table1 import run_table1
 from repro.update import STRATEGIES
 from repro.workload import InconsistentDrainError, run_scenario
 
@@ -82,45 +79,22 @@ def test_msr_trace_and_hdd_path():
     assert res.consistent is True
 
 
+def test_fig5_panel_tiny():
+    panel = art.run_fig5(
+        4, 2, "ten", clients=(2,), updates_per_client=10, methods=("fo", "tsue"),
+    )
+    assert set(panel.series) == {"fo", "tsue"}
+    assert all(len(v) == 1 for v in panel.series.values())
+    assert set(panel.cells) == {(2, "fo"), (2, "tsue")}
+    assert panel.series["tsue"][0] == panel.cells[2, "tsue"].agg_iops
+    assert "RS(4,2)" in panel.render()
+
+
 def test_result_gb_properties():
     res = run_experiment(tiny(method="fo", verify=False))
     assert res.net_gb == pytest.approx(res.net_bytes / (1 << 30))
     assert res.rw_gb == pytest.approx(res.rw_bytes / (1 << 30))
     assert res.overwrite_gb == pytest.approx(res.overwrite_bytes / (1 << 30))
-
-
-def test_fig5_panel_tiny():
-    base = tiny(verify=False)
-    panel = run_panel(
-        4, 2, "ten", clients=(2,), updates_per_client=10,
-        methods=("fo", "tsue"), base=base,
-    )
-    assert set(panel.iops) == {"fo", "tsue"}
-    assert all(len(v) == 1 for v in panel.iops.values())
-    assert panel.winner_at(2) in ("fo", "tsue")
-    assert "RS(4,2)" in panel.render()
-
-
-def test_fig7_gain_math():
-    res = run_fig7(
-        trace="ten", m=2, n_clients=2, updates_per_client=10,
-        variants=[
-            ("baseline", dict(use_log_pool=False, n_pools=1, use_delta_log=False,
-                              use_locality_data=False, use_locality_parity=False)),
-            ("O3", dict(use_log_pool=True, n_pools=1, use_delta_log=False,
-                        use_locality_data=False, use_locality_parity=False)),
-        ],
-    )
-    assert res.labels == ["baseline", "O3"]
-    assert res.gain("baseline") == 1.0
-    assert res.gain("O3") == pytest.approx(res.iops[1] / res.iops[0])
-
-
-def test_table1_rows_render():
-    res = run_table1(n_clients=2, updates_per_client=10, methods=("fo", "tsue"))
-    text = res.render()
-    assert "FO" in text and "TSUE" in text and "NET GB" in text
-    assert len(res.rows()) == 2
 
 
 # ----------------------------------------------------------------------
@@ -152,9 +126,11 @@ def _run_steady(method="tsue"):
 _RUNNERS = {
     "run_experiment": lambda: run_experiment(tiny()).consistent,
     "run_scenario": lambda: _run_steady().consistent,
-    "fig8b_cell": lambda: _recovery_run(
-        "hm0", "tsue", n_clients=2, updates_per_client=20, seed=3
-    ).correct,
+    "fig8b_cell": lambda: art.run_recovery(ExperimentConfig(
+        method="tsue", trace="msr:hm0", k=6, m=4, device_kind="hdd", n_clients=2,
+        updates_per_client=20, stripes_per_file=24, seed=3, verify=False,
+        strategy_params=art.FIG8B_TSUE,
+    )).correct,
 }
 
 
@@ -165,6 +141,20 @@ def test_runner_pauses_collector_and_restores_callers_state(caller_gc, runner, b
     # Exactly one cluster, built through the module attribute, under the pause.
     assert [paused for _, paused in built] == [False]
     assert gc.isenabled() is caller_gc
+
+
+def test_shared_cells_simulate_once(built, monkeypatch):
+    """Table 1 and the lifespan comparison reduce the same runs: after
+    Table 1, the lifespan grid at the same sizes builds no cluster."""
+    monkeypatch.setattr(art, "_CELLS", {})
+    sizes = dict(n_clients=2, updates_per_client=10, methods=("fo", "tsue"))
+    table1 = art.run_table1(**sizes)
+    assert len(built) == 2
+    lifespan = art.run_lifespan(**sizes)
+    assert len(built) == 2
+    assert lifespan.cells["TSUE", "erase ops"] is table1.cells["TSUE", "R/W Num."]
+    # A sweep's columns over one config are one run, too.
+    assert len({id(run) for run in table1.cells.values()}) == 2
 
 
 @pytest.mark.parametrize("caller_gc", [True, False], indirect=True)

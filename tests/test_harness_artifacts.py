@@ -1,76 +1,48 @@
-"""Tiny-scale smoke tests for every per-artifact harness runner.
+"""Every paper-artifact runner at tiny scale.
 
-These verify structure and rendering (the benchmarks assert the paper
-shapes at realistic scale); keeping them in the unit suite guarantees the
-artifact code paths never rot.
+Each must render, give every series one value per row, and name its
+artifact in the title.  The benchmarks assert the paper's shapes at
+realistic scale; keeping every runner in the unit suite guarantees no
+artifact's code path rots.
 """
 
 import pytest
 
-from repro.harness.ablations import (
-    run_index_ablation,
-    run_replica_ablation,
-    run_unit_size_ablation,
-)
-from repro.harness.fig6 import run_fig6a, run_fig6b
-from repro.harness.fig8 import _recovery_run, run_fig8a
-from repro.harness.lifespan import run_lifespan
-from repro.harness.table2 import run_table2
+from repro.harness import artifacts as art
+
+TINY = dict(n_clients=2, updates_per_client=10)
+
+# id -> (runner call, what its title must name)
+RUNNERS = {
+    "fig5": (lambda: art.run_fig5(6, 2, "ten", clients=(2,), updates_per_client=10,
+                                  methods=("fo", "tsue")), "Fig.5 RS(6,2)"),
+    "fig6a": (lambda: art.run_fig6a(n_clients=3, updates_per_client=30, buckets=5),
+              "Fig.6a"),
+    "fig6b": (lambda: art.run_fig6b(quotas=(2, 4), **TINY), "Fig.6b"),
+    "fig7": (lambda: art.run_fig7(m=2, variants=art.VARIANTS[2:4], **TINY), "Fig.7"),
+    "fig8a": (lambda: art.run_fig8a(volumes=("hm0",), methods=("fo", "tsue"), **TINY),
+              "Fig.8a"),
+    "fig8b": (lambda: art.run_fig8b(volumes=("hm0",), methods=("fo", "tsue"), seed=3,
+                                    n_clients=2, updates_per_client=20), "Fig.8b"),
+    "table1": (lambda: art.run_table1(methods=("fo", "tsue"), **TINY), "Table 1"),
+    "table2": (lambda: art.run_table2(unit_bytes=64 * 1024, **TINY), "Table 2"),
+    "lifespan": (lambda: art.run_lifespan(methods=("fo", "tsue"), **TINY), "lifespan"),
+    "unit_size": (lambda: art.run_unit_size_ablation(
+        unit_sizes=(32 * 1024, 64 * 1024), n_clients=2, updates=10), "log-unit size"),
+    "replicas": (lambda: art.run_replica_ablation(
+        replica_counts=(1, 2), n_clients=2, updates=10), "DataLog replica count"),
+    "index": (lambda: art.run_index_ablation(n_clients=2, updates=10), "index merging"),
+}
 
 
-def test_fig6a_series_structure():
-    res = run_fig6a(n_clients=3, updates_per_client=30, buckets=5)
-    assert len(res.times) == 5 and len(res.iops) == 5
-    assert res.mean_iops > 0
-    assert "Fig.6a" in res.render()
-
-
-def test_fig6b_sweep_structure():
-    res = run_fig6b(quotas=(2, 4), n_clients=2, updates_per_client=15)
-    assert res.quotas == [2, 4]
-    assert all(v > 0 for v in res.iops)
-    assert all(m > 0 for m in res.peak_memory_mb)
-    assert res.peak_memory_mb[1] >= res.peak_memory_mb[0]
-
-
-def test_fig8a_structure():
-    res = run_fig8a(volumes=("hm0",), methods=("fo", "tsue"),
-                    n_clients=2, updates_per_client=10)
-    assert res.volumes == ["hm0"]
-    assert set(res.iops) == {"fo", "tsue"}
-    assert "hm0" in res.render()
-
-
-def test_fig8b_single_recovery_run_verifies():
-    res = _recovery_run("hm0", "tsue", n_clients=2, updates_per_client=20, seed=3)
-    assert res.correct
-    assert res.blocks_recovered > 0
-    assert res.bandwidth_mbps > 0
-
-
-def test_table2_structure():
-    res = run_table2(n_clients=2, updates_per_client=20, unit_bytes=64 * 1024)
-    assert set(res.residency) == {"ali", "ten"}
-    assert all(t > 0 for t in res.totals_us.values())
-    text = res.render()
-    assert "data_log" in text and "TOTAL" in text
-
-
-def test_lifespan_structure():
-    res = run_lifespan(n_clients=2, updates_per_client=15, methods=("fo", "tsue"))
-    rel = res.relative_lifespan()
-    assert set(rel) == {"fo", "tsue"}
-    assert min(rel.values()) == 1.0
-    adv = res.tsue_advantage()
-    assert "fo" in adv and "tsue" not in adv
-    assert "lifespan" in res.render().lower()
-
-
-def test_ablation_runners_structure():
-    u = run_unit_size_ablation(unit_sizes=(32 * 1024, 64 * 1024), n_clients=2, updates=15)
-    assert len(u.buffer_us) == 2 and "unit" in u.render().lower()
-    r = run_replica_ablation(replica_counts=(1, 2), n_clients=2, updates=15)
-    assert r.latency_us[0] < r.latency_us[1]
-    i = run_index_ablation(n_clients=2, updates=15)
-    assert i.labels == ["off", "on"]
-    assert i.rw_ops[1] <= i.rw_ops[0]
+@pytest.mark.parametrize("name", list(RUNNERS))
+def test_artifact_runner_renders_one_value_per_row(name):
+    run, names = RUNNERS[name]
+    grid = run()
+    assert names in grid.title
+    assert grid.x and grid.series
+    for column, values in grid.series.items():
+        assert len(values) == len(grid.x), column
+    lines = grid.render().splitlines()
+    assert lines[0] == grid.title
+    assert len(lines) == 3 + len(grid.x)

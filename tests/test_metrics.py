@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.lifespan import LifespanResult
+from repro.harness.artifacts import relative_lifespan
 from repro.metrics import (
     IntervalSeries,
     LatencyRecorder,
@@ -120,12 +120,9 @@ def test_lifespan_ratios_inverse_of_erases():
     for _ in range(10):
         wa.record_write(4096, False, True)
     wb.record_write(4096, False, True)
-    ratios = LifespanResult(
-        erases={"heavy": wa.erase_ops, "light": wb.erase_ops},
-        page_writes={"heavy": 10, "light": 1},
-    ).relative_lifespan()
-    assert ratios["heavy"] == pytest.approx(1.0)
-    assert ratios["light"] == pytest.approx(10.0)
+    heavy, light = relative_lifespan([wa.erase_ops, wb.erase_ops])
+    assert heavy == pytest.approx(1.0)
+    assert light == pytest.approx(10.0)
 
 
 def test_endurance_years_scales_with_wear():

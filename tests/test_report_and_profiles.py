@@ -1,9 +1,9 @@
-"""Remaining edge coverage: report rendering, device profiles, fig5 module."""
+"""Remaining edge coverage: report rendering, device profiles, Fig. 5 codes."""
 
 import pytest
 
 from repro.devices.profiles import HDD_2TB_7200, SSD_DATACENTER_400GB
-from repro.harness.fig5 import CODES, Fig5Panel
+from repro.harness.artifacts import CODES, Grid
 from repro.metrics.report import _fmt, format_series, format_table
 
 
@@ -53,11 +53,16 @@ def test_fig5_code_grid_matches_paper():
 
 
 def test_fig5_panel_winner_and_render():
-    panel = Fig5Panel(k=6, m=2, trace="ten", clients=[4, 8])
-    panel.iops = {"fo": [10.0, 20.0], "tsue": [30.0, 40.0]}
-    assert panel.winner_at(4) == "tsue"
-    assert panel.winner_at(8) == "tsue"
+    panel = Grid("Fig.5 RS(6,2) ten-cloud", "clients", [4, 8],
+                 {"fo": [10.0, 20.0], "tsue": [30.0, 40.0]})
+
+    def winner_at(n):
+        row = panel.x.index(n)
+        return max(panel.series, key=lambda name: panel.series[name][row])
+
+    assert winner_at(4) == "tsue"
+    assert winner_at(8) == "tsue"
     text = panel.render()
     assert "RS(6,2)" in text and "clients" in text
     with pytest.raises(ValueError):
-        panel.winner_at(99)
+        winner_at(99)

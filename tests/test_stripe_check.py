@@ -15,11 +15,7 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster, ClusterConfig
 from repro.fs.messages import HostDownError
 from repro.recovery import fail_osd, scrub
-from repro.recovery.recovery import (
-    _ensure_recovery_handlers,
-    _repair_stripes,
-    _revive_down_serving_planes,
-)
+from repro.recovery.recovery import _repair_stripes, _revive_down_serving_planes
 from repro.recovery.scrub import check_stripe, windowed
 from repro.sim import Simulator
 from repro.sim.events import AllOf
@@ -156,7 +152,6 @@ def reference_repair(cluster, failed_osd):
     pulled into the victim's ring successor."""
     sim, cfg = cluster.sim, cluster.config
     span = cfg.k * cfg.block_size
-    _ensure_recovery_handlers(cluster)
     reader = cluster.osd_by_name(cluster.replica_of(failed_osd))
     repaired = 0
     for inode, meta in sorted(cluster.mds.files.items()):
