@@ -10,18 +10,16 @@ stays busy until the projected instant even if the issuing process is
 interrupted — a submitted command completes; the interrupted process simply
 stops waiting (``docs/dataplane.md``, "The time plane").
 
-Sequentiality: callers that know their access pattern (log appends are
-sequential; in-place small updates are random) pass ``pattern="seq"`` or
-``"rand"``.  With ``pattern=None`` the device auto-classifies by comparing
-the I/O's start offset with the end offset of the previous I/O in the same
-named *zone* (a zone is one on-device region with its own head position —
-e.g. a log file or the block area).
+Sequentiality is the caller's to state: every command passes
+``pattern="seq"`` (log appends and scans, rebuild writes) or ``"rand"``
+(in-place block I/O, scattered regions).  The callers know their access
+pattern, so the device keeps no per-zone head to guess it.  ``zone`` and
+``offset`` name the on-device location for trace hooks only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 from repro.metrics.counters import OpCounters, WearModel
 from repro.devices.profiles import DeviceProfile
@@ -57,8 +55,6 @@ class StorageDevice:
         self.wear = WearModel(
             page_size=profile.page_size, erase_block=profile.erase_block
         )
-        # Per-zone head position for auto-classification.
-        self._zone_head: Dict[str, int] = {}
         self.trace_hook = None  # optional callable(IoRequest)
         # Per-channel busy-until clocks: the virtual time each channel's
         # last claimed command completes (see _project).
@@ -104,13 +100,6 @@ class StorageDevice:
             dt *= self.slow_factor
         return dt
 
-    def classify(self, zone: str, offset: int, nbytes: int) -> bool:
-        """True if this access continues the zone's previous one."""
-        head = self._zone_head.get(zone)
-        sequential = head is not None and offset == head
-        self._zone_head[zone] = offset + nbytes
-        return sequential
-
     # ------------------------------------------------------------------
     # simulated I/O: ``submit_*`` issue a command and return its completion
     # instant; ``read``/``write`` (generators for `yield from` inside
@@ -121,7 +110,8 @@ class StorageDevice:
         nbytes: int,
         zone: str = "data",
         offset: int = 0,
-        pattern: Optional[str] = None,
+        *,
+        pattern: str,
     ) -> float:
         """Issue one read now; return the instant it completes.
 
@@ -129,7 +119,7 @@ class StorageDevice:
         (fail-slow factor read at issue), counters, the channel claim.
         Waiting for the returned instant is the caller's separate step.
         """
-        sequential = self._resolve_pattern(pattern, zone, offset, nbytes)
+        sequential = _sequential(pattern)
         dt = self.service_time("read", nbytes, sequential)
         self.counters.record_read(nbytes, sequential)
         if self.trace_hook is not None:
@@ -141,12 +131,13 @@ class StorageDevice:
         nbytes: int,
         zone: str = "data",
         offset: int = 0,
-        pattern: Optional[str] = None,
+        *,
+        pattern: str,
         overwrite: bool = False,
     ) -> float:
         """Issue one write now; return the instant it completes
         (``overwrite=True`` marks an in-place update).  See ``submit_read``."""
-        sequential = self._resolve_pattern(pattern, zone, offset, nbytes)
+        sequential = _sequential(pattern)
         dt = self.service_time("write", nbytes, sequential)
         self.counters.record_write(nbytes, sequential, overwrite)
         if self.profile.is_flash:
@@ -160,21 +151,25 @@ class StorageDevice:
         nbytes: int,
         zone: str = "data",
         offset: int = 0,
-        pattern: Optional[str] = None,
+        *,
+        pattern: str,
     ):
         """Simulate one read; completes after queueing + service time."""
-        yield At(self.submit_read(nbytes, zone, offset, pattern))
+        yield At(self.submit_read(nbytes, zone, offset, pattern=pattern))
 
     def write(
         self,
         nbytes: int,
         zone: str = "data",
         offset: int = 0,
-        pattern: Optional[str] = None,
+        *,
+        pattern: str,
         overwrite: bool = False,
     ):
         """Simulate one write; ``overwrite=True`` marks an in-place update."""
-        yield At(self.submit_write(nbytes, zone, offset, pattern, overwrite))
+        yield At(self.submit_write(
+            nbytes, zone, offset, pattern=pattern, overwrite=overwrite
+        ))
 
     def _project(self, dt: float) -> float:
         """Claim a channel for ``dt`` seconds; return the completion instant.
@@ -199,20 +194,6 @@ class StorageDevice:
         return done
 
     # ------------------------------------------------------------------
-    def _resolve_pattern(
-        self, pattern: Optional[str], zone: str, offset: int, nbytes: int
-    ) -> bool:
-        if pattern == "seq":
-            # Keep the zone head moving so later auto calls stay consistent.
-            self._zone_head[zone] = offset + nbytes
-            return True
-        if pattern == "rand":
-            self._zone_head[zone] = offset + nbytes
-            return False
-        if pattern is None:
-            return self.classify(zone, offset, nbytes)
-        raise ValueError(f"pattern must be 'seq', 'rand' or None, got {pattern!r}")
-
     def _trace(
         self,
         op: str,
@@ -227,3 +208,11 @@ class StorageDevice:
             self.trace_hook(
                 IoRequest(op, zone, offset, nbytes, sequential, overwrite, dt)
             )
+
+
+def _sequential(pattern: str) -> bool:
+    if pattern == "seq":
+        return True
+    if pattern == "rand":
+        return False
+    raise ValueError(f"pattern must be 'seq' or 'rand', got {pattern!r}")

@@ -31,7 +31,7 @@ is the drain-consistency invariant the cluster gate checks instead.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterator, Optional, Tuple
+from typing import Dict, Hashable, Iterator, Tuple
 
 import numpy as np
 
@@ -166,7 +166,7 @@ class BlockStore:
     # ------------------------------------------------------------------
     # costed I/O (generators)
     # ------------------------------------------------------------------
-    def write_block(self, key: Hashable, data, pattern: Optional[str] = "seq"):
+    def write_block(self, key: Hashable, data, pattern: str = "seq"):
         """Write a whole block (fresh create or full overwrite)."""
         data = as_payload(data)
         if data.size != self.block_size:
@@ -184,7 +184,7 @@ class BlockStore:
         self.blocks[key] = _Hull(0, data.copy())
         self._cover(key, 0, self.block_size)
 
-    def read_range(self, key: Hashable, offset: int, length: int, pattern: Optional[str] = "rand"):
+    def read_range(self, key: Hashable, offset: int, length: int, pattern: str = "rand"):
         """Read ``[offset, offset+length)`` of a block; returns the bytes.
 
         Zero-copy contract: the return value is a **read-only view** into
@@ -214,7 +214,7 @@ class BlockStore:
         key: Hashable,
         offset: int,
         data,
-        pattern: Optional[str] = "rand",
+        pattern: str = "rand",
     ):
         """In-place range update (always an overwrite in wear terms)."""
         data = as_payload(data)
@@ -236,7 +236,7 @@ class BlockStore:
         key: Hashable,
         offset: int,
         delta,
-        pattern: Optional[str] = "rand",
+        pattern: str = "rand",
     ):
         """Read-XOR-write of a range, atomic in content.
 

@@ -280,7 +280,7 @@ def _fail_most_loaded(cluster):
     """The run's tail: fail the OSD storing the most blocks (a deterministic
     choice) and recover it — log drain included, it is what Fig. 8b measures."""
     victim = max(cluster.osds, key=lambda o: len(o.store)).name
-    return (yield from recover_node_proc(cluster, victim, verify=True))
+    return (yield from recover_node_proc(cluster, victim))
 
 
 def _table1_sweep(title, columns, n_clients, updates_per_client, seed, methods) -> Grid:

@@ -31,7 +31,6 @@ from repro.traces import (
     msr_trace,
     tencloud_trace,
 )
-from repro.tsue.engine import TSUEConfig
 from repro.update import make_strategy_factory
 from repro.workload.faults import FaultEvent, FaultInjector
 
@@ -64,7 +63,7 @@ class ExperimentConfig:
     # O(metadata) memory.  Fault/rebuild scenarios need real bytes; the
     # scenario runner rejects the combination.
     ghost_dataplane: bool = False
-    # Strategy-specific keyword arguments (e.g. TSUEConfig fields).
+    # Strategy-specific keyword arguments (TSUE: ``TSUEConfig`` fields).
     strategy_params: Dict[str, Any] = field(default_factory=dict)
 
     def resolved_net(self) -> NetworkProfile:
@@ -147,23 +146,17 @@ def _strategy_factory(cfg: ExperimentConfig):
     """
     params = dict(cfg.strategy_params)
     hdd = cfg.device_kind == "hdd"
-    if cfg.method == "tsue" and "config" not in params:
-        # Collect TSUEConfig fields passed flat in strategy_params.
-        tsue_fields = {
-            f for f in TSUEConfig.__dataclass_fields__  # type: ignore[attr-defined]
-        }
-        flat = {k: params.pop(k) for k in list(params) if k in tsue_fields}
+    if cfg.method == "tsue":
         # HDD recycling must batch aggressively (every random touch costs a
         # seek-scale service), so units are bigger and flushed less often.
-        flat.setdefault("unit_bytes", 1024 * 1024 if hdd else 512 * 1024)
-        flat.setdefault("flush_age", 0.2 if hdd else 0.02)
-        flat.setdefault("flush_interval", 0.1 if hdd else 0.01)
+        params.setdefault("unit_bytes", 1024 * 1024 if hdd else 512 * 1024)
+        params.setdefault("flush_age", 0.2 if hdd else 0.02)
+        params.setdefault("flush_interval", 0.1 if hdd else 0.01)
         if hdd:
             # §5.4: HDD clusters run 3 DataLog copies and no DeltaLog.
-            flat.setdefault("replicas", 3)
-            flat.setdefault("use_delta_log", False)
-            flat.setdefault("n_pools", 1)
-        params["config"] = TSUEConfig(**flat)
+            params.setdefault("replicas", 3)
+            params.setdefault("use_delta_log", False)
+            params.setdefault("n_pools", 1)
     elif cfg.method == "parix" and hdd:
         # HDD clusters sustain far fewer IOPS, so the parity-log space is
         # never exhausted within a run — recycling stays drain-only, as in
@@ -274,6 +267,11 @@ class Run:
         return out
 
 
+# Fault runs' OSD heartbeat period; the MDS declares an OSD failed after 4
+# missed beats (8 ms), and the recovery watcher polls at the same period.
+HEARTBEAT_INTERVAL_S = 0.002
+
+
 @collector_paused()
 def run_protocol(
     cfg: ExperimentConfig,
@@ -281,7 +279,6 @@ def run_protocol(
     finish: Callable[[Run], Any],
     faults: Sequence[FaultEvent] = (),
     recovery: bool = False,
-    heartbeat_interval: float = 0.002,
     tail: Callable = drain_all,
     what: str = "experiment",
 ):
@@ -299,16 +296,16 @@ def run_protocol(
     4. **start** — every host of the cluster boots.
     5. **faults** — given a schedule: a :class:`FaultInjector` over every
        registered inode and, with ``recovery``, OSD heartbeats plus the MDS
-       watcher paced by ``heartbeat_interval`` (detection after 4 of them:
-       milliseconds, not the 3 s production default).
+       watcher paced by :data:`HEARTBEAT_INTERVAL_S` (detection after 4 of
+       them: milliseconds, not the 3 s production default).
     6. **drive** — one process starts the injector, then one process per
        workload; ``horizon`` is the instant the last workload finishes.
     7. **heal** — the schedule finishes and every failure is recovered or
        restored before the drain barrier (a down OSD would wedge it).
     8. **tail** — ``drain_all``: every log recycled (Fig. 8b passes its
        own: there the drain is the quantity measured).
-    9. **scrub** — fault runs force a scrub of every stripe the workload
-       could have touched, through the real (costed) read path.
+    9. **scrub** — fault runs scrub every stripe the workload could have
+       touched, through the real (costed) read path.
     10. **stop**, then **finish** — ``finish(run)``, the caller's gates and
         aggregation, still with automatic garbage collection paused
         (:mod:`repro.sim.collector`) like everything above.
@@ -346,16 +343,15 @@ def run_protocol(
     if faults:
         injector = FaultInjector(cluster, inodes, faults)
         if recovery:
-            cluster.mds.heartbeat_timeout = 4 * heartbeat_interval
+            cluster.mds.heartbeat_timeout = 4 * HEARTBEAT_INTERVAL_S
             for osd in cluster.osds:
-                osd.start_heartbeat(heartbeat_interval)
+                osd.start_heartbeat(HEARTBEAT_INTERVAL_S)
             watcher_stop = sim.event(name="watcher-stop")
             watcher = sim.process(
                 watch_and_recover(
                     cluster,
-                    check_interval=heartbeat_interval,
+                    check_interval=HEARTBEAT_INTERVAL_S,
                     stop=watcher_stop,
-                    repair=True,
                 ),
                 name="mds-watcher",
             )
@@ -389,7 +385,7 @@ def run_protocol(
             targets = [
                 (inode, s) for inode in inodes for s in range(cfg.stripes_per_file)
             ]
-            run.scrub_report = yield from scrub(cluster, targets, force=True)
+            run.scrub_report = yield from scrub(cluster, targets)
 
     t0 = _host_clock()
     sim.drive(sim.process(main(), name=what), what)

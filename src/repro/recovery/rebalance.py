@@ -17,8 +17,8 @@ foreground ops on every other stripe keep flowing.  Per moving stripe:
    (:func:`repro.harness.experiment.drain_all`): blocks must hold the
    post-log truth before they are copied to new homes.  Then **settle**:
    poll until no member reports the stripe pending
-   (:func:`repro.recovery.scrub._stripe_has_pending`) — a PARIX recycle's
-   parity patches can still be landing when the drain returns.
+   (:func:`_stripe_has_pending`) — a PARIX recycle's parity patches can
+   still be landing when the drain returns.
 4. **Gate (pre-copy)** — the stripe must be parity-consistent under the
    *old* placement, else :class:`StripeMigrationError`.
 5. **Copy** — for every block whose home changes, the new home pulls the
@@ -47,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.recovery.scrub import _stripe_has_pending
 from repro.sim.events import AllOf
 
 # Quiesce poll cadence / budget: same scale as the client fence poll —
@@ -141,6 +140,26 @@ def _poll(sim, done, what: str):
         if sim.now >= deadline:
             raise StripeMigrationError(f"{what} within {QUIESCE_BUDGET_S}s")
         yield sim.timeout(QUIESCE_POLL_S)
+
+
+def _stripe_has_pending(cluster, inode: int, stripe: int) -> bool:
+    """True if any member OSD's strategy holds unrecycled updates for the
+    stripe.
+
+    Every strategy's pending state lives on stripe members: data-side logs
+    on the data-block OSD, parity/delta logs and collector buffers on the
+    parity OSDs (TSUE's replica DataLog on the ring neighbour holds copies
+    only — the primary tracks the truth).  Exact for the six baselines: a
+    stripe stays pending from its log append until its recycle's parity
+    writes land (``UpdateStrategy.stripe_pending``), so at no kernel step
+    of a drain does a lagging stripe read as settled.  Updates still in
+    flight before their ack are not pending anywhere; the hard
+    consistency gates run post-drain, where nothing is in flight.
+    """
+    return any(
+        cluster.osd_by_name(name).strategy.stripe_pending(inode, stripe)
+        for name in cluster.placement(inode, stripe)
+    )
 
 
 def _move_one(cluster, key, src: str, dst: str):

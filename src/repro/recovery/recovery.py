@@ -39,6 +39,9 @@ from repro.fs.messages import HostDownError
 from repro.recovery.scrub import check_stripe, pull_blocks, windowed
 from repro.sim.events import AnyOf
 
+# Blocks rebuilt, and stripes repaired, at once: the sliding window of
+# ``windowed`` in phases 2 and 4 of :func:`recover_node_proc`.
+RECOVERY_WINDOW = 8
 
 @dataclass
 class RecoveryResult:
@@ -107,20 +110,15 @@ def restore_osd(cluster: Cluster, name: str) -> None:
     cluster.mark_up(name)
 
 
-def watch_and_recover(
-    cluster: Cluster,
-    check_interval: float = 0.5,
-    stop=None,
-    parallelism: int = 8,
-    verify: bool = True,
-    repair: bool = True,
-):
+def watch_and_recover(cluster: Cluster, check_interval: float = 0.5, stop=None):
     """MDS-driven recovery loop (a process body).
 
     Boot per-OSD heartbeats (``osd.start_heartbeat(...)``), start this
     watcher, and it recovers *every* OSD whose heartbeat lapses — including
     failures that arrive while an earlier rebuild is still in progress,
     which are picked up on the next pass instead of being silently dropped.
+    Every recovery ends with the parity repair pass (a crash can tear an
+    in-flight update).
     Runs until the ``stop`` event fires (forever when ``stop`` is None) and
     returns the list of :class:`RecoveryResult`.
     """
@@ -135,13 +133,7 @@ def watch_and_recover(
             if name in cluster.down_osds
         ]
         if failed:
-            result = yield from recover_node_proc(
-                cluster,
-                failed[0],
-                parallelism=parallelism,
-                verify=verify,
-                repair=repair,
-            )
+            result = yield from recover_node_proc(cluster, failed[0], repair=True)
             results.append(result)
             continue  # re-check immediately: more may have failed meanwhile
         if stop is not None:
@@ -152,12 +144,7 @@ def watch_and_recover(
 
 
 def recover_node(
-    cluster: Cluster,
-    failed_osd: str,
-    parallelism: int = 8,
-    verify: bool = True,
-    restore: bool = True,
-    repair: bool = False,
+    cluster: Cluster, failed_osd: str, repair: bool = False
 ) -> RecoveryResult:
     """Fail one OSD and reconstruct everything it hosted (driver form).
 
@@ -167,22 +154,12 @@ def recover_node(
     """
     sim = cluster.sim
     proc = sim.process(
-        recover_node_proc(
-            cluster, failed_osd, parallelism, verify, restore=restore, repair=repair
-        ),
-        name="recover-node",
+        recover_node_proc(cluster, failed_osd, repair=repair), name="recover-node"
     )
     return sim.drive(proc, "recovery")
 
 
-def recover_node_proc(
-    cluster: Cluster,
-    failed_osd: str,
-    parallelism: int = 8,
-    verify: bool = True,
-    restore: bool = True,
-    repair: bool = False,
-):
+def recover_node_proc(cluster: Cluster, failed_osd: str, repair: bool = False):
     """Process body: drain logs, reconstruct, restore, optionally repair.
 
     Phases:
@@ -198,20 +175,30 @@ def recover_node_proc(
     2. **Rebuild** — the ring-successor pulls k live blocks per lost block
        (excluding every currently-down OSD, so an m>1 double fault still
        decodes), reconstructs, and writes sequentially, a sliding window
-       of ``parallelism`` blocks in flight.  Sources that crash mid-pull
-       are dropped and the pull retried against the survivors.
+       of :data:`RECOVERY_WINDOW` blocks in flight.  Sources that crash
+       mid-pull are dropped and the pull retried against the survivors.
     3. **Restore** — the rebuilt blocks are installed as the victim's
        replacement disk, its serving plane/heartbeat restart, and its
        down-mark clears, so placement-directed reads work again.
     4. **Repair** (``repair=True``; failure scenarios use this) — every
        stripe the victim participated in is read back by one of its own
        members and its parity re-encoded from data where it mismatches,
-       ``parallelism`` stripes at a time.  A crash can tear an
+       :data:`RECOVERY_WINDOW` stripes at a time.  A crash can tear an
        in-flight update (data written, one parity's delta lost with the
        dead node); the client retries the update, but its recomputed delta
        is zero once the data bytes match, so only re-encoding heals the
        stripe.  Runs *before* the down-mark clears, while the stripes are
        still write-fenced.
+
+    ``correct`` compares the rebuilt bytes with the victim's blocks as
+    captured after the drain (``mismatched`` names up to 8 that differ).
+    Scenarios compute it and then ignore it, and it cannot be a gate as it
+    stands: the capture is the truth only when no update straddles the
+    crash.  On ``rebuild_under_load`` and ``double_fault`` (7 methods,
+    seeds 1-3) 11 of 63 recoveries read ``correct=False``: 10 parity
+    blocks, and one PARIX data block (``double_fault`` seed 1, key
+    ``(1000, 1, 2)``) whose three in-flight updates completed after the
+    recovery (``docs/faults.md``, "Recovery timeline").
     """
     # Imported here: repro.harness.experiment imports this package, so a
     # top-level import would be circular.
@@ -240,7 +227,7 @@ def recover_node_proc(
         drain_seconds = sim.now - t_start
 
         # --------------------------------------------------------------
-        # Phase 2: reconstruct, `parallelism` blocks at a time.
+        # Phase 2: reconstruct, RECOVERY_WINDOW blocks at a time.
         # --------------------------------------------------------------
         t_rebuild = sim.now
         keys = sorted(truth.keys())
@@ -277,33 +264,30 @@ def recover_node_proc(
 
         jobs = [rebuild_one(key) for key in keys]
         results: Dict[Tuple[int, int, int], np.ndarray] = dict(
-            (yield from windowed(sim, jobs, parallelism))
+            (yield from windowed(sim, jobs, RECOVERY_WINDOW))
         )
         rebuild_seconds = sim.now - t_rebuild
 
         mismatched: List[Tuple[int, int, int]] = []
-        if verify:
-            for key, expect in sorted(truth.items()):
-                got = results.get(key)
-                if got is None or not np.array_equal(got, expect):
-                    mismatched.append(key)
-                    if len(mismatched) >= 8:
-                        break
+        for key, expect in sorted(truth.items()):
+            got = results.get(key)
+            if got is None or not np.array_equal(got, expect):
+                mismatched.append(key)
+                if len(mismatched) >= 8:
+                    break
 
         # --------------------------------------------------------------
         # Phase 3: restore — the rebuilt blocks become the victim's
         # replacement disk and it rejoins the cluster.
         # --------------------------------------------------------------
-        if restore:
-            # The rebuilt blocks become the victim's replacement disk; the
-            # rebuilder's staging copies are dropped so it does not hold
-            # stale duplicates of keys placement maps to the victim (they
-            # would poison its own truth capture if it failed later).
-            for key, blk in results.items():
-                victim.store.install(key, blk)
-                rebuilder.store.drop(key)
-            victim.strategy.on_rebuilt()
-            victim.restart()
+        # The rebuilder's staging copies are dropped so it does not hold
+        # stale duplicates of keys placement maps to the victim (they would
+        # poison its own truth capture if it failed later).
+        for key, blk in results.items():
+            victim.store.install(key, blk)
+            rebuilder.store.drop(key)
+        victim.strategy.on_rebuilt()
+        victim.restart()
 
         # --------------------------------------------------------------
         # Phase 4: parity repair over every stripe the victim touches.
@@ -312,12 +296,11 @@ def recover_node_proc(
         repair_seconds = 0.0
         if repair:
             t_repair = sim.now
-            repaired = yield from _repair_stripes(cluster, failed_osd, parallelism)
+            repaired = yield from _repair_stripes(cluster, failed_osd)
             repair_seconds = sim.now - t_repair
 
-        if restore:
-            cluster.mds.last_heartbeat[failed_osd] = sim.now
-            cluster.mark_up(failed_osd)
+        cluster.mds.last_heartbeat[failed_osd] = sim.now
+        cluster.mark_up(failed_osd)
     finally:
         if not reviver_stop.triggered:
             reviver_stop.succeed()
@@ -360,7 +343,9 @@ def _revive_down_serving_planes(cluster: Cluster, stop):
         yield AnyOf(sim, [sim.timeout(1e-3), stop])
 
 
-def _repair_stripes(cluster: Cluster, failed_osd: str, parallelism: int = 8):
+def _repair_stripes(
+    cluster: Cluster, failed_osd: str, parallelism: int = RECOVERY_WINDOW
+):
     """Verify-and-rewrite parity of every stripe ``failed_osd`` is in:
     one ``check_stripe(rewrite=True)`` each (all k+m blocks read, costed,
     by a member of the stripe), ``parallelism`` stripes at a time.

@@ -9,17 +9,14 @@ catch latent corruption (bit rot, torn writes); it also doubles as an
 online version of :meth:`repro.cluster.Cluster.stripe_consistent`, which is
 cost-free and test-only.
 
-A scrub of a stripe with *pending log state* would report false mismatches
-(parity legitimately lags under every logging method), so the scrubber
-skips stripes whose strategies report pending work unless ``force=True``.
-The pending check is scoped to the stripe being scrubbed — one busy stripe
-(or one OSD with any pending logs) must not make the scrubber skip
-fully-clean stripes elsewhere.  Stripes with a down member are always
-skipped (their blocks cannot all be read).  Every skip is reported by key
-in :attr:`ScrubReport.skipped` so operators can re-scrub exactly those.
+A scrub checks what the blocks hold now: run it on drained stripes, since
+parity legitimately lags pending log state under every logging method and
+such a stripe reports a mismatch.  Stripes with a down member are skipped
+(their blocks cannot all be read), and every skip is reported by key in
+:attr:`ScrubReport.skipped` so operators can re-scrub exactly those.
 
-Failure scenarios use a forced scrub as the post-recovery gate: after
-recovery + repair, every touched stripe must scrub clean.
+Failure scenarios use a scrub as the post-recovery gate: after recovery,
+repair and the drain, every touched stripe must scrub clean.
 """
 
 from __future__ import annotations
@@ -121,7 +118,6 @@ def check_stripe(cluster: Cluster, inode: int, stripe: int, rewrite: bool = Fals
 def scrub(
     cluster: Cluster,
     targets: Iterable[Tuple[int, int]],
-    force: bool = False,
     parallelism: int = 8,
 ):
     """Scrub the given (inode, stripe) pairs, ``parallelism`` at a time
@@ -140,8 +136,6 @@ def scrub(
         """The stripe's bad parity indices, or None when it is skipped."""
         if not cluster.down_osds.isdisjoint(cluster.placement(inode, stripe)):
             return None
-        if not force and _stripe_has_pending(cluster, inode, stripe):
-            return None
         return (yield from check_stripe(cluster, inode, stripe))
 
     outcomes = yield from windowed(
@@ -157,23 +151,3 @@ def scrub(
         if bad:
             report.mismatches.append(target)
     return report
-
-
-def _stripe_has_pending(cluster: Cluster, inode: int, stripe: int) -> bool:
-    """True if any member OSD's strategy holds unrecycled updates for the
-    stripe.
-
-    Every strategy's pending state lives on stripe members: data-side logs
-    on the data-block OSD, parity/delta logs and collector buffers on the
-    parity OSDs (TSUE's replica DataLog on the ring neighbour holds copies
-    only — the primary tracks the truth).  Exact for the six baselines: a
-    stripe stays pending from its log append until its recycle's parity
-    writes land (``UpdateStrategy.stripe_pending``), so at no kernel step
-    of a drain does a lagging stripe read as settled.  Updates still in
-    flight before their ack are not pending anywhere; the hard
-    consistency gates run post-drain, where nothing is in flight.
-    """
-    return any(
-        cluster.osd_by_name(name).strategy.stripe_pending(inode, stripe)
-        for name in cluster.placement(inode, stripe)
-    )

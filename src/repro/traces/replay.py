@@ -11,12 +11,13 @@ Since the workload subsystem landed, this is just
 :class:`~repro.workload.generator.OpenLoopGenerator` pinned to zero-gap
 arrivals, one tenant, updates only and ``iodepth=1`` — the RNG draw order
 (one payload per record, in issue order) is identical to the historical
-replayer, which the harness's shadow verifier depends on.
+replayer, which the harness's shadow verifier depends on.  A replayer
+issues every record: a run is sized by its record count.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -35,7 +36,6 @@ class TraceReplayer(OpenLoopGenerator):
         inode: int,
         records: List[TraceRecord],
         rng: np.random.Generator,
-        stop_at: Optional[float] = None,
     ):
         super().__init__(
             client,
@@ -46,9 +46,7 @@ class TraceReplayer(OpenLoopGenerator):
                 n_requests=len(records),
                 iodepth=1,
                 read_fraction=0.0,
-                stop_at=stop_at,
             ),
         )
         self.inode = inode
         self.records = records
-        self.stop_at = stop_at

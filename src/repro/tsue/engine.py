@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Deque, Dict, Hashable, List, Tuple
 
 import numpy as np
 
@@ -95,12 +95,11 @@ class TSUEConfig:
 class TSUEEngine:
     """Per-OSD TSUE state machine."""
 
-    def __init__(self, osd, config: Optional[TSUEConfig] = None):
+    def __init__(self, osd, config: TSUEConfig):
         self.osd = osd
         self.sim = osd.sim
         self.cluster = osd.cluster
-        self.config = config or TSUEConfig()
-        cfg = self.config
+        self.config = cfg = config
         self.residency = ResidencyTracker()
 
         self.data_pools = [

@@ -20,11 +20,10 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.logstruct.index import TwoLevelIndex, fold_parity_deltas
+from repro.logstruct.unit import ENTRY_HEADER_BYTES
 from repro.sim.events import AllOf
 from repro.sim.resources import Resource
 from repro.update.base import BlockKey, UpdateStrategy
-
-CORD_HEADER = 32
 
 
 class CoRDStrategy(UpdateStrategy):
@@ -74,7 +73,7 @@ class CoRDStrategy(UpdateStrategy):
         key, offset, delta = p["key"], p["offset"], p["delta"]
         yield self.lock.request()
         try:
-            if self.buf_used + delta.size + CORD_HEADER > self.buffer_bytes:
+            if self.buf_used + delta.size + ENTRY_HEADER_BYTES > self.buffer_bytes:
                 # The buffer is full: it can only be snapshotted once the
                 # previous recycle (if any) has landed — a full buffer
                 # behind a slow recycle stalls the append path, and the
@@ -86,7 +85,7 @@ class CoRDStrategy(UpdateStrategy):
                 snapshot = self._snapshot_buffer()
                 self.sim.process(self._apply_snapshot(snapshot))
             yield from self.osd.device.write(
-                int(delta.size) + CORD_HEADER,
+                int(delta.size) + ENTRY_HEADER_BYTES,
                 zone="cord_buf",
                 pattern="seq",
                 overwrite=False,
@@ -96,7 +95,7 @@ class CoRDStrategy(UpdateStrategy):
             self.buf_stripes.setdefault((inode, stripe), [])
             if j not in self.buf_stripes[(inode, stripe)]:
                 self.buf_stripes[(inode, stripe)].append(j)
-            self.buf_used += int(delta.size) + CORD_HEADER
+            self.buf_used += int(delta.size) + ENTRY_HEADER_BYTES
         finally:
             self.lock.release()
         return {"ok": True}, 8

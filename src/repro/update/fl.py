@@ -12,15 +12,13 @@ included for completeness and for the update-path unit tests.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from repro.logstruct.index import TwoLevelIndex
+from repro.logstruct.unit import ENTRY_HEADER_BYTES
 from repro.sim.events import AllOf
 from repro.sim.resources import Resource
 from repro.update.base import BlockKey, UpdateStrategy
-
-FL_HEADER = 32
 
 
 class FLStrategy(UpdateStrategy):
@@ -41,7 +39,7 @@ class FLStrategy(UpdateStrategy):
         yield self.lock.request()
         try:
             yield from self.osd.device.write(
-                int(data.size) + FL_HEADER, zone="fl_log", pattern="seq", overwrite=False
+                int(data.size) + ENTRY_HEADER_BYTES, zone="fl_log", pattern="seq"
             )
             self.log_index.insert(key, offset, data)
             self.log_bytes += int(data.size)

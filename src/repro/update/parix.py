@@ -19,10 +19,9 @@ import numpy as np
 
 from repro.logstruct.index import TwoLevelIndex
 from repro.logstruct.intervals import IntervalSet
+from repro.logstruct.unit import ENTRY_HEADER_BYTES
 from repro.sim.events import AllOf
 from repro.update.base import BlockKey, UpdateStrategy
-
-PARIX_HEADER = 32
 
 
 class PARIXStrategy(UpdateStrategy):
@@ -205,7 +204,7 @@ class PARIXStrategy(UpdateStrategy):
             self.sim.process(self._background_recycle())
         yield from self._wait_not_recycling()
         yield from self.osd.device.write(
-            int(data.size) + PARIX_HEADER, zone="parix_log", pattern="seq", overwrite=False
+            int(data.size) + ENTRY_HEADER_BYTES, zone="parix_log", pattern="seq"
         )
         if p["orig"]:
             self._insert_orig_uncovered(key, offset, data)
@@ -256,7 +255,7 @@ class PARIXStrategy(UpdateStrategy):
         reclaimable = max(0, self.log_bytes - self.orig_bytes)
         live_share = min(self.orig_bytes, reclaimable)
         yield from self.osd.device.read(
-            reclaimable + live_share + PARIX_HEADER * n_entries,
+            reclaimable + live_share + ENTRY_HEADER_BYTES * n_entries,
             zone="parix_log",
             pattern="seq",
         )

@@ -2,9 +2,10 @@
 
 Data blocks update in place (random read + write for the delta); parity
 deltas are *appended* to a sequential parity log at each parity OSD and the
-in-place parity update is deferred.  With a large log-space threshold the
-recycle never runs during normal operation ("indefinitely delayed", §5.2) —
-which is exactly why PL is fast for updates and slow/risky for recovery.
+in-place parity update is deferred.  The recycle never runs during normal
+operation ("indefinitely delayed", §5.2): the logs fold into parity only
+when a drain asks — which is exactly why PL is fast for updates and
+slow/risky for recovery.
 
 Correctness bookkeeping: the log content folds into an XOR index per parity
 block (so drain produces exact bytes), while a per-entry ledger preserves
@@ -19,9 +20,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.logstruct.index import TwoLevelIndex
+from repro.logstruct.unit import ENTRY_HEADER_BYTES
 from repro.update.base import BlockKey, UpdateStrategy
-
-PL_HEADER = 32
 
 
 class PLStrategy(UpdateStrategy):
@@ -32,9 +32,7 @@ class PLStrategy(UpdateStrategy):
     # Its entries leave the index only when their bytes fold into parity.
     pending_index = "log_index"
 
-    def __init__(self, osd, recycle_threshold_bytes: int = 1 << 40):
-        # Default threshold is effectively infinite: recycle only on drain.
-        self.recycle_threshold_bytes = recycle_threshold_bytes
+    def __init__(self, osd):
         self.log_index = TwoLevelIndex("xor")  # exact pending parity deltas
         self.log_entries: Dict[BlockKey, List[Tuple[int, int]]] = {}
         self.log_bytes = 0
@@ -51,17 +49,15 @@ class PLStrategy(UpdateStrategy):
         p = msg.payload
         [(offset, pdelta)] = p["entries"]
         yield from self.osd.device.write(
-            int(pdelta.size) + PL_HEADER, zone="pl_log", pattern="seq", overwrite=False
+            int(pdelta.size) + ENTRY_HEADER_BYTES, zone="pl_log", pattern="seq"
         )
         self.log_index.insert(p["pkey"], offset, pdelta)
         self.log_entries.setdefault(p["pkey"], []).append((offset, int(pdelta.size)))
         self.log_bytes += int(pdelta.size)
-        if self.log_bytes >= self.recycle_threshold_bytes:
-            yield from self._recycle_all()
         return {"ok": True}, 8
 
     # ------------------------------------------------------------------
-    def _recycle_all(self):
+    def drain(self, phase: int = 0):
         """The costed PL recycle: sequential log scan + per-entry random RMW.
 
         PL does not exploit locality, so the device cost is charged per raw
@@ -79,7 +75,8 @@ class PLStrategy(UpdateStrategy):
             pending, self.log_entries = self.log_entries, {}
             pending_bytes, self.log_bytes = self.log_bytes, 0
             yield from self.osd.device.read(
-                pending_bytes + PL_HEADER * sum(len(v) for v in pending.values()),
+                pending_bytes
+                + ENTRY_HEADER_BYTES * sum(len(v) for v in pending.values()),
                 zone="pl_log",
                 pattern="seq",
             )
@@ -104,6 +101,3 @@ class PLStrategy(UpdateStrategy):
                 # through the store so ghost-plane coverage stays complete.
                 for seg in self.log_index.pop_block(pkey):
                     self.osd.store.fold_xor(pkey, seg.offset, seg.data)
-
-    def drain(self, phase: int = 0):
-        yield from self._recycle_all()

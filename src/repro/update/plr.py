@@ -14,14 +14,13 @@ adjacent read+write per merged segment.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
 from repro.logstruct.index import TwoLevelIndex
+from repro.logstruct.unit import ENTRY_HEADER_BYTES
 from repro.update.base import BlockKey, UpdateStrategy
-
-PLR_HEADER = 32
 
 
 class PLRStrategy(UpdateStrategy):
@@ -35,7 +34,6 @@ class PLRStrategy(UpdateStrategy):
         self.reserve_bytes = reserve_bytes
         self.log_index = TwoLevelIndex("xor")
         self.region_used: Dict[BlockKey, int] = {}
-        self.region_entries: Dict[BlockKey, List[Tuple[int, int]]] = {}
         self.sync_recycles = 0
         super().__init__(osd)
 
@@ -51,7 +49,7 @@ class PLRStrategy(UpdateStrategy):
         pkey = p["pkey"]
         [(offset, pdelta)] = p["entries"]
         used = self.region_used.get(pkey, 0)
-        if used + pdelta.size + PLR_HEADER > self.reserve_bytes:
+        if used + pdelta.size + ENTRY_HEADER_BYTES > self.reserve_bytes:
             # Reserved space exhausted: recycle this region *now*, blocking
             # the append (and the client ack behind it).
             yield from self._recycle_region(pkey)
@@ -59,15 +57,14 @@ class PLRStrategy(UpdateStrategy):
         # Reserved regions are scattered across the device: the append is a
         # random write into this block's private region.
         yield from self.osd.device.write(
-            int(pdelta.size) + PLR_HEADER,
+            int(pdelta.size) + ENTRY_HEADER_BYTES,
             zone=f"plr:{pkey}",
             offset=used,
             pattern="rand",
             overwrite=False,
         )
         self.log_index.insert(pkey, offset, pdelta)
-        self.region_used[pkey] = used + int(pdelta.size) + PLR_HEADER
-        self.region_entries.setdefault(pkey, []).append((offset, int(pdelta.size)))
+        self.region_used[pkey] = used + int(pdelta.size) + ENTRY_HEADER_BYTES
         return {"ok": True}, 8
 
     # ------------------------------------------------------------------
@@ -95,7 +92,6 @@ class PLRStrategy(UpdateStrategy):
         if used:
             self.sync_recycles += 1
         self.region_used[pkey] = 0
-        self.region_entries[pkey] = []
         stripe_key = (pkey[0], pkey[1])
         self.pin_stripe(stripe_key)
         try:

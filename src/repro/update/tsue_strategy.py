@@ -12,8 +12,6 @@ lives in :class:`repro.tsue.TSUEEngine`.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.sim.core import At
@@ -27,12 +25,9 @@ class TSUEStrategy(UpdateStrategy):
     name = "tsue"
     DRAIN_PHASES = 3
 
-    def __init__(self, osd, config: Optional[TSUEConfig] = None, **kwargs):
-        if config is None:
-            config = TSUEConfig(**kwargs)
-        elif kwargs:
-            raise ValueError("pass either a TSUEConfig or keyword overrides")
-        self.engine = TSUEEngine(osd, config)
+    def __init__(self, osd, **params):
+        """``params`` are :class:`~repro.tsue.engine.TSUEConfig` fields."""
+        self.engine = TSUEEngine(osd, TSUEConfig(**params))
         super().__init__(osd)
 
     # ------------------------------------------------------------------

@@ -6,9 +6,12 @@ one of the generator's *tenants* (an ``(inode, records)`` stream — multiple
 tenants give multi-file key sharding), and in-flight requests are bounded by
 ``iodepth`` via a FIFO semaphore over spawned ``client.update`` /
 ``client.read`` processes.  With ``iodepth > 1`` requests genuinely overlap
-(the client records peak concurrency); with :class:`ClosedLoop` arrivals and
-``iodepth=1`` the generator degenerates to the seed's one-outstanding
-replayer, bit-for-bit in its RNG draws.
+(the client records peak concurrency, ``Client.peak_inflight_updates``);
+with :class:`ClosedLoop` arrivals and ``iodepth=1`` the generator
+degenerates to the seed's one-outstanding replayer, bit-for-bit in its RNG
+draws.  A generator issues exactly ``n_requests`` requests and counts
+completions (``completed`` updates, ``reads_completed`` reads); what they
+moved and how long they took is the client's to record.
 
 Reads are served through the normal client read path, which overlays
 logged-but-unrecycled bytes (the TSUE read cache) on device data — the
@@ -40,7 +43,6 @@ class WorkloadSpec:
     # Fraction of requests issued as range reads of the same extent the
     # trace record would have updated (served via the read-overlay path).
     read_fraction: float = 0.0
-    stop_at: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.n_requests < 0:
@@ -83,10 +85,6 @@ class OpenLoopGenerator:
         self.issued = 0
         self.completed = 0
         self.reads_completed = 0
-        self.bytes_written = 0
-        self.bytes_read = 0
-        self.peak_inflight = 0
-        self._inflight = 0
         self._cursors = [0] * len(self.tenants)
         # Per-op dict/attr lookups are hoisted into flat tables:
         # ``(inode, [(offset, size), ...], n_records)`` per tenant.
@@ -138,8 +136,6 @@ class OpenLoopGenerator:
         # live ones.  A failed one stays, so the join sees its failure.
         unfinished = self._unfinished = {}
         for _ in range(spec.n_requests):
-            if spec.stop_at is not None and sim.now >= spec.stop_at:
-                break
             gap = spec.arrivals.next_gap(sim.now, self.rng)
             if gap > 0:
                 yield float(gap)
@@ -148,16 +144,8 @@ class OpenLoopGenerator:
             # slot is taken synchronously (no grant event round trip).
             if not slots.try_acquire():
                 yield slots.request()
-            # Re-check the deadline at the slot grant: with iodepth=1 the
-            # grant lands exactly at the previous completion, matching the
-            # historical closed-loop replayer's issue-time truncation.
-            if spec.stop_at is not None and sim.now >= spec.stop_at:
-                slots.release()
-                break
-            # Draw the op only after the deadline re-check: a request
-            # truncated at the deadline must consume no RNG state and
-            # advance no tenant cursor, so the draw history always matches
-            # `issued` exactly.
+            # The op is drawn at the slot grant, after the arrival gap: RNG
+            # use stays in issue order.
             op = self._next_op()
             self.issued += 1
             unfinished[self.issued] = sim.process(self._issue(op, slots, self.issued))
@@ -168,19 +156,14 @@ class OpenLoopGenerator:
         return self.completed
 
     def _issue(self, op, slots: Resource, key: int):
-        self._inflight += 1
-        self.peak_inflight = max(self.peak_inflight, self._inflight)
         try:
             kind, inode, offset, arg = op
             if kind == "read":
-                data = yield from self.client.read(inode, offset, arg)
+                yield from self.client.read(inode, offset, arg)
                 self.reads_completed += 1
-                self.bytes_read += int(data.size)
             else:
                 yield from self.client.update(inode, offset, arg)
                 self.completed += 1
-                self.bytes_written += int(arg.size)
             del self._unfinished[key]
         finally:
-            self._inflight -= 1
             slots.release()

@@ -101,7 +101,6 @@ def run_scenario(
         partial(_scenario_result, scenario),
         faults=scenario.faults,
         recovery=scenario.recovery,
-        heartbeat_interval=scenario.heartbeat_interval,
         what=f"scenario {name!r}",
     )
 

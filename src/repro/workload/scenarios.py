@@ -67,11 +67,10 @@ class Scenario:
     make_records: Optional[Callable] = None
     # Fault schedule fired alongside the workload (empty = no failures),
     # and whether an MDS watcher (heartbeat detection + rebuild + restore)
-    # runs to heal crash-mode failures.  The heartbeat interval also paces
-    # the MDS detection timeout and the watcher's poll.
+    # runs to heal crash-mode failures, paced by the run protocol's
+    # ``HEARTBEAT_INTERVAL_S``.
     faults: Tuple[FaultEvent, ...] = ()
     recovery: bool = False
-    heartbeat_interval: float = 0.002
     # Native scale: used when the runner does not pass an explicit client /
     # request count (None there means "the scenario's own size").  Lets
     # large-scale scenarios like ``scale_up`` carry their intended size

@@ -54,24 +54,6 @@ def test_profile_type_enforcement():
         HDD(sim, profile=SSD_DATACENTER_400GB)
 
 
-def test_auto_classification_by_zone_head():
-    sim = Simulator()
-    ssd = SSD(sim)
-    assert ssd.classify("log", 0, 100) is False  # first touch: random
-    assert ssd.classify("log", 100, 50) is True  # continues
-    assert ssd.classify("log", 500, 50) is False  # jump
-    assert ssd.classify("log", 550, 50) is True
-
-
-def test_zones_have_independent_heads():
-    sim = Simulator()
-    ssd = SSD(sim)
-    ssd.classify("a", 0, 10)
-    ssd.classify("b", 100, 10)
-    assert ssd.classify("a", 10, 10) is True
-    assert ssd.classify("b", 110, 10) is True
-
-
 def test_read_write_advance_clock_and_count():
     sim = Simulator()
     ssd = SSD(sim)
@@ -354,5 +336,5 @@ def test_project_has_exactly_two_callers_and_read_write_no_cost_logic():
         body = inspect.getsource(getattr(StorageDevice, name))
         assert f"yield At(self.submit_{name}(" in body
         assert not re.search(
-            r"service_time|counters|wear|_trace|_project|_resolve_pattern", body
+            r"service_time|counters|wear|_trace|_project|_sequential", body
         )

@@ -13,6 +13,7 @@ from repro.recovery import (
     scrub,
     watch_and_recover,
 )
+from repro.recovery.rebalance import _stripe_has_pending
 from repro.recovery.recovery import _repair_stripes
 from repro.sim import Simulator
 from repro.update import make_strategy_factory
@@ -136,8 +137,9 @@ def test_rpc_to_stopped_host_blocks_until_restart():
 # scrub: per-stripe pending scope + skip reporting (satellite)
 # ----------------------------------------------------------------------
 def test_scrub_pending_check_is_per_stripe():
-    """One stripe's pending parity log must not make the scrubber skip
-    clean stripes (the old check was cluster-global)."""
+    """One stripe's pending parity log must not make a clean stripe read
+    as pending (the old check was cluster-global): the rebalance settle
+    poll would wait on it, and a scrub checks it."""
     sim, cluster = build("pl", seed=31)
     load(cluster, inode=900)
     client = cluster.add_client("c0")
@@ -147,14 +149,14 @@ def test_scrub_pending_check_is_per_stripe():
         yield from client.update(900, 0, np.full(64, 9, dtype=np.uint8))
 
     run_to(sim, sim.process(upd()))
+    assert _stripe_has_pending(cluster, 900, 0)
+    assert not _stripe_has_pending(cluster, 900, 1)
     report = run_to(sim, sim.process(scrub(cluster, [(900, 0), (900, 1)])))
-    # Stripe 0 has the pending delta and is skipped *by key*; stripe 1 is
-    # clean and still gets checked.
-    assert report.skipped == [(900, 0)]
-    assert report.stripes_skipped == 1
-    assert report.stripes_checked == 1
-    assert report.clean
+    # Stripe 0's parity lags its pending delta; stripe 1 is clean.
+    assert report.mismatches == [(900, 0)]
+    assert report.stripes_checked == 2 and not report.skipped
     run_to(sim, sim.process(drain_all(cluster)))
+    assert not _stripe_has_pending(cluster, 900, 0)
     report2 = run_to(sim, sim.process(scrub(cluster, [(900, 0), (900, 1)])))
     cluster.stop()
     assert report2.stripes_checked == 2 and report2.clean
@@ -219,7 +221,7 @@ def test_recovery_reports_mismatched_keys():
     # from (memory corruption invisible to the drain).
     saboteur = cluster.osd_by_name(names[0])
     saboteur.store.fold_xor((600, 0, 0), 11, np.array([0xFF], dtype=np.uint8))
-    res = recover_node(cluster, victim, restore=False)
+    res = recover_node(cluster, victim)
     cluster.stop()
     assert not res.correct
     assert (600, 0, 3) in res.mismatched

@@ -196,7 +196,7 @@ def test_crash_between_forward_and_overwrite_heals(method):
     run_to(sim, sim.process(drain_all(cluster)))
     targets = [(INODE, 0), (INODE, 1)]
     assert all(cluster.stripe_consistent(*t) for t in targets)
-    report = run_to(sim, sim.process(scrub(cluster, targets, force=True)))
+    report = run_to(sim, sim.process(scrub(cluster, targets)))
     cluster.stop()
     assert report.clean and report.stripes_checked == 2
     assert np.array_equal(

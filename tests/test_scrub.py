@@ -6,7 +6,6 @@ import pytest
 from repro.cluster import Cluster, ClusterConfig
 from repro.harness.experiment import drain_all
 from repro.recovery import scrub
-from repro.recovery.scrub import _stripe_has_pending
 from repro.sim import Simulator
 from repro.update import STRATEGIES, make_strategy_factory
 
@@ -68,49 +67,40 @@ def test_scrub_detects_data_corruption_too():
     assert not report.clean
 
 
-def test_scrub_skips_stripes_with_pending_logs():
-    sim, cluster = build("pl")
-    client = cluster.add_client("c0")
-
-    def upd():
-        yield from client.update(900, 0, np.full(64, 9, dtype=np.uint8))
-
-    run_to(sim, sim.process(upd()))
-    # Parity logs now hold a pending delta: scrub must skip, not report.
-    report = run_to(sim, sim.process(scrub(cluster, [(900, 0)])))
-    assert report.stripes_skipped == 1 and report.stripes_checked == 0
-    # After drain, the same stripe scrubs clean.
-    run_to(sim, sim.process(drain_all(cluster)))
-    report2 = run_to(sim, sim.process(scrub(cluster, [(900, 0)])))
-    cluster.stop()
-    assert report2.clean and report2.stripes_checked == 1
-
-
 @pytest.mark.parametrize("method", sorted(STRATEGIES))
 def test_scrub_skips_stripes_with_pending_logs_mid_drain(method):
-    """At every kernel step of a drain, a stripe whose parity lags is
-    reported pending by some member — so an unforced scrub skips it
-    instead of reporting a false mismatch.  A recycle that pops its log
-    entries and then patches across yields must keep the stripe pending
-    until its parity writes land."""
+    """The pin ledger is exact: at every kernel step of a drain, a stripe
+    whose parity lags is reported pending by some member's
+    ``stripe_pending``.  A recycle that pops its log entries and then
+    patches across yields must keep the stripe pending until its parity
+    writes land.  The reader is a live rebalance's settle poll, which
+    copies a stripe only once no member reports it pending; PL and FL hold
+    the whole update in their logs until this drain."""
     sim, cluster = build(method)
     client = cluster.add_client("c0")
     run_to(sim, sim.process(client.update(900, 0, np.full(64, 9, dtype=np.uint8))))
-    report = run_to(sim, sim.process(scrub(cluster, [(900, 0)])))
-    assert report.clean
+    members = [cluster.osd_by_name(n).strategy for n in cluster.placement(900, 0)]
+
+    def pending():
+        return any(strategy.stripe_pending(900, 0) for strategy in members)
+
+    if method in ("pl", "fl"):
+        assert pending()
     drain = sim.process(drain_all(cluster))
     steps = 0
     while not drain.fired:
         sim.step()
         steps += 1
-        assert (cluster.stripe_consistent(900, 0)
-                or _stripe_has_pending(cluster, 900, 0)), f"step {steps}"
+        assert cluster.stripe_consistent(900, 0) or pending(), f"step {steps}"
+    assert not pending()
     report = run_to(sim, sim.process(scrub(cluster, [(900, 0)])))
     cluster.stop()
     assert report.clean and report.stripes_checked == 1
 
 
 def test_force_scrub_reports_parity_lag_as_mismatch():
+    """A scrub checks what the blocks hold now: before a drain, PL's
+    parity lags its data and the stripe reads as a mismatch."""
     sim, cluster = build("pl")
     client = cluster.add_client("c0")
 
@@ -118,9 +108,9 @@ def test_force_scrub_reports_parity_lag_as_mismatch():
         yield from client.update(900, 0, np.full(64, 9, dtype=np.uint8))
 
     run_to(sim, sim.process(upd()))
-    report = run_to(sim, sim.process(scrub(cluster, [(900, 0)], force=True)))
+    report = run_to(sim, sim.process(scrub(cluster, [(900, 0)])))
     cluster.stop()
-    # The data block moved ahead of parity: force-scrub sees the lag.
+    # The data block moved ahead of parity: the scrub sees the lag.
     assert report.mismatches == [(900, 0)]
 
 

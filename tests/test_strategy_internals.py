@@ -184,7 +184,7 @@ def test_plr_appends_are_random_writes():
 @pytest.mark.parametrize("during_recycle", [False, True],
                          ids=["same-instant", "during-recycle"])
 def test_plr_concurrent_appends_claim_distinct_region_space(during_recycle):
-    from repro.update.plr import PLR_HEADER
+    from repro.logstruct.unit import ENTRY_HEADER_BYTES
 
     sim, cluster, client, inode = build("plr")
     pkey = (inode, 0, K)
@@ -193,13 +193,13 @@ def test_plr_concurrent_appends_claim_distinct_region_space(during_recycle):
     offsets = []
     submit_write = osd.device.submit_write
 
-    def spy(nbytes, zone="data", offset=0, *args):
+    def spy(nbytes, zone="data", offset=0, **kwargs):
         if zone == f"plr:{pkey}":
             offsets.append(offset)
-        return submit_write(nbytes, zone, offset, *args)
+        return submit_write(nbytes, zone, offset, **kwargs)
 
     osd.device.submit_write = spy
-    entry = PLR_HEADER + 64
+    entry = ENTRY_HEADER_BYTES + 64
 
     def append():
         msg = SimpleNamespace(payload={
@@ -223,7 +223,6 @@ def test_plr_concurrent_appends_claim_distinct_region_space(during_recycle):
     cluster.stop()
     # Two entries logged since the region was last empty: both must be
     # accounted for, at distinct offsets.
-    assert len(strat.region_entries[pkey]) == 2
     assert strat.region_used[pkey] == 2 * entry  # reads 96, not 192
     assert len(set(offsets)) == 2
 
@@ -269,15 +268,24 @@ def test_cord_network_cheaper_than_fo_at_m_ge_2():
 # ----------------------------------------------------------------------
 # PL / FL
 # ----------------------------------------------------------------------
-def test_pl_defers_until_threshold():
-    sim, cluster, client, inode = build("pl", recycle_threshold_bytes=1024)
+def test_pl_logs_without_recycling_until_drain():
+    """PL's recycle is indefinitely delayed (§5.2): every parity delta stays
+    in the log, and parity stays stale, until a drain folds them in."""
+    sim, cluster, client, inode = build("pl")
     drive(sim, client, inode, 20, size=512)
-    # The small threshold forced in-line recycles; logs stay bounded.
-    max_pending = max(o.strategy.log_bytes for o in cluster.osds)
+    # Every in-place write so far is a data-block piece of an update (one
+    # that straddles two blocks is two pieces); each piece logged M deltas
+    # and no parity block has been rewritten.
+    pieces = cluster.total_ops().overwrite_ops
+    logged = sum(o.strategy.log_bytes for o in cluster.osds)
+    entries = sum(len(v) for o in cluster.osds for v in o.strategy.log_entries.values())
+    assert logged == 20 * M * 512 and entries == M * pieces
+    assert not all(cluster.stripe_consistent(inode, s) for s in range(2))
     run_to(sim, sim.process(drain_all(cluster)))
     cluster.stop()
-    assert max_pending <= 1024 + 512
-    assert cluster.stripe_consistent(inode, 0)
+    assert sum(o.strategy.log_bytes for o in cluster.osds) == 0
+    for s in range(2):
+        assert cluster.stripe_consistent(inode, s)
 
 
 def test_fl_threshold_recycle_and_read_overlay():

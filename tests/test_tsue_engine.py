@@ -527,6 +527,6 @@ def test_primary_crash_between_submit_and_ack_is_retried_and_drains_clean():
     run_to(sim, sim.process(drain_all(cluster)))
     targets = [(inode, 0), (inode, 1)]
     assert all(cluster.stripe_consistent(*t) for t in targets)
-    report = run_to(sim, sim.process(scrub(cluster, targets, force=True)))
+    report = run_to(sim, sim.process(scrub(cluster, targets)))
     cluster.stop()
     assert report.clean and report.stripes_checked == 2

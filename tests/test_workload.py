@@ -172,11 +172,8 @@ def test_iodepth_overlaps_inflight_updates():
     run_to(sim, sim.process(drain_all(cluster)))
     cluster.stop()
     assert done == 30 and gen.completed == 30
-    # In-flight updates genuinely overlapped, both as seen by the generator
-    # and by the client's own accounting.
-    assert gen.peak_inflight > 1
-    assert client.peak_inflight_updates > 1
-    assert gen.peak_inflight <= 6
+    # In-flight updates genuinely overlapped, within the iodepth bound.
+    assert 1 < client.peak_inflight_updates <= 6
     assert cluster.stripe_consistent(inode, 0)
     assert cluster.stripe_consistent(inode, 1)
 
@@ -191,7 +188,6 @@ def test_iodepth_one_never_overlaps():
     )
     run_to(sim, sim.process(gen.run()))
     cluster.stop()
-    assert gen.peak_inflight == 1
     assert client.peak_inflight_updates == 1
 
 
@@ -225,7 +221,7 @@ def test_read_fraction_splits_ops():
     cluster.stop()
     assert gen.completed > 0 and gen.reads_completed > 0
     assert gen.completed + gen.reads_completed == 40
-    assert gen.bytes_read > 0
+    assert len(client.read_latency) == gen.reads_completed
 
 
 def test_all_reads_touch_no_parity():
@@ -274,8 +270,8 @@ def test_trace_replayer_is_closed_loop_generator():
     done = run_to(sim, sim.process(rep.run()))
     cluster.stop()
     assert done == 12 and rep.completed == 12
-    assert rep.bytes_written == sum(r.size for r in recs)
-    assert rep.peak_inflight == 1  # still strictly one outstanding update
+    assert len(client.update_latency) == 12
+    assert client.peak_inflight_updates == 1  # strictly one outstanding update
 
 
 def test_trace_replayer_payload_stream_unchanged():
@@ -295,42 +291,4 @@ def test_trace_replayer_payload_stream_unchanged():
         expect = fresh.integers(0, 256, rec.size, dtype=np.uint8)
         got = run_to(sim, sim.process(rd(rec.offset, rec.size)))
         assert np.array_equal(got, expect)
-    cluster.stop()
-
-
-def test_trace_replayer_stop_at_truncates():
-    sim, cluster, client, inode = build()
-    rep = TraceReplayer(
-        client, inode, records(50), np.random.default_rng(13), stop_at=0.0005
-    )
-    done = run_to(sim, sim.process(rep.run()))
-    cluster.stop()
-    assert 0 < done < 50
-
-
-def test_stop_at_truncation_consumes_no_rng_or_cursor_state():
-    """A request truncated at the deadline re-check must not have drawn its
-    op: RNG draws and tenant cursors advance exactly once per *issued*
-    request, so the payload stream stays re-derivable from `issued`."""
-    sim, cluster, client, inode = build()
-    gen = OpenLoopGenerator(
-        client,
-        [(inode, records(50))],
-        np.random.default_rng(21),
-        WorkloadSpec(arrivals=ClosedLoop(), n_requests=50, iodepth=1,
-                     stop_at=0.0005),
-    )
-    run_to(sim, sim.process(gen.run()))
-    run_to(sim, sim.process(drain_all(cluster)))
-    assert 0 < gen.issued < 50  # the deadline genuinely truncated the run
-    assert sum(gen._cursors) == gen.issued
-    # The generator's RNG advanced once per *issued* payload and no
-    # further: a fresh stream replayed `issued` times is in lockstep.
-    fresh = np.random.default_rng(21)
-    for rec in records(50)[: gen.issued]:
-        fresh.integers(0, 256, rec.size, dtype=np.uint8)
-    assert np.array_equal(
-        gen.rng.integers(0, 256, 16, dtype=np.uint8),
-        fresh.integers(0, 256, 16, dtype=np.uint8),
-    )
     cluster.stop()
