@@ -78,6 +78,8 @@ class TwoLevelIndex:
     PARIX hands the same original/latest array to every parity OSD.
     """
 
+    __slots__ = ("policy", "_blocks")
+
     def __init__(self, policy: str = "overwrite"):
         if policy not in ("overwrite", "xor"):
             raise ValueError(f"policy must be 'overwrite' or 'xor', got {policy!r}")

@@ -6,15 +6,25 @@ and are reactivated (oldest first) when the appender needs a fresh unit.
 The pool grows on demand up to ``max_units`` and can shrink back to
 ``min_units`` when idle — the elasticity of §3.2.2.
 
-The pool is simulator-agnostic: the engine wires ``seal_listener`` to wake
-its recycler and handles the "no unit available" (memory quota) case by
-waiting until a recycle completes.
+Units come on the first append.  Until then the ``min_units`` reservation
+is arithmetic: ``unit_count``, ``memory_bytes`` and ``peak_memory_bytes``
+report it, ``units`` is empty and ``active`` is ``None``, and every path
+that only reads the pool (lookups, ``flush_active``, ``shrink``,
+``has_pending_recycle``) answers what an empty reservation would.  The
+first append builds exactly that reservation — ids ``0..min_units-1``, the
+last one active, the others RECYCLED — so no simulated quantity depends
+on when it was built.  A cluster builds thousands of pools, and some never
+take an append.
+
+The pool is simulator-agnostic: the engine wires ``seal_listener`` (called
+with the pool and the sealed unit) to wake its recycler and handles the
+"no unit available" (memory quota) case by waiting until a recycle
+completes.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Hashable, List, Optional, Tuple
+from typing import Callable, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +36,11 @@ from repro.logstruct.unit import ENTRY_HEADER_BYTES, LogUnit
 
 class LogPool:
     """A FIFO queue of :class:`LogUnit` with one active appender."""
+
+    __slots__ = (
+        "unit_capacity", "min_units", "max_units", "policy", "name", "keep_raw",
+        "units", "seal_listener", "peak_units", "total_seals", "_active", "_next_id",
+    )
 
     def __init__(
         self,
@@ -48,19 +63,24 @@ class LogPool:
         self.keep_raw = keep_raw
         self._next_id = 0
         # Queue order: oldest (head) .. newest; the active unit is the tail.
-        self.units: Deque[LogUnit] = deque()
-        self.seal_listener: Optional[Callable[[LogUnit], None]] = None
-        self.peak_units = 0
+        # Empty until the first append builds the reservation (``_build``).
+        self.units: List[LogUnit] = []
+        self.seal_listener: Optional[Callable[["LogPool", LogUnit], None]] = None
+        self.peak_units = min_units
         self.total_seals = 0
-        for _ in range(min_units):
-            self._new_unit()
-        self._active: Optional[LogUnit] = self.units[-1] if self.units else None
-        # All but the designated active start RECYCLED so they are reusable
-        # read-cache slots rather than phantom appenders.
-        for u in list(self.units)[:-1]:
-            u.state = UnitState.RECYCLED
+        self._active: Optional[LogUnit] = None
 
     # ------------------------------------------------------------------
+    def _build(self) -> None:
+        """The ``min_units`` reservation, as units: all but the designated
+        active one start RECYCLED, reusable read-cache slots rather than
+        phantom appenders."""
+        for _ in range(self.min_units):
+            self._new_unit()
+        self._active = self.units[-1]
+        for unit in self.units[:-1]:
+            unit.state = UnitState.RECYCLED
+
     def _new_unit(self) -> LogUnit:
         unit = LogUnit(
             self.unit_capacity,
@@ -79,12 +99,13 @@ class LogPool:
 
     @property
     def unit_count(self) -> int:
-        return len(self.units)
+        """Live units; the reservation before the first append builds it."""
+        return len(self.units) or self.min_units
 
     @property
     def memory_bytes(self) -> int:
         """Current memory footprint: all live units' capacity."""
-        return len(self.units) * self.unit_capacity
+        return self.unit_count * self.unit_capacity
 
     @property
     def peak_memory_bytes(self) -> int:
@@ -125,9 +146,10 @@ class LogPool:
         self, key: Hashable, offset: int, data: np.ndarray, now: float
     ) -> bool:
         if self._active is None:
-            if not self._activate_next(now):
+            if not self.units:
+                self._build()
+            elif not self._activate_next(now):
                 return False
-        assert self._active is not None
         if self._active.append(key, offset, data, now):
             return True
         # Unit full: seal and rotate.
@@ -158,7 +180,7 @@ class LogPool:
         self.total_seals += 1
         self._active = None
         if self.seal_listener is not None:
-            self.seal_listener(unit)
+            self.seal_listener(self, unit)
 
     def _activate_next(self, now: float) -> bool:
         # Prefer the oldest RECYCLED unit (FIFO reuse frees its cache last).

@@ -39,6 +39,12 @@ class LogEntry:
 class LogUnit:
     """A fixed-capacity append log with a two-level index."""
 
+    __slots__ = (
+        "capacity", "unit_id", "keep_raw", "state", "index", "used", "entries",
+        "first_append_time", "sealed_time", "recycle_start_time",
+        "recycle_done_time",
+    )
+
     def __init__(
         self,
         capacity: int,

@@ -13,9 +13,21 @@ kernel loaded (its numpy fallback is code of this package).
 The ledger is :data:`SLICE` at seed 1: ``steady`` on all seven methods,
 the ghost-plane ``scale_out`` tier and ``rebuild_under_load`` on TSUE.
 Each cell runs once untraced first, so lazy imports and first-use caches
-are not charged to requests.  The ledger also carries the slice's kernel
-events (``ScenarioResult.perf["events"]`` summed, total and per request),
-the other deterministic host-work counter.  ``python -m
+are not charged to requests.
+
+The count is split in two phases.  ``build`` is everything executed
+inside the run protocol's build step — the frame of
+``repro.harness.experiment.build_cluster`` and every frame it calls: the
+simulator, the cluster, its hosts and their strategies' state.  ``drive``
+is the rest: attaching the workload, the run, the drain, the gates and
+the aggregation.  A build cost is paid once per cluster whatever the run
+does, a drive cost per request, so ``per_request`` is ``drive`` divided by
+the slice's requests; the ledger reports both phases per package and in
+total.  This module's own frames (the cell loop) are not counted.
+
+The ledger also carries the slice's kernel events
+(``ScenarioResult.perf["events"]`` summed, total and per request), the
+other deterministic host-work counter.  ``python -m
 repro.metrics.instructions`` prints it as JSON; the committed copy is
 ``BENCH_instructions.json`` at the repo root, and
 ``tests/test_instructions.py`` recomputes it exactly.  A change that moves
@@ -43,6 +55,7 @@ SLICE: Tuple[Cell, ...] = (
 )
 
 _ROOT = os.path.dirname(os.path.dirname(__file__)) + os.sep
+PHASES = ("build", "drive")
 
 
 def run_cells(cells: Iterable[Cell]) -> int:
@@ -57,19 +70,25 @@ def run_cells(cells: Iterable[Cell]) -> int:
     )
 
 
-def count(cells: Iterable[Cell]) -> Dict[str, int]:
+def count(cells: Iterable[Cell]) -> Dict[str, Dict[str, int]]:
     """Instructions executed in this package's frames while ``cells`` run,
-    per top-level subpackage (after one untraced warm-up pass)."""
+    per phase (:data:`PHASES`) and top-level subpackage (after one
+    untraced warm-up pass)."""
+    from repro.harness.experiment import build_cluster
+
     cells = tuple(cells)
     run_cells(cells)
-    hits: Dict[str, int] = {}
+    counts: Dict[str, Dict[str, int]] = {phase: {} for phase in PHASES}
+    hits = counts["drive"]  # the phase being counted
     tracers: Dict[str, object] = {}
+    build_code = build_cluster.__code__
 
     def tracer_for(filename):
-        if not filename.startswith(_ROOT):
+        if not filename.startswith(_ROOT) or filename == __file__:
             return None
         pkg = os.path.splitext(filename[len(_ROOT):].split(os.sep, 1)[0])[0]
-        hits.setdefault(pkg, 0)
+        for phase in counts.values():
+            phase.setdefault(pkg, 0)
 
         def local(frame, event, arg):
             if event == "opcode":
@@ -78,15 +97,33 @@ def count(cells: Iterable[Cell]) -> Dict[str, int]:
 
         return local
 
+    def in_build(local):
+        """``local`` for the build step's own frame: its return ends the
+        build phase."""
+
+        def tracer(frame, event, arg):
+            nonlocal hits
+            local(frame, event, arg)
+            if event == "return":
+                hits = counts["drive"]
+            return tracer
+
+        return tracer
+
     def enter(frame, event, arg):
-        filename = frame.f_code.co_filename
+        nonlocal hits
+        code = frame.f_code
         try:
-            local = tracers[filename]
+            local = tracers[code.co_filename]
         except KeyError:
-            local = tracers[filename] = tracer_for(filename)
-        if local is not None:
-            frame.f_trace_lines = False
-            frame.f_trace_opcodes = True
+            local = tracers[code.co_filename] = tracer_for(code.co_filename)
+        if local is None:
+            return None
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        if code is build_code:
+            hits = counts["build"]
+            return in_build(local)
         return local
 
     # No collection may resume a traced frame at a host-dependent point.
@@ -96,7 +133,7 @@ def count(cells: Iterable[Cell]) -> Dict[str, int]:
             run_cells(cells)
         finally:
             sys.settrace(None)
-    return dict(sorted(hits.items()))
+    return {phase: dict(sorted(hits.items())) for phase, hits in counts.items()}
 
 
 def ledger() -> dict:
@@ -104,13 +141,14 @@ def ledger() -> dict:
     events = run_cells(SLICE)
     counts = count(SLICE)
     requests = sum(clients * per for _n, _m, clients, per in SLICE)
-    total = sum(counts.values())
+    totals = {phase: sum(counts[phase].values()) for phase in PHASES}
     return {
         "python": "%d.%d" % sys.version_info[:2],
         "numpy": np.__version__,
         "requests": requests,
-        "total": total,
-        "per_request": round(total / requests, 1),
+        "total": sum(totals.values()),
+        **totals,
+        "per_request": round(totals["drive"] / requests, 1),
         "events": events,
         "events_per_request": round(events / requests, 2),
         "instructions": counts,

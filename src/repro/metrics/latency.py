@@ -150,17 +150,33 @@ class IntervalSeries:
         return sum(self.values) / len(self.values) if self.values else 0.0
 
 
-@dataclass
 class _Phase:
-    total: float = 0.0
-    n: int = 0
+    """One (layer, phase) accumulator: a running total and a sample count."""
 
-    def add(self, seconds: float) -> None:
-        self.total += seconds
-        self.n += 1
+    __slots__ = ("total", "n")
+
+    def __init__(self) -> None:
+        self.total = 0.0
+        self.n = 0
 
     def mean_us(self) -> float:
         return 1e6 * self.total / self.n if self.n else 0.0
+
+
+_UNRECORDED = _Phase()  # what a phase with no sample reads as; never added to
+
+
+class _Accumulators(dict):
+    """(layer, phase) -> :class:`_Phase`, each created by its first sample;
+    a layer :class:`ResidencyTracker` does not know raises ``KeyError``."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: Tuple[str, str]) -> _Phase:
+        if key[0] not in ResidencyTracker.LAYERS:
+            raise KeyError(key)
+        acc = self[key] = _Phase()
+        return acc
 
 
 class ResidencyTracker:
@@ -175,44 +191,58 @@ class ResidencyTracker:
       message's last persist completing;
     * ``buffer`` — wait between append and recycle start (recycler);
     * ``recycle`` — per-entry processing time inside the recycler.
+
+    There is one tracker per TSUE engine, so an accumulator is created by
+    the first sample of its phase; a phase never recorded reads as zero.
     """
 
     LAYERS = ("data_log", "delta_log", "parity_log")
     PHASES = ("append", "buffer", "recycle")
 
+    __slots__ = ("_acc",)
+
     def __init__(self) -> None:
-        self._acc: Dict[str, Dict[str, _Phase]] = {
-            layer: {phase: _Phase() for phase in self.PHASES} for layer in self.LAYERS
-        }
+        # Reads use ``get``: only a recorded sample creates an accumulator.
+        self._acc = _Accumulators()
 
     def record_append(self, layer: str, seconds: float) -> None:
-        self._acc[layer]["append"].add(seconds)
+        acc = self._acc[layer, "append"]
+        acc.total += seconds
+        acc.n += 1
 
     def record_buffer(self, layer: str, seconds: float) -> None:
-        self._acc[layer]["buffer"].add(seconds)
+        acc = self._acc[layer, "buffer"]
+        acc.total += seconds
+        acc.n += 1
 
     def record_recycle(self, layer: str, seconds: float) -> None:
-        self._acc[layer]["recycle"].add(seconds)
+        acc = self._acc[layer, "recycle"]
+        acc.total += seconds
+        acc.n += 1
+
+    def _read(self, layer: str) -> List[_Phase]:
+        if layer not in self.LAYERS:
+            raise KeyError(layer)
+        get = self._acc.get
+        return [get((layer, phase), _UNRECORDED) for phase in self.PHASES]
 
     def mean_us(self, layer: str) -> Tuple[float, float, float]:
         """(append, buffer, recycle) mean residency in microseconds."""
-        acc = self._acc[layer]
-        return tuple(acc[phase].mean_us() for phase in self.PHASES)
+        return tuple(p.mean_us() for p in self._read(layer))
 
     def total_time_us(self) -> float:
         """End-to-end mean residency across the three layers, in µs."""
         return sum(sum(self.mean_us(layer)) for layer in self.LAYERS)
 
     def samples(self, layer: str) -> int:
-        return max(p.n for p in self._acc[layer].values())
+        return max(p.n for p in self._read(layer))
 
     def merge(self, other: "ResidencyTracker") -> "ResidencyTracker":
         """Combine trackers from several OSD engines."""
         out = ResidencyTracker()
         for src in (self, other):
-            for layer in self.LAYERS:
-                for phase in self.PHASES:
-                    p = src._acc[layer][phase]
-                    out._acc[layer][phase].total += p.total
-                    out._acc[layer][phase].n += p.n
+            for key, p in src._acc.items():
+                acc = out._acc[key]
+                acc.total += p.total
+                acc.n += p.n
         return out

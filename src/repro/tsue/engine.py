@@ -34,9 +34,9 @@ to the ParityLogs, one message per parity block per data delta).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Hashable, List, Tuple
+from functools import lru_cache
+from typing import Dict, Hashable, List, Tuple
 
 import numpy as np
 
@@ -56,6 +56,17 @@ PARITY = "parity_log"
 # Recycle jobs a layer runs at once while nobody waits on it (see
 # ``TSUEEngine._take``); DataLog is the hot layer.
 BACKGROUND_WIDTH = {DATA: 2, DELTA: 1, PARITY: 1}
+
+# A pool's name is its device zone: ``dlog0``, ``xlog0``, ``plog0``, ...
+_ZONE_PREFIX = {DATA: "dlog", DELTA: "xlog", PARITY: "plog"}
+# The layer of a zone, by the zone's first letter.
+_ZONE_LAYER = {prefix[0]: layer for layer, prefix in _ZONE_PREFIX.items()}
+
+
+@lru_cache(maxsize=None)
+def _zone_names(layer: str, n_pools: int) -> Tuple[str, ...]:
+    """The names of one layer's pools: the same strings on every OSD."""
+    return tuple(f"{_ZONE_PREFIX[layer]}{i}" for i in range(n_pools))
 
 
 @dataclass
@@ -102,25 +113,18 @@ class TSUEEngine:
         self.config = cfg = config
         self.residency = ResidencyTracker()
 
-        self.data_pools = [
-            LogPool(name=f"{osd.name}.dlog{i}", **cfg.pool_kwargs("overwrite", not cfg.use_locality_data))
-            for i in range(cfg.n_pools)
-        ]
-        self.delta_pools = [
-            LogPool(name=f"{osd.name}.xlog{i}", **cfg.pool_kwargs("xor", False))
-            for i in range(cfg.n_pools)
-        ]
-        self.parity_pools = [
-            LogPool(name=f"{osd.name}.plog{i}", **cfg.pool_kwargs("xor", not cfg.use_locality_parity))
-            for i in range(cfg.n_pools)
-        ]
+        # Units come on a pool's first append (``LogPool._build``).
+        self.data_pools = self._make_pools(DATA, cfg.pool_kwargs("overwrite", not cfg.use_locality_data))
+        self.delta_pools = self._make_pools(DELTA, cfg.pool_kwargs("xor", False))
+        self.parity_pools = self._make_pools(PARITY, cfg.pool_kwargs("xor", not cfg.use_locality_parity))
         self._pending: Dict[str, int] = {DATA: 0, DELTA: 0, PARITY: 0}
         self._idle_waiters: Dict[str, List[Event]] = {DATA: [], DELTA: [], PARITY: []}
         # Parked appenders per layer: pool id -> wake events.
         self._space_waiters: Dict[str, Dict[int, List[Event]]] = {DATA: {}, DELTA: {}, PARITY: {}}
         # Admission state (see _take): each layer's ready (key, job, unit
-        # state) triples in seal order, and the keys with a job in flight.
-        self._ready: Dict[str, Deque[tuple]] = {DATA: deque(), DELTA: deque(), PARITY: deque()}
+        # state) triples in seal order, created by the layer's first seal,
+        # and the keys with a job in flight.
+        self._ready: Dict[str, List[tuple]] = {}
         self._busy: Dict[str, set] = {DATA: set(), DELTA: set(), PARITY: set()}
         # Work counters: jobs admitted with nobody / somebody blocked on
         # their layer.
@@ -132,17 +136,14 @@ class TSUEEngine:
         self._procs = []  # the flusher and the live runners, in spawn order
         self._running = False
 
-        # Device zone per pool, precomputed once: the append path is the
-        # hottest front-end code and must not scan the pool list per call.
-        self._pool_zone: Dict[int, str] = {}
-        for layer, prefix, pools in (
-            (DATA, "dlog", self.data_pools),
-            (DELTA, "xlog", self.delta_pools),
-            (PARITY, "plog", self.parity_pools),
-        ):
-            for i, pool in enumerate(pools):
-                pool.seal_listener = self._make_seal_listener(layer, pool)
-                self._pool_zone[id(pool)] = f"{prefix}{i}"
+    def _make_pools(self, layer: str, kwargs: dict) -> List[LogPool]:
+        """One layer's pools, named by their zones, sharing one seal
+        callback (it receives the pool)."""
+        pools = [LogPool(name=name, **kwargs) for name in _zone_names(layer, self.config.n_pools)]
+        on_seal = self._on_seal
+        for pool in pools:
+            pool.seal_listener = on_seal
+        return pools
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -154,7 +155,7 @@ class TSUEEngine:
         self._procs.append(
             self.sim.process(self._flush_loop(), name=f"{self.osd.name}.flush")
         )
-        for layer in self._ready:  # units sealed while the engine was stopped
+        for layer in (DATA, DELTA, PARITY):  # units sealed while stopped
             self._pump(layer)
 
     def stop(self) -> None:
@@ -172,28 +173,27 @@ class TSUEEngine:
     def _pool_for(self, pools: List[LogPool], key: Hashable) -> LogPool:
         return pools[hash(key) % len(pools)]
 
-    def _make_seal_listener(self, layer: str, pool: LogPool):
-        def on_seal(unit: LogUnit) -> None:
-            self._pending[layer] += 1
-            unit.start_recycle(self.sim.now)
-            jobs = self._unit_jobs(layer, unit)
-            state = {
-                "left": len(jobs),
-                "layer": layer,
-                "pool": pool,
-                "unit": unit,
-                "t0": self.sim.now,
-            }
-            if not jobs:
-                self._finish_unit(state)
-                return
-            self._ready[layer].extend((key, fn, state) for key, fn in jobs)
-            self._pump(layer)
-
-        return on_seal
+    def _on_seal(self, pool: LogPool, unit: LogUnit) -> None:
+        """Every pool's seal listener: queue the unit's recycle jobs."""
+        layer = _ZONE_LAYER[pool.name[0]]
+        self._pending[layer] += 1
+        unit.start_recycle(self.sim.now)
+        jobs = self._unit_jobs(layer, unit)
+        state = {
+            "left": len(jobs),
+            "layer": layer,
+            "pool": pool,
+            "unit": unit,
+            "t0": self.sim.now,
+        }
+        if not jobs:
+            self._finish_unit(state)
+            return
+        self._ready.setdefault(layer, []).extend((key, fn, state) for key, fn in jobs)
+        self._pump(layer)
 
     def _wait_space(self, layer: str, pool: LogPool) -> Event:
-        ev = self.sim.event(name=f"space:{pool.name}")
+        ev = self.sim.event(name=f"space:{self.osd.name}.{pool.name}")
         self._space_waiters[layer].setdefault(id(pool), []).append(ev)
         self._pump(layer)
         return ev
@@ -225,7 +225,7 @@ class TSUEEngine:
         yield from self._pool_append(DATA, pool, key, offset, data)
         return self.osd.device.submit_write(
             int(data.size) + ENTRY_HEADER_BYTES,
-            zone=self._pool_zone[id(pool)],
+            zone=pool.name,
             pattern="seq",
             overwrite=False,
         )
@@ -249,7 +249,7 @@ class TSUEEngine:
             pool = self._pool_for(self.delta_pools, key)
             for offset, delta in entries:
                 yield from self._pool_append(DELTA, pool, key, offset, delta)
-            zone = self._pool_zone[id(pool)]
+            zone = pool.name
         else:
             zone = "xlog_rep"
         yield from self.osd.device.write(
@@ -291,7 +291,7 @@ class TSUEEngine:
         """
         t0 = self.sim.now
         pool = self._pool_for(self.parity_pools, pkey)
-        zone = self._pool_zone[id(pool)]
+        zone = pool.name
         covered = self._covered(pkey)
         for offset, pdelta in entries:
             yield from self._pool_append(PARITY, pool, pkey, offset, pdelta)
@@ -379,7 +379,7 @@ class TSUEEngine:
         busy = self._busy[layer]
         if not self._running or len(busy) >= self._width(layer):
             return None
-        ready = self._ready[layer]
+        ready = self._ready.get(layer, ())
         for i, job in enumerate(ready):
             if job[0] not in busy:
                 del ready[i]

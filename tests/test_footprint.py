@@ -1,10 +1,12 @@
 """Host-memory footprint follows use (docs/dataplane.md, "Footprint follows use").
 
-Three per-entity structures the ``scale_out`` tier instantiates thousands of
+Four per-entity structures the ``scale_out`` tier instantiates thousands of
 times — ``SampleBuffer``, ``TwoLevelIndex``, ``FileMeta``'s written
-map — must cost O(1) bytes while empty and behave exactly like the plain
-references below as they grow.  The ``tracemalloc`` ceilings are the part
-that keeps a later constructor from quietly provisioning again.
+map and TSUE's log pools — must cost O(1) bytes while empty and behave
+exactly like the plain references below as they grow.  The ``tracemalloc``
+ceilings are the part that keeps a later constructor from quietly
+provisioning again.  A log pool builds its units on its first append, and
+nothing that only reads it may build them.
 
 On the byte plane a block holds only its written hull and a recycled TSUE
 unit holds only what a reader can reach; the last section pins both, and a
@@ -31,7 +33,7 @@ from repro.logstruct import TwoLevelIndex
 from repro.logstruct.states import UnitState
 from repro.metrics.latency import LatencyRecorder, SampleBuffer
 from repro.sim import Simulator
-from repro.tsue.engine import DATA, DELTA, PARITY
+from repro.tsue.engine import DATA, DELTA, PARITY, TSUEConfig, TSUEEngine
 from repro.update import make_strategy_factory
 from repro.workload import run_scenario, scenario_config
 
@@ -164,9 +166,11 @@ def test_a_recorder_of_five_samples_stays_small():
     assert len(rec) == 5
 
 
-# What an idle scale-out cluster may hold, traced: it measures 16.7 MB, and
-# 49.6 MB with the three structures provisioning at construction.
-IDLE_SCALE_OUT_BUDGET = 20e6
+# What an idle scale-out cluster may hold, traced: it measures 7.4 MB with
+# log units built on first append (14.6 MB with 6,144 units and 3,072
+# deques built at construction, 49.6 MB with the first three structures
+# provisioning too).  Ceiling: 1.2x.
+IDLE_SCALE_OUT_BUDGET = 8.9e6
 
 
 def test_idle_scale_out_cluster_fits_its_budget():
@@ -186,6 +190,74 @@ def test_idle_scale_out_cluster_fits_its_budget():
     (cluster, traces), held = traced(build)
     assert len(cluster.osds) == 256 and len(cluster.clients) == 1024
     assert held < IDLE_SCALE_OUT_BUDGET
+
+
+# ----------------------------------------------------------------------
+# TSUE's log pools: units on first append
+# ----------------------------------------------------------------------
+def _pools(engine):
+    return engine.data_pools + engine.delta_pools + engine.parity_pools
+
+
+def _tsue_cluster(**params):
+    sim = Simulator()
+    cluster = Cluster(
+        sim,
+        ClusterConfig(n_osds=8, k=4, m=2, block_size=2048, seed=0),
+        make_strategy_factory("tsue", **params),
+    )
+    cluster.register_sparse_file(5, 8 * 2048)
+    return sim, cluster
+
+
+# One engine that never appended, traced: 4.6 KB — twelve slotted pools and
+# the engine's own maps — against 32.2 KB with two units per pool and a
+# deque per pool built at construction.  Ceiling: 1.25x.
+NEVER_APPENDED_ENGINE_BUDGET = 5800
+
+
+def test_an_engine_that_never_appended_stays_small():
+    _, cluster = _tsue_cluster()
+    osd = cluster.osds[0]
+    TSUEEngine(osd, TSUEConfig())  # first-use caches (the shared zone names)
+    engine, held = traced(lambda: TSUEEngine(osd, TSUEConfig()))
+    assert held < NEVER_APPENDED_ENGINE_BUDGET, held
+    assert all(pool.units == [] for pool in _pools(engine))
+    # The modelled reservation is arithmetic: 12 pools x 2 units x 16 MiB.
+    assert engine.log_memory_bytes() == engine.peak_log_memory_bytes() == 12 * 2 * 16 * 2**20
+
+
+def test_reading_a_pool_builds_no_unit():
+    """Every path that only reads a pool — the flush tick with its elastic
+    shrink, ``drain_layer``'s flush, the scrubber's ``stripe_pending``,
+    ``read_overlay`` and the per-layer stats — leaves an idle pool unbuilt."""
+    sim, cluster = _tsue_cluster(flush_age=0.02, flush_interval=0.01)
+    cluster.start()
+    sim.run(until=1.0)  # 100 flush ticks, 5 of them shrink ticks
+    engines = [osd.strategy.engine for osd in cluster.osds]
+    for engine in engines:
+        assert engine.read_overlay((5, 0, 0), 0, 64) is None
+        assert not engine.stripe_pending(5, 0) and not engine.stripe_pending(5, 1)
+        assert engine.peak_log_memory_bytes() == 12 * 2 * 16 * 2**20
+        assert engine.pending_recycles() == 0
+        for pool in _pools(engine):
+            assert pool.flush_active(sim.now) is None and pool.shrink() == 0
+            assert not pool.has_pending_recycle() and pool.total_seals == 0
+    sim.drive(sim.process(drain_all(cluster)))
+    cluster.stop()
+    assert all(pool.units == [] for engine in engines for pool in _pools(engine))
+
+
+def test_a_run_builds_only_the_pools_it_appends_to(monkeypatch):
+    kept = []
+    build = hx.build_cluster
+    monkeypatch.setattr(hx, "build_cluster", lambda cfg: kept.append(build(cfg)) or kept[-1])
+    assert run_scenario("steady", n_clients=2, requests_per_client=30).consistent
+    (cluster,) = kept
+    pools = [pool for osd in cluster.osds for pool in _pools(osd.strategy.engine)]
+    built = [pool for pool in pools if pool.units]
+    assert 0 < len(built) < len(pools)
+    assert all(pool.total_seals > 0 for pool in built)  # drained: all appends sealed
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 * **The instruction ledger** (``repro.metrics.instructions``) is recomputed
   in a fresh interpreter and must equal the committed
-  ``BENCH_instructions.json`` exactly.  Host cost added on a path the model
+  ``BENCH_instructions.json`` exactly, the cluster build and the drive
+  counted apart.  Host cost added on a path the model
   runs (an f-string, a closure or a comprehension per kernel event) moves
   it, however small; so does a kernel event added or removed per request
   (the ledger's ``events``).  It skips only where the count legitimately differs:
@@ -47,9 +48,10 @@ def test_instruction_ledger_matches_the_committed_file():
     # numpy runs untraced: its version is provenance, not part of the count.
     del fresh["numpy"], committed["numpy"]
     moved = {
-        pkg: fresh["instructions"].get(pkg, 0) - n
-        for pkg, n in committed["instructions"].items()
-        if fresh["instructions"].get(pkg, 0) != n
+        f"{phase}.{pkg}": fresh["instructions"][phase].get(pkg, 0) - n
+        for phase, counts in committed["instructions"].items()
+        for pkg, n in counts.items()
+        if fresh["instructions"][phase].get(pkg, 0) != n
     }
     if fresh["events"] != committed["events"]:
         moved["events"] = fresh["events"] - committed["events"]

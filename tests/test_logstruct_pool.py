@@ -25,24 +25,38 @@ def test_construction_validation():
         LogPool(min_units=5, max_units=2)
 
 
-def test_initial_layout():
+def test_the_reservation_is_arithmetic_until_the_first_append():
     p = small_pool()
-    assert p.unit_count == 2
-    assert p.active is not None and p.active.state is UnitState.EMPTY
-    others = [u for u in p.units if u is not p.active]
-    assert all(u.state is UnitState.RECYCLED for u in others)
+    assert p.units == [] and p.active is None
+    assert (p.unit_count, p.memory_bytes, p.peak_memory_bytes) == (2, 2048, 2048)
+    assert p.flush_active(now=0.0) is None
+    assert p.shrink() == 0 and not p.has_pending_recycle()
+    assert p.cache_lookup_partial("b", 0, 8) == [] and p.recyclable_units() == []
+    assert p.units == []  # reading built nothing
+
+
+def test_initial_layout():
+    """The first append builds the reservation: ids ``0..min_units-1``,
+    the newest active, the others RECYCLED read-cache slots."""
+    p = small_pool()
+    assert p.append("b", 0, arr(8), now=0.0)
+    assert [u.unit_id for u in p.units] == [0, 1]
+    assert p.unit_count == 2 and p.peak_units == 2
+    assert p.active is p.units[-1] and p.active.state is UnitState.EMPTY
+    assert p.active.used == 8 + ENTRY_HEADER_BYTES
+    assert p.units[0].state is UnitState.RECYCLED and p.units[0].used == 0
 
 
 def test_append_fills_and_rotates():
     p = small_pool()
     sealed = []
-    p.seal_listener = sealed.append
+    p.seal_listener = lambda pool, unit: sealed.append((pool, unit))
     payload = 1024 - ENTRY_HEADER_BYTES - 8
     assert p.append("b", 0, arr(payload), now=0.0)
     first = p.active
     # Second append cannot fit: unit seals, RECYCLED peer reactivates.
     assert p.append("b", 2048, arr(payload), now=1.0)
-    assert sealed == [first]
+    assert sealed == [(p, first)]
     assert first.state is UnitState.RECYCLABLE
     assert p.active is not first
     assert p.total_seals == 1

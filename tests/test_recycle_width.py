@@ -148,7 +148,7 @@ def test_parity_drain_waiter_widens_paritylog_only_until_idle():
     run_to(sim, sim.process(many()))
     run_to(sim, drain_phase(cluster, 0))
     run_to(sim, drain_phase(cluster, 1))
-    eng = next(e for e in engines(cluster) if any(p.active.used for p in e.parity_pools))
+    eng = next(e for e in engines(cluster) if any(p.active and p.active.used for p in e.parity_pools))
     assert widths(eng) == BACKGROUND_WIDTH
     waiter = sim.process(eng.drain_layer(PARITY))
     while not eng._idle_waiters[PARITY]:

@@ -361,15 +361,13 @@ def test_same_block_recycles_in_seal_order_at_demand_width():
 
 
 def test_append_zone_precomputed_per_pool():
+    """A pool's name is its device zone, one string shared by every OSD."""
     sim, cluster, client, inode = build(n_pools=3)
-    eng = cluster.osds[0].strategy.engine
-    for prefix, pools in (
-        ("dlog", eng.data_pools),
-        ("xlog", eng.delta_pools),
-        ("plog", eng.parity_pools),
-    ):
-        for i, pool in enumerate(pools):
-            assert eng._pool_zone[id(pool)] == f"{prefix}{i}"
+    first, other = (osd.strategy.engine for osd in cluster.osds[:2])
+    for prefix, attr in (("dlog", "data_pools"), ("xlog", "delta_pools"), ("plog", "parity_pools")):
+        for i, (pool, twin) in enumerate(zip(getattr(first, attr), getattr(other, attr))):
+            assert pool.name == f"{prefix}{i}" and pool.name is twin.name
+            assert pool.seal_listener == first._on_seal
     cluster.stop()
 
 
