@@ -270,12 +270,12 @@ def main(argv=None) -> int:
     command = {
         "run": _cmd_run, "scenario": _cmd_scenario, "bench": _cmd_bench,
     }.get(args.cmd, _cmd_artifact)
-    from repro.harness.experiment import InvalidRunError
+    from repro.harness.experiment import InvalidRunError, LostUpdateError
     from repro.workload import InconsistentDrainError, PostRecoveryScrubError
 
     try:
         return command(args)
-    except (InconsistentDrainError, PostRecoveryScrubError) as exc:
+    except (InconsistentDrainError, PostRecoveryScrubError, LostUpdateError) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     except InvalidRunError as exc:

@@ -22,8 +22,8 @@ Plane discipline (a branch on the plane in simulated-time code fails
   :func:`concat_payloads`, :func:`assemble_overlay`) may dispatch on the
   payload **type**; they are plain functions with no timing effect.
 * Anything that genuinely needs real bytes — RS decode/reconstruct,
-  scrub, the byte-shadow verifier — refuses loudly with
-  :class:`GhostMaterializationError` instead of fabricating data.
+  scrub — refuses loudly with :class:`GhostMaterializationError` instead
+  of fabricating data; the acked-update oracle is not bound on this plane.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class GhostMaterializationError(TypeError):
     loudly instead of silently building an object array) and by the
     decode/reconstruct/scrub paths, which are meaningless without
     payload contents.  Scenarios that need those paths (fault injection,
-    rebuild, byte-shadow verification) must run on the byte plane.
+    rebuild, a byte-exact check) must run on the byte plane.
     """
 
 

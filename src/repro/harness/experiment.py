@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import resource
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -23,7 +24,6 @@ from repro.net import NET_25GBE, NET_40GIB, NetworkProfile
 from repro.recovery import ScrubReport, scrub, watch_and_recover
 from repro.sim import AllOf, Simulator
 from repro.sim.collector import paused as collector_paused
-from repro.sim.rng import RngStreams, payload_bytes
 from repro.traces import (
     MSR_VOLUMES,
     TraceReplayer,
@@ -33,6 +33,7 @@ from repro.traces import (
 )
 from repro.update import make_strategy_factory
 from repro.workload.faults import FaultEvent, FaultInjector
+from repro.workload.generator import NO_WRITES, WriteLog
 
 
 @dataclass
@@ -190,9 +191,9 @@ def drain_all(cluster: Cluster):
 def build_cluster(cfg: ExperimentConfig) -> Cluster:
     """A fresh simulator + cluster for one cell — the one place outside
     ``repro.cluster`` that constructs a cluster; :func:`run_protocol` calls
-    it once per run."""
+    it once per run.  ``cluster.writes`` is the run's update recorder."""
     sim = Simulator()
-    return Cluster(
+    cluster = Cluster(
         sim,
         ClusterConfig(
             n_osds=cfg.n_osds,
@@ -207,6 +208,10 @@ def build_cluster(cfg: ExperimentConfig) -> Cluster:
         ),
         _strategy_factory(cfg),
     )
+    # The acked-update oracle's input (:func:`check_acked_bytes`): only a
+    # verified byte-plane run records its updates.
+    cluster.writes = WriteLog() if cfg.verify and not cfg.ghost_dataplane else NO_WRITES
+    return cluster
 
 
 def aggregate_update_latency(clients) -> LatencyRecorder:
@@ -306,8 +311,11 @@ def run_protocol(
        own: there the drain is the quantity measured).
     9. **scrub** — fault runs scrub every stripe the workload could have
        touched, through the real (costed) read path.
-    10. **stop**, then **finish** — ``finish(run)``, the caller's gates and
-        aggregation, still with automatic garbage collection paused
+    10. **stop**, then **check** — with ``cfg.verify`` on the byte plane,
+        :func:`check_acked_bytes` holds every data byte against the updates
+        the run recorded (:class:`LostUpdateError`).
+    11. **finish** — ``finish(run)``, the caller's gates and aggregation,
+        still with automatic garbage collection paused
         (:mod:`repro.sim.collector`) like everything above.
 
     Frozen surface — ``benchmarks/perf/`` cannot be edited, so none of what
@@ -391,7 +399,82 @@ def run_protocol(
     sim.drive(sim.process(main(), name=what), what)
     run.drive_host = _host_clock(t0)
     cluster.stop()
+    check_acked_bytes(cluster)
     return finish(run)
+
+
+class LostUpdateError(AssertionError):
+    """A data byte holds what no legal writer wrote: an acked update was
+    lost, or a stale or foreign byte survived.  ``key`` and ``offset`` name
+    the byte, ``writers`` the candidate ``(writer, issue number)`` pairs."""
+
+    def __init__(self, key, offset: int, got: int, writers: list):
+        self.key, self.offset, self.writers = key, offset, writers
+        super().__init__(
+            f"block {key} offset {offset} holds {got}, which no legal writer "
+            f"wrote; candidates (writer, issue number): {writers or 'none (zero)'}"
+        )
+
+
+def check_acked_bytes(cluster: Cluster) -> None:
+    """The acked-update oracle over ``cluster.writes`` (a no-op when empty).
+
+    Walks every data block of every file, one at a time, at its placement
+    owner.  A byte is legal if it equals the payload of a covering writer
+    *U* with ``ack(U) >= L``, where ``L`` is the latest issue stamp among
+    the byte's covering *acked* writers: anything acked before that writer
+    was issued was overwritten, anything acked after it overlapped it, and
+    an update that raised may or may not have landed.  A byte no acked
+    writer covers may also be zero.  Only the writers that can be legal
+    somewhere in the block are re-derived.  Raises
+    :class:`LostUpdateError` at the first illegal byte.
+    """
+    log = cluster.writes
+    if not len(log):
+        return
+    cfg = cluster.config
+    block, k = cfg.block_size, cfg.k
+    issued, acked, never = log.issued, log.acked, log.NEVER
+    inodes = np.frombuffer(log.inode, dtype=np.int64)
+    zeros = np.zeros(block, dtype=np.uint8)
+    # Stamps count issues and acks, so int32 holds them below 2**30 rows;
+    # half the width of int64 is a third off the per-block passes.
+    stamp = np.empty(block, dtype=np.int32 if len(log) < 1 << 30 else np.int64)
+    for inode, meta in sorted(cluster.mds.files.items()):
+        covering = defaultdict(list)  # block key -> (row, lo, n, payload pos), in issue order
+        for row in np.flatnonzero(inodes == inode).tolist():
+            pos = 0
+            for ext in cluster.stripe_map.extents(inode, log.offset[row], log.size[row]):
+                covering[ext.addr.key()].append((row, ext.offset, ext.length, pos))
+                pos += ext.length
+        for stripe in range(meta.size // (k * block)):
+            names = cluster.placement(inode, stripe)
+            for j in range(k):
+                key = (inode, stripe, j)
+                got = cluster.osd_by_name(names[j]).store.peek(key)
+                if got is None:
+                    got = zeros
+                writers = covering.get(key, ())
+                if not writers and not got.any():
+                    continue
+                stamp.fill(-1)
+                for row, lo, n, _ in writers:
+                    if acked[row] != never:
+                        stamp[lo : lo + n] = issued[row]
+                ok = (stamp < 0) & (got == 0)
+                for row, lo, n, pos in reversed(writers):
+                    todo = ~ok[lo : lo + n]  # settled by a later writer: skip
+                    if todo.any():
+                        todo &= stamp[lo : lo + n] <= acked[row]
+                        if todo.any():
+                            ok[lo : lo + n] |= todo & (got[lo : lo + n] == log.payload(row, pos, n))
+                if not ok.all():
+                    off = int(np.argmin(ok))
+                    raise LostUpdateError(key, off, int(got[off]), [
+                        (log.sources[log.who[row]][0], log.seq[row])
+                        for row, lo, n, _ in writers
+                        if lo <= off < lo + n and stamp[off] <= acked[row]
+                    ])
 
 
 def attach_replayer(cluster: Cluster, cfg: ExperimentConfig, i: int) -> TraceReplayer:
@@ -416,12 +499,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return run_protocol(cfg, _attach_sparse, _experiment_result)
 
 
+def inconsistent_stripes(run: Run) -> List[Tuple[int, int]]:
+    """The drain gate: every stripe of every file whose stored parity is
+    not the re-encoding of its stored data (on the ghost plane, whose
+    parity coverage differs from its data's: ``stripe_consistent``)."""
+    return [
+        (inode, s)
+        for inode in run.inodes
+        for s in range(run.cfg.stripes_per_file)
+        if not run.cluster.stripe_consistent(inode, s)
+    ]
+
+
 def _experiment_result(run: Run) -> ExperimentResult:
-    """Shadow-model verification, then everything the paper reports."""
+    """The drain gate, then everything the paper reports (the bytes were
+    checked by the protocol's oracle)."""
     cfg, cluster, replayers = run.cfg, run.cluster, run.workloads
-    consistent: Optional[bool] = None
-    if cfg.verify:
-        consistent = _verify(cluster, cfg, replayers)
+    consistent = not inconsistent_stripes(run) if cfg.verify else None
 
     ops = cluster.total_ops()
     wear = cluster.total_wear()
@@ -457,54 +551,3 @@ def _experiment_result(run: Run) -> ExperimentResult:
         consistent=consistent,
         update_recorder=agg,
     )
-
-
-def _verify(cluster, cfg, replayers) -> bool:
-    """Post-drain: stored stripes must be parity-consistent and match the
-    shadow model of every completed update.
-
-    Files start as sparse zeros, so the shadow is built lazily per touched
-    block by re-deriving each replayer's deterministic payload stream.
-
-    Ghost plane: there are no bytes to shadow — the check degrades to the
-    coverage invariant per touched stripe (``stripe_consistent`` dispatches
-    on the plane).
-    """
-    if cluster.config.ghost_dataplane:
-        for r in replayers:
-            touched = set()
-            for rec in r.records[: r.completed]:
-                for ext in cluster.stripe_map.extents(r.inode, rec.offset, rec.size):
-                    touched.add(ext.addr.stripe)
-            for stripe in touched:
-                if not cluster.stripe_consistent(r.inode, stripe):
-                    return False
-        return True
-    # cluster.rng caches its generators; an identical fresh factory replays
-    # each replayer's payload stream (``attach_replayer``) from its seed state.
-    fresh = RngStreams(cluster.rng.seed)
-    for i, r in enumerate(replayers):
-        payload_rng = fresh.get(f"payload{i}")
-        per_block: Dict[tuple, np.ndarray] = {}
-        for rec in r.records[: r.completed]:
-            payload = payload_bytes(payload_rng, rec.size)
-            pos = 0
-            for ext in cluster.stripe_map.extents(r.inode, rec.offset, rec.size):
-                key = ext.addr.key()
-                blk = per_block.get(key)
-                if blk is None:
-                    blk = per_block[key] = np.zeros(cfg.block_size, dtype=np.uint8)
-                blk[ext.offset : ext.offset + ext.length] = payload[pos : pos + ext.length]
-                pos += ext.length
-        touched_stripes = set()
-        for key, expect in per_block.items():
-            inode, stripe, j = key
-            touched_stripes.add(stripe)
-            names = cluster.placement(inode, stripe)
-            got = cluster.osd_by_name(names[j]).store.peek(key)
-            if got is None or not np.array_equal(got, expect):
-                return False
-        for stripe in touched_stripes:
-            if not cluster.stripe_consistent(r.inode, stripe):
-                return False
-    return True

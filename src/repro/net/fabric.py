@@ -89,7 +89,6 @@ class Fabric:
         self.sim = sim
         self.profile = profile
         self.nics: Dict[str, NIC] = {}
-        self.counters = NetCounters()
         # endpoint name -> LinkState; absent == healthy.  Drops survive
         # heal_link(): the live link's per-direction counters are folded
         # into the fabric totals before the state is popped, so scenario
@@ -191,6 +190,20 @@ class Fabric:
             return True
         return False
 
+    @property
+    def counters(self) -> NetCounters:
+        """Fabric-wide traffic: the sum of the sender NICs' records (a
+        transfer is recorded once, by its sender; NICs are never
+        detached, so none is lost)."""
+        total = NetCounters()
+        for nic in self.nics.values():
+            c = nic.counters
+            total.messages += c.messages
+            total.bytes_sent += c.bytes_sent
+            for kind, n in c.by_kind.items():
+                total.by_kind[kind] = total.by_kind.get(kind, 0) + n
+        return total
+
     def attach(self, endpoint: str) -> NIC:
         """Register an endpoint; idempotent per name."""
         nic = self.nics.get(endpoint)
@@ -258,5 +271,4 @@ class Fabric:
         done = rx_start + rx_time
         dst_nic.rx_busy = done
         yield At(done)
-        self.counters.record(nbytes, kind)
         src_nic.counters.record(nbytes, kind)

@@ -77,3 +77,24 @@ def payload_bytes(gen: np.random.Generator, n: int) -> np.ndarray:
             state["uinteger"] = int(raws[-1]) >> 32
         bg.state = state
     return out
+
+
+def skip_payload_bytes(gen: np.random.Generator, n: int) -> None:
+    """Move ``gen`` exactly as ``payload_bytes(gen, n)`` would, making no
+    bytes: the pending 32-bit half (if any) is consumed, PCG64 ``advance``
+    jumps the whole raws, and an odd remainder draws one raw to buffer its
+    high half.  The ghost plane's payload draw, and the oracle's seek to a
+    byte offset inside a payload (an offset that is a multiple of 4 starts
+    a 32-bit draw).
+    """
+    if n <= 0:
+        return
+    bg = gen.bit_generator
+    k32 = ((n + 3) >> 2) - bg.state["has_uint32"]
+    bg.advance(k32 >> 1)  # also drops the pending half
+    if k32 & 1:
+        high = int(bg.random_raw()) >> 32
+        state = bg.state
+        state["has_uint32"] = 1
+        state["uinteger"] = high
+        bg.state = state

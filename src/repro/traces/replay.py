@@ -11,8 +11,8 @@ Since the workload subsystem landed, this is just
 :class:`~repro.workload.generator.OpenLoopGenerator` pinned to zero-gap
 arrivals, one tenant, updates only and ``iodepth=1`` — the RNG draw order
 (one payload per record, in issue order) is identical to the historical
-replayer, which the harness's shadow verifier depends on.  A replayer
-issues every record: a run is sized by its record count.
+replayer.  A replayer issues every record: a run is sized by its record
+count.
 """
 
 from __future__ import annotations

@@ -117,15 +117,16 @@ class TSUEEngine:
         self.data_pools = self._make_pools(DATA, cfg.pool_kwargs("overwrite", not cfg.use_locality_data))
         self.delta_pools = self._make_pools(DELTA, cfg.pool_kwargs("xor", False))
         self.parity_pools = self._make_pools(PARITY, cfg.pool_kwargs("xor", not cfg.use_locality_parity))
-        self._pending: Dict[str, int] = {DATA: 0, DELTA: 0, PARITY: 0}
-        self._idle_waiters: Dict[str, List[Event]] = {DATA: [], DELTA: [], PARITY: []}
-        # Parked appenders per layer: pool id -> wake events.
-        self._space_waiters: Dict[str, Dict[int, List[Event]]] = {DATA: {}, DELTA: {}, PARITY: {}}
+        # Per-layer state comes with the layer's first use: units sealed
+        # and not yet recycled, drain waiters, and parked appenders (pool
+        # id -> wake events).
+        self._pending: Dict[str, int] = {}
+        self._idle_waiters: Dict[str, List[Event]] = {}
+        self._space_waiters: Dict[str, Dict[int, List[Event]]] = {}
         # Admission state (see _take): each layer's ready (key, job, unit
-        # state) triples in seal order, created by the layer's first seal,
-        # and the keys with a job in flight.
+        # state) triples in seal order, and the keys with a job in flight.
         self._ready: Dict[str, List[tuple]] = {}
-        self._busy: Dict[str, set] = {DATA: set(), DELTA: set(), PARITY: set()}
+        self._busy: Dict[str, set] = {}
         # Work counters: jobs admitted with nobody / somebody blocked on
         # their layer.
         self.admitted_background = 0
@@ -176,7 +177,7 @@ class TSUEEngine:
     def _on_seal(self, pool: LogPool, unit: LogUnit) -> None:
         """Every pool's seal listener: queue the unit's recycle jobs."""
         layer = _ZONE_LAYER[pool.name[0]]
-        self._pending[layer] += 1
+        self._pending[layer] = self._pending.get(layer, 0) + 1
         unit.start_recycle(self.sim.now)
         jobs = self._unit_jobs(layer, unit)
         state = {
@@ -194,14 +195,16 @@ class TSUEEngine:
 
     def _wait_space(self, layer: str, pool: LogPool) -> Event:
         ev = self.sim.event(name=f"space:{self.osd.name}.{pool.name}")
-        self._space_waiters[layer].setdefault(id(pool), []).append(ev)
+        self._space_waiters.setdefault(layer, {}).setdefault(id(pool), []).append(ev)
         self._pump(layer)
         return ev
 
     def _notify_space(self, layer: str, pool: LogPool) -> None:
-        for ev in self._space_waiters[layer].pop(id(pool), []):
-            if not ev.triggered:
-                ev.succeed()
+        waiters = self._space_waiters.get(layer)
+        if waiters:
+            for ev in waiters.pop(id(pool), ()):
+                if not ev.triggered:
+                    ev.succeed()
 
     def _pool_append(self, layer: str, pool: LogPool, key, offset, data):
         """Append to the pool, waiting while it is at quota (yields nothing
@@ -347,7 +350,7 @@ class TSUEEngine:
     def _blocked(self, layer: str) -> bool:
         """Somebody waits on the layer: a ``drain_layer`` waiter, or an
         appender parked on one of its pools."""
-        return bool(self._idle_waiters[layer] or self._space_waiters[layer])
+        return bool(self._idle_waiters.get(layer) or self._space_waiters.get(layer))
 
     def _width(self, layer: str) -> int:
         """Jobs the layer may run at once: the background width, or the
@@ -376,10 +379,12 @@ class TSUEEngine:
           thread": two units touching one block recycle its entries in the
           order they were sealed, while different blocks overlap.
         """
-        busy = self._busy[layer]
-        if not self._running or len(busy) >= self._width(layer):
+        ready = self._ready.get(layer)
+        if not ready or not self._running:
             return None
-        ready = self._ready.get(layer, ())
+        busy = self._busy.setdefault(layer, set())
+        if len(busy) >= self._width(layer):
+            return None
         for i, job in enumerate(ready):
             if job[0] not in busy:
                 del ready[i]
@@ -442,10 +447,9 @@ class TSUEEngine:
         self._pending[layer] -= 1
         self._notify_space(layer, pool)
         if self._pending[layer] == 0:
-            for ev in self._idle_waiters[layer]:
+            for ev in self._idle_waiters.pop(layer, ()):
                 if not ev.triggered:
                     ev.succeed()
-            self._idle_waiters[layer].clear()
 
     def _unit_jobs(self, layer: str, unit: LogUnit):
         """(routing_key, job_generator_fn) pairs for one sealed unit."""
@@ -585,9 +589,9 @@ class TSUEEngine:
         """Seal every active unit of a layer and wait until all recycled."""
         for pool in self._layer_pools(layer):
             pool.flush_active(self.sim.now)
-        while self._pending[layer] > 0:
+        while self._pending.get(layer, 0) > 0:
             ev = self.sim.event(name=f"idle:{layer}")
-            self._idle_waiters[layer].append(ev)
+            self._idle_waiters.setdefault(layer, []).append(ev)
             self._pump(layer)
             yield ev
 

@@ -16,12 +16,18 @@ moved and how long they took is the client's to record.
 Reads are served through the normal client read path, which overlays
 logged-but-unrecycled bytes (the TSUE read cache) on device data — the
 ``mixed_rw`` scenarios measure exactly that interaction.
+
+Every update is also a row of the cluster's :class:`WriteLog` (bound by
+``repro.harness.experiment.build_cluster``; :data:`NO_WRITES` when the run
+does not verify or is on the ghost plane): the input of the acked-update
+oracle that closes every verified byte-plane run.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,8 +35,99 @@ import numpy as np
 # so records are duck-typed (anything with .offset and .size works).
 from repro.dataplane import GhostExtent
 from repro.sim import AllOf, Resource
-from repro.sim.rng import payload_bytes
+from repro.sim.rng import payload_bytes, skip_payload_bytes
 from repro.workload.arrival import ArrivalProcess, ClosedLoop
+
+
+class WriteLog:
+    """Every update a run issued, one row each, as array columns.
+
+    A row is the update's extent, the PCG64 state its payload draw starts
+    from (the oracle re-derives the bytes instead of keeping them), and
+    program-order stamps from one counter at issue and at ack: the sim
+    clock cannot order them, as at ``iodepth 1`` an ack and the next issue
+    share an instant.  An update that raised keeps ``acked == NEVER``: it
+    may or may not have landed.
+    """
+
+    NEVER = 1 << 62
+
+    def __init__(self):
+        self.sources: List[Tuple[str, int]] = []  # (writer, its stream's PCG64 inc)
+        # ``who`` indexes ``sources``, ``seq`` is the writer's own issue
+        # number, ``half`` the stream's buffered 32-bit half (or -1), and
+        # ``state`` the 128-bit PCG64 state as a low and a high word.
+        self.who, self.seq, self.inode, self.offset, self.size = (array("q") for _ in range(5))
+        self.half, self.issued, self.acked = (array("q") for _ in range(3))
+        self.state = array("Q")
+        self._clock = 0
+        self._scratch = np.random.Generator(np.random.PCG64())
+
+    def __len__(self) -> int:
+        return len(self.issued)
+
+    def source(self, name: str, gen: np.random.Generator) -> int:
+        self.sources.append((name, gen.bit_generator.state["state"]["inc"]))
+        return len(self.sources) - 1
+
+    def issue(self, who: int, seq: int, inode: int, offset: int, size: int, gen) -> int:
+        """Record an update whose payload ``gen`` draws next; returns its row."""
+        st = gen.bit_generator.state
+        high, low = divmod(st["state"]["state"], 1 << 64)
+        self.who.append(who)
+        self.seq.append(seq)
+        self.inode.append(inode)
+        self.offset.append(offset)
+        self.size.append(size)
+        self.half.append(st["uinteger"] if st["has_uint32"] else -1)
+        self.state.extend((low, high))
+        self._clock += 1
+        self.issued.append(self._clock)
+        self.acked.append(self.NEVER)
+        return len(self.issued) - 1
+
+    def ack(self, row: int) -> None:
+        self._clock += 1
+        self.acked[row] = self._clock
+
+    def preload(self, name: str, inode: int, size: int, gen) -> None:
+        """A whole file installed before the run, drawn next from ``gen``:
+        a writer acked before any update is issued."""
+        self.ack(self.issue(self.source(name, gen), 0, inode, 0, size, gen))
+
+    def payload(self, row: int, start: int, n: int) -> np.ndarray:
+        """Bytes ``[start, start + n)`` of row ``row``'s payload."""
+        half = self.half[row]
+        self._scratch.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": self.state[2 * row] | self.state[2 * row + 1] << 64,
+                      "inc": self.sources[self.who[row]][1]},
+            "has_uint32": int(half >= 0),
+            "uinteger": max(half, 0),
+        }
+        lead = start & 3  # a multiple of 4 starts a 32-bit draw
+        skip_payload_bytes(self._scratch, start - lead)
+        return payload_bytes(self._scratch, n + lead)[lead:]
+
+
+class _NoWrites:
+    """The null :class:`WriteLog`: a run that records no updates."""
+
+    def __len__(self) -> int:
+        return 0
+
+    def source(self, *args) -> int:
+        return 0
+
+    issue = source
+
+    def ack(self, *args) -> None:
+        pass
+
+    preload = ack
+
+
+NO_WRITES = _NoWrites()
 
 
 @dataclass
@@ -91,8 +188,8 @@ class OpenLoopGenerator:
         self._n_tenants = len(self.tenants)
         self._read_fraction = self.spec.read_fraction
         # Ghost plane: payloads leave the generator as metadata-only
-        # extents.  The byte draw is still made and dropped (below, in
-        # _next_op), so the shared RNG stream position — and with it every
+        # extents.  The byte draw is skipped, not dropped (below, in
+        # _next_op): the shared RNG stream position — and with it every
         # tenant/read-mix/arrival draw after it — stays bit-identical
         # across planes.  (The draw-order tests drive this class with no
         # client at all, hence the defensive chain.)
@@ -100,6 +197,8 @@ class OpenLoopGenerator:
         self._ghost_payloads = bool(
             getattr(getattr(cluster, "config", None), "ghost_dataplane", False)
         )
+        self._writes = getattr(cluster, "writes", NO_WRITES)
+        self._who = self._writes.source(getattr(client, "name", ""), rng)
         self._op_streams = [
             (inode, [(r.offset, r.size) for r in records], len(records))
             for inode, records in self.tenants
@@ -119,11 +218,12 @@ class OpenLoopGenerator:
         self._cursors[ti] = c + 1
         rf = self._read_fraction
         if rf > 0 and rng.random() < rf:
-            return ("read", inode, offset, size)
-        payload = payload_bytes(rng, size)
+            return ("read", inode, offset, size, None)
+        row = self._writes.issue(self._who, self.issued + 1, inode, offset, size, rng)
         if self._ghost_payloads:
-            return ("update", inode, offset, GhostExtent(size, tag="wl"))
-        return ("update", inode, offset, payload)
+            skip_payload_bytes(rng, size)
+            return ("update", inode, offset, GhostExtent(size, tag="wl"), row)
+        return ("update", inode, offset, payload_bytes(rng, size), row)
 
     # ------------------------------------------------------------------
     def run(self):
@@ -157,12 +257,13 @@ class OpenLoopGenerator:
 
     def _issue(self, op, slots: Resource, key: int):
         try:
-            kind, inode, offset, arg = op
+            kind, inode, offset, arg, row = op
             if kind == "read":
                 yield from self.client.read(inode, offset, arg)
                 self.reads_completed += 1
             else:
                 yield from self.client.update(inode, offset, arg)
+                self._writes.ack(row)
                 self.completed += 1
             del self._unfinished[key]
         finally:

@@ -5,10 +5,10 @@ A scenario run is the harness's run protocol
 (:func:`repro.harness.experiment.run_protocol`) with open-loop generators
 attached and hard gates on what it leaves behind.  The drain gate checks
 *parity consistency* (stored parity equals re-encoded stored data for every
-stripe of every file), not the byte-exact shadow model of the closed-loop
-harness: with ``iodepth > 1`` two in-flight updates may overlap in the
-file, so the final bytes depend on OSD arrival order — legal, but not
-re-derivable from issue order alone.  Log-structured strategies (``tsue``,
+stripe of every file); the protocol's acked-update oracle checks the data
+bytes, and with ``iodepth > 1`` it accepts either of two overlapping
+updates that were in flight together (the final bytes depend on OSD
+arrival order).  Log-structured strategies (``tsue``,
 ``fl``) are immune to same-stripe races by construction (commutative
 XOR-delta appends); the read-modify-write baselines serialize same-stripe
 updates through their OSD's per-stripe FIFO lock
@@ -137,7 +137,7 @@ def _attach_generators(scenario: Scenario, cluster, cfg) -> List[OpenLoopGenerat
 
 def _scenario_result(scenario: Scenario, run) -> ScenarioResult:
     """The scenario gates, then the row."""
-    from repro.harness.experiment import aggregate_update_latency
+    from repro.harness.experiment import aggregate_update_latency, inconsistent_stripes
 
     cfg, cluster, generators = run.cfg, run.cluster, run.workloads
     name, method = scenario.name, cfg.method
@@ -160,12 +160,7 @@ def _scenario_result(scenario: Scenario, run) -> ScenarioResult:
 
     # The hard gate: with per-stripe serialization no method may drain
     # inconsistent — a bad stripe is a strategy bug, not a workload effect.
-    bad = [
-        (inode, s)
-        for inode in run.inodes
-        for s in range(cfg.stripes_per_file)
-        if not cluster.stripe_consistent(inode, s)
-    ]
+    bad = inconsistent_stripes(run)
     if bad:
         shown = ", ".join(f"({i},{s})" for i, s in bad[:8])
         raise InconsistentDrainError(

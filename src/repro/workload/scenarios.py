@@ -406,6 +406,5 @@ def scenario_config(
         stripes_per_file=8,
         device_kind=device,
         seed=seed,
-        verify=False,
         ghost_dataplane=ghost_dataplane,
     )

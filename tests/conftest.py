@@ -13,3 +13,24 @@ def caller_gc(request):
     (gc.enable if request.param else gc.disable)()
     yield request.param
     (gc.enable if before else gc.disable)()
+
+
+@pytest.fixture
+def assert_holds():
+    """``assert_holds(cluster, osd_name, files)``: the OSD stores at least
+    one block, and every block it stores equals the stripe encoding of
+    ``files`` (``{inode: content}``), data and parity alike."""
+    import numpy as np
+
+    def check(cluster, name, files):
+        k, size = cluster.config.k, cluster.config.block_size
+        store = cluster.osd_by_name(name).store
+        keys = list(store)
+        assert keys, f"{name} stores nothing"
+        for inode, stripe, j in keys:
+            lo = stripe * k * size
+            data = [files[inode][lo + b * size : lo + (b + 1) * size] for b in range(k)]
+            want = data[j] if j < k else cluster.codec.encode(data)[j - k]
+            assert np.array_equal(store.peek((inode, stripe, j)), want), (inode, stripe, j)
+
+    return check

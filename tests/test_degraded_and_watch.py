@@ -121,7 +121,7 @@ def test_degraded_read_beyond_m_failures_raises():
     assert "unrecoverable" in msg
 
 
-def test_watch_and_recover_detects_and_rebuilds():
+def test_watch_and_recover_detects_and_rebuilds(assert_holds):
     sim, cluster = build("fo")
     data = load(cluster)
     cluster.start()
@@ -146,7 +146,7 @@ def test_watch_and_recover_detects_and_rebuilds():
     results = watcher.value
     assert len(results) == 1
     assert results[0].failed_osd == victim
-    assert results[0].correct
+    assert_holds(cluster, victim, {600: data})
     assert results[0].blocks_recovered > 0
     # Restore happened: the victim serves again and normal (non-degraded)
     # reads find the rebuilt bytes through unchanged placement.
@@ -161,12 +161,12 @@ def test_watch_and_recover_detects_and_rebuilds():
     assert np.array_equal(got, data[100:164])
 
 
-def test_watch_and_recover_with_lossy_osd_link():
+def test_watch_and_recover_with_lossy_osd_link(assert_holds):
     # OSD-link loss combined with MDS-driven recovery: a heartbeat dropped
     # on the wire is a missed beat, not the death of the heartbeat process
     # (which would have the MDS declare a healthy OSD failed for good).
     sim, cluster = build("fo")
-    load(cluster)
+    data = load(cluster)
     cluster.start()
     for osd in cluster.osds:
         osd.start_heartbeat(interval=0.2)
@@ -191,7 +191,7 @@ def test_watch_and_recover_with_lossy_osd_link():
     results = watcher.value
     cluster.stop()
     assert [r.failed_osd for r in results] == [victim]
-    assert results[0].correct
+    assert_holds(cluster, victim, {600: data})
     assert cluster.fabric.dropped_total > 0  # beats really were lost
     assert cluster.osd_by_name(lossy)._heartbeat_proc.is_alive
     assert cluster.mds.failed_osds() == []
@@ -216,13 +216,13 @@ def test_heartbeat_outlives_a_link_dead_past_the_retransmit_budget():
     assert cluster.mds.failed_osds() == []  # beats resumed
 
 
-def test_watch_and_recover_with_lossy_rebuilder_link():
+def test_watch_and_recover_with_lossy_rebuilder_link(assert_holds):
     """The *rebuilder* sits behind a link that loses every second egress
     frame of any class: each lost pull request is resent on its own, so the
     rebuild finishes and verifies.  (When a lost pull re-planned all k, no
     plan ever got through and the victim never healed.)"""
     sim, cluster = build("fo")
-    load(cluster)
+    data = load(cluster)
     cluster.start()
     for osd in cluster.osds:
         osd.start_heartbeat(interval=0.2)
@@ -244,19 +244,20 @@ def test_watch_and_recover_with_lossy_rebuilder_link():
     cluster.stop()
     results = watcher.value
     assert [r.failed_osd for r in results] == [victim]
-    assert results[0].correct and results[0].blocks_recovered > 0
+    assert results[0].blocks_recovered > 0
+    assert_holds(cluster, victim, {600: data})
     assert cluster.osd_by_name(rebuilder).retransmits > 0
     assert all(cluster.stripe_consistent(600, s) for s in range(2))
 
 
-def test_recover_node_driver_equivalent_to_proc():
+def test_recover_node_driver_equivalent_to_proc(assert_holds):
     sim, cluster = build("fo")
-    load(cluster)
+    data = load(cluster)
     cluster.start()
     victim = cluster.placement(600, 1)[2]
-    res = recover_node(cluster, victim)
+    recover_node(cluster, victim)
     cluster.stop()
-    assert res.correct
+    assert_holds(cluster, victim, {600: data})
 
 
 def test_flush_loop_shrinks_idle_pools():

@@ -184,7 +184,7 @@ def test_scrub_skips_stripes_with_down_member():
 # ----------------------------------------------------------------------
 # recovery: restore, repair, mismatch reporting (satellites)
 # ----------------------------------------------------------------------
-def test_recovery_restores_victim_for_normal_reads():
+def test_recovery_restores_victim_for_normal_reads(assert_holds):
     """Satellite regression: rebuilt blocks must be findable through
     placement — not stranded on the rebuilder while placement still maps
     the keys to the (dead) victim."""
@@ -194,8 +194,8 @@ def test_recovery_restores_victim_for_normal_reads():
     cluster.start()
     victim = cluster.placement(600, 0)[1]
     fail_osd(cluster, victim, mode="crash")
-    res = recover_node(cluster, victim, repair=True)
-    assert res.correct and res.mismatched == []
+    recover_node(cluster, victim, repair=True)
+    assert_holds(cluster, victim, {600: data})
     assert cluster.osd_by_name(victim).running
     assert victim not in cluster.down_osds
 
@@ -210,10 +210,11 @@ def test_recovery_restores_victim_for_normal_reads():
 
 
 def test_recovery_reports_mismatched_keys():
-    """A corrupted survivor poisons the decode; the result names the bad
-    key instead of a bare correct=False."""
+    """A corrupted survivor poisons the decode: exactly the block rebuilt
+    from it differs from the file's bytes, at the corrupted offset (a
+    verified run's oracle names that block and offset)."""
     sim, cluster = build("fo")
-    load(cluster, stripes=1)
+    data = load(cluster, stripes=1)
     cluster.start()
     names = cluster.placement(600, 0)
     victim = names[3]
@@ -221,10 +222,10 @@ def test_recovery_reports_mismatched_keys():
     # from (memory corruption invisible to the drain).
     saboteur = cluster.osd_by_name(names[0])
     saboteur.store.fold_xor((600, 0, 0), 11, np.array([0xFF], dtype=np.uint8))
-    res = recover_node(cluster, victim)
+    recover_node(cluster, victim)
     cluster.stop()
-    assert not res.correct
-    assert (600, 0, 3) in res.mismatched
+    rebuilt = cluster.osd_by_name(victim).store.peek((600, 0, 3))
+    assert np.flatnonzero(rebuilt != data[3 * BLOCK : 4 * BLOCK]).tolist() == [11]
 
 
 def test_repair_pass_rewrites_torn_parity():
@@ -243,11 +244,11 @@ def test_repair_pass_rewrites_torn_parity():
     assert cluster.stripe_consistent(600, 1)
 
 
-def test_watch_and_recover_handles_sequential_failures():
+def test_watch_and_recover_handles_sequential_failures(assert_holds):
     """Satellite regression: the watcher must keep recovering, not return
     after the first rebuild."""
     sim, cluster = build("fo")
-    load(cluster, stripes=3)
+    data = load(cluster, stripes=3)
     cluster.start()
     for osd in cluster.osds:
         osd.start_heartbeat(interval=0.2)
@@ -266,7 +267,8 @@ def test_watch_and_recover_handles_sequential_failures():
     results = run_to(sim, watcher)
     cluster.stop()
     assert [r.failed_osd for r in results] == [first, second]
-    assert all(r.correct for r in results)
+    for name in (first, second):
+        assert_holds(cluster, name, {600: data})
 
 
 # ----------------------------------------------------------------------

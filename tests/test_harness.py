@@ -130,7 +130,7 @@ _RUNNERS = {
         method="tsue", trace="msr:hm0", k=6, m=4, device_kind="hdd", n_clients=2,
         updates_per_client=20, stripes_per_file=24, seed=3, verify=False,
         strategy_params=art.FIG8B_TSUE,
-    )).correct,
+    )).blocks_recovered > 0,
 }
 
 
@@ -253,20 +253,24 @@ def test_fault_free_run_leaves_nothing_for_the_collector(method, built):
     assert gc.collect() == 0
 
 
-def test_verify_shadow_accumulates_per_block_and_catches_a_flipped_byte(built, monkeypatch):
+def test_oracle_accepts_many_writers_per_block_and_names_a_flipped_byte(built, monkeypatch):
     calls = []
-    verify = hx._verify
-    monkeypatch.setattr(hx, "_verify", lambda *a: calls.append(a) or verify(*a))
+    check = hx.check_acked_bytes
+    monkeypatch.setattr(hx, "check_acked_bytes", lambda c: calls.append(c) or check(c))
     # 40 updates per client on a 256 KiB file: many extents land in the
-    # same block, so the shadow must keep writing into the block it built
-    # for the first of them.
+    # same block, each overwriting part of the ones before it.
     assert run_experiment(tiny(updates_per_client=40)).consistent is True
-    ((cluster, cfg, replayers),) = calls
-    assert cluster is built[0][0]
+    (cluster,) = calls
+    assert cluster is built[0][0] and len(cluster.writes) == 2 * 40
+    # One data byte flipped after the drain: the error names its block
+    # and offset.
     store, key = next(
         (osd.store, key) for osd in cluster.osds for key in osd.store
-        if key[2] < cfg.k and osd.store.peek(key).any()
+        if key[2] < cluster.config.k and osd.store.peek(key).any()
     )
     at = int(np.flatnonzero(store.peek(key))[0])
     store.fold_xor(key, at, np.array([0xFF], dtype=np.uint8))
-    assert verify(cluster, cfg, replayers) is False
+    with pytest.raises(hx.LostUpdateError) as err:
+        check(cluster)
+    assert (err.value.key, err.value.offset) == (key, at)
+    assert err.value.writers and all(w.startswith("client") for w, _ in err.value.writers)

@@ -174,6 +174,7 @@ def test_crash_between_forward_and_overwrite_heals(method):
         sim.step()
     # A forward is on its way and the overwrite has not landed: crash.
     assert spy.writes[0][1] > sim.now and not p.fired
+    torn = {key: primary.store.peek(key).copy() for key in primary.store}
     fail_osd(cluster, primary.name, mode="crash")
 
     def detect():
@@ -181,11 +182,17 @@ def test_crash_between_forward_and_overwrite_heals(method):
 
     run_to(sim, sim.process(detect()))
     assert len(spy.replies) == len(spy.issued)
-    res = recover_node(cluster, primary.name, repair=True)
+    recover_node(cluster, primary.name, repair=True)
     # The rebuild decodes parity that already holds the client's delta, so
     # it differs from the victim's torn pre-crash bytes in exactly the
-    # updated block.
-    assert res.mismatched == [(INODE, 0, 0)]
+    # updated block, which now holds the update.
+    rebuilt = {key: primary.store.peek(key) for key in primary.store}
+    zeros = np.zeros(BLOCK, dtype=np.uint8)
+    assert [
+        key for key, blk in sorted(rebuilt.items())
+        if not np.array_equal(blk, torn.get(key, zeros))
+    ] == [(INODE, 0, 0)]
+    assert np.array_equal(rebuilt[(INODE, 0, 0)][10:310], payload)
     run_to(sim, p)
     assert client.update_retries == 1
 

@@ -199,7 +199,7 @@ def _spy_wait_space(eng, seen):
         seen.append((
             layer,
             {lay: eng._width(lay) for lay in (DATA, DELTA, PARITY)},
-            {lay: set(eng._busy[lay]) for lay in (DATA, DELTA, PARITY)},
+            {lay: set(eng._busy.get(lay, ())) for lay in (DATA, DELTA, PARITY)},
         ))
         return ev
 
@@ -236,7 +236,7 @@ def test_a_full_paritylog_parks_the_deltalog_runner_and_widens_paritylog_only():
         {**BACKGROUND_WIDTH, PARITY: channels},
         {DATA: set(), DELTA: {(INODE, 0)}, PARITY: {(INODE, 0, K)}},
     )]
-    assert not eng._space_waiters[PARITY]
+    assert not eng._space_waiters.get(PARITY)
     assert {lay: eng._width(lay) for lay in BACKGROUND_WIDTH} == BACKGROUND_WIDTH
     assert (eng.parity_bytes_covered, eng.parity_bytes_persisted) == (2 * size, 0)
     run_to(sim, sim.process(drain_all(cluster)))  # the injected deltas recycle out

@@ -25,10 +25,13 @@ def build(method="fo", **params):
 
 
 def load_files(cluster, n_files=3, stripes=2):
+    """Install ``n_files`` random files; returns ``{inode: content}``."""
     rng = np.random.default_rng(11)
+    files = {}
     for i in range(n_files):
-        data = rng.integers(0, 256, stripes * K * BLOCK, dtype=np.uint8)
-        cluster.instant_load_file(500 + i, data)
+        files[500 + i] = rng.integers(0, 256, stripes * K * BLOCK, dtype=np.uint8)
+        cluster.instant_load_file(500 + i, files[500 + i])
+    return files
 
 
 def test_recovery_rebuilds_exact_bytes():
@@ -40,7 +43,6 @@ def test_recovery_rebuilds_exact_bytes():
     before = {k: store.peek(k).copy() for k in store}
     res = recover_node(cluster, victim)
     cluster.stop()
-    assert res.correct
     assert res.blocks_recovered == len(before)
     assert res.bytes_recovered == len(before) * BLOCK
     assert res.bandwidth_mbps > 0
@@ -53,9 +55,9 @@ def test_recovery_rebuilds_exact_bytes():
         assert rebuilder.store.peek(key) is None
 
 
-def test_recovery_handles_parity_blocks_too():
+def test_recovery_handles_parity_blocks_too(assert_holds):
     sim, cluster = build("fo")
-    load_files(cluster, n_files=2)
+    files = load_files(cluster, n_files=2)
     cluster.start()
     # Find a victim hosting at least one parity block.
     victim = None
@@ -64,17 +66,17 @@ def test_recovery_handles_parity_blocks_too():
             victim = osd.name
             break
     assert victim is not None
-    res = recover_node(cluster, victim)
+    recover_node(cluster, victim)
     cluster.stop()
-    assert res.correct
+    assert_holds(cluster, victim, files)
 
 
-def test_recovery_drains_pending_logs_first():
+def test_recovery_drains_pending_logs_first(assert_holds):
     """With PL, updates before the failure leave parity logs that must be
     recycled before reconstruction (§2.3.2) — drain time is nonzero and
     recovery still produces correct bytes."""
     sim, cluster = build("pl")
-    load_files(cluster, n_files=2, stripes=1)
+    files = load_files(cluster, n_files=2, stripes=1)
     client = cluster.add_client("c0")
     cluster.start()
 
@@ -82,7 +84,9 @@ def test_recovery_drains_pending_logs_first():
         rng = np.random.default_rng(3)
         for _ in range(25):
             off = int(rng.integers(0, K * BLOCK - 128))
-            yield from client.update(500, off, rng.integers(0, 256, 128, dtype=np.uint8))
+            payload = rng.integers(0, 256, 128, dtype=np.uint8)
+            files[500][off : off + 128] = payload
+            yield from client.update(500, off, payload)
 
     p = sim.process(updates())
     while not p.fired and sim.peek() != float("inf"):
@@ -90,13 +94,13 @@ def test_recovery_drains_pending_logs_first():
     victim = cluster.placement(500, 0)[0]
     res = recover_node(cluster, victim)
     cluster.stop()
-    assert res.correct
+    assert_holds(cluster, victim, files)
     assert res.drain_seconds > 0
 
 
-def test_tsue_recovery_after_updates():
+def test_tsue_recovery_after_updates(assert_holds):
     sim, cluster = build("tsue")
-    load_files(cluster, n_files=2, stripes=1)
+    files = load_files(cluster, n_files=2, stripes=1)
     client = cluster.add_client("c0")
     cluster.start()
 
@@ -104,15 +108,17 @@ def test_tsue_recovery_after_updates():
         rng = np.random.default_rng(5)
         for _ in range(25):
             off = int(rng.integers(0, K * BLOCK - 128))
-            yield from client.update(501, off, rng.integers(0, 256, 128, dtype=np.uint8))
+            payload = rng.integers(0, 256, 128, dtype=np.uint8)
+            files[501][off : off + 128] = payload
+            yield from client.update(501, off, payload)
 
     p = sim.process(updates())
     while not p.fired and sim.peek() != float("inf"):
         sim.step()
     victim = cluster.placement(501, 0)[2]
-    res = recover_node(cluster, victim)
+    recover_node(cluster, victim)
     cluster.stop()
-    assert res.correct
+    assert_holds(cluster, victim, files)
 
 
 def test_recovery_of_empty_node_is_trivial():
@@ -121,13 +127,13 @@ def test_recovery_of_empty_node_is_trivial():
     res = recover_node(cluster, "osd0")
     cluster.stop()
     assert res.blocks_recovered == 0
-    assert res.correct
+    assert len(cluster.osd_by_name("osd0").store) == 0
     assert res.bandwidth_mbps == 0.0
 
 
 def test_recovery_result_arithmetic():
     from repro.recovery import RecoveryResult
 
-    r = RecoveryResult("osd0", 10, 10 * (1 << 20), 1.0, 1.0, True)
+    r = RecoveryResult("osd0", 10, 10 * (1 << 20), 1.0, 1.0)
     assert r.total_seconds == 2.0
     assert r.bandwidth_mbps == pytest.approx(5.0)

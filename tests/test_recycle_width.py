@@ -151,7 +151,7 @@ def test_parity_drain_waiter_widens_paritylog_only_until_idle():
     eng = next(e for e in engines(cluster) if any(p.active and p.active.used for p in e.parity_pools))
     assert widths(eng) == BACKGROUND_WIDTH
     waiter = sim.process(eng.drain_layer(PARITY))
-    while not eng._idle_waiters[PARITY]:
+    while not eng._idle_waiters.get(PARITY):
         sim.step()
     assert widths(eng) == {DATA: 2, DELTA: 1, PARITY: 4}
     run_to(sim, waiter)
@@ -183,7 +183,7 @@ def test_parked_deltalog_appender_widens_deltalog_only_until_woken():
     run_to(sim, sim.process(appender()))
     assert seen and all(layer == DELTA for layer, _ in seen)
     assert all(w == {DATA: 2, DELTA: 4, PARITY: 1} for _, w in seen)
-    assert not eng._space_waiters[DELTA] and widths(eng) == BACKGROUND_WIDTH
+    assert not eng._space_waiters.get(DELTA) and widths(eng) == BACKGROUND_WIDTH
     run_to(sim, sim.process(drain_all(cluster)))  # the injected deltas recycle out
     cluster.stop()
     assert eng.pending_recycles() == 0 and eng.admitted_demand > 0

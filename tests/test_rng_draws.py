@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.rng import payload_bytes
+from repro.sim.rng import payload_bytes, skip_payload_bytes
 from repro.traces.synth import SyntheticTraceConfig, choice_cdf, generate_trace
 from repro.workload.arrival import (
     ClosedLoop,
@@ -109,6 +109,26 @@ def test_mixed_draw_script_is_bit_identical():
             a, b = float(ref.exponential(0.01)), float(gen.exponential(0.01))
         assert a == b, f"draw {i} kind {k}: {a!r} != {b!r}"
     assert_state_equal(ref, gen)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32),
+       sizes=st.lists(st.one_of(st.integers(0, 17), st.integers(0, 70_000)),
+                      min_size=1, max_size=12),
+       pending_half=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_skip_payload_bytes_moves_the_stream_like_payload_bytes(seed, sizes, pending_half):
+    """Skipping ``n`` payload bytes leaves the stream where drawing them
+    does, whatever the size and whether a 32-bit half is pending."""
+    ref, gen = fresh(seed), fresh(seed)
+    if pending_half:
+        ref.integers(0, 100)
+        gen.integers(0, 100)
+    for i, n in enumerate(sizes):
+        payload_bytes(ref, n)
+        skip_payload_bytes(gen, n)
+        assert_state_equal(ref, gen)
+        assert gen.integers(0, 2**31) == ref.integers(0, 2**31), i  # leave a half pending
+    assert gen.random() == ref.random()
 
 
 def test_payload_is_writable_and_fresh():

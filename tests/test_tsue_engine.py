@@ -348,7 +348,7 @@ def test_same_block_recycles_in_seal_order_at_demand_width():
     run_to(sim, sim.process(two_units()))
     assert [job[0] for job in eng._ready[DATA]] == [key, key]
     drain = sim.process(drain_all(cluster))
-    while not eng._idle_waiters[DATA]:
+    while not eng._idle_waiters.get(DATA):
         sim.step()
     assert eng._width(DATA) == primary.device.profile.channels == 4
     eng.start()
@@ -510,8 +510,12 @@ def test_primary_crash_between_submit_and_ack_is_retried_and_drains_clean():
     # Persist issued, replica forward in flight, nothing acked: crash here.
     assert submits[0][2] > sim.now and not p.fired
     fail_osd(cluster, primary.name, mode="crash")
-    res = recover_node(cluster, primary.name, repair=True)
-    assert res.correct
+    recover_node(cluster, primary.name, repair=True)
+    # The replica-driven drain landed the logged update, so the rebuilt
+    # block already holds it, and nothing else.
+    rebuilt = primary.store.peek((inode, 0, 0))
+    assert np.array_equal(rebuilt[10:310], payload)
+    assert not rebuilt[:10].any() and not rebuilt[310:].any()
     run_to(sim, p)
     assert client.update_retries == 1
     # The submitted-but-unacked command was charged once; the retry is a
