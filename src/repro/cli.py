@@ -99,12 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="methods the selected sweep scenarios run over "
                          "(default: all seven; pass with no values to skip "
                          "the sweeps)")
-    be.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
+    be.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
                     help="fan scenario x method rows out over N worker "
-                         "processes (each row is an isolated simulator; "
-                         "rows are merged deterministically, so output is "
-                         "identical to --jobs 1, the serial reference "
-                         "path)")
+                         "processes (default and cap: the usable cores; "
+                         "each row is an isolated simulator and rows are "
+                         "merged deterministically, so output is identical "
+                         "to --jobs 1, the serial in-process reference path)")
     be.add_argument("--json", nargs="?", const="BENCH_scenarios.json",
                     default=None, metavar="PATH",
                     help="also write a JSON baseline (default PATH: "
@@ -190,7 +190,7 @@ def _cmd_bench(args) -> int:
             print(f"unknown {kind}(s) {unknown}; known: {', '.join(known)}",
                   file=sys.stderr)
             return 2
-    if args.jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
 
@@ -209,9 +209,6 @@ def _cmd_bench(args) -> int:
 
     names = sorted(SCENARIOS) if args.scenarios is None else args.scenarios
     methods = tuple(METHODS if args.methods is None else args.methods)
-    # One row list, one executor: a sweep cell that equals a registry cell
-    # simulates once, and the cell-keyed mapping assembles identically
-    # whether the cells ran in-process (--jobs 1) or over a pool.
     cells = run_bench_cells(
         bench_rows(names, methods), jobs=args.jobs, seed=args.seed,
         n_clients=args.clients, requests_per_client=args.requests,

@@ -12,7 +12,7 @@ printable :class:`~repro.harness.artifacts.Grid`.  The benchmarks under
 ``benchmarks/`` archive each render and assert the paper's shapes on it.
 """
 
-from repro.harness.artifacts import Grid, cell, sweep
+from repro.harness.artifacts import Grid, run_cells, sweep
 from repro.harness.experiment import (
     ExperimentConfig,
     ExperimentResult,
@@ -27,9 +27,9 @@ __all__ = [
     "ExperimentResult",
     "Grid",
     "build_cluster",
-    "cell",
     "drain_all",
     "make_trace",
+    "run_cells",
     "run_experiment",
     "sweep",
 ]

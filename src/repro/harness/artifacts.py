@@ -6,10 +6,10 @@ are each row labels against named columns with one run per cell.
 row's and then the column's overrides and reduces its run with the
 column's metric; the :class:`Grid` it returns keeps both the reduced
 ``series`` (what ``render`` prints) and the raw ``cells`` (what the claims
-under ``benchmarks/`` read).  A run is a pure function of its config, so
-:func:`cell` runs each config once per process: Table 1 and the lifespan
-comparison share their runs, and so do the Fig. 5 panels and the client
-sweep over two of them.
+under ``benchmarks/`` read).  :func:`run_cells`, the one cell executor,
+runs each config once per process (Table 1 and the lifespan comparison
+share their runs, and so do the Fig. 5 panels and the client sweep over
+two of them), a grid's missing cells over a pool of the usable cores.
 
 The shapes the paper reports, asserted by ``benchmarks/test_*``:
 
@@ -37,10 +37,11 @@ The shapes the paper reports, asserted by ``benchmarks/test_*``:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.experiment import (
     ExperimentConfig,
@@ -102,16 +103,29 @@ class Grid:
         return format_series(self.series, self.x, self.x_name, title=self.title)
 
 
-_CELLS: Dict[Tuple[Callable, str], Any] = {}
+CORES = len(os.sched_getaffinity(0))  # the usable cores: the pool's default and cap
+_MEMO: Dict[Tuple[Callable, str], Any] = {}  # (runner, repr(cell)) -> result
 
 
-def cell(cfg: ExperimentConfig, run: Callable = run_experiment):
-    """``run(cfg)``, once per process: a run is a pure function of its
-    config, so a config seen before returns the earlier result."""
-    key = (run, repr(cfg))
-    if key not in _CELLS:
-        _CELLS[key] = run(cfg)
-    return _CELLS[key]
+def run_cells(run: Callable, cells: Sequence, jobs: Optional[int] = None) -> List:
+    """``[run(c) for c in cells]``: a run is a pure function of its cell, so
+    a cell in the memo (key: ``run``, ``repr(c)``) is not run again.  One
+    missing cell, or ``jobs <= 1``, runs in-process (the serial reference
+    path); more over a pool of ``min(jobs or CORES, CORES, missing)``
+    workers, whose results the parent's memo keeps, in cell order."""
+    keys = [(run, repr(c)) for c in cells]
+    missing = {k: c for k, c in zip(keys, cells) if k not in _MEMO}
+    workers = min(jobs or CORES, CORES, len(missing))
+    if workers <= 1:
+        done = map(run, missing.values())
+    else:
+        # Forked: a spawned pool re-imports the package, ~0.4 s per grid.
+        # A run starts no thread, so there is none to lose in the fork.
+        import multiprocessing  # here: a process that never pools never loads it
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            done = pool.map(run, missing.values(), chunksize=1)
+    _MEMO.update(zip(missing, done))
+    return [_MEMO[k] for k in keys]
 
 
 def sweep(
@@ -122,12 +136,13 @@ def sweep(
     columns: Sequence[Column],
     run: Callable = run_experiment,
 ) -> Grid:
-    """Run every (row, column) cell through :func:`cell` and reduce it."""
+    """Run every (row, column) cell in one :func:`run_cells` and reduce it."""
     grid = Grid(title, x_name, [label for label, _ in rows], {name: [] for name, _, _ in columns})
-    for label, row in rows:
-        for name, col, metric in columns:
-            res = grid.cells[label, name] = cell(replace(base, **{**row, **col}), run)
-            grid.series[name].append(metric(res))
+    todo = [(label, name, metric, replace(base, **{**row, **col}))
+            for label, row in rows for name, col, metric in columns]
+    for (label, name, metric, _), res in zip(todo, run_cells(run, [cfg for *_, cfg in todo])):
+        grid.cells[label, name] = res
+        grid.series[name].append(metric(res))
     return grid
 
 
@@ -167,10 +182,10 @@ def run_fig6a(
     n_clients: int = 32, updates_per_client: int = 200, buckets: int = 10, seed: int = 11
 ) -> Grid:
     """Fig. 6a: one TSUE run's completions in ``buckets`` equal intervals."""
-    res = cell(_config(
+    [res] = run_cells(run_experiment, [_config(
         method="tsue", trace="ten", k=6, m=4, n_clients=n_clients,
         updates_per_client=updates_per_client, seed=seed,
-    ))
+    )])
     s = res.update_recorder.iops_series(bucket=res.horizon / buckets, horizon=res.horizon)
     x = [f"{t * 1000:.0f}ms" for t in s.times]
     return Grid(

@@ -252,7 +252,7 @@ class Run:
         """Machine-local measurement up to this call, never part of a
         simulated row: ``wall_s``/``cpu_s`` span build -> now, the
         ``sim_*`` twins and events/sec only the drive (set-up, teardown and
-        gates excluded); peak RSS is the process high-water mark (KiB)."""
+        gates excluded); peak RSS is the process's (KiB; a pooled cell's worker's)."""
         wall, cpu = _host_clock(self.entry_clock)
         sim_wall, sim_cpu = self.drive_host
         events = self.cluster.sim.events_fired
@@ -409,11 +409,14 @@ class LostUpdateError(AssertionError):
     the byte, ``writers`` the candidate ``(writer, issue number)`` pairs."""
 
     def __init__(self, key, offset: int, got: int, writers: list):
-        self.key, self.offset, self.writers = key, offset, writers
+        self.key, self.offset, self.got, self.writers = key, offset, got, writers
         super().__init__(
             f"block {key} offset {offset} holds {got}, which no legal writer "
             f"wrote; candidates (writer, issue number): {writers or 'none (zero)'}"
         )
+
+    def __reduce__(self):  # a pooled cell's error must unpickle in the parent
+        return type(self), (self.key, self.offset, self.got, self.writers)
 
 
 def check_acked_bytes(cluster: Cluster) -> None:

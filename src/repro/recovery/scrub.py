@@ -6,8 +6,8 @@ compares against stored parity — :func:`check_stripe`, the one copy of
 that step (the post-crash parity repair maps it too), run through the one
 sliding window, :func:`windowed`.  EC file systems run this continuously to
 catch latent corruption (bit rot, torn writes); it also doubles as an
-online version of :meth:`repro.cluster.Cluster.stripe_consistent`, which is
-cost-free and test-only.
+online version of :meth:`repro.cluster.Cluster.stripe_consistent`, the
+cost-free drain gate of fault-free runs.
 
 A scrub checks what the blocks hold now: run it on drained stripes, since
 parity legitimately lags pending log state under every logging method and
@@ -15,8 +15,8 @@ such a stripe reports a mismatch.  Stripes with a down member are skipped
 (their blocks cannot all be read), and every skip is reported by key in
 :attr:`ScrubReport.skipped` so operators can re-scrub exactly those.
 
-Failure scenarios use a scrub as the post-recovery gate: after recovery,
-repair and the drain, every touched stripe must scrub clean.
+Fault runs use a scrub as the post-recovery gate, and as the drain gate:
+after recovery, repair and the drain, every stripe must scrub clean.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ class ScrubReport:
     skipped: List[Tuple[int, int]] = field(default_factory=list)
     bytes_read: int = 0
     seconds: float = 0.0
-
-    @property
-    def stripes_skipped(self) -> int:
-        return len(self.skipped)
 
     @property
     def clean(self) -> bool:

@@ -21,7 +21,7 @@ outstanding update per client).  This package opens the workload axis:
 * :mod:`~repro.workload.runner` — :func:`run_scenario` (one cell through
   the harness's run protocol, behind a hard parity-consistency gate on
   every drain and a forced post-recovery scrub on every fault run) and
-  :func:`run_bench_cells`, the one many-cell executor;
+  :func:`run_bench_cells`, many through the paper grids' cell executor;
 * :mod:`~repro.workload.metrics` / :mod:`~repro.workload.results` — the
   recovery + elastic sections, :class:`ScenarioResult`, the bench JSON.
 """

@@ -1,5 +1,5 @@
 """Running scenarios: one cell (:func:`run_scenario`) or many
-(:func:`run_bench_cells`).
+(:func:`run_bench_cells`, through the paper grids' cell executor).
 
 A scenario run is the harness's run protocol
 (:func:`repro.harness.experiment.run_protocol`) with open-loop generators
@@ -40,7 +40,8 @@ from repro.workload.scenarios import (
 
 
 class InconsistentDrainError(RuntimeError):
-    """A drained scenario left parity-inconsistent stripes behind.
+    """A drained fault-free scenario left parity-inconsistent stripes
+    behind (a fault run's scrub raises :class:`PostRecoveryScrubError`).
 
     Raised by :func:`run_scenario` for *any* method: with per-stripe update
     serialization in place there is no legal way to drain inconsistent, so
@@ -160,7 +161,9 @@ def _scenario_result(scenario: Scenario, run) -> ScenarioResult:
 
     # The hard gate: with per-stripe serialization no method may drain
     # inconsistent — a bad stripe is a strategy bug, not a workload effect.
-    bad = inconsistent_stripes(run)
+    # A fault run's verdict is its scrub's: clean above means it re-encoded
+    # the same stripes from the same stored blocks after the drain.
+    bad = [] if run.injector else inconsistent_stripes(run)
     if bad:
         shown = ", ".join(f"({i},{s})" for i, s in bad[:8])
         raise InconsistentDrainError(
@@ -220,34 +223,20 @@ METHODS = tuple(m for m in _METHOD_ORDER if m in STRATEGIES) + tuple(
 )
 
 
-def _bench_row_worker(args):
-    """One ``(scenario, method)`` cell, returned with its key so the
-    caller merges by key.  At module scope so that it pickles under any
-    multiprocessing start method."""
-    name, method, kwargs = args
-    return name, method, run_scenario(name, method=method, **kwargs)
+def _scenario_cell(cell: Tuple[str, str, Dict]) -> ScenarioResult:
+    """``run_scenario`` over one ``(scenario, method, kwargs)`` cell."""
+    name, method, kwargs = cell
+    return run_scenario(name, method=method, **kwargs)
 
 
 def run_bench_cells(
-    rows: Sequence[Tuple[str, str]], jobs: int = 1, **kwargs
+    rows: Sequence[Tuple[str, str]], jobs: Optional[int] = None, **kwargs
 ) -> Dict[Tuple[str, str], ScenarioResult]:
-    """Run unique ``(scenario, method)`` cells, optionally over a pool.
+    """``(scenario, method)`` -> its row, in first-seen row order, through
+    the paper grids' cell executor (:func:`repro.harness.artifacts.run_cells`:
+    ``jobs`` workers, default and cap the usable cores; ``jobs=1`` is the
+    serial in-process path).  A row seen before in the process runs once."""
+    from repro.harness.artifacts import run_cells
 
-    The one many-cell executor: every cell is an isolated simulator and a
-    pure function of its arguments, so cells fan out over a
-    ``multiprocessing`` pool with no shared state.  Rows are de-duplicated
-    (a registry row that reappears in a sweep runs once) and the mapping
-    is keyed by cell in first-seen row order, whatever order workers
-    finish in — ``--jobs N`` output is byte-identical to ``jobs <= 1``,
-    which runs the same worker in-process (no pool, no pickling) and
-    remains the reference implementation.
-    """
-    work = [(name, method, kwargs) for name, method in dict.fromkeys(map(tuple, rows))]
-    if jobs <= 1:
-        done = map(_bench_row_worker, work)
-    else:
-        import multiprocessing as mp
-
-        with mp.get_context().Pool(processes=min(jobs, len(work)) or 1) as pool:
-            done = pool.map(_bench_row_worker, work, chunksize=1)
-    return {(name, method): res for name, method, res in done}
+    keys = [tuple(row) for row in rows]
+    return dict(zip(keys, run_cells(_scenario_cell, [(*key, kwargs) for key in keys], jobs)))

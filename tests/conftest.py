@@ -5,6 +5,18 @@ import gc
 import pytest
 
 
+@pytest.fixture(autouse=True)
+def memo(monkeypatch):
+    """Every test starts from an empty cell memo, so each cell it asks the
+    executor for simulates; the dict is the memo the test fills.
+    ``benchmarks/`` keeps one memo per session: shared cells simulate once."""
+    from repro.harness import artifacts
+
+    fresh = {}
+    monkeypatch.setattr(artifacts, "_MEMO", fresh)
+    return fresh
+
+
 @pytest.fixture
 def caller_gc(request):
     """Run a test with the cyclic collector in the caller state named by

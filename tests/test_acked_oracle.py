@@ -18,7 +18,7 @@ from repro.fs.osd import OSD
 from repro.harness.experiment import ExperimentConfig, LostUpdateError, build_cluster
 from repro.sim.rng import payload_bytes
 from repro.tsue.engine import DATA, DELTA
-from repro.workload import run_scenario
+from repro.workload import run_bench_cells, run_scenario
 from repro.workload.generator import NO_WRITES, WriteLog
 
 
@@ -61,6 +61,15 @@ def test_crash_that_drops_logs_fails_only_the_oracle(crash_drops_logs, monkeypat
     monkeypatch.setattr(hx, "check_acked_bytes", lambda cluster: None)
     res = run_scenario("double_fault", seed=seed, method="tsue")
     assert res.consistent is True and res.recovery["scrub_clean"] is True
+
+
+def test_a_pooled_cells_lost_update_reaches_the_caller(crash_drops_logs, monkeypatch):
+    """The error crosses the pool whole: unpickling it in the parent must
+    not fail, or the pool would wait for the result forever."""
+    monkeypatch.setattr(art, "CORES", 2)
+    with pytest.raises(LostUpdateError) as err:
+        run_bench_cells([("double_fault", "tsue"), ("steady", "tsue")], jobs=2, seed=3)
+    assert err.value.key == (1003, 7, 0) and err.value.writers
 
 
 def test_oracle_passes_the_same_crash_without_the_mutant():

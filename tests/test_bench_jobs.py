@@ -44,15 +44,19 @@ def _sans_perf(payload):
     return {k: v for k, v in payload.items() if k != "perf"}
 
 
-def test_jobs_output_identical_to_serial(tmp_path):
+def test_jobs_output_identical_to_serial(tmp_path, memo):
     serial = _bench(tmp_path, "serial", 1)
+    # The memo would hand the second run the first's cells: empty it, so
+    # the pooled run simulates all seven cells itself.
+    memo.clear()
     pooled = _bench(tmp_path, "pooled", 3)
+    assert len(memo) == 7
     assert _sans_perf(pooled) == _sans_perf(serial)
     # Both runs carry a perf section for every simulated registry row.
     assert set(pooled["perf"]) == set(serial["perf"])
 
 
-def test_jobs_check_baseline_round_trip(tmp_path):
+def test_jobs_check_baseline_round_trip(tmp_path, memo):
     """A --jobs N run passes --check-baseline against a serial baseline."""
     out = tmp_path / "base.json"
     args = [
@@ -61,8 +65,10 @@ def test_jobs_check_baseline_round_trip(tmp_path):
         "--methods", "tsue",
         "--json", str(out),
     ]
-    assert cli.main(args) == 0
+    assert cli.main(args + ["--jobs", "1"]) == 0
+    memo.clear()
     assert cli.main(args + ["--jobs", "2", "--check-baseline", str(out)]) == 0
+    assert len(memo) == 3
 
 
 def test_jobs_flag_validation(capsys):

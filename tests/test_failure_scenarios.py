@@ -17,7 +17,7 @@ from repro.recovery.rebalance import _stripe_has_pending
 from repro.recovery.recovery import _repair_stripes
 from repro.sim import Simulator
 from repro.update import make_strategy_factory
-from repro.workload import METHODS, SCENARIOS, run_scenario
+from repro.workload import METHODS, SCENARIOS, PostRecoveryScrubError, run_scenario
 
 K, M, BLOCK = 4, 2, 2048
 SMOKE = dict(n_clients=2, requests_per_client=40)
@@ -321,11 +321,15 @@ def test_failure_scenarios_registered():
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_rebuild_under_load_all_methods(method):
+def test_rebuild_under_load_all_methods(method, monkeypatch):
     """The acceptance bar: every method survives a crash + rebuild under
     live foreground load — consistent drain, clean forced post-recovery
-    scrub (run_scenario raises otherwise), and a full recovery section."""
+    scrub (run_scenario raises otherwise), and a full recovery section.
+    The scrub is the drain verdict: the uncosted gate checks no stripe."""
+    checked = []
+    monkeypatch.setattr(Cluster, "stripe_consistent", lambda *a: checked.append(a))
     res = run_scenario("rebuild_under_load", method=method, **SMOKE)
+    assert checked == []
     assert res.consistent
     rec = res.recovery
     assert rec is not None
@@ -341,6 +345,26 @@ def test_rebuild_under_load_all_methods(method):
         abs=1e-9,
     )
     assert res.updates + res.reads == SMOKE["n_clients"] * SMOKE["requests_per_client"]
+
+
+def test_parity_corrupted_after_the_drain_fails_the_fault_run(monkeypatch):
+    """The scrub that replaced a fault run's drain gate still runs after
+    the drain: one parity byte flipped between the two fails the run."""
+    import repro.harness.experiment as hx
+
+    real = hx.scrub
+
+    def corrupt_then_scrub(cluster, targets):
+        k = cluster.config.k  # the first parity block of the first stripe that has one
+        parity = ((cluster.osd_by_name(cluster.placement(i, s)[k]).store, (i, s, k))
+                  for i, s in targets)
+        store, key = next((store, key) for store, key in parity if key in store)
+        store.fold_xor(key, 0, np.ones(1, dtype=np.uint8))
+        return (yield from real(cluster, targets))
+
+    monkeypatch.setattr(hx, "scrub", corrupt_then_scrub)
+    with pytest.raises(PostRecoveryScrubError, match=r"found 1 bad / 0 unscrubbable"):
+        run_scenario("rebuild_under_load", **SMOKE)
 
 
 def test_double_fault_recovers_both():

@@ -1,5 +1,6 @@
 """Integration tests for the experiment harness (tiny scales)."""
 
+import dataclasses
 import gc
 import re
 from pathlib import Path
@@ -145,8 +146,9 @@ def test_runner_pauses_collector_and_restores_callers_state(caller_gc, runner, b
 
 def test_shared_cells_simulate_once(built, monkeypatch):
     """Table 1 and the lifespan comparison reduce the same runs: after
-    Table 1, the lifespan grid at the same sizes builds no cluster."""
-    monkeypatch.setattr(art, "_CELLS", {})
+    Table 1, the lifespan grid at the same sizes builds no cluster.  Pool
+    size 1, so every build happens in this process, where it is counted."""
+    monkeypatch.setattr(art, "CORES", 1)
     sizes = dict(n_clients=2, updates_per_client=10, methods=("fo", "tsue"))
     table1 = art.run_table1(**sizes)
     assert len(built) == 2
@@ -155,6 +157,40 @@ def test_shared_cells_simulate_once(built, monkeypatch):
     assert lifespan.cells["TSUE", "erase ops"] is table1.cells["TSUE", "R/W Num."]
     # A sweep's columns over one config are one run, too.
     assert len({id(run) for run in table1.cells.values()}) == 2
+
+
+def _reported(res):
+    """Every field of a run a grid can report; the recorders as samples."""
+    out = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)}
+    out["update_recorder"] = list(res.update_recorder.latencies)
+    tracker = out.pop("residency")
+    if tracker is not None:
+        out["residency"] = [tracker.mean_us(layer) for layer in tracker.LAYERS]
+    return out
+
+
+def test_pooled_cells_equal_the_serial_path(memo, monkeypatch):
+    """The pool moves where cells run and nothing else: a tiny Table 1
+    renders byte-identically at pool size 2 and 1 and its raw runs agree
+    field by field; the parent keeps the pooled runs, so the lifespan grid
+    over the same cells runs none."""
+    sizes = dict(n_clients=2, updates_per_client=10, methods=("fo", "tsue"))
+    monkeypatch.setattr(art, "CORES", 2)
+    pooled = art.run_table1(**sizes)
+    kept = dict(memo)
+    assert len(kept) == 2
+    lifespan = art.run_lifespan(**sizes)
+    assert memo == kept
+    assert lifespan.cells["TSUE", "erase ops"] is pooled.cells["TSUE", "R/W Num."]
+
+    monkeypatch.setattr(art, "CORES", 1)
+    memo.clear()
+    serial = art.run_table1(**sizes)
+    assert serial.render() == pooled.render()
+    assert all(
+        _reported(serial.cells[key]) == _reported(pooled.cells[key]) for key in serial.cells
+    )
+    assert all(serial.cells[key] is not pooled.cells[key] for key in serial.cells)
 
 
 @pytest.mark.parametrize("caller_gc", [True, False], indirect=True)

@@ -131,10 +131,11 @@ def test_run_bench_cells_simulates_a_duplicate_cell_once(monkeypatch):
         runner, "run_scenario",
         lambda name, **kw: ran.append((name, kw["method"])) or real(name, **kw),
     )
-    # The hot_stripe/tsue registry row reappears in the sweep.
+    # The hot_stripe/tsue registry row reappears in the sweep.  In-process
+    # (jobs=1), so the calls are counted here.
     cells = run_bench_cells(
         [("hot_stripe", "tsue"), ("hot_stripe", "fl"), ("hot_stripe", "tsue")],
-        **SMOKE,
+        jobs=1, **SMOKE,
     )
     assert ran == [("hot_stripe", "tsue"), ("hot_stripe", "fl")]
     assert list(cells) == ran
