@@ -11,7 +11,7 @@ operations and network traffic.
 
 import argparse
 
-from repro.harness import ExperimentConfig, run_experiment
+from repro.harness import ExperimentConfig, run_cells, run_experiment
 from repro.metrics.report import format_table
 
 METHODS = ("fo", "pl", "plr", "parix", "cord", "tsue")
@@ -25,10 +25,8 @@ def main() -> None:
     ap.add_argument("--updates", type=int, default=100)
     args = ap.parse_args()
 
-    rows = []
-    tsue_iops = None
-    for method in METHODS:
-        cfg = ExperimentConfig(
+    cfgs = [
+        ExperimentConfig(
             method=method,
             trace=args.trace,
             k=6,
@@ -38,7 +36,12 @@ def main() -> None:
             seed=7,
             verify=True,
         )
-        res = run_experiment(cfg)
+        for method in METHODS
+    ]
+    rows = []
+    tsue_iops = None
+    # One cell per method, pooled over the host's cores.
+    for method, res in zip(METHODS, run_cells(run_experiment, cfgs)):
         assert res.consistent, f"{method} left an inconsistent stripe!"
         if method == "tsue":
             tsue_iops = res.agg_iops

@@ -11,7 +11,7 @@ automatically for ``device_kind="hdd"``).
 
 import argparse
 
-from repro.harness import ExperimentConfig, run_experiment
+from repro.harness import ExperimentConfig, run_cells, run_experiment
 from repro.metrics.report import format_table
 from repro.traces import MSR_VOLUMES
 
@@ -23,9 +23,9 @@ def main() -> None:
     ap.add_argument("--updates", type=int, default=120)
     args = ap.parse_args()
 
-    rows = []
-    for method in ("fo", "pl", "plr", "parix", "tsue"):
-        cfg = ExperimentConfig(
+    methods = ("fo", "pl", "plr", "parix", "tsue")
+    cfgs = [
+        ExperimentConfig(
             method=method,
             trace=f"msr:{args.volume}",
             k=6,
@@ -36,7 +36,11 @@ def main() -> None:
             seed=9,
             verify=True,
         )
-        res = run_experiment(cfg)
+        for method in methods
+    ]
+    rows = []
+    # One cell per method, pooled over the host's cores.
+    for method, res in zip(methods, run_cells(run_experiment, cfgs)):
         assert res.consistent, f"{method} inconsistent!"
         rows.append(
             [

@@ -9,7 +9,7 @@ the workload ran continuously — the accounting behind the paper's claim
 that TSUE extends SSD lifespan by reducing overwrites and erases.
 """
 
-from repro.harness import ExperimentConfig, run_experiment
+from repro.harness import ExperimentConfig, run_cells, run_experiment
 from repro.metrics.lifespan import endurance_years
 from repro.metrics.report import format_table
 
@@ -18,10 +18,8 @@ DEVICE_BYTES = 400 * 10**9
 
 
 def main() -> None:
-    rows = []
-    wear = {}
-    for method in METHODS:
-        cfg = ExperimentConfig(
+    cfgs = [
+        ExperimentConfig(
             method=method,
             trace="ten",
             k=6,
@@ -31,7 +29,12 @@ def main() -> None:
             seed=5,
             verify=False,
         )
-        res = run_experiment(cfg)
+        for method in METHODS
+    ]
+    rows = []
+    wear = {}
+    # One cell per method, pooled over the host's cores.
+    for method, res in zip(METHODS, run_cells(run_experiment, cfgs)):
         wear[method] = res
         # Endurance if this (short) workload looped forever on one device.
         # The bench workload is an extreme burst (its virtual horizon is

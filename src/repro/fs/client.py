@@ -55,10 +55,7 @@ class Client(RpcHost):
     # ------------------------------------------------------------------
     def create(self, inode: int, size: int):
         """Register a new file with the MDS (generator)."""
-        reply = yield from self.rpc(
-            "mds", "create_file", {"inode": inode, "size": size}, nbytes=32
-        )
-        return reply
+        yield from self.rpc("mds", "create_file", (inode, size))
 
     # ------------------------------------------------------------------
     # data path
@@ -86,8 +83,7 @@ class Client(RpcHost):
             parity = self.cluster.codec.encode(blocks)
             names = self.cluster.placement(inode, stripe)
             calls.extend(
-                (names[j], "write_block", {"key": (inode, stripe, j), "data": blk},
-                 blk.size)
+                (names[j], "write_block", ((inode, stripe, j), blk))
                 for j, blk in enumerate(blocks + parity)
             )
         yield self.fan_out(calls)
@@ -205,12 +201,7 @@ class Client(RpcHost):
                     osd = self.cluster.osd_of_block(
                         inode, ext.addr.stripe, ext.addr.block_index
                     )
-                    yield from self.rpc(
-                        osd,
-                        "update",
-                        {"key": ext.addr.key(), "offset": ext.offset, "data": data},
-                        nbytes=ext.length,
-                    )
+                    yield from self.rpc(osd, "update", (ext.addr.key(), ext.offset, data))
                     return
                 calls = []
                 pos = 0
@@ -220,12 +211,7 @@ class Client(RpcHost):
                     osd = self.cluster.osd_of_block(
                         inode, ext.addr.stripe, ext.addr.block_index
                     )
-                    calls.append((
-                        osd,
-                        "update",
-                        {"key": ext.addr.key(), "offset": ext.offset, "data": payload},
-                        ext.length,
-                    ))
+                    calls.append((osd, "update", (ext.addr.key(), ext.offset, payload)))
                 yield self.fan_out(calls)
 
             self.cluster.note_ops_begin(inode, stripes)
@@ -320,10 +306,7 @@ class Client(RpcHost):
         return out
 
     def _read_one(self, osd: str, key, offset: int, length: int):
-        reply = yield from self.rpc(
-            osd, "read", {"key": key, "offset": offset, "length": length}, nbytes=24
-        )
-        return reply["data"]
+        return (yield from self.rpc(osd, "read", (key, offset, length)))
 
     def _degraded_read(
         self, inode: int, stripe: int, lost_index: int, offset: int, length: int, down: set
@@ -346,10 +329,9 @@ class Client(RpcHost):
                 f"unrecoverable with k={cfg.k}"
             )
         replies = yield self.fan_out(
-            (osd, "read", {"key": (inode, stripe, b), "offset": 0,
-                           "length": cfg.block_size}, 24)
+            (osd, "read", ((inode, stripe, b), 0, cfg.block_size))
             for b, osd in sources
         )
-        shards = {b: rep["data"] for (b, _), rep in zip(sources, replies)}
+        shards = {b: data for (b, _), data in zip(sources, replies)}
         rebuilt = self.cluster.codec.reconstruct(shards, [lost_index])[lost_index]
         return rebuilt[offset : offset + length]

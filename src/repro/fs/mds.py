@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.fs.messages import Message, RpcHost
+from repro.fs.messages import RpcHost
 from repro.logstruct.intervals import IntervalSet
 
 PAGE = 4096
@@ -58,12 +58,7 @@ class MDS(RpcHost):
         self.heartbeat_timeout = self.HEARTBEAT_TIMEOUT
         self.last_heartbeat: Dict[str, float] = {}
         self.register("create_file", self._h_create)
-        # Heartbeats opt out of the at-most-once reply cache: the handler
-        # is idempotent by construction (last-writer-wins timestamp), a
-        # *replayed* heartbeat would report stale liveness, and the beat
-        # stream would otherwise churn the dedup table of every OSD's
-        # entry for no protection.
-        self.register("heartbeat", self._h_heartbeat, cache_reply=False)
+        self.register("heartbeat", self._h_heartbeat)
 
     # ------------------------------------------------------------------
     # direct (non-RPC) registration used by instant loading
@@ -81,19 +76,15 @@ class MDS(RpcHost):
     # ------------------------------------------------------------------
     # handlers
     # ------------------------------------------------------------------
-    def _h_create(self, msg: Message):
-        inode = msg.payload["inode"]
-        size = msg.payload["size"]
+    def _h_create(self, inode: int, size: int):
         if inode in self.files:
             raise ValueError(f"inode {inode} already exists")
         self.files[inode] = FileMeta(inode, size)
         yield self.sim.timeout(0)  # metadata op: negligible local cost
-        return {"ok": True}, 16
 
-    def _h_heartbeat(self, msg: Message):
-        self.last_heartbeat[msg.src] = self.sim.now
+    def _h_heartbeat(self, osd: str):
+        self.last_heartbeat[osd] = self.sim.now
         yield self.sim.timeout(0)
-        return {"ok": True}, 8
 
     # ------------------------------------------------------------------
     # failure detection

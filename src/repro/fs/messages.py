@@ -1,8 +1,16 @@
-"""RPC over the simulated fabric.
+"""RPC over the simulated fabric, and the wire protocol it carries.
 
 Every node (MDS, OSD, client) is an :class:`RpcHost`; each delivered
 request spawns one handler process, so a node serves requests concurrently
 while its devices and NIC provide the real back-pressure.
+
+Every message kind is declared once, in :data:`KINDS`: its fields, its
+request and reply wire sizes and its delivery class
+(:class:`MessageKind`).  A call names the destination, the kind and the
+fields in declared order, ``rpc(dst, "update", (key, offset, data))``; the
+handler takes the same fields as arguments and returns only the data it
+replies with (``None`` for an acknowledgement).  ``docs/faults.md`` lists
+the table.
 
 ``rpc`` is request/response: the caller waits for the handler's reply and
 pays both transfer directions.  ``rpc_with_retry`` is ``rpc`` for detached
@@ -22,7 +30,8 @@ a replay of it) is delivered, because ``rpc`` never resends an id whose
 reply it received; an ``err`` outcome stays, because ``rpc_with_retry``
 resends an id after a shipped :class:`HostDownError`.  So the table grows
 with faults, not with traffic, and needs no bound.  It is volatile state:
-cleared by ``crash()``, preserved across ``stop()``.
+cleared by ``crash()``, preserved across ``stop()``.  An *uncached* kind
+(the heartbeat) never enters it.
 
 Failure semantics (the failure-injection scenarios build on these):
 
@@ -46,7 +55,81 @@ from repro.sim.events import AllOf, AnyOf, Event, Interrupt
 # Fixed protocol overhead charged per message in addition to payload bytes.
 MSG_OVERHEAD = 64
 
-Handler = Callable[["Message"], Generator[Event, Any, Optional[Tuple[dict, int]]]]
+Handler = Callable[..., Generator[Event, Any, Any]]
+
+
+def ack(_reply) -> int:
+    """Reply bytes of an acknowledgement (a handler that returns nothing)."""
+    return 8
+
+
+def sized(reply) -> int:
+    """Reply bytes of a payload reply: its size."""
+    return reply.size
+
+
+class MessageKind:
+    """One RPC kind's wire contract.
+
+    ``request`` gives the request's payload bytes from the kind's fields:
+    its parameter names *are* the fields, in wire order, and the handler
+    takes the same parameters.  Computing it is the caller's field check,
+    so a call with the wrong fields fails before any transfer.  ``reply``
+    gives the reply's payload bytes from what the handler returns.
+    ``delivery`` is ``"cached"``: the outcome waits in the destination's
+    dedup table until settled, or ``"uncached"``: the kind is idempotent
+    by construction and never enters it.
+    """
+
+    __slots__ = ("name", "fields", "request", "reply", "cached",
+                 "reply_tag", "err_tag")
+
+    def __init__(self, name: str, request: Callable[..., int],
+                 reply: Callable[[Any], int], delivery: str):
+        if delivery not in ("cached", "uncached"):
+            raise ValueError(f"{name}: delivery must be 'cached' or 'uncached'")
+        code = request.__code__
+        self.name = name
+        self.fields: Tuple[str, ...] = code.co_varnames[:code.co_argcount]
+        self.request = request
+        self.reply = reply
+        self.cached = delivery == "cached"
+        # Traffic-counter tags of the two answers a request can get.
+        self.reply_tag = name + ".reply"
+        self.err_tag = name + ".err"
+
+
+def _entries(entries) -> int:
+    """Payload of an ``[(offset, delta), ...]`` list: its deltas' bytes."""
+    n = 0
+    for _, delta in entries:
+        n += delta.size
+    return n
+
+
+# The wire protocol: every kind a caller may send.  Columns: name, request
+# bytes (whose parameters are the fields), reply bytes, delivery class.
+KINDS: Dict[str, MessageKind] = {kind.name: kind for kind in (
+    # the serving plane: fs/osd.py, fs/mds.py
+    MessageKind("write_block", lambda key, data: data.size, ack, "cached"),
+    MessageKind("read", lambda key, offset, length: 24, sized, "cached"),
+    MessageKind("update", lambda key, offset, data: data.size, ack, "cached"),
+    MessageKind("recovery_read", lambda key: 24, sized, "cached"),
+    MessageKind("recovery_write", lambda key, data: data.size, ack, "cached"),
+    MessageKind("create_file", lambda inode, size: 32, lambda _: 16, "cached"),
+    # A last-writer-wins timestamp, and a replayed beat would report stale
+    # liveness: idempotent by construction, so uncached.
+    MessageKind("heartbeat", lambda osd: 8, ack, "uncached"),
+    # the update methods: update/, tsue/
+    MessageKind("parity_apply", lambda pkey, entries: _entries(entries), ack, "cached"),
+    MessageKind("pl_append", lambda pkey, entries: _entries(entries), ack, "cached"),
+    MessageKind("plr_append", lambda pkey, entries: _entries(entries), ack, "cached"),
+    MessageKind("parix_append", lambda key, offset, data, orig: data.size, ack, "cached"),
+    MessageKind("cord_collect", lambda key, offset, delta: delta.size, ack, "cached"),
+    MessageKind("tsue_replica", lambda key, offset, data: data.size, ack, "cached"),
+    MessageKind("tsue_delta", lambda key, entries, primary: _entries(entries), ack, "cached"),
+    MessageKind("tsue_parity", lambda pkey, entries: _entries(entries), ack, "cached"),
+)}
 
 
 class HostDownError(RuntimeError):
@@ -82,33 +165,20 @@ class Message:
     construction cost is part of the per-op fast path.
     """
 
-    __slots__ = ("kind", "src", "dst", "payload", "nbytes", "reply_event",
-                 "sent_at", "req_id")
+    __slots__ = ("kind", "src", "fields", "reply_event", "req_id")
 
-    def __init__(
-        self,
-        kind: str,
-        src: str,
-        dst: str,
-        payload: dict,
-        nbytes: int,
-        reply_event: Event,
-        sent_at: float,
-        req_id: int,
-    ):
+    def __init__(self, kind: MessageKind, src: str, fields: tuple,
+                 reply_event: Event, req_id: int):
         self.kind = kind
         self.src = src
-        self.dst = dst
-        self.payload = payload
-        self.nbytes = nbytes
+        self.fields = fields
         self.reply_event = reply_event
-        self.sent_at = sent_at
         # Per-source monotonic request id: the key of the at-most-once
         # dedup table on the destination.
         self.req_id = req_id
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Message {self.kind} {self.src}->{self.dst} {self.nbytes}B>"
+        return f"<Message {self.kind.name} from {self.src} #{self.req_id}>"
 
 
 class RpcHost:
@@ -145,7 +215,6 @@ class RpcHost:
         # and fail their callers instead of leaving replies pending forever.
         # A handler removes its own entry when it exits.
         self._inflight: Dict["Message", Any] = {}
-        self._reply_kinds: Dict[str, str] = {}
         # Fired (and replaced) on every liveness transition — start() and
         # crash() — so connect-waiters blocked on a stopped host wake
         # exactly when its state changes instead of busy-polling.
@@ -155,15 +224,12 @@ class RpcHost:
         self._next_req_id = 0
         # peer name -> {req_id -> outcome entry}, unsettled outcomes only.
         # Entries: ("inflight",) while the handler runs, then
-        # ("ok", payload, nbytes) until its reply is delivered (then the
+        # ("ok", reply) until its reply is delivered (then the
         # entry goes: see _settle), or ("err", exc) for good.  An emptied
         # per-peer dict is kept: re-creating it per message costs more.
         # Volatile: cleared on crash() together with the rest of in-memory
         # state, preserved across stop().
         self._dedup: Dict[str, Dict[int, tuple]] = {}
-        # Kinds registered with cache_reply=False skip the dedup table
-        # entirely (idempotent-by-construction traffic like heartbeats).
-        self._uncached_kinds: set = set()
         # Delivery-plane counters (metrics, not protocol state — survive
         # crash so the elastic rows can report them).
         self.retransmits = 0
@@ -173,12 +239,11 @@ class RpcHost:
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    def register(self, kind: str, handler: Handler, cache_reply: bool = True) -> None:
+    def register(self, kind: str, handler: Handler) -> None:
+        """Serve ``kind``, a name in :data:`KINDS`, with ``handler``."""
         if kind in self.handlers:
             raise ValueError(f"handler for {kind!r} already registered on {self.name}")
         self.handlers[kind] = handler
-        if not cache_reply:
-            self._uncached_kinds.add(kind)
 
     def connect(self, peers: Dict[str, "RpcHost"]) -> None:
         """Install the cluster-wide name -> host routing table."""
@@ -227,20 +292,15 @@ class RpcHost:
             if proc.is_alive:
                 proc.interrupt("crash")
             if not msg.reply_event.triggered:
-                msg.reply_event.fail(HostDownError(self.name, f"crashed serving {msg.kind}"))
+                msg.reply_event.fail(
+                    HostDownError(self.name, f"crashed serving {msg.kind.name}")
+                )
         self._inflight.clear()
         self._dedup.clear()
 
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
-    def _reply_kind(self, kind: str) -> str:
-        """Cached ``<kind>.reply`` counter tags (no f-string per reply)."""
-        tag = self._reply_kinds.get(kind)
-        if tag is None:
-            tag = self._reply_kinds[kind] = kind + ".reply"
-        return tag
-
     def _dedup_record(self, src: str, req_id: int, entry: tuple) -> None:
         table = self._dedup.get(src)
         if table is None:
@@ -266,13 +326,14 @@ class RpcHost:
         can possibly retransmit (its reply event failed, which only happens
         after a reply-transfer attempt), the outcome is already cached.
         """
-        if msg.kind not in self._uncached_kinds:
+        if msg.kind.cached:
             self._dedup_record(msg.src, msg.req_id, entry)
 
     def _spawn_handler(self, sim: Simulator, msg: "Message") -> None:
         """Accept one inbound request: consult the dedup table, then run
         the handler (or replay its cached outcome) in its own process."""
-        if msg.kind not in self._uncached_kinds:
+        kind = msg.kind
+        if kind.cached:
             table = self._dedup.get(msg.src)
             entry = table.get(msg.req_id) if table is not None else None
             if entry is not None:
@@ -284,14 +345,14 @@ class RpcHost:
                     # duplicate as lost-on-the-wire so the caller's RTO
                     # retransmits instead of hanging on an orphaned event.
                     if not msg.reply_event.triggered:
-                        msg.reply_event.fail(LinkLossError(self.name, msg.kind))
+                        msg.reply_event.fail(LinkLossError(self.name, kind.name))
                     return
                 self._inflight[msg] = sim.process(
-                    self._replay(msg, entry), name=msg.kind
+                    self._replay(msg, entry), name=kind.name
                 )
                 return
             self._dedup_record(msg.src, msg.req_id, ("inflight",))
-        self._inflight[msg] = sim.process(self._handle(msg), name=msg.kind)
+        self._inflight[msg] = sim.process(self._handle(msg), name=kind.name)
 
     def _replay(self, msg: "Message", entry: tuple):
         """Serve a duplicate of an applied request from the reply cache.
@@ -301,19 +362,20 @@ class RpcHost:
         re-runs the handler: that is the at-most-once contract.
         """
         self.cached_reply_hits += 1
+        kind = msg.kind
         try:
             if entry[0] == "ok":
-                _tag, payload, nbytes = entry
+                result = entry[1]
                 yield from self.fabric.transfer(
-                    self.name, msg.src, nbytes + MSG_OVERHEAD,
-                    kind=self._reply_kind(msg.kind),
+                    self.name, msg.src, kind.reply(result) + MSG_OVERHEAD,
+                    kind.reply_tag, True,
                 )
                 if not msg.reply_event.triggered:
                     self._settle(msg)
-                    msg.reply_event.succeed(payload)
+                    msg.reply_event.succeed(result)
             else:  # ("err", exc)
                 yield from self.fabric.transfer(
-                    self.name, msg.src, MSG_OVERHEAD, kind=f"{msg.kind}.err"
+                    self.name, msg.src, MSG_OVERHEAD, kind.err_tag, True
                 )
                 if not msg.reply_event.triggered:
                     msg.reply_event.fail(entry[1])
@@ -325,29 +387,29 @@ class RpcHost:
         except Interrupt:
             if not msg.reply_event.triggered:
                 msg.reply_event.fail(
-                    HostDownError(self.name, f"crashed replaying {msg.kind}")
+                    HostDownError(self.name, f"crashed replaying {kind.name}")
                 )
         finally:
             self._inflight.pop(msg, None)
 
     def _handle(self, msg: Message):
         reply = msg.reply_event
-        handler = self.handlers.get(msg.kind)
+        kind = msg.kind
+        handler = self.handlers.get(kind.name)
         try:
             if handler is None:
-                err = KeyError(f"{self.name} has no handler for {msg.kind!r}")
+                err = KeyError(f"{self.name} has no handler for {kind.name!r}")
                 self._record_outcome(msg, ("err", err))
                 reply.fail(err)
                 return
-            result = yield from handler(msg)
-            payload, nbytes = result if result is not None else ({}, 0)
+            result = yield from handler(*msg.fields)
             # Cache the outcome BEFORE paying the reply transfer: if the
             # reply frame drops, the retransmit must hit a done entry.
-            self._record_outcome(msg, ("ok", payload, nbytes))
+            self._record_outcome(msg, ("ok", result))
             try:
                 yield from self.fabric.transfer(
-                    self.name, msg.src, nbytes + MSG_OVERHEAD,
-                    kind=self._reply_kind(msg.kind),
+                    self.name, msg.src, kind.reply(result) + MSG_OVERHEAD,
+                    kind.reply_tag, True,
                 )
             except LinkLossError as loss:
                 # Reply frame dropped on a lossy link.  The op IS applied
@@ -359,19 +421,19 @@ class RpcHost:
                 return
             if not reply.triggered:
                 self._settle(msg)
-                reply.succeed(payload)
+                reply.succeed(result)
         except Interrupt:
             # The host crashed under us: no reply transfer (the node is
             # dead); make sure the caller learns rather than hangs.
             if not reply.triggered:
-                reply.fail(HostDownError(self.name, f"crashed serving {msg.kind}"))
+                reply.fail(HostDownError(self.name, f"crashed serving {kind.name}"))
         except Exception as err:
             # Application-level failure: deliver it to the caller as the
             # RPC outcome instead of crashing the serving node.
             self._record_outcome(msg, ("err", err))
             try:
                 yield from self.fabric.transfer(
-                    self.name, msg.src, MSG_OVERHEAD, kind=f"{msg.kind}.err"
+                    self.name, msg.src, MSG_OVERHEAD, kind.err_tag, True
                 )
             except LinkLossError as loss:
                 if not reply.triggered:
@@ -421,9 +483,10 @@ class RpcHost:
                 (host._state_change_event(), self.sim.timeout(remaining)),
             )
 
-    def rpc(self, dst: str, kind: str, payload: dict, nbytes: int = 0,
+    def rpc(self, dst: str, kind: str, fields: tuple,
             _req_id: Optional[int] = None):
-        """Request/response call; returns the reply payload (generator).
+        """Request/response call of ``kind`` with ``fields`` in declared
+        order; returns the handler's reply (generator).
 
         At-most-once, and the one place frame loss is recovered: the
         request carries a per-host monotonic id, and whichever frame of the
@@ -435,8 +498,15 @@ class RpcHost:
         caller.  What does propagate: :class:`HostDownError` (the caller
         owns that retry), :class:`RetransmitBudgetError` (a link that
         never healed) and the handler's own exception.  ``_req_id`` lets
-        :meth:`rpc_with_retry` pin one id across its attempts.
+        :meth:`rpc_with_retry` pin one id across its attempts.  An
+        undeclared kind (``KeyError``) or fields that do not match its
+        declaration (``TypeError``) fail here, before any transfer.
         """
+        try:
+            spec = KINDS[kind]
+        except KeyError:
+            raise KeyError(f"{kind!r} is not a declared message kind") from None
+        nbytes = spec.request(*fields) + MSG_OVERHEAD
         host = self._route(dst)
         req_id = self._alloc_req_id() if _req_id is None else _req_id
         rto = self.RETRANSMIT_RTO_S
@@ -446,9 +516,7 @@ class RpcHost:
                 while True:
                     if not host.running:
                         yield from self._connect(dst, host)
-                    yield from self.fabric.transfer(
-                        self.name, dst, nbytes + MSG_OVERHEAD, kind=kind
-                    )
+                    yield from self.fabric.transfer(self.name, dst, nbytes, kind)
                     if host.running:
                         break
                     if host.crashed:
@@ -457,9 +525,7 @@ class RpcHost:
                     # Stopped mid-transfer: retransmit once it is back.
                 reply = Event(self.sim, name="reply")
                 host._spawn_handler(
-                    self.sim,
-                    Message(kind, self.name, dst, payload, nbytes, reply,
-                            self.sim.now, req_id),
+                    self.sim, Message(spec, self.name, fields, reply, req_id)
                 )
                 result = yield reply
                 return result
@@ -482,7 +548,7 @@ class RpcHost:
             yield min(rto, max(rto_deadline - self.sim.now, 1e-9))
             rto = min(rto * 2.0, self.RETRANSMIT_RTO_CAP_S)
 
-    def rpc_with_retry(self, dst: str, kind: str, payload: dict, nbytes: int = 0):
+    def rpc_with_retry(self, dst: str, kind: str, fields: tuple):
         """``rpc`` that also rides out a down destination until it heals.
 
         For *background* pushes only (log recycle forwards, migration
@@ -508,9 +574,7 @@ class RpcHost:
         req_id = self._alloc_req_id()
         while True:
             try:
-                result = yield from self.rpc(
-                    dst, kind, payload, nbytes=nbytes, _req_id=req_id
-                )
+                result = yield from self.rpc(dst, kind, fields, _req_id=req_id)
                 return result
             except HostDownError:
                 remaining = deadline - self.sim.now
@@ -519,7 +583,7 @@ class RpcHost:
                 yield min(self.RETRY_INTERVAL_S, remaining)
 
     def fan_out(self, calls, retry: bool = False) -> AllOf:
-        """Issue every ``(dst, kind, payload, nbytes)`` of ``calls`` at once;
+        """Issue every ``(dst, kind, fields)`` of ``calls`` at once;
         the returned event fires when all have replied, with the replies in
         ``calls`` order (``replies = yield host.fan_out(calls)``).
 
@@ -530,5 +594,5 @@ class RpcHost:
         """
         call = self.rpc_with_retry if retry else self.rpc
         sim = self.sim
-        return AllOf(sim, [sim.process(call(dst, kind, payload, nbytes))
-                           for dst, kind, payload, nbytes in calls])
+        return AllOf(sim, [sim.process(call(dst, kind, fields))
+                           for dst, kind, fields in calls])

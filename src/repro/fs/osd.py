@@ -11,7 +11,8 @@ and serves the core RPCs:
   of the rebuild, rebalance and stripe-check paths.
 
 Strategies register additional RPC kinds (delta forwards, log replication,
-parity appends) on construction.
+parity appends) on construction.  Every kind is declared in
+:data:`repro.fs.messages.KINDS`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 from repro.dataplane import assemble_overlay
 from repro.devices.base import StorageDevice
 from repro.fs.blockstore import BlockStore
-from repro.fs.messages import HostDownError, Message, RetransmitBudgetError, RpcHost
+from repro.fs.messages import HostDownError, RetransmitBudgetError, RpcHost
 from repro.sim.resources import KeyedLock
 
 # Serving a read fully from the in-memory log index costs roughly a memory
@@ -46,7 +47,7 @@ class OSD(RpcHost):
         self.register("read", self._h_read)
         self.register("update", self._h_update)
         self.register("recovery_read", self._h_recovery_read)
-        self.register("recovery_write", self._h_recovery_write)
+        self.register("recovery_write", self._h_write_block)
         self.updates_served = 0
         self.reads_served = 0
         self.cache_hits = 0
@@ -117,38 +118,23 @@ class OSD(RpcHost):
     # ------------------------------------------------------------------
     # handlers
     # ------------------------------------------------------------------
-    def _h_write_block(self, msg: Message):
-        key = msg.payload["key"]
-        data = msg.payload["data"]
+    def _h_write_block(self, key, data):
         yield from self.store.write_block(key, data, pattern="seq")
-        return {"ok": True}, 8
 
-    def _h_update(self, msg: Message):
-        key = msg.payload["key"]
-        offset = msg.payload["offset"]
-        data = msg.payload["data"]
+    def _h_update(self, key, offset: int, data):
         yield from self.strategy.on_update(key, offset, data)
         self.updates_served += 1
-        return {"ok": True}, 8
 
-    def _h_read(self, msg: Message):
-        key = msg.payload["key"]
-        offset = msg.payload["offset"]
-        length = msg.payload["length"]
+    def _h_read(self, key, offset: int, length: int):
         data = yield from self.read_range_with_overlay(key, offset, length)
         self.reads_served += 1
-        return {"data": data}, length
+        return data
 
-    def _h_recovery_read(self, msg: Message):
-        size = self.store.block_size
-        data = yield from self.store.read_range(msg.payload["key"], 0, size, pattern="seq")
+    def _h_recovery_read(self, key):
+        data = yield from self.store.read_range(key, 0, self.store.block_size, pattern="seq")
         # Snapshot: the payload crosses reply-transfer yields and is held by
         # the puller while this OSD keeps serving writes.
-        return {"data": data.copy()}, size
-
-    def _h_recovery_write(self, msg: Message):
-        yield from self.store.write_block(msg.payload["key"], msg.payload["data"], pattern="seq")
-        return {"ok": True}, 8
+        return data.copy()
 
     # ------------------------------------------------------------------
     def read_range_with_overlay(self, key, offset: int, length: int):
@@ -193,7 +179,7 @@ class OSD(RpcHost):
         """
         while self.running:
             try:
-                yield from self.rpc("mds", "heartbeat", {}, nbytes=8)
+                yield from self.rpc("mds", "heartbeat", (self.name,))
             except (HostDownError, RetransmitBudgetError):
                 pass
             yield self.sim.sleep(interval)

@@ -34,11 +34,11 @@ class LinkState:
     bw_factor: float = 1.0      # effective bandwidth = profile bw * factor
     extra_latency: float = 0.0  # added to base_latency per message
     loss_every: int = 0         # drop every Nth *egress* message (0 = none)
-    loss_scope: str = "requests"  # "requests" exempts .reply/.err frames;
+    loss_scope: str = "requests"  # "requests" exempts reply/err frames;
                                   # "all" drops any egress frame
     messages: int = 0           # egress messages considered for loss
     dropped_requests: int = 0   # request frames dropped
-    dropped_replies: int = 0    # .reply/.err frames dropped (scope "all")
+    dropped_replies: int = 0    # reply/err frames dropped (scope "all")
 
     @property
     def dropped(self) -> int:
@@ -77,7 +77,7 @@ class Fabric:
     Per-endpoint degradation (``degrade_link``) scales that endpoint's
     serialisation bandwidth and adds per-message latency; lossy mode drops
     every Nth message *sent* by the endpoint.  The loss scope selects the
-    frames at risk: ``"requests"`` exempts ``.reply``/``.err`` frames (a
+    frames at risk: ``"requests"`` exempts reply and error frames (a
     drop then always precedes any handler state change, so whole-op
     retries are trivially safe), while ``"all"`` may drop any egress
     frame — safe only because the RPC plane dedups retransmitted request
@@ -106,7 +106,7 @@ class Fabric:
 
     @property
     def dropped_replies(self) -> int:
-        """``.reply``/``.err`` frames dropped, healed links folded in."""
+        """Reply and error frames dropped, healed links folded in."""
         return self._dropped_replies + sum(
             link.dropped_replies for link in self._links.values()
         )
@@ -131,7 +131,7 @@ class Fabric:
 
         ``loss_scope`` selects which egress frames the deterministic
         counter-based loss considers: ``"requests"`` (historical default)
-        exempts ``.reply``/``.err`` frames entirely — they pass through
+        exempts reply and error frames entirely — they pass through
         without even advancing the loss counter — while ``"all"`` counts
         and may drop every egress frame.  Scope ``"all"`` is only safe
         because the RPC plane is at-most-once (request dedup + reply
@@ -171,11 +171,10 @@ class Fabric:
     def link_state(self, endpoint: str) -> "LinkState | None":
         return self._links.get(endpoint)
 
-    def _egress_drop(self, link: LinkState, kind: str) -> bool:
+    def _egress_drop(self, link: LinkState, is_reply: bool) -> bool:
         """Deterministic counter-based loss for one egress message."""
         if not link.loss_every:
             return False
-        is_reply = kind.endswith(".reply") or kind.endswith(".err")
         if is_reply and link.loss_scope != "all":
             # Scope "requests": replies and shipped errors pass through
             # without advancing the loss counter — the historical counter
@@ -212,8 +211,13 @@ class Fabric:
             self.nics[endpoint] = nic
         return nic
 
-    def transfer(self, src: str, dst: str, nbytes: int, kind: str = ""):
+    def transfer(self, src: str, dst: str, nbytes: int, kind: str = "",
+                 reply: bool = False):
         """Move ``nbytes`` from ``src`` to ``dst`` (generator; yields events).
+
+        ``kind`` tags the traffic counters; ``reply`` marks an answer frame
+        (an RPC's reply or shipped error), which the ``"requests"`` loss
+        scope never drops.
 
         Local transfers (src == dst) cost nothing and are not counted —
         the paper's network-traffic numbers are inter-node bytes.  Traffic
@@ -243,7 +247,7 @@ class Fabric:
                 if src_link.bw_factor != 1.0:
                     tx_time /= src_link.bw_factor
                 latency += src_link.extra_latency
-                dropped = self._egress_drop(src_link, kind)
+                dropped = self._egress_drop(src_link, reply)
             if dst_link is not None:
                 if dst_link.bw_factor != 1.0:
                     rx_time /= dst_link.bw_factor

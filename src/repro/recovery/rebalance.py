@@ -165,10 +165,8 @@ def _stripe_has_pending(cluster, inode: int, stripe: int) -> bool:
 def _move_one(cluster, key, src: str, dst: str):
     """Copy one block to its new home; rides out a transiently down source."""
     dst_osd = cluster.osd_by_name(dst)
-    rep = yield from dst_osd.rpc_with_retry(
-        src, "recovery_read", {"key": key}, nbytes=24
-    )
-    yield from dst_osd.store.write_block(key, rep["data"], pattern="seq")
+    data = yield from dst_osd.rpc_with_retry(src, "recovery_read", (key,))
+    yield from dst_osd.store.write_block(key, data, pattern="seq")
 
 
 # Copy parallelism: conservative by default so foreground traffic keeps

@@ -243,12 +243,12 @@ def recover_node_proc(cluster: Cluster, failed_osd: str, repair: bool = False):
                         f"live blocks; unrecoverable with k={k}"
                     )
                 try:
-                    replies = yield pull_blocks(rebuilder, inode, stripe, sources)
+                    blocks = yield pull_blocks(rebuilder, inode, stripe, sources)
                     break
                 except HostDownError:
                     # A source died mid-pull; re-plan against the survivors.
                     yield sim.timeout(1e-3)
-            shards = {b: rep["data"] for (b, _), rep in zip(sources, replies)}
+            shards = {b: data for (b, _), data in zip(sources, blocks)}
             rebuilt = cluster.codec.reconstruct(shards, [lost_index])[lost_index]
             yield from rebuilder.store.write_block(key, rebuilt, pattern="seq")
             return key, rebuilt

@@ -507,13 +507,11 @@ class TSUEEngine:
         m = self.cluster.config.m
         k = self.cluster.config.k
         names = self.cluster.placement(inode, stripe)
-        nbytes = sum(int(d.size) for _, d in deltas)
         if cfg.use_delta_log and m >= 2:
             # Forward to the DeltaLogs of the first two parity OSDs: the
             # first is the primary (it recycles), the second the replica.
             calls = [
-                (names[k + rank], "tsue_delta",
-                 {"key": key, "entries": deltas, "primary": primary}, nbytes)
+                (names[k + rank], "tsue_delta", (key, deltas, primary))
                 for rank, primary in ((0, True), (1, False))
             ]
         else:
@@ -524,8 +522,7 @@ class TSUEEngine:
                 coeff = self.cluster.codec.coefficient(p, j)
                 pentries = [(off, _parity_delta(coeff, d)) for off, d in deltas]
                 calls.append((names[k + p], "tsue_parity",
-                              {"pkey": (inode, stripe, k + p), "entries": pentries},
-                              nbytes))
+                              ((inode, stripe, k + p), pentries)))
         # Retrying pushes: the recycle job owns these deltas and the
         # destination may be mid-failure/recovery.
         yield self.osd.fan_out(calls, retry=True)
@@ -555,17 +552,9 @@ class TSUEEngine:
                 # The primary's own share (rank 0): no frame to itself.
                 own = (pkey, entries)
                 continue
-            nbytes = sum(int(d.size) for _, d in entries)
-            calls.append(
-                self.sim.process(
-                    self.osd.rpc_with_retry(
-                        names[k + p],
-                        "tsue_parity",
-                        {"pkey": pkey, "entries": entries},
-                        nbytes=nbytes,
-                    )
-                )
-            )
+            calls.append(self.sim.process(
+                self.osd.rpc_with_retry(names[k + p], "tsue_parity", (pkey, entries))
+            ))
         if own is not None:
             yield from self.append_paritylog(*own)
         if calls:

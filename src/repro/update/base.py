@@ -16,8 +16,8 @@ not in the plumbing, which lives here once: the in-place family's stripe
 lock, data-block RMW and delta forward, acked at the later of the
 overwrite and the forward (:meth:`update_in_place`; the hook
 :meth:`forward_calls` names where the delta goes); ``parity_apply``, the
-one handler that XORs ready ``{"pkey", "entries"}`` into a parity block
-(FO's synchronous apply, FL's and CoRD's recycles);
+one handler that XORs ready ``(offset, pdelta)`` entries into a parity
+block (FO's synchronous apply, FL's and CoRD's recycles);
 and the pending ledger behind :meth:`stripe_pending` — a log-keeping
 method names its index of unrecycled entries (``pending_index``) and pins
 a stripe while a recycle holds popped state for it whose parity has not
@@ -57,7 +57,7 @@ class UpdateStrategy:
         # (inode, stripe) -> recycles holding popped state for the stripe
         # whose parity writes have not landed yet.
         self.pinned: Dict[Tuple[int, int], int] = {}
-        osd.register("parity_apply", self._h_parity_apply)
+        osd.register("parity_apply", self.apply_parity_entries)
         self.register_handlers()
 
     # ------------------------------------------------------------------
@@ -200,16 +200,14 @@ class UpdateStrategy:
     def forward_calls(self, key: BlockKey, offset: int, delta: np.ndarray,
                       kind: str):
         """Where data block ``key``'s ``delta`` at ``offset`` goes, as
-        ``fan_out`` calls: by default one ``(dst, kind, {"pkey",
-        "entries"}, nbytes)`` per parity block, scaled for it."""
+        ``fan_out`` calls: by default one ``(dst, kind, (pkey, entries))``
+        per parity block, its one entry scaled for it."""
         inode, stripe, j = key
         k = self.cluster.config.k
         calls = []
         for p, osd_name in self.parity_targets(key):
             pdelta = self.cluster.codec.parity_delta(j, p, delta)
-            calls.append((osd_name, kind,
-                          {"pkey": (inode, stripe, k + p), "entries": [(offset, pdelta)]},
-                          int(pdelta.size)))
+            calls.append((osd_name, kind, ((inode, stripe, k + p), [(offset, pdelta)])))
         return calls
 
     def parity_targets(self, key: BlockKey) -> List[Tuple[int, str]]:
@@ -221,15 +219,10 @@ class UpdateStrategy:
 
     def apply_parity_entries(self, pkey: BlockKey, entries):
         """One random RMW of parity block ``pkey`` per ready ``(offset,
-        pdelta)`` of ``entries``, in order.
+        pdelta)`` of ``entries``, in order; the ``parity_apply`` handler.
 
         Uses the commutative XOR primitive so concurrent applications to
         the same parity range never lose an update.
         """
         for offset, pdelta in entries:
             yield from self.osd.store.xor_range(pkey, offset, pdelta, pattern="rand")
-
-    def _h_parity_apply(self, msg):
-        p = msg.payload
-        yield from self.apply_parity_entries(p["pkey"], p["entries"])
-        return {"ok": True}, 8

@@ -62,15 +62,12 @@ class CoRDStrategy(UpdateStrategy):
                       kind: str):
         """The raw delta goes to the stripe's collector only."""
         collector = self.cluster.placement(*key[:2])[self.cluster.config.k]
-        return [(collector, kind, {"key": key, "offset": offset, "delta": delta},
-                 int(delta.size))]
+        return [(collector, kind, (key, offset, delta))]
 
     # ------------------------------------------------------------------
     # collector side
     # ------------------------------------------------------------------
-    def _h_collect(self, msg):
-        p = msg.payload
-        key, offset, delta = p["key"], p["offset"], p["delta"]
+    def _h_collect(self, key: BlockKey, offset: int, delta: np.ndarray):
         yield self.lock.request()
         try:
             if self.buf_used + delta.size + ENTRY_HEADER_BYTES > self.buffer_bytes:
@@ -98,7 +95,6 @@ class CoRDStrategy(UpdateStrategy):
             self.buf_used += int(delta.size) + ENTRY_HEADER_BYTES
         finally:
             self.lock.release()
-        return {"ok": True}, 8
 
     def _snapshot_buffer(self):
         """Detach the current buffer contents for recycling; each detached
@@ -141,10 +137,8 @@ class CoRDStrategy(UpdateStrategy):
                     else:
                         # Retrying push: the recycle owns this combined
                         # delta and the parity OSD may be mid-recovery.
-                        nbytes = sum(int(d.size) for _, d in entries)
                         calls.append(self.sim.process(self.osd.rpc_with_retry(
-                            names[k + p], "parity_apply",
-                            {"pkey": pkey, "entries": entries}, nbytes,
+                            names[k + p], "parity_apply", (pkey, entries)
                         )))
             if calls:
                 yield AllOf(self.sim, calls)

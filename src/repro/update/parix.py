@@ -162,9 +162,7 @@ class PARIXStrategy(UpdateStrategy):
             # side retains the payload in its original-image log.
             old = old.copy()
             yield self.osd.fan_out(
-                (osd_name, "parix_append",
-                 {"key": key, "offset": offset, "data": old, "orig": True},
-                 int(old.size))
+                (osd_name, "parix_append", (key, offset, old, True))
                 for _p, osd_name in targets
             )
             seen.add(offset, offset + int(data.size))
@@ -172,9 +170,7 @@ class PARIXStrategy(UpdateStrategy):
             self.repeat_updates += 1
         # Issued first: it ships the client's bytes, not the write's result.
         sent = self.osd.fan_out(
-            (osd_name, "parix_append",
-             {"key": key, "offset": offset, "data": data, "orig": False},
-             int(data.size))
+            (osd_name, "parix_append", (key, offset, data, False))
             for _p, osd_name in targets
         )
         yield from self.osd.store.write_range(key, offset, data, pattern="rand")
@@ -185,9 +181,7 @@ class PARIXStrategy(UpdateStrategy):
     # ------------------------------------------------------------------
     # parity-OSD side
     # ------------------------------------------------------------------
-    def _h_append(self, msg):
-        p = msg.payload
-        key, offset, data = p["key"], p["offset"], p["data"]
+    def _h_append(self, key: BlockKey, offset: int, data: np.ndarray, orig: bool):
         # Live originals survive compaction, so the trigger is on
         # *reclaimable* bytes; compacting a log of live data frees nothing.
         reclaimable = self.log_bytes - self.orig_bytes
@@ -206,13 +200,12 @@ class PARIXStrategy(UpdateStrategy):
         yield from self.osd.device.write(
             int(data.size) + ENTRY_HEADER_BYTES, zone="parix_log", pattern="seq"
         )
-        if p["orig"]:
+        if orig:
             self._insert_orig_uncovered(key, offset, data)
         else:
             self.latest_index.insert(key, offset, data)
             self.log_entries.setdefault(key, []).append((offset, int(data.size)))
         self.log_bytes += int(data.size)
-        return {"ok": True}, 8
 
     def _insert_orig_uncovered(self, key, offset: int, data: np.ndarray) -> None:
         """Originals are first-wins: never clobber an earlier original."""

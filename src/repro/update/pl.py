@@ -45,16 +45,14 @@ class PLStrategy(UpdateStrategy):
     def on_update(self, key: BlockKey, offset: int, data: np.ndarray):
         return self.update_in_place(key, offset, data, "pl_append")
 
-    def _h_append(self, msg):
-        p = msg.payload
-        [(offset, pdelta)] = p["entries"]
+    def _h_append(self, pkey: BlockKey, entries):
+        [(offset, pdelta)] = entries
         yield from self.osd.device.write(
             int(pdelta.size) + ENTRY_HEADER_BYTES, zone="pl_log", pattern="seq"
         )
-        self.log_index.insert(p["pkey"], offset, pdelta)
-        self.log_entries.setdefault(p["pkey"], []).append((offset, int(pdelta.size)))
+        self.log_index.insert(pkey, offset, pdelta)
+        self.log_entries.setdefault(pkey, []).append((offset, int(pdelta.size)))
         self.log_bytes += int(pdelta.size)
-        return {"ok": True}, 8
 
     # ------------------------------------------------------------------
     def drain(self, phase: int = 0):

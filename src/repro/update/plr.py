@@ -44,10 +44,8 @@ class PLRStrategy(UpdateStrategy):
     def on_update(self, key: BlockKey, offset: int, data: np.ndarray):
         return self.update_in_place(key, offset, data, "plr_append")
 
-    def _h_append(self, msg):
-        p = msg.payload
-        pkey = p["pkey"]
-        [(offset, pdelta)] = p["entries"]
+    def _h_append(self, pkey: BlockKey, entries):
+        [(offset, pdelta)] = entries
         used = self.region_used.get(pkey, 0)
         if used + pdelta.size + ENTRY_HEADER_BYTES > self.reserve_bytes:
             # Reserved space exhausted: recycle this region *now*, blocking
@@ -65,7 +63,6 @@ class PLRStrategy(UpdateStrategy):
         )
         self.log_index.insert(pkey, offset, pdelta)
         self.region_used[pkey] = used + int(pdelta.size) + ENTRY_HEADER_BYTES
-        return {"ok": True}, 8
 
     # ------------------------------------------------------------------
     def _recycle_region(self, pkey: BlockKey):

@@ -32,9 +32,9 @@ class TSUEStrategy(UpdateStrategy):
 
     # ------------------------------------------------------------------
     def register_handlers(self) -> None:
-        self.osd.register("tsue_replica", self._h_replica)
+        self.osd.register("tsue_replica", self.engine.append_replica_datalog)
         self.osd.register("tsue_delta", self._h_delta)
-        self.osd.register("tsue_parity", self._h_parity)
+        self.osd.register("tsue_parity", self.engine.append_paritylog)
 
     def start_background(self) -> None:
         self.engine.start()
@@ -57,13 +57,12 @@ class TSUEStrategy(UpdateStrategy):
             yield from self.osd.rpc(
                 self.cluster.replica_of(self.osd.name),
                 "tsue_replica",
-                {"key": key, "offset": offset, "data": data},
-                nbytes=int(data.size),
+                (key, offset, data),
             )
         elif n_replicas > 1:
             yield self.osd.fan_out(
                 (self.cluster.ring_neighbor(self.osd.name, r), "tsue_replica",
-                 {"key": key, "offset": offset, "data": data}, int(data.size))
+                 (key, offset, data))
                 for r in range(1, n_replicas + 1)
             )
         # The local persist was issued before the forwards and shares
@@ -74,25 +73,14 @@ class TSUEStrategy(UpdateStrategy):
         self.engine.residency.record_append(DATA, self.sim.now - t0)
 
     # ------------------------------------------------------------------
-    # handlers (back-end hops)
+    # back-end hops (``tsue_replica`` and ``tsue_parity`` are served by the
+    # engine's appends themselves)
     # ------------------------------------------------------------------
-    def _h_replica(self, msg):
-        p = msg.payload
-        yield from self.engine.append_replica_datalog(p["key"], p["offset"], p["data"])
-        return {"ok": True}, 8
-
-    def _h_delta(self, msg):
-        p = msg.payload
+    def _h_delta(self, key: BlockKey, entries, primary: bool):
         t0 = self.sim.now
-        yield from self.engine.append_deltalog(p["key"], p["entries"], p["primary"])
-        if p["primary"]:
+        yield from self.engine.append_deltalog(key, entries, primary)
+        if primary:
             self.engine.residency.record_append(DELTA, self.sim.now - t0)
-        return {"ok": True}, 8
-
-    def _h_parity(self, msg):
-        p = msg.payload
-        yield from self.engine.append_paritylog(p["pkey"], p["entries"])
-        return {"ok": True}, 8
 
     # ------------------------------------------------------------------
     def read_overlay(self, key, offset, length):

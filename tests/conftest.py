@@ -18,6 +18,22 @@ def memo(monkeypatch):
 
 
 @pytest.fixture
+def declare(monkeypatch):
+    """``declare(name, request, reply=ack, delivery="cached")``: a test's
+    own message kind, declared like the shipped ones (a
+    :class:`~repro.fs.messages.MessageKind` in ``KINDS``) for the test's
+    duration only."""
+    from repro.fs import messages
+
+    def declare(name, request, reply=messages.ack, delivery="cached"):
+        kind = messages.MessageKind(name, request, reply, delivery)
+        monkeypatch.setitem(messages.KINDS, name, kind)
+        return kind
+
+    return declare
+
+
+@pytest.fixture
 def caller_gc(request):
     """Run a test with the cyclic collector in the caller state named by
     the (indirect) parameter, then put pytest's own setting back."""

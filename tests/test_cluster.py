@@ -185,25 +185,27 @@ def test_join_connects_only_the_joiner(monkeypatch):
     assert calls == ["c0", joined.name]
 
 
-def test_late_client_and_later_osd_reach_each_other():
+def test_late_client_and_later_osd_reach_each_other(declare):
     sim, cluster = make_cluster()
     cluster.start()
     client = cluster.add_client("late")  # after start(): started on join
     osd = cluster.add_osd()              # joins after the client was wired
     assert client.running and osd.running
 
+    declare("ping", lambda sender: 8)
+
     def pong(host):
-        def handler(msg):
+        def handler(sender):
             yield 0.0
-            return {"from": host.name, "to": msg.src}, 8
+            return {"from": host.name, "to": sender}
         return handler
 
     client.register("ping", pong(client))
     osd.register("ping", pong(osd))
 
     def both_ways():
-        there = yield from client.rpc(osd.name, "ping", {}, nbytes=8)
-        back = yield from osd.rpc("late", "ping", {}, nbytes=8)
+        there = yield from client.rpc(osd.name, "ping", (client.name,))
+        back = yield from osd.rpc("late", "ping", (osd.name,))
         return there, back
 
     p = sim.process(both_ways())

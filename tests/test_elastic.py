@@ -269,8 +269,8 @@ def test_egress_loss_exempts_reply_and_err_frames():
     fab.degrade_link("a", loss_every=1)  # would drop every countable message
 
     def proc():
-        yield from fab.transfer("a", "b", 64, kind="read.reply")
-        yield from fab.transfer("a", "b", 64, kind="update.err")
+        yield from fab.transfer("a", "b", 64, kind="read.reply", reply=True)
+        yield from fab.transfer("a", "b", 64, kind="update.err", reply=True)
         return "delivered"
 
     p = sim.process(proc())
@@ -648,7 +648,7 @@ def test_loss_scope_all_drops_replies_with_direction_accounting():
 
     def one(kind):
         try:
-            yield from fab.transfer("a", "b", 256, kind=kind)
+            yield from fab.transfer("a", "b", 256, kind=kind, reply=kind != "req")
             outcomes.append("ok")
         except LinkLossError:
             outcomes.append("dropped")
@@ -679,7 +679,7 @@ def test_redegrading_a_link_keeps_its_drop_counters():
 
     def lose(kind):
         with pytest.raises(LinkLossError):
-            yield from fab.transfer("a", "b", 64, kind=kind)
+            yield from fab.transfer("a", "b", 64, kind=kind, reply=kind != "req")
 
     def proc():
         fab.degrade_link("a", loss_every=1, loss_scope="all")
@@ -705,8 +705,8 @@ def test_default_scope_still_exempts_replies():
     fab.degrade_link("a", loss_every=1)  # loss_scope="requests"
 
     def proc():
-        yield from fab.transfer("a", "b", 64, kind="read.reply")
-        yield from fab.transfer("a", "b", 64, kind="update.err")
+        yield from fab.transfer("a", "b", 64, kind="read.reply", reply=True)
+        yield from fab.transfer("a", "b", 64, kind="update.err", reply=True)
         return "delivered"
 
     p = sim.process(proc())
@@ -831,7 +831,6 @@ def test_plr_live_drain_keeps_delta_appended_mid_recycle():
     fresh ledger and be applied by the next pass.  Fails on a recycle that
     zeroes the region counters *after* its device yields — stranding the
     mid-flight delta invisibly in the index forever."""
-    from types import SimpleNamespace
 
     sim, cluster = build("plr")
     load(cluster, stripes=1)
@@ -844,9 +843,7 @@ def test_plr_live_drain_keeps_delta_appended_mid_recycle():
     p0 = parity.store.peek(pkey).copy()
 
     def append(offset, pdelta):
-        msg = SimpleNamespace(payload={"pkey": pkey,
-                                       "entries": [(offset, pdelta)]})
-        yield from strat._h_append(msg)
+        yield from strat._h_append(pkey, [(offset, pdelta)])
 
     run_to(sim, sim.process(append(0, d1)))
     # Race a second append against a live drain of the first: its region
@@ -871,7 +868,6 @@ def test_plr_live_drain_sweeps_stranded_entries():
     """An index entry under a zeroed ledger (what an append racing a
     zero-after-yield recycle leaves behind) keeps the stripe visibly
     pending, and the next drain sweeps it into the parity chunk."""
-    from types import SimpleNamespace
 
     sim, cluster = build("plr")
     load(cluster, stripes=1)
@@ -884,9 +880,7 @@ def test_plr_live_drain_sweeps_stranded_entries():
     p0 = parity.store.peek(pkey).copy()
 
     def append(offset, pdelta):
-        msg = SimpleNamespace(payload={"pkey": pkey,
-                                       "entries": [(offset, pdelta)]})
-        yield from strat._h_append(msg)
+        yield from strat._h_append(pkey, [(offset, pdelta)])
 
     run_to(sim, sim.process(append(0, d1)))
     run_to(sim, sim.process(drain_all(cluster)))  # applies d1, ledger zeroed

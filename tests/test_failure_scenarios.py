@@ -99,9 +99,7 @@ def test_rpc_to_crashed_host_fails_fast():
 
     def call():
         try:
-            yield from client.rpc(victim, "read",
-                                  {"key": (600, 0, 0), "offset": 0, "length": 8},
-                                  nbytes=24)
+            yield from client.rpc(victim, "read", ((600, 0, 0), 0, 8))
         except HostDownError as e:
             return f"down:{e.host}"
 
@@ -118,11 +116,7 @@ def test_rpc_to_stopped_host_blocks_until_restart():
     fail_osd(cluster, victim, mode="stop")
 
     def call():
-        reply = yield from client.rpc(
-            victim, "read", {"key": (600, 0, 0), "offset": 0, "length": 16},
-            nbytes=24,
-        )
-        return reply["data"]
+        return (yield from client.rpc(victim, "read", ((600, 0, 0), 0, 16)))
 
     p = sim.process(call())
     sim.run(until=0.05)

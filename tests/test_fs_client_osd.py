@@ -134,7 +134,7 @@ def test_mds_heartbeat_failure_detection():
     sim, cluster, client = build()
 
     def hb(osd):
-        yield from osd.rpc("mds", "heartbeat", {}, nbytes=8)
+        yield from osd.rpc("mds", "heartbeat", (osd.name,))
 
     for osd in cluster.osds[:4]:
         sim.process(hb(osd))

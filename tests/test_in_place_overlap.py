@@ -67,9 +67,9 @@ class Spy:
                 self.writes.append((sim.now, done))
             return done
 
-        def spy_rpc(dst, kind, payload, nbytes=0):
+        def spy_rpc(dst, kind, fields=()):
             self.issued.append(sim.now)
-            reply = yield from rpc(dst, kind, payload, nbytes=nbytes)
+            reply = yield from rpc(dst, kind, fields)
             self.replies.append(sim.now)
             return reply
 

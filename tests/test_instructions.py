@@ -9,11 +9,12 @@
   (the ledger's ``events``).  It skips only where the count legitimately differs:
   on another Python minor, or without the native GF kernel, whose numpy
   fallback runs different code of this package.
-* **RPC handler coverage.**  Every message kind some host registers must be
-  dispatched by the same slice of runs, plus one create + write and one
+* **RPC handler coverage.**  Every message kind the wire protocol declares
+  (``repro.fs.messages.KINDS``), and every kind some host registers, must
+  be dispatched by the same slice of runs, plus one create + write and one
   scrub repair (the only senders of ``create_file``, ``write_block`` and
-  ``recovery_write``).  A handler nothing sends changes nothing any run
-  computes, so no other gate sees it.
+  ``recovery_write``).  A declaration or a handler nothing sends changes
+  nothing any run computes, so no other gate sees it.
 """
 
 import json
@@ -70,12 +71,12 @@ def rpc_kinds():
     registered, dispatched = set(), set()
     register, spawn = RpcHost.register, RpcHost._spawn_handler
 
-    def recording_register(self, kind, handler, cache_reply=True):
+    def recording_register(self, kind, handler):
         registered.add(kind)
-        return register(self, kind, handler, cache_reply)
+        return register(self, kind, handler)
 
     def recording_spawn(self, sim, msg):
-        dispatched.add(msg.kind)
+        dispatched.add(msg.kind.name)
         return spawn(self, sim, msg)
 
     RpcHost.register, RpcHost._spawn_handler = recording_register, recording_spawn
@@ -112,11 +113,14 @@ def _create_write_and_repair():
 
 
 def undispatched_kinds():
-    """Kinds registered but never dispatched over the ledger's slice."""
+    """Kinds declared or registered but never dispatched over the ledger's
+    slice."""
+    from repro.fs.messages import KINDS
+
     with rpc_kinds() as (registered, dispatched):
         run_cells(SLICE)
         _create_write_and_repair()
-    return registered - dispatched
+    return (set(KINDS) | registered) - dispatched
 
 
 def test_every_registered_rpc_kind_is_dispatched():

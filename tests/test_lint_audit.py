@@ -11,9 +11,10 @@ of the shipped tree and asserts the gate that now catches it:
   run drives ``Simulator.drive`` -> ``run_until_fired``), so their count is
   asserted unchanged: they add no cost to any run.
 * ``rpc-dead-handler`` -> handler coverage (``tests/test_instructions.py``):
-  R2 and R5 register a kind nothing sends, and coverage reports it.  R1, R3
-  and R4 send a kind nothing handles; the transport raises on the first
-  send, and the tier-1 test the audit recorded for each fails on it.
+  R2 and R5 declare and register a kind nothing sends, and coverage
+  reports it.  R1 sends an undeclared kind, which raises in the caller;
+  R3 and R4 send a declared kind nothing handles, which fails at the
+  destination.  The tier-1 test the audit recorded for each fails on it.
 """
 
 import json
@@ -24,7 +25,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import pytest
 
@@ -38,15 +39,21 @@ ONE_CELL = (("steady", "tsue", 2, 10),)
 @dataclass(frozen=True)
 class Mutant:
     id: str
-    path: str                           # relative to src/
-    edits: Tuple[Tuple[str, str], ...]  # each old string occurs exactly once
+    # (path relative to src/, old, new); each old string occurs exactly
+    # once in its file
+    edits: Tuple[Tuple[str, str, str], ...]
     runs: bool = True                   # the edit is on a path a run executes
     dead_kind: Optional[str] = None     # coverage reports it undispatched
     caught_by: Optional[str] = None     # the tier-1 test that fails on it
 
 
 def _m(id, path, edits, **gate):
-    return Mutant(id, path, tuple(edits), **gate)
+    """A mutant of ``path``; an edit that names its own file as a third
+    element, ``(path, old, new)``, applies there instead."""
+    return Mutant(id, tuple(e if len(e) == 3 else (path, *e) for e in edits), **gate)
+
+
+MESSAGES = "repro/fs/messages.py"
 
 
 MUTANTS = [
@@ -55,9 +62,13 @@ MUTANTS = [
        [('kind: str = "parity_apply"', 'kind: str = "parity_aply"')],
        caught_by="test_cli_run_smoke"),
     _m("R2", "repro/update/base.py",
-       [('        osd.register("parity_apply", self._h_parity_apply)\n',
-         '        osd.register("parity_apply", self._h_parity_apply)\n'
-         '        osd.register("parity_flush", self._h_parity_apply)\n')],
+       [(MESSAGES,
+         '    MessageKind("parity_apply", lambda pkey, entries: _entries(entries), ack, "cached"),\n',
+         '    MessageKind("parity_apply", lambda pkey, entries: _entries(entries), ack, "cached"),\n'
+         '    MessageKind("parity_flush", lambda pkey, entries: _entries(entries), ack, "cached"),\n'),
+        ('        osd.register("parity_apply", self.apply_parity_entries)\n',
+         '        osd.register("parity_apply", self.apply_parity_entries)\n'
+         '        osd.register("parity_flush", self.apply_parity_entries)\n')],
        dead_kind="parity_flush"),
     _m("R3", "repro/update/pl.py",
        [('register("pl_append"', 'register("pl_apend"')],
@@ -67,14 +78,18 @@ MUTANTS = [
          "        pass\n")],
        caught_by="test_scale_in_live_all_methods[plr]"),
     _m("R5", "repro/fs/mds.py",
-       [('        self.register("create_file", self._h_create)\n',
+       [(MESSAGES,
+         '    MessageKind("create_file", lambda inode, size: 32, lambda _: 16, "cached"),\n',
+         '    MessageKind("create_file", lambda inode, size: 32, lambda _: 16, "cached"),\n'
+         '    MessageKind("stat", lambda inode: 8, lambda _: 16, "cached"),\n'),
+        ('        self.register("create_file", self._h_create)\n',
          '        self.register("create_file", self._h_create)\n'
          '        self.register("stat", self._h_stat)\n'),
         ("    def _h_heartbeat(",
-         "    def _h_stat(self, msg: Message):\n"
-         '        meta = self.files.get(msg.payload["inode"])\n'
+         "    def _h_stat(self, inode: int):\n"
+         "        meta = self.files.get(inode)\n"
          "        yield self.sim.timeout(0)\n"
-         '        return {"exists": meta is not None}, 16\n\n'
+         "        return meta is not None\n\n"
          "    def _h_heartbeat(")],
        dead_kind="stat"),
     # hot path: per-transition allocation back in the kernel
@@ -116,12 +131,14 @@ MUTANTS = [
 ]
 
 
-def mutate(m: Mutant) -> str:
-    text = (SRC / m.path).read_text()
-    for old, new in m.edits:
+def mutate(m: Mutant) -> Dict[str, str]:
+    """The mutated text of each file ``m`` edits."""
+    texts: Dict[str, str] = {}
+    for path, old, new in m.edits:
+        text = texts.get(path) or (SRC / path).read_text()
         assert text.count(old) == 1, f"{m.id}: the shipped source moved"
-        text = text.replace(old, new)
-    return text
+        texts[path] = text.replace(old, new)
+    return texts
 
 
 def run_in(src: Path, code: str):
@@ -147,7 +164,7 @@ def clean_count():
 
 @pytest.mark.parametrize("m", MUTANTS, ids=lambda m: m.id)
 def test_mutant_is_caught_as_documented(m, tmp_path, clean_count):
-    text = mutate(m)
+    texts = mutate(m)
     if m.caught_by is not None:
         name = m.caught_by.split("[")[0]
         assert any(f"def {name}(" in p.read_text() for p in TESTS.glob("test_*.py"))
@@ -155,7 +172,8 @@ def test_mutant_is_caught_as_documented(m, tmp_path, clean_count):
         return
     tree = tmp_path / "src"
     shutil.copytree(SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
-    (tree / m.path).write_text(text)
+    for path, text in texts.items():
+        (tree / path).write_text(text)
     if m.dead_kind is not None:
         assert m.dead_kind in run_in(tree, UNDISPATCHED)
     else:

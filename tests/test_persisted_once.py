@@ -168,12 +168,14 @@ def test_folded_entries_may_reach_rank_1_before_its_own_copy_is_durable():
                 )
                 windows.append((off, unit.state, off in replica_writes))
 
+    # ``tsue_replica`` and ``tsue_parity`` are served by the engine's
+    # appends themselves: the spies replace the registered handlers.
     for j in (0, 1):
         replica = engine(cluster, cluster.replica_of(names[j]))
         assert replica is not rank1
-        replica.append_replica_datalog = spy_replica(replica.append_replica_datalog)
+        replica.osd.handlers["tsue_replica"] = spy_replica(replica.append_replica_datalog)
     rank1.append_deltalog = spy_delta
-    rank1.append_paritylog = spy_parity
+    rank1.osd.handlers["tsue_parity"] = spy_parity
 
     def stream():
         for i in range(8):

@@ -202,9 +202,7 @@ def test_plr_concurrent_appends_claim_distinct_region_space(during_recycle):
     entry = ENTRY_HEADER_BYTES + 64
 
     def append():
-        msg = SimpleNamespace(payload={
-            "pkey": pkey, "entries": [(0, np.ones(64, dtype=np.uint8))]})
-        yield from strat._h_append(msg)
+        yield from strat._h_append(pkey, [(0, np.ones(64, dtype=np.uint8))])
 
     if during_recycle:
         # Fill the region so the next append recycles it synchronously.

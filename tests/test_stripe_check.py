@@ -160,12 +160,10 @@ def reference_repair(cluster, failed_osd):
             if failed_osd not in names:
                 continue
             replies = yield AllOf(sim, [
-                sim.process(reader.rpc(
-                    names[b], "recovery_read", {"key": (inode, stripe, b)}, nbytes=24
-                ))
+                sim.process(reader.rpc(names[b], "recovery_read", ((inode, stripe, b),)))
                 for b in range(cfg.k + cfg.m)
             ])
-            blocks = [rep["data"] for rep in replies]
+            blocks = replies
             expect = cluster.codec.encode(blocks[: cfg.k])
             bad = [
                 p for p in range(cfg.m)
@@ -175,8 +173,7 @@ def reference_repair(cluster, failed_osd):
                 yield AllOf(sim, [
                     sim.process(reader.rpc(
                         names[cfg.k + p], "recovery_write",
-                        {"key": (inode, stripe, cfg.k + p), "data": expect[p]},
-                        nbytes=cfg.block_size,
+                        ((inode, stripe, cfg.k + p), expect[p]),
                     ))
                     for p in bad
                 ])
@@ -278,8 +275,8 @@ def test_repair_spreads_its_reads_over_the_ring():
     frames = []
     transfer = cluster.fabric.transfer
 
-    def tallying(src, dst, nbytes, kind=""):
-        yield from transfer(src, dst, nbytes, kind=kind)
+    def tallying(src, dst, nbytes, kind="", reply=False):
+        yield from transfer(src, dst, nbytes, kind, reply)
         if kind == "recovery_read.reply" and src != dst:
             received[dst] += nbytes
             frames.append(nbytes)

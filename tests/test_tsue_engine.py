@@ -412,8 +412,8 @@ def _ack_instants(replicas, slow_factor=1.0, extra_latency=0.0):
         primary.device.degrade(slow_factor)
     rpc = primary.rpc
 
-    def spy_rpc(dst, kind, payload, nbytes=0):
-        reply = yield from rpc(dst, kind, payload, nbytes=nbytes)
+    def spy_rpc(dst, kind, fields=()):
+        reply = yield from rpc(dst, kind, fields)
         replies.append(sim.now)
         return reply
 
