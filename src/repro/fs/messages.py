@@ -49,7 +49,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.net.fabric import Fabric, LinkLossError
-from repro.sim.core import Simulator
+from repro.sim.core import Process, Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt
 
 # Fixed protocol overhead charged per message in addition to payload bytes.
@@ -331,8 +331,13 @@ class RpcHost:
 
     def _spawn_handler(self, sim: Simulator, msg: "Message") -> None:
         """Accept one inbound request: consult the dedup table, then run
-        the handler (or replay its cached outcome) in its own process."""
+        the handler (or replay its cached outcome) in its own process.
+
+        The caller's next action is ``yield reply``, so the process starts
+        by handoff (``Process.boot``), registered in ``_inflight`` before
+        its first step runs."""
         kind = msg.kind
+        gen = None
         if kind.cached:
             table = self._dedup.get(msg.src)
             entry = table.get(msg.req_id) if table is not None else None
@@ -347,12 +352,12 @@ class RpcHost:
                     if not msg.reply_event.triggered:
                         msg.reply_event.fail(LinkLossError(self.name, kind.name))
                     return
-                self._inflight[msg] = sim.process(
-                    self._replay(msg, entry), name=kind.name
-                )
-                return
-            self._dedup_record(msg.src, msg.req_id, ("inflight",))
-        self._inflight[msg] = sim.process(self._handle(msg), name=kind.name)
+                gen = self._replay(msg, entry)
+            else:
+                self._dedup_record(msg.src, msg.req_id, ("inflight",))
+        proc = self._inflight[msg] = Process(
+            sim, gen or self._handle(msg), kind.name, False)
+        proc.boot()
 
     def _replay(self, msg: "Message", entry: tuple):
         """Serve a duplicate of an applied request from the reply cache.
@@ -395,13 +400,10 @@ class RpcHost:
     def _handle(self, msg: Message):
         reply = msg.reply_event
         kind = msg.kind
-        handler = self.handlers.get(kind.name)
         try:
+            handler = self.handlers.get(kind.name)
             if handler is None:
-                err = KeyError(f"{self.name} has no handler for {kind.name!r}")
-                self._record_outcome(msg, ("err", err))
-                reply.fail(err)
-                return
+                raise KeyError(f"{self.name} has no handler for {kind.name!r}")
             result = yield from handler(*msg.fields)
             # Cache the outcome BEFORE paying the reply transfer: if the
             # reply frame drops, the retransmit must hit a done entry.
@@ -419,17 +421,16 @@ class RpcHost:
                 if not reply.triggered:
                     reply.fail(loss)
                 return
-            if not reply.triggered:
-                self._settle(msg)
-                reply.succeed(result)
         except Interrupt:
             # The host crashed under us: no reply transfer (the node is
             # dead); make sure the caller learns rather than hangs.
             if not reply.triggered:
                 reply.fail(HostDownError(self.name, f"crashed serving {kind.name}"))
+            return
         except Exception as err:
-            # Application-level failure: deliver it to the caller as the
-            # RPC outcome instead of crashing the serving node.
+            # Application-level failure, a missing handler included:
+            # deliver it to the caller as the RPC outcome, after its
+            # ``.err`` frame, instead of crashing the serving node.
             self._record_outcome(msg, ("err", err))
             try:
                 yield from self.fabric.transfer(
@@ -441,8 +442,14 @@ class RpcHost:
                 return
             if not reply.triggered:
                 reply.fail(err)
+            return
         finally:
             self._inflight.pop(msg, None)
+        # Out of ``_inflight``, the reply is all that is left: nothing
+        # follows it but this handler's quiet exit, so it is handed off.
+        if not reply.triggered:
+            self._settle(msg)
+            reply.hand_off(result)
 
     # ------------------------------------------------------------------
     # calling

@@ -419,6 +419,59 @@ class LostUpdateError(AssertionError):
         return type(self), (self.key, self.offset, self.got, self.writers)
 
 
+def _serial(writers, issued, acked) -> bool:
+    """Each of ``writers`` (in issue order) was issued after every earlier
+    one was acked, and the last was acked too.  Then the per-byte rule of
+    :func:`check_acked_bytes` leaves one legal value per byte: its latest
+    covering writer's, or zero where no writer covers it."""
+    prev = -1
+    for row, _, _, _ in writers:
+        if issued[row] < prev:
+            return False
+        prev = acked[row]
+    return prev != WriteLog.NEVER
+
+
+def _uncovered(covered, lo: int, hi: int):
+    """Merge ``[lo, hi)`` into ``covered`` (sorted, disjoint ``(a, b)``
+    runs); returns the merged runs and the parts of ``[lo, hi)`` that were
+    not covered, in order."""
+    merged, gaps = [], []
+    at, new_lo, new_hi = lo, lo, hi
+    for a, b in covered:
+        if b < lo or a > hi:
+            merged.append((a, b))
+            continue
+        if a > at:
+            gaps.append((at, a))
+        at = max(at, b)
+        new_lo, new_hi = min(new_lo, a), max(new_hi, b)
+    if at < hi:
+        gaps.append((at, hi))
+    merged.append((new_lo, new_hi))
+    merged.sort()
+    return merged, gaps
+
+
+def _latest_writers_hold(got: np.ndarray, writers, log: WriteLog) -> bool:
+    """The serial rule over one block: every byte equals its latest covering
+    writer's payload, and every byte no writer covers is zero.  Each writer's
+    visible pieces (those no later writer covers) are compared once, and
+    only their bytes are re-derived."""
+    covered = []
+    for row, lo, n, pos in reversed(writers):
+        covered, pieces = _uncovered(covered, lo, lo + n)
+        for a, b in pieces:
+            if not (got[a:b] == log.payload(row, pos + a - lo, b - a)).all():
+                return False
+    end = 0
+    for a, b in covered:
+        if got[end:a].any():
+            return False
+        end = b
+    return not got[end:].any()
+
+
 def check_acked_bytes(cluster: Cluster) -> None:
     """The acked-update oracle over ``cluster.writes`` (a no-op when empty).
 
@@ -431,6 +484,11 @@ def check_acked_bytes(cluster: Cluster) -> None:
     writer covers may also be zero.  Only the writers that can be legal
     somewhere in the block are re-derived.  Raises
     :class:`LostUpdateError` at the first illegal byte.
+
+    A block whose writers are serial (:func:`_serial`) has one legal value
+    per byte, so it is checked piece by piece (:func:`_latest_writers_hold`);
+    a block that fails that check, and every other block, gets the per-byte
+    rule, which names the byte.
     """
     log = cluster.writes
     if not len(log):
@@ -459,6 +517,8 @@ def check_acked_bytes(cluster: Cluster) -> None:
                     got = zeros
                 writers = covering.get(key, ())
                 if not writers and not got.any():
+                    continue
+                if _serial(writers, issued, acked) and _latest_writers_hold(got, writers, log):
                     continue
                 stamp.fill(-1)
                 for row, lo, n, _ in writers:

@@ -40,6 +40,33 @@ experiment, so its inner loop is deliberately hand-tuned):
   own instant while an effectful entry is still queued ahead of where the
   completion's entry would have been; no bench row and no seed-sweep cell
   has one (``repro bench --check-baseline`` is the gate).
+
+* **Handoff at an empty instant.** Three transitions fire in place
+  instead of through the queue (:meth:`Simulator._handoff`) when nothing
+  else is pending at ``now`` (``_imm`` is empty and the heap's top is
+  later): an RPC handler's first step (:meth:`Process.boot`), the
+  delivery of its reply (:meth:`Event.hand_off`) and a process's success
+  handed to its single waiter that the completion would wake
+  (:meth:`Process._complete`).  Each call site promises that its step
+  schedules nothing after the call, and the firing that resumed the step
+  has nothing left to run either: an event with several callbacks runs
+  all but the last with handoff closed (:meth:`Event._fire_each`).  The
+  equivalence argument: the queued entry would be the only one at
+  ``now``, and nothing is queued after it before the kernel's next pop,
+  so it would be the very next entry popped; firing it in place runs the
+  same transition after the same predecessors and before the same
+  successors.  What the rest of the calling step still does (a process
+  parking on the reply it will wait for, a handler's quiet exit) touches
+  nothing the fired transition reads, so the ``(time, seq)`` order of
+  every transition with an effect
+  is unchanged and rows are identical by construction.  Failures keep
+  their entries, and so does the event :meth:`Simulator.run_until_fired`
+  drives: its driver join runs first on that event's firing and closes
+  handoff until the drive returns, so the drive leaves pending exactly
+  what the queue would have.  Nested handoffs stop at
+  ``_HANDOFF_DEPTH``, past which the entry is queued (the old
+  behaviour), so a same-instant chain of any length keeps the stack
+  bounded.
 """
 
 from __future__ import annotations
@@ -49,13 +76,20 @@ from collections import deque
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim import collector as _collector
-from repro.sim.events import FIRED, PENDING, Event, Interrupt, Timeout
+from repro.sim.events import (
+    FIRED, HANDOFF_CLOSED, PENDING, SCHEDULED, Event, Interrupt, Timeout,
+)
 from repro.sim.resources import Request
 
 ProcessGen = Generator[Event, Any, Any]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+
+# How many handoffs may nest inside one another before the next one is
+# queued instead.  Each level holds a resumed generator stack, so this
+# bounds the recursion of a long same-instant chain.
+_HANDOFF_DEPTH = 16
 
 
 class _Wake:
@@ -111,8 +145,12 @@ class _SleepWake:
         self.proc._resume(self, None)
 
 
-def _driver_join(_event: Event) -> None:
-    """The callback :meth:`Simulator.run_until_fired` leaves on its event."""
+def _driver_join(event: Event) -> None:
+    """The first callback :meth:`Simulator.run_until_fired` leaves on its
+    event.  The drive ends with this event's firing, so the rest of that
+    firing must queue what the queue would have left pending: the join
+    closes handoff until the drive returns."""
+    event.sim._depth += HANDOFF_CLOSED
 
 
 class Simulator:
@@ -133,6 +171,7 @@ class Simulator:
         self._active: int = 0  # live processes, for run-to-exhaustion checks
         self._crashed: Optional[BaseException] = None
         self._current: Optional["Process"] = None
+        self._depth: int = 0  # handoffs firing in place, one inside another
         # Monotone count of fired kernel transitions (events + wakes), the
         # numerator of the ``events/sec`` perf metric.
         self.events_fired: int = 0
@@ -195,6 +234,24 @@ class Simulator:
             self._imm.append((self._seq, event))
         else:
             _heappush(self._heap, (self.now + delay, self._seq, event))
+
+    def _handoff(self, entry: Any) -> None:
+        """Fire ``entry`` in place when, queued, it would be the next entry
+        popped; else queue it at ``now`` (see "Handoff at an empty
+        instant").  The caller's step must schedule nothing after this
+        call."""
+        # A pending immediate entry is the common refusal: test it first.
+        if not self._imm and self._depth < _HANDOFF_DEPTH:
+            heap = self._heap
+            if not heap or heap[0][0] > self.now:
+                self._depth += 1
+                try:
+                    entry._fire()
+                finally:
+                    self._depth -= 1
+                return
+        self._seq += 1
+        self._imm.append((self._seq, entry))
 
     def peek(self) -> float:
         """Time of the next scheduled event (+inf when idle)."""
@@ -318,9 +375,15 @@ class Simulator:
         fired = 0
         every = _collector.COLLECT_EVERY_EVENTS  # same cadence as run()
         collect_at = every - self.events_fired % every
+        depth = self._depth
         # The driver joins what it drives: a driven process's completion
-        # keeps its queue entry, and the loop ends on firing it.
-        event.add_callback(_driver_join)
+        # keeps its queue entry, and the loop ends on firing it.  The join
+        # is the event's first callback, so it closes handoff before any
+        # other callback of that firing runs.
+        if event.callbacks:
+            event.callbacks.insert(0, _driver_join)
+        else:
+            event.add_callback(_driver_join)
         with _collector.paused():
             try:
                 while event._state != FIRED:
@@ -348,6 +411,14 @@ class Simulator:
                 return True
             finally:
                 self.events_fired += fired
+                self._depth = depth
+                callbacks = event.callbacks
+                if callbacks is not None:
+                    # Not fired (drained or raised): a later firing must
+                    # not close handoff outside a drive.
+                    callbacks.remove(_driver_join)
+                    if not callbacks:
+                        event.callbacks = None
 
 
 class Process(Event):
@@ -360,15 +431,25 @@ class Process(Event):
 
     __slots__ = ("_gen", "_waiting_on")
 
-    def __init__(self, sim: Simulator, gen: ProcessGen, name: str = ""):
+    def __init__(self, sim: Simulator, gen: ProcessGen, name: str = "",
+                 boot: bool = True):
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self._gen = gen
         self._waiting_on: Optional[Any] = None
         sim._active += 1
         # Kick off at the current instant via the immediate queue, preserving
-        # ordering with respect to already-scheduled events.
-        sim._seq += 1
-        sim._imm.append((sim._seq, _Wake(self, None)))
+        # ordering with respect to already-scheduled events.  ``boot=False``
+        # leaves the start to :meth:`boot`.
+        if boot:
+            sim._seq += 1
+            sim._imm.append((sim._seq, _Wake(self, None)))
+
+    def boot(self) -> None:
+        """Start a process built with ``boot=False``, from a step that
+        schedules nothing after this call: its first step runs in place when
+        its boot entry would be the next one popped ("Handoff at an empty
+        instant")."""
+        self.sim._handoff(_Wake(self, None))
 
     @property
     def is_alive(self) -> bool:
@@ -413,71 +494,87 @@ class Process(Event):
                 target = next(gen)
         except StopIteration as stop:
             sim._active -= 1
-            self._complete(stop.value)
-            return
+            value = stop.value
         except Interrupt:
             # Process chose not to handle the interrupt: treat as clean exit.
             sim._active -= 1
-            self._complete(None)
-            return
+            value = None
         except BaseException as err:
             sim._active -= 1
             self.fail(err)
             return
-        finally:
-            sim._current = prev
-        tt = type(target)
-        if tt is float:
-            # The event-free sleep path: schedule a two-slot wake record
-            # (inlined _schedule).
-            if target < 0.0:
-                sim._active -= 1
-                self.fail(ValueError(f"process {self.name!r} yielded a negative sleep {target!r}"))
+        else:
+            tt = type(target)
+            if tt is float:
+                # The event-free sleep path: schedule a two-slot wake record
+                # (inlined _schedule).
+                if target < 0.0:
+                    sim._active -= 1
+                    self.fail(ValueError(f"process {self.name!r} yielded a negative sleep {target!r}"))
+                    return
+                wake = _SleepWake(self)
+                self._waiting_on = wake
+                sim._seq += 1
+                if target == 0.0:
+                    sim._imm.append((sim._seq, wake))
+                else:
+                    _heappush(sim._heap, (sim.now + target, sim._seq, wake))
                 return
-            wake = _SleepWake(self)
-            self._waiting_on = wake
-            sim._seq += 1
-            if target == 0.0:
-                sim._imm.append((sim._seq, wake))
-            else:
-                _heappush(sim._heap, (sim.now + target, sim._seq, wake))
-            return
-        if tt is At:
-            when = target.t
-            if when < sim.now:
+            if tt is At:
+                when = target.t
+                if when < sim.now:
+                    sim._active -= 1
+                    self.fail(ValueError(
+                        f"process {self.name!r} yielded At({when!r}) in the past "
+                        f"(now {sim.now!r})"
+                    ))
+                    return
+                wake = _SleepWake(self)
+                self._waiting_on = wake
+                sim._seq += 1
+                _heappush(sim._heap, (when, sim._seq, wake))
+                return
+            if not isinstance(target, Event):
                 sim._active -= 1
-                self.fail(ValueError(
-                    f"process {self.name!r} yielded At({when!r}) in the past "
-                    f"(now {sim.now!r})"
+                self.fail(TypeError(
+                    f"process {self.name!r} yielded {target!r}; processes must "
+                    "yield Event instances"
                 ))
                 return
-            wake = _SleepWake(self)
-            self._waiting_on = wake
-            sim._seq += 1
-            _heappush(sim._heap, (when, sim._seq, wake))
+            self._waiting_on = target
+            target.add_callback(self)
             return
-        if not isinstance(target, Event):
-            sim._active -= 1
-            self.fail(TypeError(
-                f"process {self.name!r} yielded {target!r}; processes must "
-                "yield Event instances"
-            ))
-            return
-        self._waiting_on = target
-        target.add_callback(self)
+        finally:
+            sim._current = prev
+        # The generator returned.  Completing outside the handlers above
+        # keeps a waiter that a handoff resumes from running inside them.
+        self._complete(value)
 
     def __call__(self, event: Event) -> None:
         """The callback a process leaves on the event it waits for."""
         self._resume(event, None)
 
     def _complete(self, value: Any) -> None:
-        """Succeed with ``value``: in place when the queue entry would
-        resume nobody (see "Quiet completions"), else through the queue."""
+        """Succeed with ``value``, the last act of the process's last step:
+        quietly when the queue entry would resume nobody (see "Quiet
+        completions"), handed to a single waiter it wakes (see "Handoff at
+        an empty instant"), else through the queue."""
         callbacks = self.callbacks
         if callbacks is not None:
-            absorb = getattr(callbacks[0], "absorb", None)
-            if len(callbacks) != 1 or absorb is None or not absorb(self):
+            if len(callbacks) != 1:
                 self.succeed(value)
+                return
+            waiter = callbacks[0]
+            absorb = getattr(waiter, "absorb", None)
+            if absorb is None or not absorb(self):
+                if waiter is _driver_join:
+                    self.succeed(value)
+                else:
+                    # Inlined hand_off (a completion is its hottest caller);
+                    # a process still running is pending, so no state check.
+                    self._state = SCHEDULED
+                    self._value = value
+                    self.sim._handoff(self)
                 return
             self.callbacks = None
         self._state = FIRED

@@ -29,6 +29,10 @@ PENDING = 0
 SCHEDULED = 1
 FIRED = 2
 
+# Added to a simulator's handoff depth to close handoff until it is taken
+# off again: no nesting cap reaches it.
+HANDOFF_CLOSED = 1 << 30
+
 
 class Interrupt(Exception):
     """Raised inside a process that another process interrupted.
@@ -104,6 +108,16 @@ class Event:
             _heappush(sim._heap, (sim.now + delay, sim._seq, self))
         return self
 
+    def hand_off(self, value: Any) -> None:
+        """``succeed(value)`` from a step that schedules nothing after this
+        call: fires in place when its entry would be the next one popped
+        (``repro.sim.core``, "Handoff at an empty instant")."""
+        if self._state != PENDING:
+            raise RuntimeError(f"event {self.name!r} already triggered")
+        self._state = SCHEDULED
+        self._value = value
+        self.sim._handoff(self)
+
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
         """Schedule this event to fire by raising ``exc`` in its waiters."""
         if self._state != PENDING:
@@ -123,8 +137,28 @@ class Event:
         callbacks = self.callbacks
         if callbacks is not None:
             self.callbacks = None
-            for cb in callbacks:
+            # One callback is the common case: unpacking it is cheaper than
+            # a loop or a length test.
+            try:
+                (cb,) = callbacks
+            except ValueError:
+                self._fire_each(callbacks)
+            else:
                 cb(self)
+
+    def _fire_each(self, callbacks: List[Callable[["Event"], None]]) -> None:
+        """Run several callbacks in order, with handoff (``repro.sim.core``,
+        "Handoff at an empty instant") closed for all but the last: a
+        transition handed off inside an earlier callback would run ahead of
+        the later ones, which its queue entry would have run first."""
+        sim = self.sim
+        sim._depth += HANDOFF_CLOSED
+        try:
+            for cb in callbacks[:-1]:
+                cb(self)
+        finally:
+            sim._depth -= HANDOFF_CLOSED
+        callbacks[-1](self)
 
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
         """Run ``cb(event)`` when the event fires (immediately if fired)."""

@@ -124,17 +124,21 @@ def test_an_update_that_never_acked_may_have_landed(built_cluster):
     hx.check_acked_bytes(cluster)
 
 
-@pytest.fixture
-def built_cluster(monkeypatch):
+def _small_run(monkeypatch, trace):
     """The cluster of one small verified ``run_experiment``."""
     kept = []
     build = hx.build_cluster
     monkeypatch.setattr(hx, "build_cluster", lambda cfg: kept.append(build(cfg)) or kept[-1])
     hx.run_experiment(ExperimentConfig(
-        trace="ten", k=4, m=2, n_osds=8, n_clients=2, updates_per_client=30,
+        trace=trace, k=4, m=2, n_osds=8, n_clients=2, updates_per_client=30,
         block_size=16 * 1024, stripes_per_file=4, seed=2,
     ))
     return kept[0]
+
+
+@pytest.fixture
+def built_cluster(monkeypatch):
+    return _small_run(monkeypatch, "ten")
 
 
 def _stale_byte(cluster):
@@ -194,3 +198,49 @@ def test_only_a_verified_byte_plane_run_records_its_updates():
     assert build_cluster(ExperimentConfig(n_osds=8, verify=False)).writes is NO_WRITES
     ghost = ExperimentConfig(n_osds=8, ghost_dataplane=True)
     assert build_cluster(ghost).writes is NO_WRITES
+
+
+def _flip_site(cluster, which):
+    """A byte of a serially written block: one the run's last update wrote
+    (``visible``), or one no update covers (must be zero) below a written
+    byte of its block (``below``) or above all of them (``above``)."""
+    log = cluster.writes
+    last = len(log) - 1
+    if which == "visible":
+        ext = cluster.stripe_map.extents(log.inode[last], log.offset[last], log.size[last])[0]
+        return ext.addr.key(), ext.offset
+    covered = {}
+    for row in range(len(log)):
+        for ext in cluster.stripe_map.extents(log.inode[row], log.offset[row], log.size[row]):
+            covered.setdefault(ext.addr.key(), set()).update(
+                range(ext.offset, ext.offset + ext.length))
+    if which == "above":
+        end = cluster.config.block_size - 1
+        return next((key, end) for key, offs in sorted(covered.items()) if end not in offs)
+    return next((key, off) for key, offs in sorted(covered.items())
+                for off in range(max(offs)) if off not in offs)
+
+
+# Closed loop, a file per client: every block's writers are serial.  The
+# "ali" run has a block written only above its start, the "ten" run one
+# whose end no update reaches.
+@pytest.mark.parametrize("trace, which", [("ali", "visible"), ("ali", "below"), ("ten", "above")])
+def test_serial_blocks_and_the_per_byte_rule_name_the_same_byte(monkeypatch, trace, which):
+    cluster = _small_run(monkeypatch, trace)
+    key, offset = _flip_site(cluster, which)
+    store = cluster.osd_by_name(cluster.placement(*key[:2])[key[2]]).store
+    hold = hx._latest_writers_hold
+    rejected = []
+    monkeypatch.setattr(hx, "_latest_writers_hold",
+                        lambda got, writers, log: hold(got, writers, log) or rejected.append(1))
+    store.fold_xor(key, offset, np.array([0x5A], dtype=np.uint8))
+    errors = []
+    for serial in (hx._serial, lambda *args: False):
+        monkeypatch.setattr(hx, "_serial", serial)
+        with pytest.raises(LostUpdateError) as err:
+            hx.check_acked_bytes(cluster)
+        errors.append((err.value.key, err.value.offset, err.value.got, err.value.writers))
+    assert rejected == [1]  # the serial check saw the block, and rejected it
+    assert errors[0] == errors[1] and errors[0][:2] == (key, offset)
+    store.fold_xor(key, offset, np.array([0x5A], dtype=np.uint8))
+    hx.check_acked_bytes(cluster)

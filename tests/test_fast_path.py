@@ -199,7 +199,7 @@ def test_joined_completion_keeps_its_slot_behind_earlier_same_instant_events():
     assert order == ["early", ("joined", "v")]
 
 
-def test_all_of_counts_non_final_children_in_place_and_queues_the_final():
+def test_all_of_counts_non_final_children_in_place_and_hands_off_the_final():
     sim = Simulator()
     a, b = sim.process(_sleeper("a", 1.0)), sim.process(_sleeper("b", 2.0))
     both = AllOf(sim, [a, b])
@@ -207,13 +207,14 @@ def test_all_of_counts_non_final_children_in_place_and_queues_the_final():
     assert a.fired and not b.triggered
     assert both._n_fired == 1 and not both.triggered
     assert _queued(sim) == 1  # only b's sleep wake
-    while not b.triggered:
-        sim.step()
-    assert not b.fired  # the final child is queued ...
+    sim.step()  # b's wake: b returns at an otherwise empty instant ...
+    # ... and hands its success to the AllOf in place, which queues its own.
+    assert b.fired and both.triggered and not both.fired
+    assert _queued(sim) == 1
     sim.run()
-    assert both.value == ["a", "b"]  # ... and its entry fires the AllOf
-    # 2 boots + 2 sleep wakes + b's completion + the AllOf itself.
-    assert sim.events_fired == 6
+    assert both.value == ["a", "b"]
+    # 2 boots + 2 sleep wakes + the AllOf itself: b's completion took none.
+    assert sim.events_fired == 5
 
 
 def test_all_of_queues_a_child_whose_sibling_is_triggered_but_unfired():
@@ -284,15 +285,17 @@ def test_an_interrupt_exit_follows_the_same_rule(joined):
         yield victim
 
     if joined:
-        sim.process(joiner())
+        j = sim.process(joiner())
     victim.interrupt("crash")
     while victim.is_alive:
         sim.step()
-    # Unhandled Interrupt is a clean exit with value None.
-    assert victim.triggered and victim._value is None
-    assert victim.fired is not joined
+    # Unhandled Interrupt is a clean exit with value None: quiet when nobody
+    # joins, handed to the joiner in place at this otherwise empty instant
+    # (the stale sleep wake is at t=10).
+    assert victim.fired and victim._value is None
+    assert not joined or (j.fired and sim.now == 0.0)
     sim.run()
-    assert victim.fired and sim.now == 10.0  # the stale sleep wake drains
+    assert sim.now == 10.0  # the stale sleep wake drains
 
 
 # ----------------------------------------------------------------------

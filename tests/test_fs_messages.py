@@ -98,7 +98,8 @@ def test_concurrent_handlers_interleave(declare):
 
 def test_missing_handler_fails_caller(declare):
     """A declared kind sent to a host that does not serve it fails at the
-    destination: the request crossed the wire first."""
+    destination like a handler that raised: the request crossed the wire,
+    and the error comes back in its ``.err`` frame."""
     sim, fab, a, b = make_pair()
     declare("ghost", lambda: 0)
     a.start()
@@ -113,7 +114,7 @@ def test_missing_handler_fails_caller(declare):
     p = sim.process(caller())
     sim.run(until=1.0)
     assert "b has no handler for 'ghost'" in p.value
-    assert fab.counters.by_kind == {"ghost": MSG_OVERHEAD}
+    assert fab.counters.by_kind == {"ghost": MSG_OVERHEAD, "ghost.err": MSG_OVERHEAD}
 
 
 def test_undeclared_kind_or_wrong_fields_fail_at_the_caller():

@@ -123,8 +123,8 @@ MUTANTS = [
          "        if any(e is None for e in (event,)):\n")],
        runs=False),
     _m("H2", "repro/sim/events.py",
-       [("            for cb in callbacks:\n                cb(self)\n",
-         "            [cb(self) for cb in callbacks]\n")]),
+       [("            else:\n                cb(self)\n",
+         "            else:\n                [cb(self) for cb in callbacks]\n")]),
     _m("H3", "repro/sim/events.py",
        [("        self.events: List[Event] = list(events)\n",
          "        self.events: List[Event] = [ev for ev in events]\n")]),

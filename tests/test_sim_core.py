@@ -382,7 +382,9 @@ def test_kernel_collects_on_its_event_cadence(monkeypatch, caller_gc, entry):
         observed["ref"] = weakref.ref(a)
         del a, b
         # + boot, + the process's own completion when it is driven: run()
-        # drives nothing, so the completion nobody joins is fired in place.
+        # drives nothing, so the completion nobody joins is fired in place,
+        # and a driven completion keeps its entry even at an otherwise
+        # empty instant (the driver join takes no handoff).
         for i in range(998):
             if i == 200:
                 # Three cadence points have passed, the loop is still
