@@ -27,6 +27,7 @@ def main() -> None:
             n_clients=24,
             updates_per_client=100,
             seed=5,
+            # Wear depends on sizes only: the ghost plane, no bytes.
             verify=False,
         )
         for method in METHODS

@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--k", type=int, default=6)
     run.add_argument("--m", type=int, default=2)
     run.add_argument("--device", default="ssd", choices=["ssd", "hdd"])
-    run.add_argument("--no-verify", action="store_true")
+    run.add_argument("--no-verify", action="store_true", help="ghost plane: sizes only, no check")
     run.add_argument("--clients", type=int, default=16)
     run.add_argument("--updates", type=int, default=100)
     run.add_argument("--seed", type=int, default=7)

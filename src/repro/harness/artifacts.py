@@ -10,6 +10,8 @@ under ``benchmarks/`` read).  :func:`run_cells`, the one cell executor,
 runs each config once per process (Table 1 and the lifespan comparison
 share their runs, and so do the Fig. 5 panels and the client sweep over
 two of them), a grid's missing cells over a pool of the usable cores.
+A cell reads only sizes and times, so every grid but Fig. 8b runs on the
+ghost plane (``verify=False``: no payload bytes, ``consistent`` is None).
 
 The shapes the paper reports, asserted by ``benchmarks/test_*``:
 
@@ -270,8 +272,8 @@ def run_recovery(cfg: ExperimentConfig) -> RecoveryResult:
     reconstruction volume, with the pre-recovery log drain showing up as
     the per-method difference — the paper's Fig. 8b setting, where a
     3-minute warm-up precedes recovering a whole node.  The run is always
-    verified: the protocol's oracle holds every rebuilt data byte against
-    the preload and the updates (``LostUpdateError``).
+    on the byte plane, verified: the protocol's oracle holds every rebuilt
+    data byte against the preload and the updates (``LostUpdateError``).
     """
     return run_protocol(
         replace(cfg, verify=True), _attach_materialised, lambda run: run.tail,

@@ -56,14 +56,13 @@ class ExperimentConfig:
     device_profile: Optional[DeviceProfile] = None
     net_profile: Optional[NetworkProfile] = None
     seed: int = 0
+    # The plane: on, real bytes checked after the drain (parity gate, oracle);
+    # off, the ghost plane (repro.dataplane): sizes only, no check,
+    # ``consistent`` None.  Fault runs need real bytes, so they need it on.
     verify: bool = True
     # Accepted and ignored: projected completion is the only time plane.
     # Kept because benchmarks/perf/workloads.py still passes it.
     fast_dataplane: bool = False
-    # Ghost payload plane (see repro.dataplane): metadata-only payloads,
-    # O(metadata) memory.  Fault/rebuild scenarios need real bytes; the
-    # scenario runner rejects the combination.
-    ghost_dataplane: bool = False
     # Strategy-specific keyword arguments (TSUE: ``TSUEConfig`` fields).
     strategy_params: Dict[str, Any] = field(default_factory=dict)
 
@@ -204,13 +203,12 @@ def build_cluster(cfg: ExperimentConfig) -> Cluster:
             device_profile=cfg.device_profile,
             net_profile=cfg.resolved_net(),
             seed=cfg.seed,
-            ghost_dataplane=cfg.ghost_dataplane,
+            ghost_dataplane=not cfg.verify,
         ),
         _strategy_factory(cfg),
     )
-    # The acked-update oracle's input (:func:`check_acked_bytes`): only a
-    # verified byte-plane run records its updates.
-    cluster.writes = WriteLog() if cfg.verify and not cfg.ghost_dataplane else NO_WRITES
+    # The acked-update oracle's input (:func:`check_acked_bytes`).
+    cluster.writes = WriteLog() if cfg.verify else NO_WRITES
     return cluster
 
 
@@ -267,7 +265,7 @@ class Run:
             "requests_per_wall_sec": requests / wall if wall > 0 else 0.0,
             "peak_rss_kb": float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
         }
-        if self.cfg.ghost_dataplane:
+        if not self.cfg.verify:
             out["ghost_dataplane"] = 1.0
         return out
 
@@ -311,7 +309,7 @@ def run_protocol(
        own: there the drain is the quantity measured).
     9. **scrub** — fault runs scrub every stripe the workload could have
        touched, through the real (costed) read path.
-    10. **stop**, then **check** — with ``cfg.verify`` on the byte plane,
+    10. **stop**, then **check** — on the byte plane (``cfg.verify``),
         :func:`check_acked_bytes` holds every data byte against the updates
         the run recorded (:class:`LostUpdateError`).
     11. **finish** — ``finish(run)``, the caller's gates and aggregation,
@@ -335,7 +333,7 @@ def run_protocol(
         raise InvalidRunError(
             f"unknown trace {cfg.trace!r}; known: {', '.join(TRACES)}"
         )
-    if faults and cfg.ghost_dataplane:
+    if faults and not cfg.verify:
         raise InvalidRunError(
             f"{what} injects faults; the ghost payload plane cannot serve "
             "scrub/rebuild (real bytes required) — run it on the byte plane"

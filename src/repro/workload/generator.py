@@ -18,9 +18,9 @@ logged-but-unrecycled bytes (the TSUE read cache) on device data — the
 ``mixed_rw`` scenarios measure exactly that interaction.
 
 Every update is also a row of the cluster's :class:`WriteLog` (bound by
-``repro.harness.experiment.build_cluster``; :data:`NO_WRITES` when the run
-does not verify or is on the ghost plane): the input of the acked-update
-oracle that closes every verified byte-plane run.
+``repro.harness.experiment.build_cluster``; :data:`NO_WRITES` on the ghost
+plane): the input of the acked-update oracle that closes every byte-plane
+run.
 """
 
 from __future__ import annotations

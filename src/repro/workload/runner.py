@@ -209,7 +209,7 @@ def _scenario_result(scenario: Scenario, run) -> ScenarioResult:
         recovery=recovery_section,
         elastic=elastic_section,
         perf=run.perf(updates + reads),
-        ghost_dataplane=cfg.ghost_dataplane,
+        ghost_dataplane=not cfg.verify,
     )
 
 

@@ -77,9 +77,8 @@ class Scenario:
     # while the smoke registry keeps the historical 4 x 200 default.
     default_clients: Optional[int] = None
     default_requests: Optional[int] = None
-    # Ghost payload plane (see repro.dataplane): metadata-only payloads.
-    # Valid only without faults — scrub/rebuild need real bytes, so the
-    # run protocol rejects the combination.
+    # The ghost payload plane (an unverified run, see repro.dataplane); the
+    # run protocol rejects it with faults: scrub/rebuild need real bytes.
     ghost_dataplane: bool = False
     # Cluster size override (None = the runner's 8-OSD smoke geometry).
     # Lets scale tiers carry their intended cluster alongside their
@@ -406,5 +405,5 @@ def scenario_config(
         stripes_per_file=8,
         device_kind=device,
         seed=seed,
-        ghost_dataplane=ghost_dataplane,
+        verify=not ghost_dataplane,
     )

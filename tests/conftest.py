@@ -62,3 +62,22 @@ def assert_holds():
             assert np.array_equal(store.peek((inode, stripe, j)), want), (inode, stripe, j)
 
     return check
+
+
+@pytest.fixture
+def reported():
+    """``reported(res)``: every field of an ``ExperimentResult`` a grid can
+    report, comparable with ``==``; the recorder as its samples, the
+    residency tracker as its per-phase totals and counts."""
+    import dataclasses
+
+    def fields(res):
+        out = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)}
+        rec = out.pop("update_recorder")
+        out["samples"] = (list(rec.completion_times), list(rec.latencies))
+        tracker = out.pop("residency")
+        if tracker is not None:
+            out["residency"] = {key: (p.total, p.n) for key, p in tracker._acc.items()}
+        return out
+
+    return fields

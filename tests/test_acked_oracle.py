@@ -18,7 +18,7 @@ from repro.fs.osd import OSD
 from repro.harness.experiment import ExperimentConfig, LostUpdateError, build_cluster
 from repro.sim.rng import payload_bytes
 from repro.tsue.engine import DATA, DELTA
-from repro.workload import run_bench_cells, run_scenario
+from repro.workload import run_bench_cells, run_scenario, scenario_config
 from repro.workload.generator import NO_WRITES, WriteLog
 
 
@@ -92,6 +92,7 @@ def test_fig8b_preload_is_a_writer_and_a_rebuilt_byte_is_checked(monkeypatch):
 
     def flip_then_check(cluster):
         seen.append(cluster)
+        assert cluster.config.ghost_dataplane is False  # the byte plane
         log = cluster.writes
         assert [log.sources[log.who[r]][0] for r in range(2)] == ["load", "load"]
         # Flip the last byte of the last data block of the first file: no
@@ -193,11 +194,17 @@ def test_writelog_rederives_any_slice_of_a_payload(seed, pending, size, data):
 
 
 def test_only_a_verified_byte_plane_run_records_its_updates():
-    base = ExperimentConfig(n_osds=8, n_clients=1, updates_per_client=1)
-    assert isinstance(build_cluster(base).writes, WriteLog)
-    assert build_cluster(ExperimentConfig(n_osds=8, verify=False)).writes is NO_WRITES
-    ghost = ExperimentConfig(n_osds=8, ghost_dataplane=True)
-    assert build_cluster(ghost).writes is NO_WRITES
+    """``verify`` is the plane: on, bytes and a ``WriteLog``; off, the
+    ghost plane and the null recorder."""
+    byte = build_cluster(ExperimentConfig(n_osds=8, n_clients=1, updates_per_client=1))
+    assert byte.config.ghost_dataplane is False and isinstance(byte.writes, WriteLog)
+    ghost = build_cluster(ExperimentConfig(n_osds=8, verify=False))
+    assert ghost.config.ghost_dataplane is True and ghost.writes is NO_WRITES
+
+
+def test_a_ghost_scenario_is_an_unverified_config():
+    assert scenario_config(ghost_dataplane=True).verify is False
+    assert scenario_config().verify is True
 
 
 def _flip_site(cluster, which):

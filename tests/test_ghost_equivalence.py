@@ -12,9 +12,12 @@ ghost mode refuses loudly wherever real bytes are required (decode,
 scrub/rebuild scenarios).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.harness.artifacts as art
 from repro.dataplane import (
     GhostExtent,
     GhostMaterializationError,
@@ -26,6 +29,7 @@ from repro.dataplane import (
     payload_size,
 )
 from repro.ec import RSCodec
+from repro.harness.experiment import run_experiment
 from repro.workload import METHODS, run_scenario
 
 SMALL = dict(n_clients=2, requests_per_client=30, seed=7)
@@ -69,6 +73,38 @@ def test_ghost_plane_equivalence_under_contention():
     g.pop("ghost_dataplane")
     assert b == g
     assert byte.perf["events"] == ghost.perf["events"]
+
+
+# ----------------------------------------------------------------------
+# the paper's artifacts: what every grid reads, on both planes
+# ----------------------------------------------------------------------
+# Each grid at 4 clients x 80 updates with its own overrides: codes,
+# traces, HDD devices with TSUE's three DataLog copies and no DeltaLog, log
+# settings, ladder flags.  The artifacts run it on the ghost plane; each
+# cell is rerun on the byte plane.
+_ARTIFACTS = {
+    "fig5": lambda: art.run_fig5(6, 2, "ali", clients=(4,), updates_per_client=80),
+    "fig6a": lambda: art.run_fig6a(n_clients=4, updates_per_client=80, buckets=2),
+    "fig6b": lambda: art.run_fig6b(quotas=(2,), n_clients=4, updates_per_client=80),
+    "fig7": lambda: art.run_fig7(n_clients=4, updates_per_client=80),
+    "fig8a": lambda: art.run_fig8a(volumes=("proj2",), n_clients=4, updates_per_client=80),
+    "table1_lifespan": lambda: art.run_lifespan(n_clients=4, updates_per_client=80),
+    "table2": lambda: art.run_table2(n_clients=4, updates_per_client=80),
+    "unit_size": lambda: art.run_unit_size_ablation(unit_sizes=(256 * 1024,), n_clients=4, updates=80),
+    "replica": lambda: art.run_replica_ablation(replica_counts=(1, 3), n_clients=4, updates=80),
+    "index": lambda: art.run_index_ablation(n_clients=4, updates=80),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_ARTIFACTS))
+def test_artifact_cells_are_bit_identical_on_the_byte_plane(grid, reported):
+    ghost = list({id(r): r for r in _ARTIFACTS[grid]().cells.values()}.values())
+    byte = art.run_cells(run_experiment, [dataclasses.replace(r.config, verify=True) for r in ghost])
+    for g, b in zip(ghost, byte):
+        want, got = reported(g), reported(b)
+        assert want.pop("consistent") is None and got.pop("consistent") is True
+        assert dataclasses.replace(want.pop("config"), verify=True) == got.pop("config")
+        assert got == want
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Integration tests for the experiment harness (tiny scales)."""
 
-import dataclasses
 import gc
 import re
 from pathlib import Path
@@ -139,8 +138,9 @@ _RUNNERS = {
 @pytest.mark.parametrize("runner", sorted(_RUNNERS))
 def test_runner_pauses_collector_and_restores_callers_state(caller_gc, runner, built):
     assert _RUNNERS[runner]() is True
-    # Exactly one cluster, built through the module attribute, under the pause.
-    assert [paused for _, paused in built] == [False]
+    # Exactly one cluster, built through the module attribute, under the
+    # pause; on the byte plane (Fig. 8b's cell too, from a verify=False config).
+    assert [(paused, c.config.ghost_dataplane) for c, paused in built] == [(False, False)]
     assert gc.isenabled() is caller_gc
 
 
@@ -159,17 +159,7 @@ def test_shared_cells_simulate_once(built, monkeypatch):
     assert len({id(run) for run in table1.cells.values()}) == 2
 
 
-def _reported(res):
-    """Every field of a run a grid can report; the recorders as samples."""
-    out = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)}
-    out["update_recorder"] = list(res.update_recorder.latencies)
-    tracker = out.pop("residency")
-    if tracker is not None:
-        out["residency"] = [tracker.mean_us(layer) for layer in tracker.LAYERS]
-    return out
-
-
-def test_pooled_cells_equal_the_serial_path(memo, monkeypatch):
+def test_pooled_cells_equal_the_serial_path(memo, monkeypatch, reported):
     """The pool moves where cells run and nothing else: a tiny Table 1
     renders byte-identically at pool size 2 and 1 and its raw runs agree
     field by field; the parent keeps the pooled runs, so the lifespan grid
@@ -188,7 +178,7 @@ def test_pooled_cells_equal_the_serial_path(memo, monkeypatch):
     serial = art.run_table1(**sizes)
     assert serial.render() == pooled.render()
     assert all(
-        _reported(serial.cells[key]) == _reported(pooled.cells[key]) for key in serial.cells
+        reported(serial.cells[key]) == reported(pooled.cells[key]) for key in serial.cells
     )
     assert all(serial.cells[key] is not pooled.cells[key] for key in serial.cells)
 
