@@ -21,6 +21,7 @@ from repro.ec import RSCodec, StripeMap
 from repro.metrics.counters import NetCounters, OpCounters, WearModel
 from repro.net import Fabric, NET_25GBE, NetworkProfile
 from repro.sim import RngStreams, Simulator
+from repro.sim.events import Notifier
 
 
 def placement(n_osds: int, width: int, inode: int, stripe: int) -> List[int]:
@@ -114,10 +115,11 @@ class Cluster:
         for host in self._hosts.values():
             host.connect(self._hosts)
         # Failure bookkeeping: the cluster-wide view of unavailable OSDs
-        # (stands in for the MDS's membership map the clients would poll)
-        # plus the outage windows [name, t_down, t_up] behind the recovery
+        # (the MDS's membership map, pushed through ``down_changed``) plus
+        # the outage windows [name, t_down, t_up] behind the recovery
         # metrics of failure scenarios.
         self.down_osds: Set[str] = set()
+        self.down_changed = Notifier(sim)
         self.down_windows: List[List] = []
         # Live placement membership.  ``osds`` is every OSD ever provisioned
         # (decommissioned nodes stay there as stopped hosts so drains and
@@ -130,9 +132,13 @@ class Cluster:
         # ops until the set clears) and a refcount of in-flight foreground
         # ops per stripe (the rebalancer quiesces on it before copying).
         # Both are plain dict/set state touched by non-yielding helpers, so
-        # fault-free runs see identical virtual time.
+        # fault-free runs see identical virtual time.  Notified: a fence
+        # lifts, a refcount or a stripe's recycle pins reach zero.
         self.migrating_stripes: Set[Tuple[int, int]] = set()
+        self.fences_changed = Notifier(sim)
         self._active_stripe_ops: Dict[Tuple[int, int], int] = {}
+        self.ops_changed = Notifier(sim)
+        self.pins_changed = Notifier(sim)
         # Per-stripe placement overrides, installed by the rebalance as
         # each stripe's copy lands (fence-copy-flip) and cleared wholesale
         # when commit_ring() installs the new membership.  Empty outside a
@@ -286,20 +292,6 @@ class Cluster:
         self.mds.last_heartbeat[name] = self.sim.now
         return osd
 
-    def decommission_osd(self, name: str, rebalance_mbps: float = 0.0):
-        """Drain one OSD out of the ring (generator; run in a process).
-
-        Delegates to the rebalance plane: migrate the leaver's blocks to
-        the post-leave placement under the consistency gates, commit the
-        shrunken ring, then stop the node.  Returns the RebalanceResult.
-        ``rebalance_mbps > 0`` paces the copy with a token bucket (see
-        ``repro.recovery.rebalance``).
-        """
-        from repro.recovery.rebalance import rebalance_leave
-
-        result = yield from rebalance_leave(self, name, rebalance_mbps=rebalance_mbps)
-        return result
-
     # ------------------------------------------------------------------
     # migration fencing (non-yielding: called on the foreground op path)
     # ------------------------------------------------------------------
@@ -317,15 +309,22 @@ class Cluster:
             n = ops.get(key, 0) - 1
             if n <= 0:
                 ops.pop(key, None)
+                self.ops_changed.notify()
             else:
                 ops[key] = n
 
-    def stripes_quiesced(self, keys) -> bool:
-        """True iff no foreground op is in flight on any given stripe key."""
-        ops = self._active_stripe_ops
-        if not ops:
-            return True
-        return not any(k in ops for k in keys)
+    def fence_stripe(self, key: Tuple[int, int]) -> None:
+        """Hold new foreground ops on ``key`` until :meth:`unfence_stripes`."""
+        self.migrating_stripes.add(key)
+
+    def unfence_stripes(self, keys) -> None:
+        """Lift the migration fence of every stripe in ``keys``."""
+        self.migrating_stripes.difference_update(keys)
+        self.fences_changed.notify()
+
+    def stripe_quiesced(self, key: Tuple[int, int]) -> bool:
+        """True iff no foreground op is in flight on stripe ``key``."""
+        return key not in self._active_stripe_ops
 
     # ------------------------------------------------------------------
     # failure bookkeeping
@@ -335,10 +334,12 @@ class Cluster:
         if name not in self.down_osds:
             self.down_osds.add(name)
             self.down_windows.append([name, self.sim.now, None])
+            self.down_changed.notify()
 
     def mark_up(self, name: str) -> None:
         """Clear an OSD's down mark and close its outage window."""
         self.down_osds.discard(name)
+        self.down_changed.notify()
         for window in reversed(self.down_windows):
             if window[0] == name and window[2] is None:
                 window[2] = self.sim.now

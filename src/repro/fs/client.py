@@ -16,7 +16,7 @@ import numpy as np
 from repro.dataplane import as_payload, concat_payloads
 from repro.fs.messages import HostDownError, RpcHost
 from repro.metrics.latency import LatencyRecorder
-from repro.sim.events import AllOf
+from repro.sim.events import AllOf, wait_until
 
 
 class Client(RpcHost):
@@ -25,9 +25,8 @@ class Client(RpcHost):
     # While any member OSD of a stripe is down, updates touching that
     # stripe wait (write fencing): EC updates mutate data *and* parity, and
     # mutating a degraded stripe would have to be replayed into the rebuild.
-    # The poll interval paces fence checks and crash-retry backoff; the
-    # budget turns a never-recovered OSD into an error instead of a hang.
-    FENCE_POLL_S = 5e-4
+    # Each wait wakes on a cluster notifier at the instant its fence lifts;
+    # the budget turns a never-recovered OSD into an error, not a hang.
     FENCE_BUDGET_S = 60.0
 
     def __init__(self, sim, fabric, name, cluster):
@@ -89,78 +88,67 @@ class Client(RpcHost):
         yield self.fan_out(calls)
 
     def _fence_wait(self, inode: int, stripes):
-        """Wait until no member OSD of the given stripes is down.
+        """Wait until no member OSD of the given stripes is down; True if
+        the op had to wait at all (generator)."""
+        cluster = self.cluster
+        down = cluster.down_osds
 
-        Returns True if the op had to wait at all (generator).
-        """
-        waited = 0.0
-        fenced = False
-        while True:
-            down = self.cluster.down_osds
-            if not down or not any(
-                name in down
-                for s in stripes
-                for name in self.cluster.placement(inode, s)
-            ):
-                return fenced
-            fenced = True
-            if waited >= self.FENCE_BUDGET_S:
-                raise RuntimeError(
-                    f"{self.name}: stripes {sorted(stripes)} of inode {inode} "
-                    f"fenced for {waited:.1f}s (down: {sorted(down)}) — "
-                    "no recovery/restore happened"
-                )
-            yield self.sim.timeout(self.FENCE_POLL_S)
-            waited += self.FENCE_POLL_S
+        def clear():
+            return not any(n in down for s in stripes for n in cluster.placement(inode, s))
+
+        if not down or clear():
+            return False
+        return (yield from wait_until(
+            clear, cluster.down_changed, self.FENCE_BUDGET_S,
+            f"{self.name}: stripes {sorted(stripes)} of inode {inode} fenced "
+            f"(down: {sorted(down)}), no recovery/restore happened",
+        ))
 
     def _migration_wait(self, inode: int, stripes):
-        """Hold a *new* op while any touched stripe is mid-migration.
+        """Hold a *new* op while any touched stripe is mid-migration, until
+        the rebalance lifts its fence (zero-cost when nothing migrates).
 
-        Mirrors :meth:`_fence_wait` for elastic rebalances: the rebalance
-        plane fences stripes whose placement is changing, and clients hold
-        new foreground ops until the flip commits.  Zero-cost when nothing
-        is migrating (no yield, no event).  Runs once per logical op,
-        *before* the op registers in the cluster's in-flight refcount —
-        registered ops (and their crash retries) must keep draining, or the
-        rebalancer's quiesce would deadlock against this fence.
+        Runs once per logical op, *before* the op registers in the
+        cluster's in-flight refcount — registered ops (and their crash
+        retries) must keep draining, or the rebalancer's quiesce would
+        deadlock against this fence.
         """
         migrating = self.cluster.migrating_stripes
-        if not migrating:
-            return
-        waited = 0.0
-        while any((inode, s) in migrating for s in stripes):
-            if waited >= self.FENCE_BUDGET_S:
-                raise RuntimeError(
-                    f"{self.name}: stripes {sorted(stripes)} of inode {inode} "
-                    f"migration-fenced for {waited:.1f}s — rebalance never "
-                    "committed"
-                )
-            yield self.sim.timeout(self.FENCE_POLL_S)
-            waited += self.FENCE_POLL_S
+        if migrating:
+            yield from wait_until(
+                lambda: not any((inode, s) in migrating for s in stripes),
+                self.cluster.fences_changed, self.FENCE_BUDGET_S,
+                f"{self.name}: stripes {sorted(stripes)} of inode {inode} "
+                "migration-fenced, rebalance never committed",
+            )
 
-    def _retry_downed(self, make_attempt, counter: str):
-        """Run ``make_attempt()`` (a generator) to completion, retrying
-        a down host (:class:`HostDownError`) with paced backoff until the
-        budget runs out.  Frame loss never gets here: ``rpc`` resends.
-
-        The shared failure-path scaffold of :meth:`update` and
-        :meth:`read`: a crash racing an issued op fails it mid-flight; the
-        op retries whole once the cluster heals.  ``counter`` names the
-        per-logical-op retry counter to bump (once, however many attempts
-        it takes).
+    def _retry_downed(self, make_attempt, counter: str, degrades: bool):
+        """Run ``make_attempt()`` (a generator) to completion, retrying it
+        whole after a crash racing it (:class:`HostDownError`; frame loss
+        never gets here).  An update retries once the failed host is out of
+        ``down_osds`` (a replica neighbour outside the stripe's fence too); a
+        read, which ``degrades`` around every host marked down, once the
+        failed host is marked down or serving.  ``counter`` names the
+        per-logical-op retry counter, bumped once however many attempts.
         """
-        retried = 0.0
+        cluster = self.cluster
+        down = cluster.down_osds
+        retried = False
         while True:
             try:
                 result = yield from make_attempt()
                 return result
-            except HostDownError:
-                if retried >= self.FENCE_BUDGET_S:
-                    raise
-                if retried == 0.0:
+            except HostDownError as err:
+                if not retried:
+                    retried = True
                     setattr(self, counter, getattr(self, counter) + 1)
-                yield self.sim.timeout(self.FENCE_POLL_S)
-                retried += self.FENCE_POLL_S
+                name, host = err.host, cluster.osd_by_name(err.host)
+                yield from wait_until(
+                    (lambda: name in down or host.running) if degrades
+                    else (lambda: name not in down),
+                    cluster.down_changed, self.FENCE_BUDGET_S,
+                    f"{self.name}: retry after {err}",
+                )
 
     def update(self, inode: int, offset: int, data: np.ndarray):
         """The measured path: route each extent to its data-block OSD.
@@ -216,7 +204,7 @@ class Client(RpcHost):
 
             self.cluster.note_ops_begin(inode, stripes)
             try:
-                yield from self._retry_downed(attempt, "update_retries")
+                yield from self._retry_downed(attempt, "update_retries", False)
             finally:
                 self.cluster.note_ops_end(inode, stripes)
             if state["fenced"]:
@@ -239,7 +227,7 @@ class Client(RpcHost):
         """Range read assembled from per-block reads (generator).
 
         ``down`` is the client's view of unavailable OSDs — the cluster's
-        ``down_osds`` (the MDS membership map clients would poll) is always
+        ``down_osds`` (the MDS membership map pushed to clients) is always
         merged in; extents whose home OSD is down are served by a *degraded
         read* — decode from any k surviving blocks of the stripe.  A crash
         racing an issued read is retried against the updated down-set.
@@ -294,7 +282,7 @@ class Client(RpcHost):
         # Only the attempt that completed counts toward degraded stats.
         self.cluster.note_ops_begin(inode, stripes)
         try:
-            pieces, n_degraded = yield from self._retry_downed(attempt, "read_retries")
+            pieces, n_degraded = yield from self._retry_downed(attempt, "read_retries", True)
         finally:
             self.cluster.note_ops_end(inode, stripes)
         out = concat_payloads(pieces)

@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.net.fabric import Fabric, LinkLossError
 from repro.sim.core import Process, Simulator
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt
+from repro.sim.events import AllOf, Event, Interrupt, Notifier, wait_until
 
 # Fixed protocol overhead charged per message in addition to payload bytes.
 MSG_OVERHEAD = 64
@@ -186,8 +186,8 @@ class RpcHost:
 
     # Total virtual-time budget a caller will wait for a stopped (not
     # crashed) host to restart: converts a never-restarted host from a
-    # silent hang into a diagnosable error.  Waiters sleep on the host's
-    # state-change event, so the budget costs one timer, not a poll loop.
+    # silent hang into a diagnosable error.  Waiters wake on the host's
+    # ``changed`` notifier, so the budget is one timer, not a poll loop.
     CONNECT_BUDGET_S = 60.0
 
     # At-most-once plane: the retransmission timer of ``rpc`` for a call
@@ -215,10 +215,9 @@ class RpcHost:
         # and fail their callers instead of leaving replies pending forever.
         # A handler removes its own entry when it exits.
         self._inflight: Dict["Message", Any] = {}
-        # Fired (and replaced) on every liveness transition — start() and
-        # crash() — so connect-waiters blocked on a stopped host wake
-        # exactly when its state changes instead of busy-polling.
-        self._state_change: Optional[Event] = None
+        # Notified on every liveness transition (start, crash): waiters on
+        # a stopped host wake exactly when its state changes.
+        self.changed = Notifier(sim)
         # --- at-most-once delivery state ---------------------------------
         # Monotonic outgoing request-id counter (deterministic, no entropy).
         self._next_req_id = 0
@@ -254,20 +253,7 @@ class RpcHost:
         if not self.running:
             self.running = True
             self.crashed = False
-            self._notify_state_change()
-
-    def _notify_state_change(self) -> None:
-        ev = self._state_change
-        if ev is not None:
-            self._state_change = None
-            ev.succeed()
-
-    def _state_change_event(self) -> Event:
-        """The event the next liveness transition (start/crash) will fire."""
-        ev = self._state_change
-        if ev is None:
-            ev = self._state_change = Event(self.sim, name="state-change")
-        return ev
+            self.changed.notify()
 
     def stop(self) -> None:
         """Graceful stop: no new deliveries; in-flight handlers complete.
@@ -287,7 +273,7 @@ class RpcHost:
         """
         self.running = False
         self.crashed = True
-        self._notify_state_change()
+        self.changed.notify()
         for msg, proc in list(self._inflight.items()):
             if proc.is_alive:
                 proc.interrupt("crash")
@@ -470,25 +456,20 @@ class RpcHost:
     def _connect(self, dst: str, host: "RpcHost"):
         """Wait for a stopped host; refuse a crashed one (generator).
 
-        Models the transport: connections to a host down for transient
-        maintenance sleep on the host's state-change event and wake exactly
-        at its restart (the historical 1 ms busy-poll loop burned a kernel
-        event per retry per waiter); a crashed host refuses instantly.
-        Gives up with :class:`HostDownError` after ``CONNECT_BUDGET_S`` so
-        an unrecovered host surfaces as an error, not a silent simulation
-        hang.
+        Models the transport: a connection to a host down for transient
+        maintenance wakes exactly at its restart (``host.changed``); a
+        crashed host refuses at once.  After ``CONNECT_BUDGET_S`` it gives
+        up with :class:`HostDownError`, an error rather than a hang.
         """
-        deadline = self.sim.now + self.CONNECT_BUDGET_S
-        while not host.running:
-            if host.crashed:
-                raise HostDownError(dst)
-            remaining = deadline - self.sim.now
-            if remaining <= 0:
-                raise HostDownError(dst, "connect budget exhausted")
-            yield AnyOf(
-                self.sim,
-                (host._state_change_event(), self.sim.timeout(remaining)),
+        try:
+            yield from wait_until(
+                lambda: host.running or host.crashed, host.changed,
+                self.CONNECT_BUDGET_S, f"{self.name}: connect to {dst!r}",
             )
+        except TimeoutError:
+            raise HostDownError(dst, "connect budget exhausted") from None
+        if not host.running:
+            raise HostDownError(dst)
 
     def rpc(self, dst: str, kind: str, fields: tuple,
             _req_id: Optional[int] = None):
@@ -574,8 +555,8 @@ class RpcHost:
         Pacing is a fixed, deadline-aware cadence (deterministic, no
         jitter): one attempt every ``RETRY_INTERVAL_S``, the last sleep
         clamped to the remaining budget so the deadline check always fires.
-        The deadline is computed once from ``sim.now`` — accumulating
-        ``waited += interval`` in floats drifts after thousands of retries.
+        The deadline is computed once from ``sim.now``; a float sum of
+        intervals would drift after thousands of retries.
         """
         deadline = self.sim.now + self.RETRY_BUDGET_S
         req_id = self._alloc_req_id()

@@ -24,6 +24,7 @@ from repro.net import NET_25GBE, NET_40GIB, NetworkProfile
 from repro.recovery import ScrubReport, scrub, watch_and_recover
 from repro.sim import AllOf, Simulator
 from repro.sim.collector import paused as collector_paused
+from repro.sim.events import wait_until
 from repro.traces import (
     MSR_VOLUMES,
     TraceReplayer,
@@ -374,15 +375,8 @@ def run_protocol(
         run.horizon = sim.now
         if injector:
             yield inj_proc
-            waited = 0.0
-            while cluster.down_osds:
-                if waited >= 60.0:
-                    raise RuntimeError(
-                        f"{what}: OSDs still down after "
-                        f"{waited:.0f}s: {sorted(cluster.down_osds)}"
-                    )
-                yield sim.timeout(1e-3)
-                waited += 1e-3
+            yield from wait_until(lambda: not cluster.down_osds, cluster.down_changed,
+                                  60.0, f"{what}: OSDs still down: {sorted(cluster.down_osds)}")
             if watcher is not None:
                 watcher_stop.succeed()
                 run.recoveries = yield watcher

@@ -6,19 +6,20 @@ moves nearly every stripe.  A rebalance migrates them **one stripe at a
 time**, so at any instant at most one stripe is write-fenced and
 foreground ops on every other stripe keep flowing.  Per moving stripe:
 
-1. **Fence** — the stripe is added to ``cluster.migrating_stripes``;
-   clients hold *new* foreground ops on it
+1. **Fence** — ``cluster.fence_stripe`` adds the stripe to
+   ``cluster.migrating_stripes``; clients hold *new* foreground ops on it
    (:meth:`Client._migration_wait`), exactly as they fence writes on down
    members.
 2. **Quiesce** — wait until the in-flight-op refcount
    (``cluster.note_ops_begin/end``) drains to zero on the stripe, so no
-   update straddles the placement flip.
+   update straddles the placement flip (woken by ``cluster.ops_changed``).
 3. **Drain** — recycle all pending log state cluster-wide
    (:func:`repro.harness.experiment.drain_all`): blocks must hold the
    post-log truth before they are copied to new homes.  Then **settle**:
-   poll until no member reports the stripe pending
-   (:func:`_stripe_has_pending`) — a PARIX recycle's parity patches can
-   still be landing when the drain returns.
+   wait until no member reports the stripe pending
+   (:func:`_stripe_has_pending`), woken by ``cluster.pins_changed`` — a
+   PARIX recycle's parity patches can still be landing when the drain
+   returns.
 4. **Gate (pre-copy)** — the stripe must be parity-consistent under the
    *old* placement, else :class:`StripeMigrationError`.
 5. **Copy** — for every block whose home changes, the new home pulls the
@@ -32,7 +33,8 @@ foreground ops on every other stripe keep flowing.  Per moving stripe:
    its new homes in one non-yielding step; stale copies are dropped from
    the old homes.
 7. **Gate (post-flip) + unfence** — the stripe must be parity-consistent
-   under the *new* placement before its fence lifts.
+   under the *new* placement before ``cluster.unfence_stripes`` lifts
+   its fence.
 
 After the last stripe, :meth:`Cluster.commit_ring` installs the new
 membership and clears the per-stripe overrides it subsumes.  No strategy
@@ -47,12 +49,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.sim.events import AllOf
+from repro.sim.events import AllOf, wait_until
 
-# Quiesce poll cadence / budget: same scale as the client fence poll —
-# cheap against millisecond-scale scenario horizons, and a hard bound so
-# a wedged foreground op surfaces as an error instead of a silent hang.
-QUIESCE_POLL_S = 5e-4
+# Quiesce and settle budget: a hard bound so a wedged foreground op (or a
+# lost notification) surfaces as an error instead of a silent hang.
 QUIESCE_BUDGET_S = 60.0
 
 
@@ -133,15 +133,6 @@ def rebalance_leave(cluster, osd_name: str, rebalance_mbps: float = 0.0):
     return result
 
 
-def _poll(sim, done, what: str):
-    """Wait at ``QUIESCE_POLL_S`` until ``done()``; past the budget, raise."""
-    deadline = sim.now + QUIESCE_BUDGET_S
-    while not done():
-        if sim.now >= deadline:
-            raise StripeMigrationError(f"{what} within {QUIESCE_BUDGET_S}s")
-        yield sim.timeout(QUIESCE_POLL_S)
-
-
 def _stripe_has_pending(cluster, inode: int, stripe: int) -> bool:
     """True if any member OSD's strategy holds unrecycled updates for the
     stripe.
@@ -216,10 +207,11 @@ def _rebalance(
         for inode, stripe, old_names, new_names in moved:
             skey = (inode, stripe)
             # Fence + quiesce THIS stripe only.
-            cluster.migrating_stripes.add(skey)
+            cluster.fence_stripe(skey)
             t0 = sim.now
-            yield from _poll(
-                sim, lambda: cluster.stripes_quiesced((skey,)),
+            yield from wait_until(
+                lambda: cluster.stripe_quiesced(skey), cluster.ops_changed,
+                QUIESCE_BUDGET_S,
                 f"{kind} of {osd_name!r}: foreground ops on stripe {skey} "
                 "did not quiesce",
             )
@@ -229,8 +221,9 @@ def _rebalance(
             # gate under the old placement.
             t0 = sim.now
             yield from drain_all(cluster)
-            yield from _poll(
-                sim, lambda: not _stripe_has_pending(cluster, inode, stripe),
+            yield from wait_until(
+                lambda: not _stripe_has_pending(cluster, inode, stripe),
+                cluster.pins_changed, QUIESCE_BUDGET_S,
                 f"{kind} of {osd_name!r}: stripe {skey} still pending after "
                 "the drain",
             )
@@ -286,14 +279,12 @@ def _rebalance(
                     f"stripe ({inode},{stripe}) inconsistent after {kind} "
                     f"migration"
                 )
-            cluster.migrating_stripes.discard(skey)
+            cluster.unfence_stripes((skey,))
 
         # Every stripe is flipped: install the membership (clears the
         # overrides it subsumes) — placement-neutral bookkeeping.
         cluster.commit_ring(new_ring)
     finally:
-        cluster.migrating_stripes.difference_update(
-            (inode, stripe) for inode, stripe, _, _ in moved
-        )
+        cluster.unfence_stripes([(inode, stripe) for inode, stripe, _, _ in moved])
     result.t_end = sim.now
     return result

@@ -37,7 +37,7 @@ import numpy as np
 from repro.cluster import Cluster
 from repro.fs.messages import HostDownError
 from repro.recovery.scrub import check_stripe, pull_blocks, windowed
-from repro.sim.events import AnyOf
+from repro.sim.events import AnyOf, wait_until
 
 # Blocks rebuilt, and stripes repaired, at once: the sliding window of
 # ``windowed`` in phases 2 and 4 of :func:`recover_node_proc`.
@@ -106,7 +106,7 @@ def restore_osd(cluster: Cluster, name: str) -> None:
     cluster.mark_up(name)
 
 
-def watch_and_recover(cluster: Cluster, check_interval: float = 0.5, stop=None):
+def watch_and_recover(cluster: Cluster, check_interval: float, stop):
     """MDS-driven recovery loop (a process body).
 
     Boot per-OSD heartbeats (``osd.start_heartbeat(...)``), start this
@@ -115,14 +115,14 @@ def watch_and_recover(cluster: Cluster, check_interval: float = 0.5, stop=None):
     which are picked up on the next pass instead of being silently dropped.
     Every recovery ends with the parity repair pass (a crash can tear an
     in-flight update).
-    Runs until the ``stop`` event fires (forever when ``stop`` is None) and
-    returns the list of :class:`RecoveryResult`.
+    Runs until the ``stop`` event fires and returns the list of
+    :class:`RecoveryResult`.
     """
     sim = cluster.sim
     results: List[RecoveryResult] = []
     # Give every OSD a chance to heartbeat at least once.
     yield sim.timeout(check_interval)
-    while stop is None or not stop.triggered:
+    while not stop.triggered:
         failed = [
             name
             for name in cluster.mds.failed_osds()
@@ -132,10 +132,7 @@ def watch_and_recover(cluster: Cluster, check_interval: float = 0.5, stop=None):
             result = yield from recover_node_proc(cluster, failed[0], repair=True)
             results.append(result)
             continue  # re-check immediately: more may have failed meanwhile
-        if stop is not None:
-            yield AnyOf(sim, [sim.timeout(check_interval), stop])
-        else:
-            yield sim.timeout(check_interval)
+        yield AnyOf(sim, [sim.timeout(check_interval), stop])
     return results
 
 
@@ -245,9 +242,12 @@ def recover_node_proc(cluster: Cluster, failed_osd: str, repair: bool = False):
                 try:
                     blocks = yield pull_blocks(rebuilder, inode, stripe, sources)
                     break
-                except HostDownError:
-                    # A source died mid-pull; re-plan against the survivors.
-                    yield sim.timeout(1e-3)
+                except HostDownError as err:
+                    # A source died mid-pull: re-plan once it is marked down.
+                    name = err.host
+                    yield from wait_until(
+                        lambda: name in cluster.down_osds, cluster.down_changed,
+                        rebuilder.CONNECT_BUDGET_S, f"rebuild of {key}: {err}")
             shards = {b: data for (b, _), data in zip(sources, blocks)}
             rebuilt = cluster.codec.reconstruct(shards, [lost_index])[lost_index]
             yield from rebuilder.store.write_block(key, rebuilt, pattern="seq")
@@ -340,12 +340,13 @@ def _repair_stripes(
             try:
                 bad = yield from check_stripe(cluster, inode, stripe, rewrite=True)
                 return bool(bad)
-            except HostDownError:
-                # A member crashed mid-repair.  The reviver (running for
-                # the whole recovery) brings its serving plane back, so
-                # retry this stripe; the fresh crash victim gets its own
-                # drain + repair pass when it is recovered next.
-                yield sim.timeout(1e-3)
+            except HostDownError as err:
+                # A member crashed mid-repair: retry when the reviver
+                # (running for the whole recovery) restarts it; the fresh
+                # victim gets its own drain + repair pass when recovered.
+                host = cluster.osd_by_name(err.host)
+                yield from wait_until(lambda: host.running, host.changed,
+                                      host.CONNECT_BUDGET_S, f"repair: {err}")
 
     jobs = [
         heal(inode, stripe)

@@ -305,3 +305,43 @@ class AnyOf(_Condition):
             self.fail(ev._exc)
             return
         self.succeed((self._index_of[id(ev)], ev._value))
+
+
+class Notifier:
+    """One piece of state's change feed: :meth:`wait` is the event the next
+    :meth:`notify` fires, so waiters wake at the change, not on a poll."""
+
+    __slots__ = ("sim", "_next")
+
+    def __init__(self, sim: "Simulator"):
+        self.sim, self._next = sim, None
+
+    def wait(self) -> Event:
+        if self._next is None:
+            self._next = Event(self.sim, name="change")
+        return self._next
+
+    def notify(self) -> None:
+        ev, self._next = self._next, None
+        if ev is not None:
+            ev.succeed()
+
+
+def wait_until(pred: Callable[[], bool], notifier: Notifier, budget: float, what: str):
+    """Wait until ``pred()`` holds, re-checked on each of ``notifier``'s
+    changes (generator; returns whether it had to wait).  ``pred`` is
+    checked before every yield, so a change that landed before the wait is
+    never missed and a wait that already holds takes no event.  The budget
+    is one deadline, one timer under every wake's :class:`AnyOf`; a wake by
+    that timer raises :class:`TimeoutError` naming ``what``, even if
+    ``pred`` has come to hold: a change nobody notified is a bug."""
+    if pred():
+        return False
+    sim = notifier.sim
+    timer = sim.timeout(budget)
+    while True:
+        index, _ = yield AnyOf(sim, (notifier.wait(), timer))
+        if index:
+            raise TimeoutError(f"{what}: gave up after {budget:g}s")
+        if pred():
+            return True

@@ -138,6 +138,8 @@ class UpdateStrategy:
         left = self.pinned.pop(stripe_key) - 1
         if left:
             self.pinned[stripe_key] = left
+        else:
+            self.cluster.pins_changed.notify()
 
     def serialize_stripe(self, key: BlockKey, body):
         """Run generator ``body`` holding the per-stripe update lock.

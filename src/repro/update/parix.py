@@ -20,7 +20,7 @@ import numpy as np
 from repro.logstruct.index import TwoLevelIndex
 from repro.logstruct.intervals import IntervalSet
 from repro.logstruct.unit import ENTRY_HEADER_BYTES
-from repro.sim.events import AllOf
+from repro.sim.events import AllOf, Notifier
 from repro.update.base import BlockKey, UpdateStrategy
 
 
@@ -60,21 +60,16 @@ class PARIXStrategy(UpdateStrategy):
         # being compacted (the log structure is being rewritten under them).
         self.recycle_threshold_bytes = recycle_threshold_bytes
         self._recycling = False
-        self._recycle_waiters = []
+        self._recycled = Notifier(osd.sim)
         super().__init__(osd)
 
     def _wait_not_recycling(self):
         while self._recycling:
-            ev = self.sim.event(name="parix-recycle-wait")
-            self._recycle_waiters.append(ev)
-            yield ev
+            yield self._recycled.wait()
 
     def _end_recycle(self) -> None:
         self._recycling = False
-        waiters, self._recycle_waiters = self._recycle_waiters, []
-        for ev in waiters:
-            if not ev.triggered:
-                ev.succeed()
+        self._recycled.notify()
 
     def register_handlers(self) -> None:
         self.osd.register("parix_append", self._h_append)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.recovery import fail_osd, rebalance_join, restore_osd
+from repro.recovery import fail_osd, rebalance_join, rebalance_leave, restore_osd
 
 # A victim is a literal host name or a picker ``(cluster, inodes) -> name``.
 VictimSpec = Union[str, Callable]
@@ -275,8 +275,8 @@ class FaultInjector:
             )
         elif action == "decommission":
             self.timeline.append((sim.now, "decommission", name, ""))
-            result = yield from cluster.decommission_osd(
-                name, rebalance_mbps=event.rebalance_mbps
+            result = yield from rebalance_leave(
+                cluster, name, rebalance_mbps=event.rebalance_mbps
             )
             self.migrations.append(result)
         else:  # pragma: no cover - ACTIONS is validated in FaultEvent

@@ -15,6 +15,10 @@ of the shipped tree and asserts the gate that now catches it:
   reports it.  R1 sends an undeclared kind, which raises in the caller;
   R3 and R4 send a declared kind nothing handles, which fails at the
   destination.  The tier-1 test the audit recorded for each fails on it.
+* a dropped change notification (K1: ``Cluster.mark_up`` clears the down
+  mark without notifying ``down_changed``) -> the wait budget
+  (``tests/test_waits.py``): the fenced clients never wake, and the fence
+  wait's budget error names them and their stripes.
 """
 
 import json
@@ -128,6 +132,11 @@ MUTANTS = [
     _m("H3", "repro/sim/events.py",
        [("        self.events: List[Event] = list(events)\n",
          "        self.events: List[Event] = [ev for ev in events]\n")]),
+    # waits: a change nobody is notified of
+    _m("K1", "repro/cluster/cluster.py",
+       [("        self.down_osds.discard(name)\n        self.down_changed.notify()\n",
+         "        self.down_osds.discard(name)\n")],
+       caught_by="test_a_dropped_mark_up_notification_raises_the_fence_budget_error"),
 ]
 
 

@@ -236,8 +236,19 @@ def test_check_stripe_reports_without_rewriting_and_avoids_a_dead_coordinator():
     cluster.stop()
 
 
-def test_member_crash_mid_repair_is_retried_and_the_stripe_heals():
+def test_member_crash_mid_repair_is_retried_and_the_stripe_heals(monkeypatch):
+    import repro.recovery.recovery as recovery
+
+    checks = []  # (stripe, sim.now) of every check_stripe attempt
+
+    def spy(cluster, inode, stripe, rewrite=False):
+        checks.append((stripe, cluster.sim.now))
+        return (yield from check_stripe(cluster, inode, stripe, rewrite))
+
+    monkeypatch.setattr(recovery, "check_stripe", spy)
+
     def scenario(crash_at=None):
+        checks.clear()
         sim, cluster = build(stripes=16)
         victim = cluster.placement(INODE, 0)[1]
         in_scope = [s for s in range(16) if victim in cluster.placement(INODE, s)]
@@ -246,12 +257,15 @@ def test_member_crash_mid_repair_is_retried_and_the_stripe_heals():
         stop = sim.event()
         reviver = sim.process(_revive_down_serving_planes(cluster, stop))
         proc = sim.process(_repair_stripes(cluster, victim, parallelism=2))
+        restarts = []
         if crash_at is not None:
             # A member of the last in-scope stripe that is not the victim.
-            other = next(
+            other = cluster.osd_by_name(next(
                 n for n in cluster.placement(INODE, in_scope[-1]) if n != victim
-            )
-            sim.call_at(crash_at, lambda: fail_osd(cluster, other))
+            ))
+            start = other.start
+            other.start = lambda: (restarts.append(sim.now), start())
+            sim.call_at(crash_at, lambda: fail_osd(cluster, other.name))
         repaired = run_to(sim, proc)
         took = sim.now
         stop.succeed()
@@ -259,13 +273,18 @@ def test_member_crash_mid_repair_is_retried_and_the_stripe_heals():
         cluster.stop()
         assert repaired == len(in_scope)
         assert all(cluster.stripe_consistent(INODE, s) for s in in_scope)
-        return took
+        return took, restarts, len(in_scope)
 
-    clean = scenario()
+    clean, _, n = scenario()
+    assert len(checks) == n
     # The same deterministic run with a member crashed halfway: the stripe
-    # in flight on it fails with HostDownError, sleeps its retry pause
-    # while the reviver restarts the serving plane, and heals.
-    assert scenario(crash_at=clean / 2) >= clean / 2 + 1e-3
+    # in flight on it fails with HostDownError, waits for the reviver to
+    # restart the member's serving plane, and is retried at that instant.
+    took, restarts, _ = scenario(crash_at=clean / 2)
+    retries = [t for i, (s, t) in enumerate(checks) if s in {c for c, _ in checks[:i]}]
+    assert len(checks) == n + len(retries) and retries
+    assert set(retries) == {restarts[0]} and restarts[0] > clean / 2
+    assert took > restarts[0]
 
 
 def test_repair_spreads_its_reads_over_the_ring():
