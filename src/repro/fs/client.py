@@ -122,14 +122,16 @@ class Client(RpcHost):
                 "migration-fenced, rebalance never committed",
             )
 
-    def _retry_downed(self, make_attempt, counter: str, degrades: bool):
+    def _retry_downed(self, make_attempt, counter: str, degrades: bool, held):
         """Run ``make_attempt()`` (a generator) to completion, retrying it
         whole after a crash racing it (:class:`HostDownError`; frame loss
         never gets here).  An update retries once the failed host is out of
         ``down_osds`` (a replica neighbour outside the stripe's fence too); a
         read, which ``degrades`` around every host marked down, once the
         failed host is marked down or serving.  ``counter`` names the
-        per-logical-op retry counter, bumped once however many attempts.
+        per-logical-op retry counter, bumped once however many attempts;
+        ``held["fenced"]`` (an update's state; a read passes None) is set
+        once such a wait had to yield.
         """
         cluster = self.cluster
         down = cluster.down_osds
@@ -143,12 +145,13 @@ class Client(RpcHost):
                     retried = True
                     setattr(self, counter, getattr(self, counter) + 1)
                 name, host = err.host, cluster.osd_by_name(err.host)
-                yield from wait_until(
+                if (yield from wait_until(
                     (lambda: name in down or host.running) if degrades
                     else (lambda: name not in down),
                     cluster.down_changed, self.FENCE_BUDGET_S,
                     f"{self.name}: retry after {err}",
-                )
+                )) and held is not None:
+                    held["fenced"] = True
 
     def update(self, inode: int, offset: int, data: np.ndarray):
         """The measured path: route each extent to its data-block OSD.
@@ -204,7 +207,7 @@ class Client(RpcHost):
 
             self.cluster.note_ops_begin(inode, stripes)
             try:
-                yield from self._retry_downed(attempt, "update_retries", False)
+                yield from self._retry_downed(attempt, "update_retries", False, state)
             finally:
                 self.cluster.note_ops_end(inode, stripes)
             if state["fenced"]:
@@ -282,7 +285,9 @@ class Client(RpcHost):
         # Only the attempt that completed counts toward degraded stats.
         self.cluster.note_ops_begin(inode, stripes)
         try:
-            pieces, n_degraded = yield from self._retry_downed(attempt, "read_retries", True)
+            pieces, n_degraded = yield from self._retry_downed(
+                attempt, "read_retries", True, None
+            )
         finally:
             self.cluster.note_ops_end(inode, stripes)
         out = concat_payloads(pieces)

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.devices.profiles import DeviceProfile
+from repro.logstruct.intervals import IntervalSet
 from repro.metrics.counters import GB
 from repro.metrics.latency import LatencyRecorder, ResidencyTracker
 from repro.net import NET_25GBE, NET_40GIB, NetworkProfile
@@ -424,40 +425,19 @@ def _serial(writers, issued, acked) -> bool:
     return prev != WriteLog.NEVER
 
 
-def _uncovered(covered, lo: int, hi: int):
-    """Merge ``[lo, hi)`` into ``covered`` (sorted, disjoint ``(a, b)``
-    runs); returns the merged runs and the parts of ``[lo, hi)`` that were
-    not covered, in order."""
-    merged, gaps = [], []
-    at, new_lo, new_hi = lo, lo, hi
-    for a, b in covered:
-        if b < lo or a > hi:
-            merged.append((a, b))
-            continue
-        if a > at:
-            gaps.append((at, a))
-        at = max(at, b)
-        new_lo, new_hi = min(new_lo, a), max(new_hi, b)
-    if at < hi:
-        gaps.append((at, hi))
-    merged.append((new_lo, new_hi))
-    merged.sort()
-    return merged, gaps
-
-
 def _latest_writers_hold(got: np.ndarray, writers, log: WriteLog) -> bool:
     """The serial rule over one block: every byte equals its latest covering
     writer's payload, and every byte no writer covers is zero.  Each writer's
     visible pieces (those no later writer covers) are compared once, and
     only their bytes are re-derived."""
-    covered = []
+    covered = IntervalSet()
     for row, lo, n, pos in reversed(writers):
-        covered, pieces = _uncovered(covered, lo, lo + n)
-        for a, b in pieces:
+        for a, b in covered.uncovered(lo, lo + n):
             if not (got[a:b] == log.payload(row, pos + a - lo, b - a)).all():
                 return False
+        covered.add(lo, lo + n)
     end = 0
-    for a, b in covered:
+    for a, b in covered.intervals():
         if got[end:a].any():
             return False
         end = b

@@ -3,16 +3,19 @@
 Fast-path architecture (the engine is the wall-clock bottleneck of every
 experiment, so its inner loop is deliberately hand-tuned):
 
-* **Immediate queue.** Zero-delay schedulings (process boots, resource
-  grants, store puts, reply completions) vastly outnumber real timeouts.
-  They go to a FIFO deque instead of the heap; the main loop interleaves
-  deque and heap strictly by ``(time, seq)``, so the *firing order of
-  scheduled entries* is exactly the pure-heap kernel's, at O(1) instead
-  of O(log n) per event.  (Bit-identity of whole-run results is a
-  property of each call-site change, gated empirically by
-  ``repro bench --check-baseline``: fast paths that *elide* transitions
-  shift same-instant tie-breaking, which is observable only in
-  tie-dense regimes — see benchmarks/results/perf_fastpath.md.)
+* **One queue.** Every scheduling, zero-delay included, is a ``(time,
+  seq, entry)`` push onto one heap, so the firing order is the ``(time,
+  seq)`` total order by construction.  A FIFO deque for zero-delay
+  entries, merged with the heap by a guard, fired the same order and did
+  not pay for its branches: deleting it cut the instruction ledger 0.84 %
+  at equal kernel events, and 10 alternating ``benchmarks/perf`` pairs
+  per workload left host CPU per request within noise
+  (benchmarks/results/perf_pr48_one_queue.md).  (Bit-identity of
+  whole-run results under the fast paths below is a property of each
+  call-site change, gated empirically by ``repro bench --check-baseline``:
+  fast paths that *elide* transitions shift same-instant tie-breaking,
+  which is observable only in tie-dense regimes — see
+  benchmarks/results/perf_fastpath.md.)
 
 * **Float sleeps.** A process may ``yield`` a plain ``float`` (seconds)
   instead of a :class:`Timeout` event.  The kernel schedules a two-word
@@ -43,12 +46,12 @@ experiment, so its inner loop is deliberately hand-tuned):
 
 * **Handoff at an empty instant.** Three transitions fire in place
   instead of through the queue (:meth:`Simulator._handoff`) when nothing
-  else is pending at ``now`` (``_imm`` is empty and the heap's top is
-  later): an RPC handler's first step (:meth:`Process.boot`), the
-  delivery of its reply (:meth:`Event.hand_off`) and a process's success
-  handed to its single waiter that the completion would wake
-  (:meth:`Process._complete`).  Each call site promises that its step
-  schedules nothing after the call, and the firing that resumed the step
+  else is pending at ``now`` (the heap's top is later): an RPC handler's
+  first step (:meth:`Process.boot`), the delivery of its reply
+  (:meth:`Event.hand_off`) and a process's success handed to its single
+  waiter that the completion would wake (:meth:`Process._complete`).
+  Each call site promises that its step schedules nothing after the
+  call, and the firing that resumed the step
   has nothing left to run either: an event with several callbacks runs
   all but the last with handoff closed (:meth:`Event._fire_each`).  The
   equivalence argument: the queued entry would be the only one at
@@ -72,7 +75,6 @@ experiment, so its inner loop is deliberately hand-tuned):
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim import collector as _collector
@@ -93,7 +95,7 @@ _HANDOFF_DEPTH = 16
 
 
 class _Wake:
-    """A heap/deque entry that resumes a process (boot or interrupt).
+    """A heap entry that resumes a process (boot or interrupt).
 
     Quacks just enough like an event for the kernel loop (``_fire``); the
     resume goes through the ``event=None`` path, exactly as the historical
@@ -154,19 +156,18 @@ def _driver_join(event: Event) -> None:
 
 
 class Simulator:
-    """Owns the virtual clock and the pending-event queues.
+    """Owns the virtual clock and the pending-event heap.
 
     Heap entries are ``(time, seq, event)``; ``seq`` is a monotone counter so
     simultaneous events fire in scheduling order, which makes every run
-    deterministic for a fixed seed.  Zero-delay entries live in a FIFO deque
-    as ``(seq, event)`` — the loop merges both sources in ``(time, seq)``
-    order, so the split is invisible to simulated code.
+    deterministic for a fixed seed.  Zero-delay entries go on the same heap
+    at ``now``: one queue is one order, and a second queue for them measured
+    no faster (see "One queue").
     """
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: List[Tuple[float, int, Any]] = []
-        self._imm: deque = deque()  # (seq, event) at the current instant
         self._seq: int = 0
         self._active: int = 0  # live processes, for run-to-exhaustion checks
         self._crashed: Optional[BaseException] = None
@@ -230,51 +231,40 @@ class Simulator:
     # ------------------------------------------------------------------
     def _schedule(self, event: Any, delay: float = 0.0) -> None:
         self._seq += 1
-        if delay == 0.0:
-            self._imm.append((self._seq, event))
-        else:
-            _heappush(self._heap, (self.now + delay, self._seq, event))
+        _heappush(self._heap, (self.now + delay, self._seq, event))
 
     def _handoff(self, entry: Any) -> None:
         """Fire ``entry`` in place when, queued, it would be the next entry
         popped; else queue it at ``now`` (see "Handoff at an empty
         instant").  The caller's step must schedule nothing after this
         call."""
-        # A pending immediate entry is the common refusal: test it first.
-        if not self._imm and self._depth < _HANDOFF_DEPTH:
-            heap = self._heap
-            if not heap or heap[0][0] > self.now:
-                self._depth += 1
-                try:
-                    entry._fire()
-                finally:
-                    self._depth -= 1
-                return
+        heap = self._heap
+        if (not heap or heap[0][0] > self.now) and self._depth < _HANDOFF_DEPTH:
+            self._depth += 1
+            try:
+                entry._fire()
+            finally:
+                self._depth -= 1
+            return
         self._seq += 1
-        self._imm.append((self._seq, entry))
+        _heappush(heap, (self.now, self._seq, entry))
+
+    def _unschedule(self, event: Any) -> None:
+        """Take ``event``'s pending entry off the heap: it will not fire."""
+        heap = self._heap
+        for i, entry in enumerate(heap):
+            if entry[2] is event:
+                del heap[i]
+                heapq.heapify(heap)
+                return
 
     def peek(self) -> float:
         """Time of the next scheduled event (+inf when idle)."""
-        if self._imm:
-            return self.now
         return self._heap[0][0] if self._heap else float("inf")
 
     def _next(self) -> Any:
-        """Pop the next entry in strict ``(time, seq)`` order (or None).
-
-        Immediate entries all carry the current timestamp, so the only
-        possible interleave is a heap entry at exactly ``now`` with a
-        smaller seq (scheduled earlier at this instant with an explicit
-        nonzero-then-zero mix); the guard keeps that ordering exact.
-        """
-        imm = self._imm
+        """Pop the next entry in strict ``(time, seq)`` order (or None)."""
         heap = self._heap
-        if imm:
-            if heap and heap[0][0] <= self.now and heap[0][1] < imm[0][0]:
-                entry = _heappop(heap)
-                self.now = entry[0]
-                return entry[2]
-            return imm.popleft()[1]
         if heap:
             entry = _heappop(heap)
             self.now = entry[0]
@@ -306,14 +296,13 @@ class Simulator:
             self._crashed = exc
 
     def run(self, until: Optional[float] = None) -> None:
-        """Advance the clock, firing events until the queues drain.
+        """Advance the clock, firing events until the heap drains.
 
         With ``until`` set, stops once the next event would fire after that
         time and fast-forwards the clock exactly to ``until``.
         """
         if until is not None and until < self.now:
             raise ValueError(f"until {until} < now {self.now}")
-        imm = self._imm
         heap = self._heap
         fired = 0
         # The kernel owns the cyclic collector while it runs (see
@@ -324,23 +313,13 @@ class Simulator:
         collect_at = every - self.events_fired % every
         with _collector.paused():
             try:
-                while True:
-                    if imm:
-                        if heap and heap[0][0] <= self.now and heap[0][1] < imm[0][0]:
-                            entry = _heappop(heap)
-                            self.now = entry[0]
-                            event = entry[2]
-                        else:
-                            event = imm.popleft()[1]
-                    elif heap:
-                        if until is not None and heap[0][0] > until:
-                            self.now = until
-                            return
-                        entry = _heappop(heap)
-                        self.now = entry[0]
-                        event = entry[2]
-                    else:
-                        break
+                while heap:
+                    if until is not None and heap[0][0] > until:
+                        self.now = until
+                        return
+                    entry = _heappop(heap)
+                    self.now = entry[0]
+                    event = entry[2]
                     fired += 1
                     event._fire()
                     if self._crashed is not None:
@@ -356,7 +335,7 @@ class Simulator:
 
     def drive(self, event: Event, what: str = "process") -> Any:
         """Run until ``event`` fires and return its value (or raise its
-        failure); queues that drain first mean it never can.  The one
+        failure); a heap that drains first means it never can.  The one
         "complete it or say it deadlocked" helper: the run protocol,
         ``recover_node`` and the examples call it."""
         if not self.run_until_fired(event):
@@ -364,13 +343,12 @@ class Simulator:
         return event.value
 
     def run_until_fired(self, event: Event) -> bool:
-        """Fire events until ``event`` fires; False if the queues drained.
+        """Fire events until ``event`` fires; False if the heap drained.
 
         The tight driver loop behind :meth:`drive`: identical semantics to
         ``while not event.fired and sim.peek() != inf: sim.step()`` with
         the per-event Python call overhead removed.
         """
-        imm = self._imm
         heap = self._heap
         fired = 0
         every = _collector.COLLECT_EVERY_EVENTS  # same cadence as run()
@@ -387,19 +365,11 @@ class Simulator:
         with _collector.paused():
             try:
                 while event._state != FIRED:
-                    if imm:
-                        if heap and heap[0][0] <= self.now and heap[0][1] < imm[0][0]:
-                            entry = _heappop(heap)
-                            self.now = entry[0]
-                            ev = entry[2]
-                        else:
-                            ev = imm.popleft()[1]
-                    elif heap:
-                        entry = _heappop(heap)
-                        self.now = entry[0]
-                        ev = entry[2]
-                    else:
+                    if not heap:
                         return False
+                    entry = _heappop(heap)
+                    self.now = entry[0]
+                    ev = entry[2]
                     fired += 1
                     ev._fire()
                     if self._crashed is not None:
@@ -437,12 +407,11 @@ class Process(Event):
         self._gen = gen
         self._waiting_on: Optional[Any] = None
         sim._active += 1
-        # Kick off at the current instant via the immediate queue, preserving
-        # ordering with respect to already-scheduled events.  ``boot=False``
-        # leaves the start to :meth:`boot`.
+        # Kick off at the current instant, after already-scheduled events at
+        # it.  ``boot=False`` leaves the start to :meth:`boot`.
         if boot:
             sim._seq += 1
-            sim._imm.append((sim._seq, _Wake(self, None)))
+            _heappush(sim._heap, (sim.now, sim._seq, _Wake(self, None)))
 
     def boot(self) -> None:
         """Start a process built with ``boot=False``, from a step that
@@ -515,10 +484,7 @@ class Process(Event):
                 wake = _SleepWake(self)
                 self._waiting_on = wake
                 sim._seq += 1
-                if target == 0.0:
-                    sim._imm.append((sim._seq, wake))
-                else:
-                    _heappush(sim._heap, (sim.now + target, sim._seq, wake))
+                _heappush(sim._heap, (sim.now + target, sim._seq, wake))
                 return
             if tt is At:
                 when = target.t

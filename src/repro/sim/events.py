@@ -102,10 +102,7 @@ class Event:
         # entry point.
         sim = self.sim
         sim._seq += 1
-        if delay == 0.0:
-            sim._imm.append((sim._seq, self))
-        else:
-            _heappush(sim._heap, (sim.now + delay, sim._seq, self))
+        _heappush(sim._heap, (sim.now + delay, sim._seq, self))
         return self
 
     def hand_off(self, value: Any) -> None:
@@ -193,10 +190,7 @@ class Timeout(Event):
         self.name = "timeout"
         self.delay = delay
         sim._seq += 1
-        if delay == 0.0:
-            sim._imm.append((sim._seq, self))
-        else:
-            _heappush(sim._heap, (sim.now + delay, sim._seq, self))
+        _heappush(sim._heap, (sim.now + delay, sim._seq, self))
 
 
 class _Condition(Event):
@@ -334,14 +328,19 @@ def wait_until(pred: Callable[[], bool], notifier: Notifier, budget: float, what
     never missed and a wait that already holds takes no event.  The budget
     is one deadline, one timer under every wake's :class:`AnyOf`; a wake by
     that timer raises :class:`TimeoutError` naming ``what``, even if
-    ``pred`` has come to hold: a change nobody notified is a bug."""
+    ``pred`` has come to hold: a change nobody notified is a bug.  Any other
+    exit, an interrupt included, takes the timer off the heap."""
     if pred():
         return False
     sim = notifier.sim
     timer = sim.timeout(budget)
-    while True:
-        index, _ = yield AnyOf(sim, (notifier.wait(), timer))
-        if index:
-            raise TimeoutError(f"{what}: gave up after {budget:g}s")
-        if pred():
-            return True
+    try:
+        while True:
+            index, _ = yield AnyOf(sim, (notifier.wait(), timer))
+            if index:
+                raise TimeoutError(f"{what}: gave up after {budget:g}s")
+            if pred():
+                return True
+    finally:
+        if timer._state != FIRED:
+            sim._unschedule(timer)

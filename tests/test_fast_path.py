@@ -96,8 +96,9 @@ def test_at_in_the_past_fails_the_process():
 
 
 def test_mixed_zero_delay_and_timer_ordering_is_time_seq():
-    """Immediate-queue events interleave with same-time heap events in
-    strict (time, seq) order — the contract the heap bypass must keep."""
+    """Zero-delay entries and same-time timer entries fire in strict
+    (time, seq) order: one heap keeps it by construction, and any second
+    queue for zero-delay entries would have to keep it too."""
     sim = Simulator()
     order = []
 
@@ -158,7 +159,7 @@ def test_events_fired_counter_counts_transitions():
 # kernel: quiet completions (a completion that resumes nobody is not queued)
 # ----------------------------------------------------------------------
 def _queued(sim):
-    return len(sim._imm) + len(sim._heap)
+    return len(sim._heap)
 
 
 def _sleeper(value, delay=1.0):

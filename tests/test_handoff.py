@@ -21,7 +21,7 @@ METHODS = ("fo", "fl", "pl", "plr", "parix", "cord", "tsue")
 
 
 def _queued(sim):
-    return len(sim._imm) + len(sim._heap)
+    return len(sim._heap)
 
 
 def _sleeper(value, delay=1.0):
@@ -74,7 +74,7 @@ def test_a_completion_queues_behind_an_immediate_entry():
 
     def child():
         yield 1.0
-        early.succeed()  # in the completing step: _imm is not empty
+        early.succeed()  # in the completing step: the heap's top is at now
         return "v"
 
     p = sim.process(child())

@@ -107,6 +107,28 @@ def test_the_wait_wakes_at_the_change_and_its_budget_is_one_deadline():
     assert sim.now == pytest.approx(0.7)
 
 
+def test_a_wait_that_ends_before_its_deadline_takes_its_timer_off_the_heap():
+    sim = Simulator()
+    feed = Notifier(sim)
+    state = {"ok": False}
+    proc = sim.process(wait_until(lambda: state["ok"], feed, 60.0, "the change"))
+    sim.run(until=0.25)
+    assert len(sim._heap) == 1  # the wait's 60 s timer
+    state["ok"] = True
+    feed.notify()
+    assert run_to(sim, proc) is True and sim.now == 0.25
+    assert len(sim._heap) == 0
+    sim.run()
+    assert sim.now == 0.25  # not the 60.25 s deadline
+
+    # An interrupt thrown into the wait ends it the same way.
+    stopped = sim.process(wait_until(lambda: False, feed, 60.0, "never"))
+    sim.run(until=0.5)
+    stopped.interrupt("stop")
+    sim.run()
+    assert stopped.fired and sim.now == 0.5 and len(sim._heap) == 0
+
+
 # ----------------------------------------------------------------------
 # resume instants: at the change, not on a poll grid
 # ----------------------------------------------------------------------
@@ -208,9 +230,26 @@ def test_a_retry_whose_host_was_marked_up_first_does_not_yield(degrades):
         yield  # pragma: no cover - a generator, as every attempt is
 
     with pytest.raises(StopIteration) as done:
-        next(client._retry_downed(attempt, "update_retries", degrades))
+        next(client._retry_downed(attempt, "update_retries", degrades, None))
     assert done.value.value == "done"
     assert attempts == [0.0, 0.0] and client.update_retries == 1
+    cluster.stop()
+
+
+def test_a_crash_racing_an_update_counts_it_once_retried_and_once_fenced():
+    """The retry waits for the heal, so the update was fenced there, not in
+    its next attempt's fence check; it counts once either way."""
+    from repro.recovery import recover_node
+
+    sim, cluster, client = build()
+    primary = cluster.osd_by_name(cluster.osd_of_block(INODE, 0, 0))
+    op = update(client, 0)
+    while not primary._inflight:
+        sim.step()
+    fail_osd(cluster, primary.name, mode="crash")
+    recover_node(cluster, primary.name, repair=True)
+    run_to(sim, op)
+    assert client.update_retries == 1 and client.fenced_updates == 1
     cluster.stop()
 
 
