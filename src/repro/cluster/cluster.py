@@ -128,6 +128,8 @@ class Cluster:
         # (the rebalance plane), never by mutating ``ring`` in place.
         self.ring: List[str] = [osd.name for osd in self.osds]
         self._ring_pos: Dict[str, int] = {n: i for i, n in enumerate(self.ring)}
+        # (inode, stripe) -> member names on ``ring``; cleared with it.
+        self._placed: Dict[Tuple[int, int], List[str]] = {}
         # Elastic-migration fencing: stripes mid-migration (clients hold new
         # ops until the set clears) and a refcount of in-flight foreground
         # ops per stripe (the rebalancer quiesces on it before copying).
@@ -191,15 +193,18 @@ class Cluster:
         stripes by changing the ring (via :meth:`commit_ring`), and every
         placement consumer follows automatically.  A rebalance flips
         stripes one at a time via ``placement_overrides`` before the final
-        ring commit.
+        ring commit.  The list is memoised per ring and shared between
+        callers: read it, never mutate it.
         """
+        key = (inode, stripe)
         if self.placement_overrides:
-            override = self.placement_overrides.get((inode, stripe))
+            override = self.placement_overrides.get(key)
             if override is not None:
                 return override
-        ring = self.ring
-        idx = placement(len(ring), self.config.k + self.config.m, inode, stripe)
-        return [ring[i] for i in idx]
+        names = self._placed.get(key)
+        if names is None:
+            names = self._placed[key] = self.placement_on(self.ring, inode, stripe)
+        return names
 
     def placement_on(self, ring: List[str], inode: int, stripe: int) -> List[str]:
         """Placement under a hypothetical ring (rebalance planning)."""
@@ -252,6 +257,7 @@ class Cluster:
                 raise ValueError(f"unknown ring member {name!r}")
         self.ring = list(new_ring)
         self._ring_pos = {n: i for i, n in enumerate(self.ring)}
+        self._placed.clear()
         # Any per-stripe overrides were stepping stones to exactly this
         # membership; the committed ring now answers for every stripe.
         self.placement_overrides.clear()

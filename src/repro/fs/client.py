@@ -85,7 +85,7 @@ class Client(RpcHost):
                 (names[j], "write_block", ((inode, stripe, j), blk))
                 for j, blk in enumerate(blocks + parity)
             )
-        yield self.fan_out(calls)
+        yield from self.fan_out(calls)
 
     def _fence_wait(self, inode: int, stripes):
         """Wait until no member OSD of the given stripes is down; True if
@@ -203,7 +203,7 @@ class Client(RpcHost):
                         inode, ext.addr.stripe, ext.addr.block_index
                     )
                     calls.append((osd, "update", (ext.addr.key(), ext.offset, payload)))
-                yield self.fan_out(calls)
+                yield from self.fan_out(calls)
 
             self.cluster.note_ops_begin(inode, stripes)
             try:
@@ -321,7 +321,7 @@ class Client(RpcHost):
                 f"stripe ({inode},{stripe}) has only {len(sources)} live blocks; "
                 f"unrecoverable with k={cfg.k}"
             )
-        replies = yield self.fan_out(
+        replies = yield from self.fan_out(
             (osd, "read", ((inode, stripe, b), 0, cfg.block_size))
             for b, osd in sources
         )

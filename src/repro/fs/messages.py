@@ -16,7 +16,7 @@ the table.
 pays both transfer directions.  ``rpc_with_retry`` is ``rpc`` for detached
 background workers that must also ride out a down destination.
 ``fan_out`` is the one concurrent-call barrier: many calls in flight at
-once, one wait for all of them.
+once, one wait for all of them, their starts batched in place.
 
 Delivery semantics are **at-most-once** (see docs/faults.md): every request
 carries a deterministic per-host request id, and each host keeps a per-peer
@@ -320,8 +320,8 @@ class RpcHost:
         the handler (or replay its cached outcome) in its own process.
 
         The caller's next action is ``yield reply``, so the process starts
-        by handoff (``Process.boot``), registered in ``_inflight`` before
-        its first step runs."""
+        by handoff (:meth:`Simulator.start`), registered in ``_inflight``
+        before its first step runs."""
         kind = msg.kind
         gen = None
         if kind.cached:
@@ -343,7 +343,7 @@ class RpcHost:
                 self._dedup_record(msg.src, msg.req_id, ("inflight",))
         proc = self._inflight[msg] = Process(
             sim, gen or self._handle(msg), kind.name, False)
-        proc.boot()
+        sim.start(proc)
 
     def _replay(self, msg: "Message", entry: tuple):
         """Serve a duplicate of an applied request from the reply cache.
@@ -357,17 +357,21 @@ class RpcHost:
         try:
             if entry[0] == "ok":
                 result = entry[1]
-                yield from self.fabric.transfer(
+                leg = self.fabric.transfer(
                     self.name, msg.src, kind.reply(result) + MSG_OVERHEAD,
                     kind.reply_tag, True,
                 )
+                if leg is not None:
+                    yield leg
                 if not msg.reply_event.triggered:
                     self._settle(msg)
                     msg.reply_event.succeed(result)
             else:  # ("err", exc)
-                yield from self.fabric.transfer(
+                leg = self.fabric.transfer(
                     self.name, msg.src, MSG_OVERHEAD, kind.err_tag, True
                 )
+                if leg is not None:
+                    yield leg
                 if not msg.reply_event.triggered:
                     msg.reply_event.fail(entry[1])
         except LinkLossError as loss:
@@ -395,10 +399,12 @@ class RpcHost:
             # reply frame drops, the retransmit must hit a done entry.
             self._record_outcome(msg, ("ok", result))
             try:
-                yield from self.fabric.transfer(
+                leg = self.fabric.transfer(
                     self.name, msg.src, kind.reply(result) + MSG_OVERHEAD,
                     kind.reply_tag, True,
                 )
+                if leg is not None:
+                    yield leg
             except LinkLossError as loss:
                 # Reply frame dropped on a lossy link.  The op IS applied
                 # and cached; failing the reply event models the caller's
@@ -419,9 +425,11 @@ class RpcHost:
             # ``.err`` frame, instead of crashing the serving node.
             self._record_outcome(msg, ("err", err))
             try:
-                yield from self.fabric.transfer(
+                leg = self.fabric.transfer(
                     self.name, msg.src, MSG_OVERHEAD, kind.err_tag, True
                 )
+                if leg is not None:
+                    yield leg
             except LinkLossError as loss:
                 if not reply.triggered:
                     reply.fail(loss)
@@ -504,7 +512,9 @@ class RpcHost:
                 while True:
                     if not host.running:
                         yield from self._connect(dst, host)
-                    yield from self.fabric.transfer(self.name, dst, nbytes, kind)
+                    leg = self.fabric.transfer(self.name, dst, nbytes, kind)
+                    if leg is not None:
+                        yield leg
                     if host.running:
                         break
                     if host.crashed:
@@ -570,17 +580,21 @@ class RpcHost:
                     raise
                 yield min(self.RETRY_INTERVAL_S, remaining)
 
-    def fan_out(self, calls, retry: bool = False) -> AllOf:
-        """Issue every ``(dst, kind, fields)`` of ``calls`` at once;
-        the returned event fires when all have replied, with the replies in
-        ``calls`` order (``replies = yield host.fan_out(calls)``).
+    def fan_out(self, calls, retry: bool = False):
+        """Issue every ``(dst, kind, fields)`` of ``calls`` at once and wait
+        until all have replied; returns the replies in ``calls`` order
+        (generator: ``replies = yield from host.fan_out(calls)``).
 
-        One process per call, started in order, under one ``AllOf``: the
-        calls overlap on the fabric and at their destinations, and the
-        first failure fails the wait.  ``retry`` sends each through
-        :meth:`rpc_with_retry` (background pushes only).
+        One process per call under one ``AllOf``: the calls overlap on the
+        fabric and at their destinations, and the first failure fails the
+        wait.  The legs start as one batch (:meth:`Simulator.start`), in
+        place when nothing else is pending at this instant.  ``retry``
+        sends each through :meth:`rpc_with_retry` (background pushes only).
         """
         call = self.rpc_with_retry if retry else self.rpc
         sim = self.sim
-        return AllOf(sim, [sim.process(call(dst, kind, fields))
-                           for dst, kind, fields in calls])
+        legs = [Process(sim, call(dst, kind, fields), boot=False)
+                for dst, kind, fields in calls]
+        barrier = AllOf(sim, legs)
+        sim.start(*legs)
+        return (yield barrier)

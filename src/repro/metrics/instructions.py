@@ -27,7 +27,12 @@ total.  This module's own frames (the cell loop) are not counted.
 
 The ledger also carries the slice's kernel events
 (``ScenarioResult.perf["events"]`` summed, total and per request), the
-other deterministic host-work counter.  ``python -m
+other deterministic host-work counter, and three kernel primitives the
+traced pass counts from the tracer's call events, not from kernel
+counters: ``resumes`` (calls of ``Process._step``, one per generator
+step), ``processes`` (calls of ``Process.__init__``) and ``queued``
+(entries that went through the queue: an entry's ``_fire`` called by a
+kernel loop, ``Simulator.run``, ``run_until_fired`` or ``step``).  ``python -m
 repro.metrics.instructions`` prints it as JSON; the committed copy is
 ``BENCH_instructions.json`` at the repo root, and
 ``tests/test_instructions.py`` recomputes it exactly.  A change that moves
@@ -73,12 +78,18 @@ def run_cells(cells: Iterable[Cell]) -> int:
 def count(cells: Iterable[Cell]) -> Dict[str, Dict[str, int]]:
     """Instructions executed in this package's frames while ``cells`` run,
     per phase (:data:`PHASES`) and top-level subpackage (after one
-    untraced warm-up pass)."""
+    untraced warm-up pass), and the kernel primitives of that pass under
+    ``"primitives"``."""
     from repro.harness.experiment import build_cluster
+    from repro.sim.core import Process, Simulator
 
     cells = tuple(cells)
     run_cells(cells)
     counts: Dict[str, Dict[str, int]] = {phase: {} for phase in PHASES}
+    primitives = {"resumes": 0, "processes": 0, "queued": 0}
+    step_code, init_code = Process._step.__code__, Process.__init__.__code__
+    loops = {Simulator.run.__code__, Simulator.run_until_fired.__code__,
+             Simulator.step.__code__}
     hits = counts["drive"]  # the phase being counted
     tracers: Dict[str, object] = {}
     build_code = build_cluster.__code__
@@ -113,6 +124,12 @@ def count(cells: Iterable[Cell]) -> Dict[str, Dict[str, int]]:
     def enter(frame, event, arg):
         nonlocal hits
         code = frame.f_code
+        if code is step_code:
+            primitives["resumes"] += 1
+        elif code is init_code:
+            primitives["processes"] += 1
+        elif code.co_name == "_fire" and frame.f_back.f_code in loops:
+            primitives["queued"] += 1
         try:
             local = tracers[code.co_filename]
         except KeyError:
@@ -133,13 +150,15 @@ def count(cells: Iterable[Cell]) -> Dict[str, Dict[str, int]]:
             run_cells(cells)
         finally:
             sys.settrace(None)
-    return {phase: dict(sorted(hits.items())) for phase, hits in counts.items()}
+    return {**{phase: dict(sorted(hits.items())) for phase, hits in counts.items()},
+            "primitives": primitives}
 
 
 def ledger() -> dict:
     """The committed ledger: :data:`SLICE` counted, with its provenance."""
     events = run_cells(SLICE)
     counts = count(SLICE)
+    primitives = counts.pop("primitives")
     requests = sum(clients * per for _n, _m, clients, per in SLICE)
     totals = {phase: sum(counts[phase].values()) for phase in PHASES}
     return {
@@ -151,6 +170,10 @@ def ledger() -> dict:
         "per_request": round(totals["drive"] / requests, 1),
         "events": events,
         "events_per_request": round(events / requests, 2),
+        **primitives,
+        "primitives_per_request": {
+            name: round(n / requests, 2) for name, n in primitives.items()
+        },
         "instructions": counts,
     }
 

@@ -21,6 +21,7 @@ from repro.net.fabric import (
     NetworkProfile,
     NET_25GBE,
     NET_40GIB,
+    Transfer,
 )
 from repro.net.nic import NIC
 
@@ -32,4 +33,5 @@ __all__ = [
     "NET_25GBE",
     "NET_40GIB",
     "NetworkProfile",
+    "Transfer",
 ]

@@ -15,8 +15,9 @@ GBIT = 1e9 / 8
 class LinkLossError(RuntimeError):
     """A message was dropped on a lossy degraded link.
 
-    Raised by :meth:`Fabric.transfer` after the serialisation leg, before
-    delivery — the receiver never sees the message.  Callers treat it like
+    Thrown into the sender by its :class:`Transfer` record after the
+    serialisation leg, before delivery — the receiver never sees the
+    message.  Callers treat it like
     a transient transport fault: ``RpcHost.rpc`` resends the frame under
     the same request id and never lets this escape to its caller.
     """
@@ -25,6 +26,56 @@ class LinkLossError(RuntimeError):
         super().__init__(f"message {kind or 'raw'!r} dropped on lossy link {endpoint!r}")
         self.endpoint = endpoint
         self.kind = kind
+
+
+class Transfer(At):
+    """One frame on the wire: the kernel record its sender yields.
+
+    :meth:`Fabric.transfer` claims the tx direction at issue and builds the
+    record for the arrival instant ``t``.  The record has two heap legs and
+    resumes its sender once.  Its first firing, at arrival, claims the rx
+    direction and queues the second leg at the projected delivery instant,
+    or, for a dropped frame, throws :class:`LinkLossError` into the sender
+    there instead.  The second firing records the traffic counters and
+    resumes the sender.  A sender interrupted in between leaves a stale
+    record: it claims nothing more and counts nothing.
+    """
+
+    __slots__ = ("src", "dst", "rx_time", "nbytes", "kind", "loss")
+
+    def __init__(self, t: float, src: NIC, dst: NIC, rx_time: float,
+                 nbytes: int, kind: str, loss: "LinkLossError | None"):
+        self.t = t
+        self.src = src
+        self.dst = dst  # None once the rx direction is claimed
+        self.rx_time = rx_time
+        self.nbytes = nbytes
+        self.kind = kind
+        self.loss = loss
+
+    def _fire(self) -> None:
+        proc = self.proc
+        if proc._waiting_on is not self:
+            return  # the sender was interrupted: the frame claims nothing
+        dst = self.dst
+        if dst is None:
+            self.src.counters.record(self.nbytes, self.kind)
+            proc._step(None)
+        elif self.loss is not None:
+            # The message left the wire but never arrives: the sender paid
+            # serialisation + switch latency, the receiver sees nothing.
+            proc._step(None, self.loss)
+        else:
+            # The rx direction receives from many senders, so its FIFO
+            # claim happens at *arrival* time, in arrival order.
+            sim = proc.sim
+            start = dst.rx_busy
+            if start < sim.now:
+                start = sim.now
+            done = start + self.rx_time
+            dst.rx_busy = done
+            self.dst = None
+            sim._schedule_at(self, done)
 
 
 @dataclass
@@ -68,11 +119,12 @@ class Fabric:
     :meth:`transfer` advances time by *projected completion*: the tx leg
     claims the sender's direction at issue and the rx leg claims the
     receiver's direction at arrival, each from the NIC's busy-until clock,
-    so the tx -> switch -> rx pipeline costs two absolute-time sleeps.  A
-    frame that has claimed a NIC direction keeps it until its projected
-    instant even if the sending process is interrupted (a frame on the wire
-    completes; ``docs/dataplane.md``, "The time plane").  Leg costs —
-    including link degradation — are fixed when the transfer is issued.
+    so the tx -> switch -> rx pipeline is one :class:`Transfer` record with
+    two heap legs, and the sender resumes once, at delivery.  A frame that
+    has claimed a NIC direction keeps it until its projected instant even
+    if the sending process is interrupted (a frame on the wire completes;
+    ``docs/dataplane.md``, "The time plane").  Leg costs — including link
+    degradation — are fixed when the transfer is issued.
 
     Per-endpoint degradation (``degrade_link``) scales that endpoint's
     serialisation bandwidth and adds per-message latency; lossy mode drops
@@ -212,8 +264,10 @@ class Fabric:
         return nic
 
     def transfer(self, src: str, dst: str, nbytes: int, kind: str = "",
-                 reply: bool = False):
-        """Move ``nbytes`` from ``src`` to ``dst`` (generator; yields events).
+                 reply: bool = False) -> "Transfer | None":
+        """Issue ``nbytes`` from ``src`` to ``dst``; returns the
+        :class:`Transfer` record the sender yields (``yield t``) to wait for
+        delivery, or ``None`` for a local transfer, which is not waited for.
 
         ``kind`` tags the traffic counters; ``reply`` marks an answer frame
         (an RPC's reply or shipped error), which the ``"requests"`` loss
@@ -228,7 +282,7 @@ class Fabric:
         if nbytes < 0:
             raise ValueError("negative transfer size")
         if src == dst:
-            return
+            return None
         try:
             src_nic = self.nics[src]
             dst_nic = self.nics[dst]
@@ -239,7 +293,7 @@ class Fabric:
         tx_time = wire / src_nic.bandwidth
         rx_time = wire / dst_nic.bandwidth
         latency = float(self.profile.base_latency)
-        dropped = False
+        loss = None
         if self._links:
             src_link = self._links.get(src)
             dst_link = self._links.get(dst)
@@ -247,32 +301,19 @@ class Fabric:
                 if src_link.bw_factor != 1.0:
                     tx_time /= src_link.bw_factor
                 latency += src_link.extra_latency
-                dropped = self._egress_drop(src_link, reply)
+                if self._egress_drop(src_link, reply):
+                    loss = LinkLossError(src, kind)
             if dst_link is not None:
                 if dst_link.bw_factor != 1.0:
                     rx_time /= dst_link.bw_factor
                 latency += dst_link.extra_latency
         # The tx direction is FIFO in *issue* order (only this endpoint
         # sends on it), so its grant and completion project at issue time;
-        # the rx direction receives from many senders, so its FIFO claim
-        # must happen at *arrival* time — claiming it here would serve
-        # receivers in issue order, not arrival order.
+        # the rx direction is claimed by the record at arrival.
         now = self.sim.now
         start = src_nic.tx_busy
         if start < now:
             start = now
         tx_done = start + tx_time
         src_nic.tx_busy = tx_done
-        yield At(tx_done + latency)
-        if dropped:
-            # The message left the wire but never arrives: the sender paid
-            # serialisation + switch latency, the receiver sees nothing.
-            raise LinkLossError(src, kind)
-        arrive = self.sim.now
-        rx_start = dst_nic.rx_busy
-        if rx_start < arrive:
-            rx_start = arrive
-        done = rx_start + rx_time
-        dst_nic.rx_busy = done
-        yield At(done)
-        src_nic.counters.record(nbytes, kind)
+        return Transfer(tx_done + latency, src_nic, dst_nic, rx_time, nbytes, kind, loss)

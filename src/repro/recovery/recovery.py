@@ -240,7 +240,7 @@ def recover_node_proc(cluster: Cluster, failed_osd: str, repair: bool = False):
                         f"live blocks; unrecoverable with k={k}"
                     )
                 try:
-                    blocks = yield pull_blocks(rebuilder, inode, stripe, sources)
+                    blocks = yield from pull_blocks(rebuilder, inode, stripe, sources)
                     break
                 except HostDownError as err:
                     # A source died mid-pull: re-plan once it is marked down.

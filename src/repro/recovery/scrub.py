@@ -69,9 +69,9 @@ def windowed(sim, jobs, parallelism: int):
 
 
 def pull_blocks(reader, inode: int, stripe: int, sources):
-    """Event: ``reader`` has pulled the blocks ``sources`` (``(index, OSD
-    name)`` pairs) of one stripe, in parallel, through the costed recovery
-    read path; its value is the blocks in ``sources`` order."""
+    """``reader`` pulls the blocks ``sources`` (``(index, OSD name)``
+    pairs) of one stripe, in parallel, through the costed recovery read
+    path (generator; returns the blocks in ``sources`` order)."""
     return reader.fan_out(
         (name, "recovery_read", ((inode, stripe, b),)) for b, name in sources
     )
@@ -96,11 +96,11 @@ def check_stripe(cluster: Cluster, inode: int, stripe: int, rewrite: bool = Fals
     coordinator = next((osd for osd in members if osd.running), None)
     if coordinator is None:
         raise HostDownError(names[k], f"no running member of ({inode},{stripe})")
-    blocks = yield pull_blocks(coordinator, inode, stripe, enumerate(names))
+    blocks = yield from pull_blocks(coordinator, inode, stripe, enumerate(names))
     expect = cluster.codec.encode(blocks[:k])
     bad = [p for p in range(m) if not np.array_equal(blocks[k + p], expect[p])]
     if bad and rewrite:
-        yield coordinator.fan_out(
+        yield from coordinator.fan_out(
             (names[k + p], "recovery_write", ((inode, stripe, k + p), expect[p]))
             for p in bad
         )

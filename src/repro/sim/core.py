@@ -17,16 +17,26 @@ experiment, so its inner loop is deliberately hand-tuned):
   which is observable only in tie-dense regimes — see
   benchmarks/results/perf_fastpath.md.)
 
-* **Float sleeps.** A process may ``yield`` a plain ``float`` (seconds)
-  instead of a :class:`Timeout` event.  The kernel schedules a two-word
-  wake record directly, skipping event construction entirely.  This is
-  the costed-delay fast path; devices and fabric transfers use its
-  absolute-time twin, :class:`At`.
-  Only exact ``float``s are recognised — yielding an ``int`` remains a
-  type error, which keeps accidental ``yield 5`` bugs loud.
+* **Timed records.**  A process may ``yield`` a plain ``float`` (seconds)
+  or an :class:`At` (an absolute instant) instead of a :class:`Timeout`
+  event.  Either becomes a *timed record*: an object with a time ``t``
+  and a ``_fire`` that is its own queue entry, so no event and no
+  callback list is built.  Devices yield ``At``; the fabric's
+  :class:`repro.net.fabric.Transfer` is a record with two queue legs
+  (arrival, then delivery) that resumes its sender once.  The kernel sets
+  the record's ``proc`` and queues it at ``t``; its firing resumes the
+  process only while the process still waits on it, so a record an
+  interrupt made stale fires as a no-op.  Only exact ``float``s are
+  recognised as sleeps — yielding an ``int`` remains a type error, which
+  keeps accidental ``yield 5`` bugs loud.
 
-* **Wake records.** Process boot and interrupt delivery use two-slot
-  ``_Wake`` records rather than full events with lambda callbacks.
+* **One step.**  Every resume of every process is one call of
+  :meth:`Process._step`, which sends a value (or throws an exception) and
+  parks the process on what it yields.  It has no staleness or boot
+  branch: each wake checks its own currency before the call (a record or
+  an event against ``_waiting_on``, a queued start or interrupt — a
+  two-slot :class:`_Wake` record — against the process state), and a
+  fresh generator starts with ``send(None)``.
 
 * **Quiet completions.** A process that returns (or exits on an unhandled
   :class:`Interrupt`) while nothing waits on it becomes FIRED in place and
@@ -44,32 +54,48 @@ experiment, so its inner loop is deliberately hand-tuned):
   completion's entry would have been; no bench row and no seed-sweep cell
   has one (``repro bench --check-baseline`` is the gate).
 
-* **Handoff at an empty instant.** Three transitions fire in place
+* **Handoff at an empty instant.** Five transitions fire in place
   instead of through the queue (:meth:`Simulator._handoff`) when nothing
   else is pending at ``now`` (the heap's top is later): an RPC handler's
-  first step (:meth:`Process.boot`), the delivery of its reply
-  (:meth:`Event.hand_off`) and a process's success handed to its single
-  waiter that the completion would wake (:meth:`Process._complete`).
-  Each call site promises that its step schedules nothing after the
-  call, and the firing that resumed the step
-  has nothing left to run either: an event with several callbacks runs
-  all but the last with handoff closed (:meth:`Event._fire_each`).  The
-  equivalence argument: the queued entry would be the only one at
-  ``now``, and nothing is queued after it before the kernel's next pop,
-  so it would be the very next entry popped; firing it in place runs the
-  same transition after the same predecessors and before the same
+  first step and a fan-out's batch of first steps
+  (:meth:`Simulator.start`), the delivery of an RPC's reply
+  (:meth:`Event.hand_off`), a process's success handed to its single
+  waiter that the completion would wake (:meth:`Process._complete`), and
+  an :class:`~repro.sim.events.AllOf` whose last child reports from a
+  firing.  Each call site promises that its step schedules nothing after
+  the call, and the firing that resumed the step has nothing left to run
+  either: an event with several callbacks runs all but the last with
+  handoff closed (:meth:`Event._fire_each`), and so does a condition
+  attaching to children that already fired, whose constructing step goes
+  on.  The equivalence argument: the queued entry would be the only one
+  at ``now``, and nothing is queued after it before the kernel's next
+  pop, so it would be the very next entry popped; firing it in place runs
+  the same transition after the same predecessors and before the same
   successors.  What the rest of the calling step still does (a process
-  parking on the reply it will wait for, a handler's quiet exit) touches
-  nothing the fired transition reads, so the ``(time, seq)`` order of
-  every transition with an effect
-  is unchanged and rows are identical by construction.  Failures keep
-  their entries, and so does the event :meth:`Simulator.run_until_fired`
-  drives: its driver join runs first on that event's firing and closes
-  handoff until the drive returns, so the drive leaves pending exactly
-  what the queue would have.  Nested handoffs stop at
-  ``_HANDOFF_DEPTH``, past which the entry is queued (the old
-  behaviour), so a same-instant chain of any length keeps the stack
-  bounded.
+  parking on the reply or barrier it will wait for, a handler's quiet
+  exit) touches nothing the fired transition reads, so the ``(time,
+  seq)`` order of every transition with an effect is unchanged and rows
+  are identical by construction.
+
+  A batch of starts extends the argument leg by leg.  Queued, the legs'
+  boots would be the next entries popped, in order, and whatever the
+  first leg's step schedules at ``now`` would pop only after the last
+  boot.  So the legs run in place in order, all but the last with
+  handoff closed (a handoff inside an earlier leg would jump the later
+  boots); the last runs in place unconditionally, one nesting level
+  deeper, and its own handoffs see whatever the earlier legs queued.
+  Handing the last leg to :meth:`_handoff` instead would queue it behind
+  those entries: ``tests/test_handoff.py`` keeps that draft as a mutant
+  the step-order differential must catch.  At a non-empty instant every
+  leg is queued, in order.
+
+  Failures keep their entries, and so does the event
+  :meth:`Simulator.run_until_fired` drives: its driver join runs first on
+  that event's firing and closes handoff until the drive returns, so the
+  drive leaves pending exactly what the queue would have.  Nested
+  handoffs stop at ``_HANDOFF_DEPTH``, past which the entry is queued
+  (the old behaviour), so a same-instant chain of any length keeps the
+  stack bounded.
 """
 
 from __future__ import annotations
@@ -95,11 +121,10 @@ _HANDOFF_DEPTH = 16
 
 
 class _Wake:
-    """A heap entry that resumes a process (boot or interrupt).
+    """A heap entry that starts a queued process or delivers an interrupt.
 
-    Quacks just enough like an event for the kernel loop (``_fire``); the
-    resume goes through the ``event=None`` path, exactly as the historical
-    boot/interrupt callback events did.
+    Quacks just enough like an event for the kernel loop (``_fire``).  A
+    process that is no longer pending ignores it.
     """
 
     __slots__ = ("proc", "exc")
@@ -109,7 +134,9 @@ class _Wake:
         self.exc = exc
 
     def _fire(self) -> None:
-        self.proc._resume(None, self.exc)
+        proc = self.proc
+        if proc._state == PENDING:
+            proc._step(None, self.exc)
 
 
 class At:
@@ -119,32 +146,21 @@ class At:
     through ``now + (t - now)`` (which can be off by one ulp).  Devices and
     the fabric project each I/O's completion instant from busy-until clocks
     and hand it to the issuing process through this token.
+
+    The token is its own queue entry (see "Timed records"): the kernel sets
+    ``proc`` when a process yields it, and its firing resumes that process
+    unless an interrupt re-routed it meanwhile.
     """
 
-    __slots__ = ("t",)
+    __slots__ = ("t", "proc")
 
     def __init__(self, t: float):
         self.t = t
 
-
-class _SleepWake:
-    """The wake record behind a ``yield <float>`` sleep.
-
-    Carries no value and no exception; ``_value``/``_exc`` are class
-    attributes so :meth:`Process._resume`'s event path (and its staleness
-    check against ``_waiting_on``) works unchanged.
-    """
-
-    __slots__ = ("proc",)
-
-    _value = None
-    _exc = None
-
-    def __init__(self, proc: "Process"):
-        self.proc = proc
-
     def _fire(self) -> None:
-        self.proc._resume(self, None)
+        proc = self.proc
+        if proc._waiting_on is self:
+            proc._step(None)
 
 
 def _driver_join(event: Event) -> None:
@@ -248,6 +264,42 @@ class Simulator:
             return
         self._seq += 1
         _heappush(heap, (self.now, self._seq, entry))
+
+    def _schedule_at(self, entry: Any, when: float) -> None:
+        """Queue ``entry`` at absolute time ``when`` (>= now): a timed
+        record's next leg."""
+        self._seq += 1
+        _heappush(self._heap, (when, self._seq, entry))
+
+    def start(self, *procs: "Process") -> None:
+        """Start processes built with ``boot=False``, in order, from a step
+        that schedules nothing after this call (see "Handoff at an empty
+        instant").  When nothing else is pending at ``now``, each runs its
+        first step in place, with handoff closed for all but the last,
+        which runs at one more level of nesting: its own handoffs see
+        whatever the earlier ones queued.  Otherwise every start is queued
+        at ``now``, in order."""
+        heap = self._heap
+        now = self.now
+        if (heap and heap[0][0] <= now) or self._depth >= _HANDOFF_DEPTH:
+            for proc in procs:
+                self._seq += 1
+                _heappush(heap, (now, self._seq, _Wake(proc, None)))
+            return
+        if not procs:
+            return
+        if len(procs) > 1:
+            self._depth += HANDOFF_CLOSED
+            try:
+                for proc in procs[:-1]:
+                    proc._step(None)
+            finally:
+                self._depth -= HANDOFF_CLOSED
+        self._depth += 1
+        try:
+            procs[-1]._step(None)
+        finally:
+            self._depth -= 1
 
     def _unschedule(self, event: Any) -> None:
         """Take ``event``'s pending entry off the heap: it will not fire."""
@@ -408,17 +460,10 @@ class Process(Event):
         self._waiting_on: Optional[Any] = None
         sim._active += 1
         # Kick off at the current instant, after already-scheduled events at
-        # it.  ``boot=False`` leaves the start to :meth:`boot`.
+        # it.  ``boot=False`` leaves the start to :meth:`Simulator.start`.
         if boot:
             sim._seq += 1
             _heappush(sim._heap, (sim.now, sim._seq, _Wake(self, None)))
-
-    def boot(self) -> None:
-        """Start a process built with ``boot=False``, from a step that
-        schedules nothing after this call: its first step runs in place when
-        its boot entry would be the next one popped ("Handoff at an empty
-        instant")."""
-        self.sim._handoff(_Wake(self, None))
 
     @property
     def is_alive(self) -> bool:
@@ -441,26 +486,24 @@ class Process(Event):
         self.sim._schedule(_Wake(self, Interrupt(cause)))
 
     # ------------------------------------------------------------------
-    def _resume(self, event: Optional[Any], exc: Optional[BaseException]) -> None:
-        if self._state != PENDING:
-            return
-        if event is not None and event is not self._waiting_on:
-            return  # stale wakeup after an interrupt re-routed the process
+    def _step(self, value: Any, exc: Optional[BaseException] = None) -> None:
+        """Advance the generator one step, sending ``value`` (or throwing
+        ``exc``), and park the process on what it yields.
+
+        Every resume of every process is one call of this method.  Its
+        callers have already checked that the wake is current: a queued
+        start or interrupt (:class:`_Wake`) that the process is pending, a
+        timed record or an event that the process still waits on it.
+        """
         self._waiting_on = None
         sim = self.sim
-        gen = self._gen
         prev = sim._current
         sim._current = self
         try:
-            if exc is not None:
-                target = gen.throw(exc)
-            elif event is not None:
-                if event._exc is not None:
-                    target = gen.throw(event._exc)
-                else:
-                    target = gen.send(event._value)
+            if exc is None:
+                target = self._gen.send(value)
             else:
-                target = next(gen)
+                target = self._gen.throw(exc)
         except StopIteration as stop:
             sim._active -= 1
             value = stop.value
@@ -473,42 +516,38 @@ class Process(Event):
             self.fail(err)
             return
         else:
-            tt = type(target)
-            if tt is float:
-                # The event-free sleep path: schedule a two-slot wake record
-                # (inlined _schedule).
+            if type(target) is float:
+                # The event-free sleep path: an ``At`` record at now + delay.
                 if target < 0.0:
                     sim._active -= 1
                     self.fail(ValueError(f"process {self.name!r} yielded a negative sleep {target!r}"))
                     return
-                wake = _SleepWake(self)
-                self._waiting_on = wake
-                sim._seq += 1
-                _heappush(sim._heap, (sim.now + target, sim._seq, wake))
+                target = At(sim.now + target)
+            elif isinstance(target, Event):
+                self._waiting_on = target
+                target.add_callback(self)
                 return
-            if tt is At:
+            try:
                 when = target.t
-                if when < sim.now:
-                    sim._active -= 1
-                    self.fail(ValueError(
-                        f"process {self.name!r} yielded At({when!r}) in the past "
-                        f"(now {sim.now!r})"
-                    ))
-                    return
-                wake = _SleepWake(self)
-                self._waiting_on = wake
-                sim._seq += 1
-                _heappush(sim._heap, (when, sim._seq, wake))
-                return
-            if not isinstance(target, Event):
+            except AttributeError:
                 sim._active -= 1
                 self.fail(TypeError(
                     f"process {self.name!r} yielded {target!r}; processes must "
                     "yield Event instances"
                 ))
                 return
+            if when < sim.now:
+                sim._active -= 1
+                self.fail(ValueError(
+                    f"process {self.name!r} yielded At({when!r}) in the past "
+                    f"(now {sim.now!r})"
+                ))
+                return
+            # A timed record (inlined _schedule_at): its own queue entry.
+            target.proc = self
             self._waiting_on = target
-            target.add_callback(self)
+            sim._seq += 1
+            _heappush(sim._heap, (when, sim._seq, target))
             return
         finally:
             sim._current = prev
@@ -517,8 +556,10 @@ class Process(Event):
         self._complete(value)
 
     def __call__(self, event: Event) -> None:
-        """The callback a process leaves on the event it waits for."""
-        self._resume(event, None)
+        """The callback a process leaves on the event it waits for; a
+        wakeup made stale by an interrupt is ignored."""
+        if event is self._waiting_on:
+            self._step(event._value, event._exc)
 
     def _complete(self, value: Any) -> None:
         """Succeed with ``value``, the last act of the process's last step:

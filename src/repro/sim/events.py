@@ -211,8 +211,14 @@ class _Condition(Event):
             # Vacuously satisfied.
             self.succeed(self._collect())
         else:
-            for ev in self.events:
-                ev.add_callback(self)
+            # An already-fired child calls this condition from inside the
+            # constructing step, which goes on after it: no handoff there.
+            sim._depth += HANDOFF_CLOSED
+            try:
+                for ev in self.events:
+                    ev.add_callback(self)
+            finally:
+                sim._depth -= HANDOFF_CLOSED
 
     def _collect(self) -> List[Any]:
         return [ev._value for ev in self.events if ev.fired and ev._exc is None]
@@ -230,7 +236,9 @@ class AllOf(_Condition):
     """Fires when *all* child events have fired.
 
     Value is the list of child values in construction order.  If any child
-    fails, this condition fails with the first failure.
+    fails, this condition fails with the first failure.  The success is
+    handed off (:meth:`Event.hand_off`): it fires in place when nothing
+    else is pending at its instant.
     """
 
     __slots__ = ("_probe",)
@@ -247,7 +255,9 @@ class AllOf(_Condition):
             return
         self._n_fired += 1
         if self._n_fired == len(self.events):
-            self.succeed([e._value for e in self.events])
+            # The last child reports from its firing, which has nothing
+            # left to run after this callback.
+            self.hand_off([e._value for e in self.events])
 
     def absorb(self, child: Event) -> bool:
         """Count a succeeding ``child`` in place while another child has not

@@ -525,7 +525,7 @@ class TSUEEngine:
                               ((inode, stripe, k + p), pentries)))
         # Retrying pushes: the recycle job owns these deltas and the
         # destination may be mid-failure/recovery.
-        yield self.osd.fan_out(calls, retry=True)
+        yield from self.osd.fan_out(calls, retry=True)
 
     # -- DeltaLog --------------------------------------------------------
     def _recycle_delta_stripe(self, stripe_key: Tuple[int, int], per_block):

@@ -31,6 +31,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.sim.events import AllOf
+
 BlockKey = Tuple[int, int, int]
 
 
@@ -183,7 +185,12 @@ class UpdateStrategy:
         # ``old`` is a zero-copy view of the live block: the delta must be
         # computed *before* the write overwrites those bytes (no yield in
         # between, so no other process can intervene either).
-        sent = self.osd.fan_out(self.forward_calls(key, offset, old ^ data, kind))
+        # Not a ``fan_out``, which waits: the barrier is waited on after
+        # the overwrite.  The legs' starts are queued, so the overwrite is
+        # issued first, in this step.
+        sim = self.sim
+        sent = AllOf(sim, [sim.process(self.osd.rpc(*call))
+                           for call in self.forward_calls(key, offset, old ^ data, kind)])
         yield from self.osd.store.write_range(key, offset, data, pattern="rand")
         return sent
 

@@ -156,7 +156,7 @@ class PARIXStrategy(UpdateStrategy):
             # ship (yields) and the local overwrite below — and the parity
             # side retains the payload in its original-image log.
             old = old.copy()
-            yield self.osd.fan_out(
+            yield from self.osd.fan_out(
                 (osd_name, "parix_append", (key, offset, old, True))
                 for _p, osd_name in targets
             )
@@ -164,10 +164,14 @@ class PARIXStrategy(UpdateStrategy):
         else:
             self.repeat_updates += 1
         # Issued first: it ships the client's bytes, not the write's result.
-        sent = self.osd.fan_out(
-            (osd_name, "parix_append", (key, offset, data, False))
+        # Not a ``fan_out``, which waits: the barrier is waited on after
+        # the write.  The legs' starts are queued, so the write is issued
+        # first, in this step.
+        sim = self.sim
+        sent = AllOf(sim, [
+            sim.process(self.osd.rpc(osd_name, "parix_append", (key, offset, data, False)))
             for _p, osd_name in targets
-        )
+        ])
         yield from self.osd.store.write_range(key, offset, data, pattern="rand")
         # Waited on under the stripe lock, so same-stripe updates keep
         # parity-log order.

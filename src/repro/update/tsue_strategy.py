@@ -60,7 +60,7 @@ class TSUEStrategy(UpdateStrategy):
                 (key, offset, data),
             )
         elif n_replicas > 1:
-            yield self.osd.fan_out(
+            yield from self.osd.fan_out(
                 (self.cluster.ring_neighbor(self.osd.name, r), "tsue_replica",
                  (key, offset, data))
                 for r in range(1, n_replicas + 1)

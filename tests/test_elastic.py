@@ -190,7 +190,7 @@ def test_degrade_link_scales_bw_and_adds_latency():
     fab.degrade_link("a", bw_factor=0.5, extra_latency=1e-4)
 
     def proc():
-        yield from fab.transfer("a", "b", 1 << 20)
+        yield fab.transfer("a", "b", 1 << 20)
         return sim.now
 
     p = sim.process(proc())
@@ -212,7 +212,7 @@ def test_heal_link_restores_profile_speed():
     assert fab.link_state("a") is None
 
     def proc():
-        yield from fab.transfer("a", "b", 1 << 20)
+        yield fab.transfer("a", "b", 1 << 20)
         return sim.now
 
     p = sim.process(proc())
@@ -245,7 +245,7 @@ def test_lossy_link_drops_every_nth_egress_message():
 
     def one(kind):
         try:
-            yield from fab.transfer("a", "b", 4096, kind=kind)
+            yield fab.transfer("a", "b", 4096, kind=kind)
             outcomes.append("ok")
         except LinkLossError as exc:
             assert exc.endpoint == "a"
@@ -269,8 +269,8 @@ def test_egress_loss_exempts_reply_and_err_frames():
     fab.degrade_link("a", loss_every=1)  # would drop every countable message
 
     def proc():
-        yield from fab.transfer("a", "b", 64, kind="read.reply", reply=True)
-        yield from fab.transfer("a", "b", 64, kind="update.err", reply=True)
+        yield fab.transfer("a", "b", 64, kind="read.reply", reply=True)
+        yield fab.transfer("a", "b", 64, kind="update.err", reply=True)
         return "delivered"
 
     p = sim.process(proc())
@@ -288,7 +288,7 @@ def test_transfer_counters_record_on_completion():
     fab.attach("b")
 
     def proc():
-        yield from fab.transfer("a", "b", 1 << 20, kind="delta")
+        yield fab.transfer("a", "b", 1 << 20, kind="delta")
 
     p = sim.process(proc())
     wire = ((1 << 20) + NET_25GBE.header_bytes) / NET_25GBE.bandwidth
@@ -312,7 +312,7 @@ def test_dropped_transfer_counts_no_bytes():
 
     def proc():
         try:
-            yield from fab.transfer("a", "b", 4096, kind="req")
+            yield fab.transfer("a", "b", 4096, kind="req")
         except LinkLossError:
             return "dropped"
 
@@ -648,7 +648,7 @@ def test_loss_scope_all_drops_replies_with_direction_accounting():
 
     def one(kind):
         try:
-            yield from fab.transfer("a", "b", 256, kind=kind, reply=kind != "req")
+            yield fab.transfer("a", "b", 256, kind=kind, reply=kind != "req")
             outcomes.append("ok")
         except LinkLossError:
             outcomes.append("dropped")
@@ -679,7 +679,7 @@ def test_redegrading_a_link_keeps_its_drop_counters():
 
     def lose(kind):
         with pytest.raises(LinkLossError):
-            yield from fab.transfer("a", "b", 64, kind=kind, reply=kind != "req")
+            yield fab.transfer("a", "b", 64, kind=kind, reply=kind != "req")
 
     def proc():
         fab.degrade_link("a", loss_every=1, loss_scope="all")
@@ -705,8 +705,8 @@ def test_default_scope_still_exempts_replies():
     fab.degrade_link("a", loss_every=1)  # loss_scope="requests"
 
     def proc():
-        yield from fab.transfer("a", "b", 64, kind="read.reply", reply=True)
-        yield from fab.transfer("a", "b", 64, kind="update.err", reply=True)
+        yield fab.transfer("a", "b", 64, kind="read.reply", reply=True)
+        yield fab.transfer("a", "b", 64, kind="update.err", reply=True)
         return "delivered"
 
     p = sim.process(proc())
@@ -725,11 +725,11 @@ def test_retransmitted_transfer_bytes_count_at_completion():
     fab.degrade_link("a", loss_every=2, loss_scope="all")
 
     def proc():
-        yield from fab.transfer("a", "b", 1024, kind="d")   # 1st: delivered
+        yield fab.transfer("a", "b", 1024, kind="d")   # 1st: delivered
         try:
-            yield from fab.transfer("a", "b", 2048, kind="d")  # 2nd: dropped
+            yield fab.transfer("a", "b", 2048, kind="d")  # 2nd: dropped
         except LinkLossError:
-            yield from fab.transfer("a", "b", 2048, kind="d")  # retransmit
+            yield fab.transfer("a", "b", 2048, kind="d")  # retransmit
 
     p = sim.process(proc())
     sim.run()

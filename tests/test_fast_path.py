@@ -209,13 +209,12 @@ def test_all_of_counts_non_final_children_in_place_and_hands_off_the_final():
     assert both._n_fired == 1 and not both.triggered
     assert _queued(sim) == 1  # only b's sleep wake
     sim.step()  # b's wake: b returns at an otherwise empty instant ...
-    # ... and hands its success to the AllOf in place, which queues its own.
-    assert b.fired and both.triggered and not both.fired
-    assert _queued(sim) == 1
-    sim.run()
-    assert both.value == ["a", "b"]
-    # 2 boots + 2 sleep wakes + the AllOf itself: b's completion took none.
-    assert sim.events_fired == 5
+    # ... and hands its success to the AllOf in place, which fires in
+    # place too: its last child reported from a firing.
+    assert b.fired and both.fired and both.value == ["a", "b"]
+    assert _queued(sim) == 0
+    # 2 boots + 2 sleep wakes: neither b's completion nor the AllOf took one.
+    assert sim.events_fired == 4
 
 
 def test_all_of_queues_a_child_whose_sibling_is_triggered_but_unfired():

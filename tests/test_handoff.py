@@ -1,11 +1,13 @@
 """Handoff at an empty instant (``repro.sim.core``).
 
-An RPC handler's first step, its reply and a process's success handed to
-its waiter fire in place when nothing else is pending at ``now``.  The
-rule's unit tests drive the kernel directly; the differential tests run
-model cells with the handoff on and forced off (every entry queued, the
-old kernel) and require the same rows, the same per-client ack times and,
-over the ledger slice, the same order of process steps.
+An RPC handler's first step, its reply, a process's success handed to its
+waiter, a fan-out's batch of starts and an ``AllOf``'s success fire in
+place when nothing else is pending at ``now``.  The rule's unit tests drive
+the kernel directly; the differential tests run model cells with the
+handoff on and forced off (every entry queued, the old kernel) and require
+the same rows, the same per-client ack times and, over the ledger slice,
+the same order of process steps.  The first draft of the batch start is
+kept as a mutant that the step-order differential must catch.
 """
 
 import pytest
@@ -14,7 +16,8 @@ from repro.fs.messages import RpcHost
 from repro.harness import experiment
 from repro.metrics.instructions import SLICE
 from repro.net import NET_25GBE, Fabric
-from repro.sim import Process, Simulator, core
+from repro.sim import AllOf, Interrupt, Process, Simulator, core
+from repro.sim.events import HANDOFF_CLOSED
 from repro.workload import run_scenario
 
 METHODS = ("fo", "fl", "pl", "plr", "parix", "cord", "tsue")
@@ -144,7 +147,7 @@ def test_the_driven_event_keeps_its_entry_and_the_drive_leaves_the_rest_queued()
     def joiner():
         yield p
         # Started inside the driven entry's firing: the drive returns first.
-        Process(sim, late(), boot=False).boot()
+        sim.start(Process(sim, late(), boot=False))
 
     sim.process(joiner())
     assert sim.drive(p) == "v"
@@ -228,6 +231,179 @@ def test_an_rpc_starts_its_handler_and_delivers_its_reply_in_place(
 
 
 # ----------------------------------------------------------------------
+# the batch start, the barrier and the transfer record
+# ----------------------------------------------------------------------
+def _first_steps(sim, order, tag):
+    order.append((tag, sim.now))
+    yield 1.0
+
+
+def _batch(sim, order, n):
+    return [Process(sim, _first_steps(sim, order, i), boot=False) for i in range(n)]
+
+
+def test_a_batch_at_an_empty_instant_starts_in_order_in_place():
+    sim = Simulator()
+    order = []
+
+    def caller():
+        yield 0.5
+        legs = _batch(sim, order, 3)
+        sim.start(*legs)
+        order.append(("caller", sim.now))  # the batch already ran
+
+    sim.process(caller())
+    sim.run()
+    assert order == [(0, 0.5), (1, 0.5), (2, 0.5), ("caller", 0.5)]
+    # The caller's boot and sleep, three leg sleeps: no start was queued.
+    assert sim.events_fired == 5
+
+
+def test_a_batch_at_a_non_empty_instant_queues_every_leg():
+    sim = Simulator()
+    order = []
+    other = sim.event()
+    other.add_callback(lambda _ev: order.append(("other", sim.now)))
+
+    def caller():
+        yield 0.5
+        other.succeed()  # pending at now, ahead of the batch
+        sim.start(*_batch(sim, order, 3))
+        assert order == [] and len(sim._heap) == 4
+
+    sim.process(caller())
+    sim.run()
+    assert order == [("other", 0.5), (0, 0.5), (1, 0.5), (2, 0.5)]
+
+
+@pytest.mark.parametrize("first_nests", [False, True])
+def test_only_the_last_leg_may_hand_off(first_nests):
+    sim = Simulator()
+    order = []
+
+    def leg(tag, nests):
+        order.append(tag)
+        if nests:  # a start of its own, handed off if it may be
+            sim.start(Process(sim, _first_steps(sim, order, tag + "'"), boot=False))
+        yield 1.0
+
+    def caller():
+        yield 0.5
+        sim.start(Process(sim, leg("a", first_nests), boot=False),
+                  Process(sim, leg("b", True), boot=False))
+        order.append("caller")
+
+    sim.process(caller())
+    sim.run()
+    if first_nests:
+        # "a" ran with handoff closed, so its start queued; "b"'s start
+        # then queues behind it, as it would with every start queued.
+        assert order == ["a", "b", "caller", ("a'", 0.5), ("b'", 0.5)]
+    else:
+        assert order == ["a", "b", ("b'", 0.5), "caller"]
+
+
+def test_a_local_leg_inside_the_batch_does_not_hand_off_its_handler(declare):
+    sim = Simulator()
+    fab = Fabric(sim, NET_25GBE)
+    a, b = RpcHost(sim, fab, "a"), RpcHost(sim, fab, "b")
+    a.connect({"a": a, "b": b})
+    b.connect({"a": a, "b": b})
+    declare("echo", lambda x: 8)
+    seen = []
+
+    def echo(x):
+        # The remote leg issued its request before this local handler ran.
+        seen.append((x, sim.now, fab.nics["a"].tx_busy > 0.0))
+        yield 1e-6
+        return x
+
+    a.register("echo", echo)
+    b.register("echo", echo)
+    a.start()
+    b.start()
+
+    def caller():
+        return (yield from a.fan_out([("a", "echo", (1,)), ("b", "echo", (2,))]))
+
+    p = sim.process(caller())
+    sim.run()
+    assert p.value == [1, 2]
+    assert seen[0] == (1, 0.0, True)
+
+
+def test_an_all_of_over_an_already_fired_child_does_not_hand_off():
+    sim = Simulator()
+    done = sim.event()
+    done.succeed("v")
+    sim.run()
+    built = []
+
+    def caller():
+        yield 0.5
+        both = AllOf(sim, [done])
+        built.append((both.triggered, both.fired))
+        return (yield both)
+
+    p = sim.process(caller())
+    sim.run()
+    # Counted at construction, queued: the constructing step went on.
+    assert built == [(True, False)] and p.value == ["v"]
+
+
+@pytest.mark.parametrize("cut", ["in flight", "between legs"])
+def test_an_interrupted_senders_record_claims_no_rx_and_counts_no_bytes(cut):
+    sim = Simulator()
+    fab = Fabric(sim, NET_25GBE)
+    fab.attach("a")
+    fab.attach("b")
+    caught = []
+    leg = []
+
+    def sender():
+        try:
+            leg.append(fab.transfer("a", "b", 1 << 20, kind="data"))
+            yield leg[0]
+        except Interrupt:
+            caught.append(sim.now)
+
+    p = sim.process(sender())
+    sim.step()  # the sender issues: tx claimed, the record queued
+    tx_done = fab.nics["a"].tx_busy
+    arrive = leg[0].t
+    if cut == "between legs":
+        sim.step()  # arrival: the rx direction is claimed
+        assert fab.nics["b"].rx_busy > arrive
+    rx_busy = fab.nics["b"].rx_busy
+    p.interrupt("crash")
+    sim.run()
+    assert len(caught) == 1 and fab.nics["a"].tx_busy == tx_done
+    assert fab.nics["b"].rx_busy == rx_busy  # the stale record claimed nothing
+    assert fab.counters.messages == 0 and fab.counters.bytes_sent == 0
+
+
+def test_a_transfer_resumes_its_sender_once():
+    sim = Simulator()
+    fab = Fabric(sim, NET_25GBE)
+    fab.attach("a")
+    fab.attach("b")
+    steps = []
+    step = core.Process._step
+
+    def sender():
+        yield fab.transfer("a", "b", 4096)
+        return sim.now
+
+    p = sim.process(sender())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core.Process, "_step",
+                   lambda self, value, exc=None: steps.append(sim.now) or step(self, value, exc))
+        sim.run()
+    # The boot and the delivery: the arrival leg claimed rx without a step.
+    assert len(steps) == 2 and steps[-1] == p.value and sim.events_fired == 3
+
+
+# ----------------------------------------------------------------------
 # the differential test: handoff on vs every entry queued
 # ----------------------------------------------------------------------
 def _observed(built, name, method, seed, clients=None, requests=None):
@@ -267,33 +443,62 @@ def test_handoff_changes_no_row_and_no_ack_time(monkeypatch):
         assert events < events0, cell
 
 
-def test_handoff_keeps_the_order_of_every_process_step(monkeypatch):
-    """Stronger than equal rows: over the ledger slice, every process
-    resumes at the same instant and in the same order, processes numbered
-    in the order they were created."""
+def _step_order():
+    """(instant, process number) of every process step over the ledger
+    slice, processes numbered in the order they were created."""
     born, steps = {}, []
-    init, resume = core.Process.__init__, core.Process._resume
+    init, step = core.Process.__init__, core.Process._step
 
     def numbered(self, *args, **kwargs):
         born[id(self)] = (len(born), self)  # held, so no id is reused
         init(self, *args, **kwargs)
 
-    def logged(self, event, exc):
+    def logged(self, value, exc=None):
         steps.append((self.sim.now, born[id(self)][0]))
-        resume(self, event, exc)
+        step(self, value, exc)
 
-    monkeypatch.setattr(core.Process, "__init__", numbered)
-    monkeypatch.setattr(core.Process, "_resume", logged)
-
-    def trace():
-        born.clear()
-        steps.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core.Process, "__init__", numbered)
+        mp.setattr(core.Process, "_step", logged)
         for name, method, clients, requests in SLICE:
             run_scenario(name, seed=1, method=method, n_clients=clients,
                          requests_per_client=requests)
-        return list(steps)
+    return steps
 
-    on = trace()
-    monkeypatch.setattr(core, "_HANDOFF_DEPTH", 0)
-    assert trace() == on
 
+@pytest.fixture(scope="module")
+def queued_step_order():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_HANDOFF_DEPTH", 0)  # every entry queued
+        return _step_order()
+
+
+def test_handoff_keeps_the_order_of_every_process_step(queued_step_order):
+    """Stronger than equal rows: over the ledger slice, every process
+    resumes at the same instant and in the same order."""
+    assert _step_order() == queued_step_order
+
+
+def _draft_start(self, *procs):
+    """The batch start's first draft: the last leg goes through
+    ``_handoff``, which queues it behind whatever the earlier legs left at
+    this instant, instead of running it in place."""
+    heap = self._heap
+    if (heap and heap[0][0] <= self.now) or self._depth >= core._HANDOFF_DEPTH:
+        for proc in procs:
+            self._schedule(core._Wake(proc, None))
+        return
+    if not procs:
+        return
+    self._depth += HANDOFF_CLOSED
+    try:
+        for proc in procs[:-1]:
+            proc._step(None)
+    finally:
+        self._depth -= HANDOFF_CLOSED
+    self._handoff(core._Wake(procs[-1], None))
+
+
+def test_the_draft_batch_start_reorders_process_steps(monkeypatch, queued_step_order):
+    monkeypatch.setattr(core.Simulator, "start", _draft_start)
+    assert _step_order() != queued_step_order

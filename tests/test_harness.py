@@ -263,8 +263,10 @@ def test_protocol_steps_are_written_once_in_src():
     )
     assert by_hand == [
         "repro/tsue/engine.py:_recycle_delta_stripe",  # own share appended in between
+        "repro/update/base.py:rmw_forward_locked",  # forward overlaps the overwrite
         "repro/update/cord.py:_apply_snapshot",  # own share applied in between
         "repro/update/fl.py:_recycle_block",  # ships overlap the next RMW
+        "repro/update/parix.py:_update_locked",  # ship overlaps the write
     ]
 
 

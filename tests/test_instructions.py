@@ -6,7 +6,8 @@
   counted apart.  Host cost added on a path the model
   runs (an f-string, a closure or a comprehension per kernel event) moves
   it, however small; so does a kernel event added or removed per request
-  (the ledger's ``events``).  It skips only where the count legitimately differs:
+  (the ledger's ``events``), and a process step, process or queue entry
+  (its ``resumes``, ``processes`` and ``queued``, counted by the tracer).  It skips only where the count legitimately differs:
   on another Python minor, or without the native GF kernel, whose numpy
   fallback runs different code of this package.
 * **RPC handler coverage.**  Every message kind the wire protocol declares
@@ -54,8 +55,9 @@ def test_instruction_ledger_matches_the_committed_file():
         for pkg, n in counts.items()
         if fresh["instructions"][phase].get(pkg, 0) != n
     }
-    if fresh["events"] != committed["events"]:
-        moved["events"] = fresh["events"] - committed["events"]
+    for counter in ("events", "resumes", "processes", "queued"):
+        if fresh[counter] != committed[counter]:
+            moved[counter] = fresh[counter] - committed[counter]
     assert fresh == committed, (
         f"ledger moved {moved}; if the change is intended, "
         "regenerate with `PYTHONPATH=src python -m repro.metrics.instructions "

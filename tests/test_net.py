@@ -17,7 +17,7 @@ def test_transfer_costs_serialize_latency_deserialize():
     nbytes = 1 << 20
 
     def proc(sim, fab):
-        yield from fab.transfer("a", "b", nbytes)
+        yield fab.transfer("a", "b", nbytes)
         return sim.now
 
     p = sim.process(proc(sim, fab))
@@ -32,7 +32,8 @@ def test_local_transfer_is_free_and_uncounted():
     fab.attach("a")
 
     def proc(sim, fab):
-        yield from fab.transfer("a", "a", 10**9)
+        assert fab.transfer("a", "a", 10**9) is None  # nothing to wait for
+        yield 0.0
         return sim.now
 
     p = sim.process(proc(sim, fab))
@@ -48,9 +49,9 @@ def test_counters_accumulate_by_kind():
         fab.attach(n)
 
     def proc(sim, fab):
-        yield from fab.transfer("a", "b", 100, kind="delta")
-        yield from fab.transfer("b", "a", 50, kind="delta")
-        yield from fab.transfer("a", "b", 25, kind="ack")
+        yield fab.transfer("a", "b", 100, kind="delta")
+        yield fab.transfer("b", "a", 50, kind="delta")
+        yield fab.transfer("a", "b", 25, kind="ack")
 
     sim.process(proc(sim, fab))
     sim.run()
@@ -69,7 +70,7 @@ def test_sender_tx_serializes_concurrent_transfers():
     done = []
 
     def send(sim, fab, dst, nbytes):
-        yield from fab.transfer("a", dst, nbytes)
+        yield fab.transfer("a", dst, nbytes)
         done.append((dst, sim.now))
 
     nbytes = 10 << 20
@@ -88,7 +89,7 @@ def test_unattached_endpoint_raises():
     fab.attach("a")
 
     def proc(sim, fab):
-        yield from fab.transfer("a", "ghost", 10)
+        yield fab.transfer("a", "ghost", 10)
 
     sim.process(proc(sim, fab))
     with pytest.raises(KeyError):
@@ -102,7 +103,7 @@ def test_negative_size_rejected():
     fab.attach("b")
 
     def proc(sim, fab):
-        yield from fab.transfer("a", "b", -1)
+        yield fab.transfer("a", "b", -1)
 
     sim.process(proc(sim, fab))
     with pytest.raises(ValueError):
@@ -210,7 +211,7 @@ def _fabric_transfer_outcomes(profile, frames, faults):
     def frame(i, at, src, dst, nbytes):
         yield at
         try:
-            yield from fab.transfer(src, dst, nbytes, kind="data")
+            yield fab.transfer(src, dst, nbytes, kind="data")
         except LinkLossError:
             out[i] = ("lost", sim.now)
         else:

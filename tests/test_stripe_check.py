@@ -295,10 +295,10 @@ def test_repair_spreads_its_reads_over_the_ring():
     transfer = cluster.fabric.transfer
 
     def tallying(src, dst, nbytes, kind="", reply=False):
-        yield from transfer(src, dst, nbytes, kind, reply)
         if kind == "recovery_read.reply" and src != dst:
             received[dst] += nbytes
             frames.append(nbytes)
+        return transfer(src, dst, nbytes, kind, reply)
 
     cluster.fabric.transfer = tallying
     run_to(sim, sim.process(_repair_stripes(cluster, victim)))
